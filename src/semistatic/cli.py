@@ -3,8 +3,9 @@
 Commands compose through market files (JSON text), never binary state:
 `semistatic fixture P2 | semistatic price super-indiv --market -` prints a
 report whose prices are exact "p/q" strings.  Decimals appear only behind
---approx.  Exit codes: 0 success / no arbitrage, 1 usage error, 2 arbitrage
-found, 3 verification failure.
+--approx.  Exit codes: 0 success / no arbitrage, 1 usage or input error,
+2 arbitrage found or hedging refused, 3 verification failure; a typed failure
+prints one line to stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from . import __version__
 from .fixtures import FIXTURE_NAMES, fixture_json, load_fixture
 from .ftap import NO_ARBITRAGE, check_na, check_sna
 from .hedging import (
+    ArbitrageRefusal,
     HedgeResult,
     PriceInfinity,
     VerificationFailure,
@@ -29,10 +31,18 @@ from .hedging import (
     super_hedge_divisible,
     super_hedge_indivisible,
 )
-from .market import MarketSpec, build_market, market_priors
-from .measures import Measure, PricingSetSpec, closure_polytope, polytope_vertices_as_measures
+from .lp import LpVerificationError
+from .market import MarketError, MarketSpec, build_market, market_priors
+from .measures import (
+    Measure,
+    MeasureError,
+    PricingSetSpec,
+    closure_polytope,
+    polytope_vertices_as_measures,
+)
 from .rational import rat, rat_str
 from .robust import (
+    HypothesisFailure,
     PriorSet,
     RobustSpec,
     check_sna_robust,
@@ -40,7 +50,8 @@ from .robust import (
     minimax_check,
     sub_hedge_robust,
 )
-from .tree import AdaptedProcess, TerminalClaim
+from .stopping import EnumerationCapError
+from .tree import AdaptedProcess, TerminalClaim, TreeError
 from .utility import UtilitySpec, duality_audit, log_utility, power_utility
 
 REPORT_SCHEMA = "semistatic-report/1"
@@ -354,12 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "with semi-static strategies",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--enum-cap", type=int, default=None,
-                        help="enumerate stop constraints up to this many "
-                             "stopping times (default 32)")
-    parser.add_argument("--oracle-cuts", action="store_true",
-                        help="always generate stop constraints lazily from "
-                             "the exercise envelope")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fixture", help="emit a built-in market file")
@@ -414,22 +419,20 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    from .measures import configure_cuts
-
-    configure_cuts(
-        force_lazy=bool(getattr(args, "oracle_cuts", False)),
-        enum_limit=getattr(args, "enum_cap", None),
-    )
     report = {"schema": REPORT_SCHEMA, "command": args.command}
     try:
         code = args.func(args, report)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, json.JSONDecodeError, TreeError, MarketError, MeasureError,
+            EnumerationCapError, TypeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    except VerificationFailure as exc:
+    except (ArbitrageRefusal, HypothesisFailure) as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 2
+    except (VerificationFailure, LpVerificationError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3
     if not report.pop("suppress", False):

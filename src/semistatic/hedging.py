@@ -26,9 +26,9 @@ from .measures import (
     Measure,
     PricingSetSpec,
     SlackResult,
+    _cap_targets,
     _measure_of,
     _stop_row,
-    _use_enumeration,
     _weight_var,
     closure_polytope,
     martingale_system,
@@ -36,6 +36,7 @@ from .measures import (
     membership,
     polytope_vertices_as_measures,
     pricing_rows,
+    solve_with_stop_cuts,
 )
 from .rational import rat, rat_str
 from .stopping import (
@@ -43,7 +44,6 @@ from .stopping import (
     StoppingTime,
     enumerate_stopping_times,
     liquidate_payoff,
-    snell_optimal_stop,
     snell_value,
     stop_everywhere_at,
 )
@@ -93,6 +93,9 @@ class PriceInfinity:
 
 
 INFINITE_PRICE = PriceInfinity()
+
+# cut family of the sub_am epigraph rows z >= E phi_tau
+_EPIGRAPH = "epi"
 
 
 # ---------------------------------------------------------------------------
@@ -266,83 +269,52 @@ def dual_optimum(
     claim,
     kind: str,
     carrier: Sequence[str] | None = None,
-    lazy: bool | None = None,
 ) -> tuple[LpSolution, Measure | None]:
     """Optimize over the closure polytope: min E psi ("sub_eu"), max E psi
     ("super_div"), or min of the exercise value sup_tau E phi_tau ("sub_am",
-    epigraph form).  American cap rows and epigraph rows are enumerated on
-    small trees and generated lazily from the exercise envelope elsewhere."""
+    epigraph form).  American cap rows and epigraph rows are generated by
+    `solve_with_stop_cuts` from the exercise envelope."""
     m = spec.market
     leaves = tuple(carrier) if carrier is not None else m.support_leaves()
     base = martingale_system(m, carrier=leaves)
-    use_lazy = (not _use_enumeration(m.tree)) if lazy is None else lazy
-    taus = None if use_lazy else enumerate_stopping_times(m.tree)
+    fixed = list(base.constraints) + pricing_rows(spec, leaves)
+    variables = list(base.variables)
+    free: frozenset[str] = frozenset()
+    if kind in ("sub_eu", "super_div"):
+        objective = {_weight_var(l): claim.at(l) for l in leaves if claim.at(l)}
+        sense = "min" if kind == "sub_eu" else "max"
+    elif kind == "sub_am":
+        variables.append("z")
+        free = frozenset({"z"})
+        objective = {"z": 1}
+        sense = "min"
+    else:
+        raise ValueError(f"unknown dual kind {kind!r}")
 
-    def claim_coeffs():
-        return {_weight_var(l): claim.at(l) for l in leaves if claim.at(l)}
-
-    def build(cap_cuts: list[tuple[int, StoppingTime]],
-              epi_cuts: list[StoppingTime]) -> LpProblem:
-        rows = list(base.constraints)
-        rows += pricing_rows(spec, leaves, taus=taus)
-        for k, tau in cap_cuts:
-            rows.append(con(_stop_row(m.h[k], tau, leaves), LE, spec.h_cap[k],
-                            f"h[{k}]cut"))
-        variables = list(base.variables)
-        objective: dict[str, Fraction]
-        free: frozenset[str] = frozenset()
-        if kind == "sub_eu":
-            objective = claim_coeffs()
-            sense = "min"
-        elif kind == "super_div":
-            objective = claim_coeffs()
-            sense = "max"
-        elif kind == "sub_am":
-            variables.append("z")
-            free = frozenset({"z"})
-            objective = {"z": 1}
-            sense = "min"
-            use_taus = taus if taus is not None else epi_cuts
-            for t_idx, tau in enumerate(use_taus):
+    def build(cuts: list[tuple[object, StoppingTime]]) -> LpProblem:
+        rows = list(fixed)
+        for k, tau in cuts:
+            if k != _EPIGRAPH:
+                rows.append(con(_stop_row(m.h[k], tau, leaves), LE, spec.h_cap[k],
+                                f"h[{k}]cut"))
+        if kind == "sub_am":
+            epi = [stop_everywhere_at(m.tree, 0)] + [tau for k, tau in cuts if k == _EPIGRAPH]
+            for t_idx, tau in enumerate(epi):
                 coeffs = dict(_stop_row(claim, tau, leaves))
                 coeffs["z"] = Fraction(-1)
                 rows.append(con(coeffs, LE, 0, f"epi[{t_idx}]"))
-        else:
-            raise ValueError(f"unknown dual kind {kind!r}")
         return LpProblem(sense, objective, rows, variables, free=free)
 
-    cap_cuts: list[tuple[int, StoppingTime]] = []
-    epi_cuts: list[StoppingTime] = [stop_everywhere_at(m.tree, 0)] if kind == "sub_am" else []
-    seen_caps: set[tuple[int, frozenset]] = set()
-    seen_epi: set[frozenset] = set()
-    while True:
-        sol = solve(build(cap_cuts if use_lazy else [], epi_cuts))
-        if sol.status != "optimal":
-            return sol, None
-        Q = _measure_of(leaves, sol.values, m.tree)
-        if not use_lazy:
-            return sol, Q
-        progressed = False
-        for k, cap in enumerate(spec.h_cap):
-            if cap is None:
-                continue
-            if snell_value(Q, m.h[k]) > cap:
-                tau = snell_optimal_stop(Q, m.h[k])
-                key = (k, tau.stop_nodes)
-                if key not in seen_caps:
-                    seen_caps.add(key)
-                    cap_cuts.append((k, tau))
-                    progressed = True
+    def targets(sol: LpSolution):
+        bounds = _cap_targets(spec)
         if kind == "sub_am":
-            z = sol.values.get("z", ZERO)
-            if snell_value(Q, claim) > z:
-                tau = snell_optimal_stop(Q, claim)
-                if tau.stop_nodes not in seen_epi:
-                    seen_epi.add(tau.stop_nodes)
-                    epi_cuts.append(tau)
-                    progressed = True
-        if not progressed:
-            return sol, Q
+            bounds.append((_EPIGRAPH, claim, sol.values.get("z", ZERO)))
+        return _measure_of(leaves, sol.values, m.tree), bounds
+
+    sol = solve_with_stop_cuts(build, targets)
+    if sol.status != "optimal":
+        return sol, None
+    return sol, _measure_of(leaves, sol.values, m.tree)
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +602,7 @@ def american_exchange_values(market: MarketSpec, phi: AdaptedProcess) -> dict:
     """The pure-option value computed four ways over the closed pricing set:
 
       sup_flow inf_Q  E_Q[flow(phi)]      (strategy LP over vertex cuts)
-      inf_Q sup_flow  E_Q[flow(phi)]      (epigraph LP, lazy envelope cuts)
+      inf_Q sup_flow  E_Q[flow(phi)]      (epigraph LP, envelope cuts)
       inf_Q sup_stop  E_Q[phi_at_stop]    (epigraph LP, enumerated stops)
       sup_stop inf_Q  E_Q[phi_at_stop]    (per-stop LPs, then max)
 
@@ -669,18 +641,20 @@ def american_exchange_values(market: MarketSpec, phi: AdaptedProcess) -> dict:
     sol = solve(LpProblem("max", {"t": 1}, rows, variables, free=frozenset({"t"})))
     sup_flow_inf = sol.objective
 
-    dual_lazy, _ = dual_optimum(spec, phi, "sub_am", lazy=True)
-    inf_sup_flow = dual_lazy.objective
-    dual_enum, _ = dual_optimum(spec, phi, "sub_am", lazy=False)
-    inf_sup_stop = dual_enum.objective
+    dual_cuts, _ = dual_optimum(spec, phi, "sub_am")
+    inf_sup_flow = dual_cuts.objective
+
+    # the stop-side values on the enumerated rows of the closure polytope
+    stop_rows = [_stop_row(phi, tau, leaves) for tau in enumerate_stopping_times(tree)]
+    epigraph = poly.constraints + [con({**row, "z": Fraction(-1)}, LE, 0, f"epi[{t_idx}]")
+                                   for t_idx, row in enumerate(stop_rows)]
+    sol = solve(LpProblem("min", {"z": 1}, epigraph, poly.variables + ["z"],
+                          free=frozenset({"z"})))
+    inf_sup_stop = sol.objective
 
     best = None
-    for tau in enumerate_stopping_times(tree):
-        base = martingale_system(m, carrier=leaves)
-        rows = list(base.constraints) + pricing_rows(spec, leaves,
-                                                     taus=enumerate_stopping_times(tree))
-        obj = _stop_row(phi, tau, leaves)
-        sol = solve(LpProblem("min", obj, rows, base.variables))
+    for obj in stop_rows:
+        sol = solve(LpProblem("min", obj, poly.constraints, poly.variables))
         if sol.status == "optimal" and (best is None or sol.objective > best):
             best = sol.objective
     return {

@@ -221,9 +221,6 @@ class _Tableau:
                         obj[l] -= cb * row[l]
         self.obj = obj
 
-    def true_value(self, col_index: int, row_i: int) -> Fraction:
-        return Fraction(self.rows[row_i][col_index], self.d)
-
     def basic_values(self) -> dict[int, Fraction]:
         return {var: Fraction(self.b[i], self.d) for i, var in enumerate(self.basis)}
 

@@ -117,22 +117,6 @@ class HedgePortfolio:
             raise MarketError("American position/exercise count mismatch")
 
 
-def zero_portfolio(market: MarketSpec) -> HedgePortfolio:
-    from .stopping import stop_everywhere_at
-
-    mus = tuple(
-        LiquidatingStrategy.from_stopping_time(stop_everywhere_at(market.tree, 0))
-        for _ in market.h
-    )
-    return HedgePortfolio(
-        H=None,
-        a=tuple(Fraction(0) for _ in market.f),
-        b=tuple(Fraction(0) for _ in market.g),
-        c=tuple(Fraction(0) for _ in market.h),
-        mu=mus,
-    )
-
-
 def gains_to(H: AdaptedProcess, market: MarketSpec, node: str) -> Fraction:
     """Trading gains along the root-to-node path: sum over steps s < t of
     H_s . (S_{s+1} - S_s).  H is read on non-leaf nodes only."""

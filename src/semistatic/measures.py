@@ -8,16 +8,18 @@ can represent directly.  It is handled through two computable objects:
   * a slack-maximization LP whose optimum is positive exactly when the strict
     set is nonempty (with the witness measure as certificate).
 
-American caps quantify over all stopping times.  They are materialized either
-by explicit enumeration or lazily, using the greedy optimal stop of the
-exercise envelope as a separation oracle.
+American caps quantify over all stopping times.  Every LP imposes them one
+way: `solve_with_stop_cuts` adds a stop's row only when the greedy optimal
+stop of the exercise envelope under the current solution violates it.  The
+closure polytope is the exception: vertex enumeration needs its full
+H-representation, so it lists one row per enumerated stopping time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .lp import EQ, GE, LE, Constraint, LpProblem, LpSolution, con, solve
 from .market import MarketSpec
@@ -32,23 +34,6 @@ from .stopping import (
 from .tree import AdaptedProcess, EventTree, TerminalClaim
 
 ZERO = Fraction(0)
-
-# Explicit stopping-time enumeration is used while the stopping-time count
-# stays this small; beyond it, "for all stops" constraint families are
-# generated lazily from the exercise envelope (same answers, tiny LPs).
-ENUM_STOP_LIMIT = 32
-
-# process-wide overrides, set by the CLI flags --enum-cap / --oracle-cuts
-_FORCE_LAZY = False
-_ENUM_STOP_LIMIT_OVERRIDE: int | None = None
-
-
-def configure_cuts(force_lazy: bool = False, enum_limit: int | None = None) -> None:
-    """Override the enumeration/lazy-cut switch (CLI plumbing); called once
-    per command, resetting to defaults when flags are absent."""
-    global _FORCE_LAZY, _ENUM_STOP_LIMIT_OVERRIDE
-    _FORCE_LAZY = force_lazy
-    _ENUM_STOP_LIMIT_OVERRIDE = enum_limit
 
 
 class MeasureError(ValueError):
@@ -181,15 +166,6 @@ def _stop_row(h: AdaptedProcess, tau: StoppingTime, leaves: Sequence[str]) -> di
     return out
 
 
-def _use_enumeration(tree: EventTree) -> bool:
-    from .stopping import count_stopping_times
-
-    if _FORCE_LAZY:
-        return False
-    limit = _ENUM_STOP_LIMIT_OVERRIDE or ENUM_STOP_LIMIT
-    return count_stopping_times(tree) <= limit
-
-
 def _measure_of(spec_leaves: Sequence[str], sol_values: Mapping[str, Fraction],
                 tree: EventTree) -> Measure:
     w = {l: sol_values.get(_weight_var(l), ZERO) for l in spec_leaves}
@@ -199,13 +175,13 @@ def _measure_of(spec_leaves: Sequence[str], sol_values: Mapping[str, Fraction],
 def pricing_rows(
     spec: PricingSetSpec,
     leaves: Sequence[str],
-    taus: Sequence[StoppingTime] | None,
     slack_var: str | None = None,
 ) -> list[Constraint]:
-    """f-pricing equalities plus capped g rows and per-stopping-time h rows.
+    """f-pricing equalities plus capped g rows.
 
     With `slack_var` set, buy-only caps become `E[.] + t <= cap`, the slack
-    maximization form.  `taus=None` emits no American rows (lazy mode)."""
+    maximization form.  American caps are not rows here: LPs generate them
+    with `solve_with_stop_cuts`, and `closure_polytope` enumerates them."""
     m = spec.market
     rows: list[Constraint] = []
     for i, (claim, price) in enumerate(zip(m.f, m.f_prices)):
@@ -218,110 +194,69 @@ def pricing_rows(
             coeffs = dict(coeffs)
             coeffs[slack_var] = Fraction(1)
         rows.append(con(coeffs, LE, cap, f"g[{j}]"))
-    if taus is not None:
-        for k, (h, cap) in enumerate(zip(m.h, spec.h_cap)):
-            if cap is None:
-                continue
-            for t_idx, tau in enumerate(taus):
-                coeffs = _stop_row(h, tau, leaves)
-                if slack_var is not None:
-                    coeffs = dict(coeffs)
-                    coeffs[slack_var] = Fraction(1)
-                rows.append(con(coeffs, LE, cap, f"h[{k}]tau[{t_idx}]"))
     return rows
 
 
-def _lazy_option_indices(spec: PricingSetSpec) -> list[int]:
-    return [k for k, cap in enumerate(spec.h_cap) if cap is not None]
+def _cap_targets(spec: PricingSetSpec, slack: Fraction = ZERO) -> list[tuple]:
+    """(option index, h, cap - slack) for every capped American option: the
+    separation targets of its "for all stopping times" rows."""
+    m = spec.market
+    return [(k, m.h[k], cap - slack) for k, cap in enumerate(spec.h_cap) if cap is not None]
 
 
 def solve_with_stop_cuts(
-    problem_builder, spec: PricingSetSpec, leaves: Sequence[str],
-    slack_of_solution=None,
-) -> tuple[LpSolution, list[tuple[int, StoppingTime]]]:
-    """Solve an LP whose American cap rows are generated lazily.
+    build: Callable[[list[tuple[object, StoppingTime]]], LpProblem],
+    targets: Callable[[LpSolution], tuple[Measure, list[tuple]]],
+) -> LpSolution:
+    """Solve an LP whose "for all stopping times" rows are generated lazily.
 
-    `problem_builder(cuts)` must return the LpProblem with the given list of
-    (option index, stopping time) cut rows included.  After each solve the
-    greedy envelope stop under the solution measure is checked for violation;
-    the loop is exact and terminates because the stopping-time set is finite.
-    """
-    m = spec.market
-    cuts: list[tuple[int, StoppingTime]] = []
-    seen: set[tuple[int, frozenset]] = set()
+    `build(cuts)` returns the LP with one row per (family, stopping time) in
+    `cuts`.  `targets(sol)` reads the measure off an optimal solution and
+    lists (family, h, bound) triples: the exercise value of h under that
+    measure may not exceed bound.  Each violated triple adds the greedy
+    envelope stop as a cut, and the LP is solved again.  The loop is exact
+    and ends because the stopping-time set is finite; a violated cut that is
+    already in the LP raises MeasureError."""
+    cuts: list[tuple[object, StoppingTime]] = []
+    seen: set[tuple[object, StoppingTime]] = set()
     while True:
-        problem = problem_builder(cuts)
-        sol = solve(problem)
+        sol = solve(build(cuts))
         if sol.status != "optimal":
-            return sol, cuts
-        w = {l: sol.values.get(_weight_var(l), ZERO) for l in leaves}
-        total = sum(w.values(), ZERO)
-        if total <= 0:
-            return sol, cuts
-        Q = Measure(m.tree, {l: v / total for l, v in w.items() if v})
-        slack = slack_of_solution(sol) if slack_of_solution else ZERO
-        violated = False
-        for k in _lazy_option_indices(spec):
-            cap = spec.h_cap[k]
-            value = total * snell_value(Q, m.h[k])
-            if value > cap - slack:
-                tau = snell_optimal_stop(Q, m.h[k])
-                key = (k, tau.stop_nodes)
-                if key in seen:
-                    raise MeasureError("lazy cut loop failed to progress")
-                seen.add(key)
-                cuts.append((k, tau))
-                violated = True
-        if not violated:
-            return sol, cuts
+            return sol
+        Q, bounds = targets(sol)
+        new = [(family, snell_optimal_stop(Q, h)) for family, h, bound in bounds
+               if snell_value(Q, h) > bound]
+        if not new:
+            return sol
+        for cut in new:
+            if cut in seen:
+                raise MeasureError(f"stop cut loop failed to progress on {cut[0]!r}")
+            seen.add(cut)
+        cuts += new
 
 
-def closure_polytope(spec: PricingSetSpec, enum_cap: int | None = None,
-                     lazy: bool | None = None,
+def closure_polytope(spec: PricingSetSpec,
                      carrier: Sequence[str] | None = None) -> Polytope:
     """H-representation of the closure of the pricing set.
 
-    American caps are expanded via full enumeration, or (lazy mode) cut rows
-    are added only as vertex violations demand; both yield the same polytope.
-    `carrier` restricts the weights to a leaf subset (defaults to the market
+    American caps are expanded into one row per enumerated stopping time, the
+    explicit form vertex enumeration needs; trees with more than
+    DEFAULT_ENUM_CAP stopping times raise EnumerationCapError.  `carrier`
+    restricts the weights to a leaf subset (defaults to the market
     support)."""
     m = spec.market
     leaves = tuple(carrier) if carrier is not None else m.support_leaves()
     base = martingale_system(m, carrier=leaves)
     rows = list(base.constraints)
     rows += [con({_weight_var(l): 1}, GE, 0, f"nonneg[{l}]") for l in leaves]
-    rows += pricing_rows(spec, leaves, taus=None)
-    use_lazy = (not _use_enumeration(m.tree)) if lazy is None else lazy
-    if not use_lazy:
-        taus = enumerate_stopping_times(m.tree, cap=enum_cap or 10**6)
-        for k, (h, cap) in enumerate(zip(m.h, spec.h_cap)):
-            if cap is None:
-                continue
-            for t_idx, tau in enumerate(taus):
-                rows.append(con(_stop_row(h, tau, leaves), LE, cap, f"h[{k}]tau[{t_idx}]"))
-        return Polytope(base.variables, rows)
-    # lazy: refine against vertex violations until the envelope is satisfied
-    cut_rows: list[Constraint] = []
-    seen: set[tuple[int, frozenset]] = set()
-    while True:
-        poly = Polytope(base.variables, rows + cut_rows)
-        violated = False
-        for vert in vertices(poly):
-            w = {l: vert.get(_weight_var(l), ZERO) for l in leaves}
-            Q = Measure(m.tree, {l: v for l, v in w.items() if v})
-            for k in _lazy_option_indices(spec):
-                if snell_value(Q, m.h[k]) > spec.h_cap[k]:
-                    tau = snell_optimal_stop(Q, m.h[k])
-                    key = (k, tau.stop_nodes)
-                    if key not in seen:
-                        seen.add(key)
-                        cut_rows.append(
-                            con(_stop_row(m.h[k], tau, leaves), LE, spec.h_cap[k],
-                                f"h[{k}]cut[{len(cut_rows)}]")
-                        )
-                        violated = True
-        if not violated:
-            return Polytope(base.variables, rows + cut_rows)
+    rows += pricing_rows(spec, leaves)
+    taus = enumerate_stopping_times(m.tree)
+    for k, (h, cap) in enumerate(zip(m.h, spec.h_cap)):
+        if cap is None:
+            continue
+        for t_idx, tau in enumerate(taus):
+            rows.append(con(_stop_row(h, tau, leaves), LE, cap, f"h[{k}]tau[{t_idx}]"))
+    return Polytope(base.variables, rows)
 
 
 @dataclass
@@ -344,8 +279,7 @@ class SlackResult:
 SLACK_VAR = "t[slack]"
 
 
-def max_slack(spec: PricingSetSpec, enum_cap: int | None = None,
-              lazy: bool | None = None,
+def max_slack(spec: PricingSetSpec,
               carrier: Sequence[str] | None = None) -> SlackResult:
     """Maximize a uniform slack t with E g <= cap - t, stop values <= cap - t,
     and weight >= t on the support floor.  The slack is capped at 1 so the LP
@@ -354,15 +288,11 @@ def max_slack(spec: PricingSetSpec, enum_cap: int | None = None,
     leaves = tuple(carrier) if carrier is not None else m.support_leaves()
     floor = [l for l in leaves if l in spec.support_floor]
     base = martingale_system(m, carrier=leaves)
-    use_lazy = (not _use_enumeration(m.tree)) if lazy is None else lazy
+    fixed = list(base.constraints) + pricing_rows(spec, leaves, slack_var=SLACK_VAR)
+    variables = base.variables + [SLACK_VAR]
 
     def build(cuts: list[tuple[int, StoppingTime]]) -> LpProblem:
-        rows = list(base.constraints)
-        rows += pricing_rows(
-            spec, leaves,
-            taus=None if use_lazy else enumerate_stopping_times(m.tree, cap=enum_cap or 10**6),
-            slack_var=SLACK_VAR,
-        )
+        rows = list(fixed)
         for k, tau in cuts:
             coeffs = dict(_stop_row(m.h[k], tau, leaves))
             coeffs[SLACK_VAR] = Fraction(1)
@@ -370,15 +300,13 @@ def max_slack(spec: PricingSetSpec, enum_cap: int | None = None,
         for l in floor:
             rows.append(con({_weight_var(l): 1, SLACK_VAR: -1}, GE, 0, f"floor[{l}]"))
         rows.append(con({SLACK_VAR: 1}, LE, 1, "slack_cap"))
-        variables = base.variables + [SLACK_VAR]
         return LpProblem("max", {SLACK_VAR: 1}, rows, variables, free=frozenset({SLACK_VAR}))
 
-    if use_lazy:
-        sol, _ = solve_with_stop_cuts(
-            build, spec, leaves, slack_of_solution=lambda s: s.values.get(SLACK_VAR, ZERO)
-        )
-    else:
-        sol = solve(build([]))
+    def targets(sol: LpSolution):
+        Q = _measure_of(leaves, sol.values, m.tree)
+        return Q, _cap_targets(spec, sol.values.get(SLACK_VAR, ZERO))
+
+    sol = solve_with_stop_cuts(build, targets)
     if sol.status != "optimal":
         return SlackResult(status="infeasible")
     witness = _measure_of(leaves, sol.values, m.tree)

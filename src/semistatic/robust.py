@@ -41,13 +41,13 @@ from .measures import (
     closure_polytope,
     max_slack,
     membership,
+    solve_with_stop_cuts,
 )
 from .polytope import Polytope
 from .rational import rat_str
 from .stopping import (
     StoppingTime,
     enumerate_stopping_times,
-    snell_optimal_stop,
     snell_value,
     stop_everywhere_at,
 )
@@ -404,7 +404,7 @@ def minimax_check(
 
       lhs: max t s.t. every vertex gives the flow at least t (flows free),
       mid: min over hull mixtures of the summed exercise envelopes,
-           with envelope cuts generated lazily,
+           with envelope cuts from `solve_with_stop_cuts`,
       rhs: the same worst case via enumerated stop combinations.
 
     Raises if the three are not exactly equal; returns the attaining measure
@@ -460,42 +460,38 @@ def minimax_check(
     lam_vars = [f"lam[{i}]" for i in range(len(R_vertices))]
     simplex_row = con({v: 1 for v in lam_vars}, EQ, 1, "hull")
 
-    # mid: epigraph with lazy envelope cuts per option
-    cuts: list[list[StoppingTime]] = [[stop_everywhere_at(tree, 0)] for _ in range(N)]
-    seen = [set() for _ in range(N)]
-    while True:
+    def mixture(sol) -> Measure:
+        mixture_w = {}
+        for v, R in zip(lam_vars, R_vertices):
+            for leaf, wl in R.weights.items():
+                mixture_w[leaf] = mixture_w.get(leaf, ZERO) + sol.values.get(v, ZERO) * wl
+        return Measure(tree, mixture_w)
+
+    # mid: epigraph with envelope cuts per option
+    z_vars = [f"z[{k}]" for k in range(N)]
+    stop_at_0 = stop_everywhere_at(tree, 0)
+
+    def build(cuts: list[tuple[int, StoppingTime]]) -> LpProblem:
         rows = [simplex_row]
-        variables = lam_vars + [f"z[{k}]" for k in range(N)]
         for k in range(N):
-            for c_idx, tau in enumerate(cuts[k]):
+            own = [stop_at_0] + [tau for j, tau in cuts if j == k]
+            for c_idx, tau in enumerate(own):
                 coeffs = {lam_vars[i]: stop_value(R, h_list[k], tau)
                           for i, R in enumerate(R_vertices)}
                 coeffs = {key: val for key, val in coeffs.items() if val}
-                coeffs[f"z[{k}]"] = Fraction(-1)
+                coeffs[z_vars[k]] = Fraction(-1)
                 rows.append(con(coeffs, LE, 0, f"cut[{k}][{c_idx}]"))
-        sol = solve(LpProblem(
-            "min", {f"z[{k}]": 1 for k in range(N)}, rows, variables,
-            free=frozenset(f"z[{k}]" for k in range(N)),
-        ))
-        if sol.status != "optimal":
-            raise RobustError(f"mixture LP is {sol.status}")
-        lam = [sol.values.get(v, ZERO) for v in lam_vars]
-        mixture_w = {}
-        for weight, R in zip(lam, R_vertices):
-            for leaf, wl in R.weights.items():
-                mixture_w[leaf] = mixture_w.get(leaf, ZERO) + weight * wl
-        R_mix = Measure(tree, mixture_w)
-        progressed = False
-        for k, h in enumerate(h_list):
-            if snell_value(R_mix, h) > sol.values.get(f"z[{k}]", ZERO):
-                tau = snell_optimal_stop(R_mix, h)
-                if tau.stop_nodes not in seen[k]:
-                    seen[k].add(tau.stop_nodes)
-                    cuts[k].append(tau)
-                    progressed = True
-        if not progressed:
-            mid = sol.objective
-            break
+        return LpProblem("min", {z: 1 for z in z_vars}, rows, lam_vars + z_vars,
+                         free=frozenset(z_vars))
+
+    def targets(sol):
+        return mixture(sol), [(k, h, sol.values.get(z_vars[k], ZERO))
+                              for k, h in enumerate(h_list)]
+
+    sol = solve_with_stop_cuts(build, targets)
+    if sol.status != "optimal":
+        raise RobustError(f"mixture LP is {sol.status}")
+    mid = sol.objective
 
     # rhs: enumerated stop combinations (decoupled per option above the cap)
     taus = enumerate_stopping_times(tree)
@@ -527,12 +523,7 @@ def minimax_check(
     if sol.status != "optimal":
         raise RobustError(f"stop-side LP is {sol.status}")
     rhs = sol.objective
-    lam = [sol.values.get(v, ZERO) for v in lam_vars]
-    mixture_w = {}
-    for weight, R in zip(lam, R_vertices):
-        for leaf, wl in R.weights.items():
-            mixture_w[leaf] = mixture_w.get(leaf, ZERO) + weight * wl
-    attaining = Measure(tree, mixture_w)
+    attaining = mixture(sol)
 
     if not (lhs == mid == rhs):
         raise VerificationFailure(

@@ -25,8 +25,9 @@ DEFAULT_ENUM_CAP = 10**6
 
 
 class EnumerationCapError(RuntimeError):
-    """Too many stopping times to enumerate; use the cut-generating path
-    (lazy Snell separation) instead of explicit enumeration."""
+    """Too many stopping times to enumerate.  Only single-stop questions and
+    the explicit closure polytope enumerate; LPs over all stopping times take
+    their rows from the Snell separation oracle and never raise this."""
 
 
 class StoppingTime:
@@ -49,15 +50,8 @@ class StoppingTime:
         self.stop_nodes = nodes
         self._stop_at = stop_map
 
-    def stop_node(self, leaf: str) -> str:
-        """The node at which this stopping time stops on the path to `leaf`."""
-        return self._stop_at[leaf]
-
     def stops_at(self, node: str) -> bool:
         return node in self.stop_nodes
-
-    def time_at(self, leaf: str) -> int:
-        return self.tree.time(self._stop_at[leaf])
 
     def value_at(self, h: AdaptedProcess, leaf: str) -> Fraction:
         """h evaluated at the stop: the exercise payoff on the path to `leaf`."""
@@ -140,14 +134,14 @@ def enumerate_stopping_times(
 ) -> list[StoppingTime]:
     """All stopping times of the tree, duplicate-free.
 
-    Refuses with `EnumerationCapError` when the count exceeds `cap`; callers
-    with "for all tau" constraints should then switch to lazy Snell cuts.
+    Refuses with `EnumerationCapError` when the count exceeds `cap`.
     """
     n = count_stopping_times(tree)
     if n > cap:
         raise EnumerationCapError(
-            f"{n} stopping times exceeds cap {cap}; "
-            "use the Snell separation oracle (lazy cuts) instead"
+            f"{n} stopping times exceeds cap {cap}; only single-stop questions and "
+            "the explicit closure polytope enumerate them (LP rows come from the "
+            "Snell oracle)"
         )
 
     def antichains(node: str) -> list[frozenset[str]]:
@@ -249,7 +243,7 @@ def snell_optimal_stop(Q: "Measure", h: AdaptedProcess) -> StoppingTime:
     """A stopping time attaining the Snell value: the greedy early-exercise
     rule of the envelope (stop as soon as stopping is no worse than continuing).
 
-    This is the separation oracle behind lazily generated "for all tau" cuts.
+    This is the separation oracle of `measures.solve_with_stop_cuts`.
     """
     tree = h.tree
     mass = _subtree_masses(Q)

@@ -182,9 +182,6 @@ class TerminalClaim:
     def at(self, leaf: str) -> Fraction:
         return self._values[leaf]
 
-    def as_map(self) -> dict[str, Fraction]:
-        return dict(self._values)
-
     def __repr__(self) -> str:
         return f"TerminalClaim({len(self._values)} leaves)"
 
@@ -192,6 +189,3 @@ class TerminalClaim:
 def constant_claim(tree: EventTree, value) -> TerminalClaim:
     return TerminalClaim(tree, {leaf: rat(value) for leaf in tree.leaves})
 
-
-def constant_process(tree: EventTree, value) -> AdaptedProcess:
-    return AdaptedProcess(tree, {n: rat(value) for n in tree.nodes})

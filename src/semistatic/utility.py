@@ -354,14 +354,6 @@ class DualityReport:
     worst_points: dict[str, float]
     passed: bool
 
-    def summary(self) -> str:
-        lines = [f"utility {self.utility}: AE grid bound {self.asymptotic_elasticity:.6f}"]
-        for key in sorted(self.residuals):
-            lines.append(f"  {key}: {self.residuals[key]:.3e} "
-                         f"(worst at {self.worst_points.get(key, float('nan')):.6g})")
-        lines.append("  PASS" if self.passed else "  FAIL")
-        return "\n".join(lines)
-
 
 def _u_prime(spec: UtilitySpec, x: float, u_x: float, p_hat: np.ndarray) -> float:
     """The sensitivity of u via the optimizer formula (validated separately

@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from semistatic.cli import main
 from semistatic.fixtures import fixture_json
 
@@ -88,6 +90,76 @@ def test_check_arbitrage_strict(capsys):
 def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "price", "sub-eu", "--market", "B1", "--claim", "nope")
     assert code == 1
+    code, out, _ = run_cli(capsys, "price", "sub-eu", "--market", "B1", "--claim", "up_digital")
+    assert code == 0
+    assert json.loads(out)["results"][0]["price"] == "1/2"
+
+
+def _wide_tree_doc():
+    """A market whose tree has 1 + 2**21 stopping times and one American
+    option: whole-unit exercise must enumerate them, past the cap."""
+    nodes = [{"id": "r", "parent": None, "time": 0, "S": ["2"]}]
+    for i in range(21):
+        nodes.append({"id": f"c{i}", "parent": "r", "time": 1, "S": ["2"]})
+        nodes += [{"id": f"c{i}{x}", "parent": f"c{i}", "time": 2, "S": [s]}
+                  for x, s in (("u", "3"), ("d", "1"))]
+    zero = {n["id"]: "0" for n in nodes}
+    return {"horizon": 2, "nodes": nodes, "european_two_sided": [], "european_buy_only": [],
+            "american_buy_only": [{"payoff": zero, "price": "0"}]}
+
+
+def _arbitrage_doc():
+    doc = json.loads(fixture_json("B1"))
+    doc["european_buy_only"] = [{"payoff": {"u": "1", "d": "1"}, "price": "1/2"}]
+    doc["priors"] = [{"u": "1/2", "d": "1/2"}]
+    return doc
+
+
+def _edited_b1(edit):
+    doc = json.loads(fixture_json("B1"))
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("doc, argv, expected", [
+    # malformed tree (TreeError)
+    (_edited_b1(lambda d: d["nodes"][-1].update(parent="missing")),
+     ["check-arbitrage"], 1),
+    # float literal (TypeError from the rational parser)
+    (_edited_b1(lambda d: d["nodes"][0].update(S=[1.5])),
+     ["price", "sub-eu", "--claim", "up_digital"], 1),
+    # missing field (MarketError)
+    (_edited_b1(lambda d: d.pop("horizon")), ["check-arbitrage"], 1),
+    # prior weights not summing to one (MeasureError)
+    (_edited_b1(lambda d: d.update(priors=[{"u": "1/2", "d": "1/3"}])),
+     ["robust", "check"], 1),
+    # too many stopping times for whole-unit exercise (EnumerationCapError)
+    (_wide_tree_doc(), ["check-arbitrage", "--indivisible"], 1),
+    # hedging refused on an arbitrage market (ArbitrageRefusal)
+    (_arbitrage_doc(), ["price", "sub-eu", "--claim", "up_digital"], 2),
+    # robust hypothesis fails (HypothesisFailure)
+    (_arbitrage_doc(), ["robust", "price", "--claim", "up_digital"], 2),
+], ids=["bad_tree", "float", "missing_field", "bad_prior", "enum_cap",
+        "price_arbitrage", "robust_arbitrage"])
+def test_typed_failures_exit_without_traceback(capsys, tmp_path, doc, argv, expected):
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *argv, "--market", str(path))
+    assert code == expected
+    assert out == ""
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_lp_verification_error_exits_3(capsys, monkeypatch):
+    from semistatic.lp import LpVerificationError
+
+    def broken(market):
+        raise LpVerificationError("certificate does not verify")
+
+    monkeypatch.setattr("semistatic.cli.check_sna", broken)
+    code, out, err = run_cli(capsys, "check-arbitrage", "--market", "B1", "--strict")
+    assert code == 3
+    assert err.strip() == "verification failure: certificate does not verify"
 
 
 def test_unknown_verb_rejected(capsys):
@@ -193,27 +265,6 @@ def test_jobs_batch_preserves_input_order(capsys, tmp_path):
     rows = json.loads(out)["results"]
     assert [r["market"] for r in rows] == [str(b), str(b)]
     assert all(r["price"] == "0" for r in rows)
-
-
-def test_oracle_cuts_flag_gives_same_price(capsys):
-    _, enum_out, _ = run_cli(capsys, "price", "super-div", "--market", "P2")
-    code, lazy_out, _ = run_cli(capsys, "--oracle-cuts", "price", "super-div",
-                                "--market", "P2")
-    assert code == 0
-    assert json.loads(lazy_out)["results"][0]["price"] == \
-        json.loads(enum_out)["results"][0]["price"] == "0"
-    # reset the process-wide override for later tests
-    from semistatic.measures import configure_cuts
-    configure_cuts()
-
-
-def test_enum_cap_flag(capsys):
-    code, out, _ = run_cli(capsys, "--enum-cap", "1", "price", "sub-eu",
-                           "--market", "B1", "--claim", "up_digital")
-    assert code == 0
-    assert json.loads(out)["results"][0]["price"] == "1/2"
-    from semistatic.measures import configure_cuts
-    configure_cuts()
 
 
 def test_polytope_hrep_export(p2):

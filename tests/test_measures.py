@@ -16,9 +16,11 @@ from semistatic import (
     vertices,
 )
 from semistatic.fixtures import p2_measure, p2_params_of
-from semistatic.lp import LpProblem, solve
+from semistatic.hedging import dual_optimum
+from semistatic.lp import GE, LE, LpProblem, con, solve
 from semistatic.measures import MeasureError, polytope_vertices_as_measures
-from conftest import random_market
+from semistatic.stopping import count_stopping_times, enumerate_stopping_times
+from conftest import random_claim, random_market, random_process
 
 F = Fraction
 
@@ -191,24 +193,73 @@ def test_mixture_density_property(p2):
             assert membership(mix, spec_strict, strict=True), lam
 
 
-def test_lazy_oracle_equals_enumeration(p2):
-    rng = random.Random(77)
+def _cut_oracle_markets(p2, seed):
+    """P2 plus random markets of depth <= 3 with American options, at least
+    one on a tree with more than 32 stopping times."""
+    rng = random.Random(seed)
     markets = [p2] + [m for m in (random_market(rng) for _ in range(12)) if m.h]
+    assert max(count_stopping_times(m.tree) for m in markets) > 32
+    return rng, markets
+
+
+def _enumerated_slack_lp(spec):
+    """The slack LP written out on closure_polytope's enumerated rows: t
+    enters every g[..] and h[..] cap row, the floor rows and the cap t <= 1."""
+    poly = closure_polytope(spec)
+    rows = []
+    for c in poly.constraints:
+        if c.name.startswith(("g[", "h[")):
+            c = con({**c.coeffs, "t": 1}, c.rel, c.rhs, c.name)
+        rows.append(c)
+    rows += [con({f"w[{l}]": 1, "t": -1}, GE, 0, f"floor[{l}]")
+             for l in spec.market.support_leaves() if l in spec.support_floor]
+    rows.append(con({"t": 1}, LE, 1, "slack_cap"))
+    return LpProblem("max", {"t": 1}, rows, poly.variables + ["t"], free=frozenset({"t"}))
+
+
+def test_closure_vertices_pass_snell_membership(p2):
+    _, markets = _cut_oracle_markets(p2, 77)
     for market in markets:
         spec = PricingSetSpec(market)
-        enum_poly = closure_polytope(spec, lazy=False)
-        lazy_poly = closure_polytope(spec, lazy=True)
-        assert sorted(map(tuple, (sorted(v.items()) for v in vertices(enum_poly)))) == \
-            sorted(map(tuple, (sorted(v.items()) for v in vertices(lazy_poly))))
+        for Q in polytope_vertices_as_measures(closure_polytope(spec), market.tree):
+            report = membership(Q, spec, strict=False)
+            assert report, report.violations
 
 
-def test_max_slack_lazy_equals_enumerated(p2):
+def test_max_slack_equals_enumerated_slack_lp(p2):
     rng = random.Random(78)
     markets = [p2] + [random_market(rng) for _ in range(12)]
+    assert max(count_stopping_times(m.tree) for m in markets) > 32
     for market in markets:
         spec = PricingSetSpec.strict_emm(market)
-        a = max_slack(spec, lazy=False)
-        b = max_slack(spec, lazy=True)
-        assert a.status == b.status
-        if a.status == "optimal":
-            assert a.optimum == b.optimum
+        cut = max_slack(spec)
+        enum = solve(_enumerated_slack_lp(spec))
+        assert cut.status == enum.status
+        if enum.status == "optimal":
+            assert cut.optimum == enum.objective
+
+
+def test_dual_optimum_equals_enumerated_lp(p2):
+    rng, markets = _cut_oracle_markets(p2, 77)
+    for market in markets:
+        spec = PricingSetSpec(market)
+        poly = closure_polytope(spec)
+        taus = enumerate_stopping_times(market.tree)
+        psi = random_claim(rng, market.tree)
+        phi = random_process(rng, market.tree)
+        objective = {f"w[{l}]": psi.at(l) for l in market.support_leaves()}
+        epigraph = [con({**{f"w[{l}]": tau.value_at(phi, l) for l in market.support_leaves()},
+                         "z": -1}, LE, 0, f"epi[{i}]") for i, tau in enumerate(taus)]
+        oracles = {
+            "sub_eu": LpProblem("min", objective, poly.constraints, poly.variables),
+            "super_div": LpProblem("max", objective, poly.constraints, poly.variables),
+            "sub_am": LpProblem("min", {"z": 1}, poly.constraints + epigraph,
+                                poly.variables + ["z"], free=frozenset({"z"})),
+        }
+        for kind, problem in oracles.items():
+            enum = solve(problem)
+            sol, Q = dual_optimum(spec, phi if kind == "sub_am" else psi, kind)
+            assert sol.status == enum.status, kind
+            if enum.status == "optimal":
+                assert sol.objective == enum.objective, kind
+                assert membership(Q, spec, strict=False), kind
