@@ -90,11 +90,15 @@ def _resolve_claim(market: MarketSpec, name_or_path: str | None):
         return claims[name_or_path]
     with open(name_or_path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc["type"] == "european":
-        return TerminalClaim(market.tree, {k: rat(v) for k, v in doc["values"].items()})
-    if doc["type"] == "american":
-        return AdaptedProcess(market.tree, {k: rat(v) for k, v in doc["values"].items()})
-    raise UsageError(f"unknown claim type {doc['type']!r}")
+    try:
+        kind, values = doc["type"], doc["values"]
+    except KeyError as exc:
+        raise UsageError(f"claim file missing field {exc}") from None
+    if kind == "european":
+        return TerminalClaim(market.tree, {k: rat(v) for k, v in values.items()})
+    if kind == "american":
+        return AdaptedProcess(market.tree, {k: rat(v) for k, v in values.items()})
+    raise UsageError(f"unknown claim type {kind!r}")
 
 
 def _measure_json(Q: Measure | None, approx: bool):
@@ -310,19 +314,26 @@ def _cmd_robust(args, report) -> int:
     raise UsageError(f"unknown robust action {args.action!r}")
 
 
+def _number(text: str, option: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise UsageError(f"{option}: not a number: {text!r}") from None
+
+
 def _cmd_utility(args, report) -> int:
     market = _load_market(args.market)
     if args.utility == "log":
         fn = log_utility()
     elif args.utility.startswith("power:"):
-        fn = power_utility(float(args.utility.split(":", 1)[1]))
+        fn = power_utility(_number(args.utility.split(":", 1)[1], "--utility"))
     else:
         raise UsageError(f"unknown utility {args.utility!r}")
     leaves = market.support_leaves()
     reference = Measure(market.tree, {l: Fraction(1, len(leaves)) for l in leaves})
     spec = UtilitySpec(market, fn, reference)
-    x_grid = [float(v) for v in args.x_grid.split(",")]
-    y_grid = [float(v) for v in args.y_grid.split(",")] if args.y_grid else None
+    x_grid = [_number(v, "--x-grid") for v in args.x_grid.split(",")]
+    y_grid = [_number(v, "--y-grid") for v in args.y_grid.split(",")] if args.y_grid else None
     audit = duality_audit(spec, x_grid, y_grid)
     report["utility"] = audit.utility
     report["asymptotic_elasticity"] = audit.asymptotic_elasticity

@@ -8,10 +8,14 @@ infinite divisibility buys.  The indivisible super-hedge keeps a whole-unit
 exercise (one stopping time for the entire holding) and is solved by scanning
 stopping times, which is where the divisible/indivisible price gap shows up.
 
-Every operation solves the primal strategy LP and an independent dual LP over
-the closure of the pricing set, requires exact equality, and returns both
-sides; `duality_gap_report` re-verifies a result from scratch through plain
-portfolio evaluation, trusting nothing from the solver.
+Every operation solves one strategy LP.  Its optimum is the price, its
+solution the hedging strategy, and the exact duals on its `leaf[...]` rows a
+pricing measure in the closed pricing set that attains the price: LP duality
+carries the FTAP duality, and for the American part the Snell envelope is the
+LP dual of the exercise flow (Manne 1960).  `duality_gap_report` re-verifies a
+result from scratch, trusting nothing from the solver: the strategy through
+plain portfolio evaluation, the measure through exact membership, and the
+measure's value against the price, which closes the gap by weak duality.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .stopping import (
     snell_value,
     stop_everywhere_at,
 )
-from .tree import AdaptedProcess, TerminalClaim
+from .tree import AdaptedProcess, EventTree, TerminalClaim
 
 ZERO = Fraction(0)
 
@@ -220,13 +224,25 @@ class StrategySpace:
 # Primal hedging LPs
 # ---------------------------------------------------------------------------
 
+def _leaf_dual(problem: LpProblem, sol: LpSolution, tree: EventTree) -> Measure:
+    """The pricing measure an optimal hedge LP carries: the duals of its
+    `leaf[...]` rows.  The free capital x enters every leaf row with
+    coefficient -1 in a max LP and +1 in a min LP, so its zero reduced cost
+    makes these duals total -1 or +1; the sense's sign makes them weights."""
+    sign = -1 if problem.sense == "max" else 1
+    return Measure(tree, {row.name[5:-1]: sign * y
+                          for row, y in zip(problem.constraints, sol.duals)
+                          if y and row.name.startswith("leaf[")})
+
+
 def hedge_primal(
     market: MarketSpec,
     claim,
     kind: str,
     pointwise_leaves: Sequence[str] | None = None,
-) -> tuple[LpSolution, StrategySpace]:
-    """The strategy-side LP.
+) -> tuple[LpSolution, StrategySpace, Measure | None]:
+    """The strategy-side LP, its column layout, and (when optimal) its
+    leaf-dual pricing measure.
 
     kind "sub_eu":    max x s.t. Phi + psi >= x pointwise,
     kind "sub_am":    max x s.t. Phi + eta(phi) >= x pointwise, eta a flow,
@@ -257,7 +273,9 @@ def hedge_primal(
     sense = "min" if kind == "super_div" else "max"
     problem = LpProblem(sense, {"x": 1}, rows, variables,
                         free=frozenset({"x"}) | space.free)
-    return solve(problem), space
+    sol = solve(problem)
+    Q = _leaf_dual(problem, sol, market.tree) if sol.status == "optimal" else None
+    return sol, space, Q
 
 
 # ---------------------------------------------------------------------------
@@ -345,162 +363,89 @@ def _require_sna(market: MarketSpec) -> SlackResult:
     return slack
 
 
-def sub_hedge_european(market: MarketSpec, psi: TerminalClaim) -> HedgeResult:
-    """Largest x guaranteed by a strategy plus the claim; equals the minimum
-    of E_Q psi over the closed pricing set, exactly."""
+def _hedge(market: MarketSpec, claim, kind: str) -> HedgeResult:
     _require_sna(market)
-    primal, space = hedge_primal(market, psi, "sub_eu")
+    primal, space, Q = hedge_primal(market, claim, kind)
     if primal.status != "optimal":
         raise HedgingError(f"hedging LP is {primal.status}")
-    dual_sol, Q = dual_optimum(PricingSetSpec(market), psi, "sub_eu")
-    if dual_sol.status != "optimal":
-        raise HedgingError(f"dual LP is {dual_sol.status} under SNA")
-    gap = primal.objective - dual_sol.objective
     result = HedgeResult(
-        kind="sub_eu", market=market, claim=psi, price=dual_sol.objective,
-        portfolio=space.extract_portfolio(primal.values), dual=Q, gap=gap,
+        kind=kind, market=market, claim=claim, price=primal.objective,
+        portfolio=space.extract_portfolio(primal.values),
+        eta=space.extract_eta(primal.values) if space.include_eta else None, dual=Q,
     )
     duality_gap_report(result)
     return result
+
+
+def sub_hedge_european(market: MarketSpec, psi: TerminalClaim) -> HedgeResult:
+    """Largest x guaranteed by a strategy plus the claim; equals the minimum
+    of E_Q psi over the closed pricing set, exactly."""
+    return _hedge(market, psi, "sub_eu")
 
 
 def sub_hedge_american(market: MarketSpec, phi: AdaptedProcess) -> HedgeResult:
     """Sub-hedging price of an American claim liquidated by an exercise flow;
     equals min over the closed pricing set of the claim's exercise value."""
-    _require_sna(market)
-    primal, space = hedge_primal(market, phi, "sub_am")
-    if primal.status != "optimal":
-        raise HedgingError(f"hedging LP is {primal.status}")
-    dual_sol, Q = dual_optimum(PricingSetSpec(market), phi, "sub_am")
-    if dual_sol.status != "optimal":
-        raise HedgingError(f"dual LP is {dual_sol.status} under SNA")
-    gap = primal.objective - dual_sol.objective
-    result = HedgeResult(
-        kind="sub_am", market=market, claim=phi, price=dual_sol.objective,
-        portfolio=space.extract_portfolio(primal.values),
-        eta=space.extract_eta(primal.values), dual=Q, gap=gap,
-    )
-    duality_gap_report(result)
-    return result
+    return _hedge(market, phi, "sub_am")
 
 
 def super_hedge_divisible(market: MarketSpec, psi: TerminalClaim) -> HedgeResult:
     """Smallest initial capital whose semi-static portfolio dominates the
     claim pointwise; equals max of E_Q psi over the closed pricing set."""
-    _require_sna(market)
-    primal, space = hedge_primal(market, psi, "super_div")
-    if primal.status != "optimal":
-        raise HedgingError(f"hedging LP is {primal.status}")
-    dual_sol, Q = dual_optimum(PricingSetSpec(market), psi, "super_div")
-    if dual_sol.status != "optimal":
-        raise HedgingError(f"dual LP is {dual_sol.status} under SNA")
-    gap = primal.objective - dual_sol.objective
-    result = HedgeResult(
-        kind="super_div", market=market, claim=psi, price=dual_sol.objective,
-        portfolio=space.extract_portfolio(primal.values), dual=Q, gap=gap,
-    )
-    duality_gap_report(result)
-    return result
+    return _hedge(market, psi, "super_div")
 
 
-def super_hedge_indivisible(
-    market: MarketSpec, psi: TerminalClaim, whole_units: bool = True
-) -> HedgeResult:
+def super_hedge_indivisible(market: MarketSpec, psi: TerminalClaim) -> HedgeResult:
     """Super-hedge with stock plus a whole-unit American position exercised at
     a single stopping time (no divisibility, no European books): scan the
-    stopping times, solve the per-stop LP, keep the cheapest.
-
-    `whole_units=False` allows the holding to be liquidated as a flow instead
-    (still stock + the American option only), the divisible comparison point.
-    """
-    _require_sna(market)
+    stopping times, solve the per-stop LP, keep the cheapest.  The winning
+    LP's leaf duals are a martingale measure pricing the stop at most at the
+    quote, the certificate of that stop's value."""
     m = market
     if len(m.h) > 1:
         raise HedgingError(
             "indivisible super-hedging is limited to at most one American option"
         )
+    _require_sna(market)
     leaves = m.support_leaves()
     tree = m.tree
-    stripped = m.with_options(f=[], f_prices=[], g=[], g_prices=[])
-
-    if not whole_units:
-        primal, space = hedge_primal(stripped, psi, "super_div")
-        if primal.status != "optimal":
-            raise HedgingError(f"hedging LP is {primal.status}")
-        dual_sol, Q = dual_optimum(PricingSetSpec(stripped), psi, "super_div")
-        result = HedgeResult(
-            kind="super_indiv", market=market, claim=psi, price=dual_sol.objective,
-            portfolio=space.extract_portfolio(primal.values), dual=Q,
-            gap=primal.objective - dual_sol.objective,
-            details={"whole_units": False},
-        )
-        duality_gap_report(result)
-        return result
-
+    space = StrategySpace(m.with_options(f=[], f_prices=[], g=[], g_prices=[],
+                                         h=[], h_prices=[]))
+    variables = ["x"] + space.variables + (["c"] if m.h else [])
+    free = frozenset({"x"}) | space.free
+    stock_rows = {leaf: space.phi_coeffs(leaf) for leaf in leaves}
     taus = enumerate_stopping_times(tree) if m.h else [stop_everywhere_at(tree, 0)]
-    table: list[dict] = []
+    per_stop_values: dict[tuple[str, ...], Fraction] = {}
     best = None
     for tau in taus:
-        space = StrategySpace(stripped.without_american(0))
         rows = []
         for leaf in leaves:
-            coeffs = dict(space.phi_coeffs(leaf))
+            coeffs = dict(stock_rows[leaf])
             coeffs["x"] = Fraction(1)
             if m.h:
                 val = tau.value_at(m.h[0], leaf) - m.h_prices[0]
                 if val:
                     coeffs["c"] = val
             rows.append(con(coeffs, GE, psi.at(leaf), f"leaf[{leaf}]"))
-        variables = ["x"] + space.variables + (["c"] if m.h else [])
-        primal = solve(LpProblem("min", {"x": 1}, rows, variables,
-                                 free=frozenset({"x"}) | space.free))
+        problem = LpProblem("min", {"x": 1}, rows, variables, free=free)
+        primal = solve(problem)
         if primal.status != "optimal":
             raise HedgingError(f"per-stop hedging LP is {primal.status}")
-        entry = {
-            "tau": tau,
-            "value": primal.objective,
-            "c": primal.values.get("c", ZERO),
-            "solution": primal,
-            "space": space,
-        }
-        table.append(entry)
-        if best is None or entry["value"] < best["value"]:
-            best = entry
-        if not m.h:
-            break
+        per_stop_values[tuple(sorted(tau.stop_nodes))] = primal.objective
+        if best is None or primal.objective < best[2].objective:
+            best = (tau, problem, primal)
 
-    # dual certificate for the winning stop: martingale measures with
-    # E[h at tau] <= quote, maximizing E psi
-    base = martingale_system(stripped.without_american(0), carrier=leaves)
-    rows = list(base.constraints)
-    if m.h:
-        coeffs = _stop_row(m.h[0], best["tau"], leaves)
-        rows.append(con(coeffs, LE, m.h_prices[0], "h_at_stop"))
-    dual_sol = solve(LpProblem(
-        "max", {_weight_var(l): psi.at(l) for l in leaves if psi.at(l)},
-        rows, base.variables,
-    ))
-    if dual_sol.status != "optimal":
-        raise HedgingError(f"per-stop dual LP is {dual_sol.status}")
-    Q = _measure_of(leaves, dual_sol.values, tree)
-    stock = best["space"].extract_portfolio(best["solution"].values)
-    c_star = best["c"]
-    mu = LiquidatingStrategy.from_stopping_time(best["tau"]) if m.h else None
+    tau, problem, primal = best
+    c_star = primal.values.get("c", ZERO)
+    mu = LiquidatingStrategy.from_stopping_time(tau) if m.h else None
     portfolio = HedgePortfolio(
-        H=stock.H, a=(), b=(),
+        H=space.extract_portfolio(primal.values).H, a=(), b=(),
         c=(c_star,) if m.h else (), mu=(mu,) if m.h else (),
     )
     result = HedgeResult(
-        kind="super_indiv", market=market, claim=psi, price=best["value"],
-        portfolio=portfolio, dual=Q,
-        gap=best["value"] - dual_sol.objective,
-        details={
-            "whole_units": True,
-            "stop": best["tau"],
-            "quantity": c_star,
-            "per_stop_values": {tuple(sorted(e["tau"].stop_nodes)): e["value"]
-                                for e in table},
-        },
+        kind="super_indiv", market=market, claim=psi, price=primal.objective,
+        portfolio=portfolio, dual=_leaf_dual(problem, primal, tree),
+        details={"stop": tau, "quantity": c_star, "per_stop_values": per_stop_values},
     )
     duality_gap_report(result)
     return result
@@ -550,16 +495,13 @@ def duality_gap_report(result: HedgeResult) -> dict:
     if Q is not None:
         if result.kind == "super_indiv":
             stripped = m.with_options(f=[], f_prices=[], g=[], g_prices=[])
-            if result.details.get("whole_units", True):
-                spec = PricingSetSpec(stripped, h_cap=(None,) * len(m.h))
-            else:
-                spec = PricingSetSpec(stripped)
+            spec = PricingSetSpec(stripped, h_cap=(None,) * len(m.h))
             report = membership(Q, spec, strict=False)
             if not report:
                 raise VerificationFailure(
                     "dual certificate violates: " + "; ".join(report.violations)
                 )
-            if m.h and result.details.get("whole_units", True):
+            if m.h:
                 tau = result.details["stop"]
                 got = Q.expect_at_stop(m.h[0], tau)
                 if got > m.h_prices[0]:

@@ -162,6 +162,13 @@ def _process_from_json(tree: EventTree, data: Mapping) -> AdaptedProcess:
     return AdaptedProcess(tree, {k: rat(v) for k, v in data.items()})
 
 
+def _field(entry: Mapping, key: str, where: str):
+    try:
+        return entry[key]
+    except KeyError:
+        raise MarketError(f"{where}: missing field {key!r}") from None
+
+
 def build_market(description: str | Mapping) -> MarketSpec:
     """Parse and validate a market file (JSON text or an already-parsed dict)."""
     if isinstance(description, str):
@@ -173,12 +180,10 @@ def build_market(description: str | Mapping) -> MarketSpec:
         doc = description
     if not isinstance(doc, Mapping):
         raise MarketError("market file must be a JSON object")
-    try:
-        horizon = doc["horizon"]
-        node_rows = doc["nodes"]
-    except KeyError as exc:
-        raise MarketError(f"market file missing field {exc}") from exc
-    tree = EventTree([(row["id"], row.get("parent"), row["time"]) for row in node_rows])
+    horizon = _field(doc, "horizon", "market file")
+    node_rows = _field(doc, "nodes", "market file")
+    tree = EventTree([(_field(row, "id", "node"), row.get("parent"), _field(row, "time", "node"))
+                      for row in node_rows])
     if tree.horizon != horizon:
         raise MarketError(f"declared horizon {horizon} != tree horizon {tree.horizon}")
     s_values = {}
@@ -190,12 +195,10 @@ def build_market(description: str | Mapping) -> MarketSpec:
 
     def read_book(key, american):
         payoffs, prices = [], []
+        read = _process_from_json if american else _claim_from_json
         for entry in doc.get(key, []):
-            if american:
-                payoffs.append(_process_from_json(tree, entry["payoff"]))
-            else:
-                payoffs.append(_claim_from_json(tree, entry["payoff"]))
-            prices.append(rat(entry["price"]))
+            payoffs.append(read(tree, _field(entry, "payoff", key)))
+            prices.append(rat(_field(entry, "price", key)))
         return tuple(payoffs), tuple(prices)
 
     f, f_prices = read_book("european_two_sided", american=False)
@@ -205,12 +208,14 @@ def build_market(description: str | Mapping) -> MarketSpec:
     support = frozenset(doc.get("support") or tree.leaves)
     claims: dict[str, object] = {}
     for name, spec in (doc.get("claims") or {}).items():
-        if spec["type"] == "european":
-            claims[name] = _claim_from_json(tree, spec["values"])
-        elif spec["type"] == "american":
-            claims[name] = _process_from_json(tree, spec["values"])
+        kind = _field(spec, "type", f"claim {name!r}")
+        values = _field(spec, "values", f"claim {name!r}")
+        if kind == "european":
+            claims[name] = _claim_from_json(tree, values)
+        elif kind == "american":
+            claims[name] = _process_from_json(tree, values)
         else:
-            raise MarketError(f"claim {name!r}: unknown type {spec['type']!r}")
+            raise MarketError(f"claim {name!r}: unknown type {kind!r}")
     priors = tuple(
         {k: rat(v) for k, v in entry.items()} for entry in doc.get("priors", [])
     )

@@ -21,11 +21,11 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        if "/" in text:
-            num, _, den = text.partition("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+        num, slash, den = value.strip().partition("/")
+        try:
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+        except (ValueError, ZeroDivisionError):
+            raise TypeError(f"not a rational: {value!r}") from None
     raise TypeError(f"not a rational: {value!r} (floats are not accepted)")
 
 

@@ -247,7 +247,7 @@ def sub_hedge_robust(spec: RobustSpec, claim) -> HedgeResult:
     american = isinstance(claim, AdaptedProcess)
     kind = "sub_am" if american else "sub_eu"
     union = _ordered(m.tree, union_support(spec.priors))
-    primal, space = hedge_primal(m, claim, kind, pointwise_leaves=union)
+    primal, space, _ = hedge_primal(m, claim, kind, pointwise_leaves=union)
 
     pset = PricingSetSpec(m)
     best = None

@@ -1,9 +1,14 @@
 """Command-line surface: dispatch, exit codes, piping, determinism."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semistatic.cli import main
 from semistatic.fixtures import fixture_json
@@ -128,8 +133,13 @@ def _edited_b1(edit):
     # float literal (TypeError from the rational parser)
     (_edited_b1(lambda d: d["nodes"][0].update(S=[1.5])),
      ["price", "sub-eu", "--claim", "up_digital"], 1),
+    # unparseable rational string (TypeError from the rational parser)
+    (_edited_b1(lambda d: d["nodes"][0].update(S=["abc"])),
+     ["price", "sub-eu", "--claim", "up_digital"], 1),
     # missing field (MarketError)
     (_edited_b1(lambda d: d.pop("horizon")), ["check-arbitrage"], 1),
+    # node without a time (MarketError)
+    (_edited_b1(lambda d: d["nodes"][1].pop("time")), ["check-arbitrage"], 1),
     # prior weights not summing to one (MeasureError)
     (_edited_b1(lambda d: d.update(priors=[{"u": "1/2", "d": "1/3"}])),
      ["robust", "check"], 1),
@@ -139,13 +149,32 @@ def _edited_b1(edit):
     (_arbitrage_doc(), ["price", "sub-eu", "--claim", "up_digital"], 2),
     # robust hypothesis fails (HypothesisFailure)
     (_arbitrage_doc(), ["robust", "price", "--claim", "up_digital"], 2),
-], ids=["bad_tree", "float", "missing_field", "bad_prior", "enum_cap",
-        "price_arbitrage", "robust_arbitrage"])
+], ids=["bad_tree", "float", "bad_rational", "missing_field", "missing_time", "bad_prior",
+        "enum_cap", "price_arbitrage", "robust_arbitrage"])
 def test_typed_failures_exit_without_traceback(capsys, tmp_path, doc, argv, expected):
     path = tmp_path / "market.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, *argv, "--market", str(path))
     assert code == expected
+    assert out == ""
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("claim, argv", [
+    ({"type": "european", "values": {"u": "x", "d": "0"}}, []),
+    ({"type": "european", "values": {"u": "1/0", "d": "0"}}, []),
+    ({"values": {"u": "1", "d": "0"}}, []),
+    (None, ["utility", "audit", "--x-grid", "a,b"]),
+    (None, ["utility", "audit", "--utility", "power:abc"]),
+], ids=["claim_not_rational", "claim_zero_denominator", "claim_without_type",
+        "utility_grid", "utility_exponent"])
+def test_bad_claim_file_or_option_exits_1(capsys, tmp_path, claim, argv):
+    if claim is not None:
+        path = tmp_path / "claim.json"
+        path.write_text(json.dumps(claim))
+        argv = ["price", "sub-eu", "--claim", str(path)]
+    code, out, err = run_cli(capsys, *argv, "--market", "B1")
+    assert code == 1
     assert out == ""
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
@@ -273,3 +302,47 @@ def test_polytope_hrep_export(p2):
     text = closure_polytope(PricingSetSpec(p2)).hrep_text()
     assert "w[u1]" in text.splitlines()[0]
     assert any("mass" in line for line in text.splitlines())
+
+
+def _mutation_sites(node, path=()):
+    """("delete", path) for every object key and ("replace", path) for every
+    string value in a parsed JSON document."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        here = path + (key,)
+        if isinstance(node, dict):
+            yield "delete", here
+        if isinstance(child, str):
+            yield "replace", here
+        yield from _mutation_sites(child, here)
+
+
+_FIXTURE_CLAIMS = {"B1": "up_digital", "T2": "put5_eu", "P2": "psi"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_mutated_fixture_files_exit_with_a_documented_code(data):
+    """Deleting one key, or replacing one string with junk, anywhere in a
+    fixture market file yields a documented exit code, never a traceback."""
+    name = data.draw(st.sampled_from(sorted(_FIXTURE_CLAIMS)))
+    doc = json.loads(fixture_json(name))
+    action, path = data.draw(st.sampled_from(list(_mutation_sites(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if action == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(st.sampled_from(["abc", "1/0", ""]))
+    with tempfile.TemporaryDirectory() as tmp:
+        market = os.path.join(tmp, "market.json")
+        with open(market, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for argv in (["check-arbitrage"], ["price", "super-div", "--claim", _FIXTURE_CLAIMS[name]]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv + ["--market", market])
+            assert code in (0, 1, 2, 3)
+            assert "Traceback" not in err.getvalue()

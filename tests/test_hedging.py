@@ -133,12 +133,6 @@ def test_indivisible_without_options_is_classical(t2):
     assert result.price == classical.price == F(20, 9)
 
 
-def test_indivisible_flow_variant_matches_divisible_on_p2(p2):
-    psi = p2.claims["psi"]
-    flow = super_hedge_indivisible(p2, psi, whole_units=False)
-    assert flow.price == 0
-
-
 def test_duality_report_rejects_corrupted_primal(p2):
     result = super_hedge_divisible(p2, p2.claims["psi"])
     good = duality_gap_report(result)
@@ -272,11 +266,34 @@ def test_two_asset_market():
     assert market_to_json(again) == text
 
 
+def _per_stop_dual_value(market, psi, tau):
+    """max E psi over martingale measures pricing the American option at the
+    stop `tau` at most at its quote: the LP dual of the per-stop hedge LP."""
+    from semistatic.lp import LE, LpProblem, con, solve
+    from semistatic.measures import _stop_row, _weight_var, martingale_system
+
+    stock = market.with_options(f=[], f_prices=[], g=[], g_prices=[], h=[], h_prices=[])
+    leaves = market.support_leaves()
+    base = martingale_system(stock, carrier=leaves)
+    rows = list(base.constraints)
+    if market.h:
+        rows.append(con(_stop_row(market.h[0], tau, leaves), LE, market.h_prices[0], "h"))
+    objective = {_weight_var(l): psi.at(l) for l in leaves if psi.at(l)}
+    sol = solve(LpProblem("max", objective, rows, base.variables))
+    assert sol.status == "optimal"
+    return sol.objective
+
+
 def test_primal_dual_gap_zero_random():
+    """Each hedge price (the primal optimum) equals an independently solved
+    dual LP over the closed pricing set."""
+    from semistatic.hedging import dual_optimum
+
     rng = random.Random(321)
     for market in _sna_markets(rng, 6, max_depth=2):
         psi = random_claim(rng, market.tree)
         phi = random_process(rng, market.tree)
+        spec = PricingSetSpec(market)
         for result in (
             sub_hedge_european(market, psi),
             super_hedge_divisible(market, psi),
@@ -284,3 +301,7 @@ def test_primal_dual_gap_zero_random():
         ):
             assert result.gap == 0
             assert duality_gap_report(result)["verified"]
+            assert result.price == dual_optimum(spec, result.claim, result.kind)[0].objective
+        single = market.without_american(1)
+        indiv = super_hedge_indivisible(single, psi)
+        assert indiv.price == _per_stop_dual_value(single, psi, indiv.details["stop"])
