@@ -52,7 +52,7 @@ from .robust import (
 )
 from .stopping import EnumerationCapError
 from .tree import AdaptedProcess, TerminalClaim, TreeError
-from .utility import UtilitySpec, duality_audit, log_utility, power_utility
+from .utility import UtilityError, UtilitySpec, duality_audit, log_utility, power_utility
 
 REPORT_SCHEMA = "semistatic-report/1"
 
@@ -94,6 +94,8 @@ def _resolve_claim(market: MarketSpec, name_or_path: str | None):
         kind, values = doc["type"], doc["values"]
     except KeyError as exc:
         raise UsageError(f"claim file missing field {exc}") from None
+    if not isinstance(values, dict):
+        raise UsageError(f"claim file values must be a JSON object, not {values!r}")
     if kind == "european":
         return TerminalClaim(market.tree, {k: rat(v) for k, v in values.items()})
     if kind == "american":
@@ -248,6 +250,10 @@ _PRICE_OPS = {
 def _price_one(op: str, market_path: str, claim_name: str | None, approx: bool) -> dict:
     market = _load_market(market_path)
     claim = _resolve_claim(market, claim_name)
+    american = op == "sub-am"
+    if isinstance(claim, AdaptedProcess) != american:
+        want, got = ("an American", "a European") if american else ("a European", "an American")
+        raise UsageError(f"price {op} takes {want} claim, not {got} one")
     start = time.monotonic()
     result = _PRICE_OPS[op](market, claim)
     out = _hedge_report(result, approx)
@@ -437,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (FileNotFoundError, json.JSONDecodeError, TreeError, MarketError, MeasureError,
-            EnumerationCapError, TypeError) as exc:
+            EnumerationCapError, UtilityError, TypeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except (ArbitrageRefusal, HypothesisFailure) as exc:

@@ -8,8 +8,11 @@ no arbitrage exists, else 1 with the arbitrage portfolio as certificate.
 `check_sna` decides strict no-arbitrage through the slack-maximization LP:
 strict no-arbitrage holds if and only if some pricing measure survives a
 uniform strict shift of every buy-only quote, i.e. the slack optimum is
-positive.  Each direction hands back a certificate that is re-checked by
-direct evaluation before the verdict is returned.
+positive.  Its witness measure certifies success; on failure, LP duality
+makes the same LP's duals (or Farkas multipliers, when it is infeasible) an
+arbitrage portfolio at the quotes or at quotes shifted by 1/2, and at most
+one cone LP, at the quotes, tells the two apart.  Each certificate is
+re-checked by direct evaluation before the verdict is returned.
 """
 
 from __future__ import annotations
@@ -145,21 +148,21 @@ def check_na(
     return found
 
 
-def check_sna(market: MarketSpec, divisible: bool = True) -> ArbitrageVerdict:
+def check_sna(market: MarketSpec) -> ArbitrageVerdict:
     """Strict no-arbitrage via the slack LP (positive optimum iff a strictly
-    consistent pricing measure exists); on failure, distinguishes by whether
-    plain no-arbitrage survives at the quoted prices.
+    consistent pricing measure exists).
 
-    `divisible` selects the exercise semantics of the no-arbitrage fallback.
-    With whole-unit exercise the measure-existence criterion is strictly
-    stronger than no-arbitrage (the motivating two-period market sells a
-    replicable claim above its worst-case pricing value without creating any
-    whole-unit arbitrage), so the shifted-quote arbitrage certificate is only
-    guaranteed, and only demanded, in the divisible mode."""
-    slack = max_slack(PricingSetSpec.strict_emm(market))
+    On failure the certificate is the portfolio read off that same LP's duals
+    (optimum <= 0) or Farkas multipliers (infeasible): worth >= 0 on the
+    support at the quotes.  If it wins somewhere it is the arbitrage.  If it
+    vanishes on the support it is worth exactly eps at the buy-only quotes
+    lowered by eps; then one cone LP at the quotes decides between ARBITRAGE
+    and STRICT_NO_ARBITRAGE_FAILS, whose certificate is that portfolio at
+    shift 1/2.  Every certificate is re-verified by portfolio evaluation."""
+    spec = PricingSetSpec.strict_emm(market)
+    slack = max_slack(spec)
     if slack.strictly_positive:
         Q = slack.witness
-        spec = PricingSetSpec.strict_emm(market)
         report = membership(Q, spec, strict=True)
         if not report:
             raise VerificationFailure(
@@ -172,38 +175,29 @@ def check_sna(market: MarketSpec, divisible: bool = True) -> ArbitrageVerdict:
             g_slacks=g_slacks, h_slacks=h_slacks,
             notes="strict no-arbitrage holds",
         )
-    plain = check_na(market, divisible=divisible)
+    portfolio = slack.certificate
+    support = market.support_leaves()
+    if any(portfolio_value(market, portfolio, leaf) for leaf in support):
+        _verify_arbitrage_portfolio(market, portfolio, support)
+        return ArbitrageVerdict(
+            verdict=ARBITRAGE, slack=slack, portfolio=portfolio,
+            shifted_g=market.g_prices, shifted_h=market.h_prices,
+        )
+    plain = check_na(market)
     if plain.verdict == ARBITRAGE:
         plain.slack = slack
         return plain
-    # No arbitrage at the quotes.  With divisible exercise, every uniform
-    # strict improvement of the buy-only quotes must admit arbitrage; exhibit
-    # one at shift 1/2.
     eps = Fraction(1, 2)
     shifted_g = tuple(p - eps for p in market.g_prices)
     shifted_h = tuple(p - eps for p in market.h_prices)
-    if market.g or market.h:
-        shifted = check_na(market, g_prices=shifted_g, h_prices=shifted_h,
-                           divisible=divisible)
-        if shifted.verdict == ARBITRAGE:
-            return ArbitrageVerdict(
-                verdict=STRICT_NO_ARBITRAGE_FAILS, slack=slack,
-                portfolio=shifted.portfolio, shifted_g=shifted_g, shifted_h=shifted_h,
-                notes="no arbitrage at the quotes, but no strictly consistent "
-                      "pricing measure exists",
-            )
-        if divisible:
-            raise VerificationFailure(
-                "slack optimum is nonpositive yet shifted quotes admit no arbitrage"
-            )
-        return ArbitrageVerdict(
-            verdict=STRICT_NO_ARBITRAGE_FAILS, slack=slack,
-            notes="no strictly consistent pricing measure exists; whole-unit "
-                  "exercise shows no arbitrage even at shifted quotes",
-        )
+    _verify_arbitrage_portfolio(
+        market.with_options(g_prices=shifted_g, h_prices=shifted_h), portfolio, support
+    )
     return ArbitrageVerdict(
         verdict=STRICT_NO_ARBITRAGE_FAILS, slack=slack,
-        notes="no pricing measure with full support exists",
+        portfolio=portfolio, shifted_g=shifted_g, shifted_h=shifted_h,
+        notes="no arbitrage at the quotes, but no strictly consistent "
+              "pricing measure exists",
     )
 
 

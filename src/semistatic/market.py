@@ -154,12 +154,18 @@ def portfolio_value(market: MarketSpec, p: HedgePortfolio, leaf: str) -> Fractio
 # Market file (JSON) round trip
 # ---------------------------------------------------------------------------
 
+def _values_from_json(data) -> dict[str, Fraction]:
+    if not isinstance(data, Mapping):
+        raise MarketError(f"expected a JSON object of node values, not {data!r}")
+    return {k: rat(v) for k, v in data.items()}
+
+
 def _claim_from_json(tree: EventTree, data: Mapping) -> TerminalClaim:
-    return TerminalClaim(tree, {k: rat(v) for k, v in data.items()})
+    return TerminalClaim(tree, _values_from_json(data))
 
 
 def _process_from_json(tree: EventTree, data: Mapping) -> AdaptedProcess:
-    return AdaptedProcess(tree, {k: rat(v) for k, v in data.items()})
+    return AdaptedProcess(tree, _values_from_json(data))
 
 
 def _field(entry: Mapping, key: str, where: str):
@@ -207,7 +213,10 @@ def build_market(description: str | Mapping) -> MarketSpec:
 
     support = frozenset(doc.get("support") or tree.leaves)
     claims: dict[str, object] = {}
-    for name, spec in (doc.get("claims") or {}).items():
+    claim_specs = doc.get("claims") or {}
+    if not isinstance(claim_specs, Mapping):
+        raise MarketError(f"claims must be a JSON object, not {claim_specs!r}")
+    for name, spec in claim_specs.items():
         kind = _field(spec, "type", f"claim {name!r}")
         values = _field(spec, "values", f"claim {name!r}")
         if kind == "european":
@@ -216,9 +225,7 @@ def build_market(description: str | Mapping) -> MarketSpec:
             claims[name] = _process_from_json(tree, values)
         else:
             raise MarketError(f"claim {name!r}: unknown type {kind!r}")
-    priors = tuple(
-        {k: rat(v) for k, v in entry.items()} for entry in doc.get("priors", [])
-    )
+    priors = tuple(_values_from_json(entry) for entry in doc.get("priors", []))
     market = MarketSpec(
         tree=tree, S=S, f=f, f_prices=f_prices, g=g, g_prices=g_prices,
         h=h, h_prices=h_prices, support=support, claims=claims,

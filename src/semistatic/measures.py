@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .lp import EQ, GE, LE, Constraint, LpProblem, LpSolution, con, solve
-from .market import MarketSpec
+from .market import HedgePortfolio, MarketSpec
 from .polytope import Polytope, vertices
 from .rational import rat, rat_str
 from .stopping import (
@@ -263,13 +263,18 @@ def closure_polytope(spec: PricingSetSpec,
 class SlackResult:
     """Outcome of the strictness LP: optimum > 0 iff the strict set is
     nonempty.  `option_slack` and `floor_slack` are re-measured from the
-    witness (so min(option_slack, floor_slack, 1) == optimum)."""
+    witness (so min(option_slack, floor_slack, 1) == optimum).
+
+    When the optimum is <= 0 or the LP is infeasible, `certificate` is the
+    portfolio its duals or Farkas multipliers spell out (`_slack_certificate`),
+    unverified; it is None when the optimum is positive."""
 
     status: str
     optimum: Fraction | None = None
     option_slack: Fraction | None = None  # +inf encoded as None
     floor_slack: Fraction | None = None
     witness: Measure | None = None
+    certificate: HedgePortfolio | None = None
 
     @property
     def strictly_positive(self) -> bool:
@@ -290,8 +295,11 @@ def max_slack(spec: PricingSetSpec,
     base = martingale_system(m, carrier=leaves)
     fixed = list(base.constraints) + pricing_rows(spec, leaves, slack_var=SLACK_VAR)
     variables = base.variables + [SLACK_VAR]
+    last_cuts: list[tuple[int, StoppingTime]] = []
 
     def build(cuts: list[tuple[int, StoppingTime]]) -> LpProblem:
+        nonlocal last_cuts
+        last_cuts = list(cuts)
         rows = list(fixed)
         for k, tau in cuts:
             coeffs = dict(_stop_row(m.h[k], tau, leaves))
@@ -308,7 +316,8 @@ def max_slack(spec: PricingSetSpec,
 
     sol = solve_with_stop_cuts(build, targets)
     if sol.status != "optimal":
-        return SlackResult(status="infeasible")
+        return SlackResult(status="infeasible",
+                           certificate=_slack_certificate(m, fixed, last_cuts, sol.farkas))
     witness = _measure_of(leaves, sol.values, m.tree)
     option_slack: Fraction | None = None
     for j, (claim, cap) in enumerate(zip(m.g, spec.g_cap)):
@@ -325,10 +334,45 @@ def max_slack(spec: PricingSetSpec,
     for l in floor:
         s = witness.at(l)
         floor_slack = s if floor_slack is None else min(floor_slack, s)
+    certificate = None
+    if sol.objective <= 0:
+        certificate = _slack_certificate(m, fixed, last_cuts, sol.duals)
     return SlackResult(
         status="optimal", optimum=sol.objective,
         option_slack=option_slack, floor_slack=floor_slack, witness=witness,
+        certificate=certificate,
     )
+
+
+def _slack_certificate(m: MarketSpec, fixed: Sequence[Constraint],
+                       cuts: Sequence[tuple[int, StoppingTime]],
+                       y: Sequence[Fraction]) -> HedgePortfolio:
+    """The portfolio that multipliers `y` on the slack LP's rows spell out, as
+    `StrategySpace` columns: row `mart[n][l]` gives H[n][l], `f[i]` gives
+    a[i], `g[j]` gives b[j], and each stop cut (k, tau) adds its multiplier
+    to c[k] and to nu[k] at tau's stop nodes.  `y` lists the `fixed` rows
+    first and the cut rows next, in the order `max_slack`'s LP holds them.
+
+    Priced at quotes equal to the caps, its value at a carrier leaf l is the
+    multipliers' column sum at w[l] minus their rhs sum.  For optimal duals
+    that is >= |y_floor[l]| + y_cap - optimum, and the free slack's column
+    makes sum y_g + sum y_cut + sum |y_floor| + y_cap = 1; so it is >= 0 when
+    the optimum is <= 0, and if it vanishes on the carrier it is worth exactly
+    eps at caps lowered by eps.  For Farkas multipliers the slack's column
+    forces every g, cut, floor and cap multiplier to 0 and the value is
+    >= -(Farkas total) > 0 on every carrier leaf."""
+    from .hedging import StrategySpace  # hedging imports this module
+
+    column = {"mart": "H", "f": "a", "g": "b"}
+    values: dict[str, Fraction] = {}
+    for row, yi in zip(fixed, y):
+        kind, _, rest = row.name.partition("[")
+        if kind in column:
+            values[f"{column[kind]}[{rest}"] = yi
+    for (k, tau), yi in zip(cuts, y[len(fixed):]):
+        for var in [f"c[{k}]"] + [f"nu[{k}][{n}]" for n in tau.stop_nodes]:
+            values[var] = values.get(var, ZERO) + yi
+    return StrategySpace(m).extract_portfolio(values)
 
 
 @dataclass

@@ -140,6 +140,11 @@ def _edited_b1(edit):
     (_edited_b1(lambda d: d.pop("horizon")), ["check-arbitrage"], 1),
     # node without a time (MarketError)
     (_edited_b1(lambda d: d["nodes"][1].pop("time")), ["check-arbitrage"], 1),
+    # payoff values that are not a JSON object (MarketError)
+    (_edited_b1(lambda d: d.update(european_buy_only=[{"payoff": "abc", "price": "1"}])),
+     ["check-arbitrage"], 1),
+    (_edited_b1(lambda d: d.update(claims="abc")), ["check-arbitrage"], 1),
+    (_edited_b1(lambda d: d.update(priors=["abc"])), ["robust", "check"], 1),
     # prior weights not summing to one (MeasureError)
     (_edited_b1(lambda d: d.update(priors=[{"u": "1/2", "d": "1/3"}])),
      ["robust", "check"], 1),
@@ -149,8 +154,8 @@ def _edited_b1(edit):
     (_arbitrage_doc(), ["price", "sub-eu", "--claim", "up_digital"], 2),
     # robust hypothesis fails (HypothesisFailure)
     (_arbitrage_doc(), ["robust", "price", "--claim", "up_digital"], 2),
-], ids=["bad_tree", "float", "bad_rational", "missing_field", "missing_time", "bad_prior",
-        "enum_cap", "price_arbitrage", "robust_arbitrage"])
+], ids=["bad_tree", "float", "bad_rational", "missing_field", "missing_time",
+        "payoff_not_object", "claims_not_object", "prior_not_object", "bad_prior", "enum_cap", "price_arbitrage", "robust_arbitrage"])
 def test_typed_failures_exit_without_traceback(capsys, tmp_path, doc, argv, expected):
     path = tmp_path / "market.json"
     path.write_text(json.dumps(doc))
@@ -164,10 +169,15 @@ def test_typed_failures_exit_without_traceback(capsys, tmp_path, doc, argv, expe
     ({"type": "european", "values": {"u": "x", "d": "0"}}, []),
     ({"type": "european", "values": {"u": "1/0", "d": "0"}}, []),
     ({"values": {"u": "1", "d": "0"}}, []),
+    ({"type": "european", "values": "abc"}, []),
     (None, ["utility", "audit", "--x-grid", "a,b"]),
     (None, ["utility", "audit", "--utility", "power:abc"]),
+    (None, ["utility", "audit", "--utility", "power:1"]),
+    (None, ["utility", "audit", "--utility", "power:2"]),
+    (None, ["utility", "audit", "--x-grid", "-1"]),
 ], ids=["claim_not_rational", "claim_zero_denominator", "claim_without_type",
-        "utility_grid", "utility_exponent"])
+        "claim_values_not_object", "utility_grid", "utility_exponent",
+        "utility_exponent_one", "utility_exponent_two", "utility_wealth_negative"])
 def test_bad_claim_file_or_option_exits_1(capsys, tmp_path, claim, argv):
     if claim is not None:
         path = tmp_path / "claim.json"
@@ -177,6 +187,20 @@ def test_bad_claim_file_or_option_exits_1(capsys, tmp_path, claim, argv):
     assert code == 1
     assert out == ""
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("op, claim", [
+    ("sub-eu", "put5_am"),
+    ("super-div", "put5_am"),
+    ("super-indiv", "put5_am"),
+    ("sub-am", "put5_eu"),
+])
+def test_claim_kind_must_match_price_op(capsys, op, claim):
+    code, out, err = run_cli(capsys, "price", op, "--market", "T2", "--claim", claim)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert err.startswith(f"usage error: price {op} takes")
 
 
 def test_lp_verification_error_exits_3(capsys, monkeypatch):

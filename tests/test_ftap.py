@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import semistatic.ftap as ftap
 from semistatic import (
     ARBITRAGE,
     NO_ARBITRAGE,
@@ -59,12 +60,11 @@ def test_p2_sold_claim_divisible_vs_indivisible(p2):
 
     indiv = check_na(market, divisible=False)
     assert indiv.verdict == NO_ARBITRAGE
-    strict = check_sna(market, divisible=False)
-    assert strict.verdict == STRICT_NO_ARBITRAGE_FAILS
-    assert strict.slack.optimum <= 0
+    slack = max_slack(PricingSetSpec.strict_emm(market))
+    assert slack.status == "optimal" and slack.optimum <= 0
     div = check_na(market, divisible=True)
     assert div.verdict == ARBITRAGE
-    assert check_sna(market, divisible=True).verdict == ARBITRAGE
+    assert check_sna(market).verdict == ARBITRAGE
 
     # selling below the worst-case pricing value keeps everything consistent
     cheap = p2.with_options(g=[minus_psi], g_prices=[F(1, 100)])
@@ -165,3 +165,69 @@ def test_sna_witness_survives_price_shift(seed):
         h_shift = [p - s / 2 for p, s in zip(market.h_prices, verdict.h_slacks)]
         shifted = check_na(market, g_prices=g_shift, h_prices=h_shift)
         assert shifted.verdict == NO_ARBITRAGE
+
+
+def _record_cone_lps(monkeypatch) -> list:
+    """Record the arguments of every `check_na` call `check_sna` makes."""
+    calls = []
+
+    def recording(market, *args, **kwargs):
+        calls.append((args, kwargs))
+        return check_na(market, *args, **kwargs)
+
+    monkeypatch.setattr(ftap, "check_na", recording)
+    return calls
+
+
+def _certificate_values(market, verdict) -> list:
+    """The returned portfolio's values on the support, at the quotes the
+    verdict claims it for."""
+    shifted = market.with_options(g_prices=verdict.shifted_g, h_prices=verdict.shifted_h)
+    return [portfolio_value(shifted, verdict.portfolio, l) for l in market.support_leaves()]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sna_certificate_against_cone_lp_oracle(seed, monkeypatch):
+    """The failure certificate read off the slack LP, checked against the cone
+    LP as an independent oracle on random markets with American options: the
+    verdict is ARBITRAGE iff the cone LP finds an arbitrage at the quotes; a
+    STRICT_NO_ARBITRAGE_FAILS verdict's shifted quotes admit one; every
+    portfolio re-verifies; and check_sna runs at most one cone LP, at the
+    quotes, only when its certificate is worth nothing on the support."""
+    rng = random.Random(7100 + seed)
+    calls = _record_cone_lps(monkeypatch)
+    for _ in range(12):
+        market = random_market(rng)
+        del calls[:]
+        verdict = check_sna(market)
+        assert len(calls) <= 1 and all(c == ((), {}) for c in calls)
+        if verdict.verdict == NO_ARBITRAGE:
+            assert not calls
+            continue
+        assert (verdict.verdict == ARBITRAGE) == (check_na(market).verdict == ARBITRAGE)
+        values = _certificate_values(market, verdict)
+        assert all(v >= 0 for v in values) and any(v > 0 for v in values)
+        certificate = verdict.slack.certificate
+        vanishes = not any(portfolio_value(market, certificate, l)
+                           for l in market.support_leaves())
+        assert bool(calls) == vanishes
+        if verdict.verdict == STRICT_NO_ARBITRAGE_FAILS:
+            assert verdict.portfolio is certificate
+            assert verdict.shifted_g == tuple(p - F(1, 2) for p in market.g_prices)
+            assert verdict.shifted_h == tuple(p - F(1, 2) for p in market.h_prices)
+            oracle = check_na(market, g_prices=verdict.shifted_g, h_prices=verdict.shifted_h)
+            assert oracle.verdict == ARBITRAGE
+
+
+def test_infeasible_slack_lp_certificate_is_farkas(b1, monkeypatch):
+    """No martingale measure prices f = S_1 at 3 (S_0 = 2): the slack LP is
+    infeasible, and its Farkas multipliers alone are an arbitrage that wins
+    on every support leaf; no cone LP runs."""
+    f = TerminalClaim(b1.tree, {"u": 3, "d": 1})
+    market = b1.with_options(f=[f], f_prices=[3])
+    calls = _record_cone_lps(monkeypatch)
+    verdict = check_sna(market)
+    assert verdict.slack.status == "infeasible"
+    assert verdict.verdict == ARBITRAGE and not calls
+    assert verdict.portfolio is verdict.slack.certificate
+    assert all(v > 0 for v in _certificate_values(market, verdict))
