@@ -3,9 +3,11 @@
 Commands compose through market files (JSON text), never binary state:
 `semistatic fixture P2 | semistatic price super-indiv --market -` prints a
 report whose prices are exact "p/q" strings.  Decimals appear only behind
---approx.  Exit codes: 0 success / no arbitrage, 1 usage or input error,
-2 arbitrage found or hedging refused, 3 verification failure; a typed failure
-prints one line to stderr, never a traceback.
+--approx.  Exit codes: 0 success / no arbitrage, 1 usage or input error
+(including a hedge the engine cannot set up and a prior list that is not
+recombination-closed), 2 arbitrage found or hedging refused (also when robust
+strict no-arbitrage fails), 3 verification failure; a typed failure prints one
+line to stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .ftap import NO_ARBITRAGE, check_na, check_sna
 from .hedging import (
     ArbitrageRefusal,
     HedgeResult,
+    HedgingError,
     PriceInfinity,
     VerificationFailure,
     duality_gap_report,
@@ -42,8 +45,9 @@ from .measures import (
 )
 from .rational import rat, rat_str
 from .robust import (
-    HypothesisFailure,
     PriorSet,
+    RobustDualityGapError,
+    RobustError,
     RobustSpec,
     check_sna_robust,
     dominating_measure,
@@ -443,15 +447,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (FileNotFoundError, json.JSONDecodeError, TreeError, MarketError, MeasureError,
-            EnumerationCapError, UtilityError, TypeError) as exc:
+            EnumerationCapError, UtilityError, TypeError, RobustDualityGapError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    except (ArbitrageRefusal, HypothesisFailure) as exc:
+    except (ArbitrageRefusal, RobustError) as exc:
+        # the other RobustErrors a command can reach (HypothesisFailure and
+        # dominating_measure's refusals) say robust strict no-arbitrage fails
         print(f"refused: {exc}", file=sys.stderr)
         return 2
     except (VerificationFailure, LpVerificationError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3
+    except HedgingError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 1
     if not report.pop("suppress", False):
         sys.stdout.write(json.dumps(report, indent=2, sort_keys=True, default=str) + "\n")
     return code

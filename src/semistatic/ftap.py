@@ -17,7 +17,7 @@ re-checked by direct evaluation before the verdict is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -25,7 +25,7 @@ from typing import Sequence
 from .hedging import StrategySpace, VerificationFailure
 from .lp import GE, LE, LpProblem, con, solve
 from .market import HedgePortfolio, MarketSpec, portfolio_value
-from .measures import Measure, PricingSetSpec, SlackResult, max_slack, membership
+from .measures import Measure, PricingSetSpec, SlackResult, membership, strict_emm_slack
 from .rational import rat, rat_str
 from .stopping import LiquidatingStrategy, enumerate_stopping_times, snell_value
 
@@ -36,7 +36,7 @@ ARBITRAGE = "ARBITRAGE"
 STRICT_NO_ARBITRAGE_FAILS = "STRICT_NO_ARBITRAGE_FAILS"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArbitrageVerdict:
     verdict: str
     pricing: Measure | None = None
@@ -158,12 +158,14 @@ def check_sna(market: MarketSpec) -> ArbitrageVerdict:
     vanishes on the support it is worth exactly eps at the buy-only quotes
     lowered by eps; then one cone LP at the quotes decides between ARBITRAGE
     and STRICT_NO_ARBITRAGE_FAILS, whose certificate is that portfolio at
-    shift 1/2.  Every certificate is re-verified by portfolio evaluation."""
-    spec = PricingSetSpec.strict_emm(market)
-    slack = max_slack(spec)
+    shift 1/2.  Every certificate is re-verified by portfolio evaluation.
+
+    The slack LP is solved once per market object (`strict_emm_slack`); the
+    checks on its result run on every call."""
+    slack = strict_emm_slack(market)
     if slack.strictly_positive:
         Q = slack.witness
-        report = membership(Q, spec, strict=True)
+        report = membership(Q, PricingSetSpec.strict_emm(market), strict=True)
         if not report:
             raise VerificationFailure(
                 "slack witness fails strict membership: " + "; ".join(report.violations)
@@ -185,8 +187,7 @@ def check_sna(market: MarketSpec) -> ArbitrageVerdict:
         )
     plain = check_na(market)
     if plain.verdict == ARBITRAGE:
-        plain.slack = slack
-        return plain
+        return replace(plain, slack=slack)
     eps = Fraction(1, 2)
     shifted_g = tuple(p - eps for p in market.g_prices)
     shifted_h = tuple(p - eps for p in market.h_prices)

@@ -16,6 +16,13 @@ LP dual of the exercise flow (Manne 1960).  `duality_gap_report` re-verifies a
 result from scratch, trusting nothing from the solver: the strategy through
 plain portfolio evaluation, the measure through exact membership, and the
 measure's value against the price, which closes the gap by weak duality.
+
+Every hedge requires strict no-arbitrage of its market.  That is a property
+of the market alone, so the strict-EMM slack LP that decides it is solved once
+per market object (`measures.strict_emm_slack`) and kept on it: the four
+hedges of one market share one solve, and on an arbitrage market each of them
+raises `ArbitrageRefusal` with the same stored slack.  Only the hedge LP and
+its re-verification run per call.
 """
 
 from __future__ import annotations
@@ -36,11 +43,11 @@ from .measures import (
     _weight_var,
     closure_polytope,
     martingale_system,
-    max_slack,
     membership,
     polytope_vertices_as_measures,
     pricing_rows,
     solve_with_stop_cuts,
+    strict_emm_slack,
 )
 from .rational import rat, rat_str
 from .stopping import (
@@ -357,7 +364,7 @@ class HedgeResult:
 
 
 def _require_sna(market: MarketSpec) -> SlackResult:
-    slack = max_slack(PricingSetSpec.strict_emm(market))
+    slack = strict_emm_slack(market)
     if not slack.strictly_positive:
         raise ArbitrageRefusal(slack)
     return slack

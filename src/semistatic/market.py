@@ -154,10 +154,20 @@ def portfolio_value(market: MarketSpec, p: HedgePortfolio, leaf: str) -> Fractio
 # Market file (JSON) round trip
 # ---------------------------------------------------------------------------
 
+def _array(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise MarketError(f"{where} must be a JSON array, not {value!r}")
+    return value
+
+
+def _object(value, where: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise MarketError(f"{where} must be a JSON object, not {value!r}")
+    return value
+
+
 def _values_from_json(data) -> dict[str, Fraction]:
-    if not isinstance(data, Mapping):
-        raise MarketError(f"expected a JSON object of node values, not {data!r}")
-    return {k: rat(v) for k, v in data.items()}
+    return {k: rat(v) for k, v in _object(data, "node values").items()}
 
 
 def _claim_from_json(tree: EventTree, data: Mapping) -> TerminalClaim:
@@ -184,10 +194,10 @@ def build_market(description: str | Mapping) -> MarketSpec:
             raise MarketError(f"market file is not valid JSON: {exc}") from exc
     else:
         doc = description
-    if not isinstance(doc, Mapping):
-        raise MarketError("market file must be a JSON object")
+    doc = _object(doc, "market file")
     horizon = _field(doc, "horizon", "market file")
-    node_rows = _field(doc, "nodes", "market file")
+    nodes = _array(_field(doc, "nodes", "market file"), "nodes")
+    node_rows = [_object(row, "node") for row in nodes]
     tree = EventTree([(_field(row, "id", "node"), row.get("parent"), _field(row, "time", "node"))
                       for row in node_rows])
     if tree.horizon != horizon:
@@ -196,13 +206,14 @@ def build_market(description: str | Mapping) -> MarketSpec:
     for row in node_rows:
         if "S" not in row:
             raise TreeError(f"node {row['id']!r}: missing S value")
-        s_values[row["id"]] = [rat(v) for v in row["S"]]
+        s_values[row["id"]] = [rat(v) for v in _array(row["S"], f"node {row['id']!r}: S")]
     S = AdaptedProcess(tree, s_values)
 
     def read_book(key, american):
         payoffs, prices = [], []
         read = _process_from_json if american else _claim_from_json
-        for entry in doc.get(key, []):
+        for entry in _array(doc.get(key, []), key):
+            entry = _object(entry, f"{key} entry")
             payoffs.append(read(tree, _field(entry, "payoff", key)))
             prices.append(rat(_field(entry, "price", key)))
         return tuple(payoffs), tuple(prices)
@@ -211,12 +222,11 @@ def build_market(description: str | Mapping) -> MarketSpec:
     g, g_prices = read_book("european_buy_only", american=False)
     h, h_prices = read_book("american_buy_only", american=True)
 
-    support = frozenset(doc.get("support") or tree.leaves)
+    support = frozenset(_array(doc.get("support", []), "support") or tree.leaves)
     claims: dict[str, object] = {}
-    claim_specs = doc.get("claims") or {}
-    if not isinstance(claim_specs, Mapping):
-        raise MarketError(f"claims must be a JSON object, not {claim_specs!r}")
+    claim_specs = _object(doc.get("claims") or {}, "claims")
     for name, spec in claim_specs.items():
+        spec = _object(spec, f"claim {name!r}")
         kind = _field(spec, "type", f"claim {name!r}")
         values = _field(spec, "values", f"claim {name!r}")
         if kind == "european":
@@ -225,7 +235,7 @@ def build_market(description: str | Mapping) -> MarketSpec:
             claims[name] = _process_from_json(tree, values)
         else:
             raise MarketError(f"claim {name!r}: unknown type {kind!r}")
-    priors = tuple(_values_from_json(entry) for entry in doc.get("priors", []))
+    priors = tuple(_values_from_json(entry) for entry in _array(doc.get("priors", []), "priors"))
     market = MarketSpec(
         tree=tree, S=S, f=f, f_prices=f_prices, g=g, g_prices=g_prices,
         h=h, h_prices=h_prices, support=support, claims=claims,

@@ -259,7 +259,7 @@ def closure_polytope(spec: PricingSetSpec,
     return Polytope(base.variables, rows)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SlackResult:
     """Outcome of the strictness LP: optimum > 0 iff the strict set is
     nonempty.  `option_slack` and `floor_slack` are re-measured from the
@@ -342,6 +342,20 @@ def max_slack(spec: PricingSetSpec,
         option_slack=option_slack, floor_slack=floor_slack, witness=witness,
         certificate=certificate,
     )
+
+
+def strict_emm_slack(market: MarketSpec) -> SlackResult:
+    """`max_slack(PricingSetSpec.strict_emm(market))`, solved once per market
+    object and kept on it: strict no-arbitrage is a property of the market
+    alone, so every later question on the same object reads this result,
+    refusals included.  Markets derived by `with_options` or
+    `without_american` are new objects and decide it afresh.  Threads that ask
+    at once may each solve it; the results they store are equal."""
+    slack = getattr(market, "_strict_emm_slack", None)
+    if slack is None:
+        slack = max_slack(PricingSetSpec.strict_emm(market))
+        object.__setattr__(market, "_strict_emm_slack", slack)
+    return slack
 
 
 def _slack_certificate(m: MarketSpec, fixed: Sequence[Constraint],

@@ -14,11 +14,19 @@ supports without belonging to any component, and the quasi-sure hedging LP can
 then be strictly cheaper than every component dual.  Such instances raise
 RobustDualityGapError rather than returning an inconsistent certificate; prior
 lists in which the first prior dominates the rest (the usual
-reference-plus-stress shape) never hit this."""
+reference-plus-stress shape) never hit this.
+
+Robust strict no-arbitrage of the stock-plus-European part is the standing
+hypothesis of robust hedging and domination.  It depends on the market and
+the priors alone, so a `RobustSpec` keeps it, and the best component slack
+per prior support that it is built from, in one cell shared with every spec
+`reduced()` derives from it (keyed by the number of American options kept).
+Each later question on the family reads the cell; the certificate checks of
+every hedge and domination still run per call."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -105,10 +113,24 @@ class PriorSet:
         return len(self.priors)
 
 
+@dataclass
+class _Decision:
+    """The no-arbitrage facts of one market of a `RobustSpec` family: the best
+    component slack per prior support (None when every component is empty)
+    and, once asked for, the robust strict no-arbitrage verdict."""
+
+    slacks: dict[frozenset[str], SlackResult | None] = field(default_factory=dict)
+    verdict: ArbitrageVerdict | None = None
+
+
 @dataclass(frozen=True)
 class RobustSpec:
     market: MarketSpec
     priors: PriorSet
+    # number of American options kept -> _Decision, shared by `reduced()`
+    _decisions: dict[int, _Decision] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         leaves = set(self.market.tree.leaves)
@@ -117,7 +139,12 @@ class RobustSpec:
                 raise RobustError("prior supported outside the market's leaves")
 
     def reduced(self, keep_american: int) -> "RobustSpec":
-        return RobustSpec(self.market.without_american(keep_american), self.priors)
+        out = RobustSpec(self.market.without_american(keep_american), self.priors)
+        object.__setattr__(out, "_decisions", self._decisions)
+        return out
+
+    def _decision(self) -> _Decision:
+        return self._decisions.setdefault(len(self.market.h), _Decision())
 
 
 def union_support(priors: PriorSet) -> frozenset[str]:
@@ -153,22 +180,28 @@ def robust_pricing_set(
     ]
 
 
-def _component_slack(
-    market: MarketSpec,
-    carrier: Sequence[str],
-    floor: frozenset[str],
-    g_cap=None,
-    h_cap=None,
-) -> SlackResult:
-    """Uniform slack over one component: caps shifted by t, weight >= t on the
-    floor leaves (so the witness dominates the floor's prior)."""
-    spec = PricingSetSpec(
-        market,
-        g_cap=tuple(g_cap) if g_cap is not None else (),
-        h_cap=tuple(h_cap) if h_cap is not None else (),
-        support_floor=floor,
-    )
-    return max_slack(spec, carrier=carrier)
+def _dominating_slack(spec: RobustSpec, P: Measure) -> SlackResult | None:
+    """The best uniform slack of a measure dominating P: per component whose
+    support contains P's, caps shifted by t and weight >= t on P's support,
+    maximized over those components; None when all of them are empty.  It
+    depends on P's support only and is solved once per support in the spec's
+    cell."""
+    slacks = spec._decision().slacks
+    floor = P.support()
+    if floor not in slacks:
+        m = spec.market
+        best: SlackResult | None = None
+        for Pj in spec.priors:
+            if not floor <= Pj.support():
+                continue
+            res = max_slack(PricingSetSpec(m, support_floor=floor),
+                            carrier=_ordered(m.tree, Pj.support()))
+            if res.status != "optimal":
+                continue
+            if best is None or res.optimum > best.optimum:
+                best = res
+        slacks[floor] = best
+    return slacks[floor]
 
 
 def check_sna_robust(spec: RobustSpec) -> ArbitrageVerdict:
@@ -176,22 +209,14 @@ def check_sna_robust(spec: RobustSpec) -> ArbitrageVerdict:
     quotes, every prior must be dominated by a measure from some component.
 
     Decided by per-prior slack LPs (maximized over the components whose
-    support contains the prior's); the verdict's slacks give the common
-    shifted quotes."""
+    support contains the prior's, and kept in the spec's cell); the verdict's
+    slacks give the common shifted quotes."""
     m = spec.market
     worst: Fraction | None = None
     witnesses: list[Measure] = []
     all_dominated = True
     for P in spec.priors:
-        best: SlackResult | None = None
-        for Pj in spec.priors:
-            if not P.support() <= Pj.support():
-                continue
-            res = _component_slack(m, _ordered(m.tree, Pj.support()), P.support())
-            if res.status != "optimal":
-                continue
-            if best is None or res.optimum > best.optimum:
-                best = res
+        best = _dominating_slack(spec, P)
         if best is None or not best.strictly_positive:
             all_dominated = False
             break
@@ -233,9 +258,14 @@ def check_sna_robust(spec: RobustSpec) -> ArbitrageVerdict:
 
 
 def _check_hypothesis(spec: RobustSpec) -> None:
-    verdict = check_sna_robust(spec.reduced(0))
-    if verdict.verdict != NO_ARBITRAGE:
-        raise HypothesisFailure(verdict)
+    """Robust strict no-arbitrage of the stock-plus-European part, decided
+    once per spec family and read from its cell afterwards."""
+    base = spec.reduced(0)
+    decision = base._decision()
+    if decision.verdict is None:
+        decision.verdict = check_sna_robust(base)
+    if decision.verdict.verdict != NO_ARBITRAGE:
+        raise HypothesisFailure(decision.verdict)
 
 
 def sub_hedge_robust(spec: RobustSpec, claim) -> HedgeResult:
@@ -305,15 +335,7 @@ def dominating_measure(spec: RobustSpec, P: Measure) -> DominationResult:
     m = spec.market
     n = len(m.h)
     if n == 0:
-        best: SlackResult | None = None
-        for Pj in spec.priors:
-            if not P.support() <= Pj.support():
-                continue
-            res = _component_slack(m, _ordered(m.tree, Pj.support()), P.support())
-            if res.status != "optimal":
-                continue
-            if best is None or res.optimum > best.optimum:
-                best = res
+        best = _dominating_slack(spec, P)
         if best is None or not best.strictly_positive:
             raise RobustError(
                 "no dominating pricing measure: robust strict no-arbitrage fails"

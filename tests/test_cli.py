@@ -154,8 +154,16 @@ def _edited_b1(edit):
     (_arbitrage_doc(), ["price", "sub-eu", "--claim", "up_digital"], 2),
     # robust hypothesis fails (HypothesisFailure)
     (_arbitrage_doc(), ["robust", "price", "--claim", "up_digital"], 2),
+    # fields of the wrong JSON type (MarketError)
+    (_edited_b1(lambda d: d.update(support=5)), ["check-arbitrage"], 1),
+    (_edited_b1(lambda d: d.update(nodes="abc")), ["check-arbitrage"], 1),
+    (_edited_b1(lambda d: d["nodes"].append("abc")), ["check-arbitrage"], 1),
+    (_edited_b1(lambda d: d["nodes"][0].update(S="12")), ["check-arbitrage"], 1),
+    (_edited_b1(lambda d: d.update(european_buy_only=["abc"])), ["check-arbitrage"], 1),
 ], ids=["bad_tree", "float", "bad_rational", "missing_field", "missing_time",
-        "payoff_not_object", "claims_not_object", "prior_not_object", "bad_prior", "enum_cap", "price_arbitrage", "robust_arbitrage"])
+        "payoff_not_object", "claims_not_object", "prior_not_object", "bad_prior", "enum_cap",
+        "price_arbitrage", "robust_arbitrage", "support_not_array", "nodes_not_array",
+        "node_not_object", "stock_not_array", "book_entry_not_object"])
 def test_typed_failures_exit_without_traceback(capsys, tmp_path, doc, argv, expected):
     path = tmp_path / "market.json"
     path.write_text(json.dumps(doc))
@@ -163,6 +171,53 @@ def test_typed_failures_exit_without_traceback(capsys, tmp_path, doc, argv, expe
     assert code == expected
     assert out == ""
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def _p2_with_american_twice():
+    doc = json.loads(fixture_json("P2"))
+    doc["american_buy_only"] *= 2
+    return doc
+
+
+def _robust_arbitrage_in_american_doc():
+    """B1 with an American option whose exercise value 3/2 is above its quote
+    1: the stock part is robustly arbitrage-free, the option is not."""
+    doc = json.loads(fixture_json("B1"))
+    doc["american_buy_only"] = [{"payoff": {"r": "1", "u": "0", "d": "3"}, "price": "1"}]
+    doc["priors"] = [{"u": "1/2", "d": "1/2"}]
+    return doc
+
+
+def _recombination_gap_doc():
+    """Two priors on disjoint supports of a one-step, four-branch tree: a
+    martingale measure straddling both prices the claim below every component."""
+    from semistatic.market import MarketSpec, market_to_json
+    from semistatic.tree import AdaptedProcess, EventTree, TerminalClaim
+
+    tree = EventTree([("r", None, 0), ("a", "r", 1), ("b", "r", 1), ("c", "r", 1),
+                      ("d", "r", 1)])
+    S = AdaptedProcess(tree, {"r": F(5, 2), "a": 1, "b": 2, "c": 3, "d": 4})
+    psi = TerminalClaim(tree, {"a": 0, "b": 1, "c": 0, "d": 1})
+    market = MarketSpec(tree=tree, S=S, claims={"psi": psi})
+    priors = [{"a": F(1, 2), "d": F(1, 2)}, {"b": F(1, 2), "c": F(1, 2)}]
+    return json.loads(market_to_json(market, priors=priors))
+
+
+@pytest.mark.parametrize("doc, argv, expected, prefix", [
+    # HedgingError: whole-unit exercise of more than one American option
+    (_p2_with_american_twice(), ["price", "super-indiv"], 1, "input error: "),
+    # RobustError: the last American option is not robustly arbitrage-free
+    (_robust_arbitrage_in_american_doc(), ["robust", "dominate"], 2, "refused: "),
+    # RobustDualityGapError: the prior list is not recombination-closed
+    (_recombination_gap_doc(), ["robust", "price", "--claim", "psi"], 1, "input error: "),
+], ids=["super_indiv_two_american", "dominate_not_below_quote", "recombination_gap"])
+def test_engine_errors_exit_without_traceback(capsys, tmp_path, doc, argv, expected, prefix):
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *argv, "--market", str(path))
+    assert code == expected
+    assert out == ""
+    assert err.startswith(prefix) and len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("claim, argv", [

@@ -305,3 +305,114 @@ def test_primal_dual_gap_zero_random():
         single = market.without_american(1)
         indiv = super_hedge_indivisible(single, psi)
         assert indiv.price == _per_stop_dual_value(single, psi, indiv.details["stop"])
+
+
+_HEDGES = (
+    ("sub_eu", sub_hedge_european),
+    ("sub_am", sub_hedge_american),
+    ("super_div", super_hedge_divisible),
+    ("super_indiv", super_hedge_indivisible),
+)
+
+
+def _count_slack_solves(monkeypatch):
+    """Record every strict-EMM slack LP (`measures.max_slack`) solved."""
+    from semistatic import measures
+
+    calls = []
+    real = measures.max_slack
+
+    def counted(spec, carrier=None):
+        calls.append(spec.market)
+        return real(spec, carrier)
+
+    monkeypatch.setattr(measures, "max_slack", counted)
+    return calls
+
+
+def _hedge_answer(result, tree):
+    """Price, portfolio, dual measure and exercise flow as plain values."""
+    port = result.portfolio
+    return (
+        result.price,
+        tuple(port.H.at(n) for n in tree.nodes) if port.H is not None else None,
+        port.a, port.b, port.c,
+        tuple(tuple(mu.at(n) for n in tree.nodes) for mu in port.mu),
+        result.dual.weights,
+        tuple(result.eta.at(n) for n in tree.nodes) if result.eta is not None else None,
+    )
+
+
+def test_sna_decided_once_per_market(monkeypatch):
+    """check_sna and the four hedges on one market solve the strict-EMM slack
+    LP once, and answer bit for bit as on a freshly built copy of the market."""
+    from semistatic import build_market, check_sna, market_to_json
+
+    rng = random.Random(5150)
+    market = _sna_markets(rng, 1, max_depth=2)[0].without_american(1)
+    psi = random_claim(rng, market.tree)
+    phi = random_process(rng, market.tree)
+    calls = _count_slack_solves(monkeypatch)
+    assert check_sna(market).verdict == "NO_ARBITRAGE"
+    results = {kind: op(market, phi if kind == "sub_am" else psi) for kind, op in _HEDGES}
+    assert calls == [market]
+
+    fresh = build_market(market_to_json(market))
+    tree = fresh.tree
+    claims = {"psi": TerminalClaim(tree, {l: psi.at(l) for l in tree.leaves}),
+              "phi": AdaptedProcess(tree, {n: phi.scalar_at(n) for n in tree.nodes})}
+    for kind, op in _HEDGES:
+        again = op(fresh, claims["phi" if kind == "sub_am" else "psi"])
+        assert _hedge_answer(again, tree) == _hedge_answer(results[kind], market.tree)
+    assert calls == [market, fresh]
+
+
+def test_arbitrage_refusal_stored_with_the_market(monkeypatch, b1):
+    """Every hedge on an arbitrage market refuses with the one stored slack."""
+    from semistatic import check_sna
+
+    sure_one = TerminalClaim(b1.tree, {"u": 1, "d": 1})
+    market = b1.with_options(g=[sure_one], g_prices=[F(1, 2)],
+                             h=[AdaptedProcess(b1.tree, {"r": 0, "u": 1, "d": 0})],
+                             h_prices=[F(1)])
+    calls = _count_slack_solves(monkeypatch)
+    slacks = []
+    for kind, op in _HEDGES:
+        claim = market.h[0] if kind == "sub_am" else b1.claims["up_digital"]
+        with pytest.raises(ArbitrageRefusal) as refusal:
+            op(market, claim)
+        slacks.append(refusal.value.slack)
+    assert not slacks[0].strictly_positive
+    assert all(slack is slacks[0] for slack in slacks)
+    assert check_sna(market).slack is slacks[0]
+    assert calls == [market]
+
+
+def test_concurrent_hedges_on_one_market_agree():
+    """Threads hedging one market at once may each solve the slack LP before
+    one stores it; the stored results are equal, so every answer is too."""
+    import sys
+    import threading
+
+    from semistatic import build_market, market_to_json
+
+    rng = random.Random(5151)
+    base = _sna_markets(rng, 1, max_depth=2)[0].without_american(1)
+    psi = random_claim(rng, base.tree)
+    serial = super_hedge_divisible(base, psi).price
+    market = build_market(market_to_json(base))
+    claim = TerminalClaim(market.tree, {l: psi.at(l) for l in market.tree.leaves})
+    prices = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: prices.append(
+            super_hedge_divisible(market, claim).price)) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert prices == [serial] * 6

@@ -367,3 +367,66 @@ def test_minimax_random(seed):
     assert result.lhs == result.mid == result.rhs
     total = sum((snell_value(result.attaining, h) for h in hs), F(0))
     assert total == result.rhs
+
+
+def _count(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_robust_hypothesis_decided_once_per_spec(monkeypatch, t2):
+    """Robust hedges and dominations on one spec decide the hypothesis once,
+    solve each prior support's component slack LPs once, and answer as on
+    fresh specs."""
+    from semistatic import robust
+
+    market = t2.with_options(h=[t2.claims["put5_am"]], h_prices=[F(3)])
+    priors = PriorSet((_uniform(t2.tree), _partial_t2(t2.tree)))
+
+    def answers(spec_of):
+        eu = sub_hedge_robust(spec_of(), t2.claims["put5_eu"])
+        am = sub_hedge_robust(spec_of(), t2.claims["put5_am"])
+        doms = [dominating_measure(spec_of(), P) for P in priors]
+        return ([(r.price, r.dual) for r in (eu, am)]
+                + [(d.g_tilde, d.h_tilde, d.Q, d.lam) for d in doms])
+
+    hypotheses = _count(monkeypatch, robust, "check_sna_robust")
+    slacks = _count(monkeypatch, robust, "max_slack")
+    spec = RobustSpec(market, priors)
+    shared = answers(lambda: spec)
+    assert len(hypotheses) == 1
+    # the full prior has one component containing it, the partial one two
+    assert len(slacks) == 3
+    assert answers(lambda: RobustSpec(market, priors)) == shared
+    assert len(hypotheses) == 1 + 4
+
+
+def test_failed_hypothesis_refuses_every_call(monkeypatch, b1):
+    from semistatic import robust
+
+    f = TerminalClaim(b1.tree, {"u": 3, "d": 1})
+    spec = RobustSpec(b1.with_options(f=[f], f_prices=[3]), PriorSet((_uniform(b1.tree),)))
+    hypotheses = _count(monkeypatch, robust, "check_sna_robust")
+    verdicts = []
+    for claim in (b1.claims["up_digital"], constant_claim(b1.tree, 1), b1.claims["up_digital"]):
+        with pytest.raises(HypothesisFailure) as failure:
+            sub_hedge_robust(spec, claim)
+        verdicts.append(failure.value.verdict)
+    assert verdicts[0].verdict == ARBITRAGE
+    assert all(v is verdicts[0] for v in verdicts)
+    assert len(hypotheses) == 1
+
+
+def test_robust_spec_cell_is_not_part_of_its_value(t2):
+    priors = PriorSet((_uniform(t2.tree),))
+    spec = RobustSpec(t2, priors)
+    check_sna_robust(spec)
+    assert spec == RobustSpec(t2, priors)
+    assert repr(spec) == repr(RobustSpec(t2, priors))

@@ -231,3 +231,23 @@ def test_support_designation_round_trips():
     market = build_market(doc)
     assert market.support == frozenset({"uu", "ud", "du"})
     assert build_market(market_to_json(market)).support == market.support
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda d: d.update(support=5), "support"),
+    (lambda d: d.update(support="u"), "support"),
+    (lambda d: d.update(nodes="abc"), "nodes"),
+    (lambda d: d["nodes"].append("abc"), "node"),
+    (lambda d: d["nodes"][0].update(S="12"), "S"),
+    (lambda d: d.update(european_buy_only=["abc"]), "european_buy_only"),
+    (lambda d: d.update(american_buy_only=5), "american_buy_only"),
+    (lambda d: d.update(priors="abc"), "priors"),
+    (lambda d: d.update(claims={"x": "abc"}), "claim 'x'"),
+])
+def test_wrong_json_type_names_the_field(edit, field):
+    from semistatic.market import MarketError
+
+    doc = json.loads(fixture_json("B1"))
+    edit(doc)
+    with pytest.raises(MarketError, match=f"{field}.* must be a JSON"):
+        build_market(json.dumps(doc))
