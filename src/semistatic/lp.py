@@ -1,9 +1,11 @@
 """Exact rational linear programming with verified certificates.
 
-Two-phase primal simplex on a dense Fraction tableau.  Bland's smallest-index
-rule is used for both the entering and leaving choices, so the solver
-terminates on degenerate problems (the hedging LPs have many ties).  Every
-result carries a certificate and is re-verified before it is returned:
+Two-phase primal simplex on a dense fraction-free integer tableau, with one
+pivot rule: largest-coefficient pricing and a lexicographic ratio test
+(Dantzig, Orden & Wolfe), which cannot cycle, so the solver terminates on
+degenerate problems (the hedging LPs have many ties).  Each free variable is a
+single column.  Every result carries a certificate and is re-verified before
+it is returned:
 
   optimal    -> duals with exact complementary slackness and
                 primal objective == dual objective (rational equality),
@@ -28,7 +30,6 @@ LE, EQ, GE = "<=", "=", ">="
 _RELS = (LE, EQ, GE)
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class LpError(ValueError):
@@ -114,19 +115,21 @@ class _Tableau:
     entry / d for a single shared positive integer d (integer pivoting).  The
     pivot update (piv * entry - col * pivot_row) / d_prev divides exactly, so
     entries stay minors of the integer input and never grow out of hand, and
-    all inner-loop arithmetic is plain int."""
+    all inner-loop arithmetic is plain int.
 
-    def __init__(self, ncols: int):
+    A free variable is one column.  It is negated (and `sign` records it) when
+    it enters with a negative reduced cost; once basic it never leaves."""
+
+    def __init__(self, ncols: int, free: Sequence[int]):
         self.ncols = ncols
         self.rows: list[list[int]] = []
         self.b: list[int] = []
         self.basis: list[int] = []
         self.obj: list[int] = []  # d * (c_j - z_j), in integerized cost units
-        self.costs: list[int] = []
         self.d: int = 1
-        self.banned: set[int] = set()
-        self.use_bland = False
-        self._stall = 0
+        self.free = tuple(free)
+        self.sign = [1] * ncols  # -1 on a free column stored negated
+        self.ray_col = -1
 
     def pivot(self, i: int, j: int) -> None:
         prow = self.rows[i]
@@ -157,59 +160,60 @@ class _Tableau:
         self.d = piv
         self.basis[i] = j
 
-    def bland_step(self) -> str:
-        """One pivot.  Pricing is largest-coefficient until a degenerate
-        stall, then the smallest-index rule takes over permanently for this
-        solve; termination is guaranteed because only degenerate pivots can
-        cycle and those trip the switch."""
-        obj = self.obj
-        banned = self.banned
-        enter = -1
-        if self.use_bland:
-            for j in range(self.ncols):
-                if obj[j] > 0 and j not in banned:
-                    enter = j
-                    break
-        else:
-            best = 0
-            for j in range(self.ncols):
-                v = obj[j]
-                if v > best and j not in banned:
-                    best, enter = v, j
-        if enter < 0:
-            return "optimal"
-        leave, bnum, bden, best_var = -1, 0, 0, -1
-        for i, row in enumerate(self.rows):
-            a = row[enter]
-            if a > 0:
-                bi = self.b[i]
-                # compare bi/a against bnum/bden by cross multiplication
-                if leave < 0 or bi * bden < bnum * a or (
-                    bi * bden == bnum * a and self.basis[i] < best_var
-                ):
-                    leave, bnum, bden, best_var = i, bi, a, self.basis[i]
-        if leave < 0:
-            self._ray_col = enter
-            return "unbounded"
-        if not self.use_bland:
-            if bnum == 0:
-                self._stall += 1
-                if self._stall > 30:
-                    self.use_bland = True
-            else:
-                self._stall = 0
-        self.pivot(leave, enter)
-        return "continue"
+    def run(self, limit: int) -> str:
+        """Pivot until no column below `limit` improves the objective.
 
-    def run(self) -> str:
+        Pricing is largest coefficient; a free column is priced by the size of
+        its reduced cost and offered first.  Ratio-test ties are broken
+        lexicographically on the columns that were basic when the phase began.
+        Those columns are d * I then, so every row starts lexicographically
+        positive, stays so, and the objective row rises lexicographically
+        with every pivot: no basis repeats and the phase terminates.  Rows
+        whose basic variable is free are left out of the ratio test."""
+        lex = list(self.basis)
+        rows, b, free = self.rows, self.b, self.free
         while True:
-            state = self.bland_step()
-            if state != "continue":
-                return state
+            obj = self.obj
+            enter, best = -1, 0
+            for j in free:
+                if abs(obj[j]) > best:
+                    enter, best = j, abs(obj[j])
+            if enter < 0:
+                for j in range(limit):
+                    if obj[j] > best:
+                        enter, best = j, obj[j]
+            if enter < 0:
+                return "optimal"
+            if obj[enter] < 0:
+                for row in rows:
+                    row[enter] = -row[enter]
+                obj[enter] = -obj[enter]
+                self.sign[enter] = -self.sign[enter]
+            leave = -1
+            for i, row in enumerate(rows):
+                a = row[enter]
+                if a <= 0 or self.basis[i] in free:
+                    continue
+                if leave >= 0:
+                    # compare row / a against the incumbent by cross multiplication
+                    p = rows[leave]
+                    ap = p[enter]
+                    diff = b[i] * ap - b[leave] * a
+                    for c in lex:
+                        if diff:
+                            break
+                        diff = row[c] * ap - p[c] * a
+                    if diff >= 0:
+                        continue
+                leave = i
+            if leave < 0:
+                self.ray_col = enter
+                return "unbounded"
+            self.pivot(leave, enter)
 
     def set_costs(self, costs: list[int]) -> None:
         """Recompute the reduced-cost row for a new integer cost vector."""
-        self.costs = list(costs)
+        costs = [c * s for c, s in zip(costs, self.sign)]
         d = self.d
         obj = [d * c for c in costs]
         for i, var in enumerate(self.basis):
@@ -222,7 +226,8 @@ class _Tableau:
         self.obj = obj
 
     def basic_values(self) -> dict[int, Fraction]:
-        return {var: Fraction(self.b[i], self.d) for i, var in enumerate(self.basis)}
+        return {var: Fraction(self.sign[var] * self.b[i], self.d)
+                for i, var in enumerate(self.basis)}
 
     def reduced_cost(self, j: int) -> Fraction:
         """True reduced cost in integerized cost units."""
@@ -237,17 +242,9 @@ def solve(problem: LpProblem) -> LpSolution:
     """Solve exactly; the returned certificate is re-verified before return."""
     sense_sign = 1 if problem.sense == "max" else -1
 
-    # column layout: one column per nonneg variable, two per free variable
-    col_of: dict[str, int] = {}
-    neg_col_of: dict[str, int] = {}
-    ncols = 0
-    for v in problem.variables:
-        col_of[v] = ncols
-        ncols += 1
-        if v in problem.free:
-            neg_col_of[v] = ncols
-            ncols += 1
-    nstruct = ncols
+    # column layout: one column per variable, free or not
+    col_of = {v: j for j, v in enumerate(problem.variables)}
+    nstruct = len(col_of)
 
     # rows are integerized (each scaled by its own positive factor) so the
     # tableau can pivot in pure int arithmetic; duals unscale at extraction
@@ -260,8 +257,6 @@ def solve(problem: LpProblem) -> LpSolution:
         dense = [ZERO] * nstruct
         for v, c in row.coeffs.items():
             dense[col_of[v]] += c
-            if v in neg_col_of:
-                dense[neg_col_of[v]] -= c
         b = row.rhs
         rel = row.rel
         flip = b < 0  # normalize to b >= 0, flipping the relation
@@ -306,7 +301,7 @@ def solve(problem: LpProblem) -> LpSolution:
             extra.append((i, 1))
     total_cols = nstruct + len(extra)
 
-    tab = _Tableau(total_cols)
+    tab = _Tableau(total_cols, [col_of[v] for v in problem.variables if v in problem.free])
     for i in range(m):
         tab.rows.append(dense_rows[i] + [0] * len(extra))
         tab.b.append(rhs[i])
@@ -317,10 +312,7 @@ def solve(problem: LpProblem) -> LpSolution:
 
     objective_frac = [ZERO] * total_cols
     for v, c in problem.objective.items():
-        c = sense_sign * c
-        objective_frac[col_of[v]] += c
-        if v in neg_col_of:
-            objective_frac[neg_col_of[v]] -= c
+        objective_frac[col_of[v]] += sense_sign * c
     obj_scale = 1
     for c in objective_frac:
         obj_scale = _lcm(obj_scale, c.denominator)
@@ -334,7 +326,7 @@ def solve(problem: LpProblem) -> LpSolution:
             if c is not None:
                 phase1[c] = -1
         tab.set_costs(phase1)
-        state = tab.run()
+        state = tab.run(total_cols)
         assert state == "optimal"  # phase-1 objective is bounded above by 0
         infeas = any(tab.basis[i] >= art_start and tab.b[i] > 0 for i in range(m))
         if infeas:
@@ -352,40 +344,31 @@ def solve(problem: LpProblem) -> LpSolution:
         for i in range(m):
             if tab.basis[i] >= art_start:
                 for j in range(art_start):
-                    if j not in tab.banned and tab.rows[i][j]:
+                    if tab.rows[i][j]:
                         tab.pivot(i, j)
                         break
                 # else: redundant all-zero row; its artificial stays basic at 0
-        tab.banned.update(range(art_start, total_cols))
 
-    # ---- phase 2 ----
+    # ---- phase 2: artificial columns are no longer priced ----
     tab.set_costs(objective_int)
-    state = tab.run()
+    state = tab.run(art_start)
 
-    def merge_values(col_values: Mapping[int, Fraction]) -> dict[str, Fraction]:
-        out = {}
-        for v in problem.variables:
-            val = col_values.get(col_of[v], ZERO)
-            if v in neg_col_of:
-                val -= col_values.get(neg_col_of[v], ZERO)
-            out[v] = val
-        return out
+    def named(col_values: Mapping[int, Fraction]) -> dict[str, Fraction]:
+        return {v: col_values.get(col_of[v], ZERO) for v in problem.variables}
 
     if state == "unbounded":
-        j = tab._ray_col
-        ray_cols: dict[int, Fraction] = {j: ONE}
-        for i in range(m):
+        j = tab.ray_col
+        ray_cols: dict[int, Fraction] = {j: Fraction(tab.sign[j])}
+        for i, var in enumerate(tab.basis):
             if tab.rows[i][j]:
-                ray_cols[tab.basis[i]] = (
-                    ray_cols.get(tab.basis[i], ZERO) - Fraction(tab.rows[i][j], tab.d)
-                )
-        point = merge_values(tab.basic_values())
-        ray = merge_values(ray_cols)
+                ray_cols[var] = -Fraction(tab.sign[var] * tab.rows[i][j], tab.d)
+        point = named(tab.basic_values())
+        ray = named(ray_cols)
         sol = LpSolution(status="unbounded", feasible_point=point, ray=ray)
         verify_ray(problem, point, ray)
         return sol
 
-    values = merge_values(tab.basic_values())
+    values = named(tab.basic_values())
     duals: list[Fraction] = []
     for i in range(m):
         idc = slack_col[i] if slack_col[i] is not None else art_col[i]
@@ -395,17 +378,15 @@ def solve(problem: LpProblem) -> LpSolution:
         duals.append(sense_sign * y * row_scale[i])
 
     objective = sense_sign * Fraction(
-        sum(objective_int[var] * tab.b[i] for i, var in enumerate(tab.basis)),
+        sum(objective_int[var] * tab.sign[var] * tab.b[i]
+            for i, var in enumerate(tab.basis)),
         tab.d * obj_scale,
     )
-    reduced = {}
-    for v in problem.variables:
-        rc = problem.objective.get(v, ZERO)
-        for yi, row in zip(duals, problem.constraints):
-            cv = row.coeffs.get(v)
-            if cv:
-                rc -= yi * cv
-        reduced[v] = rc
+    reduced = {v: problem.objective.get(v, ZERO) for v in problem.variables}
+    for yi, row in zip(duals, problem.constraints):
+        if yi:
+            for v, c in row.coeffs.items():
+                reduced[v] -= yi * c
     dual_objective = sum((yi * row.rhs for yi, row in zip(duals, problem.constraints)), ZERO)
     sol = LpSolution(
         status="optimal", objective=objective, values=values, duals=duals,

@@ -21,14 +21,15 @@ hypothesis of robust hedging and domination.  It depends on the market and
 the priors alone, so a `RobustSpec` keeps it, and the best component slack
 per prior support that it is built from, in one cell shared with every spec
 `reduced()` derives from it (keyed by the number of American options kept).
-Each later question on the family reads the cell; the certificate checks of
-every hedge and domination still run per call."""
+The cell also keeps the robust sub-hedge of the last American option that
+`dominating_measure` mixes in, which does not depend on the prior.  Each later
+question on the family reads the cell; the certificate checks of every hedge
+and domination still run per call."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
 from .hedging import (
@@ -116,11 +117,14 @@ class PriorSet:
 @dataclass
 class _Decision:
     """The no-arbitrage facts of one market of a `RobustSpec` family: the best
-    component slack per prior support (None when every component is empty)
-    and, once asked for, the robust strict no-arbitrage verdict."""
+    component slack per prior support (None when every component is empty),
+    once asked for, the robust strict no-arbitrage verdict, and, once solved,
+    the robust sub-hedge of the market's last American option in the market
+    without it."""
 
     slacks: dict[frozenset[str], SlackResult | None] = field(default_factory=dict)
     verdict: ArbitrageVerdict | None = None
+    sub_hedge: HedgeResult | None = None
 
 
 @dataclass(frozen=True)
@@ -330,8 +334,9 @@ def dominating_measure(spec: RobustSpec, P: Measure) -> DominationResult:
     the per-component slack LP; the step sub-hedges the last option in the
     reduced market, takes the attaining measure, and mixes it with the
     recursively obtained dominating measure, the mixture weight chosen so the
-    last option's exercise value stays strictly under its quote.  Every
-    claimed property of the output is re-verified exactly."""
+    last option's exercise value stays strictly under its quote.  The
+    sub-hedge does not depend on P and is solved once in the spec's cell.
+    Every claimed property of the output is re-verified exactly."""
     m = spec.market
     n = len(m.h)
     if n == 0:
@@ -349,7 +354,10 @@ def dominating_measure(spec: RobustSpec, P: Measure) -> DominationResult:
 
     reduced = spec.reduced(n - 1)
     h_last, quote = m.h[n - 1], m.h_prices[n - 1]
-    sub = sub_hedge_robust(reduced, h_last)
+    decision = spec._decision()
+    if decision.sub_hedge is None:
+        decision.sub_hedge = sub_hedge_robust(reduced, h_last)
+    sub = decision.sub_hedge
     if isinstance(sub.price, type(INFINITE_PRICE)):
         raise RobustError("reduced pricing set is empty; cannot dominate")
     v = sub.price
@@ -413,13 +421,8 @@ class MinimaxResult:
         return self.lhs, self.mid, self.rhs
 
 
-TUPLE_ENUM_CAP = 50_000
-
-
 def minimax_check(
-    R_vertices: Sequence[Measure],
-    h_list: Sequence[AdaptedProcess],
-    tuple_cap: int = TUPLE_ENUM_CAP,
+    R_vertices: Sequence[Measure], h_list: Sequence[AdaptedProcess]
 ) -> MinimaxResult:
     """Compute, by three different LPs over the convex hull of the given
     vertices, the value of liquidating the options against the worst measure:
@@ -427,7 +430,9 @@ def minimax_check(
       lhs: max t s.t. every vertex gives the flow at least t (flows free),
       mid: min over hull mixtures of the summed exercise envelopes,
            with envelope cuts from `solve_with_stop_cuts`,
-      rhs: the same worst case via enumerated stop combinations.
+      rhs: the same worst case with every stopping time enumerated, one
+           epigraph variable per option (the worst stop combination of a
+           separable sum is the worst stop of each option).
 
     Raises if the three are not exactly equal; returns the attaining measure
     of the rhs problem."""
@@ -515,33 +520,19 @@ def minimax_check(
         raise RobustError(f"mixture LP is {sol.status}")
     mid = sol.objective
 
-    # rhs: enumerated stop combinations (decoupled per option above the cap)
+    # rhs: every stopping time, one epigraph variable per option
     taus = enumerate_stopping_times(tree)
     rows = [simplex_row]
-    if len(taus) ** N <= tuple_cap:
-        variables = lam_vars + ["w"]
-        for t_idx, combo in enumerate(product(taus, repeat=N)):
-            coeffs = {}
-            for i, R in enumerate(R_vertices):
-                val = sum((stop_value(R, h_list[k], combo[k]) for k in range(N)), ZERO)
-                if val:
-                    coeffs[lam_vars[i]] = val
-            coeffs["w"] = Fraction(-1)
-            rows.append(con(coeffs, LE, 0, f"combo[{t_idx}]"))
-        sol = solve(LpProblem("min", {"w": 1}, rows, variables, free=frozenset({"w"})))
-    else:
-        variables = lam_vars + [f"w[{k}]" for k in range(N)]
-        for k in range(N):
-            for t_idx, tau in enumerate(taus):
-                coeffs = {lam_vars[i]: stop_value(R, h_list[k], tau)
-                          for i, R in enumerate(R_vertices)}
-                coeffs = {key: val for key, val in coeffs.items() if val}
-                coeffs[f"w[{k}]"] = Fraction(-1)
-                rows.append(con(coeffs, LE, 0, f"stop[{k}][{t_idx}]"))
-        sol = solve(LpProblem(
-            "min", {f"w[{k}]": 1 for k in range(N)}, rows, variables,
-            free=frozenset(f"w[{k}]" for k in range(N)),
-        ))
+    w_vars = [f"w[{k}]" for k in range(N)]
+    for k in range(N):
+        for t_idx, tau in enumerate(taus):
+            coeffs = {lam_vars[i]: stop_value(R, h_list[k], tau)
+                      for i, R in enumerate(R_vertices)}
+            coeffs = {key: val for key, val in coeffs.items() if val}
+            coeffs[w_vars[k]] = Fraction(-1)
+            rows.append(con(coeffs, LE, 0, f"stop[{k}][{t_idx}]"))
+    sol = solve(LpProblem("min", {w: 1 for w in w_vars}, rows, lam_vars + w_vars,
+                          free=frozenset(w_vars)))
     if sol.status != "optimal":
         raise RobustError(f"stop-side LP is {sol.status}")
     rhs = sol.objective

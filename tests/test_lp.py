@@ -109,8 +109,9 @@ def test_determinism():
 
 
 def test_beale_cycling_example_terminates():
-    """Beale's classical degenerate LP cycles under naive largest-coefficient
-    pricing; the stall switch must hand over to the smallest-index rule."""
+    """Beale's classical degenerate LP cycles under largest-coefficient
+    pricing with a naive ratio test; the lexicographic ratio test must break
+    the tie so that the solve terminates."""
     prob = LpProblem(
         "max",
         {"x1": F(3, 4), "x2": F(-150), "x3": F(1, 50), "x4": F(-6)},
@@ -126,11 +127,31 @@ def test_beale_cycling_example_terminates():
     assert sol.objective == F(1, 20)
 
 
-@pytest.mark.parametrize("seed", range(30))
+def _split_free(prob):
+    """The same LP with every free variable x written by hand as x+ - x-,
+    both nonnegative."""
+    def split(coeffs):
+        out = {}
+        for v, c in coeffs.items():
+            if v in prob.free:
+                out[v + "+"], out[v + "-"] = c, -c
+            else:
+                out[v] = c
+        return out
+
+    names = [w for v in prob.variables
+             for w in ((v + "+", v + "-") if v in prob.free else (v,))]
+    rows = [con(split(r.coeffs), r.rel, r.rhs, r.name) for r in prob.constraints]
+    return LpProblem(prob.sense, split(prob.objective), rows, names)
+
+
+@pytest.mark.parametrize("seed", range(120))
 def test_random_mixed_shapes_self_certify(seed):
     """Random LPs with all three relations and free variables: solve() only
     returns after its certificate passes the independent exact re-check, so
-    touching every status on varied shapes is already a strong test."""
+    touching every status on varied shapes is already a strong test.  The
+    same LP with its free variables split by hand into nonnegative pairs must
+    give the same status and objective."""
     rng = random.Random(5000 + seed)
     nvars = rng.randint(2, 5)
     names = [f"x{i}" for i in range(nvars)]
@@ -143,11 +164,15 @@ def test_random_mixed_shapes_self_certify(seed):
         rel = rng.choice([LE, GE, EQ])
         rows.append(con(coeffs, rel, F(rng.randint(-5, 6))))
     objective = {n: F(rng.randint(-4, 4)) for n in names}
-    sol = solve(LpProblem("max" if rng.random() < 0.5 else "min",
-                          objective, rows, names, free=free))
+    prob = LpProblem("max" if rng.random() < 0.5 else "min",
+                     objective, rows, names, free=free)
+    sol = solve(prob)
     assert sol.status in ("optimal", "infeasible", "unbounded")
     if sol.status == "infeasible":
         verify_farkas(LpProblem("max", objective, rows, names, free=free), sol.farkas)
+    split = solve(_split_free(prob))
+    assert split.status == sol.status
+    assert split.objective == sol.objective
 
 
 def test_verify_rejects_corrupted_solution():

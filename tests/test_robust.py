@@ -408,6 +408,23 @@ def test_robust_hypothesis_decided_once_per_spec(monkeypatch, t2):
     assert len(hypotheses) == 1 + 4
 
 
+def test_sub_hedge_of_domination_solved_once_per_spec(monkeypatch, t2):
+    """The sub-hedge of the last American option does not depend on the prior:
+    dominating two priors on one spec solves it once."""
+    from semistatic import robust
+
+    market = t2.with_options(h=[t2.claims["put5_am"]], h_prices=[F(3)])
+    priors = PriorSet((_uniform(t2.tree), _partial_t2(t2.tree)))
+    spec = RobustSpec(market, priors)
+    sub_hedges = _count(monkeypatch, robust, "sub_hedge_robust")
+    shared = [dominating_measure(spec, P) for P in priors]
+    assert len(sub_hedges) == 1
+    fresh = [dominating_measure(RobustSpec(market, priors), P) for P in priors]
+    assert len(sub_hedges) == 3
+    assert ([(d.g_tilde, d.h_tilde, d.Q, d.lam) for d in shared]
+            == [(d.g_tilde, d.h_tilde, d.Q, d.lam) for d in fresh])
+
+
 def test_failed_hypothesis_refuses_every_call(monkeypatch, b1):
     from semistatic import robust
 
