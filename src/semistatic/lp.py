@@ -4,13 +4,29 @@ Two-phase primal simplex on a dense fraction-free integer tableau, with one
 pivot rule: largest-coefficient pricing and a lexicographic ratio test
 (Dantzig, Orden & Wolfe), which cannot cycle, so the solver terminates on
 degenerate problems (the hedging LPs have many ties).  Each free variable is a
-single column.  Every result carries a certificate and is re-verified before
-it is returned:
+single column.
 
-  optimal    -> duals with exact complementary slackness and
-                primal objective == dual objective (rational equality),
+Set-up and extraction do no per-entry Fraction arithmetic.  A row is
+integerized from the coefficients its sparse map lists: it is multiplied by
+the lcm of their denominators and the rhs's, divided by the gcd of the
+resulting integers, and negated if its rhs is negative; that factor is kept as
+an integer pair.  Each dual, Farkas entry and reduced cost is read off the
+final tableau as one Fraction of two integers.
+
+Every result carries a certificate and is re-verified before it is returned,
+from the original problem's Fraction coefficients only (never from the
+tableau):
+
+  optimal    -> primal feasibility, duals of the right signs with exact
+                complementary slackness, reduced costs equal to c - A^T y
+                and of the right signs, and primal objective == b.y == dual
+                objective (rational equality),
   infeasible -> a Farkas multiplier vector, checked by multiplication,
   unbounded  -> a feasible point plus an improving ray, checked directly.
+
+Each sum these checks take (a row at a point, a column of A^T y, b.y) is
+accumulated as one integer numerator over a common denominator and normalized
+once (`_dot`), which is the same rational as summing Fractions term by term.
 
 Variables are nonnegative unless listed in `free`; anything else (upper
 bounds, lower bounds) is written as an explicit constraint row.  Solves share
@@ -21,8 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from typing import Mapping, Sequence
+from math import gcd, lcm
+from typing import Iterable, Mapping, Sequence
 
 from .rational import rat, rat_str
 
@@ -100,8 +116,27 @@ class LpSolution:
         return self.values.get(name, ZERO)
 
 
+def _dot(pairs: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
+    """Exact sum of a * b over rational pairs (Fractions or ints).
+
+    The terms are summed as one integer numerator over a running lcm of their
+    denominators and normalized once at the end, instead of building and
+    normalizing one Fraction per term; the result is the same Fraction."""
+    num, den = 0, 1
+    for a, b in pairs:
+        p = a.numerator * b.numerator
+        if p:
+            q = a.denominator * b.denominator
+            if den % q:
+                step = q // gcd(den, q)
+                num *= step
+                den *= step
+            num += p * (den // q)
+    return Fraction(num, den)
+
+
 def eval_row(coeffs: Mapping[str, Fraction], values: Mapping[str, Fraction]) -> Fraction:
-    return sum((c * values.get(v, ZERO) for v, c in coeffs.items()), ZERO)
+    return _dot((c, values.get(v, 0)) for v, c in coeffs.items())
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +264,6 @@ class _Tableau:
         return {var: Fraction(self.sign[var] * self.b[i], self.d)
                 for i, var in enumerate(self.basis)}
 
-    def reduced_cost(self, j: int) -> Fraction:
-        """True reduced cost in integerized cost units."""
-        return Fraction(self.obj[j], self.d)
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
 
 def solve(problem: LpProblem) -> LpSolution:
     """Solve exactly; the returned certificate is re-verified before return."""
@@ -245,46 +272,14 @@ def solve(problem: LpProblem) -> LpSolution:
     # column layout: one column per variable, free or not
     col_of = {v: j for j, v in enumerate(problem.variables)}
     nstruct = len(col_of)
-
-    # rows are integerized (each scaled by its own positive factor) so the
-    # tableau can pivot in pure int arithmetic; duals unscale at extraction
     m = len(problem.constraints)
-    dense_rows: list[list[int]] = []
-    rhs: list[int] = []
-    rels: list[str] = []
-    row_scale: list[Fraction] = []
-    for row in problem.constraints:
-        dense = [ZERO] * nstruct
-        for v, c in row.coeffs.items():
-            dense[col_of[v]] += c
-        b = row.rhs
-        rel = row.rel
-        flip = b < 0  # normalize to b >= 0, flipping the relation
-        if flip:
-            dense = [-c for c in dense]
-            b = -b
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        scale = 1
-        for c in dense:
-            scale = _lcm(scale, c.denominator)
-        scale = _lcm(scale, b.denominator)
-        ints = [int(c * scale) for c in dense]
-        bi = int(b * scale)
-        g = abs(bi)
-        for c in ints:
-            g = gcd(g, abs(c))
-        if g > 1:  # keep the integer tableau's seeds small
-            ints = [c // g for c in ints]
-            bi //= g
-            scale_frac = Fraction(scale, g)
-        else:
-            scale_frac = Fraction(scale)
-        dense_rows.append(ints)
-        rhs.append(bi)
-        rels.append(rel)
-        row_scale.append(-scale_frac if flip else scale_frac)
 
-    # slack / surplus / artificial columns; remember each row's identity column
+    # normalize to b >= 0 by negating a row with a negative rhs, flipping its
+    # relation; then slack / surplus / artificial columns, remembering each
+    # row's identity column
+    flip = [row.rhs < 0 for row in problem.constraints]
+    rels = [{LE: GE, GE: LE, EQ: EQ}[row.rel] if f else row.rel
+            for row, f in zip(problem.constraints, flip)]
     slack_col: list[int | None] = [None] * m
     art_col: list[int | None] = [None] * m
     extra: list[tuple[int, int]] = []  # (row, coefficient) per added column
@@ -301,22 +296,41 @@ def solve(problem: LpProblem) -> LpSolution:
             extra.append((i, 1))
     total_cols = nstruct + len(extra)
 
+    # each row is integerized from its sparse coefficients, so the tableau
+    # pivots in pure int arithmetic: scaled by the lcm of its denominators and
+    # the rhs's, divided by the gcd of the resulting integers.  Internal row i
+    # is the original row times row_scale[i] = num / den (negative if flipped);
+    # duals unscale at extraction.
     tab = _Tableau(total_cols, [col_of[v] for v in problem.variables if v in problem.free])
-    for i in range(m):
-        tab.rows.append(dense_rows[i] + [0] * len(extra))
-        tab.b.append(rhs[i])
+    row_scale: list[tuple[int, int]] = []
+    for row, f in zip(problem.constraints, flip):
+        b = row.rhs
+        coeffs = row.coeffs
+        scale = lcm(b.denominator, *[c.denominator for c in coeffs.values()])
+        sgn = -1 if f else 1
+        ints = [sgn * c.numerator * (scale // c.denominator) for c in coeffs.values()]
+        bi = sgn * b.numerator * (scale // b.denominator)
+        g = gcd(bi, *ints)
+        if g > 1:  # keep the integer tableau's seeds small
+            ints = [c // g for c in ints]
+            bi //= g
+        else:
+            g = 1
+        dense = [0] * total_cols
+        for v, c in zip(coeffs, ints):
+            dense[col_of[v]] = c
+        tab.rows.append(dense)
+        tab.b.append(bi)
+        row_scale.append((sgn * scale, g))
     for idx, (i, coef) in enumerate(extra):
         tab.rows[i][nstruct + idx] = coef
     for i in range(m):
         tab.basis.append(art_col[i] if art_col[i] is not None else slack_col[i])
 
-    objective_frac = [ZERO] * total_cols
+    obj_scale = lcm(*[c.denominator for c in problem.objective.values()])
+    objective_int = [0] * total_cols
     for v, c in problem.objective.items():
-        objective_frac[col_of[v]] += sense_sign * c
-    obj_scale = 1
-    for c in objective_frac:
-        obj_scale = _lcm(obj_scale, c.denominator)
-    objective_int = [int(c * obj_scale) for c in objective_frac]
+        objective_int[col_of[v]] = sense_sign * c.numerator * (obj_scale // c.denominator)
 
     # ---- phase 1 ----
     has_art = any(c is not None for c in art_col)
@@ -330,13 +344,15 @@ def solve(problem: LpProblem) -> LpSolution:
         assert state == "optimal"  # phase-1 objective is bounded above by 0
         infeas = any(tab.basis[i] >= art_start and tab.b[i] > 0 for i in range(m))
         if infeas:
-            # y_i = z at the row's identity column; z_j = c_j - obj_j
+            # y_i = z at the row's identity column, z_j = c_j - obj_j / d, times
+            # row_scale[i] because internal row i is that multiple of the
+            # original row: one Fraction of integers per entry
+            obj, d = tab.obj, tab.d
             farkas = []
             for i in range(m):
                 idc = art_col[i] if art_col[i] is not None else slack_col[i]
-                y = Fraction(phase1[idc]) - tab.reduced_cost(idc)
-                # internal row i is row_scale[i] times the original row
-                farkas.append(y * row_scale[i])
+                num, den = row_scale[i]
+                farkas.append(Fraction((phase1[idc] * d - obj[idc]) * num, d * den))
             sol = LpSolution(status="infeasible", farkas=farkas)
             verify_farkas(problem, farkas)
             return sol
@@ -368,26 +384,26 @@ def solve(problem: LpProblem) -> LpSolution:
         verify_ray(problem, point, ray)
         return sol
 
+    # duals are read as the Farkas vector is, with the costs' obj_scale and
+    # sense undone; a structural column's reduced cost is its own obj entry,
+    # negated back if the column is stored negated.  verify_solution checks
+    # both against c - A^T y of the original problem.
+    obj, d = tab.obj, tab.d
     values = named(tab.basic_values())
     duals: list[Fraction] = []
     for i in range(m):
         idc = slack_col[i] if slack_col[i] is not None else art_col[i]
-        # z at the identity column is the internal multiplier; the original
-        # row is internal row / row_scale and costs were scaled by obj_scale
-        y = (Fraction(objective_int[idc]) - tab.reduced_cost(idc)) / obj_scale
-        duals.append(sense_sign * y * row_scale[i])
-
+        num, den = row_scale[i]
+        duals.append(Fraction(sense_sign * (objective_int[idc] * d - obj[idc]) * num,
+                              d * obj_scale * den))
+    reduced = {v: Fraction(sense_sign * tab.sign[j] * obj[j], d * obj_scale)
+               for v, j in col_of.items()}
     objective = sense_sign * Fraction(
         sum(objective_int[var] * tab.sign[var] * tab.b[i]
             for i, var in enumerate(tab.basis)),
-        tab.d * obj_scale,
+        d * obj_scale,
     )
-    reduced = {v: problem.objective.get(v, ZERO) for v in problem.variables}
-    for yi, row in zip(duals, problem.constraints):
-        if yi:
-            for v, c in row.coeffs.items():
-                reduced[v] -= yi * c
-    dual_objective = sum((yi * row.rhs for yi, row in zip(duals, problem.constraints)), ZERO)
+    dual_objective = _dot(zip(duals, [row.rhs for row in problem.constraints]))
     sol = LpSolution(
         status="optimal", objective=objective, values=values, duals=duals,
         reduced_costs=reduced, dual_objective=dual_objective,
@@ -405,58 +421,71 @@ def _check(ok: bool, msg: str) -> None:
         raise LpVerificationError(msg)
 
 
+def _combine(problem: LpProblem, multipliers: Sequence[Fraction]) -> dict[str, Fraction]:
+    """y^T A of the original rows, per variable."""
+    terms: dict[str, list] = {v: [] for v in problem.variables}
+    for y, row in zip(multipliers, problem.constraints):
+        if y:
+            for v, c in row.coeffs.items():
+                terms[v].append((y, c))
+    return {v: _dot(t) for v, t in terms.items()}
+
+
 def verify_solution(problem: LpProblem, sol: LpSolution) -> None:
     """Exact primal feasibility, dual sign consistency, complementary
-    slackness, and primal objective == dual objective."""
+    slackness, reduced costs equal to c - A^T y and of the right sign, and
+    primal objective == b.y == dual objective, all computed from the original
+    problem's coefficients."""
     sense_sign = 1 if problem.sense == "max" else -1
     for v in problem.variables:
         if v not in problem.free:
             _check(sol.values.get(v, ZERO) >= 0, f"variable {v} negative")
+    # a rational has its numerator's sign: dual signs are read off numerators
     for i, row in enumerate(problem.constraints):
         lhs = eval_row(row.coeffs, sol.values)
         y = sol.duals[i]
         label = row.name or f"#{i}"
         if row.rel == LE:
             _check(lhs <= row.rhs, f"constraint {label} violated")
-            _check(sense_sign * y >= 0, f"dual sign at {label}")
+            _check(sense_sign * y.numerator >= 0, f"dual sign at {label}")
         elif row.rel == GE:
             _check(lhs >= row.rhs, f"constraint {label} violated")
-            _check(sense_sign * y <= 0, f"dual sign at {label}")
+            _check(sense_sign * y.numerator <= 0, f"dual sign at {label}")
         else:
             _check(lhs == row.rhs, f"constraint {label} violated")
-        _check(y * (row.rhs - lhs) == 0, f"complementary slackness at {label}")
+        _check(y == 0 or lhs == row.rhs, f"complementary slackness at {label}")
+    combo = _combine(problem, sol.duals)
     for v in problem.variables:
         rc = sol.reduced_costs[v]
+        _check(rc + combo[v] == problem.objective.get(v, 0),
+               f"reduced cost at {v} is not c - A^T y")
         if v in problem.free:
             _check(rc == 0, f"nonzero reduced cost on free variable {v}")
         else:
-            _check(sense_sign * rc <= 0, f"dual infeasibility at variable {v}")
-            _check(rc * sol.values.get(v, ZERO) == 0, f"variable slackness at {v}")
-    primal = sum(
-        (c * sol.values.get(v, ZERO) for v, c in problem.objective.items()), ZERO
-    )
-    _check(primal == sol.objective, "objective value mismatch")
-    _check(sol.dual_objective == sol.objective, "strong duality gap is nonzero")
+            _check(sense_sign * rc.numerator <= 0, f"dual infeasibility at variable {v}")
+            _check(rc == 0 or sol.values.get(v, ZERO) == 0, f"variable slackness at {v}")
+    _check(eval_row(problem.objective, sol.values) == sol.objective,
+           "objective value mismatch")
+    dual = _dot(zip(sol.duals, [row.rhs for row in problem.constraints]))
+    _check(sol.dual_objective == dual, "dual objective is not b.y")
+    _check(dual == sol.objective, "strong duality gap is nonzero")
 
 
 def verify_farkas(problem: LpProblem, farkas: Sequence[Fraction]) -> None:
     """Multiply out an infeasibility certificate and check it."""
-    combo: dict[str, Fraction] = {v: ZERO for v in problem.variables}
-    total = ZERO
     for y, row in zip(farkas, problem.constraints):
         label = row.name or "?"
         if row.rel == LE:
             _check(y >= 0, f"farkas sign at {label}")
         elif row.rel == GE:
             _check(y <= 0, f"farkas sign at {label}")
-        for v, c in row.coeffs.items():
-            combo[v] += y * c
-        total += y * row.rhs
+    combo = _combine(problem, farkas)
     for v in problem.variables:
         if v in problem.free:
             _check(combo[v] == 0, f"farkas combination not zero on free {v}")
         else:
             _check(combo[v] >= 0, f"farkas combination negative on {v}")
+    total = _dot(zip(farkas, [row.rhs for row in problem.constraints]))
     _check(total < 0, "farkas certificate does not separate")
 
 

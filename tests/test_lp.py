@@ -1,11 +1,13 @@
 """Exact LP solver: hand-checked instances, certificates, and a brute-force
 oracle."""
 
+import copy
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semistatic.lp import (
     EQ,
@@ -13,8 +15,10 @@ from semistatic.lp import (
     LE,
     LpProblem,
     LpVerificationError,
+    _dot,
     con,
     dump_lp,
+    eval_row,
     solve,
     verify_farkas,
     verify_ray,
@@ -145,6 +149,28 @@ def _split_free(prob):
     return LpProblem(prob.sense, split(prob.objective), rows, names)
 
 
+def _random_mixed_lp(seed):
+    """A small LP with all three relations, free variables and rational (not
+    only integer) coefficients, rhs and objective."""
+    rng = random.Random(5000 + seed)
+
+    def draw(lo, hi):
+        return F(rng.randint(lo, hi), rng.choice((1, 1, 2, 3, 5)))
+
+    nvars = rng.randint(2, 5)
+    names = [f"x{i}" for i in range(nvars)]
+    free = frozenset(n for n in names if rng.random() < 0.4)
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        coeffs = {n: draw(-8, 8) for n in names if rng.random() < 0.8}
+        if not coeffs:
+            continue
+        rows.append(con(coeffs, rng.choice([LE, GE, EQ]), draw(-10, 12)))
+    objective = {n: draw(-8, 8) for n in names}
+    return LpProblem("max" if rng.random() < 0.5 else "min",
+                     objective, rows, names, free=free)
+
+
 @pytest.mark.parametrize("seed", range(120))
 def test_random_mixed_shapes_self_certify(seed):
     """Random LPs with all three relations and free variables: solve() only
@@ -152,27 +178,56 @@ def test_random_mixed_shapes_self_certify(seed):
     touching every status on varied shapes is already a strong test.  The
     same LP with its free variables split by hand into nonnegative pairs must
     give the same status and objective."""
-    rng = random.Random(5000 + seed)
-    nvars = rng.randint(2, 5)
-    names = [f"x{i}" for i in range(nvars)]
-    free = frozenset(n for n in names if rng.random() < 0.4)
-    rows = []
-    for _ in range(rng.randint(1, 6)):
-        coeffs = {n: F(rng.randint(-4, 4)) for n in names if rng.random() < 0.8}
-        if not coeffs:
-            continue
-        rel = rng.choice([LE, GE, EQ])
-        rows.append(con(coeffs, rel, F(rng.randint(-5, 6))))
-    objective = {n: F(rng.randint(-4, 4)) for n in names}
-    prob = LpProblem("max" if rng.random() < 0.5 else "min",
-                     objective, rows, names, free=free)
+    prob = _random_mixed_lp(seed)
     sol = solve(prob)
     assert sol.status in ("optimal", "infeasible", "unbounded")
     if sol.status == "infeasible":
-        verify_farkas(LpProblem("max", objective, rows, names, free=free), sol.farkas)
+        verify_farkas(prob, sol.farkas)
     split = solve(_split_free(prob))
     assert split.status == sol.status
     assert split.objective == sol.objective
+
+
+def _with_row(prob, k, row):
+    rows = list(prob.constraints)
+    rows[k] = row
+    return LpProblem(prob.sense, prob.objective, rows, prob.variables, free=prob.free)
+
+
+def _assert_same_but_row(base, other, k, factor):
+    """Every field equal, except that row k's dual or Farkas entry is `factor`
+    times the base one."""
+    multipliers = "farkas" if base.status == "infeasible" else "duals"
+    for name in ("status", "objective", "values", "reduced_costs", "dual_objective",
+                 "farkas", "duals", "ray", "feasible_point"):
+        if name != multipliers:
+            assert getattr(other, name) == getattr(base, name), name
+    want = list(getattr(base, multipliers))
+    if base.status != "unbounded":  # an unbounded solve has no multipliers
+        want[k] *= factor
+    assert getattr(other, multipliers) == want
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_row_scale_and_flip_change_only_that_rows_multiplier(seed):
+    """A row is integerized to the same primitive integer row whatever
+    positive multiple of it is given, and a row with a negative rhs is
+    negated with its relation flipped.  So scaling row k by a rational
+    lambda > 0 changes nothing but row k's dual (or Farkas entry), divided by
+    lambda; negating row k and its nonzero rhs with LE and GE swapped changes
+    nothing but that entry's sign."""
+    prob = _random_mixed_lp(seed)
+    rng = random.Random(seed)
+    base = solve(prob)
+    k = rng.randrange(len(prob.constraints))
+    row = prob.constraints[k]
+    lam = rng.choice((F(3, 2), F(2, 7), F(35, 4), F(9, 10), F(1000003, 999983)))
+    scaled = con({v: lam * c for v, c in row.coeffs.items()}, row.rel, lam * row.rhs)
+    _assert_same_but_row(base, solve(_with_row(prob, k, scaled)), k, 1 / lam)
+    if row.rhs != 0:
+        negated = con({v: -c for v, c in row.coeffs.items()},
+                      {LE: GE, GE: LE, EQ: EQ}[row.rel], -row.rhs)
+        _assert_same_but_row(base, solve(_with_row(prob, k, negated)), k, -1)
 
 
 def test_verify_rejects_corrupted_solution():
@@ -181,6 +236,96 @@ def test_verify_rejects_corrupted_solution():
     sol.values["x"] = F(2)
     with pytest.raises(LpVerificationError):
         verify_solution(prob, sol)
+
+
+def _rejects(prob, sol, field, key, value):
+    """verify_solution must raise once sol.<field>[key] is set to value."""
+    bad = copy.deepcopy(sol)
+    getattr(bad, field)[key] = value
+    with pytest.raises(LpVerificationError):
+        verify_solution(prob, bad)
+
+
+def test_verify_rejects_corrupted_duals_and_reduced_costs():
+    """x + 2y + z <= 4 and 3x + y <= 6 are tight at the optimum (duals 2/5
+    and 1/5), x <= 5 is slack, and z has reduced cost -7/5.  Nudging a tight
+    row's dual keeps every sign and complementary slackness: only the checks
+    that recompute c - A^T y and b.y from the duals show it."""
+    prob = LpProblem(
+        "max", {"x": 1, "y": 1, "z": -1},
+        [con({"x": 1, "y": 2, "z": 1}, LE, 4), con({"x": 3, "y": 1}, LE, 6),
+         con({"x": 1}, LE, 5)],
+        ["x", "y", "z"],
+    )
+    sol = solve(prob)
+    assert sol.duals == [F(2, 5), F(1, 5), 0] and sol.reduced_costs["z"] == F(-7, 5)
+    for i in (0, 1):
+        _rejects(prob, sol, "duals", i, sol.duals[i] + F(1, 7))
+    _rejects(prob, sol, "reduced_costs", "z", F(7, 5))
+    _rejects(prob, sol, "duals", 2, F(1, 7))
+    bad = copy.deepcopy(sol)
+    bad.dual_objective += F(1, 7)
+    with pytest.raises(LpVerificationError):
+        verify_solution(prob, bad)
+
+
+def test_verify_rejects_each_dual_mutation_on_random_lps():
+    """On random optimal LPs: a dual nudged by 1/7 on any row with a nonzero
+    coefficient, any nonzero reduced cost with its sign flipped, and a
+    nonzero dual of either sign at any slack row are all caught."""
+    checked = 0
+    for seed in range(200):
+        prob = _random_mixed_lp(seed)
+        sol = solve(prob)
+        if sol.status != "optimal":
+            continue
+        checked += 1
+        for i, row in enumerate(prob.constraints):
+            if any(row.coeffs.values()):
+                _rejects(prob, sol, "duals", i, sol.duals[i] + F(1, 7))
+            if eval_row(row.coeffs, sol.values) != row.rhs:
+                for y in (F(1, 7), F(-1, 7)):
+                    _rejects(prob, sol, "duals", i, y)
+        for v, rc in sol.reduced_costs.items():
+            if rc:
+                _rejects(prob, sol, "reduced_costs", v, -rc)
+    assert checked >= 20
+
+
+def test_verify_farkas_rejects_scaled_and_wrong_sign_entries():
+    prob = LpProblem(
+        "max", {}, [con({"x": 1, "y": 1}, LE, 1), con({"x": 1, "y": 1}, GE, 2)], ["x", "y"],
+    )
+    farkas = solve(prob).farkas
+    assert farkas == [1, -1]
+    for i in (0, 1):
+        for factor in (2, -1):
+            bad = list(farkas)
+            bad[i] *= factor
+            with pytest.raises(LpVerificationError):
+                verify_farkas(prob, bad)
+
+
+_RATIONALS = st.one_of(
+    st.just(0),
+    st.integers(-10**6, 10**6),
+    st.builds(F, st.integers(-10**12, 10**12),
+              st.sampled_from((1, 2, 3, 6, 7, 10**9 + 7, 2**61 - 1, 3**40, 5**30))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.dictionaries(st.sampled_from("abcdef"), _RATIONALS, max_size=6),
+       values=st.dictionaries(st.sampled_from("abcdefgh"), _RATIONALS, max_size=8))
+def test_common_denominator_sum_equals_fraction_sum(coeffs, values):
+    """The re-checks' one-denominator sum is the same Fraction as summing
+    one Fraction per term, on rows with zeros, values missing from the point,
+    plain ints, negative entries, large coprime denominators and no terms."""
+    expected = sum((c * values.get(v, 0) for v, c in coeffs.items()), F(0))
+    for got in (eval_row(coeffs, values),
+                _dot((c, values.get(v, 0)) for v, c in coeffs.items())):
+        assert type(got) is F
+        assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
 
 
 def test_dump_is_flagged_lossy():
