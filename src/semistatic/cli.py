@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -269,6 +268,8 @@ def _price_one(op: str, market_path: str, claim_name: str | None, approx: bool) 
 def _cmd_price(args, report) -> int:
     markets = args.market or ["-"]
     if args.jobs > 1 and len(markets) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(
                 lambda mp: _price_one(args.op, mp, args.claim, args.approx), markets
@@ -446,8 +447,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, json.JSONDecodeError, TreeError, MarketError, MeasureError,
-            EnumerationCapError, UtilityError, TypeError, RobustDualityGapError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, TreeError, MarketError,
+            MeasureError, EnumerationCapError, UtilityError, TypeError,
+            RobustDualityGapError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except (ArbitrageRefusal, RobustError) as exc:

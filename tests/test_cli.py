@@ -4,8 +4,11 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,9 +233,17 @@ def test_engine_errors_exit_without_traceback(capsys, tmp_path, doc, argv, expec
     (None, ["utility", "audit", "--utility", "power:1"]),
     (None, ["utility", "audit", "--utility", "power:2"]),
     (None, ["utility", "audit", "--x-grid", "-1"]),
+    (None, ["utility", "audit", "--x-grid", "nan"]),
+    (None, ["utility", "audit", "--x-grid", "inf"]),
+    (None, ["utility", "audit", "--x-grid=-inf"]),
+    (None, ["utility", "audit", "--y-grid", "nan"]),
+    (None, ["utility", "audit", "--y-grid", "inf"]),
+    (None, ["utility", "audit", "--y-grid=-inf"]),
 ], ids=["claim_not_rational", "claim_zero_denominator", "claim_without_type",
         "claim_values_not_object", "utility_grid", "utility_exponent",
-        "utility_exponent_one", "utility_exponent_two", "utility_wealth_negative"])
+        "utility_exponent_one", "utility_exponent_two", "utility_wealth_negative",
+        "utility_x_nan", "utility_x_inf", "utility_x_minus_inf",
+        "utility_y_nan", "utility_y_inf", "utility_y_minus_inf"])
 def test_bad_claim_file_or_option_exits_1(capsys, tmp_path, claim, argv):
     if claim is not None:
         path = tmp_path / "claim.json"
@@ -242,6 +253,33 @@ def test_bad_claim_file_or_option_exits_1(capsys, tmp_path, claim, argv):
     assert code == 1
     assert out == ""
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("option", ["--market", "--claim"])
+@pytest.mark.parametrize("content", [None, b'\xff\xfe{"type": "european"}'],
+                         ids=["directory", "not_utf8"])
+def test_unreadable_market_or_claim_file_exits_1(capsys, tmp_path, option, content):
+    path = tmp_path / "input.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    if option == "--market":
+        argv = ["check-arbitrage", "--market", str(path)]
+    else:
+        argv = ["price", "sub-eu", "--market", "B1", "--claim", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_non_utf8_stdin_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff{}"), encoding="utf-8"))
+    code, out, err = run_cli(capsys, "check-arbitrage", "--market", "-")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: ") and len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("op, claim", [
@@ -344,6 +382,62 @@ def test_utility_audit_cli(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["passed"] is True
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# `utility audit --market B1 --utility power:0.5` as reported before numpy was
+# imported lazily
+B1_POWER_HALF_AUDIT = {
+    "asymptotic_elasticity": 0.5,
+    "command": "utility",
+    "passed": True,
+    "schema": "semistatic-report/1",
+    "utility": "power:0.5",
+}
+B1_POWER_HALF_VALUES = {
+    "u_values": [1.4142135623730951, 2.0, 2.8284271247461903, 4.0],
+    "v_values": [0.7071067811783067, 0.9999999999934488, 1.4142135623566134,
+                 1.9999999999868976],
+}
+B1_POWER_HALF_RESIDUALS = {
+    "conjugacy_u_from_v": 4.440892098500626e-16,
+    "optimizer_coupling": 5.240963218966499e-11,
+    "product_identity": 0.0,
+    "u_concave": 0.0,
+    "u_monotone": 0.0,
+    "u_prime_formula": 1.6481482845165374e-11,
+    "v_prime_formula": 4.076810000697151e-10,
+}
+
+
+def _fresh_cli(*argv):
+    """Run the CLI in a new interpreter: (exit code, stdout, the heavy modules
+    it loaded)."""
+    runner = ("import sys; from semistatic.cli import main; code = main(sys.argv[1:]); "
+              "print(*[m for m in ('numpy', 'concurrent.futures') if m in sys.modules], "
+              "file=sys.stderr); sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", runner, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr.split()
+
+
+def test_only_the_utility_audit_loads_numpy():
+    code, _, loaded = _fresh_cli("check-arbitrage", "--market", "B1")
+    assert code == 0
+    assert loaded == []
+    code, out, loaded = _fresh_cli("utility", "audit", "--market", "B1",
+                                   "--utility", "power:0.5")
+    assert code == 0
+    assert "numpy" in loaded
+    report = json.loads(out)
+    # floats within a tolerance, so that another numpy build's last bits still pass
+    assert report.pop("residuals") == pytest.approx(B1_POWER_HALF_RESIDUALS, rel=0, abs=1e-9)
+    for key, values in B1_POWER_HALF_VALUES.items():
+        assert report.pop(key) == pytest.approx(values, rel=1e-12)
+    assert report == B1_POWER_HALF_AUDIT
 
 
 def test_selftest(capsys):

@@ -3,17 +3,39 @@ the engine must fail here rather than in `bench/run.py --trace 1`."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
-def test_traced_layer_functions_resolve():
+def _spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_layer_functions_resolve():
+    spans = _spans()
     missing = [f"{modname}.{fname}"
                for _, modname, names in spans.LAYER_FUNCTIONS
                for fname in names
                if not callable(getattr(importlib.import_module(modname), fname, None))]
     assert not missing
+
+
+def test_package_import_loads_every_traced_module():
+    """`Tracer.install` reads each traced module from `sys.modules`, so a fresh
+    `import semistatic` must load all of them, however lazily their
+    dependencies are imported."""
+    modules = sorted({modname for _, modname, _ in _spans().LAYER_FUNCTIONS})
+    runner = "import sys, semistatic; print(*[m for m in sys.argv[1:] if m not in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", runner, *modules], env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
+    assert proc.stdout.split() == []

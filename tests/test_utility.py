@@ -1,6 +1,7 @@
 """Utility-maximization duality: closed forms on the complete market and the
 grid audit."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -144,6 +145,32 @@ def test_audit_detects_violated_tolerance(b1):
     spec = _spec(b1, log_utility())
     with pytest.raises(AuditFailure):
         duality_audit(spec, [1.0, 2.0], tol=1e-18, deriv_tol=1e-18)
+
+
+@pytest.mark.parametrize("grid", ["x", "y"])
+@pytest.mark.parametrize("point", [math.nan, math.inf, -math.inf])
+def test_audit_rejects_non_finite_grid_points(b1, grid, point):
+    spec = _spec(b1, log_utility())
+    x_grid, y_grid = ([1.0, point], None) if grid == "x" else ([1.0], [0.5, point])
+    with pytest.raises(UtilityError, match="must be positive and finite"):
+        duality_audit(spec, x_grid, y_grid)
+
+
+@pytest.mark.parametrize("point", [math.nan, math.inf, -math.inf, 0.0])
+def test_solvers_reject_non_finite_or_non_positive_arguments(b1, point):
+    spec = _spec(b1, log_utility())
+    with pytest.raises(UtilityError, match="wealth must be positive and finite"):
+        primal_u(spec, point)
+    with pytest.raises(UtilityError, match="dual argument must be positive and finite"):
+        dual_v(spec, point)
+
+
+def test_audit_fails_on_nan_residual(b1):
+    """NaN compares false against every bound; the audit must still fail."""
+    util = dataclasses.replace(log_utility(), I=lambda y: np.full_like(y, np.nan))
+    spec = _spec(b1, util)
+    with pytest.raises(AuditFailure, match="optimizer_coupling residual nan"):
+        duality_audit(spec, [1.0, 2.0])
 
 
 def test_incomplete_market_relations():
