@@ -6,8 +6,9 @@ report whose prices are exact "p/q" strings.  Decimals appear only behind
 --approx.  Exit codes: 0 success / no arbitrage, 1 usage or input error
 (including a hedge the engine cannot set up and a prior list that is not
 recombination-closed), 2 arbitrage found or hedging refused (also when robust
-strict no-arbitrage fails), 3 verification failure; a typed failure prints one
-line to stderr, never a traceback.
+strict no-arbitrage fails), 3 verification failure (also a utility audit
+residual over its tolerance); a typed failure prints one line to stderr, never
+a traceback.
 """
 
 from __future__ import annotations
@@ -55,7 +56,14 @@ from .robust import (
 )
 from .stopping import EnumerationCapError
 from .tree import AdaptedProcess, TerminalClaim, TreeError
-from .utility import UtilityError, UtilitySpec, duality_audit, log_utility, power_utility
+from .utility import (
+    AuditFailure,
+    UtilityError,
+    UtilitySpec,
+    duality_audit,
+    log_utility,
+    power_utility,
+)
 
 REPORT_SCHEMA = "semistatic-report/1"
 
@@ -266,17 +274,8 @@ def _price_one(op: str, market_path: str, claim_name: str | None, approx: bool) 
 
 
 def _cmd_price(args, report) -> int:
-    markets = args.market or ["-"]
-    if args.jobs > 1 and len(markets) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(
-                lambda mp: _price_one(args.op, mp, args.claim, args.approx), markets
-            ))
-    else:
-        results = [_price_one(args.op, mp, args.claim, args.approx) for mp in markets]
-    report["results"] = results
+    report["results"] = [_price_one(args.op, mp, args.claim, args.approx)
+                         for mp in args.market or ["-"]]
     return 0
 
 
@@ -411,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claim", default=None,
                    help="bundled claim name or a claim JSON file")
     p.add_argument("--approx", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: a batch is priced in order on one thread")
     p.set_defaults(func=_cmd_price)
 
     p = sub.add_parser("robust", help="multi-prior operations")
@@ -447,6 +447,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except AuditFailure as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return 3
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, TreeError, MarketError,
             MeasureError, EnumerationCapError, UtilityError, TypeError,
             RobustDualityGapError) as exc:

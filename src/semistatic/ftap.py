@@ -78,9 +78,11 @@ def check_na(
     """No-arbitrage at (possibly shifted) quotes over the given support.
 
     With `divisible=False` the American options must each be exercised whole
-    at a single stopping time; the cone LP is then solved per stop combination
-    (that restriction is exactly what breaks the measure-existence
-    equivalence, see the motivating two-period market)."""
+    at a single stopping time.  Exercised whole at fixed stops, each option is
+    the buy-only European claim it pays there, bought at its quote
+    (`MarketSpec.exercised_at`), so the same cone LP is solved on the stopped
+    market per stop combination; that restriction is exactly what breaks the
+    measure-existence equivalence, see the motivating two-period market."""
     g_prices = tuple(rat(p) for p in g_prices) if g_prices is not None else market.g_prices
     h_prices = tuple(rat(p) for p in h_prices) if h_prices is not None else market.h_prices
     support = tuple(support) if support is not None else market.support_leaves()
@@ -88,53 +90,37 @@ def check_na(
         raise ValueError("empty support")
     shifted = market.with_options(g_prices=g_prices, h_prices=h_prices)
 
-    def cone_lp(space: StrategySpace, phi_of_leaf, extra_vars=()):
+    def cone_lp(m: MarketSpec) -> HedgePortfolio | None:
+        space = StrategySpace(m)
         rows = list(space.structure_rows())
         total: dict[str, Fraction] = {}
         for leaf in support:
-            coeffs = phi_of_leaf(leaf)
+            coeffs = space.phi_coeffs(leaf)
             rows.append(con(coeffs, GE, 0, f"leaf[{leaf}]"))
             for v, cv in coeffs.items():
                 total[v] = total.get(v, ZERO) + cv
         rows.append(con(total, LE, 1, "normalization"))
-        variables = space.variables + list(extra_vars)
-        problem = LpProblem("max", total, rows, variables, frozenset(space.free))
+        problem = LpProblem("max", total, rows, space.variables, frozenset(space.free))
         sol = solve(problem)
         assert sol.status == "optimal"
-        return sol if sol.objective > 0 else None
+        return space.extract_portfolio(sol.values) if sol.objective > 0 else None
 
     found: ArbitrageVerdict | None = None
     if divisible:
-        space = StrategySpace(market)
-        sol = cone_lp(space, lambda leaf: space.phi_coeffs(leaf, g_prices, h_prices))
-        if sol is not None:
-            found = ArbitrageVerdict(
-                verdict=ARBITRAGE, portfolio=space.extract_portfolio(sol.values),
-                shifted_g=g_prices, shifted_h=h_prices,
-            )
+        portfolio = cone_lp(shifted)
+        if portfolio is not None:
+            found = ArbitrageVerdict(verdict=ARBITRAGE, portfolio=portfolio,
+                                     shifted_g=g_prices, shifted_h=h_prices)
     else:
+        n_g = len(market.g)
         tau_lists = [enumerate_stopping_times(market.tree) for _ in market.h]
-        stockish = market.without_american(0)
-        for combo in (product(*tau_lists) if market.h else [()]):
-            space = StrategySpace(stockish)
-
-            def phi(leaf, combo=combo):
-                coeffs = dict(space.phi_coeffs(leaf, g_prices, ()))
-                for k, tau in enumerate(combo):
-                    val = tau.value_at(market.h[k], leaf) - h_prices[k]
-                    if val:
-                        coeffs[f"cw[{k}]"] = val
-                return coeffs
-
-            sol = cone_lp(space, phi, extra_vars=[f"cw[{k}]" for k in range(len(market.h))])
-            if sol is not None:
-                base = space.extract_portfolio(sol.values)
+        for combo in product(*tau_lists):
+            stopped = cone_lp(shifted.exercised_at(combo))
+            if stopped is not None:
                 found = ArbitrageVerdict(
                     verdict=ARBITRAGE,
                     portfolio=HedgePortfolio(
-                        H=base.H, a=base.a, b=base.b,
-                        c=tuple(sol.values.get(f"cw[{k}]", ZERO)
-                                for k in range(len(market.h))),
+                        H=stopped.H, a=stopped.a, b=stopped.b[:n_g], c=stopped.b[n_g:],
                         mu=tuple(LiquidatingStrategy.from_stopping_time(t) for t in combo),
                     ),
                     shifted_g=g_prices, shifted_h=h_prices,

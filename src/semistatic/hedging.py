@@ -5,17 +5,21 @@ nonnegative exercise flow nu := c * mu whose path sums agree across all paths
 (their common value is the holding c).  That re-parametrization is exact and
 turns every divisible hedging problem into one LP; it is precisely what
 infinite divisibility buys.  The indivisible super-hedge keeps a whole-unit
-exercise (one stopping time for the entire holding) and is solved by scanning
-stopping times, which is where the divisible/indivisible price gap shows up.
+exercise (one stopping time for the entire holding).  Exercised whole at a
+fixed stop tau, the option is the buy-only European claim h(tau) at its quote
+(`MarketSpec.exercised_at`), so each stop is priced as a divisible super-hedge
+of that stopped market and the cheapest stop wins; the minimum over stops is
+where the divisible/indivisible price gap shows up.
 
-Every operation solves one strategy LP.  Its optimum is the price, its
-solution the hedging strategy, and the exact duals on its `leaf[...]` rows a
-pricing measure in the closed pricing set that attains the price: LP duality
-carries the FTAP duality, and for the American part the Snell envelope is the
-LP dual of the exercise flow (Manne 1960).  `duality_gap_report` re-verifies a
-result from scratch, trusting nothing from the solver: the strategy through
-plain portfolio evaluation, the measure through exact membership, and the
-measure's value against the price, which closes the gap by weak duality.
+Every operation solves one strategy LP (the indivisible super-hedge one per
+stop).  Its optimum is the price, its solution the hedging strategy, and the
+exact duals on its `leaf[...]` rows a pricing measure in the closed pricing
+set that attains the price: LP duality carries the FTAP duality, and for the
+American part the Snell envelope is the LP dual of the exercise flow (Manne
+1960).  `duality_gap_report` re-verifies a result from scratch, trusting
+nothing from the solver: the strategy through plain portfolio evaluation, the
+measure through exact membership, and the measure's value against the price,
+which closes the gap by weak duality.
 
 Every hedge requires strict no-arbitrage of its market.  That is a property
 of the market alone, so the strict-EMM slack LP that decides it is solved once
@@ -49,7 +53,7 @@ from .measures import (
     solve_with_stop_cuts,
     strict_emm_slack,
 )
-from .rational import rat, rat_str
+from .rational import rat_str
 from .stopping import (
     LiquidatingStrategy,
     StoppingTime,
@@ -161,12 +165,10 @@ class StrategySpace:
                 rows.append(con(coeffs, EQ, 1, f"flow[{leaf}]"))
         return rows
 
-    def phi_coeffs(self, leaf: str, g_prices=None, h_prices=None) -> dict[str, Fraction]:
+    def phi_coeffs(self, leaf: str) -> dict[str, Fraction]:
         """Column coefficients of the terminal portfolio value at `leaf`."""
         m = self.market
         tree = m.tree
-        g_prices = m.g_prices if g_prices is None else tuple(rat(p) for p in g_prices)
-        h_prices = m.h_prices if h_prices is None else tuple(rat(p) for p in h_prices)
         coeffs: dict[str, Fraction] = {}
         path = tree.path(leaf)
         for here, there in zip(path, path[1:]):
@@ -174,17 +176,16 @@ class StrategySpace:
             for l in range(m.dim):
                 step = s_there[l] - s_here[l]
                 if step:
-                    v = f"H[{here}][{l}]"
-                    coeffs[v] = coeffs.get(v, ZERO) + step
+                    coeffs[f"H[{here}][{l}]"] = step
         for i, (claim, price) in enumerate(zip(m.f, m.f_prices)):
             val = claim.at(leaf) - price
             if val:
                 coeffs[f"a[{i}]"] = val
-        for j, (claim, price) in enumerate(zip(m.g, g_prices)):
+        for j, (claim, price) in enumerate(zip(m.g, m.g_prices)):
             val = claim.at(leaf) - price
             if val:
                 coeffs[f"b[{j}]"] = val
-        for k, (h, price) in enumerate(zip(m.h, h_prices)):
+        for k, (h, price) in enumerate(zip(m.h, m.h_prices)):
             for n in path:
                 val = h.scalar_at(n)
                 if val:
@@ -404,55 +405,41 @@ def super_hedge_divisible(market: MarketSpec, psi: TerminalClaim) -> HedgeResult
 
 def super_hedge_indivisible(market: MarketSpec, psi: TerminalClaim) -> HedgeResult:
     """Super-hedge with stock plus a whole-unit American position exercised at
-    a single stopping time (no divisibility, no European books): scan the
-    stopping times, solve the per-stop LP, keep the cheapest.  The winning
-    LP's leaf duals are a martingale measure pricing the stop at most at the
-    quote, the certificate of that stop's value."""
+    a single stopping time (no divisibility, no European books).  Exercised
+    whole at a stop tau, the option is the buy-only European claim h(tau) at
+    its quote (`MarketSpec.exercised_at`), so each stop is one divisible
+    super-hedge of the stopped stock market; the cheapest stop wins.  Its leaf
+    duals, a martingale measure pricing h(tau) at most at the quote, are the
+    certificate of that stop's value."""
     m = market
     if len(m.h) > 1:
         raise HedgingError(
             "indivisible super-hedging is limited to at most one American option"
         )
     _require_sna(market)
-    leaves = m.support_leaves()
-    tree = m.tree
-    space = StrategySpace(m.with_options(f=[], f_prices=[], g=[], g_prices=[],
-                                         h=[], h_prices=[]))
-    variables = ["x"] + space.variables + (["c"] if m.h else [])
-    free = frozenset({"x"}) | space.free
-    stock_rows = {leaf: space.phi_coeffs(leaf) for leaf in leaves}
-    taus = enumerate_stopping_times(tree) if m.h else [stop_everywhere_at(tree, 0)]
+    stock = m.with_options(f=[], f_prices=[], g=[], g_prices=[])
+    taus = enumerate_stopping_times(m.tree) if m.h else [stop_everywhere_at(m.tree, 0)]
     per_stop_values: dict[tuple[str, ...], Fraction] = {}
     best = None
     for tau in taus:
-        rows = []
-        for leaf in leaves:
-            coeffs = dict(stock_rows[leaf])
-            coeffs["x"] = Fraction(1)
-            if m.h:
-                val = tau.value_at(m.h[0], leaf) - m.h_prices[0]
-                if val:
-                    coeffs["c"] = val
-            rows.append(con(coeffs, GE, psi.at(leaf), f"leaf[{leaf}]"))
-        problem = LpProblem("min", {"x": 1}, rows, variables, free=free)
-        primal = solve(problem)
+        stopped = stock.exercised_at((tau,) * len(m.h))
+        primal, space, Q = hedge_primal(stopped, psi, "super_div")
         if primal.status != "optimal":
             raise HedgingError(f"per-stop hedging LP is {primal.status}")
         per_stop_values[tuple(sorted(tau.stop_nodes))] = primal.objective
-        if best is None or primal.objective < best[2].objective:
-            best = (tau, problem, primal)
+        if best is None or primal.objective < best[1].objective:
+            best = (tau, primal, space, Q)
 
-    tau, problem, primal = best
-    c_star = primal.values.get("c", ZERO)
-    mu = LiquidatingStrategy.from_stopping_time(tau) if m.h else None
-    portfolio = HedgePortfolio(
-        H=space.extract_portfolio(primal.values).H, a=(), b=(),
-        c=(c_star,) if m.h else (), mu=(mu,) if m.h else (),
-    )
+    tau, primal, space, Q = best
+    held = space.extract_portfolio(primal.values)
     result = HedgeResult(
         kind="super_indiv", market=market, claim=psi, price=primal.objective,
-        portfolio=portfolio, dual=_leaf_dual(problem, primal, tree),
-        details={"stop": tau, "quantity": c_star, "per_stop_values": per_stop_values},
+        portfolio=HedgePortfolio(
+            H=held.H, c=held.b, mu=(LiquidatingStrategy.from_stopping_time(tau),) * len(m.h)
+        ),
+        dual=Q,
+        details={"stop": tau, "quantity": held.b[0] if m.h else ZERO,
+                 "per_stop_values": per_stop_values, "dual_spec": PricingSetSpec(space.market)},
     )
     duality_gap_report(result)
     return result
@@ -485,13 +472,8 @@ def duality_gap_report(result: HedgeResult) -> dict:
         elif result.kind == "sub_am":
             value += liquidate_payoff(result.eta, result.claim, leaf)
             ok = value >= result.price
-        elif result.kind == "super_div":
+        elif result.kind in ("super_div", "super_indiv"):
             ok = result.price + value >= result.claim.at(leaf)
-        elif result.kind == "super_indiv":
-            stock_gain = portfolio_value(
-                m.with_options(f=[], f_prices=[], g=[], g_prices=[]), port, leaf
-            )
-            ok = result.price + stock_gain >= result.claim.at(leaf)
         else:
             raise VerificationFailure(f"unknown result kind {result.kind!r}")
         if not ok:
@@ -500,34 +482,16 @@ def duality_gap_report(result: HedgeResult) -> dict:
             )
     Q = result.dual
     if Q is not None:
-        if result.kind == "super_indiv":
-            stripped = m.with_options(f=[], f_prices=[], g=[], g_prices=[])
-            spec = PricingSetSpec(stripped, h_cap=(None,) * len(m.h))
-            report = membership(Q, spec, strict=False)
-            if not report:
-                raise VerificationFailure(
-                    "dual certificate violates: " + "; ".join(report.violations)
-                )
-            if m.h:
-                tau = result.details["stop"]
-                got = Q.expect_at_stop(m.h[0], tau)
-                if got > m.h_prices[0]:
-                    raise VerificationFailure(
-                        f"dual certificate prices the stop at {rat_str(got)} "
-                        f"above the quote {rat_str(m.h_prices[0])}"
-                    )
-            achieved = Q.expect_claim(result.claim)
+        spec = result.details.get("dual_spec") or PricingSetSpec(m)
+        report = membership(Q, spec, strict=False)
+        if not report:
+            raise VerificationFailure(
+                "dual certificate violates: " + "; ".join(report.violations)
+            )
+        if result.kind == "sub_am":
+            achieved = snell_value(Q, result.claim)
         else:
-            spec = result.details.get("dual_spec") or PricingSetSpec(m)
-            report = membership(Q, spec, strict=False)
-            if not report:
-                raise VerificationFailure(
-                    "dual certificate violates: " + "; ".join(report.violations)
-                )
-            if result.kind == "sub_am":
-                achieved = snell_value(Q, result.claim)
-            else:
-                achieved = Q.expect_claim(result.claim)
+            achieved = Q.expect_claim(result.claim)
         if achieved != result.price:
             raise VerificationFailure(
                 f"dual certificate achieves {rat_str(achieved)}, "

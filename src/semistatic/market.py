@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .rational import rat, rat_str
-from .stopping import LiquidatingStrategy, liquidate_payoff
+from .stopping import LiquidatingStrategy, StoppingTime, liquidate_payoff
 from .tree import AdaptedProcess, EventTree, TerminalClaim, TreeError
 
 
@@ -88,6 +88,22 @@ class MarketSpec:
             g_prices=tuple(rat(p) for p in g_prices) if g_prices is not None else self.g_prices,
             h=tuple(h) if h is not None else self.h,
             h_prices=tuple(rat(p) for p in h_prices) if h_prices is not None else self.h_prices,
+            support=self.support, claims=self.claims,
+        )
+
+    def exercised_at(self, taus: Sequence[StoppingTime]) -> "MarketSpec":
+        """The market in which each American option k is exercised whole at
+        `taus[k]`: it becomes the buy-only European claim h_k(tau_k), bought at
+        its American quote and appended to `g`."""
+        if len(taus) != len(self.h):
+            raise MarketError("one stopping time per American option is required")
+        leaves = self.tree.leaves
+        stopped = tuple(TerminalClaim(self.tree, {l: tau.value_at(hk, l) for l in leaves})
+                        for hk, tau in zip(self.h, taus))
+        return MarketSpec(
+            tree=self.tree, S=self.S,
+            f=self.f, f_prices=self.f_prices,
+            g=self.g + stopped, g_prices=self.g_prices + self.h_prices,
             support=self.support, claims=self.claims,
         )
 

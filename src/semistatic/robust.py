@@ -28,7 +28,7 @@ and domination still run per call."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -275,7 +275,9 @@ def _check_hypothesis(spec: RobustSpec) -> None:
 def sub_hedge_robust(spec: RobustSpec, claim) -> HedgeResult:
     """Robust sub-hedging: pointwise on the union support, priced by the
     cheapest per-prior component.  Requires robust strict no-arbitrage of the
-    stock-plus-European part; returns the attaining component measure."""
+    stock-plus-European part; returns the attaining component measure, whose
+    certificate is checked against that component (the market restricted to
+    the attaining prior's support)."""
     _check_hypothesis(spec)
     m = spec.market
     american = isinstance(claim, AdaptedProcess)
@@ -291,7 +293,7 @@ def sub_hedge_robust(spec: RobustSpec, claim) -> HedgeResult:
         if sol.status != "optimal":
             continue  # empty component
         if best is None or sol.objective < best[0]:
-            best = (sol.objective, Q)
+            best = (sol.objective, Q, P)
     if best is None:
         if primal.status == "optimal":
             raise RobustDualityGapError(primal.objective, INFINITE_PRICE)
@@ -301,7 +303,7 @@ def sub_hedge_robust(spec: RobustSpec, claim) -> HedgeResult:
         )
     if primal.status != "optimal":
         raise RobustError(f"quasi-sure hedge LP is {primal.status}")
-    dual_value, Q = best
+    dual_value, Q, P = best
     if primal.objective != dual_value:
         raise RobustDualityGapError(primal.objective, dual_value)
     result = HedgeResult(
@@ -309,7 +311,8 @@ def sub_hedge_robust(spec: RobustSpec, claim) -> HedgeResult:
         portfolio=space.extract_portfolio(primal.values),
         eta=space.extract_eta(primal.values) if american else None,
         dual=Q, gap=primal.objective - dual_value,
-        details={"pointwise_leaves": union, "dual_spec": pset,
+        details={"pointwise_leaves": union,
+                 "dual_spec": PricingSetSpec(replace(m, support=P.support())),
                  "components": len(spec.priors)},
     )
     duality_gap_report(result)

@@ -403,7 +403,8 @@ def duality_audit(
     For each grid x: y = u'(x) by central differences, then the optimizer
     coupling p = I(q), E[pq] = xy, both derivative formulas, and conjugacy in
     both directions.  Any residual beyond tolerance raises AuditFailure naming
-    the grid point."""
+    the grid point; the x-grid residuals are checked before the y grid's
+    conjugacy bisection runs."""
     import numpy as np
 
     x_grid = [_positive_finite(float(x), "wealth") for x in x_grid]
@@ -425,6 +426,25 @@ def duality_audit(
         if value > old or (math.isnan(value) and not math.isnan(old)):
             residuals[key] = value
             worst[key] = at
+
+    bounds = {
+        "optimizer_coupling": tol,
+        "product_identity": tol,
+        "conjugacy_u_from_v": tol,
+        "conjugacy_v_from_u": tol,
+        "u_prime_formula": deriv_tol,
+        "v_prime_formula": deriv_tol,
+        "u_monotone": tol,
+        "u_concave": deriv_tol,
+    }
+
+    def check():
+        for key, bound in bounds.items():
+            if key in residuals and not residuals[key] <= bound:  # NaN fails too
+                raise AuditFailure(
+                    f"{key} residual {residuals[key]:.3e} exceeds {bound:.1e} "
+                    f"at grid point {worst[key]:.6g}"
+                )
 
     u_vals, v_vals = [], []
 
@@ -463,6 +483,19 @@ def duality_audit(
         # conjugacy u(x) = inf_y [v(y) + x y]: the infimum sits at y = u'(x)
         record("conjugacy_u_from_v", abs(u_x - (v_y + x * y)), x)
 
+    # shape checks along the x grid
+    order = np.argsort(x_grid)
+    xs = np.array(x_grid)[order]
+    us = np.array(u_vals)[order]
+    if len(xs) >= 2:
+        slopes = np.diff(us) / np.diff(xs)
+        record("u_monotone", float(max(0.0, -np.min(slopes))), float(xs[0]))
+        if len(xs) >= 3:
+            record("u_concave", float(max(0.0, np.max(np.diff(slopes)))), float(xs[0]))
+
+    # a residual over tolerance on the x grid fails before the y-grid bisection
+    check()
+
     # conjugacy v(y) = sup_x [u(x) - x y]: locate x with u'(x) = y by bisection
     def u_slope(x: float) -> float:
         val, p_hat = solve_u(x)
@@ -483,32 +516,7 @@ def duality_audit(
         v_y, _ = dual_v(spec, y)
         record("conjugacy_v_from_u", abs(v_y - (u_star - x_star * y)), y)
 
-    # shape checks along the x grid
-    order = np.argsort(x_grid)
-    xs = np.array(x_grid)[order]
-    us = np.array(u_vals)[order]
-    if len(xs) >= 2:
-        slopes = np.diff(us) / np.diff(xs)
-        record("u_monotone", float(max(0.0, -np.min(slopes))), float(xs[0]))
-        if len(xs) >= 3:
-            record("u_concave", float(max(0.0, np.max(np.diff(slopes)))), float(xs[0]))
-
-    checks = {
-        "optimizer_coupling": tol,
-        "product_identity": tol,
-        "conjugacy_u_from_v": tol,
-        "conjugacy_v_from_u": tol,
-        "u_prime_formula": deriv_tol,
-        "v_prime_formula": deriv_tol,
-        "u_monotone": tol,
-        "u_concave": deriv_tol,
-    }
-    for key, bound in checks.items():
-        if key in residuals and not residuals[key] <= bound:  # NaN fails too
-            raise AuditFailure(
-                f"{key} residual {residuals[key]:.3e} exceeds {bound:.1e} "
-                f"at grid point {worst[key]:.6g}"
-            )
+    check()
     return DualityReport(
         utility=util.name,
         x_grid=x_grid, y_grid=y_grid,

@@ -384,7 +384,20 @@ def test_utility_audit_cli(capsys):
     assert report["passed"] is True
 
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+def test_failed_utility_audit_is_a_verification_failure(capsys):
+    """A residual over tolerance exits 3, the verification-failure code, not
+    1: the audit's optimizer coupling does not close on P2 at power:0.5."""
+    code, out, err = run_cli(
+        capsys, "utility", "audit", "--market", "P2", "--utility", "power:0.5",
+        "--x-grid", "1",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("verification failure: optimizer_coupling residual")
+    assert len(err.splitlines()) == 1
+
+
+SRC =Path(__file__).resolve().parents[1] / "src"
 
 # `utility audit --market B1 --utility power:0.5` as reported before numpy was
 # imported lazily

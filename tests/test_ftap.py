@@ -71,6 +71,29 @@ def test_p2_sold_claim_divisible_vs_indivisible(p2):
     assert check_sna(cheap).verdict == NO_ARBITRAGE
 
 
+def test_indivisible_arbitrage_exercises_whole_at_the_stop_found(t2):
+    """An American option paying 1 from time 1 on, quoted at 1/2: exercised
+    whole at time 0 it loses 1/2, at time 1 it wins 1/2 on every path.  The
+    scan passes the first stop and returns the second, with the buy-only
+    European book kept apart from the American position."""
+    from semistatic.stopping import stop_everywhere_at
+    from semistatic.tree import AdaptedProcess, constant_claim
+
+    tree = t2.tree
+    late_one = AdaptedProcess(tree, {n: 0 if n == tree.root else 1 for n in tree.nodes})
+    market = t2.with_options(g=[constant_claim(tree, 1)], g_prices=[1],
+                             h=[late_one], h_prices=[F(1, 2)])
+    verdict = check_na(market, divisible=False)
+    assert verdict.verdict == ARBITRAGE
+    assert verdict.notes == "indivisible exercise"
+    port = verdict.portfolio
+    assert len(port.b) == 1 and len(port.c) == 1 and port.c[0] > 0
+    at_one = stop_everywhere_at(tree, 1)
+    assert all(port.mu[0].at(n) == (1 if at_one.stops_at(n) else 0) for n in tree.nodes)
+    values = [portfolio_value(market, port, leaf) for leaf in market.support_leaves()]
+    assert min(values) >= 0 and max(values) > 0
+
+
 def test_empty_books_reduce_to_emm_existence():
     rng = random.Random(5150)
     for _ in range(30):

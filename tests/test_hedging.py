@@ -305,6 +305,9 @@ def test_primal_dual_gap_zero_random():
         single = market.without_american(1)
         indiv = super_hedge_indivisible(single, psi)
         assert indiv.price == _per_stop_dual_value(single, psi, indiv.details["stop"])
+        for nodes, value in indiv.details["per_stop_values"].items():
+            tau = StoppingTime(single.tree, nodes)
+            assert value == _per_stop_dual_value(single, psi, tau)
 
 
 _HEDGES = (

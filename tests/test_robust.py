@@ -311,6 +311,33 @@ def test_recombination_gap_detected():
         sub_hedge_robust(spec, psi)
 
 
+def test_robust_dual_certificate_is_checked_against_its_component():
+    """The returned measure must be dominated by the attaining prior: a
+    martingale measure off that prior's support fails the re-check even when
+    it values the claim at the price."""
+    from dataclasses import replace
+
+    from semistatic.hedging import VerificationFailure, duality_gap_report
+
+    tree = EventTree([
+        ("r", None, 0),
+        ("a", "r", 1), ("b", "r", 1), ("c", "r", 1), ("d", "r", 1),
+    ])
+    S = AdaptedProcess(tree, {"r": F(5, 2), "a": 1, "b": 2, "c": 3, "d": 4})
+    market = MarketSpec(tree=tree, S=S)
+    p_odd = Measure(tree, {"a": F(1, 2), "d": F(1, 2)})
+    p_even = Measure(tree, {"b": F(1, 2), "c": F(1, 2)})
+    spec = RobustSpec(market, PriorSet((p_odd, p_even)))
+    result = sub_hedge_robust(spec, constant_claim(tree, F(3, 2)))
+    assert result.price == F(3, 2)
+    assert result.dual == p_odd  # the first component attains; ties keep it
+    assert duality_gap_report(result)["verified"]
+    off_component = Measure(tree, {"b": F(1, 2), "c": F(1, 2)})
+    assert membership(off_component, PricingSetSpec(market), strict=False)
+    with pytest.raises(VerificationFailure, match="support outside the market support"):
+        duality_gap_report(replace(result, dual=off_component))
+
+
 def test_minimax_singleton_is_sum_of_envelopes(t2):
     put = t2.claims["put5_am"]
     emm = _emm_t2(t2.tree)

@@ -173,6 +173,27 @@ def test_audit_fails_on_nan_residual(b1):
         duality_audit(spec, [1.0, 2.0])
 
 
+def test_audit_fails_on_the_x_grid_before_the_y_grid_bisection(p2, monkeypatch):
+    """An x-grid residual over tolerance raises before the y grid's conjugacy
+    bisection, which would otherwise solve up to 200 primal problems per y."""
+    import semistatic.utility as utility
+
+    calls = []
+    real = utility.primal_u
+
+    def budgeted(*args, **kwargs):
+        calls.append(args[1])
+        if len(calls) > 10:
+            raise RuntimeError("primal_u call budget exhausted")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(utility, "primal_u", budgeted)
+    spec = _spec(p2, power_utility(0.5))
+    with pytest.raises(AuditFailure, match="optimizer_coupling residual"):
+        duality_audit(spec, [1.0], [0.5, 2.0])
+    assert len(calls) == 3  # x and x +- dx only
+
+
 def test_incomplete_market_relations():
     """Incomplete one-period trinomial with two pricing vertices: the dual
     mixes densities and the coupling relations still close."""
