@@ -101,6 +101,8 @@ def _resolve_claim(market: MarketSpec, name_or_path: str | None):
         return claims[name_or_path]
     with open(name_or_path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise UsageError("claim file must be a JSON object")
     try:
         kind, values = doc["type"], doc["values"]
     except KeyError as exc:

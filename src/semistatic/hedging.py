@@ -45,10 +45,8 @@ from .measures import (
     _measure_of,
     _stop_row,
     _weight_var,
-    closure_polytope,
     martingale_system,
     membership,
-    polytope_vertices_as_measures,
     pricing_rows,
     solve_with_stop_cuts,
     strict_emm_slack,
@@ -290,18 +288,20 @@ def hedge_primal(
 # Dual LPs over the closure of the pricing set
 # ---------------------------------------------------------------------------
 
-def dual_optimum(
-    spec: PricingSetSpec,
-    claim,
-    kind: str,
-    carrier: Sequence[str] | None = None,
-) -> tuple[LpSolution, Measure | None]:
+def dual_optimum(spec: PricingSetSpec, claim, kind: str) -> tuple[LpSolution, Measure | None]:
     """Optimize over the closure polytope: min E psi ("sub_eu"), max E psi
     ("super_div"), or min of the exercise value sup_tau E phi_tau ("sub_am",
     epigraph form).  American cap rows and epigraph rows are generated by
-    `solve_with_stop_cuts` from the exercise envelope."""
+    `solve_with_stop_cuts` from the exercise envelope.
+
+    This is the closure-side reference formulation, on no hedge path: every
+    hedge reads its measure off the leaf duals of its own strategy LP.  The
+    tests compare hedge prices (primal == dual) and the enumerated closure
+    LPs against it, and the benchmark's traced run counts its calls.  To
+    restrict the weights to a leaf subset, pass a market whose `support` is
+    that subset."""
     m = spec.market
-    leaves = tuple(carrier) if carrier is not None else m.support_leaves()
+    leaves = m.support_leaves()
     base = martingale_system(m, carrier=leaves)
     fixed = list(base.constraints) + pricing_rows(spec, leaves)
     variables = list(base.variables)
@@ -504,75 +504,4 @@ def duality_gap_report(result: HedgeResult) -> dict:
         "leaves_checked": len(tuple(leaves)),
         "dual_verified": Q is not None,
         "verified": True,
-    }
-
-
-# ---------------------------------------------------------------------------
-# The sup/inf exchange identities for American claims
-# ---------------------------------------------------------------------------
-
-def american_exchange_values(market: MarketSpec, phi: AdaptedProcess) -> dict:
-    """The pure-option value computed four ways over the closed pricing set:
-
-      sup_flow inf_Q  E_Q[flow(phi)]      (strategy LP over vertex cuts)
-      inf_Q sup_flow  E_Q[flow(phi)]      (epigraph LP, envelope cuts)
-      inf_Q sup_stop  E_Q[phi_at_stop]    (epigraph LP, enumerated stops)
-      sup_stop inf_Q  E_Q[phi_at_stop]    (per-stop LPs, then max)
-
-    The first three agree exactly; the fourth is only <= (the exchange in that
-    order genuinely fails in general)."""
-    m = market
-    tree = m.tree
-    leaves = m.support_leaves()
-    spec = PricingSetSpec(m)
-    poly = closure_polytope(spec)
-    verts = polytope_vertices_as_measures(poly, tree)
-    if not verts:
-        raise HedgingError("empty pricing set; the exchange values are +inf")
-
-    # sup over flows of the worst-case expectation: vertex cuts
-    masses = []
-    for Q in verts:
-        mass = {leaf: Q.at(leaf) for leaf in tree.leaves}
-        for node in reversed(tree.nodes):
-            if not tree.is_leaf(node):
-                mass[node] = sum((mass[c] for c in tree.children(node)), ZERO)
-        masses.append(mass)
-    rows = []
-    for leaf in tree.leaves:
-        rows.append(con({f"eta[{n}]": Fraction(1) for n in tree.path(leaf)},
-                        EQ, 1, f"flow[{leaf}]"))
-    for v_idx, mass in enumerate(masses):
-        coeffs = {}
-        for n in tree.nodes:
-            val = mass[n] * phi.scalar_at(n)
-            if val:
-                coeffs[f"eta[{n}]"] = val
-        coeffs["t"] = Fraction(-1)
-        rows.append(con(coeffs, GE, 0, f"vertex[{v_idx}]"))
-    variables = ["t"] + [f"eta[{n}]" for n in tree.nodes]
-    sol = solve(LpProblem("max", {"t": 1}, rows, variables, free=frozenset({"t"})))
-    sup_flow_inf = sol.objective
-
-    dual_cuts, _ = dual_optimum(spec, phi, "sub_am")
-    inf_sup_flow = dual_cuts.objective
-
-    # the stop-side values on the enumerated rows of the closure polytope
-    stop_rows = [_stop_row(phi, tau, leaves) for tau in enumerate_stopping_times(tree)]
-    epigraph = poly.constraints + [con({**row, "z": Fraction(-1)}, LE, 0, f"epi[{t_idx}]")
-                                   for t_idx, row in enumerate(stop_rows)]
-    sol = solve(LpProblem("min", {"z": 1}, epigraph, poly.variables + ["z"],
-                          free=frozenset({"z"})))
-    inf_sup_stop = sol.objective
-
-    best = None
-    for obj in stop_rows:
-        sol = solve(LpProblem("min", obj, poly.constraints, poly.variables))
-        if sol.status == "optimal" and (best is None or sol.objective > best):
-            best = sol.objective
-    return {
-        "sup_flow_inf": sup_flow_inf,
-        "inf_sup_flow": inf_sup_flow,
-        "inf_sup_stop": inf_sup_stop,
-        "sup_stop_inf": best,
     }

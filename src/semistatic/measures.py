@@ -103,7 +103,6 @@ class PricingSetSpec:
     g_cap: tuple[Fraction | None, ...] = ()
     h_cap: tuple[Fraction | None, ...] = ()
     support_floor: frozenset[str] = frozenset()
-    strict_options: bool = True
 
     def __post_init__(self):
         m = self.market
@@ -398,14 +397,13 @@ class MembershipReport:
         return self.ok
 
 
-def membership(Q: Measure, spec: PricingSetSpec, strict: bool | None = None) -> MembershipReport:
+def membership(Q: Measure, spec: PricingSetSpec, strict: bool) -> MembershipReport:
     """Exact membership of a measure in the pricing set, naming violations.
 
     American caps are checked through the exercise envelope (all stopping
     times at once).  `strict` toggles strict option caps and a strictly
-    positive floor; None defers to the pricing set's own flag."""
+    positive floor."""
     m = spec.market
-    strict = spec.strict_options if strict is None else strict
     bad: list[str] = []
     off_support = Q.support() - frozenset(m.support_leaves())
     if off_support:

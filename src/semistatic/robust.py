@@ -1,12 +1,15 @@
 """Multi-prior (quasi-sure) markets: robust hedging, robust strict
 no-arbitrage, dominating pricing measures, and the finite-scale minimax
-identity.
+identity with the sup/inf exchange values of an American claim built on it.
 
 A prior set is a finite list of measures.  "Quasi-sure" constraints hold
 pointwise on the union of the prior supports; a measure is dominated by the
 prior set when its support fits inside the support of a single prior, so the
 robust pricing set is a union of per-prior polytopes (not convex).  Duals are
-therefore minima across per-prior components.
+therefore minima across per-prior components.  A component is priced the way
+every hedge is: by the hedge LP restricted to that prior's support, whose
+leaf duals are the component's attaining measure.  A robust hedge solves one
+LP per distinct leaf set among the union support and the prior supports.
 
 Raw finite lists are not closed under mixing priors node by node.  When no
 prior dominates the whole list, a martingale measure can straddle two prior
@@ -34,9 +37,9 @@ from typing import Sequence
 
 from .hedging import (
     HedgeResult,
+    HedgingError,
     INFINITE_PRICE,
     VerificationFailure,
-    dual_optimum,
     duality_gap_report,
     hedge_primal,
 )
@@ -50,12 +53,14 @@ from .measures import (
     closure_polytope,
     max_slack,
     membership,
+    polytope_vertices_as_measures,
     solve_with_stop_cuts,
 )
 from .polytope import Polytope
 from .rational import rat_str
 from .stopping import (
     StoppingTime,
+    _subtree_masses,
     enumerate_stopping_times,
     snell_value,
     stop_everywhere_at,
@@ -275,23 +280,33 @@ def _check_hypothesis(spec: RobustSpec) -> None:
 def sub_hedge_robust(spec: RobustSpec, claim) -> HedgeResult:
     """Robust sub-hedging: pointwise on the union support, priced by the
     cheapest per-prior component.  Requires robust strict no-arbitrage of the
-    stock-plus-European part; returns the attaining component measure, whose
-    certificate is checked against that component (the market restricted to
-    the attaining prior's support)."""
+    stock-plus-European part.
+
+    One hedge LP per distinct leaf set among the union support and the prior
+    supports: the union LP gives the portfolio, and each prior's LP, hedging
+    on that prior's support only, prices its component (unbounded when the
+    component is empty) and carries its measure in the leaf duals.  Returns
+    the attaining component measure (the first prior wins ties), checked
+    against that component (the market restricted to the attaining prior's
+    support)."""
     _check_hypothesis(spec)
     m = spec.market
     american = isinstance(claim, AdaptedProcess)
     kind = "sub_am" if american else "sub_eu"
-    union = _ordered(m.tree, union_support(spec.priors))
-    primal, space, _ = hedge_primal(m, claim, kind, pointwise_leaves=union)
+    solved: dict[tuple[str, ...], tuple] = {}
 
-    pset = PricingSetSpec(m)
+    def hedge(leaves: tuple[str, ...]):
+        if leaves not in solved:
+            solved[leaves] = hedge_primal(m, claim, kind, pointwise_leaves=leaves)
+        return solved[leaves]
+
+    union = _ordered(m.tree, union_support(spec.priors))
+    primal, space, _ = hedge(union)
     best = None
     for P in spec.priors:
-        carrier = _ordered(m.tree, P.support())
-        sol, Q = dual_optimum(pset, claim, kind, carrier=carrier)
+        sol, _, Q = hedge(_ordered(m.tree, P.support()))
         if sol.status != "optimal":
-            continue  # empty component
+            continue  # the hedge LP is feasible, so unbounded: an empty component
         if best is None or sol.objective < best[0]:
             best = (sol.objective, Q, P)
     if best is None:
@@ -312,8 +327,7 @@ def sub_hedge_robust(spec: RobustSpec, claim) -> HedgeResult:
         eta=space.extract_eta(primal.values) if american else None,
         dual=Q, gap=primal.objective - dual_value,
         details={"pointwise_leaves": union,
-                 "dual_spec": PricingSetSpec(replace(m, support=P.support())),
-                 "components": len(spec.priors)},
+                 "dual_spec": PricingSetSpec(replace(m, support=P.support()))},
     )
     duality_gap_report(result)
     return result
@@ -452,13 +466,7 @@ def minimax_check(
     if N == 0:
         raise RobustError("empty option list")
 
-    masses = []
-    for R in R_vertices:
-        mass = {leaf: R.at(leaf) for leaf in tree.leaves}
-        for node in reversed(tree.nodes):
-            if not tree.is_leaf(node):
-                mass[node] = sum((mass[c] for c in tree.children(node)), ZERO)
-        masses.append(mass)
+    masses = [_subtree_masses(R) for R in R_vertices]
 
     # lhs: flows against vertex cuts
     rows = []
@@ -483,10 +491,6 @@ def minimax_check(
         raise RobustError(f"flow-side LP is {sol.status}")
     lhs = sol.objective
 
-    # helper: E_{R_v}[h at tau] per vertex
-    def stop_value(R: Measure, h: AdaptedProcess, tau: StoppingTime) -> Fraction:
-        return R.expect_at_stop(h, tau)
-
     lam_vars = [f"lam[{i}]" for i in range(len(R_vertices))]
     simplex_row = con({v: 1 for v in lam_vars}, EQ, 1, "hull")
 
@@ -506,7 +510,7 @@ def minimax_check(
         for k in range(N):
             own = [stop_at_0] + [tau for j, tau in cuts if j == k]
             for c_idx, tau in enumerate(own):
-                coeffs = {lam_vars[i]: stop_value(R, h_list[k], tau)
+                coeffs = {lam_vars[i]: R.expect_at_stop(h_list[k], tau)
                           for i, R in enumerate(R_vertices)}
                 coeffs = {key: val for key, val in coeffs.items() if val}
                 coeffs[z_vars[k]] = Fraction(-1)
@@ -529,7 +533,7 @@ def minimax_check(
     w_vars = [f"w[{k}]" for k in range(N)]
     for k in range(N):
         for t_idx, tau in enumerate(taus):
-            coeffs = {lam_vars[i]: stop_value(R, h_list[k], tau)
+            coeffs = {lam_vars[i]: R.expect_at_stop(h_list[k], tau)
                       for i, R in enumerate(R_vertices)}
             coeffs = {key: val for key, val in coeffs.items() if val}
             coeffs[w_vars[k]] = Fraction(-1)
@@ -551,3 +555,29 @@ def minimax_check(
             f"attaining measure gives {rat_str(check)}, expected {rat_str(rhs)}"
         )
     return MinimaxResult(lhs=lhs, mid=mid, rhs=rhs, attaining=attaining)
+
+
+def american_exchange_values(market: MarketSpec, phi: AdaptedProcess) -> dict:
+    """The pure-option value computed four ways over the closed pricing set:
+
+      sup_flow inf_Q  E_Q[flow(phi)]      (`minimax_check`'s lhs)
+      inf_Q sup_flow  E_Q[flow(phi)]      (its mid)
+      inf_Q sup_stop  E_Q[phi_at_stop]    (its rhs)
+      sup_stop inf_Q  E_Q[phi_at_stop]    (max over stops of a vertex minimum)
+
+    All four range over the vertices of the closure polytope: a linear
+    minimum over a polytope is attained at a vertex.  `minimax_check` raises
+    unless the first three agree exactly; the fourth is only <= (the exchange
+    in that order genuinely fails in general)."""
+    verts = polytope_vertices_as_measures(closure_polytope(PricingSetSpec(market)),
+                                          market.tree)
+    if not verts:
+        raise HedgingError("empty pricing set; the exchange values are +inf")
+    flows = minimax_check(verts, [phi])
+    return {
+        "sup_flow_inf": flows.lhs,
+        "inf_sup_flow": flows.mid,
+        "inf_sup_stop": flows.rhs,
+        "sup_stop_inf": max(min(Q.expect_at_stop(phi, tau) for Q in verts)
+                            for tau in enumerate_stopping_times(market.tree)),
+    }

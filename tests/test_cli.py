@@ -255,6 +255,16 @@ def test_bad_claim_file_or_option_exits_1(capsys, tmp_path, claim, argv):
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("claim", [[1, 2], "x"], ids=["list", "string"])
+def test_claim_file_that_is_not_an_object_is_a_usage_error(capsys, tmp_path, claim):
+    path = tmp_path / "claim.json"
+    path.write_text(json.dumps(claim))
+    code, out, err = run_cli(capsys, "price", "sub-eu", "--market", "B1", "--claim", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "usage error: claim file must be a JSON object\n"
+
+
 @pytest.mark.parametrize("option", ["--market", "--claim"])
 @pytest.mark.parametrize("content", [None, b'\xff\xfe{"type": "european"}'],
                          ids=["directory", "not_utf8"])

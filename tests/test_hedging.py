@@ -17,9 +17,10 @@ from semistatic import (
     super_hedge_indivisible,
 )
 from semistatic.fixtures import p2_params_of
-from semistatic.hedging import HedgingError, american_exchange_values
+from semistatic.hedging import HedgingError
 from semistatic.market import HedgePortfolio, portfolio_value
 from semistatic.measures import PricingSetSpec, closure_polytope, polytope_vertices_as_measures
+from semistatic.robust import american_exchange_values
 from semistatic.stopping import StoppingTime, liquidate_payoff
 from semistatic.tree import AdaptedProcess, constant_claim
 
@@ -236,6 +237,12 @@ def test_exchange_is_strict_on_a_constructed_market(t2):
     assert vals["sup_flow_inf"] == vals["inf_sup_flow"] == vals["inf_sup_stop"] == F(1, 3)
     assert vals["sup_stop_inf"] == F(1, 4)
     assert vals["sup_stop_inf"] < vals["inf_sup_stop"]
+
+
+def test_exchange_values_refuse_an_empty_pricing_set(t2):
+    market = t2.with_options(h=[t2.claims["put5_am"]], h_prices=[F(1)])  # envelope is 20/9
+    with pytest.raises(HedgingError, match="empty pricing set"):
+        american_exchange_values(market, t2.claims["put5_am"])
 
 
 def test_two_asset_market():

@@ -30,6 +30,7 @@ from semistatic import (
     vertices,
 )
 from semistatic.market import MarketSpec, portfolio_value
+from semistatic.measures import polytope_vertices_as_measures
 from semistatic.robust import HypothesisFailure
 from semistatic.stopping import enumerate_stopping_times, snell_value
 from semistatic.tree import AdaptedProcess, EventTree, constant_claim
@@ -474,3 +475,74 @@ def test_robust_spec_cell_is_not_part_of_its_value(t2):
     check_sna_robust(spec)
     assert spec == RobustSpec(t2, priors)
     assert repr(spec) == repr(RobustSpec(t2, priors))
+
+
+def test_robust_hedge_solves_one_lp_per_distinct_support(monkeypatch, t2):
+    """With the hypothesis decided and a first prior covering the union, a
+    robust hedge solves the union LP (which is the first prior's) and the
+    second prior's LP, and nothing else: no closure-side dual LP."""
+    from semistatic import hedging, measures, robust
+
+    market = t2.with_options(h=[t2.claims["put5_am"]], h_prices=[F(3)])
+    spec = RobustSpec(market, PriorSet((_uniform(t2.tree), _partial_t2(t2.tree))))
+    sub_hedge_robust(spec, constant_claim(t2.tree, 1))  # decides the hypothesis
+    for claim in (t2.claims["put5_eu"], t2.claims["put5_am"]):
+        solves = [_count(monkeypatch, mod, "solve") for mod in (hedging, measures, robust)]
+        duals = [_count(monkeypatch, mod, "dual_optimum")
+                 for mod in (hedging, robust) if hasattr(mod, "dual_optimum")]
+        result = sub_hedge_robust(spec, claim)
+        assert result.gap == 0
+        assert sum(map(len, solves)) == 2
+        assert sum(map(len, duals)) == 0
+        monkeypatch.undo()
+
+
+def _random_priors(rng, market):
+    """Two priors, nested or not: each a mixture of two closure vertices (a
+    non-empty component) or a random measure on a random support."""
+    verts = polytope_vertices_as_measures(closure_polytope(PricingSetSpec(market)),
+                                          market.tree)
+    out = []
+    for _ in range(2):
+        if verts and rng.random() < 0.7:
+            out.append(rng.choice(verts).mixture(rng.choice(verts), F(rng.randint(1, 3), 4)))
+        else:
+            out.append(random_measure(rng, market.tree, full_support=rng.random() < 0.3))
+    return PriorSet(tuple(out))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_robust_price_is_the_cheapest_component_dual(seed):
+    """The robust hedge's components (hedge LPs on each prior's support)
+    against the closure-side dual LP of each component, on random two-prior
+    sets, nested or not: the price, or the component minimum a duality-gap
+    refusal reports, is the least non-empty component's `dual_optimum`, and
+    the price is infinite exactly when every component is empty."""
+    from dataclasses import replace
+
+    from semistatic import INFINITE_PRICE
+    from semistatic.hedging import dual_optimum
+
+    rng = random.Random(14_000 + seed)
+    done = 0
+    while done < 20:
+        market = random_market(rng, max_depth=2)
+        if rng.random() < 0.5:
+            # without European books, non-nested martingale priors pass the hypothesis
+            market = market.with_options(f=[], f_prices=[], g=[], g_prices=[])
+        priors = _random_priors(rng, market)
+        spec = RobustSpec(market, priors)
+        for kind, claim in (("sub_eu", random_claim(rng, market.tree)),
+                            ("sub_am", random_process(rng, market.tree))):
+            try:
+                price = sub_hedge_robust(spec, claim).price
+            except HypothesisFailure:
+                break
+            except RobustDualityGapError as gap:
+                price = gap.dual
+            components = [dual_optimum(PricingSetSpec(replace(market, support=P.support())),
+                                       claim, kind)[0] for P in priors]
+            values = [sol.objective for sol in components if sol.status == "optimal"]
+            assert price == (min(values) if values else INFINITE_PRICE), kind
+        else:
+            done += 1
