@@ -374,6 +374,7 @@ def _cmd_selftest(args, report) -> int:
     checks["p2_symbolic"] = True
     result = super_hedge_indivisible(p2, p2.claims["psi"])
     checks["p2_indivisible_price"] = result.price == Fraction(1, 8)
+    checks["p2_indivisible_stops_solved"] = result.details["stops_solved"] == 3
     result = super_hedge_divisible(p2, p2.claims["psi"])
     checks["p2_divisible_price"] = result.price == 0
     report["checks"] = checks

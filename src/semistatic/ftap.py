@@ -27,7 +27,14 @@ from .lp import GE, LE, LpProblem, con, solve
 from .market import HedgePortfolio, MarketSpec, portfolio_value
 from .measures import Measure, PricingSetSpec, SlackResult, membership, strict_emm_slack
 from .rational import rat, rat_str
-from .stopping import LiquidatingStrategy, enumerate_stopping_times, snell_value
+from .stopping import (
+    DEFAULT_ENUM_CAP,
+    EnumerationCapError,
+    LiquidatingStrategy,
+    count_stopping_times,
+    enumerate_stopping_times,
+    snell_value,
+)
 
 ZERO = Fraction(0)
 
@@ -78,11 +85,15 @@ def check_na(
     """No-arbitrage at (possibly shifted) quotes over the given support.
 
     With `divisible=False` the American options must each be exercised whole
-    at a single stopping time.  Exercised whole at fixed stops, each option is
-    the buy-only European claim it pays there, bought at its quote
-    (`MarketSpec.exercised_at`), so the same cone LP is solved on the stopped
-    market per stop combination; that restriction is exactly what breaks the
-    measure-existence equivalence, see the motivating two-period market."""
+    at a single stopping time; more than `DEFAULT_ENUM_CAP` stop combinations
+    are refused with `EnumerationCapError` before any LP.  Whole-unit
+    strategies are divisible ones, so the divisible cone LP runs first and,
+    when it finds no arbitrage, decides the question alone.  Otherwise each
+    option, exercised whole at fixed stops, is the buy-only European claim it
+    pays there, bought at its quote (`MarketSpec.exercised_at`), and the same
+    cone LP is solved on the stopped market per stop combination; that
+    restriction is exactly what breaks the measure-existence equivalence, see
+    the motivating two-period market."""
     g_prices = tuple(rat(p) for p in g_prices) if g_prices is not None else market.g_prices
     h_prices = tuple(rat(p) for p in h_prices) if h_prices is not None else market.h_prices
     support = tuple(support) if support is not None else market.support_leaves()
@@ -105,17 +116,23 @@ def check_na(
         assert sol.status == "optimal"
         return space.extract_portfolio(sol.values) if sol.objective > 0 else None
 
+    if not divisible:
+        combos = count_stopping_times(market.tree) ** len(market.h)
+        if combos > DEFAULT_ENUM_CAP:
+            raise EnumerationCapError(
+                f"{combos} whole-unit stop combinations exceed cap {DEFAULT_ENUM_CAP}"
+            )
     found: ArbitrageVerdict | None = None
-    if divisible:
-        portfolio = cone_lp(shifted)
-        if portfolio is not None:
-            found = ArbitrageVerdict(verdict=ARBITRAGE, portfolio=portfolio,
-                                     shifted_g=g_prices, shifted_h=h_prices)
-    else:
+    portfolio = cone_lp(shifted)
+    if portfolio is not None and divisible:
+        found = ArbitrageVerdict(verdict=ARBITRAGE, portfolio=portfolio,
+                                 shifted_g=g_prices, shifted_h=h_prices)
+    elif portfolio is not None:
         n_g = len(market.g)
-        tau_lists = [enumerate_stopping_times(market.tree) for _ in market.h]
-        for combo in product(*tau_lists):
-            stopped = cone_lp(shifted.exercised_at(combo))
+        taus = enumerate_stopping_times(market.tree)
+        for combo in product(taus, repeat=len(market.h)):
+            # with no American option the one (empty) combination is `shifted`
+            stopped = cone_lp(shifted.exercised_at(combo)) if combo else portfolio
             if stopped is not None:
                 found = ArbitrageVerdict(
                     verdict=ARBITRAGE,

@@ -11,8 +11,10 @@ fixed stop tau, the option is the buy-only European claim h(tau) at its quote
 of that stopped market and the cheapest stop wins; the minimum over stops is
 where the divisible/indivisible price gap shows up.
 
-Every operation solves one strategy LP (the indivisible super-hedge one per
-stop).  Its optimum is the price, its solution the hedging strategy, and the
+Every operation solves one strategy LP.  The indivisible super-hedge solves
+one per stop, except where a stock-only pricing measure read off an earlier
+stop's leaf duals already proves the stop is worth the stock-only value.
+An LP's optimum is the price, its solution the hedging strategy, and the
 exact duals on its `leaf[...]` rows a pricing measure in the closed pricing
 set that attains the price: LP duality carries the FTAP duality, and for the
 American part the Snell envelope is the LP dual of the exercise flow (Manne
@@ -403,14 +405,39 @@ def super_hedge_divisible(market: MarketSpec, psi: TerminalClaim) -> HedgeResult
     return _hedge(market, psi, "super_div")
 
 
+def _verify_stock_only_optimum(stock_only: MarketSpec, psi: TerminalClaim,
+                               Q: Measure, value: Fraction) -> None:
+    """Re-check, from first principles, that Q is a martingale measure on the
+    stock-only market's support valuing psi at `value`."""
+    report = membership(Q, PricingSetSpec(stock_only), strict=False)
+    if not report:
+        raise VerificationFailure(
+            "stock-only bound measure violates: " + "; ".join(report.violations)
+        )
+    achieved = Q.expect_claim(psi)
+    if achieved != value:
+        raise VerificationFailure(
+            f"stock-only bound measure achieves {rat_str(achieved)}, "
+            f"stock-only value is {rat_str(value)}"
+        )
+
+
 def super_hedge_indivisible(market: MarketSpec, psi: TerminalClaim) -> HedgeResult:
     """Super-hedge with stock plus a whole-unit American position exercised at
     a single stopping time (no divisibility, no European books).  Exercised
     whole at a stop tau, the option is the buy-only European claim h(tau) at
-    its quote (`MarketSpec.exercised_at`), so each stop is one divisible
-    super-hedge of the stopped stock market; the cheapest stop wins.  Its leaf
-    duals, a martingale measure pricing h(tau) at most at the quote, are the
-    certificate of that stop's value."""
+    its quote (`MarketSpec.exercised_at`), so each stop's value V(tau) is a
+    divisible super-hedge of the stopped stock market; the cheapest stop
+    wins.  Its leaf duals, a martingale measure pricing h(tau) at most at the
+    quote, are the certificate of that stop's value.
+
+    Holding no option is feasible at every stop, so V(tau) <= V0, the
+    stock-only value.  The first solved stop whose optimum holds no option is
+    worth exactly V0, and its leaf duals Q0 attain V0 over the stock-only
+    market; Q0's membership and value are re-checked once, exactly.  A later
+    stop with E_Q0 h(tau) <= quote has Q0 dual-feasible, so V(tau) = V0 by
+    weak duality and its LP is skipped.  `details["per_stop_values"]` still
+    lists every stop, and `details["stops_solved"]` counts the LPs solved."""
     m = market
     if len(m.h) > 1:
         raise HedgingError(
@@ -421,14 +448,27 @@ def super_hedge_indivisible(market: MarketSpec, psi: TerminalClaim) -> HedgeResu
     taus = enumerate_stopping_times(m.tree) if m.h else [stop_everywhere_at(m.tree, 0)]
     per_stop_values: dict[tuple[str, ...], Fraction] = {}
     best = None
+    Q0 = V0 = None  # set once a solved stop's optimum holds no option
+    solved = 0
     for tau in taus:
+        key = tuple(sorted(tau.stop_nodes))
+        if Q0 is not None and Q0.expect_at_stop(m.h[0], tau) <= m.h_prices[0]:
+            # Q0 is dual-feasible here, so V0 <= V(tau) <= V0.  The Q0 stop
+            # came first at the same value, so the strict `<` below never
+            # lets this stop win.
+            per_stop_values[key] = V0
+            continue
         stopped = stock.exercised_at((tau,) * len(m.h))
         primal, space, Q = hedge_primal(stopped, psi, "super_div")
+        solved += 1
         if primal.status != "optimal":
             raise HedgingError(f"per-stop hedging LP is {primal.status}")
-        per_stop_values[tuple(sorted(tau.stop_nodes))] = primal.objective
+        per_stop_values[key] = primal.objective
         if best is None or primal.objective < best[1].objective:
             best = (tau, primal, space, Q)
+        if Q0 is None and m.h and primal.values.get("b[0]", ZERO) == 0:
+            _verify_stock_only_optimum(stock.without_american(), psi, Q, primal.objective)
+            Q0, V0 = Q, primal.objective
 
     tau, primal, space, Q = best
     held = space.extract_portfolio(primal.values)
@@ -439,7 +479,8 @@ def super_hedge_indivisible(market: MarketSpec, psi: TerminalClaim) -> HedgeResu
         ),
         dual=Q,
         details={"stop": tau, "quantity": held.b[0] if m.h else ZERO,
-                 "per_stop_values": per_stop_values, "dual_spec": PricingSetSpec(space.market)},
+                 "per_stop_values": per_stop_values, "stops_solved": solved,
+                 "dual_spec": PricingSetSpec(space.market)},
     )
     duality_gap_report(result)
     return result

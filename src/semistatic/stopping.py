@@ -25,9 +25,10 @@ DEFAULT_ENUM_CAP = 10**6
 
 
 class EnumerationCapError(RuntimeError):
-    """Too many stopping times to enumerate.  Only single-stop questions and
-    the explicit closure polytope enumerate; LPs over all stopping times take
-    their rows from the Snell separation oracle and never raise this."""
+    """Too many stopping times, or whole-unit stop combinations, to enumerate.
+    Only single-stop questions and the explicit closure polytope enumerate;
+    LPs over all stopping times take their rows from the Snell separation
+    oracle and never raise this."""
 
 
 class StoppingTime:

@@ -466,7 +466,9 @@ def test_only_the_utility_audit_loads_numpy():
 def test_selftest(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
-    assert json.loads(out)["passed"] is True
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert report["checks"]["p2_indivisible_stops_solved"] is True
 
 
 def test_jobs_batch_preserves_input_order(capsys, tmp_path):

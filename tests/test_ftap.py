@@ -94,6 +94,71 @@ def test_indivisible_arbitrage_exercises_whole_at_the_stop_found(t2):
     assert min(values) >= 0 and max(values) > 0
 
 
+def _count_lps(monkeypatch) -> list:
+    """Record every LP `check_na` solves."""
+    calls = []
+    real = ftap.solve
+
+    def counted(problem):
+        calls.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(ftap, "solve", counted)
+    return calls
+
+
+def test_whole_unit_na_is_decided_by_the_divisible_cone_lp(p2, monkeypatch):
+    """Whole-unit strategies are divisible ones, so when the divisible cone LP
+    finds no arbitrage, the whole-unit check solves that LP alone instead of
+    one per stop."""
+    assert p2.h
+    calls = _count_lps(monkeypatch)
+    verdict = check_na(p2, divisible=False)
+    assert verdict.verdict == NO_ARBITRAGE and verdict.portfolio is None
+    assert len(calls) == 1
+
+
+def test_whole_unit_check_without_options_reuses_the_divisible_lp(b1, monkeypatch):
+    """Without American options whole-unit and divisible strategies agree, so
+    an arbitrage found by the divisible cone LP is reported without a second,
+    identical LP."""
+    f = TerminalClaim(b1.tree, {"u": 3, "d": 1})
+    market = b1.with_options(f=[f], f_prices=[3])
+    calls = _count_lps(monkeypatch)
+    verdict = check_na(market, divisible=False)
+    assert verdict.verdict == ARBITRAGE and verdict.notes == "indivisible exercise"
+    assert len(calls) == 1
+    divisible = check_na(market).portfolio
+    assert verdict.portfolio.a == divisible.a
+    assert all(portfolio_value(market, verdict.portfolio, l) == portfolio_value(market, divisible, l)
+               for l in market.support_leaves())
+
+
+def test_whole_unit_scan_refuses_past_the_enumeration_cap(monkeypatch):
+    """Two options on a 1025-stop tree make 1025**2 > 10**6 stop combinations:
+    a divisible arbitrage exists (an option paying 1 is free), so a scan would
+    be needed, and the whole-unit check refuses before it solves any LP."""
+    from semistatic import EnumerationCapError, EventTree, MarketSpec
+    from semistatic.stopping import count_stopping_times
+    from semistatic.tree import AdaptedProcess
+
+    rows = [("r", None, 0)]
+    for i in range(10):
+        rows.append((f"c{i}", "r", 1))
+        rows += [(f"c{i}u", f"c{i}", 2), (f"c{i}d", f"c{i}", 2)]
+    tree = EventTree(rows)
+    assert count_stopping_times(tree) == 1025
+    one = AdaptedProcess(tree, {n: 1 for n in tree.nodes})
+    market = MarketSpec(tree=tree, S=AdaptedProcess(tree, {n: 1 for n in tree.nodes}),
+                        h=(one, one), h_prices=(F(0), F(0)))
+    calls = _count_lps(monkeypatch)
+    assert check_na(market).verdict == ARBITRAGE
+    del calls[:]
+    with pytest.raises(EnumerationCapError, match="1050625 whole-unit stop combinations"):
+        check_na(market, divisible=False)
+    assert not calls
+
+
 def test_empty_books_reduce_to_emm_existence():
     rng = random.Random(5150)
     for _ in range(30):

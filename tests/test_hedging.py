@@ -312,9 +312,67 @@ def test_primal_dual_gap_zero_random():
         single = market.without_american(1)
         indiv = super_hedge_indivisible(single, psi)
         assert indiv.price == _per_stop_dual_value(single, psi, indiv.details["stop"])
+        assert indiv.details["stops_solved"] <= len(indiv.details["per_stop_values"])
         for nodes, value in indiv.details["per_stop_values"].items():
             tau = StoppingTime(single.tree, nodes)
             assert value == _per_stop_dual_value(single, psi, tau)
+
+
+def test_p2_indivisible_scan_solves_three_of_five_stops(p2, monkeypatch):
+    """The first stop (exercise at the root) holds no option at its optimum,
+    so its leaf duals price every stop they keep within the quote at the
+    stock-only value: 3 of P2's 5 stops need an LP."""
+    from semistatic import hedging
+
+    calls = []
+    real = hedging.hedge_primal
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hedging, "hedge_primal", counted)
+    result = super_hedge_indivisible(p2, p2.claims["psi"])
+    assert len(result.details["per_stop_values"]) == 5
+    assert len(calls) == result.details["stops_solved"] == 3
+    assert result.price == F(1, 8)
+
+
+def test_indivisible_scan_rejects_a_stock_only_measure_failing_membership(p2, monkeypatch):
+    """The stock-only measure that settles stops without an LP is re-checked
+    by exact membership; a failing check is a verification failure."""
+    from semistatic import hedging
+    from semistatic.measures import MembershipReport
+
+    real = hedging.membership
+
+    def failing_on_stock_only(Q, spec, strict):
+        if not spec.market.g and not spec.market.h:
+            return MembershipReport(False, ["forced violation"])
+        return real(Q, spec, strict)
+
+    monkeypatch.setattr(hedging, "membership", failing_on_stock_only)
+    with pytest.raises(VerificationFailure, match="stock-only bound measure violates"):
+        super_hedge_indivisible(p2, p2.claims["psi"])
+
+
+def test_indivisible_scan_rejects_a_stock_only_measure_of_the_wrong_value(p2, monkeypatch):
+    """A stock-only martingale measure passes membership but must also value
+    the claim at the stock-only value before it settles any stop."""
+    from semistatic import find_pricing_measure, hedging
+
+    psi = p2.claims["psi"]
+    interior = find_pricing_measure(p2)
+    assert interior.expect_claim(psi) != F(13, 8)  # the stock-only value
+    real = hedging.hedge_primal
+
+    def with_interior_duals(*args, **kwargs):
+        sol, space, _ = real(*args, **kwargs)
+        return sol, space, interior
+
+    monkeypatch.setattr(hedging, "hedge_primal", with_interior_duals)
+    with pytest.raises(VerificationFailure, match="stock-only bound measure achieves"):
+        super_hedge_indivisible(p2, psi)
 
 
 _HEDGES = (
