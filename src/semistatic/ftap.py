@@ -116,7 +116,7 @@ def check_na(
         assert sol.status == "optimal"
         return space.extract_portfolio(sol.values) if sol.objective > 0 else None
 
-    if not divisible:
+    if not divisible and market.h:
         combos = count_stopping_times(market.tree) ** len(market.h)
         if combos > DEFAULT_ENUM_CAP:
             raise EnumerationCapError(
@@ -129,9 +129,10 @@ def check_na(
                                  shifted_g=g_prices, shifted_h=h_prices)
     elif portfolio is not None:
         n_g = len(market.g)
-        taus = enumerate_stopping_times(market.tree)
+        # with no American option the one (empty) combination is `shifted`:
+        # no stop is enumerated and the divisible LP's portfolio is reused
+        taus = enumerate_stopping_times(market.tree) if market.h else []
         for combo in product(taus, repeat=len(market.h)):
-            # with no American option the one (empty) combination is `shifted`
             stopped = cone_lp(shifted.exercised_at(combo)) if combo else portfolio
             if stopped is not None:
                 found = ArbitrageVerdict(

@@ -159,6 +159,35 @@ def test_whole_unit_scan_refuses_past_the_enumeration_cap(monkeypatch):
     assert not calls
 
 
+def test_whole_unit_check_without_options_enumerates_no_stops(monkeypatch):
+    """A tree with 1 + 2**21 stopping times, far past the cap, but no American
+    option: the one (empty) stop combination needs no enumeration, so the
+    divisible cone LP alone finds the arbitrage of a buy-only claim paying 1
+    at 1/2."""
+    from semistatic import EventTree, MarketSpec
+    from semistatic.tree import AdaptedProcess
+
+    rows = [("r", None, 0)]
+    s = {"r": 2}
+    for i in range(21):
+        rows += [(f"c{i}", "r", 1), (f"c{i}u", f"c{i}", 2), (f"c{i}d", f"c{i}", 2)]
+        s.update({f"c{i}": 2, f"c{i}u": 3, f"c{i}d": 1})
+    tree = EventTree(rows)
+    market = MarketSpec(tree=tree, S=AdaptedProcess(tree, s),
+                        g=(TerminalClaim(tree, {l: 1 for l in tree.leaves}),),
+                        g_prices=(F(1, 2),))
+
+    def refuse(*args):
+        raise AssertionError("stops enumerated or counted")
+
+    monkeypatch.setattr(ftap, "enumerate_stopping_times", refuse)
+    monkeypatch.setattr(ftap, "count_stopping_times", refuse)
+    calls = _count_lps(monkeypatch)
+    verdict = check_na(market, divisible=False)
+    assert verdict.verdict == ARBITRAGE and verdict.portfolio.mu == ()
+    assert len(calls) == 1
+
+
 def test_empty_books_reduce_to_emm_existence():
     rng = random.Random(5150)
     for _ in range(30):
