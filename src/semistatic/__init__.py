@@ -16,7 +16,7 @@ from .market import (
     portfolio_value,
 )
 from .fixtures import FIXTURE_NAMES, fixture_json, load_fixture
-from .lp import Constraint, LpProblem, LpSolution, con, dump_lp, solve
+from .lp import Constraint, LpProblem, LpSolution, con, solve
 from .polytope import Polytope, UnboundedPolytopeError, hrep_from_vertices, vertices
 from .stopping import (
     EnumerationCapError,

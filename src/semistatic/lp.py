@@ -1,10 +1,12 @@
 """Exact rational linear programming with verified certificates.
 
-Two-phase primal simplex on a dense fraction-free integer tableau, with one
-pivot rule: largest-coefficient pricing and a lexicographic ratio test
-(Dantzig, Orden & Wolfe), which cannot cycle, so the solver terminates on
-degenerate problems (the hedging LPs have many ties).  Each free variable is a
-single column.
+Two-phase primal simplex with one pivot rule: largest-coefficient pricing
+and a lexicographic ratio test (Dantzig, Orden & Wolfe), which cannot cycle,
+so the solver terminates on degenerate problems (the hedging LPs have many
+ties).  Each free variable is a single column.  The tableau is condensed
+(Tucker: only nonbasic columns are stored) and fraction-free (integer
+pivoting, Bareiss 1968) with one denominator per row, so a pivot rewrites
+only the rows whose pivot-column entry is nonzero.
 
 Set-up and extraction do no per-entry Fraction arithmetic.  A row is
 integerized from the coefficients its sparse map lists: it is multiplied by
@@ -40,7 +42,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .rational import rat, rat_str
+from .rational import rat
 
 LE, EQ, GE = "<=", "=", ">="
 _RELS = (LE, EQ, GE)
@@ -111,6 +113,7 @@ class LpSolution:
     farkas: list[Fraction] | None = None
     ray: dict[str, Fraction] | None = None
     feasible_point: dict[str, Fraction] | None = None
+    pivots: tuple[int, int] = (0, 0)  # phase 1 (with drive-outs), phase 2
 
     def value(self, name: str) -> Fraction:
         return self.values.get(name, ZERO)
@@ -144,100 +147,137 @@ def eval_row(coeffs: Mapping[str, Fraction], values: Mapping[str, Fraction]) -> 
 # ---------------------------------------------------------------------------
 
 class _Tableau:
-    """Equality-form tableau max c.x, Ax = b, x >= 0, with b >= 0.
+    """Condensed equality-form tableau max c.x, Ax = b, x >= 0, with b >= 0.
 
-    Stored fraction-free: every entry is an integer and the true tableau is
-    entry / d for a single shared positive integer d (integer pivoting).  The
-    pivot update (piv * entry - col * pivot_row) / d_prev divides exactly, so
-    entries stay minors of the integer input and never grow out of hand, and
-    all inner-loop arithmetic is plain int.
+    Only nonbasic columns are stored: slot s of every row holds the column of
+    variable `slot_var[s]` (`slot_of` maps back, -1 when basic), and a basic
+    variable's unit column is implicit.  A pivot swaps the entering and the
+    leaving variable between the pivot row's basis entry and the slot.
+
+    Every entry is an integer: row k's true entries are rows[k] / rd[k] and
+    b[k] / rd[k], the objective row's obj / od, with each denominator the
+    pivot element d at that row's last rewrite.  A pivot whose column is 0 in
+    a row would only rescale the dense integer-pivoting row by piv / d, so
+    such a row is left alone; the dense row it stands for is row * d / rd[k],
+    a minor of the integer input, so bringing a row to d divides exactly.  A
+    pivot brings its pivot row to d and rewrites each row with a nonzero
+    pivot-column entry f as (piv * row - f * prow) / rd[k]: this is the dense
+    update (piv * dense - (f * d / rd[k]) * prow) / d, again a minor, so it
+    divides exactly and the row's denominator becomes piv.
 
     A free variable is one column.  It is negated (and `sign` records it) when
     it enters with a negative reduced cost; once basic it never leaves."""
 
-    def __init__(self, ncols: int, free: Sequence[int]):
-        self.ncols = ncols
+    def __init__(self, ncols: int, basis: list[int], free: Sequence[int]):
+        self.basis = basis
+        self.slot_of = [-1] * ncols
+        basic = set(basis)
+        self.slot_var = [j for j in range(ncols) if j not in basic]
+        for s, j in enumerate(self.slot_var):
+            self.slot_of[j] = s
         self.rows: list[list[int]] = []
         self.b: list[int] = []
-        self.basis: list[int] = []
-        self.obj: list[int] = []  # d * (c_j - z_j), in integerized cost units
-        self.d: int = 1
+        self.rd = [1] * len(basis)
+        self.obj: list[int] = []  # od * (c_j - z_j), in integerized cost units
+        self.od = self.d = 1
         self.free = tuple(free)
         self.sign = [1] * ncols  # -1 on a free column stored negated
         self.ray_col = -1
+        self.pivots = 0
 
     def pivot(self, i: int, j: int) -> None:
-        prow = self.rows[i]
-        piv = prow[j]
+        rows, b, rd, d = self.rows, self.b, self.rd, self.d
+        s = self.slot_of[j]
+        prow, bi = rows[i], b[i]
+        if rd[i] != d:
+            prow = [v * d // rd[i] for v in prow]
+            bi = bi * d // rd[i]
+        piv, sgn = prow[s], 1
         if piv < 0:  # only reachable on degenerate drive-out pivots (b_i = 0)
-            self.rows[i] = prow = [-v for v in prow]
-            self.b[i] = -self.b[i]
-            piv = -piv
-        d = self.d
-        cols = range(self.ncols)
-        bi = self.b[i]
-        for k, row in enumerate(self.rows):
-            if k == i:
-                continue
-            f = row[j]
-            if f:
-                self.rows[k] = [(piv * row[l] - f * prow[l]) // d for l in cols]
-                self.b[k] = (piv * self.b[k] - f * bi) // d
-            elif piv != d:
-                self.rows[k] = [(piv * row[l]) // d for l in cols]
-                self.b[k] = (piv * self.b[k]) // d
-        obj = self.obj
-        f = obj[j]
+            prow = [-v for v in prow]
+            piv, bi, sgn = -piv, -bi, -1
+        for k, row in enumerate(rows):
+            f = row[s]
+            if f and k != i:
+                r = rd[k]
+                rows[k] = new = [(piv * x - f * y) // r for x, y in zip(row, prow)]
+                new[s] = -sgn * f * d // r  # the leaving variable's column
+                b[k] = (piv * b[k] - f * bi) // r
+                rd[k] = piv
+        f = self.obj[s]
         if f:
-            self.obj = [(piv * obj[l] - f * prow[l]) // d for l in cols]
-        elif piv != d:
-            self.obj = [(piv * obj[l]) // d for l in cols]
+            r = self.od
+            self.obj = new = [(piv * x - f * y) // r for x, y in zip(self.obj, prow)]
+            new[s] = -sgn * f * d // r
+            self.od = piv
+        prow[s] = sgn * d
+        rows[i], b[i], rd[i] = prow, bi, piv
+        self.slot_var[s], self.basis[i] = self.basis[i], j
+        self.slot_of[self.slot_var[s]], self.slot_of[j] = s, -1
         self.d = piv
-        self.basis[i] = j
+        self.pivots += 1
+
+    def entry(self, k: int, j: int) -> int:
+        """Row k's entry at variable j, over the row's denominator rd[k]."""
+        s = self.slot_of[j]
+        if s >= 0:
+            return self.rows[k][s]
+        return self.rd[k] if self.basis[k] == j else 0
+
+    def reduced(self, j: int) -> int:
+        """od * (c_j - z_j): 0 at a basic variable."""
+        s = self.slot_of[j]
+        return self.obj[s] if s >= 0 else 0
 
     def run(self, limit: int) -> str:
-        """Pivot until no column below `limit` improves the objective.
+        """Pivot until no variable below `limit` improves the objective.
 
-        Pricing is largest coefficient; a free column is priced by the size of
-        its reduced cost and offered first.  Ratio-test ties are broken
-        lexicographically on the columns that were basic when the phase began.
-        Those columns are d * I then, so every row starts lexicographically
-        positive, stays so, and the objective row rises lexicographically
-        with every pivot: no basis repeats and the phase terminates.  Rows
-        whose basic variable is free are left out of the ratio test."""
+        Pricing is largest coefficient, ties to the lowest variable index; a
+        free variable is priced by the size of its reduced cost and offered
+        first.  Ratio-test ties are broken lexicographically on the columns
+        that were basic when the phase began.  Those columns are the identity
+        then, so every row starts lexicographically positive, stays so, and
+        the objective row rises lexicographically with every pivot: no basis
+        repeats and the phase terminates.  A ratio and a lexicographic
+        comparison are the same at every row scale, so each row is read over
+        its own denominator.  Rows whose basic variable is free are left out
+        of the ratio test."""
         lex = list(self.basis)
-        rows, b, free = self.rows, self.b, self.free
+        rows, b, free, slot_var = self.rows, self.b, self.free, self.slot_var
         while True:
             obj = self.obj
             enter, best = -1, 0
             for j in free:
-                if abs(obj[j]) > best:
-                    enter, best = j, abs(obj[j])
+                s = self.slot_of[j]
+                if s >= 0 and abs(obj[s]) > best:
+                    enter, best = j, abs(obj[s])
             if enter < 0:
-                for j in range(limit):
-                    if obj[j] > best:
-                        enter, best = j, obj[j]
+                for s, o in enumerate(obj):
+                    if o > 0 and o >= best:
+                        j = slot_var[s]
+                        if j < limit and (o > best or j < enter):
+                            enter, best = j, o
             if enter < 0:
                 return "optimal"
-            if obj[enter] < 0:
+            s = self.slot_of[enter]
+            if obj[s] < 0:
                 for row in rows:
-                    row[enter] = -row[enter]
-                obj[enter] = -obj[enter]
+                    row[s] = -row[s]
+                obj[s] = -obj[s]
                 self.sign[enter] = -self.sign[enter]
             leave = -1
             for i, row in enumerate(rows):
-                a = row[enter]
+                a = row[s]
                 if a <= 0 or self.basis[i] in free:
                     continue
                 if leave >= 0:
                     # compare row / a against the incumbent by cross multiplication
-                    p = rows[leave]
-                    ap = p[enter]
+                    ap = rows[leave][s]
                     diff = b[i] * ap - b[leave] * a
                     for c in lex:
                         if diff:
                             break
-                        diff = row[c] * ap - p[c] * a
+                        diff = self.entry(i, c) * ap - self.entry(leave, c) * a
                     if diff >= 0:
                         continue
                 leave = i
@@ -247,21 +287,26 @@ class _Tableau:
             self.pivot(leave, enter)
 
     def set_costs(self, costs: list[int]) -> None:
-        """Recompute the reduced-cost row for a new integer cost vector."""
-        costs = [c * s for c, s in zip(costs, self.sign)]
+        """Bring every row to d, then recompute the reduced-cost row for a new
+        integer cost vector."""
         d = self.d
-        obj = [d * c for c in costs]
+        for k, r in enumerate(self.rd):
+            if r != d:
+                self.rows[k] = [v * d // r for v in self.rows[k]]
+                self.b[k] = self.b[k] * d // r
+                self.rd[k] = d
+        costs = [c * s for c, s in zip(costs, self.sign)]
+        obj = [d * costs[j] for j in self.slot_var]
         for i, var in enumerate(self.basis):
             cb = costs[var]
             if cb:
-                row = self.rows[i]
-                for l in range(self.ncols):
-                    if row[l]:
-                        obj[l] -= cb * row[l]
-        self.obj = obj
+                for s, v in enumerate(self.rows[i]):
+                    if v:
+                        obj[s] -= cb * v
+        self.obj, self.od = obj, d
 
     def basic_values(self) -> dict[int, Fraction]:
-        return {var: Fraction(self.sign[var] * self.b[i], self.d)
+        return {var: Fraction(self.sign[var] * self.b[i], self.rd[i])
                 for i, var in enumerate(self.basis)}
 
 
@@ -300,8 +345,11 @@ def solve(problem: LpProblem) -> LpSolution:
     # pivots in pure int arithmetic: scaled by the lcm of its denominators and
     # the rhs's, divided by the gcd of the resulting integers.  Internal row i
     # is the original row times row_scale[i] = num / den (negative if flipped);
-    # duals unscale at extraction.
-    tab = _Tableau(total_cols, [col_of[v] for v in problem.variables if v in problem.free])
+    # duals unscale at extraction.  Each row starts with its artificial or
+    # slack column basic; every other column is a slot.
+    basis = [art_col[i] if art_col[i] is not None else slack_col[i] for i in range(m)]
+    tab = _Tableau(total_cols, basis,
+                   [col_of[v] for v in problem.variables if v in problem.free])
     row_scale: list[tuple[int, int]] = []
     for row, f in zip(problem.constraints, flip):
         b = row.rhs
@@ -316,16 +364,16 @@ def solve(problem: LpProblem) -> LpSolution:
             bi //= g
         else:
             g = 1
-        dense = [0] * total_cols
+        dense = [0] * (total_cols - m)
         for v, c in zip(coeffs, ints):
-            dense[col_of[v]] = c
+            dense[col_of[v]] = c  # structural columns are the first slots
         tab.rows.append(dense)
         tab.b.append(bi)
         row_scale.append((sgn * scale, g))
     for idx, (i, coef) in enumerate(extra):
-        tab.rows[i][nstruct + idx] = coef
-    for i in range(m):
-        tab.basis.append(art_col[i] if art_col[i] is not None else slack_col[i])
+        s = tab.slot_of[nstruct + idx]
+        if s >= 0:
+            tab.rows[i][s] = coef
 
     obj_scale = lcm(*[c.denominator for c in problem.objective.values()])
     objective_int = [0] * total_cols
@@ -344,30 +392,33 @@ def solve(problem: LpProblem) -> LpSolution:
         assert state == "optimal"  # phase-1 objective is bounded above by 0
         infeas = any(tab.basis[i] >= art_start and tab.b[i] > 0 for i in range(m))
         if infeas:
-            # y_i = z at the row's identity column, z_j = c_j - obj_j / d, times
-            # row_scale[i] because internal row i is that multiple of the
-            # original row: one Fraction of integers per entry
-            obj, d = tab.obj, tab.d
+            # y_i = z at the row's identity column, z_j = c_j - obj_j / od,
+            # times row_scale[i] because internal row i is that multiple of
+            # the original row: one Fraction of integers per entry
+            od = tab.od
             farkas = []
             for i in range(m):
                 idc = art_col[i] if art_col[i] is not None else slack_col[i]
                 num, den = row_scale[i]
-                farkas.append(Fraction((phase1[idc] * d - obj[idc]) * num, d * den))
-            sol = LpSolution(status="infeasible", farkas=farkas)
+                farkas.append(Fraction((phase1[idc] * od - tab.reduced(idc)) * num,
+                                       od * den))
+            sol = LpSolution(status="infeasible", farkas=farkas, pivots=(tab.pivots, 0))
             verify_farkas(problem, farkas)
             return sol
         # drive remaining artificials out of the basis
         for i in range(m):
             if tab.basis[i] >= art_start:
                 for j in range(art_start):
-                    if tab.rows[i][j]:
+                    if tab.entry(i, j):
                         tab.pivot(i, j)
                         break
                 # else: redundant all-zero row; its artificial stays basic at 0
+    phase1_pivots = tab.pivots
 
     # ---- phase 2: artificial columns are no longer priced ----
     tab.set_costs(objective_int)
     state = tab.run(art_start)
+    pivots = (phase1_pivots, tab.pivots - phase1_pivots)
 
     def named(col_values: Mapping[int, Fraction]) -> dict[str, Fraction]:
         return {v: col_values.get(col_of[v], ZERO) for v in problem.variables}
@@ -376,11 +427,12 @@ def solve(problem: LpProblem) -> LpSolution:
         j = tab.ray_col
         ray_cols: dict[int, Fraction] = {j: Fraction(tab.sign[j])}
         for i, var in enumerate(tab.basis):
-            if tab.rows[i][j]:
-                ray_cols[var] = -Fraction(tab.sign[var] * tab.rows[i][j], tab.d)
+            a = tab.entry(i, j)
+            if a:
+                ray_cols[var] = -Fraction(tab.sign[var] * a, tab.rd[i])
         point = named(tab.basic_values())
         ray = named(ray_cols)
-        sol = LpSolution(status="unbounded", feasible_point=point, ray=ray)
+        sol = LpSolution(status="unbounded", feasible_point=point, ray=ray, pivots=pivots)
         verify_ray(problem, point, ray)
         return sol
 
@@ -388,25 +440,25 @@ def solve(problem: LpProblem) -> LpSolution:
     # sense undone; a structural column's reduced cost is its own obj entry,
     # negated back if the column is stored negated.  verify_solution checks
     # both against c - A^T y of the original problem.
-    obj, d = tab.obj, tab.d
+    od, d = tab.od, tab.d
     values = named(tab.basic_values())
     duals: list[Fraction] = []
     for i in range(m):
         idc = slack_col[i] if slack_col[i] is not None else art_col[i]
         num, den = row_scale[i]
-        duals.append(Fraction(sense_sign * (objective_int[idc] * d - obj[idc]) * num,
-                              d * obj_scale * den))
-    reduced = {v: Fraction(sense_sign * tab.sign[j] * obj[j], d * obj_scale)
+        duals.append(Fraction(sense_sign * (objective_int[idc] * od - tab.reduced(idc)) * num,
+                              od * obj_scale * den))
+    reduced = {v: Fraction(sense_sign * tab.sign[j] * tab.reduced(j), od * obj_scale)
                for v, j in col_of.items()}
     objective = sense_sign * Fraction(
-        sum(objective_int[var] * tab.sign[var] * tab.b[i]
+        sum(objective_int[var] * tab.sign[var] * tab.b[i] * d // tab.rd[i]
             for i, var in enumerate(tab.basis)),
         d * obj_scale,
     )
     dual_objective = _dot(zip(duals, [row.rhs for row in problem.constraints]))
     sol = LpSolution(
         status="optimal", objective=objective, values=values, duals=duals,
-        reduced_costs=reduced, dual_objective=dual_objective,
+        reduced_costs=reduced, dual_objective=dual_objective, pivots=pivots,
     )
     verify_solution(problem, sol)
     return sol
@@ -511,37 +563,3 @@ def verify_ray(problem: LpProblem, point: Mapping[str, Fraction],
         _check(gain > 0, "ray does not improve the objective")
     else:
         _check(gain < 0, "ray does not improve the objective")
-
-
-# ---------------------------------------------------------------------------
-# Debug dump
-# ---------------------------------------------------------------------------
-
-def dump_lp(problem: LpProblem) -> str:
-    """Text rendering in LP-file style for cross-checks with outside solvers.
-
-    Coefficients are printed as decimals, which is lossy; the exact "p/q"
-    values ride along in comments.
-    """
-    def term(c: Fraction, v: str) -> str:
-        return f"{'+' if c >= 0 else '-'} {abs(float(c))} {v} "
-
-    lines = ["\\ decimal rendering is LOSSY; exact values in comments"]
-    lines.append("Maximize" if problem.sense == "max" else "Minimize")
-    expr = " ".join(term(c, v).strip() for v, c in problem.objective.items()) or "0"
-    exact = " ".join(f"{v}={rat_str(c)}" for v, c in problem.objective.items())
-    lines.append(f" obj: {expr}")
-    lines.append(f"\\ exact: {exact}")
-    lines.append("Subject To")
-    for i, row in enumerate(problem.constraints):
-        name = row.name or f"c{i}"
-        expr = " ".join(term(c, v).strip() for v, c in row.coeffs.items()) or "0"
-        rel = {LE: "<=", GE: ">=", EQ: "="}[row.rel]
-        lines.append(f" {name}: {expr} {rel} {float(row.rhs)}")
-        exact = " ".join(f"{v}={rat_str(c)}" for v, c in row.coeffs.items())
-        lines.append(f"\\ exact: {exact} {rel} {rat_str(row.rhs)}")
-    if problem.free:
-        lines.append("Free")
-        lines.append(" " + " ".join(sorted(problem.free)))
-    lines.append("End")
-    return "\n".join(lines)

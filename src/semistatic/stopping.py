@@ -102,6 +102,12 @@ class LiquidatingStrategy:
     def at(self, node: str) -> Fraction:
         return self.eta.scalar_at(node)
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LiquidatingStrategy) and self.eta == other.eta
+
+    def __hash__(self) -> int:
+        return hash(self.eta)
+
     def __repr__(self) -> str:
         nz = {n: str(v) for n, v in self.eta.as_scalar_map().items() if v}
         return f"LiquidatingStrategy({nz})"

@@ -160,6 +160,12 @@ class AdaptedProcess:
     def as_scalar_map(self) -> dict[str, Fraction]:
         return {n: self.scalar_at(n) for n in self.tree.nodes}
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, AdaptedProcess) and self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._values.items()))
+
     def __repr__(self) -> str:
         return f"AdaptedProcess(dim={self.dim}, {len(self._values)} nodes)"
 

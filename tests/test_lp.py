@@ -15,9 +15,9 @@ from semistatic.lp import (
     LE,
     LpProblem,
     LpVerificationError,
+    _Tableau,
     _dot,
     con,
-    dump_lp,
     eval_row,
     solve,
     verify_farkas,
@@ -328,13 +328,6 @@ def test_common_denominator_sum_equals_fraction_sum(coeffs, values):
         assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
 
 
-def test_dump_is_flagged_lossy():
-    prob = LpProblem("max", {"x": F(1, 3)}, [con({"x": 1}, LE, F(2, 7), "r")], ["x"])
-    text = dump_lp(prob)
-    assert "LOSSY" in text
-    assert "1/3" in text and "2/7" in text
-
-
 # ---------------------------------------------------------------------------
 # Brute-force oracle: enumerate candidate active sets and compare
 # ---------------------------------------------------------------------------
@@ -404,3 +397,109 @@ def test_against_brute_force(seed):
     expected = brute_force_max(objective, rows, nvars)
     assert sol.status == "optimal"
     assert sol.objective == expected
+
+
+# ---------------------------------------------------------------------------
+# Tableau branches: drive-out pivots, redundant rows, rows left untouched
+# ---------------------------------------------------------------------------
+
+def _spy(monkeypatch):
+    """Record the tableau's steps of the next solve: ("pivot", entering
+    column, pivot-row entry, pivots in a row that left the pivot row
+    untouched, whether the row was kept over an older denominator) and
+    ("costs", basis, b) at each set_costs."""
+    steps, idle = [], []
+    pivot, set_costs = _Tableau.pivot, _Tableau.set_costs
+
+    def spy_pivot(tab, i, j):
+        steps.append(("pivot", j, tab.entry(i, j), idle[i], tab.rd[i] != tab.d))
+        idle[:] = [0 if k == i or tab.entry(k, j) else n + 1 for k, n in enumerate(idle)]
+        pivot(tab, i, j)
+
+    def spy_costs(tab, costs):
+        idle[:] = [0] * len(tab.rows)
+        set_costs(tab, costs)
+        steps.append(("costs", list(tab.basis), list(tab.b)))
+
+    monkeypatch.setattr(_Tableau, "pivot", spy_pivot)
+    monkeypatch.setattr(_Tableau, "set_costs", spy_costs)
+    return steps
+
+
+def _oracle_max(prob):
+    """brute_force_max of a max problem with nonnegative variables; an
+    equality row is given as two opposite <= rows."""
+    names = prob.variables
+    rows = []
+    for row in prob.constraints:
+        coeffs = tuple(row.coeffs.get(v, F(0)) for v in names)
+        if row.rel in (LE, EQ):
+            rows.append((coeffs, row.rhs))
+        if row.rel in (GE, EQ):
+            rows.append((tuple(-c for c in coeffs), -row.rhs))
+    return brute_force_max(tuple(prob.objective.get(v, F(0)) for v in names), rows, len(names))
+
+
+def test_negative_drive_out_pivot(monkeypatch):
+    """-x - y = 0 leaves its artificial basic at 0 after phase 1, and the
+    drive-out pivots on x's entry -1: the pivot row is negated first."""
+    prob = LpProblem("max", {"x": 1}, [con({"x": -1, "y": -1}, EQ, 0)], ["x", "y"])
+    steps = _spy(monkeypatch)
+    sol = solve(prob)
+    assert ("pivot", 0, -1, 0, False) in steps
+    assert sol.status == "optimal" and sol.pivots == (1, 0)
+    assert sol.values == {"x": 0, "y": 0} and sol.objective == 0 == _oracle_max(prob)
+    verify_solution(prob, sol)
+
+
+def test_redundant_equality_keeps_its_artificial_basic_at_zero(monkeypatch):
+    """2x + 2y = 2 repeats x + y = 1: after phase 1 one row is zero on every
+    non-artificial column, so no drive-out pivot exists and that row's
+    artificial (column 2 or 3) is still basic, at 0, in phase 2."""
+    prob = LpProblem("max", {"x": 1, "y": F(1, 2)},
+                     [con({"x": 1, "y": 1}, EQ, 1), con({"x": 2, "y": 2}, EQ, 2)], ["x", "y"])
+    steps = _spy(monkeypatch)
+    sol = solve(prob)
+    _, basis, b = [s for s in steps if s[0] == "costs"][-1]
+    assert [(var, bi) for var, bi in zip(basis, b) if var >= 2] == [(2, 0)]
+    assert sol.status == "optimal" and sol.pivots == (1, 0)
+    assert sol.values == {"x": 1, "y": 0} and sol.objective == 1 == _oracle_max(prob)
+    verify_solution(prob, sol)
+
+
+def test_row_left_untouched_by_several_pivots_becomes_the_pivot_row(monkeypatch):
+    """x3's bound row has no entry in the columns of the first two pivots
+    (elements 2 and 3), so it keeps its old denominator until x3 enters and
+    it is the pivot row."""
+    prob = LpProblem(
+        "max", {"x1": 4, "x2": 3, "x3": 2},
+        [con({"x1": 2}, LE, 3), con({"x2": 3}, LE, 4), con({"x3": 5}, LE, 7),
+         con({"x1": 1, "x2": 1, "x3": 1, "x4": 1}, LE, 10)],
+        ["x1", "x2", "x3", "x4"],
+    )
+    steps = _spy(monkeypatch)
+    sol = solve(prob)
+    assert [s for s in steps if s[0] == "pivot"] == [
+        ("pivot", 0, 2, 0, False), ("pivot", 1, 3, 1, True), ("pivot", 2, 5, 2, True)]
+    assert sol.status == "optimal" and sol.pivots == (0, 3)
+    assert sol.objective == F(64, 5) == _oracle_max(prob)
+    verify_solution(prob, sol)
+
+
+def test_pricing_tie_goes_to_the_lowest_column_after_slots_move(monkeypatch):
+    """After x0 and x1 enter, x2 (column 2) and the first row's slack
+    (column 3, now stored where x0 was) tie on reduced cost.  The tie goes to
+    x2, the lower column, whatever slot holds it; the slack would end at
+    x2 = 0."""
+    prob = LpProblem(
+        "max", {"x0": 1, "x1": 1},
+        [con({"x0": 1, "x1": -2, "x2": 1}, LE, 0), con({"x0": 3, "x1": 2}, LE, 2)],
+        ["x0", "x1", "x2"],
+    )
+    steps = _spy(monkeypatch)
+    sol = solve(prob)
+    assert [s[1] for s in steps if s[0] == "pivot"] == [0, 1, 2]
+    assert sol.values == {"x0": 0, "x1": 1, "x2": 2} and sol.pivots == (0, 3)
+    assert sol.objective == 1 == _oracle_max(prob)
+    verify_solution(prob, sol)
+

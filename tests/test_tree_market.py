@@ -135,6 +135,24 @@ def test_portfolio_american_leg_exercise_at_root(b1):
     assert portfolio_value(market, port, "d") == 1
 
 
+def test_portfolios_built_apart_compare_and_hash_by_value(b1):
+    """Two portfolios built separately from equal data are equal and hash
+    equal (H and every exercise flow compare by their node values, not by
+    identity); changing one node value of H or of a flow breaks equality."""
+    def build(h_root=1, flow_root=1):
+        H = AdaptedProcess(b1.tree, {"r": h_root, "u": 0, "d": F(1, 2)})
+        mu = LiquidatingStrategy.from_map(
+            b1.tree, {"r": flow_root, "u": 1 - flow_root, "d": 1 - flow_root})
+        return HedgePortfolio(H=H, a=(F(1, 3),), b=(F(2),), c=(F(1),), mu=(mu,))
+
+    port = build()
+    assert port == build() and hash(port) == hash(build())
+    assert len({port, build()}) == 1
+    assert port != build(h_root=2)
+    assert port != build(flow_root=F(1, 2))
+    assert AdaptedProcess(b1.tree, {"r": 1, "u": 0, "d": 0}) != "not a process"
+
+
 def test_portfolio_linearity_random(b1):
     rng = random.Random(5)
     h = AdaptedProcess(b1.tree, {"r": 1, "u": 0, "d": 3})
