@@ -6,11 +6,12 @@ rationals and are converted once.  The primal problem maximizes expected
 utility of terminal wealth over claims affordable from x against every vertex
 of the closed pricing set; the dual minimizes expected conjugate utility over
 the solid convex hull of the vertex densities (its finite-space polar).  Both
-are solved by projected gradient (spectral step lengths, backtracking line
-search along the feasible chord) from the fixed starting point x * 1 (no
-randomness anywhere), driving the stationarity residual well below 1e-9, and
-the audit then checks conjugacy of the two value functions, the optimizer
-coupling, and the derivative identities on a grid.
+are solved by one damped-Newton log-barrier method from a fixed starting
+point, with a fixed schedule for the barrier weight (no randomness and no
+warm start, so a solve does not depend on the ones before it); a solve that
+does not converge within NEWTON_CAP steps raises AuditFailure.  The audit
+then checks conjugacy of the two value functions, the optimizer coupling, and
+the derivative identities on a grid.
 
 numpy is imported on first use, inside the functions that need it, so that
 importing the package (and every CLI command but `utility audit`) does not
@@ -29,8 +30,9 @@ from .measures import Measure, PricingSetSpec, closure_polytope, polytope_vertic
 if TYPE_CHECKING:
     import numpy as np
 
-KKT_TOL = 1e-9
-ITER_CAP = 100_000
+NEWTON_CAP = 100  # Newton steps per solve; one more raises AuditFailure
+MU_CUT = 0.02     # factor on the barrier weight each time the iterate is centered
+MU_CUTS = 8       # cuts before the last centering: the final weight is 2.6e-14 of the first
 
 
 class UtilityError(RuntimeError):
@@ -52,6 +54,7 @@ class UtilityFunction:
     name: str
     U: Callable[[np.ndarray], np.ndarray]
     Uprime: Callable[[np.ndarray], np.ndarray]
+    Uprime2: Callable[[np.ndarray], np.ndarray]  # U'', for the Newton steps
     I: Callable[[np.ndarray], np.ndarray]     # inverse marginal utility
     V: Callable[[np.ndarray], np.ndarray]     # convex conjugate
     Vprime: Callable[[np.ndarray], np.ndarray]
@@ -64,6 +67,7 @@ def log_utility() -> UtilityFunction:
         name="log",
         U=lambda x: np.log(x),
         Uprime=lambda x: 1.0 / x,
+        Uprime2=lambda x: -1.0 / (x * x),
         I=lambda y: 1.0 / y,
         V=lambda y: -np.log(y) - 1.0,
         Vprime=lambda y: -1.0 / y,
@@ -81,6 +85,7 @@ def power_utility(gamma: float) -> UtilityFunction:
         name=f"power:{gamma}",
         U=lambda x: np.power(x, gamma) / gamma,
         Uprime=lambda x: np.power(x, gamma - 1.0),
+        Uprime2=lambda x: (gamma - 1.0) * np.power(x, gamma - 2.0),
         I=lambda y: np.power(y, 1.0 / (gamma - 1.0)),
         V=lambda y: (1.0 - gamma) / gamma * np.power(y, conj),
         Vprime=lambda y: -np.power(y, 1.0 / (gamma - 1.0)),
@@ -94,9 +99,9 @@ class UtilitySpec:
     reference: Measure
 
     # populated on first use
-    _leaves: tuple[str, ...] = field(default=(), repr=False)
-    _p_weights: np.ndarray | None = field(default=None, repr=False)
-    _densities: np.ndarray | None = field(default=None, repr=False)
+    _leaves: tuple[str, ...] = field(default=(), init=False, repr=False)
+    _p_weights: np.ndarray | None = field(default=None, init=False, repr=False)
+    _densities: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         support = frozenset(self.market.support_leaves())
@@ -150,93 +155,44 @@ class UtilitySpec:
 
 
 # ---------------------------------------------------------------------------
-# Projections
-# ---------------------------------------------------------------------------
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    import numpy as np
-
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
-
-
-def _project_orthant_halfspace(z: np.ndarray, a: np.ndarray, b: float) -> np.ndarray:
-    """Exact Euclidean projection onto {p >= 0, a . p <= b} for a >= 0, b > 0.
-
-    If clipping alone satisfies the cap we are done; otherwise the projection
-    is clip(z - t a) with the unique t > 0 making the cap tight.  The map
-    t -> a . clip(z - t a) is piecewise linear and decreasing, with coordinate
-    i active on t < z_i / a_i, so t is solved interval by interval using the
-    breakpoint order (never re-evaluated floating differences)."""
-    import numpy as np
-
-    p = np.maximum(z, 0.0)
-    if float(a @ p) <= b:
-        return p
-    pos = a > 0
-    ratios = z[pos] / a[pos]
-    az = a[pos] * z[pos]
-    a2 = a[pos] * a[pos]
-    bounds = [0.0] + sorted(set(float(r) for r in ratios if r > 0))
-    for k, lo in enumerate(bounds):
-        active = ratios > lo
-        sa2 = float(a2[active].sum())
-        if sa2 == 0:
-            break
-        t = (float(az[active].sum()) - b) / sa2
-        hi = bounds[k + 1] if k + 1 < len(bounds) else math.inf
-        if lo - 1e-12 <= t <= hi:
-            return np.maximum(z - t * a, 0.0)
-    # numerically at the boundary of the last interval
-    t = bounds[-1]
-    return np.maximum(z - t * a, 0.0)
-
-
-def _project_feasible(z: np.ndarray, A: np.ndarray, b: float,
-                      sweeps: int = 2000, tol: float = 1e-14) -> np.ndarray:
-    """Projection onto {p >= 0, A p <= b} (rows of A nonnegative, b > 0).
-
-    One cap row: exact.  Several: Dykstra over the exactly-projectable sets
-    {p >= 0, row . p <= b}, followed by a multiplicative repair so the result
-    is always feasible (the solvers reject infeasible points anyway)."""
-    import numpy as np
-
-    if A.shape[0] == 1:
-        return _project_orthant_halfspace(z, A[0], b)
-    sets = A.shape[0]
-    p = np.maximum(z, 0.0)
-    corrections = [np.zeros_like(z) for _ in range(sets)]
-    for _ in range(sweeps):
-        prev = p.copy()
-        for s in range(sets):
-            y = p + corrections[s]
-            proj = _project_orthant_halfspace(y, A[s], b)
-            corrections[s] = y - proj
-            p = proj
-        if np.max(np.abs(p - prev)) <= tol * max(1.0, np.max(np.abs(p))):
-            break
-    p = np.maximum(p, 0.0)
-    loads = A @ p
-    worst = float(np.max(loads))
-    if worst > b:
-        p = p * (b / worst)
-    return p
-
-
-# ---------------------------------------------------------------------------
 # Primal and dual solvers
 # ---------------------------------------------------------------------------
 
-def primal_u(spec: UtilitySpec, x: float,
-             start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+def _barrier_newton(phi, newton, z: np.ndarray, mu: float) -> np.ndarray:
+    """Damped Newton steps along the log-barrier path (Boyd & Vandenberghe,
+    Convex Optimization, ch. 11).  phi(z, mu) is the objective plus mu times
+    the barrier, infinite outside its domain; newton(z, mu) gives its gradient
+    and Newton step.  Backtracking keeps every iterate inside the domain; mu
+    falls by MU_CUT each time the iterate is centered, MU_CUTS times.  More
+    than NEWTON_CAP steps raise AuditFailure."""
+    cuts = 0
+    f = phi(z, mu)
+    for _ in range(NEWTON_CAP):
+        g, d = newton(z, mu)
+        slope = float(g @ d)  # minus the squared Newton decrement
+        if math.isnan(slope):
+            raise AuditFailure("barrier Newton step is not a number")
+        # Armijo backtracking; the allowance for rounding accepts the full
+        # step once the decrease falls below what f can resolve
+        bound, t = f + 1e-14 * (abs(f) + mu), 1.0
+        while not (f_new := phi(z + t * d, mu)) <= bound + 0.25 * t * slope:
+            t *= 0.5
+        z, f = z + t * d, f_new
+        if -slope <= mu:  # centered: the squared Newton decrement is at most mu
+            if cuts == MU_CUTS:
+                return z
+            cuts += 1
+            mu *= MU_CUT
+            f = phi(z, mu)
+    raise AuditFailure(f"barrier Newton method did not converge within {NEWTON_CAP} steps")
+
+
+def primal_u(spec: UtilitySpec, x: float) -> tuple[float, np.ndarray]:
     """max E_P[U(p)] over p >= 0 with E_Q[p] <= x at every pricing vertex;
-    returns (u(x), maximizer).  Projected gradient ascent from x * 1."""
+    returns (u(x), maximizer).  The barrier is on the budget rows only: the
+    Inada conditions keep the optimum off p = 0, and the line search keeps
+    p > 0.  The Newton system is solved through the J x J Woodbury matrix,
+    which stays well conditioned as the active slacks shrink with mu."""
     import numpy as np
 
     _positive_finite(x, "wealth")
@@ -245,66 +201,33 @@ def primal_u(spec: UtilitySpec, x: float,
     A = spec.densities * P[np.newaxis, :]  # row j: leaf weights of vertex j
     util = spec.utility
 
-    def value(p: np.ndarray) -> float:
-        if np.any(p < 0) or float(np.max(A @ p)) > x * (1 + 1e-12):
-            return -math.inf
-        if np.any(p <= 0) and util.name == "log":
-            return -math.inf
-        with np.errstate(divide="ignore"):
-            return float(P @ util.U(p))
+    def phi(p, mu):
+        s = x - A @ p
+        if not (p.min() > 0 and s.min() > 0):
+            return math.inf
+        return -float(P @ util.U(p)) - mu * float(np.log(s).sum())
 
-    p = start.copy() if start is not None else np.full(len(P), float(x))
-    p = _project_feasible(p, A, float(x))
-    p = np.maximum(p, 1e-300)
-    fval = value(p)
-    # two orders tighter than the reported 1e-9 tolerance: the iterate error
-    # is the residual divided by the local curvature, which can be ~1e-2 here
-    rtol = 0.01 * KKT_TOL * max(1.0, float(x))
-    noise = 1e-15 * max(1.0, abs(fval))
-    best_res, stale = math.inf, 0
-    step = 1.0
-    prev: tuple[np.ndarray, np.ndarray] | None = None
-    for _ in range(ITER_CAP):
-        grad = P * util.Uprime(p)
-        res = float(np.max(np.abs(_project_feasible(p + grad, A, float(x)) - p)))
-        if res <= rtol:
-            break
-        if res < 0.9 * best_res:
-            best_res, stale = res, 0
-        else:
-            stale += 1
-            if stale > 500:
-                break  # float-resolution plateau
-        if prev is not None:
-            s = p - prev[0]
-            curv = float(s @ (prev[1] - grad))  # positive for concave objectives
-            ss = float(s @ s)
-            if curv > 0 and ss > 0:
-                step = min(max(ss / curv, 1e-12), 1e12)
-        prev = (p.copy(), grad.copy())
-        target = _project_feasible(p + step * grad, A, float(x))
-        d = target - p
-        slope = float(grad @ d)
-        if slope <= 0:
-            step = 1.0
-            continue
-        gamma = 1.0
-        while gamma > 1e-14:
-            cand = np.maximum(p + gamma * d, 1e-300)
-            fcand = value(cand)
-            if fcand >= fval + 1e-4 * gamma * slope - noise:
-                p, fval = cand, max(fcand, fval)
-                break
-            gamma *= 0.5
-        else:
-            break
-    return fval, p
+    def newton(p, mu):
+        s = x - A @ p
+        g = A.T @ (mu / s) - P * util.Uprime(p)
+        dinv = -1.0 / (P * util.Uprime2(p))  # inverse Hessian of -E_P[U(p)]
+        AD = A * dinv
+        h = dinv * g
+        M = np.diag(s * s / mu) + AD @ A.T
+        return g, AD.T @ np.linalg.solve(M, A @ h) - h
+
+    # E_P of every vertex density is 1, so p = x/2 leaves every budget row
+    # slack; the barrier weight starts at the objective's scale x U'(x)
+    p = _barrier_newton(phi, newton, np.full(len(P), 0.5 * x),
+                        x * float(util.Uprime(np.array(x))))
+    return float(P @ util.U(p)), p
 
 
-def dual_v(spec: UtilitySpec, y: float,
-           start: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+def dual_v(spec: UtilitySpec, y: float) -> tuple[float, np.ndarray]:
     """min E_P[V(q)] over q = y * (mixture of vertex densities); returns
-    (v(y), minimizer q).  The mixture weights live on the simplex."""
+    (v(y), minimizer q).  The mixture weights live on the simplex: a barrier
+    on each weight and Newton steps that keep their sum at 1, solved in the
+    weights' own scale.  V'' is -1 / U''(I(q))."""
     import numpy as np
 
     _positive_finite(y, "the dual argument")
@@ -317,54 +240,28 @@ def dual_v(spec: UtilitySpec, y: float,
         q = y * Z[0]
         return float(P @ util.V(np.maximum(q, 1e-300))), q
 
-    def value(lam: np.ndarray) -> float:
+    def phi(lam, mu):
         q = y * (lam @ Z)
-        if np.any(q <= 0):
+        if not (lam.min() > 0 and q.min() > 0):
             return math.inf
-        return float(P @ util.V(q))
+        return float(P @ util.V(q)) - mu * float(np.log(lam).sum())
 
-    lam = start.copy() if start is not None else np.full(J, 1.0 / J)
-    fval = value(lam)
-    noise = 1e-15 * max(1.0, abs(fval))
-    best_res, stale = math.inf, 0
-    step = 1.0
-    prev: tuple[np.ndarray, np.ndarray] | None = None
-    for _ in range(ITER_CAP):
-        q = np.maximum(y * (lam @ Z), 1e-300)
-        grad = y * (Z @ (P * util.Vprime(q)))
-        res = float(np.max(np.abs(_project_simplex(lam - grad) - lam)))
-        if res <= 0.01 * KKT_TOL:
-            break
-        if res < 0.9 * best_res:
-            best_res, stale = res, 0
-        else:
-            stale += 1
-            if stale > 500:
-                break
-        if prev is not None:
-            s = lam - prev[0]
-            curv = float(s @ (grad - prev[1]))  # positive for convex objectives
-            ss = float(s @ s)
-            if curv > 0 and ss > 0:
-                step = min(max(ss / curv, 1e-12), 1e12)
-        prev = (lam.copy(), grad.copy())
-        target = _project_simplex(lam - step * grad)
-        d = target - lam
-        slope = float(grad @ d)
-        if slope >= 0:
-            step = 1.0
-            continue
-        gamma = 1.0
-        while gamma > 1e-14:
-            cand = lam + gamma * d
-            fcand = value(cand)
-            if fcand <= fval + 1e-4 * gamma * slope + noise:
-                lam, fval = cand, min(fcand, fval)
-                break
-            gamma *= 0.5
-        else:
-            break
-    return fval, y * (lam @ Z)
+    def newton(lam, mu):
+        # KKT system for the step d = lam * e with sum(d) = 0: the barrier's
+        # Hessian diag(mu / lam**2) becomes mu * I
+        q = y * (lam @ Z)
+        g = y * (Z @ (P * util.Vprime(q))) - mu / lam
+        Zs = (y * lam)[:, np.newaxis] * Z
+        K = np.zeros((J + 1, J + 1))
+        K[:J, :J] = (Zs * (-P / util.Uprime2(util.I(q)))) @ Zs.T + mu * np.eye(J)
+        K[:J, J] = K[J, :J] = lam
+        e = np.linalg.solve(K, np.append(-lam * g, 0.0))
+        return g, lam * e[:J]
+
+    lam = _barrier_newton(phi, newton, np.full(J, 1.0 / J),
+                          y * float(util.I(np.array(y))))
+    q = y * (lam @ Z)
+    return float(P @ util.V(q)), q
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +281,7 @@ class DualityReport:
     passed: bool
 
 
-def _u_prime(spec: UtilitySpec, x: float, u_x: float, p_hat: np.ndarray) -> float:
+def _u_prime(spec: UtilitySpec, x: float, p_hat: np.ndarray) -> float:
     """The sensitivity of u via the optimizer formula (validated separately
     against finite differences in the audit)."""
     P = spec.p_weights
@@ -448,18 +345,12 @@ def duality_audit(
 
     u_vals, v_vals = [], []
 
-    prev: tuple[float, np.ndarray] | None = None
     u_cache: dict[float, tuple[float, np.ndarray]] = {}
 
     def solve_u(x: float) -> tuple[float, np.ndarray]:
-        nonlocal prev
-        if x in u_cache:
-            return u_cache[x]
-        start = prev[1] * (x / prev[0]) if prev is not None else None
-        val, p = primal_u(spec, x, start=start)
-        prev = (x, p)
-        u_cache[x] = (val, p)
-        return val, p
+        if x not in u_cache:
+            u_cache[x] = primal_u(spec, x)
+        return u_cache[x]
 
     for x in x_grid:
         u_x, p_hat = solve_u(x)
@@ -473,7 +364,7 @@ def duality_audit(
 
         record("optimizer_coupling", float(np.max(np.abs(p_hat - util.I(q_hat)))), x)
         record("product_identity", abs(float(P @ (p_hat * q_hat)) - x * y), x)
-        record("u_prime_formula", abs(_u_prime(spec, x, u_x, p_hat) - y), x)
+        record("u_prime_formula", abs(_u_prime(spec, x, p_hat) - y), x)
         dy = 1e-5 * y
         v_plus, _ = dual_v(spec, y + dy)
         v_minus, _ = dual_v(spec, y - dy)
@@ -498,8 +389,7 @@ def duality_audit(
 
     # conjugacy v(y) = sup_x [u(x) - x y]: locate x with u'(x) = y by bisection
     def u_slope(x: float) -> float:
-        val, p_hat = solve_u(x)
-        return _u_prime(spec, x, val, p_hat)
+        return _u_prime(spec, x, solve_u(x)[1])
 
     for y in y_grid:
         lo, hi = 1e-6, 1e6

@@ -1,6 +1,7 @@
 """Command-line surface: dispatch, exit codes, piping, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from semistatic.cli import main
 from semistatic.fixtures import fixture_json
+from semistatic.utility import power_utility
 
 F = Fraction
 
@@ -394,11 +396,19 @@ def test_utility_audit_cli(capsys):
     assert report["passed"] is True
 
 
-def test_failed_utility_audit_is_a_verification_failure(capsys):
+def test_failed_utility_audit_is_a_verification_failure(capsys, monkeypatch):
     """A residual over tolerance exits 3, the verification-failure code, not
-    1: the audit's optimizer coupling does not close on P2 at power:0.5."""
+    1: with an inverse marginal utility off by a factor 2, the optimizer
+    coupling does not close."""
+    import semistatic.cli as cli
+
+    def wrong_inverse(gamma):
+        util = power_utility(gamma)
+        return dataclasses.replace(util, I=lambda y: 2 * util.I(y))
+
+    monkeypatch.setattr(cli, "power_utility", wrong_inverse)
     code, out, err = run_cli(
-        capsys, "utility", "audit", "--market", "P2", "--utility", "power:0.5",
+        capsys, "utility", "audit", "--market", "B1", "--utility", "power:0.5",
         "--x-grid", "1",
     )
     assert code == 3
@@ -409,8 +419,9 @@ def test_failed_utility_audit_is_a_verification_failure(capsys):
 
 SRC =Path(__file__).resolve().parents[1] / "src"
 
-# `utility audit --market B1 --utility power:0.5` as reported before numpy was
-# imported lazily
+# `utility audit --market B1 --utility power:0.5` as reported by the barrier
+# Newton solver; u(x) = 2 sqrt(x), and v(y) = 1 / y at y = u'(x) by central
+# differences
 B1_POWER_HALF_AUDIT = {
     "asymptotic_elasticity": 0.5,
     "command": "utility",
@@ -420,16 +431,16 @@ B1_POWER_HALF_AUDIT = {
 }
 B1_POWER_HALF_VALUES = {
     "u_values": [1.4142135623730951, 2.0, 2.8284271247461903, 4.0],
-    "v_values": [0.7071067811783067, 0.9999999999934488, 1.4142135623566134,
-                 1.9999999999868976],
+    "v_values": [0.7071067811783067, 0.9999999999712443, 1.4142135623566134,
+                 1.9999999999424887],
 }
 B1_POWER_HALF_RESIDUALS = {
-    "conjugacy_u_from_v": 4.440892098500626e-16,
-    "optimizer_coupling": 5.240963218966499e-11,
-    "product_identity": 0.0,
+    "conjugacy_u_from_v": 4.75175454539567e-14,
+    "optimizer_coupling": 2.2995028103878212e-10,
+    "product_identity": 4.75175454539567e-14,
     "u_concave": 0.0,
     "u_monotone": 0.0,
-    "u_prime_formula": 1.6481482845165374e-11,
+    "u_prime_formula": 2.876743288027228e-11,
     "v_prime_formula": 4.076810000697151e-10,
 }
 

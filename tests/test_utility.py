@@ -18,7 +18,7 @@ from semistatic import (
     power_utility,
     primal_u,
 )
-from semistatic.utility import UtilityError, _project_simplex
+from semistatic.utility import UtilityError
 
 F = Fraction
 
@@ -173,9 +173,10 @@ def test_audit_fails_on_nan_residual(b1):
         duality_audit(spec, [1.0, 2.0])
 
 
-def test_audit_fails_on_the_x_grid_before_the_y_grid_bisection(p2, monkeypatch):
+def test_audit_fails_on_the_x_grid_before_the_y_grid_bisection(b1, monkeypatch):
     """An x-grid residual over tolerance raises before the y grid's conjugacy
-    bisection, which would otherwise solve up to 200 primal problems per y."""
+    bisection, which would otherwise solve up to 200 primal problems per y.
+    The residual comes from an inverse marginal utility off by a factor 2."""
     import semistatic.utility as utility
 
     calls = []
@@ -188,7 +189,8 @@ def test_audit_fails_on_the_x_grid_before_the_y_grid_bisection(p2, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(utility, "primal_u", budgeted)
-    spec = _spec(p2, power_utility(0.5))
+    real_util = power_utility(0.5)
+    spec = _spec(b1, dataclasses.replace(real_util, I=lambda y: 2 * real_util.I(y)))
     with pytest.raises(AuditFailure, match="optimizer_coupling residual"):
         duality_audit(spec, [1.0], [0.5, 2.0])
     assert len(calls) == 3  # x and x +- dx only
@@ -218,12 +220,56 @@ def test_incomplete_market_relations():
     assert abs(u_x - (v_y + x * y)) < 1e-6
 
 
-def test_simplex_projection():
-    v = np.array([0.3, 2.0, -1.0])
-    p = _project_simplex(v)
-    assert abs(p.sum() - 1.0) < 1e-12
-    assert np.all(p >= 0)
-    assert np.allclose(p, [0.0, 1.0, 0.0])
-    q = _project_simplex(np.array([0.4, 0.6, 0.2]))
-    assert abs(q.sum() - 1.0) < 1e-12
-    assert np.allclose(q, [1.0 / 3, 1.0 / 3 + 0.2, 1.0 / 3 - 0.2])
+
+P2_UTILITIES = [log_utility, lambda: power_utility(0.5), lambda: power_utility(0.3)]
+
+
+@pytest.mark.parametrize("make_utility", P2_UTILITIES, ids=["log", "power0.5", "power0.3"])
+def test_audit_p2_on_every_grid_order(p2, make_utility):
+    """The paper's motivating market, with five pricing vertices: the audit
+    passes on every grid, and u(1) does not depend on the grid around it."""
+    spec = _spec(p2, make_utility())
+    u_at_1 = []
+    for grid in ([1.0], [4.0], [2.0, 1.0], [0.5, 1.0, 2.0, 4.0]):
+        report = duality_audit(spec, grid)
+        assert report.passed
+        u_at_1 += [u for x, u in zip(report.x_grid, report.u_values) if x == 1.0]
+    assert len(u_at_1) == 3
+    assert len(set(u_at_1)) == 1
+
+
+def test_p2_power_half_values(p2):
+    """u(x) = c * sqrt(x) on P2 for U = 2 sqrt(x), with c read off the dual."""
+    spec = _spec(p2, power_utility(0.5))
+    assert abs(primal_u(spec, 1.0)[0] - 2.143033502) < 1e-9
+    assert abs(primal_u(spec, 4.0)[0] - 4.286067005) < 1e-9
+
+
+@pytest.mark.parametrize("make_utility", P2_UTILITIES, ids=["log", "power0.5", "power0.3"])
+@pytest.mark.parametrize("x", [1.0, 4.0])
+def test_weak_duality_sandwich_p2(p2, make_utility, x):
+    """E_P[U(p~)] <= u(x) <= v(y) + x y, where p~ = I(q^) scaled into the
+    budget set is feasible and y = u'(x) by central differences."""
+    spec = _spec(p2, make_utility())
+    util = spec.utility
+    P = spec.p_weights
+    A = spec.densities * P[np.newaxis, :]
+    u_x, _ = primal_u(spec, x)
+    dx = 1e-5 * x
+    y = (primal_u(spec, x + dx)[0] - primal_u(spec, x - dx)[0]) / (2 * dx)
+    v_y, q_hat = dual_v(spec, y)
+    p_tilde = util.I(q_hat)
+    p_tilde = p_tilde * min(1.0, x / float(np.max(A @ p_tilde)))
+    assert float(P @ util.U(p_tilde)) <= u_x + 1e-9
+    assert u_x <= v_y + x * y + 1e-9
+
+
+def test_newton_step_cap_raises(p2, monkeypatch):
+    import semistatic.utility as utility
+
+    monkeypatch.setattr(utility, "NEWTON_CAP", 1)
+    spec = _spec(p2, log_utility())
+    with pytest.raises(AuditFailure, match="did not converge within 1 steps"):
+        primal_u(spec, 1.0)
+    with pytest.raises(AuditFailure, match="did not converge within 1 steps"):
+        dual_v(spec, 1.0)
