@@ -11,9 +11,9 @@ from .market import (
     MarketSpec,
     MarketError,
     build_market,
-    gains_to,
     market_to_json,
     portfolio_value,
+    portfolio_values,
 )
 from .fixtures import FIXTURE_NAMES, fixture_json, load_fixture
 from .lp import Constraint, LpProblem, LpSolution, con, solve
@@ -24,7 +24,6 @@ from .stopping import (
     StoppingTime,
     count_stopping_times,
     enumerate_stopping_times,
-    liquidate_payoff,
     snell_envelope,
     snell_optimal_stop,
     snell_value,

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .hedging import StrategySpace, VerificationFailure
 from .lp import GE, LE, LpProblem, con, solve
-from .market import HedgePortfolio, MarketSpec, portfolio_value
+from .market import HedgePortfolio, MarketSpec, portfolio_values
 from .measures import Measure, PricingSetSpec, SlackResult, membership, strict_emm_slack
 from .rational import rat, rat_str
 from .stopping import (
@@ -59,19 +59,15 @@ class ArbitrageVerdict:
         return f"ArbitrageVerdict({self.verdict})"
 
 
-def _verify_arbitrage_portfolio(
-    market: MarketSpec, portfolio: HedgePortfolio, support: Sequence[str]
-) -> None:
-    """Certificate soundness: value >= 0 on the support, > 0 somewhere."""
-    positive = False
-    for leaf in support:
-        v = portfolio_value(market, portfolio, leaf)
+def _verify_arbitrage_portfolio(values: Sequence[Fraction], support: Sequence[str]) -> None:
+    """Certificate soundness: a portfolio's `values` on the support (from
+    `portfolio_values`) are >= 0 everywhere and > 0 somewhere."""
+    for leaf, v in zip(support, values):
         if v < 0:
             raise VerificationFailure(
                 f"claimed arbitrage is worth {rat_str(v)} < 0 at leaf {leaf}"
             )
-        positive = positive or v > 0
-    if not positive:
+    if not any(values):
         raise VerificationFailure("claimed arbitrage never wins")
 
 
@@ -148,7 +144,7 @@ def check_na(
     if found is None:
         return ArbitrageVerdict(verdict=NO_ARBITRAGE,
                                 shifted_g=g_prices, shifted_h=h_prices)
-    _verify_arbitrage_portfolio(shifted, found.portfolio, support)
+    _verify_arbitrage_portfolio(portfolio_values(shifted, found.portfolio, support), support)
     return found
 
 
@@ -183,8 +179,9 @@ def check_sna(market: MarketSpec) -> ArbitrageVerdict:
         )
     portfolio = slack.certificate
     support = market.support_leaves()
-    if any(portfolio_value(market, portfolio, leaf) for leaf in support):
-        _verify_arbitrage_portfolio(market, portfolio, support)
+    values = portfolio_values(market, portfolio, support)
+    if any(values):
+        _verify_arbitrage_portfolio(values, support)
         return ArbitrageVerdict(
             verdict=ARBITRAGE, slack=slack, portfolio=portfolio,
             shifted_g=market.g_prices, shifted_h=market.h_prices,
@@ -195,9 +192,8 @@ def check_sna(market: MarketSpec) -> ArbitrageVerdict:
     eps = Fraction(1, 2)
     shifted_g = tuple(p - eps for p in market.g_prices)
     shifted_h = tuple(p - eps for p in market.h_prices)
-    _verify_arbitrage_portfolio(
-        market.with_options(g_prices=shifted_g, h_prices=shifted_h), portfolio, support
-    )
+    shifted = market.with_options(g_prices=shifted_g, h_prices=shifted_h)
+    _verify_arbitrage_portfolio(portfolio_values(shifted, portfolio, support), support)
     return ArbitrageVerdict(
         verdict=STRICT_NO_ARBITRAGE_FAILS, slack=slack,
         portfolio=portfolio, shifted_g=shifted_g, shifted_h=shifted_h,

@@ -19,8 +19,8 @@ exact duals on its `leaf[...]` rows a pricing measure in the closed pricing
 set that attains the price: LP duality carries the FTAP duality, and for the
 American part the Snell envelope is the LP dual of the exercise flow (Manne
 1960).  `duality_gap_report` re-verifies a result from scratch, trusting
-nothing from the solver: the strategy through plain portfolio evaluation, the
-measure through exact membership, and the measure's value against the price,
+nothing from the solver: the strategy by evaluating it on every leaf in one
+pass (`portfolio_values`), the measure through exact membership, and the measure's value against the price,
 which closes the gap by weak duality.
 
 Every hedge requires strict no-arbitrage of its market.  That is a property
@@ -33,12 +33,12 @@ its re-verification run per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .lp import EQ, GE, LE, Constraint, LpProblem, LpSolution, con, solve
-from .market import HedgePortfolio, MarketSpec, portfolio_value
+from .market import HedgePortfolio, MarketSpec, portfolio_values
 from .measures import (
     Measure,
     PricingSetSpec,
@@ -58,7 +58,6 @@ from .stopping import (
     LiquidatingStrategy,
     StoppingTime,
     enumerate_stopping_times,
-    liquidate_payoff,
     snell_value,
     stop_everywhere_at,
 )
@@ -494,8 +493,10 @@ def duality_gap_report(result: HedgeResult) -> dict:
     """Re-verify a hedge result from first principles and emit a
     machine-readable certificate.
 
-    Primal feasibility is recomputed through `portfolio_value` (never the LP),
-    the dual measure is pushed through exact membership, and the two sides
+    Primal feasibility is recomputed by evaluating the strategy on every leaf
+    in one `portfolio_values` pass (never from the LP); for "sub_am" the
+    claim's exercise flow rides that pass as one more American leg.  The dual
+    measure is pushed through exact membership, and the two sides
     must agree to the rational digit.  Raises VerificationFailure naming the
     offending leaf or constraint."""
     m = result.market
@@ -504,14 +505,16 @@ def duality_gap_report(result: HedgeResult) -> dict:
     if result.gap != 0:
         raise VerificationFailure(f"nonzero duality gap {rat_str(result.gap)}")
     leaves = result.details.get("pointwise_leaves") or m.support_leaves()
-    port = result.portfolio
-    for leaf in leaves:
-        value = portfolio_value(m, port, leaf) if port is not None else ZERO
+    held = m
+    port = result.portfolio if result.portfolio is not None else HedgePortfolio()
+    if result.kind == "sub_am":
+        # the claim's exercise flow is one more American leg, held once at price 0
+        held = m.with_options(h=(result.claim,) + m.h, h_prices=(ZERO,) + m.h_prices)
+        port = replace(port, c=(Fraction(1),) + port.c, mu=(result.eta,) + port.mu)
+    for leaf, value in zip(leaves, portfolio_values(held, port, leaves)):
         if result.kind == "sub_eu":
-            value += result.claim.at(leaf)
-            ok = value >= result.price
+            ok = value + result.claim.at(leaf) >= result.price
         elif result.kind == "sub_am":
-            value += liquidate_payoff(result.eta, result.claim, leaf)
             ok = value >= result.price
         elif result.kind in ("super_div", "super_indiv"):
             ok = result.price + value >= result.claim.at(leaf)

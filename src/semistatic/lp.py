@@ -26,9 +26,12 @@ tableau):
   infeasible -> a Farkas multiplier vector, checked by multiplication,
   unbounded  -> a feasible point plus an improving ray, checked directly.
 
-Each sum these checks take (a row at a point, a column of A^T y, b.y) is
-accumulated as one integer numerator over a common denominator and normalized
-once (`_dot`), which is the same rational as summing Fractions term by term.
+The re-checks run in integers.  Each solution vector (values, duals or
+Farkas multipliers with the reduced costs, a ray) is put over one common
+denominator, and each original row over the lcm of its own denominators, read
+from `problem.constraints`.  Every feasibility, sign, slackness, c - A^T y,
+objective and b.y check is then one exact integer comparison, equivalent to
+the same check summed in Fractions.
 
 Variables are nonnegative unless listed in `free`; anything else (upper
 bounds, lower bounds) is written as an explicit constraint row.  Solves share
@@ -40,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .rational import rat
 
@@ -117,29 +120,6 @@ class LpSolution:
 
     def value(self, name: str) -> Fraction:
         return self.values.get(name, ZERO)
-
-
-def _dot(pairs: Iterable[tuple[Fraction, Fraction]]) -> Fraction:
-    """Exact sum of a * b over rational pairs (Fractions or ints).
-
-    The terms are summed as one integer numerator over a running lcm of their
-    denominators and normalized once at the end, instead of building and
-    normalizing one Fraction per term; the result is the same Fraction."""
-    num, den = 0, 1
-    for a, b in pairs:
-        p = a.numerator * b.numerator
-        if p:
-            q = a.denominator * b.denominator
-            if den % q:
-                step = q // gcd(den, q)
-                num *= step
-                den *= step
-            num += p * (den // q)
-    return Fraction(num, den)
-
-
-def eval_row(coeffs: Mapping[str, Fraction], values: Mapping[str, Fraction]) -> Fraction:
-    return _dot((c, values.get(v, 0)) for v, c in coeffs.items())
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +331,11 @@ def solve(problem: LpProblem) -> LpSolution:
     tab = _Tableau(total_cols, basis,
                    [col_of[v] for v in problem.variables if v in problem.free])
     row_scale: list[tuple[int, int]] = []
-    for row, f in zip(problem.constraints, flip):
-        b = row.rhs
-        coeffs = row.coeffs
-        scale = lcm(b.denominator, *[c.denominator for c in coeffs.values()])
+    for row, f, (scale, ints, bi) in zip(problem.constraints, flip, _integer_rows(problem)):
         sgn = -1 if f else 1
-        ints = [sgn * c.numerator * (scale // c.denominator) for c in coeffs.values()]
-        bi = sgn * b.numerator * (scale // b.denominator)
+        if f:
+            ints = [-c for c in ints]
+            bi = -bi
         g = gcd(bi, *ints)
         if g > 1:  # keep the integer tableau's seeds small
             ints = [c // g for c in ints]
@@ -365,11 +343,12 @@ def solve(problem: LpProblem) -> LpSolution:
         else:
             g = 1
         dense = [0] * (total_cols - m)
-        for v, c in zip(coeffs, ints):
+        for v, c in zip(row.coeffs, ints):
             dense[col_of[v]] = c  # structural columns are the first slots
         tab.rows.append(dense)
         tab.b.append(bi)
         row_scale.append((sgn * scale, g))
+    rhs = list(tab.b)  # the internal rhs, before any pivot
     for idx, (i, coef) in enumerate(extra):
         s = tab.slot_of[nstruct + idx]
         if s >= 0:
@@ -439,15 +418,19 @@ def solve(problem: LpProblem) -> LpSolution:
     # duals are read as the Farkas vector is, with the costs' obj_scale and
     # sense undone; a structural column's reduced cost is its own obj entry,
     # negated back if the column is stored negated.  verify_solution checks
-    # both against c - A^T y of the original problem.
+    # both against c - A^T y of the original problem.  y below is internal
+    # row i's dual times od * obj_scale, and internal row i is the original
+    # row times row_scale[i], so b.y is one integer sum of y * rhs[i].
     od, d = tab.od, tab.d
     values = named(tab.basic_values())
     duals: list[Fraction] = []
+    by = 0
     for i in range(m):
         idc = slack_col[i] if slack_col[i] is not None else art_col[i]
         num, den = row_scale[i]
-        duals.append(Fraction(sense_sign * (objective_int[idc] * od - tab.reduced(idc)) * num,
-                              od * obj_scale * den))
+        y = sense_sign * (objective_int[idc] * od - tab.reduced(idc))
+        duals.append(Fraction(y * num, od * obj_scale * den))
+        by += y * rhs[i]
     reduced = {v: Fraction(sense_sign * tab.sign[j] * tab.reduced(j), od * obj_scale)
                for v, j in col_of.items()}
     objective = sense_sign * Fraction(
@@ -455,10 +438,9 @@ def solve(problem: LpProblem) -> LpSolution:
             for i, var in enumerate(tab.basis)),
         d * obj_scale,
     )
-    dual_objective = _dot(zip(duals, [row.rhs for row in problem.constraints]))
     sol = LpSolution(
         status="optimal", objective=objective, values=values, duals=duals,
-        reduced_costs=reduced, dual_objective=dual_objective, pivots=pivots,
+        reduced_costs=reduced, dual_objective=Fraction(by, od * obj_scale), pivots=pivots,
     )
     verify_solution(problem, sol)
     return sol
@@ -468,19 +450,57 @@ def solve(problem: LpProblem) -> LpSolution:
 # Certificate verification (independent of solver internals)
 # ---------------------------------------------------------------------------
 
-def _check(ok: bool, msg: str) -> None:
+def _check(ok: bool, msg: str, *args) -> None:
+    """Raise `msg` formatted with `args` (formatted only on failure)."""
     if not ok:
-        raise LpVerificationError(msg)
+        raise LpVerificationError(msg.format(*args))
 
 
-def _combine(problem: LpProblem, multipliers: Sequence[Fraction]) -> dict[str, Fraction]:
-    """y^T A of the original rows, per variable."""
-    terms: dict[str, list] = {v: [] for v in problem.variables}
-    for y, row in zip(multipliers, problem.constraints):
+IntRow = tuple[int, list[int], int]
+
+
+def _integer_row(coeffs: Mapping[str, Fraction], rhs: Fraction) -> IntRow:
+    """A row times the lcm of its coefficients' and its rhs's denominators:
+    (that lcm, the integer coefficients in `coeffs` order, the integer rhs)."""
+    scale = lcm(rhs.denominator, *[c.denominator for c in coeffs.values()])
+    return (scale, [c.numerator * (scale // c.denominator) for c in coeffs.values()],
+            rhs.numerator * (scale // rhs.denominator))
+
+
+def _integer_rows(problem: LpProblem) -> list[IntRow]:
+    """Every original constraint over the lcm of its own denominators: the
+    set-up integerizes these, and each re-check below computes them afresh
+    from the problem."""
+    return [_integer_row(row.coeffs, row.rhs) for row in problem.constraints]
+
+
+def _common(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Rationals over one common denominator: (numerators, denominator)."""
+    den = lcm(*[x.denominator for x in xs])
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def _equals(num: int, den: int, x: Fraction) -> bool:
+    return num * x.denominator == x.numerator * den
+
+
+def _combine(problem: LpProblem, rows: list[IntRow], multipliers: Sequence[Fraction],
+             *dens: int) -> tuple[dict[str, int], int, int]:
+    """y^T A per variable and y.b of the original rows, over one denominator
+    D: a common multiple of `dens` and of each y_i's denominator times its
+    row's scale, so y_i * row_i is (y_i * D / scale_i) * integer row_i / D.
+    Returns (D * y^T A, D * y.b, D)."""
+    den = lcm(*[y.denominator * scale for y, (scale, _, _) in zip(multipliers, rows) if y],
+              *dens)
+    combo = dict.fromkeys(problem.variables, 0)
+    total = 0
+    for y, row, (scale, ints, b) in zip(multipliers, problem.constraints, rows):
         if y:
-            for v, c in row.coeffs.items():
-                terms[v].append((y, c))
-    return {v: _dot(t) for v, t in terms.items()}
+            z = y.numerator * (den // (y.denominator * scale))
+            for v, c in zip(row.coeffs, ints):
+                combo[v] += z * c
+            total += z * b
+    return combo, total, den
 
 
 def verify_solution(problem: LpProblem, sol: LpSolution) -> None:
@@ -488,39 +508,49 @@ def verify_solution(problem: LpProblem, sol: LpSolution) -> None:
     slackness, reduced costs equal to c - A^T y and of the right sign, and
     primal objective == b.y == dual objective, all computed from the original
     problem's coefficients."""
+    rows = _integer_rows(problem)
     sense_sign = 1 if problem.sense == "max" else -1
-    for v in problem.variables:
+    names = problem.variables
+    xs, dx = _common([sol.values.get(v, ZERO) for v in names])
+    x = dict(zip(names, xs))
+    for v in names:
         if v not in problem.free:
-            _check(sol.values.get(v, ZERO) >= 0, f"variable {v} negative")
+            _check(x[v] >= 0, "variable {} negative", v)
     # a rational has its numerator's sign: dual signs are read off numerators
-    for i, row in enumerate(problem.constraints):
-        lhs = eval_row(row.coeffs, sol.values)
+    for i, (row, (_, ints, b)) in enumerate(zip(problem.constraints, rows)):
+        lhs = sum(c * x[v] for v, c in zip(row.coeffs, ints))
+        rhs = b * dx
         y = sol.duals[i]
         label = row.name or f"#{i}"
         if row.rel == LE:
-            _check(lhs <= row.rhs, f"constraint {label} violated")
-            _check(sense_sign * y.numerator >= 0, f"dual sign at {label}")
+            _check(lhs <= rhs, "constraint {} violated", label)
+            _check(sense_sign * y.numerator >= 0, "dual sign at {}", label)
         elif row.rel == GE:
-            _check(lhs >= row.rhs, f"constraint {label} violated")
-            _check(sense_sign * y.numerator <= 0, f"dual sign at {label}")
+            _check(lhs >= rhs, "constraint {} violated", label)
+            _check(sense_sign * y.numerator <= 0, "dual sign at {}", label)
         else:
-            _check(lhs == row.rhs, f"constraint {label} violated")
-        _check(y == 0 or lhs == row.rhs, f"complementary slackness at {label}")
-    combo = _combine(problem, sol.duals)
-    for v in problem.variables:
+            _check(lhs == rhs, "constraint {} violated", label)
+        _check(y == 0 or lhs == rhs, "complementary slackness at {}", label)
+    # the duals, the reduced costs and c over one denominator
+    costs = problem.objective
+    combo, by, den = _combine(problem, rows, sol.duals,
+                              *[r.denominator for r in sol.reduced_costs.values()],
+                              *[c.denominator for c in costs.values()])
+    for v in names:
         rc = sol.reduced_costs[v]
-        _check(rc + combo[v] == problem.objective.get(v, 0),
-               f"reduced cost at {v} is not c - A^T y")
+        c = costs.get(v, ZERO)
+        _check(rc.numerator * (den // rc.denominator) + combo[v]
+               == c.numerator * (den // c.denominator),
+               "reduced cost at {} is not c - A^T y", v)
         if v in problem.free:
-            _check(rc == 0, f"nonzero reduced cost on free variable {v}")
+            _check(rc == 0, "nonzero reduced cost on free variable {}", v)
         else:
-            _check(sense_sign * rc.numerator <= 0, f"dual infeasibility at variable {v}")
-            _check(rc == 0 or sol.values.get(v, ZERO) == 0, f"variable slackness at {v}")
-    _check(eval_row(problem.objective, sol.values) == sol.objective,
-           "objective value mismatch")
-    dual = _dot(zip(sol.duals, [row.rhs for row in problem.constraints]))
-    _check(sol.dual_objective == dual, "dual objective is not b.y")
-    _check(dual == sol.objective, "strong duality gap is nonzero")
+            _check(sense_sign * rc.numerator <= 0, "dual infeasibility at variable {}", v)
+            _check(rc == 0 or x[v] == 0, "variable slackness at {}", v)
+    cx = sum(c.numerator * (den // c.denominator) * x[v] for v, c in costs.items())
+    _check(_equals(cx, den * dx, sol.objective), "objective value mismatch")
+    _check(_equals(by, den, sol.dual_objective), "dual objective is not b.y")
+    _check(_equals(by, den, sol.objective), "strong duality gap is nonzero")
 
 
 def verify_farkas(problem: LpProblem, farkas: Sequence[Fraction]) -> None:
@@ -528,37 +558,42 @@ def verify_farkas(problem: LpProblem, farkas: Sequence[Fraction]) -> None:
     for y, row in zip(farkas, problem.constraints):
         label = row.name or "?"
         if row.rel == LE:
-            _check(y >= 0, f"farkas sign at {label}")
+            _check(y.numerator >= 0, "farkas sign at {}", label)
         elif row.rel == GE:
-            _check(y <= 0, f"farkas sign at {label}")
-    combo = _combine(problem, farkas)
+            _check(y.numerator <= 0, "farkas sign at {}", label)
+    combo, total, _ = _combine(problem, _integer_rows(problem), farkas)
     for v in problem.variables:
         if v in problem.free:
-            _check(combo[v] == 0, f"farkas combination not zero on free {v}")
+            _check(combo[v] == 0, "farkas combination not zero on free {}", v)
         else:
-            _check(combo[v] >= 0, f"farkas combination negative on {v}")
-    total = _dot(zip(farkas, [row.rhs for row in problem.constraints]))
+            _check(combo[v] >= 0, "farkas combination negative on {}", v)
     _check(total < 0, "farkas certificate does not separate")
 
 
 def verify_ray(problem: LpProblem, point: Mapping[str, Fraction],
                ray: Mapping[str, Fraction]) -> None:
     """Check feasible point + improving recession direction."""
-    for v in problem.variables:
+    names = problem.variables
+    ps, dp = _common([point.get(v, ZERO) for v in names])
+    rs, _ = _common([ray.get(v, ZERO) for v in names])
+    p, r = dict(zip(names, ps)), dict(zip(names, rs))
+    for v in names:
         if v not in problem.free:
-            _check(point.get(v, ZERO) >= 0, f"point negative at {v}")
-            _check(ray.get(v, ZERO) >= 0, f"ray negative at {v}")
-    for row in problem.constraints:
-        lhs = eval_row(row.coeffs, point)
-        step = eval_row(row.coeffs, ray)
+            _check(p[v] >= 0, "point negative at {}", v)
+            _check(r[v] >= 0, "ray negative at {}", v)
+    for row, (_, ints, b) in zip(problem.constraints, _integer_rows(problem)):
+        lhs = sum(c * p[v] for v, c in zip(row.coeffs, ints))
+        rhs = b * dp
+        step = sum(c * r[v] for v, c in zip(row.coeffs, ints))
         label = row.name or "?"
         if row.rel == LE:
-            _check(lhs <= row.rhs and step <= 0, f"ray violates {label}")
+            _check(lhs <= rhs and step <= 0, "ray violates {}", label)
         elif row.rel == GE:
-            _check(lhs >= row.rhs and step >= 0, f"ray violates {label}")
+            _check(lhs >= rhs and step >= 0, "ray violates {}", label)
         else:
-            _check(lhs == row.rhs and step == 0, f"ray violates {label}")
-    gain = eval_row(problem.objective, ray)
+            _check(lhs == rhs and step == 0, "ray violates {}", label)
+    _, ints, _ = _integer_row(problem.objective, ZERO)
+    gain = sum(c * r[v] for v, c in zip(problem.objective, ints))
     if problem.sense == "max":
         _check(gain > 0, "ray does not improve the objective")
     else:

@@ -1,5 +1,9 @@
 """Market specifications, portfolio evaluation, and the market file format.
 
+`portfolio_values` is the one portfolio evaluator: it values a semi-static
+strategy at many leaves in one pass down the tree, and `portfolio_value` is
+its one-leaf call.
+
 A market is a stock process on an event tree plus three static option books
 with side semantics fixed by position: `f` two-sided European, `g` buy-only
 European, `h` buy-only infinitely divisible American.  The market file is a
@@ -15,7 +19,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .rational import rat, rat_str
-from .stopping import LiquidatingStrategy, StoppingTime, liquidate_payoff
+from .stopping import LiquidatingStrategy, StoppingTime
 from .tree import AdaptedProcess, EventTree, TerminalClaim, TreeError
 
 
@@ -133,37 +137,59 @@ class HedgePortfolio:
             raise MarketError("American position/exercise count mismatch")
 
 
-def gains_to(H: AdaptedProcess, market: MarketSpec, node: str) -> Fraction:
-    """Trading gains along the root-to-node path: sum over steps s < t of
-    H_s . (S_{s+1} - S_s).  H is read on non-leaf nodes only."""
+def portfolio_values(market: MarketSpec, p: HedgePortfolio,
+                     leaves: Sequence[str]) -> list[Fraction]:
+    """Terminal values H.S + a(f - fbar) + b(g - gbar) + c(mu(h) - hbar) at
+    each of `leaves`, in order, in one pass down the tree.
+
+    Each node on the leaves' paths is visited once: its trading gain
+    sum over steps s < t of H_s . (S_{s+1} - S_s) (H read on non-leaf nodes
+    only), and each held American leg's exercise payoff sum of mu * h along
+    the path, is its parent's value plus one step.  The static European legs
+    are added per leaf."""
     tree = market.tree
-    if H.dim != market.S.dim:
-        raise MarketError(f"H dimension {H.dim} != stock dimension {market.S.dim}")
-    path = tree.path(node)
-    total = Fraction(0)
-    for here, there in zip(path, path[1:]):
-        hvec = H.at(here)
-        s_here = market.S.at(here)
-        s_there = market.S.at(there)
-        total += sum(hl * (b - a) for hl, a, b in zip(hvec, s_here, s_there))
-    return total
+    for leaf in leaves:
+        if leaf not in tree or not tree.is_leaf(leaf):
+            raise MarketError(f"{leaf!r} is not a leaf")
+    H, S = p.H, market.S
+    if H is not None and H.dim != S.dim:
+        raise MarketError(f"H dimension {H.dim} != stock dimension {S.dim}")
+    legs = [(coef, eta, payoff, price)
+            for coef, eta, payoff, price in zip(p.c, p.mu, market.h, market.h_prices) if coef]
+    root = tree.root
+    # node -> (gain, exercise payoff of each held leg) along the root path
+    acc = {root: (Fraction(0), [eta.at(root) * h.scalar_at(root) for _, eta, h, _ in legs])}
+    out = []
+    for leaf in leaves:
+        path = tree.path(leaf)
+        i = len(path) - 1
+        while path[i] not in acc:
+            i -= 1
+        for here, there in zip(path[i:], path[i + 1:]):
+            gain, paid = acc[here]
+            if H is not None:
+                s_here = S.at(here)
+                for hl, a, b in zip(H.at(here), s_here, S.at(there)):
+                    if hl:
+                        gain += hl * (b - a)
+            acc[there] = (gain, [x + eta.at(there) * h.scalar_at(there)
+                                 for x, (_, eta, h, _) in zip(paid, legs)])
+        total, paid = acc[leaf]
+        for coef, claim, price in zip(p.a, market.f, market.f_prices):
+            if coef:
+                total += coef * (claim.at(leaf) - price)
+        for coef, claim, price in zip(p.b, market.g, market.g_prices):
+            if coef:
+                total += coef * (claim.at(leaf) - price)
+        for x, (coef, _, _, price) in zip(paid, legs):
+            total += coef * (x - price)
+        out.append(total)
+    return out
 
 
 def portfolio_value(market: MarketSpec, p: HedgePortfolio, leaf: str) -> Fraction:
-    """Terminal value on the path to `leaf`:
-    H.S + a(f - fbar) + b(g - gbar) + c(mu(h) - hbar)."""
-    if leaf not in market.tree.leaves:
-        raise MarketError(f"{leaf!r} is not a leaf")
-    total = Fraction(0)
-    if p.H is not None:
-        total += gains_to(p.H, market, leaf)
-    for coef, claim, price in zip(p.a, market.f, market.f_prices):
-        total += coef * (claim.at(leaf) - price)
-    for coef, claim, price in zip(p.b, market.g, market.g_prices):
-        total += coef * (claim.at(leaf) - price)
-    for coef, eta, payoff, price in zip(p.c, p.mu, market.h, market.h_prices):
-        total += coef * (liquidate_payoff(eta, payoff, leaf) - price)
-    return total
+    """Terminal value on the path to `leaf` (`portfolio_values` of one leaf)."""
+    return portfolio_values(market, p, (leaf,))[0]
 
 
 # ---------------------------------------------------------------------------

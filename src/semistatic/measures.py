@@ -27,6 +27,7 @@ from .polytope import Polytope, vertices
 from .rational import rat, rat_str
 from .stopping import (
     StoppingTime,
+    _subtree_masses,
     enumerate_stopping_times,
     snell_optimal_stop,
     snell_value,
@@ -48,7 +49,7 @@ class Measure:
         w: dict[str, Fraction] = {}
         total = ZERO
         for leaf, val in weights.items():
-            if leaf not in tree.leaves:
+            if leaf not in tree or not tree.is_leaf(leaf):
                 raise MeasureError(f"weight on non-leaf node {leaf!r}")
             x = rat(val)
             if x < 0:
@@ -409,15 +410,14 @@ def membership(Q: Measure, spec: PricingSetSpec, strict: bool) -> MembershipRepo
     if off_support:
         bad.append(f"support outside the market support: {sorted(off_support)}")
     tree = m.tree
+    mass = _subtree_masses(Q)
     for node in tree.nonleaf_nodes():
         for l_idx in range(m.dim):
             drift = ZERO
             for child in tree.children(node):
                 step = m.S.at(child)[l_idx] - m.S.at(node)[l_idx]
                 if step:
-                    drift += step * sum(
-                        (Q.at(leaf) for leaf in tree.leaves_under(child)), ZERO
-                    )
+                    drift += step * mass[child]
             if drift != 0:
                 bad.append(f"martingale drift {rat_str(drift)} at node {node} "
                            f"component {l_idx}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .lp import Constraint, EQ, GE, LE, con
@@ -57,16 +57,8 @@ class Polytope:
 
 def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector (direction only)."""
-    denom = 1
-    for v in vec:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
+    denom = lcm(*[v.denominator for v in vec])
+    return _primitive_int([v.numerator * (denom // v.denominator) for v in vec])
 
 
 def _dd_cone(rows: list[tuple[int, ...]], dim: int):
@@ -158,9 +150,7 @@ def rays_iter_acts(neg, zero, pos):
 
 
 def _primitive_int(vec: Sequence[int]) -> tuple[int, ...]:
-    g = 0
-    for v in vec:
-        g = gcd(g, abs(v))
+    g = gcd(*vec)
     if g > 1:
         return tuple(v // g for v in vec)
     return tuple(vec)
@@ -178,23 +168,27 @@ def vertices(poly: Polytope) -> list[dict[str, Fraction]]:
     t_row = [0] * dim
     t_row[0] = -1
     rows.append(tuple(t_row))  # t >= 0
+    col = {v: i + 1 for i, v in enumerate(names)}
     for c in poly.constraints:
-        base = [ZERO] * dim
-        base[0] = -rat(c.rhs)
-        for i, v in enumerate(names):
-            base[i + 1] = rat(c.coeffs.get(v, ZERO))
+        # integerized from its sparse coefficients, as `lp.solve` does
+        coeffs = {col[v]: x for v, x in c.coeffs.items() if v in col}
+        scale = lcm(c.rhs.denominator, *[x.denominator for x in coeffs.values()])
+        base = [0] * dim
+        base[0] = -c.rhs.numerator * (scale // c.rhs.denominator)
+        for i, x in coeffs.items():
+            base[i] = x.numerator * (scale // x.denominator)
+        row = _primitive_int(base)
         if c.rel in (LE, EQ):
-            rows.append(_primitive(base))
+            rows.append(row)
         if c.rel in (GE, EQ):
-            rows.append(_primitive([-x for x in base]))
+            rows.append(tuple(-x for x in row))
     lines, rays = _dd_cone(rows, dim)
 
     verts: list[dict[str, Fraction]] = []
     recession: list[tuple[int, ...]] = []
     for r, _ in rays:
         if r[0] > 0:
-            t = Fraction(r[0])
-            verts.append({v: Fraction(r[i + 1]) / t for i, v in enumerate(names)})
+            verts.append({v: Fraction(r[i + 1], r[0]) for i, v in enumerate(names)})
         elif r[0] == 0 and any(r[1:]):
             recession.append(r)
     for l in lines:

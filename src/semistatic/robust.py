@@ -200,11 +200,12 @@ def _dominating_slack(spec: RobustSpec, P: Measure) -> SlackResult | None:
     if floor not in slacks:
         m = spec.market
         best: SlackResult | None = None
-        for Pj in spec.priors:
-            if not floor <= Pj.support():
+        # one LP per distinct component support; the first prior wins ties
+        for carrier in dict.fromkeys(Pj.support() for Pj in spec.priors):
+            if not floor <= carrier:
                 continue
             res = max_slack(PricingSetSpec(m, support_floor=floor),
-                            carrier=_ordered(m.tree, Pj.support()))
+                            carrier=_ordered(m.tree, carrier))
             if res.status != "optimal":
                 continue
             if best is None or res.optimum > best.optimum:
@@ -219,7 +220,15 @@ def check_sna_robust(spec: RobustSpec) -> ArbitrageVerdict:
 
     Decided by per-prior slack LPs (maximized over the components whose
     support contains the prior's, and kept in the spec's cell); the verdict's
-    slacks give the common shifted quotes."""
+    slacks give the common shifted quotes.  The verdict is kept in the spec's
+    cell, where `_check_hypothesis` reads it too."""
+    decision = spec._decision()
+    if decision.verdict is None:
+        decision.verdict = _robust_verdict(spec)
+    return decision.verdict
+
+
+def _robust_verdict(spec: RobustSpec) -> ArbitrageVerdict:
     m = spec.market
     worst: Fraction | None = None
     witnesses: list[Measure] = []
@@ -270,11 +279,9 @@ def _check_hypothesis(spec: RobustSpec) -> None:
     """Robust strict no-arbitrage of the stock-plus-European part, decided
     once per spec family and read from its cell afterwards."""
     base = spec.reduced(0)
-    decision = base._decision()
-    if decision.verdict is None:
-        decision.verdict = check_sna_robust(base)
-    if decision.verdict.verdict != NO_ARBITRAGE:
-        raise HypothesisFailure(decision.verdict)
+    verdict = base._decision().verdict or check_sna_robust(base)
+    if verdict.verdict != NO_ARBITRAGE:
+        raise HypothesisFailure(verdict)
 
 
 def sub_hedge_robust(spec: RobustSpec, claim) -> HedgeResult:

@@ -22,6 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .measures import Measure
 
 DEFAULT_ENUM_CAP = 10**6
+ZERO = Fraction(0)
 
 
 class EnumerationCapError(RuntimeError):
@@ -37,7 +38,7 @@ class StoppingTime:
     def __init__(self, tree: EventTree, stop_nodes: Iterable[str]):
         self.tree = tree
         nodes = frozenset(stop_nodes)
-        unknown = nodes - set(tree.nodes)
+        unknown = {n for n in nodes if n not in tree}
         if unknown:
             raise TreeError(f"unknown stop nodes {sorted(unknown)!r}")
         stop_map: dict[str, str] = {}
@@ -113,11 +114,6 @@ class LiquidatingStrategy:
         return f"LiquidatingStrategy({nz})"
 
 
-def liquidate_payoff(eta: LiquidatingStrategy, h: AdaptedProcess, leaf: str) -> Fraction:
-    """Path-wise exercise payoff: sum of h * flow along the path to `leaf`."""
-    return sum((eta.at(n) * h.scalar_at(n) for n in h.tree.path(leaf)), Fraction(0))
-
-
 def strategy_to_json(eta: LiquidatingStrategy) -> dict[str, str]:
     """Node -> "p/q" map in the market-file rational convention."""
     from .rational import rat_str
@@ -187,11 +183,20 @@ def strategy_from_mixture(
 
 
 def _subtree_masses(Q: "Measure") -> dict[str, Fraction]:
-    tree = Q.tree
-    mass = {leaf: Q.weights.get(leaf, Fraction(0)) for leaf in tree.leaves}
+    """Q's mass on the leaves under every node, in one bottom-up pass that
+    adds only nonzero child masses."""
+    tree, weights = Q.tree, Q.weights
+    mass: dict[str, Fraction] = {}
     for node in reversed(tree.nodes):
-        if not tree.is_leaf(node):
-            mass[node] = sum((mass[c] for c in tree.children(node)), Fraction(0))
+        kids = tree.children(node)
+        if not kids:
+            mass[node] = weights.get(node, ZERO)
+            continue
+        total = mass[kids[0]]
+        for c in kids[1:]:
+            if mass[c]:
+                total += mass[c]
+        mass[node] = total
     return mass
 
 

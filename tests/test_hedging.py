@@ -21,10 +21,11 @@ from semistatic.hedging import HedgingError
 from semistatic.market import HedgePortfolio, portfolio_value
 from semistatic.measures import PricingSetSpec, closure_polytope, polytope_vertices_as_measures
 from semistatic.robust import american_exchange_values
-from semistatic.stopping import StoppingTime, liquidate_payoff
+from semistatic.stopping import StoppingTime
 from semistatic.tree import AdaptedProcess, constant_claim
 
 from conftest import random_claim, random_market, random_process
+from oracles import liquidate_payoff
 
 F = Fraction
 

@@ -16,14 +16,15 @@ from semistatic.lp import (
     LpProblem,
     LpVerificationError,
     _Tableau,
-    _dot,
     con,
-    eval_row,
     solve,
     verify_farkas,
     verify_ray,
     verify_solution,
 )
+
+import oracles
+from oracles import _dot, eval_row
 
 F = Fraction
 
@@ -304,6 +305,69 @@ def test_verify_farkas_rejects_scaled_and_wrong_sign_entries():
             bad[i] *= factor
             with pytest.raises(LpVerificationError):
                 verify_farkas(prob, bad)
+
+
+def _raised(verify, *args):
+    """The message `verify(*args)` raises, or None when it passes."""
+    try:
+        verify(*args)
+    except LpVerificationError as exc:
+        return str(exc)
+    return None
+
+
+def _mutations(prob, sol):
+    """(verifier name, arguments) of the solve's own certificate and of its
+    mutations: each dual +-1/7, each reduced cost negated, each value +1/7
+    and set to -1/7, both objectives +1/7; each Farkas entry times 2 and
+    times -1; each point and ray entry +1/7."""
+    if sol.status == "optimal":
+        yield "verify_solution", (prob, sol)
+        for field, key, new in (
+            [("duals", i, y + d) for i, y in enumerate(sol.duals) for d in (F(1, 7), F(-1, 7))]
+            + [("reduced_costs", v, -rc) for v, rc in sol.reduced_costs.items()]
+            + [("values", v, x) for v, y in sol.values.items() for x in (y + F(1, 7), F(-1, 7))]
+        ):
+            bad = copy.deepcopy(sol)
+            getattr(bad, field)[key] = new
+            yield "verify_solution", (prob, bad)
+        for field in ("objective", "dual_objective"):
+            bad = copy.deepcopy(sol)
+            setattr(bad, field, getattr(sol, field) + F(1, 7))
+            yield "verify_solution", (prob, bad)
+    elif sol.status == "infeasible":
+        yield "verify_farkas", (prob, sol.farkas)
+        for i in range(len(sol.farkas)):
+            for factor in (2, -1):
+                bad = list(sol.farkas)
+                bad[i] *= factor
+                yield "verify_farkas", (prob, bad)
+    else:
+        yield "verify_ray", (prob, sol.feasible_point, sol.ray)
+        for v in prob.variables:
+            for point, ray in (({**sol.feasible_point, v: sol.feasible_point[v] + F(1, 7)},
+                                sol.ray),
+                               (sol.feasible_point, {**sol.ray, v: sol.ray[v] + F(1, 7)})):
+                yield "verify_ray", (prob, point, ray)
+
+
+def test_integer_rechecks_agree_with_the_fraction_oracle():
+    """The integer re-checks raise exactly when the Fraction re-checks of
+    `tests/oracles.py` raise, with the same message, on the certificates of
+    random LPs of every status and on their mutations."""
+    verifiers = {"verify_solution": verify_solution, "verify_farkas": verify_farkas,
+                 "verify_ray": verify_ray}
+    outcomes = {}
+    for seed in range(200):
+        prob = _random_mixed_lp(seed)
+        sol = solve(prob)
+        for name, args in _mutations(prob, sol):
+            want = _raised(getattr(oracles, name), *args)
+            assert _raised(verifiers[name], *args) == want, (seed, name)
+            key = (name, want is None)
+            outcomes[key] = outcomes.get(key, 0) + 1
+    # every verifier both passes and rejects some certificates
+    assert len(outcomes) == 6 and min(outcomes.values()) >= 10, outcomes
 
 
 _RATIONALS = st.one_of(

@@ -13,7 +13,6 @@ from semistatic import (
     StoppingTime,
     count_stopping_times,
     enumerate_stopping_times,
-    liquidate_payoff,
     snell_envelope,
     snell_optimal_stop,
     snell_value,
@@ -24,6 +23,7 @@ from semistatic.stopping import stop_everywhere_at
 from semistatic.tree import AdaptedProcess, TreeError
 
 from conftest import random_market, random_measure, random_process
+from oracles import liquidate_payoff
 
 F = Fraction
 

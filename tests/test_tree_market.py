@@ -13,16 +13,21 @@ from semistatic import (
     EventTree,
     HedgePortfolio,
     LiquidatingStrategy,
+    MarketSpec,
     TerminalClaim,
     TreeError,
     build_market,
-    gains_to,
     load_fixture,
     market_to_json,
     portfolio_value,
+    portfolio_values,
 )
 from semistatic.fixtures import FixtureError, fixture_json, p2_measure, verify_p2
-from semistatic.stopping import stop_everywhere_at
+from semistatic.market import MarketError
+from semistatic.stopping import enumerate_stopping_times, stop_everywhere_at, strategy_from_mixture
+
+from conftest import rand_rational, random_market
+from oracles import gains_to, liquidate_payoff
 
 F = Fraction
 
@@ -206,6 +211,71 @@ def test_gains_telescoping_property(data):
         for a, b in zip(path, path[1:]):
             total += H.scalar_at(a) * (market.S.scalar_at(b) - market.S.scalar_at(a))
         assert gains_to(H, market, leaf) == total
+
+
+def _path_walk(market, port, leaf):
+    """A portfolio's value at one leaf, walked along its own root path."""
+    total = gains_to(port.H, market, leaf) if port.H is not None else Fraction(0)
+    for coef, claim, price in zip(port.a, market.f, market.f_prices):
+        total += coef * (claim.at(leaf) - price)
+    for coef, claim, price in zip(port.b, market.g, market.g_prices):
+        total += coef * (claim.at(leaf) - price)
+    for coef, eta, h, price in zip(port.c, port.mu, market.h, market.h_prices):
+        total += coef * (liquidate_payoff(eta, h, leaf) - price)
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_portfolio_values_equal_a_path_walk_at_every_leaf(data):
+    """The one-pass evaluator gives, at every requested leaf (in any order,
+    repeats included), what an independent walk down that leaf's path gives:
+    gains_to + the static legs + liquidate_payoff.  Markets with a 1- or
+    2-dimensional stock and with American options; H present or None;
+    positions drawn zero about a third of the time."""
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    market = random_market(rng, max_depth=3)
+    tree = market.tree
+    if data.draw(st.booleans(), label="dim 2"):
+        S = AdaptedProcess(tree, {n: [market.S.scalar_at(n), rand_rational(rng, 1, 8)]
+                                  for n in tree.nodes})
+        market = MarketSpec(tree=tree, S=S, f=market.f, f_prices=market.f_prices,
+                            g=market.g, g_prices=market.g_prices,
+                            h=market.h, h_prices=market.h_prices)
+
+    def position(lo):
+        return F(0) if rng.random() < 0.35 else rand_rational(rng, lo, 4)
+
+    H = None
+    if data.draw(st.booleans(), label="with H"):
+        H = AdaptedProcess(tree, {n: [position(-4) for _ in range(market.dim)]
+                                  for n in tree.nodes})
+    taus = enumerate_stopping_times(tree)
+    mu = []
+    for _ in market.h:
+        lam = F(rng.randint(0, 4), 4)
+        mu.append(strategy_from_mixture([lam, 1 - lam], [rng.choice(taus), rng.choice(taus)]))
+    port = HedgePortfolio(
+        H=H, a=tuple(position(-4) for _ in market.f), b=tuple(position(0) for _ in market.g),
+        c=tuple(position(0) for _ in market.h), mu=tuple(mu),
+    )
+    leaves = list(tree.leaves) + [rng.choice(tree.leaves)]
+    rng.shuffle(leaves)
+    assert portfolio_values(market, port, leaves) == [
+        _path_walk(market, port, leaf) for leaf in leaves]
+    assert [portfolio_value(market, port, leaf) for leaf in leaves] == [
+        _path_walk(market, port, leaf) for leaf in leaves]
+
+
+def test_portfolio_values_refuse_non_leaves_and_a_wrong_H_dimension(t2):
+    port = HedgePortfolio(H=AdaptedProcess(t2.tree, {n: [1, 1] for n in t2.tree.nodes}))
+    for bad in ("u", "r", "zz"):
+        with pytest.raises(MarketError, match="is not a leaf"):
+            portfolio_values(t2, HedgePortfolio(), ["uu", bad])
+        with pytest.raises(MarketError, match="is not a leaf"):
+            portfolio_value(t2, port, bad)
+    with pytest.raises(MarketError, match="H dimension 2 != stock dimension 1"):
+        portfolio_values(t2, port, ["uu"])
 
 
 def test_path_consistency_of_evaluation(t2):
