@@ -17,17 +17,15 @@ from .market import (
 )
 from .fixtures import FIXTURE_NAMES, fixture_json, load_fixture
 from .lp import Constraint, LpProblem, LpSolution, con, solve
-from .polytope import Polytope, UnboundedPolytopeError, hrep_from_vertices, vertices
+from .polytope import Polytope, UnboundedPolytopeError, vertices
 from .stopping import (
     EnumerationCapError,
     LiquidatingStrategy,
     StoppingTime,
     count_stopping_times,
     enumerate_stopping_times,
-    snell_envelope,
     snell_optimal_stop,
     snell_value,
-    strategy_from_mixture,
 )
 from .measures import (
     Measure,
@@ -58,7 +56,6 @@ from .ftap import (
     ArbitrageVerdict,
     check_na,
     check_sna,
-    find_pricing_measure,
 )
 from .robust import (
     DominationResult,

@@ -200,11 +200,3 @@ def check_sna(market: MarketSpec) -> ArbitrageVerdict:
         notes="no arbitrage at the quotes, but no strictly consistent "
               "pricing measure exists",
     )
-
-
-def find_pricing_measure(market: MarketSpec) -> Measure:
-    """The slack-maximal strictly consistent pricing measure."""
-    verdict = check_sna(market)
-    if verdict.verdict != NO_ARBITRAGE or verdict.pricing is None:
-        raise VerificationFailure(f"strict no-arbitrage fails: {verdict.verdict}")
-    return verdict.pricing

@@ -6,7 +6,12 @@ so the solver terminates on degenerate problems (the hedging LPs have many
 ties).  Each free variable is a single column.  The tableau is condensed
 (Tucker: only nonbasic columns are stored) and fraction-free (integer
 pivoting, Bareiss 1968) with one denominator per row, so a pivot rewrites
-only the rows whose pivot-column entry is nonzero.
+only the rows whose pivot-column entry is nonzero.  A `>=` row's surplus and
+artificial share one column: the artificial's column is always the negated
+surplus's, and its reduced cost follows from the surplus's, so a pair stores
+at most one column, and none while one member is basic (the other then never
+improves the objective).  The initial tableau holds the structural columns
+only.
 
 Set-up and extraction do no per-entry Fraction arithmetic.  A row is
 integerized from the coefficients its sparse map lists: it is multiplied by
@@ -126,6 +131,9 @@ class LpSolution:
 # Simplex core
 # ---------------------------------------------------------------------------
 
+_TWIN = -2  # slot_of of a pair member whose column is minus its twin's
+
+
 class _Tableau:
     """Condensed equality-form tableau max c.x, Ax = b, x >= 0, with b >= 0.
 
@@ -133,6 +141,17 @@ class _Tableau:
     variable `slot_var[s]` (`slot_of` maps back, -1 when basic), and a basic
     variable's unit column is implicit.  A pivot swaps the entering and the
     leaving variable between the pivot row's basis entry and the slot.
+
+    A `>=` row's surplus s and artificial a are twins (`twin` pairs them):
+    their input columns are negatives of each other, so column(a) =
+    -column(s) in every tableau, and since z_a = -z_s the reduced costs obey
+    rc(a) + rc(s) = c_s + c_a = C, the same for every pair (-1 in phase 1, 0
+    in phase 2).  A pair keeps at most one slot.  The member not stored has
+    `slot_of` _TWIN: while its twin is stored its column is minus the slot
+    and its obj entry is od * C - obj[slot]; while its twin is basic its
+    column is minus that row's unit and its reduced cost is od * C <= 0, so
+    it never enters (a drive-out can still pivot it in).  A twin entering
+    from a shared slot first takes the slot over, negating the column.
 
     Every entry is an integer: row k's true entries are rows[k] / rd[k] and
     b[k] / rd[k], the objective row's obj / od, with each denominator the
@@ -148,26 +167,62 @@ class _Tableau:
     A free variable is one column.  It is negated (and `sign` records it) when
     it enters with a negative reduced cost; once basic it never leaves."""
 
-    def __init__(self, ncols: int, basis: list[int], free: Sequence[int]):
+    def __init__(self, ncols: int, basis: list[int], free: Sequence[int], twin: list[int]):
         self.basis = basis
+        self.twin = twin  # the other member of a surplus/artificial pair, else -1
         self.slot_of = [-1] * ncols
+        self.slot_var: list[int] = []
         basic = set(basis)
-        self.slot_var = [j for j in range(ncols) if j not in basic]
-        for s, j in enumerate(self.slot_var):
-            self.slot_of[j] = s
+        for j in range(ncols):
+            if twin[j] in basic:
+                self.slot_of[j] = _TWIN
+            elif j not in basic:
+                self.slot_of[j] = len(self.slot_var)
+                self.slot_var.append(j)
         self.rows: list[list[int]] = []
         self.b: list[int] = []
         self.rd = [1] * len(basis)
         self.obj: list[int] = []  # od * (c_j - z_j), in integerized cost units
         self.od = self.d = 1
+        self.pair_cost = 0  # C = c_s + c_a of every twin pair
         self.free = tuple(free)
         self.sign = [1] * ncols  # -1 on a free column stored negated
         self.ray_col = -1
         self.pivots = 0
 
+    def _negate(self, s: int, total: int = 0) -> None:
+        """Negate slot s's column; its obj entry becomes total - obj[s]."""
+        for row in self.rows:
+            row[s] = -row[s]
+        self.obj[s] = total - self.obj[s]
+
+    def _store(self, j: int) -> int:
+        """The slot of nonbasic j, which a twin first takes over from its
+        stored partner."""
+        s = self.slot_of[j]
+        if s == _TWIN:
+            t = self.twin[j]
+            s = self.slot_of[t]
+            self._negate(s, self.od * self.pair_cost)
+            self.slot_var[s], self.slot_of[j], self.slot_of[t] = j, s, _TWIN
+        return s
+
     def pivot(self, i: int, j: int) -> None:
         rows, b, rd, d = self.rows, self.b, self.rd, self.d
-        s = self.slot_of[j]
+        if self.slot_of[j] == _TWIN and self.twin[j] == self.basis[i]:
+            # j's column is -(unit at row i) (a drive-out: a surplus replaces
+            # its own artificial): row i is negated, every other row keeps
+            # its entries, and each reduced cost gains C times row i's entry
+            C, od, r = self.pair_cost, self.od, rd[i]
+            self.obj = [x * d // od + C * (v * d // r) for x, v in zip(self.obj, rows[i])]
+            self.od = d
+            rows[i] = [-v for v in rows[i]]
+            b[i] = -b[i]
+            self.slot_of[self.basis[i]], self.slot_of[j] = _TWIN, -1
+            self.basis[i] = j
+            self.pivots += 1
+            return
+        s = self._store(j)
         prow, bi = rows[i], b[i]
         if rd[i] != d:
             prow = [v * d // rd[i] for v in prow]
@@ -202,11 +257,15 @@ class _Tableau:
         s = self.slot_of[j]
         if s >= 0:
             return self.rows[k][s]
+        if s == _TWIN:
+            return -self.entry(k, self.twin[j])
         return self.rd[k] if self.basis[k] == j else 0
 
     def reduced(self, j: int) -> int:
         """od * (c_j - z_j): 0 at a basic variable."""
         s = self.slot_of[j]
+        if s == _TWIN:
+            return self.od * self.pair_cost - self.reduced(self.twin[j])
         return self.obj[s] if s >= 0 else 0
 
     def run(self, limit: int) -> str:
@@ -214,7 +273,8 @@ class _Tableau:
 
         Pricing is largest coefficient, ties to the lowest variable index; a
         free variable is priced by the size of its reduced cost and offered
-        first.  Ratio-test ties are broken lexicographically on the columns
+        first.  Both members of a pair in a slot are priced, each with its own
+        index.  Ratio-test ties are broken lexicographically on the columns
         that were basic when the phase began.  Those columns are the identity
         then, so every row starts lexicographically positive, stays so, and
         the objective row rises lexicographically with every pivot: no basis
@@ -223,7 +283,7 @@ class _Tableau:
         its own denominator.  Rows whose basic variable is free are left out
         of the ratio test."""
         lex = list(self.basis)
-        rows, b, free, slot_var = self.rows, self.b, self.free, self.slot_var
+        rows, b, free, slot_var, twin = self.rows, self.b, self.free, self.slot_var, self.twin
         while True:
             obj = self.obj
             enter, best = -1, 0
@@ -232,18 +292,22 @@ class _Tableau:
                 if s >= 0 and abs(obj[s]) > best:
                     enter, best = j, abs(obj[s])
             if enter < 0:
+                oc = self.od * self.pair_cost
                 for s, o in enumerate(obj):
                     if o > 0 and o >= best:
                         j = slot_var[s]
                         if j < limit and (o > best or j < enter):
                             enter, best = j, o
+                    o = oc - o  # the twin's, if slot s holds a pair member
+                    if o > 0 and o >= best:
+                        j = twin[slot_var[s]]
+                        if 0 <= j < limit and (o > best or j < enter):
+                            enter, best = j, o
             if enter < 0:
                 return "optimal"
-            s = self.slot_of[enter]
+            s = self._store(enter)
             if obj[s] < 0:
-                for row in rows:
-                    row[s] = -row[s]
-                obj[s] = -obj[s]
+                self._negate(s)
                 self.sign[enter] = -self.sign[enter]
             leave = -1
             for i, row in enumerate(rows):
@@ -276,6 +340,7 @@ class _Tableau:
                 self.b[k] = self.b[k] * d // r
                 self.rd[k] = d
         costs = [c * s for c, s in zip(costs, self.sign)]
+        self.pair_cost = next((costs[j] + costs[t] for j, t in enumerate(self.twin) if t >= 0), 0)
         obj = [d * costs[j] for j in self.slot_var]
         for i, var in enumerate(self.basis):
             cb = costs[var]
@@ -300,36 +365,39 @@ def solve(problem: LpProblem) -> LpSolution:
     m = len(problem.constraints)
 
     # normalize to b >= 0 by negating a row with a negative rhs, flipping its
-    # relation; then slack / surplus / artificial columns, remembering each
-    # row's identity column
+    # relation; then a slack (<=) or surplus (>=) column per row in row order,
+    # and an artificial per >= and = row.  A row's identity column (its slack
+    # or artificial) starts basic; a >= row's surplus and artificial are twins.
     flip = [row.rhs < 0 for row in problem.constraints]
     rels = [{LE: GE, GE: LE, EQ: EQ}[row.rel] if f else row.rel
             for row, f in zip(problem.constraints, flip)]
-    slack_col: list[int | None] = [None] * m
-    art_col: list[int | None] = [None] * m
-    extra: list[tuple[int, int]] = []  # (row, coefficient) per added column
+    aux = [0] * m
+    total_cols = nstruct
+    for i, rel in enumerate(rels):
+        if rel != EQ:
+            aux[i] = total_cols
+            total_cols += 1
+    art_start = total_cols
+    ident = []
     for i, rel in enumerate(rels):
         if rel == LE:
-            slack_col[i] = nstruct + len(extra)
-            extra.append((i, 1))
-        elif rel == GE:
-            extra.append((i, -1))
-    art_start = nstruct + len(extra)
+            ident.append(aux[i])
+        else:
+            ident.append(total_cols)
+            total_cols += 1
+    twin = [-1] * total_cols
     for i, rel in enumerate(rels):
-        if rel != LE:
-            art_col[i] = nstruct + len(extra)
-            extra.append((i, 1))
-    total_cols = nstruct + len(extra)
+        if rel == GE:
+            twin[aux[i]], twin[ident[i]] = ident[i], aux[i]
 
     # each row is integerized from its sparse coefficients, so the tableau
     # pivots in pure int arithmetic: scaled by the lcm of its denominators and
     # the rhs's, divided by the gcd of the resulting integers.  Internal row i
     # is the original row times row_scale[i] = num / den (negative if flipped);
-    # duals unscale at extraction.  Each row starts with its artificial or
-    # slack column basic; every other column is a slot.
-    basis = [art_col[i] if art_col[i] is not None else slack_col[i] for i in range(m)]
-    tab = _Tableau(total_cols, basis,
-                   [col_of[v] for v in problem.variables if v in problem.free])
+    # duals unscale at extraction.  Each row starts on its identity column,
+    # so the structural columns are the only slots.
+    tab = _Tableau(total_cols, list(ident),
+                   [col_of[v] for v in problem.variables if v in problem.free], twin)
     row_scale: list[tuple[int, int]] = []
     for row, f, (scale, ints, bi) in zip(problem.constraints, flip, _integer_rows(problem)):
         sgn = -1 if f else 1
@@ -342,17 +410,13 @@ def solve(problem: LpProblem) -> LpSolution:
             bi //= g
         else:
             g = 1
-        dense = [0] * (total_cols - m)
+        dense = [0] * nstruct
         for v, c in zip(row.coeffs, ints):
-            dense[col_of[v]] = c  # structural columns are the first slots
+            dense[col_of[v]] = c
         tab.rows.append(dense)
         tab.b.append(bi)
         row_scale.append((sgn * scale, g))
     rhs = list(tab.b)  # the internal rhs, before any pivot
-    for idx, (i, coef) in enumerate(extra):
-        s = tab.slot_of[nstruct + idx]
-        if s >= 0:
-            tab.rows[i][s] = coef
 
     obj_scale = lcm(*[c.denominator for c in problem.objective.values()])
     objective_int = [0] * total_cols
@@ -360,12 +424,8 @@ def solve(problem: LpProblem) -> LpSolution:
         objective_int[col_of[v]] = sense_sign * c.numerator * (obj_scale // c.denominator)
 
     # ---- phase 1 ----
-    has_art = any(c is not None for c in art_col)
-    if has_art:
-        phase1 = [0] * total_cols
-        for c in art_col:
-            if c is not None:
-                phase1[c] = -1
+    if art_start < total_cols:
+        phase1 = [0] * art_start + [-1] * (total_cols - art_start)
         tab.set_costs(phase1)
         state = tab.run(total_cols)
         assert state == "optimal"  # phase-1 objective is bounded above by 0
@@ -375,12 +435,8 @@ def solve(problem: LpProblem) -> LpSolution:
             # times row_scale[i] because internal row i is that multiple of
             # the original row: one Fraction of integers per entry
             od = tab.od
-            farkas = []
-            for i in range(m):
-                idc = art_col[i] if art_col[i] is not None else slack_col[i]
-                num, den = row_scale[i]
-                farkas.append(Fraction((phase1[idc] * od - tab.reduced(idc)) * num,
-                                       od * den))
+            farkas = [Fraction((phase1[idc] * od - tab.reduced(idc)) * num, od * den)
+                      for idc, (num, den) in zip(ident, row_scale)]
             sol = LpSolution(status="infeasible", farkas=farkas, pivots=(tab.pivots, 0))
             verify_farkas(problem, farkas)
             return sol
@@ -425,8 +481,7 @@ def solve(problem: LpProblem) -> LpSolution:
     values = named(tab.basic_values())
     duals: list[Fraction] = []
     by = 0
-    for i in range(m):
-        idc = slack_col[i] if slack_col[i] is not None else art_col[i]
+    for i, idc in enumerate(ident):
         num, den = row_scale[i]
         y = sense_sign * (objective_int[idc] * od - tab.reduced(idc))
         duals.append(Fraction(y * num, od * obj_scale * den))

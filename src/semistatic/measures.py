@@ -27,9 +27,10 @@ from .polytope import Polytope, vertices
 from .rational import rat, rat_str
 from .stopping import (
     StoppingTime,
+    _greedy_stop,
     _subtree_masses,
+    _unnormalized_snell,
     enumerate_stopping_times,
-    snell_optimal_stop,
     snell_value,
 )
 from .tree import AdaptedProcess, EventTree, TerminalClaim
@@ -224,8 +225,12 @@ def solve_with_stop_cuts(
         if sol.status != "optimal":
             return sol
         Q, bounds = targets(sol)
-        new = [(family, snell_optimal_stop(Q, h)) for family, h, bound in bounds
-               if snell_value(Q, h) > bound]
+        mass = _subtree_masses(Q) if bounds else {}
+        new = []
+        for family, h, bound in bounds:
+            V = _unnormalized_snell(mass, h)
+            if V[h.tree.root] > bound:
+                new.append((family, _greedy_stop(Q, h, mass, V)))
         if not new:
             return sol
         for cut in new:
@@ -435,7 +440,7 @@ def membership(Q: Measure, spec: PricingSetSpec, strict: bool) -> MembershipRepo
     for k, (h, cap) in enumerate(zip(m.h, spec.h_cap)):
         if cap is None:
             continue
-        got = snell_value(Q, h)
+        got = _unnormalized_snell(mass, h)[tree.root]
         if got > cap or (strict and got == cap):
             rel = "<" if strict else "<="
             bad.append(f"h[{k}] exercise envelope {rat_str(got)} !{rel} {rat_str(cap)}")

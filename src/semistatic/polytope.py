@@ -1,5 +1,4 @@
-"""Rational polytopes: H-representation, exact vertex enumeration, and the
-reverse conversion.
+"""Rational polytopes: H-representation and exact vertex enumeration.
 
 Vertex enumeration runs the double description method on the homogenization
 cone {(t, x): A x <= b t, t >= 0}; extreme rays with t > 0 are vertices,
@@ -14,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .lp import Constraint, EQ, GE, LE, con
-from .rational import rat
+from .lp import Constraint, EQ, GE, LE
 
 ZERO = Fraction(0)
 
@@ -53,12 +51,6 @@ class Polytope:
             )
             lines.append(f"{terms} {c.rel} {rat_str(c.rhs)} # {c.name}")
         return "\n".join(lines)
-
-
-def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a rational vector to a primitive integer vector (direction only)."""
-    denom = lcm(*[v.denominator for v in vec])
-    return _primitive_int([v.numerator * (denom // v.denominator) for v in vec])
 
 
 def _dd_cone(rows: list[tuple[int, ...]], dim: int):
@@ -203,56 +195,3 @@ def vertices(poly: Polytope) -> list[dict[str, Fraction]]:
         key = tuple(v[name] for name in names)
         uniq[key] = v
     return [uniq[k] for k in sorted(uniq)]
-
-
-def hrep_from_vertices(
-    variables: Sequence[str], verts: Sequence[Mapping[str, Fraction]]
-) -> Polytope:
-    """Facet description of the convex hull of `verts` (full-dimensional)."""
-    names = list(variables)
-    if not verts:
-        # canonical empty polytope
-        return Polytope(names, [con({names[0]: 1}, LE, -1, "empty"),
-                                con({names[0]: 1}, GE, 1, "empty")])
-    k = len(verts)
-    centroid = {
-        v: sum((rat(pt[v]) for pt in verts), ZERO) / k for v in names
-    }
-    dim = len(names) + 1  # (s, a) with facets a.(x - centroid) <= s
-    rows = []
-    for pt in verts:
-        base = [ZERO] * dim
-        base[0] = Fraction(-1)
-        for i, v in enumerate(names):
-            base[i + 1] = rat(pt[v]) - centroid[v]
-        rows.append(_primitive(base))
-    s_row = [0] * dim
-    s_row[0] = -1
-    rows.append(tuple(s_row))  # s >= 0
-    lines, rays = _dd_cone(rows, dim)
-    if any(any(l[1:]) for l in lines):
-        raise PolytopeError("vertex set is not full-dimensional")
-    constraints = []
-    for idx, (r, _) in enumerate(sorted(rays)):
-        s = Fraction(r[0])
-        if s == 0:
-            if any(r[1:]):
-                raise PolytopeError("vertex set is not full-dimensional")
-            continue
-        coeffs = {v: Fraction(r[i + 1]) for i, v in enumerate(names) if r[i + 1]}
-        rhs = s + sum(coeffs.get(v, ZERO) * centroid[v] for v in names)
-        constraints.append(con(coeffs, LE, rhs, f"facet{idx}"))
-    return Polytope(names, constraints)
-
-
-def contains(poly: Polytope, point: Mapping[str, Fraction]) -> bool:
-    for c in poly.constraints:
-        lhs = sum((rat(c.coeffs.get(v, ZERO)) * rat(point.get(v, ZERO))
-                   for v in set(c.coeffs) | set(point)), ZERO)
-        if c.rel == LE and lhs > c.rhs:
-            return False
-        if c.rel == GE and lhs < c.rhs:
-            return False
-        if c.rel == EQ and lhs != c.rhs:
-            return False
-    return True

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
-from .rational import rat
 from .tree import AdaptedProcess, EventTree, TreeError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -161,27 +160,6 @@ def enumerate_stopping_times(
     return taus
 
 
-def strategy_from_mixture(
-    weights: Sequence, taus: Sequence[StoppingTime]
-) -> LiquidatingStrategy:
-    """Exercise flow of a convex mixture of stopping times."""
-    ws = [rat(w) for w in weights]
-    if len(ws) != len(taus):
-        raise ValueError(f"{len(ws)} weights for {len(taus)} stopping times")
-    if any(w < 0 for w in ws):
-        raise ValueError("mixture weights must be nonnegative")
-    if sum(ws, Fraction(0)) != 1:
-        raise ValueError(f"mixture weights sum to {sum(ws, Fraction(0))}, not 1")
-    if not taus:
-        raise ValueError("empty mixture")
-    tree = taus[0].tree
-    values = {n: Fraction(0) for n in tree.nodes}
-    for w, tau in zip(ws, taus):
-        for n in tau.stop_nodes:
-            values[n] += w
-    return LiquidatingStrategy.from_map(tree, values)
-
-
 def _subtree_masses(Q: "Measure") -> dict[str, Fraction]:
     """Q's mass on the leaves under every node, in one bottom-up pass that
     adds only nonzero child masses."""
@@ -200,14 +178,14 @@ def _subtree_masses(Q: "Measure") -> dict[str, Fraction]:
     return mass
 
 
-def _unnormalized_snell(Q: "Measure", h: AdaptedProcess) -> dict[str, Fraction]:
-    """V(n) = max over stopping times of E_Q[h_tau restricted to paths through n].
+def _unnormalized_snell(mass: dict[str, Fraction], h: AdaptedProcess) -> dict[str, Fraction]:
+    """V(n) = max over stopping times of E_Q[h_tau restricted to paths through n],
+    from Q's `_subtree_masses`.
 
     Works verbatim on zero-mass subtrees (they contribute 0), which is what
     makes the root value equal max over all stopping times of E_Q[h_tau].
     """
     tree = h.tree
-    mass = _subtree_masses(Q)
     V: dict[str, Fraction] = {}
     for node in reversed(tree.nodes):
         stop_here = mass[node] * h.scalar_at(node)
@@ -219,36 +197,9 @@ def _unnormalized_snell(Q: "Measure", h: AdaptedProcess) -> dict[str, Fraction]:
     return V
 
 
-def snell_envelope(Q: "Measure", h: AdaptedProcess) -> tuple[AdaptedProcess, Fraction]:
-    """Backward-induction envelope of h under Q and its root value.
-
-    U_T = h_T and U_t = max(h_t, E_Q[U_{t+1} | node]).  On zero-mass nodes the
-    conditional expectation is taken under the uniform child distribution (an
-    arbitrary convention; zero-mass subtrees cannot affect the root value).
-    The root value equals max over all stopping times of E_Q[h_tau].
-    """
-    tree = h.tree
-    mass = _subtree_masses(Q)
-    U: dict[str, Fraction] = {}
-    for node in reversed(tree.nodes):
-        if tree.is_leaf(node):
-            U[node] = h.scalar_at(node)
-            continue
-        kids = tree.children(node)
-        if mass[node] > 0:
-            cont = sum((mass[c] * U[c] for c in kids), Fraction(0)) / mass[node]
-        else:
-            cont = sum((U[c] for c in kids), Fraction(0)) / len(kids)
-        U[node] = max(h.scalar_at(node), cont)
-    envelope = AdaptedProcess(tree, U)
-    root_value = _unnormalized_snell(Q, h)[tree.root]
-    assert U[tree.root] == root_value or mass[tree.root] != 1
-    return envelope, root_value
-
-
 def snell_value(Q: "Measure", h: AdaptedProcess) -> Fraction:
     """max over stopping times of E_Q[h_tau], by backward induction."""
-    return _unnormalized_snell(Q, h)[h.tree.root]
+    return _unnormalized_snell(_subtree_masses(Q), h)[h.tree.root]
 
 
 def snell_optimal_stop(Q: "Measure", h: AdaptedProcess) -> StoppingTime:
@@ -257,9 +208,14 @@ def snell_optimal_stop(Q: "Measure", h: AdaptedProcess) -> StoppingTime:
 
     This is the separation oracle of `measures.solve_with_stop_cuts`.
     """
-    tree = h.tree
     mass = _subtree_masses(Q)
-    V = _unnormalized_snell(Q, h)
+    return _greedy_stop(Q, h, mass, _unnormalized_snell(mass, h))
+
+
+def _greedy_stop(Q: "Measure", h: AdaptedProcess, mass: dict[str, Fraction],
+                 V: dict[str, Fraction]) -> StoppingTime:
+    """`snell_optimal_stop` read off Q's masses and h's envelope V under Q."""
+    tree = h.tree
     stops: list[str] = []
     frontier = [tree.root]
     while frontier:

@@ -9,17 +9,33 @@ time.
     certificates with Fraction sums (`_dot`), the reference for the integer
     re-checks in `semistatic.lp`: on every certificate both raise the same
     `LpVerificationError` message, or neither raises.
+  * `snell_envelope` is the normalized backward induction, the reference for
+    the unnormalized envelope behind `stopping.snell_value`, and
+    `strategy_from_mixture` builds the exercise flow of a mixture of stops.
+  * `hrep_from_vertices` and `contains` run vertex enumeration backwards,
+    the round-trip reference for `polytope.vertices`.
+  * `find_pricing_measure` is the witness measure of `ftap.check_sna`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from semistatic.lp import GE, LE, LpProblem, LpSolution, LpVerificationError
+from semistatic.ftap import NO_ARBITRAGE, check_sna
+from semistatic.hedging import VerificationFailure
+from semistatic.lp import EQ, GE, LE, LpProblem, LpSolution, LpVerificationError, con
 from semistatic.market import MarketError, MarketSpec
-from semistatic.stopping import LiquidatingStrategy
+from semistatic.measures import Measure
+from semistatic.polytope import Polytope, PolytopeError, _dd_cone, _primitive_int
+from semistatic.rational import rat
+from semistatic.stopping import (
+    LiquidatingStrategy,
+    StoppingTime,
+    _subtree_masses,
+    _unnormalized_snell,
+)
 from semistatic.tree import AdaptedProcess
 
 ZERO = Fraction(0)
@@ -172,3 +188,130 @@ def verify_ray(problem: LpProblem, point: Mapping[str, Fraction],
         _check(gain > 0, "ray does not improve the objective")
     else:
         _check(gain < 0, "ray does not improve the objective")
+
+
+# ---------------------------------------------------------------------------
+# Stopping: the normalized envelope and mixtures of stops
+# ---------------------------------------------------------------------------
+
+def snell_envelope(Q: Measure, h: AdaptedProcess) -> tuple[AdaptedProcess, Fraction]:
+    """Backward-induction envelope of h under Q and its root value.
+
+    U_T = h_T and U_t = max(h_t, E_Q[U_{t+1} | node]).  On zero-mass nodes the
+    conditional expectation is taken under the uniform child distribution (an
+    arbitrary convention; zero-mass subtrees cannot affect the root value).
+    The root value equals max over all stopping times of E_Q[h_tau].
+    """
+    tree = h.tree
+    mass = _subtree_masses(Q)
+    U: dict[str, Fraction] = {}
+    for node in reversed(tree.nodes):
+        if tree.is_leaf(node):
+            U[node] = h.scalar_at(node)
+            continue
+        kids = tree.children(node)
+        if mass[node] > 0:
+            cont = sum((mass[c] * U[c] for c in kids), Fraction(0)) / mass[node]
+        else:
+            cont = sum((U[c] for c in kids), Fraction(0)) / len(kids)
+        U[node] = max(h.scalar_at(node), cont)
+    envelope = AdaptedProcess(tree, U)
+    root_value = _unnormalized_snell(mass, h)[tree.root]
+    assert U[tree.root] == root_value or mass[tree.root] != 1
+    return envelope, root_value
+
+
+def strategy_from_mixture(
+    weights: Sequence, taus: Sequence[StoppingTime]
+) -> LiquidatingStrategy:
+    """Exercise flow of a convex mixture of stopping times."""
+    ws = [rat(w) for w in weights]
+    if len(ws) != len(taus):
+        raise ValueError(f"{len(ws)} weights for {len(taus)} stopping times")
+    if any(w < 0 for w in ws):
+        raise ValueError("mixture weights must be nonnegative")
+    if sum(ws, Fraction(0)) != 1:
+        raise ValueError(f"mixture weights sum to {sum(ws, Fraction(0))}, not 1")
+    if not taus:
+        raise ValueError("empty mixture")
+    tree = taus[0].tree
+    values = {n: Fraction(0) for n in tree.nodes}
+    for w, tau in zip(ws, taus):
+        for n in tau.stop_nodes:
+            values[n] += w
+    return LiquidatingStrategy.from_map(tree, values)
+
+
+# ---------------------------------------------------------------------------
+# Polytopes: facets from vertices, and membership
+# ---------------------------------------------------------------------------
+
+def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
+    """Scale a rational vector to a primitive integer vector (direction only)."""
+    denom = lcm(*[v.denominator for v in vec])
+    return _primitive_int([v.numerator * (denom // v.denominator) for v in vec])
+
+
+def hrep_from_vertices(
+    variables: Sequence[str], verts: Sequence[Mapping[str, Fraction]]
+) -> Polytope:
+    """Facet description of the convex hull of `verts` (full-dimensional)."""
+    names = list(variables)
+    if not verts:
+        # canonical empty polytope
+        return Polytope(names, [con({names[0]: 1}, LE, -1, "empty"),
+                                con({names[0]: 1}, GE, 1, "empty")])
+    k = len(verts)
+    centroid = {
+        v: sum((rat(pt[v]) for pt in verts), ZERO) / k for v in names
+    }
+    dim = len(names) + 1  # (s, a) with facets a.(x - centroid) <= s
+    rows = []
+    for pt in verts:
+        base = [ZERO] * dim
+        base[0] = Fraction(-1)
+        for i, v in enumerate(names):
+            base[i + 1] = rat(pt[v]) - centroid[v]
+        rows.append(_primitive(base))
+    s_row = [0] * dim
+    s_row[0] = -1
+    rows.append(tuple(s_row))  # s >= 0
+    lines, rays = _dd_cone(rows, dim)
+    if any(any(l[1:]) for l in lines):
+        raise PolytopeError("vertex set is not full-dimensional")
+    constraints = []
+    for idx, (r, _) in enumerate(sorted(rays)):
+        s = Fraction(r[0])
+        if s == 0:
+            if any(r[1:]):
+                raise PolytopeError("vertex set is not full-dimensional")
+            continue
+        coeffs = {v: Fraction(r[i + 1]) for i, v in enumerate(names) if r[i + 1]}
+        rhs = s + sum(coeffs.get(v, ZERO) * centroid[v] for v in names)
+        constraints.append(con(coeffs, LE, rhs, f"facet{idx}"))
+    return Polytope(names, constraints)
+
+
+def contains(poly: Polytope, point: Mapping[str, Fraction]) -> bool:
+    for c in poly.constraints:
+        lhs = sum((rat(c.coeffs.get(v, ZERO)) * rat(point.get(v, ZERO))
+                   for v in set(c.coeffs) | set(point)), ZERO)
+        if c.rel == LE and lhs > c.rhs:
+            return False
+        if c.rel == GE and lhs < c.rhs:
+            return False
+        if c.rel == EQ and lhs != c.rhs:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# FTAP: the witness measure
+# ---------------------------------------------------------------------------
+
+def find_pricing_measure(market: MarketSpec) -> Measure:
+    """The slack-maximal strictly consistent pricing measure."""
+    verdict = check_sna(market)
+    if verdict.verdict != NO_ARBITRAGE or verdict.pricing is None:
+        raise VerificationFailure(f"strict no-arbitrage fails: {verdict.verdict}")
+    return verdict.pricing

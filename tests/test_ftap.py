@@ -14,7 +14,6 @@ from semistatic import (
     TerminalClaim,
     check_na,
     check_sna,
-    find_pricing_measure,
     max_slack,
     membership,
 )
@@ -22,6 +21,7 @@ from semistatic.hedging import VerificationFailure
 from semistatic.market import portfolio_value
 
 from conftest import random_market
+from oracles import find_pricing_measure
 
 F = Fraction
 

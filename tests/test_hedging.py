@@ -25,7 +25,7 @@ from semistatic.stopping import StoppingTime
 from semistatic.tree import AdaptedProcess, constant_claim
 
 from conftest import random_claim, random_market, random_process
-from oracles import liquidate_payoff
+from oracles import find_pricing_measure, liquidate_payoff
 
 F = Fraction
 
@@ -360,7 +360,7 @@ def test_indivisible_scan_rejects_a_stock_only_measure_failing_membership(p2, mo
 def test_indivisible_scan_rejects_a_stock_only_measure_of_the_wrong_value(p2, monkeypatch):
     """A stock-only martingale measure passes membership but must also value
     the claim at the stock-only value before it settles any stop."""
-    from semistatic import find_pricing_measure, hedging
+    from semistatic import hedging
 
     psi = p2.claims["psi"]
     interior = find_pricing_measure(p2)

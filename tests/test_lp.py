@@ -2,6 +2,7 @@
 oracle."""
 
 import copy
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -15,6 +16,7 @@ from semistatic.lp import (
     LE,
     LpProblem,
     LpVerificationError,
+    _TWIN,
     _Tableau,
     con,
     solve,
@@ -470,10 +472,11 @@ def test_against_brute_force(seed):
 def _spy(monkeypatch):
     """Record the tableau's steps of the next solve: ("pivot", entering
     column, pivot-row entry, pivots in a row that left the pivot row
-    untouched, whether the row was kept over an older denominator) and
-    ("costs", basis, b) at each set_costs."""
+    untouched, whether the row was kept over an older denominator),
+    ("take", column, twin) when a pair member takes its stored twin's slot
+    over, and ("costs", basis, b) at each set_costs."""
     steps, idle = [], []
-    pivot, set_costs = _Tableau.pivot, _Tableau.set_costs
+    pivot, set_costs, store = _Tableau.pivot, _Tableau.set_costs, _Tableau._store
 
     def spy_pivot(tab, i, j):
         steps.append(("pivot", j, tab.entry(i, j), idle[i], tab.rd[i] != tab.d))
@@ -485,8 +488,14 @@ def _spy(monkeypatch):
         set_costs(tab, costs)
         steps.append(("costs", list(tab.basis), list(tab.b)))
 
+    def spy_store(tab, j):
+        if tab.slot_of[j] == _TWIN:
+            steps.append(("take", j, tab.twin[j]))
+        return store(tab, j)
+
     monkeypatch.setattr(_Tableau, "pivot", spy_pivot)
     monkeypatch.setattr(_Tableau, "set_costs", spy_costs)
+    monkeypatch.setattr(_Tableau, "_store", spy_store)
     return steps
 
 
@@ -567,3 +576,152 @@ def test_pricing_tie_goes_to_the_lowest_column_after_slots_move(monkeypatch):
     assert sol.objective == 1 == _oracle_max(prob)
     verify_solution(prob, sol)
 
+
+
+# ---------------------------------------------------------------------------
+# Twin columns: a >= row's surplus and artificial share one slot
+# ---------------------------------------------------------------------------
+
+def _implicit(monkeypatch):
+    """Record (column, twin is stored) for every reduced cost read while the
+    column itself is not stored but derived from its twin."""
+    seen = []
+    reduced = _Tableau.reduced
+
+    def spy_reduced(tab, j):
+        if tab.slot_of[j] == _TWIN:
+            seen.append((j, tab.slot_of[tab.twin[j]] >= 0))
+        return reduced(tab, j)
+
+    monkeypatch.setattr(_Tableau, "reduced", spy_reduced)
+    return seen
+
+
+def test_surplus_replaces_its_own_artificial_in_the_drive_out(monkeypatch):
+    """max -x - 2y on y >= 2, -y >= -2 (flipped to y <= 2).  y enters and the
+    ratio tie goes to the slack's row, leaving row 0's artificial (column 4)
+    basic at 0 with row 0 zero on x and y.  Its surplus (column 2) is not
+    stored: its column is minus the artificial's unit column, entry -1 on
+    row 0, so the drive-out negates row 0, and that counts as a phase-1
+    pivot.  In phase 2 the slack (column 3)
+    enters on row 0, so the surplus is stored and the artificial is implicit
+    when row 0's dual is read: y = (-2, 0) with c - A^T y = (-1, 0), and
+    b.y = -4 = the objective at (0, 2)."""
+    prob = LpProblem("max", {"x": -1, "y": -2},
+                     [con({"y": 1}, GE, 2), con({"y": -1}, GE, -2)], ["x", "y"])
+    steps = _spy(monkeypatch)
+    implicit = _implicit(monkeypatch)
+    sol = solve(prob)
+    assert [s for s in steps if s[0] != "costs"] == [
+        ("pivot", 1, 1, 0, False), ("pivot", 2, -1, 0, False), ("pivot", 3, 1, 0, False)]
+    assert (4, True) in implicit
+    assert sol.pivots == (2, 1)
+    assert sol.values == {"x": 0, "y": 2} and sol.objective == -4 == sol.dual_objective
+    assert sol.duals == [-2, 0] and sol.reduced_costs == {"x": -1, "y": 0}
+    verify_solution(prob, sol)
+
+
+def test_surplus_takes_its_artificials_slot_in_phase_1(monkeypatch):
+    """x + y = 2, x >= 0, -2x - y = -1 is infeasible (x = -1).  x enters on
+    the rhs-0 row, whose artificial (column 4) takes x's slot; then its
+    surplus (column 2) has phase-1 reduced cost -1 - rc(artificial) = 3 and
+    enters from that slot.  When y later replaces the surplus, the surplus is
+    stored and the artificial implicit, and the Farkas entry of x >= 0 is
+    read from it: y = (-1, -1, -1) gives 0 on x and y, and -2 + 1 < 0."""
+    prob = LpProblem("max", {}, [con({"x": 1, "y": 1}, EQ, 2), con({"x": 1}, GE, 0),
+                                 con({"x": -2, "y": -1}, EQ, -1)], ["x", "y"])
+    steps = _spy(monkeypatch)
+    implicit = _implicit(monkeypatch)
+    sol = solve(prob)
+    assert [s for s in steps if s[0] != "costs"] == [
+        ("pivot", 0, 1, 0, False), ("take", 2, 4), ("pivot", 2, 2, 0, False),
+        ("pivot", 1, 1, 0, False)]
+    assert (4, True) in implicit
+    assert sol.status == "infeasible" and sol.pivots == (3, 0)
+    assert sol.farkas == [-1, -1, -1]
+    verify_farkas(prob, sol.farkas)
+
+
+def test_surplus_takes_its_artificials_slot_in_phase_2(monkeypatch):
+    """max x on x >= 1, x <= 5: phase 1 puts x in, and the artificial of
+    x >= 1 takes x's slot.  In phase 2 its reduced cost is -1, so the
+    surplus's is +1: the surplus takes the slot over and enters on the
+    bound row.  x = 5 with duals (0, 1)."""
+    prob = LpProblem("max", {"x": 1}, [con({"x": 1}, GE, 1), con({"x": 1}, LE, 5)], ["x"])
+    steps = _spy(monkeypatch)
+    sol = solve(prob)
+    assert [s for s in steps if s[0] != "costs"] == [
+        ("pivot", 0, 1, 0, False), ("take", 1, 3), ("pivot", 1, 1, 0, False)]
+    assert sol.pivots == (1, 1)
+    assert sol.values == {"x": 5} and sol.objective == 5 == _oracle_max(prob)
+    assert sol.duals == [0, 1]
+    verify_solution(prob, sol)
+
+
+def test_unbounded_ray_enters_on_a_surplus(monkeypatch):
+    """max x - y on x - y >= 1: after phase 1, x = 1 + y + surplus, so y's
+    reduced cost is 0 and the surplus's is 1.  The surplus enters from its
+    artificial's slot, no row bounds it, and the ray is its column read back
+    on x: point (1, 0), ray (1, 0)."""
+    prob = LpProblem("max", {"x": 1, "y": -1}, [con({"x": 1, "y": -1}, GE, 1)], ["x", "y"])
+    steps = _spy(monkeypatch)
+    sol = solve(prob)
+    assert [s for s in steps if s[0] != "costs"] == [("pivot", 0, 1, 0, False), ("take", 2, 3)]
+    assert sol.status == "unbounded" and sol.pivots == (1, 0)
+    assert sol.feasible_point == {"x": 1, "y": 0} and sol.ray == {"x": 1, "y": 0}
+    verify_ray(prob, sol.feasible_point, sol.ray)
+
+
+# ---------------------------------------------------------------------------
+# The pivot path, pinned
+# ---------------------------------------------------------------------------
+
+def _pin_lp(seed):
+    """A small LP for the pinned corpus: all three relations, negative rhs,
+    `>=` rows with rhs 0 (degenerate phase 1), now and then a repeated row
+    (a redundant artificial), and free columns."""
+    rng = random.Random(9000 + seed)
+
+    def draw(lo, hi):
+        return F(rng.randint(lo, hi), rng.choice((1, 1, 1, 2, 3)))
+
+    names = [f"x{i}" for i in range(rng.randint(2, 6))]
+    free = frozenset(n for n in names if rng.random() < 0.25)
+    rows = []
+    for _ in range(rng.randint(1, 7)):
+        coeffs = {n: draw(-5, 5) for n in names if rng.random() < 0.7}
+        if not coeffs:
+            continue
+        rel = rng.choice([LE, GE, GE, EQ])
+        rhs = F(0) if rel == GE and rng.random() < 0.4 else draw(-9, 9)
+        rows.append(con(coeffs, rel, rhs))
+        if rng.random() < 0.1:
+            rows.append(con({v: 2 * c for v, c in coeffs.items()}, rel, 2 * rhs))
+    if rng.random() < 0.7:  # a box keeps most of the corpus bounded
+        rows += [con({n: 1}, GE if n in free else LE, -8 if n in free else 8)
+                 for n in names]
+        rows += [con({n: 1}, LE, 8) for n in sorted(free)]
+    objective = {n: draw(-6, 6) for n in names if rng.random() < 0.8}
+    return LpProblem(rng.choice(("max", "min")), objective, rows, names, free=free)
+
+
+# sha256 over every LpSolution field of the 400 corpus LPs, recorded when the
+# pivot path was last changed on purpose; a change that moves a single pivot
+# or any returned value must re-record it and say why
+PINNED_PATH_SHA256 = "020b22086ed3aea5bdbb8501bbbf2762ab21db1631b32e2aaaa977bcb6f64ea3"
+
+
+def test_pivot_path_is_pinned():
+    """Every field of every solution, `pivots` included, is what it was when
+    the constant was recorded: storage changes to the tableau must not move
+    the pivot path."""
+    from dataclasses import fields
+
+    digest = hashlib.sha256()
+    statuses = set()
+    for seed in range(400):
+        sol = solve(_pin_lp(seed))
+        statuses.add(sol.status)
+        digest.update(repr([(f.name, getattr(sol, f.name)) for f in fields(sol)]).encode())
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+    assert digest.hexdigest() == PINNED_PATH_SHA256

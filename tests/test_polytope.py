@@ -8,13 +8,9 @@ from itertools import combinations
 import pytest
 
 from semistatic.lp import EQ, GE, LE, con
-from semistatic.polytope import (
-    Polytope,
-    UnboundedPolytopeError,
-    contains,
-    hrep_from_vertices,
-    vertices,
-)
+from semistatic.polytope import Polytope, UnboundedPolytopeError, vertices
+
+from oracles import contains, hrep_from_vertices
 
 F = Fraction
 

@@ -13,17 +13,15 @@ from semistatic import (
     StoppingTime,
     count_stopping_times,
     enumerate_stopping_times,
-    snell_envelope,
     snell_optimal_stop,
     snell_value,
-    strategy_from_mixture,
 )
 from semistatic.lp import EQ, LpProblem, con, solve
 from semistatic.stopping import stop_everywhere_at
 from semistatic.tree import AdaptedProcess, TreeError
 
 from conftest import random_market, random_measure, random_process
-from oracles import liquidate_payoff
+from oracles import liquidate_payoff, snell_envelope, strategy_from_mixture
 
 F = Fraction
 

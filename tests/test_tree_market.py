@@ -24,10 +24,10 @@ from semistatic import (
 )
 from semistatic.fixtures import FixtureError, fixture_json, p2_measure, verify_p2
 from semistatic.market import MarketError
-from semistatic.stopping import enumerate_stopping_times, stop_everywhere_at, strategy_from_mixture
+from semistatic.stopping import enumerate_stopping_times, stop_everywhere_at
 
 from conftest import rand_rational, random_market
-from oracles import gains_to, liquidate_payoff
+from oracles import gains_to, liquidate_payoff, strategy_from_mixture
 
 F = Fraction
 
