@@ -20,7 +20,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .fixtures import FIXTURE_NAMES, fixture_json, load_fixture
+from .fixtures import FIXTURE_NAMES, FixtureError, fixture_json, load_fixture
 from .ftap import NO_ARBITRAGE, check_na, check_sna
 from .hedging import (
     ArbitrageRefusal,
@@ -463,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
         # dominating_measure's refusals) say robust strict no-arbitrage fails
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except (VerificationFailure, LpVerificationError) as exc:
+    except (VerificationFailure, LpVerificationError, FixtureError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3
     except HedgingError as exc:

@@ -195,11 +195,13 @@ def verify_p2(market: MarketSpec) -> None:
     S = market.S
     h = market.h[0]
     psi = market.claims["psi"]
-    assert isinstance(psi, TerminalClaim)
     half = Fraction(1, 2)
 
     def fail(msg):
         raise FixtureError(f"P2 self-test: {msg}")
+
+    if not isinstance(psi, TerminalClaim):
+        fail("claim psi is not a European claim")
 
     if market.h_prices != (Fraction(0),):
         fail(f"American price {market.h_prices} != (0,)")

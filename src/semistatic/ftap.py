@@ -109,7 +109,8 @@ def check_na(
         rows.append(con(total, LE, 1, "normalization"))
         problem = LpProblem("max", total, rows, space.variables, frozenset(space.free))
         sol = solve(problem)
-        assert sol.status == "optimal"
+        if sol.status != "optimal":  # phi = 0 is feasible and the sum is <= 1
+            raise VerificationFailure(f"cone LP is {sol.status}")
         return space.extract_portfolio(sol.values) if sol.objective > 0 else None
 
     if not divisible and market.h:

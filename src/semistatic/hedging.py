@@ -338,10 +338,7 @@ def dual_optimum(spec: PricingSetSpec, claim, kind: str) -> tuple[LpSolution, Me
             bounds.append((_EPIGRAPH, claim, sol.values.get("z", ZERO)))
         return _measure_of(leaves, sol.values, m.tree), bounds
 
-    sol = solve_with_stop_cuts(build, targets)
-    if sol.status != "optimal":
-        return sol, None
-    return sol, _measure_of(leaves, sol.values, m.tree)
+    return solve_with_stop_cuts(build, targets)
 
 
 # ---------------------------------------------------------------------------

@@ -428,7 +428,8 @@ def solve(problem: LpProblem) -> LpSolution:
         phase1 = [0] * art_start + [-1] * (total_cols - art_start)
         tab.set_costs(phase1)
         state = tab.run(total_cols)
-        assert state == "optimal"  # phase-1 objective is bounded above by 0
+        if state != "optimal":  # the phase-1 objective is bounded above by 0
+            raise LpVerificationError(f"phase 1 ended {state}")
         infeas = any(tab.basis[i] >= art_start and tab.b[i] > 0 for i in range(m))
         if infeas:
             # y_i = z at the row's identity column, z_j = c_j - obj_j / od,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .rational import rat, rat_str
@@ -146,7 +147,8 @@ def portfolio_values(market: MarketSpec, p: HedgePortfolio,
     sum over steps s < t of H_s . (S_{s+1} - S_s) (H read on non-leaf nodes
     only), and each held American leg's exercise payoff sum of mu * h along
     the path, is its parent's value plus one step.  The static European legs
-    are added per leaf."""
+    are added per leaf.  All of it runs on the processes' and claims'
+    integer forms; each value is made as one Fraction."""
     tree = market.tree
     for leaf in leaves:
         if leaf not in tree or not tree.is_leaf(leaf):
@@ -154,11 +156,30 @@ def portfolio_values(market: MarketSpec, p: HedgePortfolio,
     H, S = p.H, market.S
     if H is not None and H.dim != S.dim:
         raise MarketError(f"H dimension {H.dim} != stock dimension {S.dim}")
-    legs = [(coef, eta, payoff, price)
-            for coef, eta, payoff, price in zip(p.c, p.mu, market.h, market.h_prices) if coef]
+    # Every term is an integer over a denominator fixed for the portfolio:
+    # the gain is one over gain_den, and a leg whose payoff is the integer x
+    # over d adds coef * (x / d - price), that is (a * x - b) over den.
+    steps = [(*H.scaled(l), *S.scaled(l)) for l in range(S.dim)] if H is not None else []
+    gain_den = lcm(*[hd * sd for hd, _, sd, _ in steps])
+    steps = [(gain_den // (hd * sd), pos, s) for hd, pos, sd, s in steps]
+    american = [(coef, price, eta.eta.scaled(), h.scaled())
+                for coef, eta, h, price in zip(p.c, p.mu, market.h, market.h_prices) if coef]
+    european = [(coef, price, claim.scaled())
+                for coef, claim, price in [*zip(p.a, market.f, market.f_prices),
+                                           *zip(p.b, market.g, market.g_prices)] if coef]
+    legs = [(coef, price, ed * hd) for coef, price, (ed, _), (hd, _) in american]
+    legs += [(coef, price, d) for coef, price, (d, _) in european]
+    den = lcm(gain_den, *[coef.denominator * d * price.denominator for coef, price, d in legs])
+    affine = []
+    for coef, price, d in legs:
+        scale = coef.numerator * (den // (coef.denominator * d * price.denominator))
+        affine.append((scale * price.denominator, scale * price.numerator * d))
+    flows = [(eta, h) for _, _, (_, eta), (_, h) in american]
+    claims = [value for _, _, (_, value) in european]
+    gain_scale = den // gain_den
     root = tree.root
     # node -> (gain, exercise payoff of each held leg) along the root path
-    acc = {root: (Fraction(0), [eta.at(root) * h.scalar_at(root) for _, eta, h, _ in legs])}
+    acc = {root: (0, [eta[root] * h[root] for eta, h in flows])}
     out = []
     for leaf in leaves:
         path = tree.path(leaf)
@@ -167,23 +188,14 @@ def portfolio_values(market: MarketSpec, p: HedgePortfolio,
             i -= 1
         for here, there in zip(path[i:], path[i + 1:]):
             gain, paid = acc[here]
-            if H is not None:
-                s_here = S.at(here)
-                for hl, a, b in zip(H.at(here), s_here, S.at(there)):
-                    if hl:
-                        gain += hl * (b - a)
-            acc[there] = (gain, [x + eta.at(there) * h.scalar_at(there)
-                                 for x, (_, eta, h, _) in zip(paid, legs)])
-        total, paid = acc[leaf]
-        for coef, claim, price in zip(p.a, market.f, market.f_prices):
-            if coef:
-                total += coef * (claim.at(leaf) - price)
-        for coef, claim, price in zip(p.b, market.g, market.g_prices):
-            if coef:
-                total += coef * (claim.at(leaf) - price)
-        for x, (coef, _, _, price) in zip(paid, legs):
-            total += coef * (x - price)
-        out.append(total)
+            for scale, pos, s in steps:
+                if pos[here]:
+                    gain += scale * pos[here] * (s[there] - s[here])
+            acc[there] = (gain, [x + eta[there] * h[there] for x, (eta, h) in zip(paid, flows)])
+        gain, paid = acc[leaf]
+        payoffs = paid + [value[leaf] for value in claims]
+        total = gain_scale * gain + sum([a * x - b for x, (a, b) in zip(payoffs, affine)])
+        out.append(Fraction(total, den))
     return out
 
 

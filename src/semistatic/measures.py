@@ -13,6 +13,13 @@ way: `solve_with_stop_cuts` adds a stop's row only when the greedy optimal
 stop of the exercise envelope under the current solution violates it.  The
 closure polytope is the exception: vertex enumeration needs its full
 H-representation, so it lists one row per enumerated stopping time.
+
+A `Measure` holds integer weights over one denominator, the lcm of its
+weights' denominators (a canonical form), and keeps its integer subtree masses
+after first use.  Expectations, exercise envelopes and the membership checks
+sum integers against the claims' and processes' own integer forms and make one
+Fraction, or compare with a Fraction bound by cross-multiplication.  LP rows
+still receive the same rationals as Fractions.
 """
 
 from __future__ import annotations
@@ -24,11 +31,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .lp import EQ, GE, LE, Constraint, LpProblem, LpSolution, con, solve
 from .market import HedgePortfolio, MarketSpec
 from .polytope import Polytope, vertices
-from .rational import rat, rat_str
+from .rational import over_lcm, rat, rat_str
 from .stopping import (
     StoppingTime,
     _greedy_stop,
-    _subtree_masses,
     _unnormalized_snell,
     enumerate_stopping_times,
     snell_value,
@@ -43,12 +49,14 @@ class MeasureError(ValueError):
 
 
 class Measure:
-    """Leaf-indexed nonnegative rational weights summing to one."""
+    """Leaf-indexed nonnegative rational weights summing to one.
+
+    `num` holds the nonzero weights as integers over the one denominator
+    `den` (`over_lcm`); `weights` is their Fraction view."""
 
     def __init__(self, tree: EventTree, weights: Mapping[str, object]):
         self.tree = tree
         w: dict[str, Fraction] = {}
-        total = ZERO
         for leaf, val in weights.items():
             if leaf not in tree or not tree.is_leaf(leaf):
                 raise MeasureError(f"weight on non-leaf node {leaf!r}")
@@ -57,10 +65,12 @@ class Measure:
                 raise MeasureError(f"negative weight at {leaf!r}")
             if x:
                 w[leaf] = x
-            total += x
-        if total != 1:
-            raise MeasureError(f"weights sum to {total}, not 1")
+        self.den, self.num = over_lcm(w)
+        total = sum(self.num.values())
+        if total != self.den:
+            raise MeasureError(f"weights sum to {Fraction(total, self.den)}, not 1")
         self.weights = w
+        self._mass: dict[str, int] | None = None
 
     def support(self) -> frozenset[str]:
         return frozenset(self.weights)
@@ -68,11 +78,25 @@ class Measure:
     def at(self, leaf: str) -> Fraction:
         return self.weights.get(leaf, ZERO)
 
+    def masses(self) -> dict[str, int]:
+        """The mass on the leaves under every node, as integers over `den`,
+        in one bottom-up pass; computed once and kept."""
+        if self._mass is None:
+            tree, mass = self.tree, {}
+            for node in reversed(tree.nodes):
+                kids = tree.children(node)
+                mass[node] = sum([mass[c] for c in kids]) if kids else self.num.get(node, 0)
+            self._mass = mass
+        return self._mass
+
     def expect_claim(self, claim: TerminalClaim) -> Fraction:
-        return sum((w * claim.at(l) for l, w in self.weights.items()), ZERO)
+        den, value = claim.scaled()
+        return Fraction(sum([w * value[l] for l, w in self.num.items()]), self.den * den)
 
     def expect_at_stop(self, h: AdaptedProcess, tau: StoppingTime) -> Fraction:
-        return sum((w * tau.value_at(h, l) for l, w in self.weights.items()), ZERO)
+        den, value = h.scaled()
+        return Fraction(sum([w * value[tau.stop_node(l)] for l, w in self.num.items()]),
+                        self.den * den)
 
     def mixture(self, other: "Measure", lam) -> "Measure":
         lam = rat(lam)
@@ -81,10 +105,10 @@ class Measure:
         return Measure(self.tree, w)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Measure) and self.weights == other.weights
+        return isinstance(other, Measure) and (self.den, self.num) == (other.den, other.num)
 
     def __hash__(self):
-        return hash(frozenset(self.weights.items()))
+        return hash((self.den, frozenset(self.num.items())))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{l}: {rat_str(w)}" for l, w in sorted(self.weights.items()))
@@ -139,16 +163,18 @@ def martingale_system(market: MarketSpec, carrier: Iterable[str] | None = None) 
     rows: list[Constraint] = [
         con({_weight_var(l): 1 for l in leaves}, EQ, 1, "mass")
     ]
+    stock = [market.S.scaled(l_idx) for l_idx in range(market.dim)]
     for node in tree.nonleaf_nodes():
-        for l_idx in range(market.dim):
+        for l_idx, (den, s) in enumerate(stock):
             coeffs: dict[str, Fraction] = {}
             for child in tree.children(node):
-                step = market.S.at(child)[l_idx] - market.S.at(node)[l_idx]
+                step = s[child] - s[node]
                 if step == 0:
                     continue
+                step = Fraction(step, den)  # each leaf lies under one child
                 for leaf in tree.leaves_under(child):
                     if leaf in leaf_set:
-                        coeffs[_weight_var(leaf)] = coeffs.get(_weight_var(leaf), ZERO) + step
+                        coeffs[_weight_var(leaf)] = step
             if coeffs:
                 rows.append(con(coeffs, EQ, 0, f"mart[{node}][{l_idx}]"))
     return LpProblem("max", {}, rows, variables)
@@ -208,8 +234,10 @@ def _cap_targets(spec: PricingSetSpec, slack: Fraction = ZERO) -> list[tuple]:
 def solve_with_stop_cuts(
     build: Callable[[list[tuple[object, StoppingTime]]], LpProblem],
     targets: Callable[[LpSolution], tuple[Measure, list[tuple]]],
-) -> LpSolution:
-    """Solve an LP whose "for all stopping times" rows are generated lazily.
+) -> tuple[LpSolution, Measure | None]:
+    """Solve an LP whose "for all stopping times" rows are generated lazily;
+    return the last solution and the measure read off it (None unless
+    optimal).
 
     `build(cuts)` returns the LP with one row per (family, stopping time) in
     `cuts`.  `targets(sol)` reads the measure off an optimal solution and
@@ -223,16 +251,15 @@ def solve_with_stop_cuts(
     while True:
         sol = solve(build(cuts))
         if sol.status != "optimal":
-            return sol
+            return sol, None
         Q, bounds = targets(sol)
-        mass = _subtree_masses(Q) if bounds else {}
         new = []
         for family, h, bound in bounds:
-            V = _unnormalized_snell(mass, h)
-            if V[h.tree.root] > bound:
-                new.append((family, _greedy_stop(Q, h, mass, V)))
+            V, den = _unnormalized_snell(Q, h)
+            if V[h.tree.root] * bound.denominator > bound.numerator * den:
+                new.append((family, _greedy_stop(Q, h, V)))
         if not new:
-            return sol
+            return sol, Q
         for cut in new:
             if cut in seen:
                 raise MeasureError(f"stop cut loop failed to progress on {cut[0]!r}")
@@ -319,11 +346,10 @@ def max_slack(spec: PricingSetSpec,
         Q = _measure_of(leaves, sol.values, m.tree)
         return Q, _cap_targets(spec, sol.values.get(SLACK_VAR, ZERO))
 
-    sol = solve_with_stop_cuts(build, targets)
+    sol, witness = solve_with_stop_cuts(build, targets)
     if sol.status != "optimal":
         return SlackResult(status="infeasible",
                            certificate=_slack_certificate(m, fixed, last_cuts, sol.farkas))
-    witness = _measure_of(leaves, sol.values, m.tree)
     option_slack: Fraction | None = None
     for j, (claim, cap) in enumerate(zip(m.g, spec.g_cap)):
         if cap is None:
@@ -415,17 +441,14 @@ def membership(Q: Measure, spec: PricingSetSpec, strict: bool) -> MembershipRepo
     if off_support:
         bad.append(f"support outside the market support: {sorted(off_support)}")
     tree = m.tree
-    mass = _subtree_masses(Q)
+    mass = Q.masses()
+    stock = [m.S.scaled(l_idx) for l_idx in range(m.dim)]
     for node in tree.nonleaf_nodes():
-        for l_idx in range(m.dim):
-            drift = ZERO
-            for child in tree.children(node):
-                step = m.S.at(child)[l_idx] - m.S.at(node)[l_idx]
-                if step:
-                    drift += step * mass[child]
+        for l_idx, (den, s) in enumerate(stock):
+            drift = sum([(s[c] - s[node]) * mass[c] for c in tree.children(node)])
             if drift != 0:
-                bad.append(f"martingale drift {rat_str(drift)} at node {node} "
-                           f"component {l_idx}")
+                bad.append(f"martingale drift {rat_str(Fraction(drift, den * Q.den))} "
+                           f"at node {node} component {l_idx}")
     for i, (claim, price) in enumerate(zip(m.f, m.f_prices)):
         got = Q.expect_claim(claim)
         if got != price:
@@ -440,10 +463,13 @@ def membership(Q: Measure, spec: PricingSetSpec, strict: bool) -> MembershipRepo
     for k, (h, cap) in enumerate(zip(m.h, spec.h_cap)):
         if cap is None:
             continue
-        got = _unnormalized_snell(mass, h)[tree.root]
-        if got > cap or (strict and got == cap):
+        V, den = _unnormalized_snell(Q, h)
+        got = V[tree.root]
+        over = got * cap.denominator - cap.numerator * den
+        if over > 0 or (strict and over == 0):
             rel = "<" if strict else "<="
-            bad.append(f"h[{k}] exercise envelope {rat_str(got)} !{rel} {rat_str(cap)}")
+            bad.append(f"h[{k}] exercise envelope {rat_str(Fraction(got, den))} "
+                       f"!{rel} {rat_str(cap)}")
     for l in sorted(spec.support_floor):
         w = Q.at(l)
         if strict and w <= 0:

@@ -2,12 +2,15 @@
 
 All market data travel as `fractions.Fraction`; text form is "p/q" (or a bare
 integer string).  Floats are rejected everywhere so that file round-trips stay
-bit-exact.
+bit-exact.  Measures, claims and processes are computed on as integers over one
+denominator (`over_lcm`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import Mapping
 
 Rat = Fraction
 
@@ -35,3 +38,10 @@ def rat_str(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def over_lcm(values: Mapping[str, Fraction]) -> tuple[int, dict[str, int]]:
+    """The values as integers over one denominator, the lcm of theirs: a
+    canonical form, since the lcm of reduced denominators is unique."""
+    den = lcm(*[x.denominator for x in values.values()])
+    return den, {k: x.numerator * (den // x.denominator) for k, x in values.items()}

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .hedging import (
@@ -60,7 +61,6 @@ from .polytope import Polytope
 from .rational import rat_str
 from .stopping import (
     StoppingTime,
-    _subtree_masses,
     enumerate_stopping_times,
     snell_value,
     stop_everywhere_at,
@@ -473,8 +473,6 @@ def minimax_check(
     if N == 0:
         raise RobustError("empty option list")
 
-    masses = [_subtree_masses(R) for R in R_vertices]
-
     # lhs: flows against vertex cuts
     rows = []
     variables = ["t"]
@@ -484,13 +482,15 @@ def minimax_check(
         for leaf in tree.leaves:
             rows.append(con({f"mu[{k}][{nd}]": Fraction(1) for nd in tree.path(leaf)},
                             EQ, 1, f"flow[{k}][{leaf}]"))
-    for v_idx, mass in enumerate(masses):
+    for v_idx, R in enumerate(R_vertices):
+        mass = R.masses()
         coeffs = {}
         for k, h in enumerate(h_list):
+            den, value = h.scaled()
             for nd in tree.nodes:
-                val = mass[nd] * h.scalar_at(nd)
+                val = mass[nd] * value[nd]
                 if val:
-                    coeffs[f"mu[{k}][{nd}]"] = coeffs.get(f"mu[{k}][{nd}]", ZERO) + val
+                    coeffs[f"mu[{k}][{nd}]"] = Fraction(val, R.den * den)
         coeffs["t"] = Fraction(-1)
         rows.append(con(coeffs, GE, 0, f"vertex[{v_idx}]"))
     sol = solve(LpProblem("max", {"t": 1}, rows, variables, free=frozenset({"t"})))
@@ -502,11 +502,14 @@ def minimax_check(
     simplex_row = con({v: 1 for v in lam_vars}, EQ, 1, "hull")
 
     def mixture(sol) -> Measure:
-        mixture_w = {}
-        for v, R in zip(lam_vars, R_vertices):
-            for leaf, wl in R.weights.items():
-                mixture_w[leaf] = mixture_w.get(leaf, ZERO) + sol.values.get(v, ZERO) * wl
-        return Measure(tree, mixture_w)
+        lams = [sol.values.get(v, ZERO) for v in lam_vars]
+        den = lcm(*[lam.denominator * R.den for lam, R in zip(lams, R_vertices)])
+        mixture_w: dict[str, int] = {}
+        for lam, R in zip(lams, R_vertices):
+            scale = lam.numerator * (den // (lam.denominator * R.den))
+            for leaf, wl in R.num.items():
+                mixture_w[leaf] = mixture_w.get(leaf, 0) + scale * wl
+        return Measure(tree, {leaf: Fraction(w, den) for leaf, w in mixture_w.items()})
 
     # mid: epigraph with envelope cuts per option
     z_vars = [f"z[{k}]" for k in range(N)]
@@ -529,7 +532,7 @@ def minimax_check(
         return mixture(sol), [(k, h, sol.values.get(z_vars[k], ZERO))
                               for k, h in enumerate(h_list)]
 
-    sol = solve_with_stop_cuts(build, targets)
+    sol, _ = solve_with_stop_cuts(build, targets)
     if sol.status != "optimal":
         raise RobustError(f"mixture LP is {sol.status}")
     mid = sol.objective

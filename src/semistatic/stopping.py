@@ -6,6 +6,11 @@ exercise primitive.  Stopping times embed as the {0,1}-valued flows.  The
 liquidation mass is normalized over times 0..T, so that exercise at time 0 is
 available and the stopping-time embedding is total.
 
+The Snell envelope runs in integers: a measure's subtree masses are integers
+over its one denominator (`Measure.masses`) and a payoff process's values
+integers over its own, so the envelope is an integer process over their
+product, and a Fraction is made only for the value returned.
+
 All functions here are pure over immutable inputs and parallel-safe.
 """
 
@@ -21,7 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .measures import Measure
 
 DEFAULT_ENUM_CAP = 10**6
-ZERO = Fraction(0)
 
 
 class EnumerationCapError(RuntimeError):
@@ -54,6 +58,10 @@ class StoppingTime:
     def stops_at(self, node: str) -> bool:
         return node in self.stop_nodes
 
+    def stop_node(self, leaf: str) -> str:
+        """The node on the path to `leaf` at which the time stops."""
+        return self._stop_at[leaf]
+
     def value_at(self, h: AdaptedProcess, leaf: str) -> Fraction:
         """h evaluated at the stop: the exercise payoff on the path to `leaf`."""
         return h.scalar_at(self._stop_at[leaf])
@@ -80,13 +88,14 @@ class LiquidatingStrategy:
         if eta.dim != 1:
             raise TreeError("liquidating strategy must be scalar")
         tree = eta.tree
+        den, mass = eta.scaled()
         for node in tree.nodes:
-            if eta.scalar_at(node) < 0:
+            if mass[node] < 0:
                 raise TreeError(f"node {node!r}: negative exercise mass")
         for leaf in tree.leaves:
-            total = sum(eta.scalar_at(n) for n in tree.path(leaf))
-            if total != 1:
-                raise TreeError(f"leaf {leaf!r}: path mass {total} != 1")
+            total = sum(mass[n] for n in tree.path(leaf))
+            if total != den:
+                raise TreeError(f"leaf {leaf!r}: path mass {Fraction(total, den)} != 1")
         self.tree = tree
         self.eta = eta
 
@@ -156,50 +165,35 @@ def enumerate_stopping_times(
         return out
 
     taus = [StoppingTime(tree, s) for s in antichains(tree.root)]
-    assert len(taus) == n
+    if len(taus) != n:
+        from .hedging import VerificationFailure  # hedging imports this module
+
+        raise VerificationFailure(f"enumerated {len(taus)} stopping times, counted {n}")
     return taus
 
 
-def _subtree_masses(Q: "Measure") -> dict[str, Fraction]:
-    """Q's mass on the leaves under every node, in one bottom-up pass that
-    adds only nonzero child masses."""
-    tree, weights = Q.tree, Q.weights
-    mass: dict[str, Fraction] = {}
-    for node in reversed(tree.nodes):
-        kids = tree.children(node)
-        if not kids:
-            mass[node] = weights.get(node, ZERO)
-            continue
-        total = mass[kids[0]]
-        for c in kids[1:]:
-            if mass[c]:
-                total += mass[c]
-        mass[node] = total
-    return mass
-
-
-def _unnormalized_snell(mass: dict[str, Fraction], h: AdaptedProcess) -> dict[str, Fraction]:
+def _unnormalized_snell(Q: "Measure", h: AdaptedProcess) -> tuple[dict[str, int], int]:
     """V(n) = max over stopping times of E_Q[h_tau restricted to paths through n],
-    from Q's `_subtree_masses`.
+    as integers over one denominator (Q's times h's), from Q's `masses`;
+    returns V and that denominator.
 
     Works verbatim on zero-mass subtrees (they contribute 0), which is what
     makes the root value equal max over all stopping times of E_Q[h_tau].
     """
-    tree = h.tree
-    V: dict[str, Fraction] = {}
+    tree, mass = h.tree, Q.masses()
+    den, hn = h.scaled()
+    V: dict[str, int] = {}
     for node in reversed(tree.nodes):
-        stop_here = mass[node] * h.scalar_at(node)
-        if tree.is_leaf(node):
-            V[node] = stop_here
-        else:
-            cont = sum((V[c] for c in tree.children(node)), Fraction(0))
-            V[node] = max(stop_here, cont)
-    return V
+        kids = tree.children(node)
+        stop_here = mass[node] * hn[node]
+        V[node] = max(stop_here, sum([V[c] for c in kids])) if kids else stop_here
+    return V, Q.den * den
 
 
 def snell_value(Q: "Measure", h: AdaptedProcess) -> Fraction:
     """max over stopping times of E_Q[h_tau], by backward induction."""
-    return _unnormalized_snell(_subtree_masses(Q), h)[h.tree.root]
+    V, den = _unnormalized_snell(Q, h)
+    return Fraction(V[h.tree.root], den)
 
 
 def snell_optimal_stop(Q: "Measure", h: AdaptedProcess) -> StoppingTime:
@@ -208,31 +202,28 @@ def snell_optimal_stop(Q: "Measure", h: AdaptedProcess) -> StoppingTime:
 
     This is the separation oracle of `measures.solve_with_stop_cuts`.
     """
-    mass = _subtree_masses(Q)
-    return _greedy_stop(Q, h, mass, _unnormalized_snell(mass, h))
+    return _greedy_stop(Q, h, _unnormalized_snell(Q, h)[0])
 
 
-def _greedy_stop(Q: "Measure", h: AdaptedProcess, mass: dict[str, Fraction],
-                 V: dict[str, Fraction]) -> StoppingTime:
-    """`snell_optimal_stop` read off Q's masses and h's envelope V under Q."""
-    tree = h.tree
+def _greedy_stop(Q: "Measure", h: AdaptedProcess, V: dict[str, int]) -> StoppingTime:
+    """`snell_optimal_stop` read off h's envelope V under Q
+    (`_unnormalized_snell`), re-checked to attain V's root value."""
+    tree, mass = h.tree, Q.masses()
+    den, hn = h.scaled()
     stops: list[str] = []
     frontier = [tree.root]
     while frontier:
         node = frontier.pop()
-        stop_here = mass[node] * h.scalar_at(node)
-        if tree.is_leaf(node):
+        kids = tree.children(node)
+        if not kids or mass[node] * hn[node] >= sum([V[c] for c in kids]):
             stops.append(node)
         else:
-            cont = sum((V[c] for c in tree.children(node)), Fraction(0))
-            if stop_here >= cont:
-                stops.append(node)
-            else:
-                frontier.extend(tree.children(node))
+            frontier.extend(kids)
     tau = StoppingTime(tree, stops)
-    value = sum(
-        (Q.weights.get(leaf, Fraction(0)) * tau.value_at(h, leaf) for leaf in tree.leaves),
-        Fraction(0),
-    )
-    assert value == V[tree.root]
+    value, envelope = Q.expect_at_stop(h, tau), Fraction(V[tree.root], Q.den * den)
+    if value != envelope:
+        from .hedging import VerificationFailure  # hedging imports this module
+
+        raise VerificationFailure(
+            f"greedy stop is worth {value}, the exercise envelope {envelope}")
     return tau

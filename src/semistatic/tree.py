@@ -4,6 +4,8 @@ An `EventTree` is a finite rooted tree whose nodes at depth t are the market
 states observable at time t; the filtration is implicit (a node is an atom of
 the time-t sigma-field).  `AdaptedProcess` attaches an exact rational (or a
 fixed-dimension rational vector) to every node, `TerminalClaim` to every leaf.
+Both are read as Fractions (`at`, `scalar_at`) and computed on as integers over
+one denominator per component (`scaled`), made on first use and kept.
 
 Everything here is immutable after construction and safe to share across
 threads read-only.
@@ -14,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .rational import rat
+from .rational import over_lcm, rat
 
 
 class TreeError(ValueError):
@@ -148,6 +150,7 @@ class AdaptedProcess:
             raise TreeError(f"values for unknown nodes {sorted(extra)!r}")
         self.dim = seen_dim or 1
         self._values = vals
+        self._scaled: dict[int, tuple[int, dict[str, int]]] = {}
 
     def at(self, node: str) -> tuple[Fraction, ...]:
         return self._values[node]
@@ -156,6 +159,17 @@ class AdaptedProcess:
         if self.dim != 1:
             raise TreeError(f"process has dimension {self.dim}, not scalar")
         return self._values[node][0]
+
+    def scaled(self, i: int | None = None) -> tuple[int, dict[str, int]]:
+        """Component `i` (the scalar value when None) at every node, as
+        integers over one denominator (`over_lcm`)."""
+        if i is None:
+            if self.dim != 1:
+                raise TreeError(f"process has dimension {self.dim}, not scalar")
+            i = 0
+        if i not in self._scaled:
+            self._scaled[i] = over_lcm({n: v[i] for n, v in self._values.items()})
+        return self._scaled[i]
 
     def as_scalar_map(self) -> dict[str, Fraction]:
         return {n: self.scalar_at(n) for n in self.tree.nodes}
@@ -184,9 +198,16 @@ class TerminalClaim:
         if extra:
             raise TreeError(f"claim values for non-leaf nodes {sorted(extra)!r}")
         self._values = vals
+        self._scaled: tuple[int, dict[str, int]] | None = None
 
     def at(self, leaf: str) -> Fraction:
         return self._values[leaf]
+
+    def scaled(self) -> tuple[int, dict[str, int]]:
+        """The payoff at every leaf as integers over one denominator."""
+        if self._scaled is None:
+            self._scaled = over_lcm(self._values)
+        return self._scaled
 
     def __repr__(self) -> str:
         return f"TerminalClaim({len(self._values)} leaves)"

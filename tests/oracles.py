@@ -9,6 +9,11 @@ time.
     certificates with Fraction sums (`_dot`), the reference for the integer
     re-checks in `semistatic.lp`: on every certificate both raise the same
     `LpVerificationError` message, or neither raises.
+  * `expect_claim`, `expect_at_stop`, `subtree_masses`, `unnormalized_snell`
+    and `martingale_drift` are the Fraction sums, one term at a time, that
+    the engine's integer forms replace: references for `Measure.expect_*`
+    and `Measure.masses`, `stopping._unnormalized_snell`, and the drift
+    check of `measures.membership`.
   * `snell_envelope` is the normalized backward induction, the reference for
     the unnormalized envelope behind `stopping.snell_value`, and
     `strategy_from_mixture` builds the exercise flow of a mixture of stops.
@@ -30,13 +35,8 @@ from semistatic.market import MarketError, MarketSpec
 from semistatic.measures import Measure
 from semistatic.polytope import Polytope, PolytopeError, _dd_cone, _primitive_int
 from semistatic.rational import rat
-from semistatic.stopping import (
-    LiquidatingStrategy,
-    StoppingTime,
-    _subtree_masses,
-    _unnormalized_snell,
-)
-from semistatic.tree import AdaptedProcess
+from semistatic.stopping import LiquidatingStrategy, StoppingTime
+from semistatic.tree import AdaptedProcess, TerminalClaim
 
 ZERO = Fraction(0)
 
@@ -191,6 +191,50 @@ def verify_ray(problem: LpProblem, point: Mapping[str, Fraction],
 
 
 # ---------------------------------------------------------------------------
+# Measures: expectations, masses and envelopes as Fraction sums
+# ---------------------------------------------------------------------------
+
+def expect_claim(Q: Measure, claim: TerminalClaim) -> Fraction:
+    return sum((w * claim.at(l) for l, w in Q.weights.items()), ZERO)
+
+
+def expect_at_stop(Q: Measure, h: AdaptedProcess, tau: StoppingTime) -> Fraction:
+    return sum((w * tau.value_at(h, l) for l, w in Q.weights.items()), ZERO)
+
+
+def subtree_masses(Q: Measure) -> dict[str, Fraction]:
+    """Q's mass on the leaves under every node."""
+    tree = Q.tree
+    mass: dict[str, Fraction] = {}
+    for node in reversed(tree.nodes):
+        kids = tree.children(node)
+        mass[node] = sum((mass[c] for c in kids), ZERO) if kids else Q.at(node)
+    return mass
+
+
+def unnormalized_snell(Q: Measure, h: AdaptedProcess) -> dict[str, Fraction]:
+    """V(n) = max over stopping times of E_Q[h_tau restricted to paths
+    through n], by backward induction on Q's subtree masses."""
+    tree, mass = h.tree, subtree_masses(Q)
+    V: dict[str, Fraction] = {}
+    for node in reversed(tree.nodes):
+        stop_here = mass[node] * h.scalar_at(node)
+        kids = tree.children(node)
+        V[node] = max(stop_here, sum((V[c] for c in kids), ZERO)) if kids else stop_here
+    return V
+
+
+def martingale_drift(Q: Measure, market: MarketSpec) -> dict[tuple[str, int], Fraction]:
+    """Sum over children of (S_child - S_node) * Q(child's leaves), at every
+    non-leaf node and stock component; all zero exactly for a martingale
+    measure."""
+    tree, mass, S = market.tree, subtree_masses(Q), market.S
+    return {(node, l): sum(((S.at(c)[l] - S.at(node)[l]) * mass[c]
+                            for c in tree.children(node)), ZERO)
+            for node in tree.nonleaf_nodes() for l in range(market.dim)}
+
+
+# ---------------------------------------------------------------------------
 # Stopping: the normalized envelope and mixtures of stops
 # ---------------------------------------------------------------------------
 
@@ -203,7 +247,7 @@ def snell_envelope(Q: Measure, h: AdaptedProcess) -> tuple[AdaptedProcess, Fract
     The root value equals max over all stopping times of E_Q[h_tau].
     """
     tree = h.tree
-    mass = _subtree_masses(Q)
+    mass = subtree_masses(Q)
     U: dict[str, Fraction] = {}
     for node in reversed(tree.nodes):
         if tree.is_leaf(node):
@@ -216,7 +260,7 @@ def snell_envelope(Q: Measure, h: AdaptedProcess) -> tuple[AdaptedProcess, Fract
             cont = sum((U[c] for c in kids), Fraction(0)) / len(kids)
         U[node] = max(h.scalar_at(node), cont)
     envelope = AdaptedProcess(tree, U)
-    root_value = _unnormalized_snell(mass, h)[tree.root]
+    root_value = unnormalized_snell(Q, h)[tree.root]
     assert U[tree.root] == root_value or mass[tree.root] != 1
     return envelope, root_value
 

@@ -482,6 +482,19 @@ def test_selftest(capsys):
     assert report["checks"]["p2_indivisible_stops_solved"] is True
 
 
+def test_selftest_reports_a_fixture_that_fails_its_self_test(capsys, monkeypatch):
+    import semistatic.cli as cli
+    from semistatic.fixtures import FixtureError
+
+    def broken(name):
+        raise FixtureError(f"{name} self-test: tampered")
+
+    monkeypatch.setattr(cli, "load_fixture", broken)
+    code, out, err = run_cli(capsys, "selftest")
+    assert (code, out) == (3, "")
+    assert err == "verification failure: B1 self-test: tampered\n"
+
+
 def test_jobs_batch_preserves_input_order(capsys, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

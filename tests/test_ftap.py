@@ -26,6 +26,14 @@ from oracles import find_pricing_measure
 F = Fraction
 
 
+def test_cone_lp_that_is_not_optimal_raises(b1, monkeypatch):
+    from semistatic.lp import LpSolution
+
+    monkeypatch.setattr(ftap, "solve", lambda problem: LpSolution(status="unbounded"))
+    with pytest.raises(VerificationFailure, match="cone LP is unbounded"):
+        check_na(b1)
+
+
 def test_b1_plain_no_arbitrage(b1):
     assert check_na(b1).verdict == NO_ARBITRAGE
     assert check_sna(b1).verdict == NO_ARBITRAGE

@@ -91,6 +91,13 @@ def test_infeasible_farkas_certificate():
     verify_farkas(prob, sol.farkas)
 
 
+def test_phase_one_that_does_not_end_optimal_raises(monkeypatch):
+    monkeypatch.setattr(_Tableau, "run", lambda self, limit: "unbounded")
+    prob = LpProblem("max", {"x": 1}, [con({"x": 1}, GE, 1), con({"x": 1}, LE, 2)], ["x"])
+    with pytest.raises(LpVerificationError, match="phase 1 ended unbounded"):
+        solve(prob)
+
+
 def test_unbounded_ray_certificate():
     prob = LpProblem("max", {"x": 1, "y": -1}, [con({"y": 1}, GE, 0)], ["x", "y"])
     sol = solve(prob)

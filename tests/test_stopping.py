@@ -16,8 +16,10 @@ from semistatic import (
     snell_optimal_stop,
     snell_value,
 )
+import semistatic.stopping as stopping
+from semistatic.hedging import VerificationFailure
 from semistatic.lp import EQ, LpProblem, con, solve
-from semistatic.stopping import stop_everywhere_at
+from semistatic.stopping import _greedy_stop, _unnormalized_snell, stop_everywhere_at
 from semistatic.tree import AdaptedProcess, TreeError
 
 from conftest import random_market, random_measure, random_process
@@ -170,6 +172,22 @@ def test_greedy_stop_attains_value():
         Q = random_measure(rng, market.tree, full_support=rng.random() < 0.5)
         tau = snell_optimal_stop(Q, h)
         assert Q.expect_at_stop(h, tau) == snell_value(Q, h)
+
+
+def test_greedy_stop_that_misses_the_envelope_raises(t2):
+    Q = Measure(t2.tree, {"uu": F(1, 9), "ud": F(2, 9), "du": F(2, 9), "dd": F(4, 9)})
+    put = t2.claims["put5_am"]
+    V, _ = _unnormalized_snell(Q, put)
+    V[t2.tree.root] += 1
+    with pytest.raises(VerificationFailure, match="greedy stop is worth 20/9, "
+                                                  "the exercise envelope 7/3"):
+        _greedy_stop(Q, put, V)
+
+
+def test_enumeration_that_misses_the_count_raises(t2, monkeypatch):
+    monkeypatch.setattr(stopping, "count_stopping_times", lambda tree: 7)
+    with pytest.raises(VerificationFailure, match="enumerated 5 stopping times, counted 7"):
+        enumerate_stopping_times(t2.tree)
 
 
 def test_mixture_single_tau_is_embedding(t2):

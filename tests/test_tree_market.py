@@ -267,6 +267,45 @@ def test_portfolio_values_equal_a_path_walk_at_every_leaf(data):
         _path_walk(market, port, leaf) for leaf in leaves]
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_portfolio_values_over_large_coprime_denominators_equal_a_path_walk(data):
+    """The same cross-check with the stock, every payoff, quote, position and
+    exercise weight over large primes, so that the evaluator's one common
+    denominator is a product of several of them."""
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    market = random_market(rng, max_depth=3)
+    tree = market.tree
+    primes = (2**61 - 1, 10**9 + 7, 998244353, 2**31 - 1)
+
+    def big(lo=-4):
+        p = rng.choice(primes)
+        return F(0) if rng.random() < 0.2 else F(rng.randint(lo * p, 8 * p), p)
+
+    def claims(book):
+        return [TerminalClaim(tree, {l: big() for l in tree.leaves}) for _ in book]
+
+    market = MarketSpec(
+        tree=tree, S=AdaptedProcess(tree, {n: big(1) for n in tree.nodes}),
+        f=claims(market.f), f_prices=tuple(big() for _ in market.f),
+        g=claims(market.g), g_prices=tuple(big() for _ in market.g),
+        h=tuple(AdaptedProcess(tree, {n: big() for n in tree.nodes}) for _ in market.h),
+        h_prices=tuple(big() for _ in market.h))
+    taus = enumerate_stopping_times(tree)
+    mu = []
+    for _ in market.h:
+        lam = F(rng.randint(0, primes[1]), primes[1])
+        mu.append(strategy_from_mixture([lam, 1 - lam], [rng.choice(taus), rng.choice(taus)]))
+    port = HedgePortfolio(
+        H=AdaptedProcess(tree, {n: big() for n in tree.nodes}),
+        a=tuple(big() for _ in market.f), b=tuple(big(0) for _ in market.g),
+        c=tuple(big(0) for _ in market.h), mu=tuple(mu),
+    )
+    leaves = list(tree.leaves)
+    assert portfolio_values(market, port, leaves) == [
+        _path_walk(market, port, leaf) for leaf in leaves]
+
+
 def test_portfolio_values_refuse_non_leaves_and_a_wrong_H_dimension(t2):
     port = HedgePortfolio(H=AdaptedProcess(t2.tree, {n: [1, 1] for n in t2.tree.nodes}))
     for bad in ("u", "r", "zz"):
@@ -293,6 +332,14 @@ def test_path_consistency_of_evaluation(t2):
 def test_unknown_fixture_name():
     with pytest.raises(KeyError):
         load_fixture("Z9")
+
+
+def test_p2_self_test_refuses_an_american_psi(p2):
+    import dataclasses
+
+    tampered = dataclasses.replace(p2, claims={**p2.claims, "psi": p2.h[0]})
+    with pytest.raises(FixtureError, match="psi is not a European claim"):
+        verify_p2(tampered)
 
 
 def test_p2_self_test_catches_tampering(p2):
