@@ -23,7 +23,7 @@ from itertools import product
 from typing import Sequence
 
 from .hedging import StrategySpace, VerificationFailure
-from .lp import GE, LE, LpProblem, con, solve
+from .lp import GE, LE, LpProblem, int_con, solve
 from .market import HedgePortfolio, MarketSpec, portfolio_values
 from .measures import Measure, PricingSetSpec, SlackResult, membership, strict_emm_slack
 from .rational import rat, rat_str
@@ -35,8 +35,6 @@ from .stopping import (
     enumerate_stopping_times,
     snell_value,
 )
-
-ZERO = Fraction(0)
 
 NO_ARBITRAGE = "NO_ARBITRAGE"
 ARBITRAGE = "ARBITRAGE"
@@ -99,15 +97,17 @@ def check_na(
 
     def cone_lp(m: MarketSpec) -> HedgePortfolio | None:
         space = StrategySpace(m)
-        rows = list(space.structure_rows())
-        total: dict[str, Fraction] = {}
+        rows = space.structure_rows()
+        total: dict[str, int] = {}
         for leaf in support:
-            coeffs = space.phi_coeffs(leaf)
-            rows.append(con(coeffs, GE, 0, f"leaf[{leaf}]"))
-            for v, cv in coeffs.items():
-                total[v] = total.get(v, ZERO) + cv
-        rows.append(con(total, LE, 1, "normalization"))
-        problem = LpProblem("max", total, rows, space.variables, frozenset(space.free))
+            den, phi = space.phi_coeffs(leaf)  # one den for every leaf of m
+            rows.append(int_con(phi, GE, 0, den, f"leaf[{leaf}]"))
+            for v, c in phi.items():
+                total[v] = total.get(v, 0) + c
+        norm = int_con(total, LE, den, den, "normalization")
+        rows.append(norm)
+        # maximize the normalization row's left side, the total value
+        problem = LpProblem("max", norm, rows, space.variables, frozenset(space.free))
         sol = solve(problem)
         if sol.status != "optimal":  # phi = 0 is feasible and the sum is <= 1
             raise VerificationFailure(f"cone LP is {sol.status}")

@@ -35,19 +35,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
-from .lp import EQ, GE, LE, Constraint, LpProblem, LpSolution, con, solve
+from .lp import EQ, GE, LE, Constraint, LpProblem, LpSolution, int_con, solve
 from .market import HedgePortfolio, MarketSpec, portfolio_values
 from .measures import (
     Measure,
     PricingSetSpec,
     SlackResult,
     _cap_targets,
+    _kept,
+    _martingale_rows,
     _measure_of,
+    _row,
     _stop_row,
     _weight_var,
-    martingale_system,
     membership,
     pricing_rows,
     solve_with_stop_cuts,
@@ -116,13 +119,23 @@ _EPIGRAPH = "epi"
 # Strategy variable space (the nu re-parametrization)
 # ---------------------------------------------------------------------------
 
+def _phi_den(m: MarketSpec) -> int:
+    """The one denominator of every leaf's terminal-value coefficients: the
+    lcm of the stock's, the claims' and processes', and the quotes'."""
+    options = zip((*m.f, *m.g, *m.h), (*m.f_prices, *m.g_prices, *m.h_prices))
+    return lcm(*[m.S.scaled(l)[0] for l in range(m.dim)],
+               *[lcm(x.scaled()[0], price.denominator) for x, price in options])
+
+
 class StrategySpace:
     """Column layout for semi-static strategies on a market.
 
     Columns: H[node][l] (free), a[i] (free), b[j] >= 0, nu[k][node] >= 0 and
     c[k] >= 0 tied by per-leaf path-sum rows nu-along-path == c[k].
     Optionally an exercise flow eta[node] >= 0 with unit path sums (for
-    sub-hedging American claims).
+    sub-hedging American claims).  The structure rows and each leaf's
+    terminal-value coefficients are integer rows, built once per market from
+    its integer forms and kept on it; LPs extend copies of them.
     """
 
     def __init__(self, market: MarketSpec, include_eta: bool = False):
@@ -151,47 +164,56 @@ class StrategySpace:
                 self.variables.append(f"eta[{n}]")
 
     def structure_rows(self) -> list[Constraint]:
-        tree = self.market.tree
-        rows: list[Constraint] = []
-        for k in range(len(self.market.h)):
-            for leaf in tree.leaves:
-                coeffs = {f"nu[{k}][{n}]": Fraction(1) for n in tree.path(leaf)}
-                coeffs[f"c[{k}]"] = Fraction(-1)
-                rows.append(con(coeffs, EQ, 0, f"liq[{k}][{leaf}]"))
-        if self.include_eta:
-            for leaf in tree.leaves:
-                coeffs = {f"eta[{n}]": Fraction(1) for n in tree.path(leaf)}
-                rows.append(con(coeffs, EQ, 1, f"flow[{leaf}]"))
-        return rows
+        """Each American option's flow nu sums along every path to its
+        holding c, and the claim's exercise flow eta (if included) to one;
+        built once per market and kept on it."""
+        def build():
+            tree = self.market.tree
+            rows = []
+            for k in range(len(self.market.h)):
+                for leaf in tree.leaves:
+                    num = {f"nu[{k}][{n}]": 1 for n in tree.path(leaf)}
+                    num[f"c[{k}]"] = -1
+                    rows.append(int_con(num, EQ, 0, 1, f"liq[{k}][{leaf}]"))
+            if self.include_eta:
+                for leaf in tree.leaves:
+                    rows.append(int_con({f"eta[{n}]": 1 for n in tree.path(leaf)}, EQ, 1, 1,
+                                        f"flow[{leaf}]"))
+            return tuple(rows)
 
-    def phi_coeffs(self, leaf: str) -> dict[str, Fraction]:
-        """Column coefficients of the terminal portfolio value at `leaf`."""
+        return list(_kept(self.market, ("structure", self.include_eta), build))
+
+    def phi_coeffs(self, leaf: str) -> tuple[int, dict[str, int]]:
+        """Column coefficients of the terminal portfolio value at `leaf`, as
+        integers over one denominator per market: (den, nonzero
+        coefficients).  Built from the stock's, claims' and processes'
+        integer forms once per market and leaf and kept on the market, so
+        the coefficients are shared: do not change them."""
         m = self.market
-        tree = m.tree
-        coeffs: dict[str, Fraction] = {}
-        path = tree.path(leaf)
-        for here, there in zip(path, path[1:]):
-            s_here, s_there = m.S.at(here), m.S.at(there)
-            for l in range(m.dim):
-                step = s_there[l] - s_here[l]
-                if step:
-                    coeffs[f"H[{here}][{l}]"] = step
-        for i, (claim, price) in enumerate(zip(m.f, m.f_prices)):
-            val = claim.at(leaf) - price
-            if val:
-                coeffs[f"a[{i}]"] = val
-        for j, (claim, price) in enumerate(zip(m.g, m.g_prices)):
-            val = claim.at(leaf) - price
-            if val:
-                coeffs[f"b[{j}]"] = val
-        for k, (h, price) in enumerate(zip(m.h, m.h_prices)):
-            for n in path:
-                val = h.scalar_at(n)
-                if val:
-                    coeffs[f"nu[{k}][{n}]"] = val
-            if price:
-                coeffs[f"c[{k}]"] = -price
-        return coeffs
+        den, rows = _kept(m, "phi", lambda: (_phi_den(m), {}))
+        if leaf not in rows:
+            path = m.tree.path(leaf)
+            num: dict[str, int] = {}
+            stock = [m.S.scaled(l) for l in range(m.dim)]
+            for here, there in zip(path, path[1:]):
+                for l, (d, s) in enumerate(stock):
+                    if s[there] != s[here]:
+                        num[f"H[{here}][{l}]"] = (den // d) * (s[there] - s[here])
+            for name, book, prices in (("a", m.f, m.f_prices), ("b", m.g, m.g_prices)):
+                for i, (claim, price) in enumerate(zip(book, prices)):
+                    d, value = claim.scaled()
+                    val = (den // d) * value[leaf] - price.numerator * (den // price.denominator)
+                    if val:
+                        num[f"{name}[{i}]"] = val
+            for k, (h, price) in enumerate(zip(m.h, m.h_prices)):
+                d, value = h.scaled()
+                for n in path:
+                    if value[n]:
+                        num[f"nu[{k}][{n}]"] = (den // d) * value[n]
+                if price:
+                    num[f"c[{k}]"] = -price.numerator * (den // price.denominator)
+            rows[leaf] = num
+        return den, rows[leaf]
 
     def extract_portfolio(self, values: Mapping[str, Fraction]) -> HedgePortfolio:
         m = self.market
@@ -257,25 +279,27 @@ def hedge_primal(
     """
     leaves = tuple(pointwise_leaves) if pointwise_leaves is not None \
         else market.support_leaves()
+    if kind not in ("sub_eu", "sub_am", "super_div"):
+        raise ValueError(f"unknown hedge kind {kind!r}")
     space = StrategySpace(market, include_eta=(kind == "sub_am"))
     rows = space.structure_rows()
+    claim_den, value = claim.scaled()
     for leaf in leaves:
-        coeffs = space.phi_coeffs(leaf)
+        # phi + x-term (+ eta . claim) >= bound, over lcm(phi's den, claim's)
+        phi_den, phi = space.phi_coeffs(leaf)
+        den = lcm(phi_den, claim_den)
+        k, kc = den // phi_den, den // claim_den
+        num = {v: c * k for v, c in phi.items()}
         if kind == "sub_eu":
-            coeffs["x"] = Fraction(-1)
-            rows.append(con(coeffs, GE, -claim.at(leaf), f"leaf[{leaf}]"))
+            num["x"], bound = -den, -kc * value[leaf]
         elif kind == "super_div":
-            coeffs["x"] = Fraction(1)
-            rows.append(con(coeffs, GE, claim.at(leaf), f"leaf[{leaf}]"))
-        elif kind == "sub_am":
-            for n in market.tree.path(leaf):
-                val = claim.scalar_at(n)
-                if val:
-                    coeffs[f"eta[{n}]"] = coeffs.get(f"eta[{n}]", ZERO) + val
-            coeffs["x"] = Fraction(-1)
-            rows.append(con(coeffs, GE, 0, f"leaf[{leaf}]"))
+            num["x"], bound = den, kc * value[leaf]
         else:
-            raise ValueError(f"unknown hedge kind {kind!r}")
+            for n in market.tree.path(leaf):
+                if value[n]:
+                    num[f"eta[{n}]"] = kc * value[n]
+            num["x"], bound = -den, 0
+        rows.append(int_con(num, GE, bound, den, f"leaf[{leaf}]"))
     variables = ["x"] + space.variables
     sense = "min" if kind == "super_div" else "max"
     problem = LpProblem(sense, {"x": 1}, rows, variables,
@@ -303,9 +327,9 @@ def dual_optimum(spec: PricingSetSpec, claim, kind: str) -> tuple[LpSolution, Me
     that subset."""
     m = spec.market
     leaves = m.support_leaves()
-    base = martingale_system(m, carrier=leaves)
-    fixed = list(base.constraints) + pricing_rows(spec, leaves)
-    variables = list(base.variables)
+    base_vars, base = _martingale_rows(m, leaves)
+    fixed = list(base) + pricing_rows(spec, leaves)
+    variables = list(base_vars)
     free: frozenset[str] = frozenset()
     if kind in ("sub_eu", "super_div"):
         objective = {_weight_var(l): claim.at(l) for l in leaves if claim.at(l)}
@@ -322,14 +346,13 @@ def dual_optimum(spec: PricingSetSpec, claim, kind: str) -> tuple[LpSolution, Me
         rows = list(fixed)
         for k, tau in cuts:
             if k != _EPIGRAPH:
-                rows.append(con(_stop_row(m.h[k], tau, leaves), LE, spec.h_cap[k],
-                                f"h[{k}]cut"))
+                rows.append(_row(*_stop_row(m.h[k], tau, leaves), LE, spec.h_cap[k],
+                                 f"h[{k}]cut"))
         if kind == "sub_am":
             epi = [stop_everywhere_at(m.tree, 0)] + [tau for k, tau in cuts if k == _EPIGRAPH]
             for t_idx, tau in enumerate(epi):
-                coeffs = dict(_stop_row(claim, tau, leaves))
-                coeffs["z"] = Fraction(-1)
-                rows.append(con(coeffs, LE, 0, f"epi[{t_idx}]"))
+                rows.append(_row(*_stop_row(claim, tau, leaves), LE, 0, f"epi[{t_idx}]",
+                                 "z", -1))
         return LpProblem(sense, objective, rows, variables, free=free)
 
     def targets(sol: LpSolution):

@@ -13,16 +13,18 @@ at most one column, and none while one member is basic (the other then never
 improves the objective).  The initial tableau holds the structural columns
 only.
 
-Set-up and extraction do no per-entry Fraction arithmetic.  A row is
-integerized from the coefficients its sparse map lists: it is multiplied by
-the lcm of their denominators and the rhs's, divided by the gcd of the
-resulting integers, and negated if its rhs is negative; that factor is kept as
-an integer pair.  Each dual, Farkas entry and reduced cost is read off the
-final tableau as one Fraction of two integers.
+A row is held once, as integers in canonical form (`Constraint`): integer
+coefficients and rhs over one positive denominator, the lcm of the reduced
+denominators of its rationals, so that the three share no common factor.
+Builders make rows from integers (`int_con`) or from rationals (`con`), and
+`LpProblem` holds its objective the same way.  Set-up and extraction do no
+per-entry Fraction arithmetic: each stored row is divided by the gcd of its
+coefficients and rhs, and negated if its rhs is negative, and that factor is
+kept as an integer pair.  Each dual, Farkas entry and reduced cost is read
+off the final tableau as one Fraction of two integers.
 
 Every result carries a certificate and is re-verified before it is returned,
-from the original problem's Fraction coefficients only (never from the
-tableau):
+from the original problem's stored rows only (never from the tableau):
 
   optimal    -> primal feasibility, duals of the right signs with exact
                 complementary slackness, reduced costs equal to c - A^T y
@@ -33,8 +35,8 @@ tableau):
 
 The re-checks run in integers.  Each solution vector (values, duals or
 Farkas multipliers with the reduced costs, a ray) is put over one common
-denominator, and each original row over the lcm of its own denominators, read
-from `problem.constraints`.  Every feasibility, sign, slackness, c - A^T y,
+denominator, and read against each row's stored integers and denominator in
+`problem.constraints`.  Every feasibility, sign, slackness, c - A^T y,
 objective and b.y check is then one exact integer comparison, equivalent to
 the same check summed in Fractions.
 
@@ -50,7 +52,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .rational import rat
+from .rational import over_lcm, rat
 
 LE, EQ, GE = "<=", "=", ">="
 _RELS = (LE, EQ, GE)
@@ -66,34 +68,81 @@ class LpVerificationError(RuntimeError):
     """A solver certificate failed its independent re-check."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constraint:
-    coeffs: Mapping[str, Fraction]
+    """The row sum(num[v] * x_v) / den  rel  rhs_num / den, in canonical
+    form: den > 0 is the lcm of the reduced denominators of the row's
+    rationals, so gcd(den, *num, rhs_num) == 1 and rows of equal rationals
+    compare equal.  Make rows with `int_con` or `con`; `coeffs` and `rhs` are
+    the Fraction views."""
+
+    num: Mapping[str, int]
     rel: str
-    rhs: Fraction
+    rhs_num: int
+    den: int = 1
     name: str = ""
 
     def __post_init__(self):
         if self.rel not in _RELS:
             raise LpError(f"bad relation {self.rel!r}")
 
+    @property
+    def coeffs(self) -> dict[str, Fraction]:
+        return {v: Fraction(c, self.den) for v, c in self.num.items()}
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(self.rhs_num, self.den)
+
+
+def int_con(num: Mapping[str, int], rel: str, rhs_num: int = 0, den: int = 1,
+            name: str = "") -> Constraint:
+    """The row num / den  rel  rhs_num / den for any positive den, reduced to
+    canonical form.  `num` is kept, not copied, when nothing divides out: the
+    caller hands it over and must not change it afterwards."""
+    g = gcd(den, rhs_num, *num.values())
+    if g > 1:
+        num = {v: c // g for v, c in num.items()}
+        rhs_num //= g
+        den //= g
+    return Constraint(num, rel, rhs_num, den, name)
+
 
 def con(coeffs: Mapping[str, object], rel: str, rhs, name: str = "") -> Constraint:
-    return Constraint({k: rat(v) for k, v in coeffs.items()}, rel, rat(rhs), name)
+    """The row of rational (int, Fraction or "p/q") coefficients and rhs."""
+    den, num = over_lcm({k: rat(v) for k, v in coeffs.items()})
+    rhs = rat(rhs)
+    return int_con({k: c * rhs.denominator for k, c in num.items()}, rel,
+                   rhs.numerator * den, den * rhs.denominator, name)
 
 
 @dataclass
 class LpProblem:
+    """max or min objective . x over the rows, x >= 0 but for `free`.
+
+    `objective` is given as a map of rationals, or as a row whose left side
+    it is.  It is kept as its Fraction map and, once, as integers over one
+    denominator (`cost_num` over `cost_den`), which the solver and the
+    re-checks read."""
+
     sense: str
-    objective: Mapping[str, Fraction]
+    objective: Mapping[str, Fraction] | Constraint
     constraints: list[Constraint]
     variables: list[str]
     free: frozenset[str] = field(default_factory=frozenset)
+    cost_den: int = field(init=False, repr=False, compare=False)
+    cost_num: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sense not in ("max", "min"):
             raise LpError(f"bad sense {self.sense!r}")
-        self.objective = {k: rat(v) for k, v in self.objective.items()}
+        if isinstance(self.objective, Constraint):
+            cost = int_con(self.objective.num, EQ, 0, self.objective.den)
+            self.cost_den, self.cost_num = cost.den, cost.num
+            self.objective = cost.coeffs
+        else:
+            self.objective = {k: rat(v) for k, v in self.objective.items()}
+            self.cost_den, self.cost_num = over_lcm(self.objective)
         order = set(self.variables)
         if len(order) != len(self.variables):
             raise LpError("duplicate variable names")
@@ -101,7 +150,7 @@ class LpProblem:
             if name not in order:
                 raise LpError(f"objective references unknown variable {name!r}")
         for row in self.constraints:
-            for name in row.coeffs:
+            for name in row.num:
                 if name not in order:
                     raise LpError(f"constraint {row.name!r} references unknown "
                                   f"variable {name!r}")
@@ -368,7 +417,7 @@ def solve(problem: LpProblem) -> LpSolution:
     # relation; then a slack (<=) or surplus (>=) column per row in row order,
     # and an artificial per >= and = row.  A row's identity column (its slack
     # or artificial) starts basic; a >= row's surplus and artificial are twins.
-    flip = [row.rhs < 0 for row in problem.constraints]
+    flip = [row.rhs_num < 0 for row in problem.constraints]
     rels = [{LE: GE, GE: LE, EQ: EQ}[row.rel] if f else row.rel
             for row, f in zip(problem.constraints, flip)]
     aux = [0] * m
@@ -390,38 +439,30 @@ def solve(problem: LpProblem) -> LpSolution:
         if rel == GE:
             twin[aux[i]], twin[ident[i]] = ident[i], aux[i]
 
-    # each row is integerized from its sparse coefficients, so the tableau
-    # pivots in pure int arithmetic: scaled by the lcm of its denominators and
-    # the rhs's, divided by the gcd of the resulting integers.  Internal row i
-    # is the original row times row_scale[i] = num / den (negative if flipped);
-    # duals unscale at extraction.  Each row starts on its identity column,
-    # so the structural columns are the only slots.
+    # each stored integer row is divided by the gcd of its coefficients and
+    # rhs, so the tableau pivots in small ints; internal row i is the original
+    # row times row_scale[i] = num / den (negative if flipped), and duals
+    # unscale at extraction.  Each row starts on its identity column, so the
+    # structural columns are the only slots.
     tab = _Tableau(total_cols, list(ident),
                    [col_of[v] for v in problem.variables if v in problem.free], twin)
     row_scale: list[tuple[int, int]] = []
-    for row, f, (scale, ints, bi) in zip(problem.constraints, flip, _integer_rows(problem)):
+    for row, f in zip(problem.constraints, flip):
         sgn = -1 if f else 1
-        if f:
-            ints = [-c for c in ints]
-            bi = -bi
-        g = gcd(bi, *ints)
-        if g > 1:  # keep the integer tableau's seeds small
-            ints = [c // g for c in ints]
-            bi //= g
-        else:
-            g = 1
+        g = gcd(row.rhs_num, *row.num.values()) or 1  # 0 on an all-zero row
+        q = sgn * g
         dense = [0] * nstruct
-        for v, c in zip(row.coeffs, ints):
-            dense[col_of[v]] = c
+        for v, c in row.num.items():
+            dense[col_of[v]] = c // q
         tab.rows.append(dense)
-        tab.b.append(bi)
-        row_scale.append((sgn * scale, g))
+        tab.b.append(row.rhs_num // q)
+        row_scale.append((sgn * row.den, g))
     rhs = list(tab.b)  # the internal rhs, before any pivot
 
-    obj_scale = lcm(*[c.denominator for c in problem.objective.values()])
+    obj_scale = problem.cost_den
     objective_int = [0] * total_cols
-    for v, c in problem.objective.items():
-        objective_int[col_of[v]] = sense_sign * c.numerator * (obj_scale // c.denominator)
+    for v, c in problem.cost_num.items():
+        objective_int[col_of[v]] = sense_sign * c
 
     # ---- phase 1 ----
     if art_start < total_cols:
@@ -512,24 +553,6 @@ def _check(ok: bool, msg: str, *args) -> None:
         raise LpVerificationError(msg.format(*args))
 
 
-IntRow = tuple[int, list[int], int]
-
-
-def _integer_row(coeffs: Mapping[str, Fraction], rhs: Fraction) -> IntRow:
-    """A row times the lcm of its coefficients' and its rhs's denominators:
-    (that lcm, the integer coefficients in `coeffs` order, the integer rhs)."""
-    scale = lcm(rhs.denominator, *[c.denominator for c in coeffs.values()])
-    return (scale, [c.numerator * (scale // c.denominator) for c in coeffs.values()],
-            rhs.numerator * (scale // rhs.denominator))
-
-
-def _integer_rows(problem: LpProblem) -> list[IntRow]:
-    """Every original constraint over the lcm of its own denominators: the
-    set-up integerizes these, and each re-check below computes them afresh
-    from the problem."""
-    return [_integer_row(row.coeffs, row.rhs) for row in problem.constraints]
-
-
 def _common(xs: Sequence[Fraction]) -> tuple[list[int], int]:
     """Rationals over one common denominator: (numerators, denominator)."""
     den = lcm(*[x.denominator for x in xs])
@@ -540,22 +563,22 @@ def _equals(num: int, den: int, x: Fraction) -> bool:
     return num * x.denominator == x.numerator * den
 
 
-def _combine(problem: LpProblem, rows: list[IntRow], multipliers: Sequence[Fraction],
+def _combine(problem: LpProblem, multipliers: Sequence[Fraction],
              *dens: int) -> tuple[dict[str, int], int, int]:
     """y^T A per variable and y.b of the original rows, over one denominator
     D: a common multiple of `dens` and of each y_i's denominator times its
-    row's scale, so y_i * row_i is (y_i * D / scale_i) * integer row_i / D.
+    row's, so y_i * row_i is (y_i * D / row_i.den) * integer row_i / D.
     Returns (D * y^T A, D * y.b, D)."""
-    den = lcm(*[y.denominator * scale for y, (scale, _, _) in zip(multipliers, rows) if y],
-              *dens)
+    rows = problem.constraints
+    den = lcm(*[y.denominator * row.den for y, row in zip(multipliers, rows) if y], *dens)
     combo = dict.fromkeys(problem.variables, 0)
     total = 0
-    for y, row, (scale, ints, b) in zip(multipliers, problem.constraints, rows):
+    for y, row in zip(multipliers, rows):
         if y:
-            z = y.numerator * (den // (y.denominator * scale))
-            for v, c in zip(row.coeffs, ints):
+            z = y.numerator * (den // (y.denominator * row.den))
+            for v, c in row.num.items():
                 combo[v] += z * c
-            total += z * b
+            total += z * row.rhs_num
     return combo, total, den
 
 
@@ -563,8 +586,7 @@ def verify_solution(problem: LpProblem, sol: LpSolution) -> None:
     """Exact primal feasibility, dual sign consistency, complementary
     slackness, reduced costs equal to c - A^T y and of the right sign, and
     primal objective == b.y == dual objective, all computed from the original
-    problem's coefficients."""
-    rows = _integer_rows(problem)
+    problem's stored rows and costs."""
     sense_sign = 1 if problem.sense == "max" else -1
     names = problem.variables
     xs, dx = _common([sol.values.get(v, ZERO) for v in names])
@@ -573,9 +595,9 @@ def verify_solution(problem: LpProblem, sol: LpSolution) -> None:
         if v not in problem.free:
             _check(x[v] >= 0, "variable {} negative", v)
     # a rational has its numerator's sign: dual signs are read off numerators
-    for i, (row, (_, ints, b)) in enumerate(zip(problem.constraints, rows)):
-        lhs = sum(c * x[v] for v, c in zip(row.coeffs, ints))
-        rhs = b * dx
+    for i, row in enumerate(problem.constraints):
+        lhs = sum([c * x[v] for v, c in row.num.items()])
+        rhs = row.rhs_num * dx
         y = sol.duals[i]
         label = row.name or f"#{i}"
         if row.rel == LE:
@@ -588,22 +610,20 @@ def verify_solution(problem: LpProblem, sol: LpSolution) -> None:
             _check(lhs == rhs, "constraint {} violated", label)
         _check(y == 0 or lhs == rhs, "complementary slackness at {}", label)
     # the duals, the reduced costs and c over one denominator
-    costs = problem.objective
-    combo, by, den = _combine(problem, rows, sol.duals,
-                              *[r.denominator for r in sol.reduced_costs.values()],
-                              *[c.denominator for c in costs.values()])
+    costs, cd = problem.cost_num, problem.cost_den
+    combo, by, den = _combine(problem, sol.duals,
+                              *[r.denominator for r in sol.reduced_costs.values()], cd)
     for v in names:
         rc = sol.reduced_costs[v]
-        c = costs.get(v, ZERO)
         _check(rc.numerator * (den // rc.denominator) + combo[v]
-               == c.numerator * (den // c.denominator),
+               == costs.get(v, 0) * (den // cd),
                "reduced cost at {} is not c - A^T y", v)
         if v in problem.free:
             _check(rc == 0, "nonzero reduced cost on free variable {}", v)
         else:
             _check(sense_sign * rc.numerator <= 0, "dual infeasibility at variable {}", v)
             _check(rc == 0 or x[v] == 0, "variable slackness at {}", v)
-    cx = sum(c.numerator * (den // c.denominator) * x[v] for v, c in costs.items())
+    cx = (den // cd) * sum([c * x[v] for v, c in costs.items()])
     _check(_equals(cx, den * dx, sol.objective), "objective value mismatch")
     _check(_equals(by, den, sol.dual_objective), "dual objective is not b.y")
     _check(_equals(by, den, sol.objective), "strong duality gap is nonzero")
@@ -617,7 +637,7 @@ def verify_farkas(problem: LpProblem, farkas: Sequence[Fraction]) -> None:
             _check(y.numerator >= 0, "farkas sign at {}", label)
         elif row.rel == GE:
             _check(y.numerator <= 0, "farkas sign at {}", label)
-    combo, total, _ = _combine(problem, _integer_rows(problem), farkas)
+    combo, total, _ = _combine(problem, farkas)
     for v in problem.variables:
         if v in problem.free:
             _check(combo[v] == 0, "farkas combination not zero on free {}", v)
@@ -637,10 +657,10 @@ def verify_ray(problem: LpProblem, point: Mapping[str, Fraction],
         if v not in problem.free:
             _check(p[v] >= 0, "point negative at {}", v)
             _check(r[v] >= 0, "ray negative at {}", v)
-    for row, (_, ints, b) in zip(problem.constraints, _integer_rows(problem)):
-        lhs = sum(c * p[v] for v, c in zip(row.coeffs, ints))
-        rhs = b * dp
-        step = sum(c * r[v] for v, c in zip(row.coeffs, ints))
+    for row in problem.constraints:
+        lhs = sum([c * p[v] for v, c in row.num.items()])
+        rhs = row.rhs_num * dp
+        step = sum([c * r[v] for v, c in row.num.items()])
         label = row.name or "?"
         if row.rel == LE:
             _check(lhs <= rhs and step <= 0, "ray violates {}", label)
@@ -648,8 +668,7 @@ def verify_ray(problem: LpProblem, point: Mapping[str, Fraction],
             _check(lhs >= rhs and step >= 0, "ray violates {}", label)
         else:
             _check(lhs == rhs and step == 0, "ray violates {}", label)
-    _, ints, _ = _integer_row(problem.objective, ZERO)
-    gain = sum(c * r[v] for v, c in zip(problem.objective, ints))
+    gain = sum([c * r[v] for v, c in problem.cost_num.items()])
     if problem.sense == "max":
         _check(gain > 0, "ray does not improve the objective")
     else:

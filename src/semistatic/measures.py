@@ -16,19 +16,21 @@ H-representation, so it lists one row per enumerated stopping time.
 
 A `Measure` holds integer weights over one denominator, the lcm of its
 weights' denominators (a canonical form), and keeps its integer subtree masses
-after first use.  Expectations, exercise envelopes and the membership checks
-sum integers against the claims' and processes' own integer forms and make one
-Fraction, or compare with a Fraction bound by cross-multiplication.  LP rows
-still receive the same rationals as Fractions.
+and each process's exercise envelope after first use.  Expectations, exercise
+envelopes and the membership checks sum integers against the claims' and
+processes' own integer forms and make one Fraction, or compare with a Fraction
+bound by cross-multiplication.  LP rows are built as integers from the same
+forms (`lp.int_con`); the martingale rows are kept on the market per carrier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .lp import EQ, GE, LE, Constraint, LpProblem, LpSolution, con, solve
+from .lp import EQ, GE, LE, Constraint, LpProblem, LpSolution, int_con, solve
 from .market import HedgePortfolio, MarketSpec
 from .polytope import Polytope, vertices
 from .rational import over_lcm, rat, rat_str
@@ -71,6 +73,7 @@ class Measure:
             raise MeasureError(f"weights sum to {Fraction(total, self.den)}, not 1")
         self.weights = w
         self._mass: dict[str, int] | None = None
+        self._envelopes: dict[int, tuple[AdaptedProcess, dict[str, int], int]] = {}
 
     def support(self) -> frozenset[str]:
         return frozenset(self.weights)
@@ -88,6 +91,15 @@ class Measure:
                 mass[node] = sum([mass[c] for c in kids]) if kids else self.num.get(node, 0)
             self._mass = mass
         return self._mass
+
+    def envelope(self, h: AdaptedProcess) -> tuple[dict[str, int], int]:
+        """h's exercise envelope under this measure and its denominator
+        (`_unnormalized_snell`), computed once per process object and kept
+        with it, so a process's id cannot be reused while it is kept."""
+        kept = self._envelopes.get(id(h))
+        if kept is None or kept[0] is not h:
+            kept = self._envelopes[id(h)] = (h, *_unnormalized_snell(self, h))
+        return kept[1], kept[2]
 
     def expect_claim(self, claim: TerminalClaim) -> Fraction:
         den, value = claim.scaled()
@@ -149,48 +161,90 @@ def _weight_var(leaf: str) -> str:
     return f"w[{leaf}]"
 
 
+def _kept(market: MarketSpec, key, build: Callable[[], object]):
+    """`build()`, made once per market object and `key` and kept on the
+    object, as `strict_emm_slack` keeps its result: the LP row skeletons,
+    which depend on the market alone.  Markets derived by `with_options`,
+    `without_american` or `exercised_at` are new objects and build their
+    own.  What is kept is shared: callers copy before they extend it.
+    Threads that ask at once may each build it; what they store is equal."""
+    kept = market.__dict__.get("_lp_skeletons")
+    if kept is None:
+        kept = {}
+        object.__setattr__(market, "_lp_skeletons", kept)
+    if key not in kept:
+        kept[key] = build()
+    return kept[key]
+
+
+def _row(den: int, num: Mapping[str, int], rel: str, bound, name: str,
+         unit: str | None = None, sign: int = 1) -> Constraint:
+    """The row num / den (+ sign * unit) rel bound, for a rational bound, as
+    integers over the lcm of den and the bound's denominator.  `num` is read,
+    never changed."""
+    d = lcm(den, bound.denominator)
+    k = d // den
+    row = {v: c * k for v, c in num.items()}
+    if unit is not None:
+        row[unit] = sign * d
+    return int_con(row, rel, bound.numerator * (d // bound.denominator), d, name)
+
+
+def _martingale_rows(market: MarketSpec, leaves: tuple[str, ...]) -> tuple[list[str], tuple]:
+    """The weight variables of `leaves` and the mass and martingale rows over
+    them, built from the stock's integer form once per market and leaf
+    tuple."""
+    def build():
+        tree, var = market.tree, {l: _weight_var(l) for l in leaves}
+        variables = [var[l] for l in leaves]
+        rows = [int_con(dict.fromkeys(variables, 1), EQ, 1, 1, "mass")]
+        stock = [market.S.scaled(l_idx) for l_idx in range(market.dim)]
+        for node in tree.nonleaf_nodes():
+            for l_idx, (den, s) in enumerate(stock):
+                num: dict[str, int] = {}
+                for child in tree.children(node):
+                    step = s[child] - s[node]
+                    if step:  # each leaf lies under one child
+                        for leaf in tree.leaves_under(child):
+                            if leaf in var:
+                                num[var[leaf]] = step
+                if num:
+                    rows.append(int_con(num, EQ, 0, den, f"mart[{node}][{l_idx}]"))
+        return variables, tuple(rows)
+
+    return _kept(market, ("martingale", leaves), build)
+
+
 def martingale_system(market: MarketSpec, carrier: Iterable[str] | None = None) -> LpProblem:
     """Martingale + total-mass equalities over leaf weights, as an LP fragment
     (zero objective, ready to be extended).
 
     `carrier` restricts the weights to a subset of leaves (weights outside it
-    are fixed to zero by omission); defaults to the market's support.
+    are fixed to zero by omission); defaults to the market's support.  The
+    rows are built once per market and carrier and kept on the market.
     """
-    tree = market.tree
     leaves = tuple(carrier) if carrier is not None else market.support_leaves()
-    leaf_set = set(leaves)
-    variables = [_weight_var(l) for l in leaves]
-    rows: list[Constraint] = [
-        con({_weight_var(l): 1 for l in leaves}, EQ, 1, "mass")
-    ]
-    stock = [market.S.scaled(l_idx) for l_idx in range(market.dim)]
-    for node in tree.nonleaf_nodes():
-        for l_idx, (den, s) in enumerate(stock):
-            coeffs: dict[str, Fraction] = {}
-            for child in tree.children(node):
-                step = s[child] - s[node]
-                if step == 0:
-                    continue
-                step = Fraction(step, den)  # each leaf lies under one child
-                for leaf in tree.leaves_under(child):
-                    if leaf in leaf_set:
-                        coeffs[_weight_var(leaf)] = step
-            if coeffs:
-                rows.append(con(coeffs, EQ, 0, f"mart[{node}][{l_idx}]"))
-    return LpProblem("max", {}, rows, variables)
+    variables, rows = _martingale_rows(market, leaves)
+    return LpProblem("max", {}, list(rows), list(variables))
 
 
-def _claim_row(claim: TerminalClaim, leaves: Sequence[str]) -> dict[str, Fraction]:
-    return {_weight_var(l): claim.at(l) for l in leaves if claim.at(l)}
+def _claim_row(claim: TerminalClaim, leaves: Sequence[str]) -> tuple[int, dict[str, int]]:
+    """E[claim] over the weights of `leaves`: (den, nonzero integer coefficients)."""
+    den, value = claim.scaled()
+    return den, {_weight_var(l): value[l] for l in leaves if value[l]}
 
 
-def _stop_row(h: AdaptedProcess, tau: StoppingTime, leaves: Sequence[str]) -> dict[str, Fraction]:
-    out = {}
+def _stop_row(h: AdaptedProcess, tau: StoppingTime,
+              leaves: Sequence[str]) -> tuple[int, dict[str, int]]:
+    """E[h at tau] over the weights of `leaves`: (den, nonzero integer
+    coefficients)."""
+    den, value = h.scaled()
+    num = {}
     for l in leaves:
-        v = tau.value_at(h, l)
+        v = value[tau.stop_node(l)]
         if v:
-            out[_weight_var(l)] = v
-    return out
+            num[_weight_var(l)] = v
+    return den, num
 
 
 def _measure_of(spec_leaves: Sequence[str], sol_values: Mapping[str, Fraction],
@@ -204,23 +258,18 @@ def pricing_rows(
     leaves: Sequence[str],
     slack_var: str | None = None,
 ) -> list[Constraint]:
-    """f-pricing equalities plus capped g rows.
+    """f-pricing equalities plus capped g rows, from the claims' integer
+    forms.
 
     With `slack_var` set, buy-only caps become `E[.] + t <= cap`, the slack
     maximization form.  American caps are not rows here: LPs generate them
     with `solve_with_stop_cuts`, and `closure_polytope` enumerates them."""
     m = spec.market
-    rows: list[Constraint] = []
-    for i, (claim, price) in enumerate(zip(m.f, m.f_prices)):
-        rows.append(con(_claim_row(claim, leaves), EQ, price, f"f[{i}]"))
+    rows = [_row(*_claim_row(claim, leaves), EQ, price, f"f[{i}]")
+            for i, (claim, price) in enumerate(zip(m.f, m.f_prices))]
     for j, (claim, cap) in enumerate(zip(m.g, spec.g_cap)):
-        if cap is None:
-            continue
-        coeffs = _claim_row(claim, leaves)
-        if slack_var is not None:
-            coeffs = dict(coeffs)
-            coeffs[slack_var] = Fraction(1)
-        rows.append(con(coeffs, LE, cap, f"g[{j}]"))
+        if cap is not None:
+            rows.append(_row(*_claim_row(claim, leaves), LE, cap, f"g[{j}]", slack_var))
     return rows
 
 
@@ -255,7 +304,7 @@ def solve_with_stop_cuts(
         Q, bounds = targets(sol)
         new = []
         for family, h, bound in bounds:
-            V, den = _unnormalized_snell(Q, h)
+            V, den = Q.envelope(h)
             if V[h.tree.root] * bound.denominator > bound.numerator * den:
                 new.append((family, _greedy_stop(Q, h, V)))
         if not new:
@@ -278,17 +327,17 @@ def closure_polytope(spec: PricingSetSpec,
     support)."""
     m = spec.market
     leaves = tuple(carrier) if carrier is not None else m.support_leaves()
-    base = martingale_system(m, carrier=leaves)
-    rows = list(base.constraints)
-    rows += [con({_weight_var(l): 1}, GE, 0, f"nonneg[{l}]") for l in leaves]
+    variables, base = _martingale_rows(m, leaves)
+    rows = list(base)
+    rows += [int_con({_weight_var(l): 1}, GE, 0, 1, f"nonneg[{l}]") for l in leaves]
     rows += pricing_rows(spec, leaves)
     taus = enumerate_stopping_times(m.tree)
     for k, (h, cap) in enumerate(zip(m.h, spec.h_cap)):
         if cap is None:
             continue
         for t_idx, tau in enumerate(taus):
-            rows.append(con(_stop_row(h, tau, leaves), LE, cap, f"h[{k}]tau[{t_idx}]"))
-    return Polytope(base.variables, rows)
+            rows.append(_row(*_stop_row(h, tau, leaves), LE, cap, f"h[{k}]tau[{t_idx}]"))
+    return Polytope(list(variables), rows)
 
 
 @dataclass(frozen=True)
@@ -323,23 +372,20 @@ def max_slack(spec: PricingSetSpec,
     stays bounded when no constraint involves t."""
     m = spec.market
     leaves = tuple(carrier) if carrier is not None else m.support_leaves()
+    base_vars, base = _martingale_rows(m, leaves)
+    fixed = list(base) + pricing_rows(spec, leaves, slack_var=SLACK_VAR)
+    variables = base_vars + [SLACK_VAR]
     floor = [l for l in leaves if l in spec.support_floor]
-    base = martingale_system(m, carrier=leaves)
-    fixed = list(base.constraints) + pricing_rows(spec, leaves, slack_var=SLACK_VAR)
-    variables = base.variables + [SLACK_VAR]
+    tail = [int_con({_weight_var(l): 1, SLACK_VAR: -1}, GE, 0, 1, f"floor[{l}]")
+            for l in floor]
+    tail.append(int_con({SLACK_VAR: 1}, LE, 1, 1, "slack_cap"))
     last_cuts: list[tuple[int, StoppingTime]] = []
 
     def build(cuts: list[tuple[int, StoppingTime]]) -> LpProblem:
         nonlocal last_cuts
         last_cuts = list(cuts)
-        rows = list(fixed)
-        for k, tau in cuts:
-            coeffs = dict(_stop_row(m.h[k], tau, leaves))
-            coeffs[SLACK_VAR] = Fraction(1)
-            rows.append(con(coeffs, LE, spec.h_cap[k], f"h[{k}]cut"))
-        for l in floor:
-            rows.append(con({_weight_var(l): 1, SLACK_VAR: -1}, GE, 0, f"floor[{l}]"))
-        rows.append(con({SLACK_VAR: 1}, LE, 1, "slack_cap"))
+        rows = fixed + [_row(*_stop_row(m.h[k], tau, leaves), LE, spec.h_cap[k], f"h[{k}]cut",
+                             SLACK_VAR) for k, tau in cuts] + tail
         return LpProblem("max", {SLACK_VAR: 1}, rows, variables, free=frozenset({SLACK_VAR}))
 
     def targets(sol: LpSolution):
@@ -463,7 +509,7 @@ def membership(Q: Measure, spec: PricingSetSpec, strict: bool) -> MembershipRepo
     for k, (h, cap) in enumerate(zip(m.h, spec.h_cap)):
         if cap is None:
             continue
-        V, den = _unnormalized_snell(Q, h)
+        V, den = Q.envelope(h)
         got = V[tree.root]
         over = got * cap.denominator - cap.numerator * den
         if over > 0 or (strict and over == 0):

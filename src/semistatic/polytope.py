@@ -12,12 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from .lp import Constraint, EQ, GE, LE
-
-ZERO = Fraction(0)
 
 
 class PolytopeError(ValueError):
@@ -39,18 +37,6 @@ class Polytope:
 
     variables: list[str]
     constraints: list[Constraint] = field(default_factory=list)
-
-    def hrep_text(self) -> str:
-        """Plain text H-representation for external verification."""
-        from .rational import rat_str
-
-        lines = [" ".join(self.variables)]
-        for c in self.constraints:
-            terms = " ".join(
-                f"{rat_str(c.coeffs.get(v, ZERO))}" for v in self.variables
-            )
-            lines.append(f"{terms} {c.rel} {rat_str(c.rhs)} # {c.name}")
-        return "\n".join(lines)
 
 
 def _dd_cone(rows: list[tuple[int, ...]], dim: int):
@@ -162,13 +148,12 @@ def vertices(poly: Polytope) -> list[dict[str, Fraction]]:
     rows.append(tuple(t_row))  # t >= 0
     col = {v: i + 1 for i, v in enumerate(names)}
     for c in poly.constraints:
-        # integerized from its sparse coefficients, as `lp.solve` does
-        coeffs = {col[v]: x for v, x in c.coeffs.items() if v in col}
-        scale = lcm(c.rhs.denominator, *[x.denominator for x in coeffs.values()])
+        # the row's stored integers, as `lp.solve` reads them
         base = [0] * dim
-        base[0] = -c.rhs.numerator * (scale // c.rhs.denominator)
-        for i, x in coeffs.items():
-            base[i] = x.numerator * (scale // x.denominator)
+        base[0] = -c.rhs_num
+        for v, x in c.num.items():
+            if v in col:
+                base[col[v]] = x
         row = _primitive_int(base)
         if c.rel in (LE, EQ):
             rows.append(row)

@@ -45,7 +45,7 @@ from .hedging import (
     hedge_primal,
 )
 from .ftap import ARBITRAGE, NO_ARBITRAGE, STRICT_NO_ARBITRAGE_FAILS, ArbitrageVerdict, check_na
-from .lp import EQ, GE, LE, LpProblem, con, solve
+from .lp import EQ, GE, LE, Constraint, LpProblem, int_con, solve
 from .market import MarketSpec
 from .measures import (
     Measure,
@@ -473,33 +473,48 @@ def minimax_check(
     if N == 0:
         raise RobustError("empty option list")
 
-    # lhs: flows against vertex cuts
+    # lhs: flows against vertex cuts; every row over one denominator
+    scaled = [h.scaled() for h in h_list]
     rows = []
     variables = ["t"]
     for k in range(N):
         for nd in tree.nodes:
             variables.append(f"mu[{k}][{nd}]")
         for leaf in tree.leaves:
-            rows.append(con({f"mu[{k}][{nd}]": Fraction(1) for nd in tree.path(leaf)},
-                            EQ, 1, f"flow[{k}][{leaf}]"))
+            rows.append(int_con({f"mu[{k}][{nd}]": 1 for nd in tree.path(leaf)},
+                                EQ, 1, 1, f"flow[{k}][{leaf}]"))
     for v_idx, R in enumerate(R_vertices):
         mass = R.masses()
-        coeffs = {}
-        for k, h in enumerate(h_list):
-            den, value = h.scaled()
+        den = lcm(*[R.den * d for d, _ in scaled])
+        num = {}
+        for k, (d, value) in enumerate(scaled):
+            scale = den // (R.den * d)
             for nd in tree.nodes:
                 val = mass[nd] * value[nd]
                 if val:
-                    coeffs[f"mu[{k}][{nd}]"] = Fraction(val, R.den * den)
-        coeffs["t"] = Fraction(-1)
-        rows.append(con(coeffs, GE, 0, f"vertex[{v_idx}]"))
+                    num[f"mu[{k}][{nd}]"] = scale * val
+        num["t"] = -den
+        rows.append(int_con(num, GE, 0, den, f"vertex[{v_idx}]"))
     sol = solve(LpProblem("max", {"t": 1}, rows, variables, free=frozenset({"t"})))
     if sol.status != "optimal":
         raise RobustError(f"flow-side LP is {sol.status}")
     lhs = sol.objective
 
     lam_vars = [f"lam[{i}]" for i in range(len(R_vertices))]
-    simplex_row = con({v: 1 for v in lam_vars}, EQ, 1, "hull")
+    simplex_row = int_con({v: 1 for v in lam_vars}, EQ, 1, 1, "hull")
+    vertex_den = lcm(*[R.den for R in R_vertices])
+
+    def stop_row(k: int, tau: StoppingTime, var: str, name: str) -> Constraint:
+        """E_R[h_k at tau] per vertex R, minus var, <= 0: over the lcm of the
+        vertices' denominators times h_k's."""
+        d, value = scaled[k]
+        num = {}
+        for lam, R in zip(lam_vars, R_vertices):
+            e = sum([w * value[tau.stop_node(l)] for l, w in R.num.items()])
+            if e:
+                num[lam] = e * (vertex_den // R.den)
+        num[var] = -vertex_den * d
+        return int_con(num, LE, 0, vertex_den * d, name)
 
     def mixture(sol) -> Measure:
         lams = [sol.values.get(v, ZERO) for v in lam_vars]
@@ -520,11 +535,7 @@ def minimax_check(
         for k in range(N):
             own = [stop_at_0] + [tau for j, tau in cuts if j == k]
             for c_idx, tau in enumerate(own):
-                coeffs = {lam_vars[i]: R.expect_at_stop(h_list[k], tau)
-                          for i, R in enumerate(R_vertices)}
-                coeffs = {key: val for key, val in coeffs.items() if val}
-                coeffs[z_vars[k]] = Fraction(-1)
-                rows.append(con(coeffs, LE, 0, f"cut[{k}][{c_idx}]"))
+                rows.append(stop_row(k, tau, z_vars[k], f"cut[{k}][{c_idx}]"))
         return LpProblem("min", {z: 1 for z in z_vars}, rows, lam_vars + z_vars,
                          free=frozenset(z_vars))
 
@@ -543,11 +554,7 @@ def minimax_check(
     w_vars = [f"w[{k}]" for k in range(N)]
     for k in range(N):
         for t_idx, tau in enumerate(taus):
-            coeffs = {lam_vars[i]: R.expect_at_stop(h_list[k], tau)
-                      for i, R in enumerate(R_vertices)}
-            coeffs = {key: val for key, val in coeffs.items() if val}
-            coeffs[w_vars[k]] = Fraction(-1)
-            rows.append(con(coeffs, LE, 0, f"stop[{k}][{t_idx}]"))
+            rows.append(stop_row(k, tau, w_vars[k], f"stop[{k}][{t_idx}]"))
     sol = solve(LpProblem("min", {w: 1 for w in w_vars}, rows, lam_vars + w_vars,
                           free=frozenset(w_vars)))
     if sol.status != "optimal":

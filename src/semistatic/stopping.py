@@ -9,7 +9,9 @@ available and the stopping-time embedding is total.
 The Snell envelope runs in integers: a measure's subtree masses are integers
 over its one denominator (`Measure.masses`) and a payoff process's values
 integers over its own, so the envelope is an integer process over their
-product, and a Fraction is made only for the value returned.
+product, and a Fraction is made only for the value returned.  A measure keeps
+each process's envelope after first use (`Measure.envelope`), so the stop-cut
+loop, `membership` and `snell_value` on one pair compute it once.
 
 All functions here are pure over immutable inputs and parallel-safe.
 """
@@ -191,8 +193,9 @@ def _unnormalized_snell(Q: "Measure", h: AdaptedProcess) -> tuple[dict[str, int]
 
 
 def snell_value(Q: "Measure", h: AdaptedProcess) -> Fraction:
-    """max over stopping times of E_Q[h_tau], by backward induction."""
-    V, den = _unnormalized_snell(Q, h)
+    """max over stopping times of E_Q[h_tau], by backward induction (the
+    envelope Q keeps, `Measure.envelope`)."""
+    V, den = Q.envelope(h)
     return Fraction(V[h.tree.root], den)
 
 
@@ -202,7 +205,7 @@ def snell_optimal_stop(Q: "Measure", h: AdaptedProcess) -> StoppingTime:
 
     This is the separation oracle of `measures.solve_with_stop_cuts`.
     """
-    return _greedy_stop(Q, h, _unnormalized_snell(Q, h)[0])
+    return _greedy_stop(Q, h, Q.envelope(h)[0])
 
 
 def _greedy_stop(Q: "Measure", h: AdaptedProcess, V: dict[str, int]) -> StoppingTime:

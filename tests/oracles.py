@@ -18,7 +18,13 @@ time.
     the unnormalized envelope behind `stopping.snell_value`, and
     `strategy_from_mixture` builds the exercise flow of a mixture of stops.
   * `hrep_from_vertices` and `contains` run vertex enumeration backwards,
-    the round-trip reference for `polytope.vertices`.
+    the round-trip reference for `polytope.vertices`; `hrep_text` writes a
+    polytope's rows out as plain text.
+  * `martingale_rows`, `pricing_rows`, `claim_row`, `stop_row`,
+    `slack_rows`, `closure_rows`, `dual_rows`, `structure_rows`, `phi_coeffs`,
+    `hedge_rows`, `cone_rows` and `minimax_rows` build the engine's LP rows
+    from Fractions with `lp.con`: references for the builders that emit
+    integer rows from the market's integer forms.
   * `find_pricing_measure` is the witness measure of `ftap.check_sna`.
 """
 
@@ -30,11 +36,11 @@ from typing import Iterable, Mapping, Sequence
 
 from semistatic.ftap import NO_ARBITRAGE, check_sna
 from semistatic.hedging import VerificationFailure
-from semistatic.lp import EQ, GE, LE, LpProblem, LpSolution, LpVerificationError, con
+from semistatic.lp import EQ, GE, LE, Constraint, LpProblem, LpSolution, LpVerificationError, con
 from semistatic.market import MarketError, MarketSpec
 from semistatic.measures import Measure
 from semistatic.polytope import Polytope, PolytopeError, _dd_cone, _primitive_int
-from semistatic.rational import rat
+from semistatic.rational import rat, rat_str
 from semistatic.stopping import LiquidatingStrategy, StoppingTime
 from semistatic.tree import AdaptedProcess, TerminalClaim
 
@@ -347,6 +353,213 @@ def contains(poly: Polytope, point: Mapping[str, Fraction]) -> bool:
         if c.rel == EQ and lhs != c.rhs:
             return False
     return True
+
+
+def hrep_text(poly: Polytope) -> str:
+    """Plain text H-representation for external verification: the variable
+    names, then one line per row with its Fraction coefficients."""
+    lines = [" ".join(poly.variables)]
+    for c in poly.constraints:
+        terms = " ".join(f"{rat_str(c.coeffs.get(v, ZERO))}" for v in poly.variables)
+        lines.append(f"{terms} {c.rel} {rat_str(c.rhs)} # {c.name}")
+    return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# LP rows in Fractions: the builders the integer rows replace
+# ---------------------------------------------------------------------------
+
+def _w(leaf: str) -> str:
+    return f"w[{leaf}]"
+
+
+def martingale_rows(market: MarketSpec, leaves: Sequence[str]) -> list[Constraint]:
+    """The total-mass row and one row per non-leaf node and stock component:
+    the martingale condition over the weights of `leaves`."""
+    tree, leaf_set = market.tree, set(leaves)
+    rows = [con({_w(l): 1 for l in leaves}, EQ, 1, "mass")]
+    for node in tree.nonleaf_nodes():
+        for l_idx in range(market.dim):
+            coeffs: dict[str, Fraction] = {}
+            for child in tree.children(node):
+                step = market.S.at(child)[l_idx] - market.S.at(node)[l_idx]
+                if step == 0:
+                    continue
+                for leaf in tree.leaves_under(child):
+                    if leaf in leaf_set:
+                        coeffs[_w(leaf)] = step
+            if coeffs:
+                rows.append(con(coeffs, EQ, 0, f"mart[{node}][{l_idx}]"))
+    return rows
+
+
+def claim_row(claim: TerminalClaim, leaves: Sequence[str]) -> dict[str, Fraction]:
+    return {_w(l): claim.at(l) for l in leaves if claim.at(l)}
+
+
+def stop_row(h: AdaptedProcess, tau: StoppingTime, leaves: Sequence[str]) -> dict[str, Fraction]:
+    return {_w(l): tau.value_at(h, l) for l in leaves if tau.value_at(h, l)}
+
+
+def pricing_rows(spec, leaves: Sequence[str], slack_var: str | None = None) -> list[Constraint]:
+    m = spec.market
+    rows = [con(claim_row(claim, leaves), EQ, price, f"f[{i}]")
+            for i, (claim, price) in enumerate(zip(m.f, m.f_prices))]
+    for j, (claim, cap) in enumerate(zip(m.g, spec.g_cap)):
+        if cap is not None:
+            coeffs = claim_row(claim, leaves)
+            if slack_var is not None:
+                coeffs[slack_var] = Fraction(1)
+            rows.append(con(coeffs, LE, cap, f"g[{j}]"))
+    return rows
+
+
+def slack_rows(spec, leaves: Sequence[str], cuts, slack_var: str) -> list[Constraint]:
+    """The rows of `max_slack`'s LP with the stop cuts (k, tau) `cuts`."""
+    m = spec.market
+    rows = martingale_rows(m, leaves) + pricing_rows(spec, leaves, slack_var)
+    for k, tau in cuts:
+        coeffs = stop_row(m.h[k], tau, leaves)
+        coeffs[slack_var] = Fraction(1)
+        rows.append(con(coeffs, LE, spec.h_cap[k], f"h[{k}]cut"))
+    rows += [con({_w(l): 1, slack_var: -1}, GE, 0, f"floor[{l}]")
+             for l in leaves if l in spec.support_floor]
+    rows.append(con({slack_var: 1}, LE, 1, "slack_cap"))
+    return rows
+
+
+def closure_rows(spec, leaves: Sequence[str], taus: Sequence[StoppingTime]) -> list[Constraint]:
+    """The rows of `closure_polytope` with every stop of `taus`."""
+    m = spec.market
+    rows = martingale_rows(m, leaves)
+    rows += [con({_w(l): 1}, GE, 0, f"nonneg[{l}]") for l in leaves]
+    rows += pricing_rows(spec, leaves)
+    for k, (h, cap) in enumerate(zip(m.h, spec.h_cap)):
+        if cap is not None:
+            rows += [con(stop_row(h, tau, leaves), LE, cap, f"h[{k}]tau[{t}]")
+                     for t, tau in enumerate(taus)]
+    return rows
+
+
+def dual_rows(spec, claim, kind: str, cuts) -> list[Constraint]:
+    """The rows of `hedging.dual_optimum`'s LP with the stop cuts `cuts`:
+    (k, tau) caps option k, ("epi", tau) adds an epigraph row for "sub_am"."""
+    m = spec.market
+    leaves = m.support_leaves()
+    rows = martingale_rows(m, leaves) + pricing_rows(spec, leaves)
+    rows += [con(stop_row(m.h[k], tau, leaves), LE, spec.h_cap[k], f"h[{k}]cut")
+             for k, tau in cuts if k != "epi"]
+    if kind == "sub_am":
+        epi = [StoppingTime(m.tree, [m.tree.root])] + [tau for k, tau in cuts if k == "epi"]
+        for t_idx, tau in enumerate(epi):
+            coeffs = stop_row(claim, tau, leaves)
+            coeffs["z"] = Fraction(-1)
+            rows.append(con(coeffs, LE, 0, f"epi[{t_idx}]"))
+    return rows
+
+
+def structure_rows(market: MarketSpec, include_eta: bool) -> list[Constraint]:
+    """Path sums of each American option's flow nu equal its holding c, and
+    (with `include_eta`) unit path sums of the claim's exercise flow."""
+    tree = market.tree
+    rows = []
+    for k in range(len(market.h)):
+        for leaf in tree.leaves:
+            coeffs = {f"nu[{k}][{n}]": Fraction(1) for n in tree.path(leaf)}
+            coeffs[f"c[{k}]"] = Fraction(-1)
+            rows.append(con(coeffs, EQ, 0, f"liq[{k}][{leaf}]"))
+    if include_eta:
+        rows += [con({f"eta[{n}]": Fraction(1) for n in tree.path(leaf)}, EQ, 1, f"flow[{leaf}]")
+                 for leaf in tree.leaves]
+    return rows
+
+
+def phi_coeffs(market: MarketSpec, leaf: str) -> dict[str, Fraction]:
+    """Column coefficients of a semi-static portfolio's terminal value at
+    `leaf`."""
+    m, path = market, market.tree.path(leaf)
+    coeffs: dict[str, Fraction] = {}
+    for here, there in zip(path, path[1:]):
+        for l in range(m.dim):
+            step = m.S.at(there)[l] - m.S.at(here)[l]
+            if step:
+                coeffs[f"H[{here}][{l}]"] = step
+    for name, book, prices in (("a", m.f, m.f_prices), ("b", m.g, m.g_prices)):
+        for i, (claim, price) in enumerate(zip(book, prices)):
+            if claim.at(leaf) - price:
+                coeffs[f"{name}[{i}]"] = claim.at(leaf) - price
+    for k, (h, price) in enumerate(zip(m.h, m.h_prices)):
+        for n in path:
+            if h.scalar_at(n):
+                coeffs[f"nu[{k}][{n}]"] = h.scalar_at(n)
+        if price:
+            coeffs[f"c[{k}]"] = -price
+    return coeffs
+
+
+def hedge_rows(market: MarketSpec, claim, kind: str, leaves: Sequence[str]) -> list[Constraint]:
+    """The rows of `hedge_primal`'s LP."""
+    rows = structure_rows(market, kind == "sub_am")
+    for leaf in leaves:
+        coeffs = phi_coeffs(market, leaf)
+        if kind == "sub_eu":
+            coeffs["x"] = Fraction(-1)
+            rows.append(con(coeffs, GE, -claim.at(leaf), f"leaf[{leaf}]"))
+        elif kind == "super_div":
+            coeffs["x"] = Fraction(1)
+            rows.append(con(coeffs, GE, claim.at(leaf), f"leaf[{leaf}]"))
+        else:
+            for n in market.tree.path(leaf):
+                if claim.scalar_at(n):
+                    coeffs[f"eta[{n}]"] = coeffs.get(f"eta[{n}]", ZERO) + claim.scalar_at(n)
+            coeffs["x"] = Fraction(-1)
+            rows.append(con(coeffs, GE, 0, f"leaf[{leaf}]"))
+    return rows
+
+
+def cone_rows(market: MarketSpec, support: Sequence[str]) -> tuple[list[Constraint], dict]:
+    """The rows and the objective of `check_na`'s cone LP."""
+    rows = structure_rows(market, False)
+    total: dict[str, Fraction] = {}
+    for leaf in support:
+        coeffs = phi_coeffs(market, leaf)
+        rows.append(con(coeffs, GE, 0, f"leaf[{leaf}]"))
+        for v, cv in coeffs.items():
+            total[v] = total.get(v, ZERO) + cv
+    rows.append(con(total, LE, 1, "normalization"))
+    return rows, total
+
+
+def minimax_rows(R_vertices: Sequence[Measure], h_list: Sequence[AdaptedProcess],
+                 cuts, taus: Sequence[StoppingTime]) -> tuple[list, list, list]:
+    """The rows of `minimax_check`'s three LPs: the flow side, the mixture
+    side with the stop cuts (k, tau) `cuts`, and the stop side over `taus`."""
+    tree = R_vertices[0].tree
+    lhs = [con({f"mu[{k}][{n}]": 1 for n in tree.path(leaf)}, EQ, 1, f"flow[{k}][{leaf}]")
+           for k in range(len(h_list)) for leaf in tree.leaves]
+    for v_idx, R in enumerate(R_vertices):
+        masses = subtree_masses(R)
+        coeffs = {f"mu[{k}][{n}]": masses[n] * h.scalar_at(n)
+                  for k, h in enumerate(h_list) for n in tree.nodes
+                  if masses[n] * h.scalar_at(n)}
+        coeffs["t"] = Fraction(-1)
+        lhs.append(con(coeffs, GE, 0, f"vertex[{v_idx}]"))
+    hull = con({f"lam[{i}]": 1 for i in range(len(R_vertices))}, EQ, 1, "hull")
+
+    def stop_rows(k, tau, var, name):
+        coeffs = {f"lam[{i}]": expect_at_stop(R, h_list[k], tau)
+                  for i, R in enumerate(R_vertices) if expect_at_stop(R, h_list[k], tau)}
+        coeffs[var] = Fraction(-1)
+        return con(coeffs, LE, 0, name)
+
+    stop_0 = StoppingTime(tree, [tree.root])
+    mid = [hull]
+    for k in range(len(h_list)):
+        own = [stop_0] + [tau for j, tau in cuts if j == k]
+        mid += [stop_rows(k, tau, f"z[{k}]", f"cut[{k}][{c}]") for c, tau in enumerate(own)]
+    rhs = [hull] + [stop_rows(k, tau, f"w[{k}]", f"stop[{k}][{t}]")
+                    for k in range(len(h_list)) for t, tau in enumerate(taus)]
+    return lhs, mid, rhs
 
 
 # ---------------------------------------------------------------------------

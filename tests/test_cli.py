@@ -519,9 +519,10 @@ def test_jobs_batch_preserves_input_order(capsys, tmp_path):
 
 
 def test_polytope_hrep_export(p2):
+    from oracles import hrep_text
     from semistatic import PricingSetSpec, closure_polytope
 
-    text = closure_polytope(PricingSetSpec(p2)).hrep_text()
+    text = hrep_text(closure_polytope(PricingSetSpec(p2)))
     assert "w[u1]" in text.splitlines()[0]
     assert any("mass" in line for line in text.splitlines())
 

@@ -277,15 +277,16 @@ def test_two_asset_market():
 def _per_stop_dual_value(market, psi, tau):
     """max E psi over martingale measures pricing the American option at the
     stop `tau` at most at its quote: the LP dual of the per-stop hedge LP."""
+    from oracles import stop_row
     from semistatic.lp import LE, LpProblem, con, solve
-    from semistatic.measures import _stop_row, _weight_var, martingale_system
+    from semistatic.measures import _weight_var, martingale_system
 
     stock = market.with_options(f=[], f_prices=[], g=[], g_prices=[], h=[], h_prices=[])
     leaves = market.support_leaves()
     base = martingale_system(stock, carrier=leaves)
     rows = list(base.constraints)
     if market.h:
-        rows.append(con(_stop_row(market.h[0], tau, leaves), LE, market.h_prices[0], "h"))
+        rows.append(con(stop_row(market.h[0], tau, leaves), LE, market.h_prices[0], "h"))
     objective = {_weight_var(l): psi.at(l) for l in leaves if psi.at(l)}
     sol = solve(LpProblem("max", objective, rows, base.variables))
     assert sol.status == "optimal"

@@ -1,29 +1,55 @@
-"""Measures, claims and processes computed on as integers over one
-denominator, cross-checked against the Fraction sums of `oracles`.
+"""Measures, claims, processes and LP rows computed on as integers over one
+denominator, cross-checked against the Fraction sums and the Fraction row
+builders of `oracles`.
 
 Measures are drawn with zero weights (explicit zero entries included), with
 weight off the market's support, and with large coprime denominators; claims
 and processes mix small rationals with values over large primes, so that the
 lcm of a form's denominators is a product of them."""
 
+import copy
 import random
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd, lcm
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semistatic import AdaptedProcess, Measure, PricingSetSpec, TerminalClaim, membership
+from semistatic import (
+    AdaptedProcess,
+    Measure,
+    PricingSetSpec,
+    TerminalClaim,
+    check_na,
+    check_sna,
+    closure_polytope,
+    martingale_system,
+    max_slack,
+    membership,
+    minimax_check,
+    sub_hedge_american,
+    sub_hedge_european,
+    super_hedge_divisible,
+    super_hedge_indivisible,
+)
+from semistatic import ftap, hedging, measures, robust
+from semistatic.hedging import StrategySpace, dual_optimum, hedge_primal
+from semistatic.lp import EQ, GE, LE, con, int_con
+from semistatic.measures import SLACK_VAR, _claim_row, _stop_row, pricing_rows, strict_emm_slack
 from semistatic.rational import rat_str
 from semistatic.stopping import (
     _unnormalized_snell,
+    count_stopping_times,
     enumerate_stopping_times,
     snell_optimal_stop,
     snell_value,
 )
 
 import oracles
-from conftest import rand_rational, random_market
+from conftest import rand_rational, random_market, random_measure, random_process
 
 F = Fraction
 PRIMES = (2**61 - 1, 10**9 + 7, 998244353, 2**31 - 1, 65537)
@@ -151,3 +177,233 @@ def test_measure_written_three_ways(b1):
     assert one == Measure(b1.tree, {"u": "3/3"}) and hash(one) == hash(Measure(b1.tree, {"u": 1}))
     assert one.weights == {"u": 1} and (one.den, one.num) == (1, {"u": 1})
     assert one != halves[0]
+
+
+# ---------------------------------------------------------------------------
+# LP rows: the integer constructor and the builders
+# ---------------------------------------------------------------------------
+
+_RATIONALS = st.one_of(
+    st.just(F(0)),
+    st.integers(-10**6, 10**6).map(F),
+    st.builds(F, st.integers(-10**12, 10**12), st.sampled_from((1, 2, 6, 9, 10**9 + 7, 2**61 - 1))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.dictionaries(st.sampled_from("abcdef"), _RATIONALS, max_size=6),
+       rhs=_RATIONALS, k=st.integers(1, 10**6), rel=st.sampled_from((LE, EQ, GE)))
+def test_integer_constructor_equals_con_of_the_fraction_row(coeffs, rhs, k, rel):
+    """Coefficients over any positive multiple of the denominator make the
+    row `con` makes of the Fractions: the same canonical integers (over the
+    lcm of the reduced denominators, no common factor left), names in the
+    same order, and the same Fraction view."""
+    den = k * lcm(rhs.denominator, *[c.denominator for c in coeffs.values()])
+    num = {v: c.numerator * (den // c.denominator) for v, c in coeffs.items()}
+    row = int_con(num, rel, rhs.numerator * (den // rhs.denominator), den, "r")
+    assert row == con(coeffs, rel, rhs, "r")
+    assert list(row.num) == list(coeffs)
+    assert row.coeffs == coeffs and row.rhs == rhs and row.rel == rel
+    assert row.den == lcm(rhs.denominator, *[c.denominator for c in coeffs.values()])
+    assert gcd(row.den, row.rhs_num, *row.num.values()) == 1
+
+
+def _view(rows):
+    return [(r.name, r.rel, r.coeffs, r.rhs) for r in rows]
+
+
+def _fractions(den_num):
+    den, num = den_num
+    return {v: F(c, den) for v, c in num.items()}
+
+
+@contextmanager
+def _recorded(module, name):
+    """Calls of `module.name` recorded as they pass through: the LPs handed
+    to `solve`, or the `build` of each `solve_with_stop_cuts` loop."""
+    seen = []
+    orig = getattr(module, name)
+
+    def spy(first, *args, **kwargs):
+        seen.append(first)
+        return orig(first, *args, **kwargs)
+
+    with mock.patch.object(module, name, spy):
+        yield seen
+
+
+def _draw_market(data):
+    """A random market, sometimes with a two-component stock, a carrier
+    (a random leaf subset) and capped options, some caps dropped."""
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    market = random_market(rng, max_depth=data.draw(st.sampled_from((2, 3)), label="depth"))
+    tree = market.tree
+    if data.draw(st.booleans(), label="dim 2"):
+        S = AdaptedProcess(tree, {n: [market.S.scalar_at(n), rand_rational(rng)]
+                                  for n in tree.nodes})
+        market = replace(market, S=S)
+    leaves = tuple(l for l in tree.leaves if rng.random() < 0.8) or tree.leaves[:1]
+    spec = PricingSetSpec(
+        market, g_cap=tuple(None if rng.random() < 0.2 else p for p in market.g_prices),
+        h_cap=tuple(None if rng.random() < 0.2 else p for p in market.h_prices),
+        support_floor=frozenset(rng.sample(leaves, rng.randint(0, len(leaves)))))
+    return rng, market, spec, leaves
+
+
+def _cuts(rng, tree, k_options, n=3):
+    """n random (option, stop) cuts, repeats allowed."""
+    taus = enumerate_stopping_times(tree)
+    return [(rng.choice(k_options), rng.choice(taus)) for _ in range(n)] if k_options else []
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pricing_set_rows_equal_the_fraction_builders(data):
+    """The martingale, pricing, closure and slack rows (with stop cuts), and
+    `dual_optimum`'s rows, over a carrier: same names, relations and Fraction
+    views as the Fraction builders."""
+    rng, market, spec, leaves = _draw_market(data)
+    assert _view(martingale_system(market, leaves).constraints) == \
+        _view(oracles.martingale_rows(market, leaves))
+    for slack in (None, SLACK_VAR):
+        assert _view(pricing_rows(spec, leaves, slack)) == \
+            _view(oracles.pricing_rows(spec, leaves, slack))
+    for claim in market.f + market.g:
+        assert _fractions(_claim_row(claim, leaves)) == oracles.claim_row(claim, leaves)
+    capped = [k for k, cap in enumerate(spec.h_cap) if cap is not None]
+    cuts = _cuts(rng, market.tree, capped)
+    for k, tau in cuts:
+        assert _fractions(_stop_row(market.h[k], tau, leaves)) == \
+            oracles.stop_row(market.h[k], tau, leaves)
+    if count_stopping_times(market.tree) < 200:
+        assert _view(closure_polytope(spec, leaves).constraints) == _view(
+            oracles.closure_rows(spec, leaves, enumerate_stopping_times(market.tree)))
+    with _recorded(measures, "solve_with_stop_cuts") as builds:
+        max_slack(spec, leaves)
+    for n in (0, len(cuts)):
+        assert _view(builds[0](cuts[:n]).constraints) == \
+            _view(oracles.slack_rows(spec, leaves, cuts[:n], SLACK_VAR))
+    if market.support == frozenset(leaves):
+        claim = random_process(rng, market.tree)
+        with _recorded(hedging, "solve_with_stop_cuts") as builds:
+            dual_optimum(spec, claim, "sub_am")
+        epi = [("epi", snell_optimal_stop(random_measure(rng, market.tree), claim))]
+        assert _view(builds[0](cuts + epi).constraints) == \
+            _view(oracles.dual_rows(spec, claim, "sub_am", cuts + epi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_strategy_rows_equal_the_fraction_builders(data):
+    """The structure rows, every leaf's phi coefficients, each hedge LP's
+    rows over a pointwise leaf subset, and the cone LP's rows and objective:
+    same names, relations and Fraction views as the Fraction builders."""
+    rng, market, _, leaves = _draw_market(data)
+    for eta in (False, True):
+        assert _view(StrategySpace(market, eta).structure_rows()) == \
+            _view(oracles.structure_rows(market, eta))
+    for leaf in market.tree.leaves:
+        assert _fractions(StrategySpace(market).phi_coeffs(leaf)) == \
+            oracles.phi_coeffs(market, leaf)
+    psi = TerminalClaim(market.tree, {l: rand_rational(rng) for l in market.tree.leaves})
+    for kind, claim in (("sub_eu", psi), ("super_div", psi),
+                        ("sub_am", random_process(rng, market.tree))):
+        with _recorded(hedging, "solve") as problems:
+            hedge_primal(market, claim, kind, pointwise_leaves=leaves)
+        assert _view(problems[0].constraints) == \
+            _view(oracles.hedge_rows(market, claim, kind, leaves))
+    with _recorded(ftap, "solve") as problems:
+        check_na(market, support=leaves)
+    rows, objective = oracles.cone_rows(market, leaves)
+    assert _view(problems[0].constraints) == _view(rows)
+    assert problems[0].objective == objective
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_minimax_rows_equal_the_fraction_builders(data):
+    """`minimax_check`'s flow-side rows, its mixture rows with stop cuts and
+    its stop-side rows, on vertices with large coprime denominators."""
+    rng, market, _, _ = _draw_market(data)
+    tree = market.tree
+    verts = [_measure(rng, tree) for _ in range(rng.randint(1, 3))]
+    hs = [_process(rng, tree) for _ in range(rng.randint(1, 2))]
+    with _recorded(robust, "solve") as problems, \
+            _recorded(robust, "solve_with_stop_cuts") as builds:
+        try:
+            minimax_check(verts, hs)
+        except robust.RobustError:  # unbounded or broken sides: rows still built
+            pass
+    cuts = _cuts(rng, tree, list(range(len(hs))))
+    lhs, mid, rhs = oracles.minimax_rows(verts, hs, cuts, enumerate_stopping_times(tree))
+    assert _view(problems[0].constraints) == _view(lhs)
+    if builds:
+        assert _view(builds[0](cuts).constraints) == _view(mid)
+    if len(problems) == 2:
+        assert _view(problems[1].constraints) == _view(rhs)
+
+
+def test_each_envelope_is_computed_once_per_measure_and_process():
+    """The stop-cut rounds, `max_slack`'s option slacks, `check_sna`'s
+    membership check and its `h_slacks` read one kept envelope per (measure,
+    process) pair, equal to a fresh one."""
+    calls = []
+
+    def counted(Q, h):
+        calls.append((Q, h))
+        return _unnormalized_snell(Q, h)
+
+    checked = 0
+    for seed in range(60):
+        market = random_market(random.Random(seed))
+        if not market.h:
+            continue
+        calls.clear()
+        with mock.patch.object(measures, "_unnormalized_snell", counted):
+            verdict = check_sna(market)
+        pairs = [(id(Q), id(h)) for Q, h in calls]
+        assert len(pairs) == len(set(pairs))
+        if verdict.pricing is not None:
+            checked += 1
+            Q = verdict.pricing
+            for h in market.h:
+                assert Q.envelope(h) == _unnormalized_snell(Q, h)
+    assert checked >= 5
+
+
+def _strict_market_with_every_book():
+    """The first seeded random market that is strictly arbitrage-free and
+    has a two-sided and a buy-only European option and one American."""
+    for seed in range(500):
+        m = random_market(random.Random(seed))
+        if m.f and m.g and len(m.h) == 1 and strict_emm_slack(m).strictly_positive:
+            return m, random.Random(seed)
+    raise AssertionError("no such market in 500 seeds")
+
+
+def test_hedges_leave_the_kept_skeletons_unchanged():
+    """The four hedges of one market share its kept row skeletons and build
+    their own rows from them: afterwards every kept row is what it was, and
+    still equals the Fraction builders' row."""
+    market, rng = _strict_market_with_every_book()
+    tree, leaves = market.tree, market.support_leaves()
+    for eta in (False, True):
+        StrategySpace(market, eta).structure_rows()
+    for leaf in leaves:
+        StrategySpace(market).phi_coeffs(leaf)
+    kept = market.__dict__["_lp_skeletons"]
+    before = copy.deepcopy(kept)
+    psi = TerminalClaim(tree, {l: rand_rational(rng) for l in tree.leaves})
+    for hedge, claim in ((sub_hedge_european, psi), (super_hedge_divisible, psi),
+                         (super_hedge_indivisible, psi),
+                         (sub_hedge_american, random_process(rng, tree))):
+        hedge(market, claim)
+    assert {key: kept[key] for key in before} == before
+    for leaf in leaves:
+        assert _fractions(StrategySpace(market).phi_coeffs(leaf)) == \
+            oracles.phi_coeffs(market, leaf)
+    for eta in (False, True):
+        assert _view(StrategySpace(market, eta).structure_rows()) == \
+            _view(oracles.structure_rows(market, eta))
+    assert _view(martingale_system(market).constraints) == \
+        _view(oracles.martingale_rows(market, leaves))

@@ -3,7 +3,9 @@
 The benchmark's traced run looks engine functions up by name; a rename in
 the engine must fail here rather than in `bench/run.py --trace 1`.  The
 engine guards its results with typed errors, never `assert`, so that no
-check vanishes under `python -O`."""
+check vanishes under `python -O`.  LP rows are made in integers by
+`lp.int_con`, and only `lp.py` turns rationals into a row or reads a row's
+Fraction view."""
 
 import ast
 import importlib
@@ -66,3 +68,29 @@ def test_selftest_passes_under_optimize():
     report = json.loads(proc.stdout)
     assert report["passed"] is True
     assert report["checks"] and all(v is True for v in report["checks"].values())
+
+
+def test_only_the_lp_module_integerizes_rows():
+    """Outside `lp.py` no module imports `con` (the package `__init__` only
+    re-exports it), constructs a `Constraint` directly, or reads a row's
+    Fraction view (`.coeffs`, or the numerator or denominator of `.rhs`):
+    the builders emit integer rows with `int_con` from the integer forms
+    the market holds."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "lp.py":
+            continue
+        where = path.relative_to(ROOT)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and path.name != "__init__.py" and \
+                    (node.module or "").endswith("lp") and \
+                    any(alias.name == "con" for alias in node.names):
+                found.append(f"{where}:{node.lineno} imports con")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and \
+                    node.func.id == "Constraint":
+                found.append(f"{where}:{node.lineno} constructs a Constraint")
+            elif isinstance(node, ast.Attribute) and (
+                    node.attr == "coeffs" or node.attr in ("numerator", "denominator")
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "rhs"):
+                found.append(f"{where}:{node.lineno} reads a row's Fraction view")
+    assert found == []
