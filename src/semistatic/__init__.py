@@ -67,7 +67,6 @@ from .robust import (
     check_sna_robust,
     dominating_measure,
     minimax_check,
-    robust_pricing_set,
     sub_hedge_robust,
     union_support,
 )

@@ -171,26 +171,18 @@ def emit_region(market: MarketSpec, params: list[str]) -> list[dict[str, Fractio
     if not measures:
         return []
 
-    def subtree_mass(Q: Measure, node: str) -> Fraction:
-        return sum((Q.at(l) for l in tree.leaves_under(node)), Fraction(0))
-
-    parent_mass: dict[str, Fraction] = {}
     for n in params:
-        masses = {subtree_mass(Q, tree.parent(n)) for Q in measures}
+        masses = {Fraction(Q.masses()[tree.parent(n)], Q.den) for Q in measures}
         if len(masses) != 1:
             raise UsageError(
                 f"parameter at {n!r} is not affine over the region "
                 "(parent mass varies)"
             )
-        mass = masses.pop()
-        if mass == 0:
+        if masses.pop() == 0:
             raise UsageError(f"parameter at {n!r} conditions on a null node")
-        parent_mass[n] = mass
-
-    points = []
-    for Q in measures:
-        points.append(tuple(subtree_mass(Q, n) / parent_mass[n] for n in params))
-    points = sorted(set(points))
+    # a parameter is the ratio of two integer masses over one denominator
+    points = sorted({tuple(Fraction(Q.masses()[n], Q.masses()[tree.parent(n)]) for n in params)
+                     for Q in measures})
     if len(params) <= 1 or len(points) <= 2:
         hull = [points[0]]
         if len(points) > 1:

@@ -143,15 +143,6 @@ def p2_measure(market: MarketSpec, p, q) -> Measure:
     return Measure(market.tree, p2_weights(p, q))
 
 
-def p2_params_of(Q: Measure) -> tuple[Fraction, Fraction]:
-    """Recover (p, q) from a P2 pricing measure (conditional first-child weights)."""
-    wu = sum(Q.weights.get(l, Fraction(0)) for l in ("u1", "u2", "u3"))
-    wd = sum(Q.weights.get(l, Fraction(0)) for l in ("d1", "d2", "d3"))
-    if wu == 0 or wd == 0:
-        raise FixtureError("measure has no mass on a time-1 subtree")
-    return Q.weights.get("u1", Fraction(0)) / wu, Q.weights.get("d1", Fraction(0)) / wd
-
-
 def _one_step_family(s_parent, s_children):
     """General solution of {sum w = 1, sum w*S = S_parent} for three children,
     parametrized by the first child's weight t: returns (const, slope) vectors

@@ -39,13 +39,12 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .lp import EQ, GE, LE, Constraint, LpProblem, LpSolution, int_con, solve
-from .market import HedgePortfolio, MarketSpec, portfolio_values
+from .market import HedgePortfolio, MarketSpec, _kept, portfolio_values
 from .measures import (
     Measure,
     PricingSetSpec,
     SlackResult,
     _cap_targets,
-    _kept,
     _martingale_rows,
     _measure_of,
     _row,

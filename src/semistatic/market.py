@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .rational import rat, rat_str
 from .stopping import LiquidatingStrategy, StoppingTime
@@ -26,6 +26,22 @@ from .tree import AdaptedProcess, EventTree, TerminalClaim, TreeError
 
 class MarketError(ValueError):
     pass
+
+
+def _kept(obj, key, build: Callable[[], object]):
+    """`build()`, made once per object and `key` and kept on the object: what
+    depends on a market alone (its strict-EMM slack, its robust decisions, its
+    LP row skeletons, its reductions `without_american`, the priors of its
+    market file) or on its stock process alone (the martingale rows).  A
+    rebuilt market (`build_market`, `with_options`, `exercised_at`,
+    `dataclasses.replace`) is a new object and decides again.  What is kept
+    is shared: callers copy before they extend it (only
+    `StrategySpace.phi_coeffs` fills in its own per-leaf table).  Threads
+    that ask at once may each build it; the first one stored is kept."""
+    kept = obj.__dict__.setdefault("_kept", {})
+    if key not in kept:
+        kept.setdefault(key, build())
+    return kept[key]
 
 
 @dataclass(frozen=True)
@@ -74,14 +90,20 @@ class MarketSpec:
         return tuple(l for l in self.tree.leaves if l in self.support)
 
     def without_american(self, keep: int = 0) -> "MarketSpec":
-        """The same market with only the first `keep` American options."""
-        return MarketSpec(
+        """The same market with only the first `keep` American options: the
+        market itself when it has no more, else one object per market and
+        `keep`, reached by dropping the last option one at a time, so that
+        every reduction of a market to `keep` options is the same object and
+        shares what that object has decided."""
+        if keep >= len(self.h):
+            return self
+        return _kept(self, "without_last_american", lambda: MarketSpec(
             tree=self.tree, S=self.S,
             f=self.f, f_prices=self.f_prices,
             g=self.g, g_prices=self.g_prices,
-            h=self.h[:keep], h_prices=self.h_prices[:keep],
+            h=self.h[:-1], h_prices=self.h_prices[:-1],
             support=self.support, claims=self.claims,
-        )
+        )).without_american(keep)
 
     def with_options(self, f=None, f_prices=None, g=None, g_prices=None,
                      h=None, h_prices=None) -> "MarketSpec":
@@ -294,13 +316,13 @@ def build_market(description: str | Mapping) -> MarketSpec:
         tree=tree, S=S, f=f, f_prices=f_prices, g=g, g_prices=g_prices,
         h=h, h_prices=h_prices, support=support, claims=claims,
     )
-    object.__setattr__(market, "_priors_raw", priors)
+    _kept(market, "priors", lambda: priors)
     return market
 
 
 def market_priors(market: MarketSpec) -> tuple[dict[str, Fraction], ...]:
     """Raw leaf-weight maps from the market file's optional `priors` array."""
-    return getattr(market, "_priors_raw", ())
+    return _kept(market, "priors", tuple)
 
 
 def market_to_json(market: MarketSpec, priors: Sequence[Mapping[str, Fraction]] = ()) -> str:

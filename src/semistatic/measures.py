@@ -20,7 +20,8 @@ and each process's exercise envelope after first use.  Expectations, exercise
 envelopes and the membership checks sum integers against the claims' and
 processes' own integer forms and make one Fraction, or compare with a Fraction
 bound by cross-multiplication.  LP rows are built as integers from the same
-forms (`lp.int_con`); the martingale rows are kept on the market per carrier.
+forms (`lp.int_con`); the martingale rows are kept on the stock process per
+carrier.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .lp import EQ, GE, LE, Constraint, LpProblem, LpSolution, int_con, solve
-from .market import HedgePortfolio, MarketSpec
+from .market import HedgePortfolio, MarketSpec, _kept
 from .polytope import Polytope, vertices
 from .rational import over_lcm, rat, rat_str
 from .stopping import (
@@ -39,7 +40,6 @@ from .stopping import (
     _greedy_stop,
     _unnormalized_snell,
     enumerate_stopping_times,
-    snell_value,
 )
 from .tree import AdaptedProcess, EventTree, TerminalClaim
 
@@ -161,22 +161,6 @@ def _weight_var(leaf: str) -> str:
     return f"w[{leaf}]"
 
 
-def _kept(market: MarketSpec, key, build: Callable[[], object]):
-    """`build()`, made once per market object and `key` and kept on the
-    object, as `strict_emm_slack` keeps its result: the LP row skeletons,
-    which depend on the market alone.  Markets derived by `with_options`,
-    `without_american` or `exercised_at` are new objects and build their
-    own.  What is kept is shared: callers copy before they extend it.
-    Threads that ask at once may each build it; what they store is equal."""
-    kept = market.__dict__.get("_lp_skeletons")
-    if kept is None:
-        kept = {}
-        object.__setattr__(market, "_lp_skeletons", kept)
-    if key not in kept:
-        kept[key] = build()
-    return kept[key]
-
-
 def _row(den: int, num: Mapping[str, int], rel: str, bound, name: str,
          unit: str | None = None, sign: int = 1) -> Constraint:
     """The row num / den (+ sign * unit) rel bound, for a rational bound, as
@@ -192,13 +176,16 @@ def _row(den: int, num: Mapping[str, int], rel: str, bound, name: str,
 
 def _martingale_rows(market: MarketSpec, leaves: tuple[str, ...]) -> tuple[list[str], tuple]:
     """The weight variables of `leaves` and the mass and martingale rows over
-    them, built from the stock's integer form once per market and leaf
-    tuple."""
+    them, built from the stock's integer form once per stock process and leaf
+    tuple and kept on the process, which every market derived from this one
+    shares."""
+    S = market.S
+
     def build():
-        tree, var = market.tree, {l: _weight_var(l) for l in leaves}
+        tree, var = S.tree, {l: _weight_var(l) for l in leaves}
         variables = [var[l] for l in leaves]
         rows = [int_con(dict.fromkeys(variables, 1), EQ, 1, 1, "mass")]
-        stock = [market.S.scaled(l_idx) for l_idx in range(market.dim)]
+        stock = [S.scaled(l_idx) for l_idx in range(S.dim)]
         for node in tree.nonleaf_nodes():
             for l_idx, (den, s) in enumerate(stock):
                 num: dict[str, int] = {}
@@ -212,7 +199,7 @@ def _martingale_rows(market: MarketSpec, leaves: tuple[str, ...]) -> tuple[list[
                     rows.append(int_con(num, EQ, 0, den, f"mart[{node}][{l_idx}]"))
         return variables, tuple(rows)
 
-    return _kept(market, ("martingale", leaves), build)
+    return _kept(S, ("martingale", leaves), build)
 
 
 def martingale_system(market: MarketSpec, carrier: Iterable[str] | None = None) -> LpProblem:
@@ -221,7 +208,7 @@ def martingale_system(market: MarketSpec, carrier: Iterable[str] | None = None) 
 
     `carrier` restricts the weights to a subset of leaves (weights outside it
     are fixed to zero by omission); defaults to the market's support.  The
-    rows are built once per market and carrier and kept on the market.
+    rows are built once per stock process and carrier and kept on it.
     """
     leaves = tuple(carrier) if carrier is not None else market.support_leaves()
     variables, rows = _martingale_rows(market, leaves)
@@ -316,17 +303,15 @@ def solve_with_stop_cuts(
         cuts += new
 
 
-def closure_polytope(spec: PricingSetSpec,
-                     carrier: Sequence[str] | None = None) -> Polytope:
-    """H-representation of the closure of the pricing set.
+def closure_polytope(spec: PricingSetSpec) -> Polytope:
+    """H-representation of the closure of the pricing set, over the weights
+    of the market's support leaves.
 
     American caps are expanded into one row per enumerated stopping time, the
     explicit form vertex enumeration needs; trees with more than
-    DEFAULT_ENUM_CAP stopping times raise EnumerationCapError.  `carrier`
-    restricts the weights to a leaf subset (defaults to the market
-    support)."""
+    DEFAULT_ENUM_CAP stopping times raise EnumerationCapError."""
     m = spec.market
-    leaves = tuple(carrier) if carrier is not None else m.support_leaves()
+    leaves = m.support_leaves()
     variables, base = _martingale_rows(m, leaves)
     rows = list(base)
     rows += [int_con({_weight_var(l): 1}, GE, 0, 1, f"nonneg[{l}]") for l in leaves]
@@ -343,8 +328,7 @@ def closure_polytope(spec: PricingSetSpec,
 @dataclass(frozen=True)
 class SlackResult:
     """Outcome of the strictness LP: optimum > 0 iff the strict set is
-    nonempty.  `option_slack` and `floor_slack` are re-measured from the
-    witness (so min(option_slack, floor_slack, 1) == optimum).
+    nonempty, with the optimal `witness` measure.
 
     When the optimum is <= 0 or the LP is infeasible, `certificate` is the
     portfolio its duals or Farkas multipliers spell out (`_slack_certificate`),
@@ -352,8 +336,6 @@ class SlackResult:
 
     status: str
     optimum: Fraction | None = None
-    option_slack: Fraction | None = None  # +inf encoded as None
-    floor_slack: Fraction | None = None
     witness: Measure | None = None
     certificate: HedgePortfolio | None = None
 
@@ -396,43 +378,21 @@ def max_slack(spec: PricingSetSpec,
     if sol.status != "optimal":
         return SlackResult(status="infeasible",
                            certificate=_slack_certificate(m, fixed, last_cuts, sol.farkas))
-    option_slack: Fraction | None = None
-    for j, (claim, cap) in enumerate(zip(m.g, spec.g_cap)):
-        if cap is None:
-            continue
-        s = cap - witness.expect_claim(claim)
-        option_slack = s if option_slack is None else min(option_slack, s)
-    for k, (h, cap) in enumerate(zip(m.h, spec.h_cap)):
-        if cap is None:
-            continue
-        s = cap - snell_value(witness, h)
-        option_slack = s if option_slack is None else min(option_slack, s)
-    floor_slack: Fraction | None = None
-    for l in floor:
-        s = witness.at(l)
-        floor_slack = s if floor_slack is None else min(floor_slack, s)
     certificate = None
     if sol.objective <= 0:
         certificate = _slack_certificate(m, fixed, last_cuts, sol.duals)
-    return SlackResult(
-        status="optimal", optimum=sol.objective,
-        option_slack=option_slack, floor_slack=floor_slack, witness=witness,
-        certificate=certificate,
-    )
+    return SlackResult(status="optimal", optimum=sol.objective, witness=witness,
+                       certificate=certificate)
 
 
 def strict_emm_slack(market: MarketSpec) -> SlackResult:
     """`max_slack(PricingSetSpec.strict_emm(market))`, solved once per market
-    object and kept on it: strict no-arbitrage is a property of the market
-    alone, so every later question on the same object reads this result,
-    refusals included.  Markets derived by `with_options` or
-    `without_american` are new objects and decide it afresh.  Threads that ask
-    at once may each solve it; the results they store are equal."""
-    slack = getattr(market, "_strict_emm_slack", None)
-    if slack is None:
-        slack = max_slack(PricingSetSpec.strict_emm(market))
-        object.__setattr__(market, "_strict_emm_slack", slack)
-    return slack
+    object and kept on it (`market._kept`): strict no-arbitrage is a property
+    of the market alone, so every later question on the same object, or on
+    the same reduction `without_american`, reads this result, refusals
+    included.  Only a rebuilt market decides it again."""
+    return _kept(market, "strict_emm_slack",
+                 lambda: max_slack(PricingSetSpec.strict_emm(market)))
 
 
 def _slack_certificate(m: MarketSpec, fixed: Sequence[Constraint],

@@ -1,6 +1,6 @@
 """Multi-prior (quasi-sure) markets: robust hedging, robust strict
 no-arbitrage, dominating pricing measures, and the finite-scale minimax
-identity with the sup/inf exchange values of an American claim built on it.
+identity.
 
 A prior set is a finite list of measures.  "Quasi-sure" constraints hold
 pointwise on the union of the prior supports; a measure is dominated by the
@@ -20,25 +20,26 @@ lists in which the first prior dominates the rest (the usual
 reference-plus-stress shape) never hit this.
 
 Robust strict no-arbitrage of the stock-plus-European part is the standing
-hypothesis of robust hedging and domination.  It depends on the market and
-the priors alone, so a `RobustSpec` keeps it, and the best component slack
-per prior support that it is built from, in one cell shared with every spec
-`reduced()` derives from it (keyed by the number of American options kept).
-The cell also keeps the robust sub-hedge of the last American option that
-`dominating_measure` mixes in, which does not depend on the prior.  Each later
-question on the family reads the cell; the certificate checks of every hedge
-and domination still run per call."""
+hypothesis of robust hedging and domination.  Quasi-sure means pointwise on
+the union support and domination means support inclusion, so the verdict,
+each prior's best component slack and the robust sub-hedge that
+`dominating_measure` mixes in depend on the priors only through their
+supports.  Each is decided once per market object and tuple of prior supports
+and kept on the market (`market._kept`); a `RobustSpec` is a plain pair, and
+the specs `reduced()` derives share the market's reductions
+(`MarketSpec.without_american`) and so their decisions.  Only a rebuilt
+market decides again.  The certificate checks of every hedge and domination
+still run per call."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
 from .hedging import (
     HedgeResult,
-    HedgingError,
     INFINITE_PRICE,
     VerificationFailure,
     duality_gap_report,
@@ -46,18 +47,15 @@ from .hedging import (
 )
 from .ftap import ARBITRAGE, NO_ARBITRAGE, STRICT_NO_ARBITRAGE_FAILS, ArbitrageVerdict, check_na
 from .lp import EQ, GE, LE, Constraint, LpProblem, int_con, solve
-from .market import MarketSpec
+from .market import MarketSpec, _kept
 from .measures import (
     Measure,
     PricingSetSpec,
     SlackResult,
-    closure_polytope,
     max_slack,
     membership,
-    polytope_vertices_as_measures,
     solve_with_stop_cuts,
 )
-from .polytope import Polytope
 from .rational import rat_str
 from .stopping import (
     StoppingTime,
@@ -119,27 +117,10 @@ class PriorSet:
         return len(self.priors)
 
 
-@dataclass
-class _Decision:
-    """The no-arbitrage facts of one market of a `RobustSpec` family: the best
-    component slack per prior support (None when every component is empty),
-    once asked for, the robust strict no-arbitrage verdict, and, once solved,
-    the robust sub-hedge of the market's last American option in the market
-    without it."""
-
-    slacks: dict[frozenset[str], SlackResult | None] = field(default_factory=dict)
-    verdict: ArbitrageVerdict | None = None
-    sub_hedge: HedgeResult | None = None
-
-
 @dataclass(frozen=True)
 class RobustSpec:
     market: MarketSpec
     priors: PriorSet
-    # number of American options kept -> _Decision, shared by `reduced()`
-    _decisions: dict[int, _Decision] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         leaves = set(self.market.tree.leaves)
@@ -148,12 +129,13 @@ class RobustSpec:
                 raise RobustError("prior supported outside the market's leaves")
 
     def reduced(self, keep_american: int) -> "RobustSpec":
-        out = RobustSpec(self.market.without_american(keep_american), self.priors)
-        object.__setattr__(out, "_decisions", self._decisions)
-        return out
+        return RobustSpec(self.market.without_american(keep_american), self.priors)
 
-    def _decision(self) -> _Decision:
-        return self._decisions.setdefault(len(self.market.h), _Decision())
+
+def _supports(spec: RobustSpec) -> tuple[frozenset[str], ...]:
+    """The prior supports: all that the market's robust decisions read of the
+    priors, and the key they are kept under."""
+    return tuple(P.support() for P in spec.priors)
 
 
 def union_support(priors: PriorSet) -> frozenset[str]:
@@ -168,40 +150,18 @@ def _ordered(tree, leaf_set) -> tuple[str, ...]:
     return tuple(l for l in tree.leaves if l in leaf_set)
 
 
-def robust_pricing_set(
-    spec: RobustSpec,
-    g_cap: Sequence[Fraction | None] | None = None,
-    h_cap: Sequence[Fraction | None] | None = None,
-) -> list[Polytope]:
-    """One polytope per prior: martingale measures supported inside that
-    prior's support, pricing f exactly and capped on the buy-only books.
-    No equivalence constraint (martingale measures, not equivalent ones);
-    empty components are allowed."""
-    m = spec.market
-    pset = PricingSetSpec(
-        m,
-        g_cap=tuple(g_cap) if g_cap is not None else (),
-        h_cap=tuple(h_cap) if h_cap is not None else (),
-    )
-    return [
-        closure_polytope(pset, carrier=_ordered(m.tree, P.support()))
-        for P in spec.priors
-    ]
-
-
 def _dominating_slack(spec: RobustSpec, P: Measure) -> SlackResult | None:
     """The best uniform slack of a measure dominating P: per component whose
     support contains P's, caps shifted by t and weight >= t on P's support,
     maximized over those components; None when all of them are empty.  It
-    depends on P's support only and is solved once per support in the spec's
-    cell."""
-    slacks = spec._decision().slacks
-    floor = P.support()
-    if floor not in slacks:
-        m = spec.market
+    depends on the prior supports only and is solved once per market, prior
+    supports and P's support."""
+    m, supports, floor = spec.market, _supports(spec), P.support()
+
+    def solve_components() -> SlackResult | None:
         best: SlackResult | None = None
         # one LP per distinct component support; the first prior wins ties
-        for carrier in dict.fromkeys(Pj.support() for Pj in spec.priors):
+        for carrier in dict.fromkeys(supports):
             if not floor <= carrier:
                 continue
             res = max_slack(PricingSetSpec(m, support_floor=floor),
@@ -210,8 +170,9 @@ def _dominating_slack(spec: RobustSpec, P: Measure) -> SlackResult | None:
                 continue
             if best is None or res.optimum > best.optimum:
                 best = res
-        slacks[floor] = best
-    return slacks[floor]
+        return best
+
+    return _kept(m, ("dominating_slack", supports, floor), solve_components)
 
 
 def check_sna_robust(spec: RobustSpec) -> ArbitrageVerdict:
@@ -219,13 +180,13 @@ def check_sna_robust(spec: RobustSpec) -> ArbitrageVerdict:
     quotes, every prior must be dominated by a measure from some component.
 
     Decided by per-prior slack LPs (maximized over the components whose
-    support contains the prior's, and kept in the spec's cell); the verdict's
-    slacks give the common shifted quotes.  The verdict is kept in the spec's
-    cell, where `_check_hypothesis` reads it too."""
-    decision = spec._decision()
-    if decision.verdict is None:
-        decision.verdict = _robust_verdict(spec)
-    return decision.verdict
+    support contains the prior's); the verdict's slacks give the common
+    shifted quotes.  The verdict and the slacks depend on the priors only
+    through their supports, so each is decided once per market and prior
+    supports and kept on the market, where `_check_hypothesis` reads it
+    too."""
+    return _kept(spec.market, ("robust_verdict", _supports(spec)),
+                 lambda: _robust_verdict(spec))
 
 
 def _robust_verdict(spec: RobustSpec) -> ArbitrageVerdict:
@@ -277,9 +238,8 @@ def _robust_verdict(spec: RobustSpec) -> ArbitrageVerdict:
 
 def _check_hypothesis(spec: RobustSpec) -> None:
     """Robust strict no-arbitrage of the stock-plus-European part, decided
-    once per spec family and read from its cell afterwards."""
-    base = spec.reduced(0)
-    verdict = base._decision().verdict or check_sna_robust(base)
+    once per market and prior supports (`check_sna_robust`)."""
+    verdict = check_sna_robust(spec.reduced(0))
     if verdict.verdict != NO_ARBITRAGE:
         raise HypothesisFailure(verdict)
 
@@ -359,8 +319,9 @@ def dominating_measure(spec: RobustSpec, P: Measure) -> DominationResult:
     reduced market, takes the attaining measure, and mixes it with the
     recursively obtained dominating measure, the mixture weight chosen so the
     last option's exercise value stays strictly under its quote.  The
-    sub-hedge does not depend on P and is solved once in the spec's cell.
-    Every claimed property of the output is re-verified exactly."""
+    sub-hedge does not depend on P and is solved once per market and prior
+    supports.  Every claimed property of the output is re-verified
+    exactly."""
     m = spec.market
     n = len(m.h)
     if n == 0:
@@ -378,10 +339,7 @@ def dominating_measure(spec: RobustSpec, P: Measure) -> DominationResult:
 
     reduced = spec.reduced(n - 1)
     h_last, quote = m.h[n - 1], m.h_prices[n - 1]
-    decision = spec._decision()
-    if decision.sub_hedge is None:
-        decision.sub_hedge = sub_hedge_robust(reduced, h_last)
-    sub = decision.sub_hedge
+    sub = _kept(m, ("sub_hedge", _supports(spec)), lambda: sub_hedge_robust(reduced, h_last))
     if isinstance(sub.price, type(INFINITE_PRICE)):
         raise RobustError("reduced pricing set is empty; cannot dominate")
     v = sub.price
@@ -572,29 +530,3 @@ def minimax_check(
             f"attaining measure gives {rat_str(check)}, expected {rat_str(rhs)}"
         )
     return MinimaxResult(lhs=lhs, mid=mid, rhs=rhs, attaining=attaining)
-
-
-def american_exchange_values(market: MarketSpec, phi: AdaptedProcess) -> dict:
-    """The pure-option value computed four ways over the closed pricing set:
-
-      sup_flow inf_Q  E_Q[flow(phi)]      (`minimax_check`'s lhs)
-      inf_Q sup_flow  E_Q[flow(phi)]      (its mid)
-      inf_Q sup_stop  E_Q[phi_at_stop]    (its rhs)
-      sup_stop inf_Q  E_Q[phi_at_stop]    (max over stops of a vertex minimum)
-
-    All four range over the vertices of the closure polytope: a linear
-    minimum over a polytope is attained at a vertex.  `minimax_check` raises
-    unless the first three agree exactly; the fourth is only <= (the exchange
-    in that order genuinely fails in general)."""
-    verts = polytope_vertices_as_measures(closure_polytope(PricingSetSpec(market)),
-                                          market.tree)
-    if not verts:
-        raise HedgingError("empty pricing set; the exchange values are +inf")
-    flows = minimax_check(verts, [phi])
-    return {
-        "sup_flow_inf": flows.lhs,
-        "inf_sup_flow": flows.mid,
-        "inf_sup_stop": flows.rhs,
-        "sup_stop_inf": max(min(Q.expect_at_stop(phi, tau) for Q in verts)
-                            for tau in enumerate_stopping_times(market.tree)),
-    }

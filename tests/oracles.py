@@ -25,23 +25,38 @@ time.
     `hedge_rows`, `cone_rows` and `minimax_rows` build the engine's LP rows
     from Fractions with `lp.con`: references for the builders that emit
     integer rows from the market's integer forms.
-  * `find_pricing_measure` is the witness measure of `ftap.check_sna`.
+  * `find_pricing_measure` is the witness measure of `ftap.check_sna`, and
+    `witness_slacks` re-measures a slack LP's witness against its caps and
+    floor.
+  * `robust_pricing_set` lists the closure polytope of each prior's
+    component, `american_exchange_values` computes the pure-option value four
+    ways over the closure's vertices (the inf-sup against sup-inf exchange
+    over stops), and `p2_params_of` reads the fixture P2's parameters off a
+    measure.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
+from semistatic.fixtures import FixtureError
 from semistatic.ftap import NO_ARBITRAGE, check_sna
-from semistatic.hedging import VerificationFailure
+from semistatic.hedging import HedgingError, VerificationFailure
 from semistatic.lp import EQ, GE, LE, Constraint, LpProblem, LpSolution, LpVerificationError, con
 from semistatic.market import MarketError, MarketSpec
-from semistatic.measures import Measure
+from semistatic.measures import (
+    Measure,
+    PricingSetSpec,
+    closure_polytope,
+    polytope_vertices_as_measures,
+)
 from semistatic.polytope import Polytope, PolytopeError, _dd_cone, _primitive_int
 from semistatic.rational import rat, rat_str
-from semistatic.stopping import LiquidatingStrategy, StoppingTime
+from semistatic.robust import RobustSpec, minimax_check
+from semistatic.stopping import LiquidatingStrategy, StoppingTime, enumerate_stopping_times
 from semistatic.tree import AdaptedProcess, TerminalClaim
 
 ZERO = Fraction(0)
@@ -428,6 +443,21 @@ def slack_rows(spec, leaves: Sequence[str], cuts, slack_var: str) -> list[Constr
     return rows
 
 
+def witness_slacks(spec, Q: Measure) -> tuple[Fraction | None, Fraction | None]:
+    """(option slack, floor slack) of a slack LP's witness Q over the market's
+    support: the least cap minus expectation or exercise envelope over the
+    capped options, and the least weight on the support floor; None where
+    nothing is capped or floored.  At the optimum, min(both, 1) is the LP
+    value."""
+    m = spec.market
+    option = [cap - expect_claim(Q, claim) for claim, cap in zip(m.g, spec.g_cap)
+              if cap is not None]
+    option += [cap - snell_envelope(Q, h)[1] for h, cap in zip(m.h, spec.h_cap)
+               if cap is not None]
+    floor = [Q.at(l) for l in m.support_leaves() if l in spec.support_floor]
+    return min(option, default=None), min(floor, default=None)
+
+
 def closure_rows(spec, leaves: Sequence[str], taus: Sequence[StoppingTime]) -> list[Constraint]:
     """The rows of `closure_polytope` with every stop of `taus`."""
     m = spec.market
@@ -572,3 +602,61 @@ def find_pricing_measure(market: MarketSpec) -> Measure:
     if verdict.verdict != NO_ARBITRAGE or verdict.pricing is None:
         raise VerificationFailure(f"strict no-arbitrage fails: {verdict.verdict}")
     return verdict.pricing
+
+
+# ---------------------------------------------------------------------------
+# Pricing sets read whole: robust components, exchange values, P2 parameters
+# ---------------------------------------------------------------------------
+
+def robust_pricing_set(
+    spec: RobustSpec,
+    g_cap: Sequence[Fraction | None] | None = None,
+    h_cap: Sequence[Fraction | None] | None = None,
+) -> list[Polytope]:
+    """One polytope per prior: martingale measures supported inside that
+    prior's support, pricing f exactly and capped on the buy-only books.
+    No equivalence constraint (martingale measures, not equivalent ones);
+    empty components are allowed."""
+    return [
+        closure_polytope(PricingSetSpec(
+            replace(spec.market, support=P.support()),
+            g_cap=tuple(g_cap) if g_cap is not None else (),
+            h_cap=tuple(h_cap) if h_cap is not None else (),
+        ))
+        for P in spec.priors
+    ]
+
+
+def american_exchange_values(market: MarketSpec, phi: AdaptedProcess) -> dict:
+    """The pure-option value computed four ways over the closed pricing set:
+
+      sup_flow inf_Q  E_Q[flow(phi)]      (`minimax_check`'s lhs)
+      inf_Q sup_flow  E_Q[flow(phi)]      (its mid)
+      inf_Q sup_stop  E_Q[phi_at_stop]    (its rhs)
+      sup_stop inf_Q  E_Q[phi_at_stop]    (max over stops of a vertex minimum)
+
+    All four range over the vertices of the closure polytope: a linear
+    minimum over a polytope is attained at a vertex.  `minimax_check` raises
+    unless the first three agree exactly; the fourth is only <= (the exchange
+    in that order genuinely fails in general)."""
+    verts = polytope_vertices_as_measures(closure_polytope(PricingSetSpec(market)),
+                                          market.tree)
+    if not verts:
+        raise HedgingError("empty pricing set; the exchange values are +inf")
+    flows = minimax_check(verts, [phi])
+    return {
+        "sup_flow_inf": flows.lhs,
+        "inf_sup_flow": flows.mid,
+        "inf_sup_stop": flows.rhs,
+        "sup_stop_inf": max(min(Q.expect_at_stop(phi, tau) for Q in verts)
+                            for tau in enumerate_stopping_times(market.tree)),
+    }
+
+
+def p2_params_of(Q: Measure) -> tuple[Fraction, Fraction]:
+    """Recover (p, q) from a P2 pricing measure (conditional first-child weights)."""
+    wu = sum(Q.weights.get(l, Fraction(0)) for l in ("u1", "u2", "u3"))
+    wd = sum(Q.weights.get(l, Fraction(0)) for l in ("d1", "d2", "d3"))
+    if wu == 0 or wd == 0:
+        raise FixtureError("measure has no mass on a time-1 subtree")
+    return Q.weights.get("u1", Fraction(0)) / wu, Q.weights.get("d1", Fraction(0)) / wd

@@ -36,7 +36,6 @@ from semistatic import (
     duality_audit,
     UtilitySpec,
 )
-from semistatic.fixtures import p2_params_of
 from semistatic.hedging import VerificationFailure, duality_gap_report
 from semistatic.lp import EQ, LpProblem, con, solve
 from semistatic.market import portfolio_value
@@ -44,6 +43,7 @@ from semistatic.robust import HypothesisFailure, RobustError
 from semistatic.stopping import StoppingTime, enumerate_stopping_times
 
 from conftest import random_claim, random_market, random_measure, random_process
+from oracles import p2_params_of
 
 F = Fraction
 

@@ -16,16 +16,14 @@ from semistatic import (
     super_hedge_divisible,
     super_hedge_indivisible,
 )
-from semistatic.fixtures import p2_params_of
 from semistatic.hedging import HedgingError
 from semistatic.market import HedgePortfolio, portfolio_value
 from semistatic.measures import PricingSetSpec, closure_polytope, polytope_vertices_as_measures
-from semistatic.robust import american_exchange_values
 from semistatic.stopping import StoppingTime
 from semistatic.tree import AdaptedProcess, constant_claim
 
 from conftest import random_claim, random_market, random_process
-from oracles import find_pricing_measure, liquidate_payoff
+from oracles import american_exchange_values, find_pricing_measure, liquidate_payoff, p2_params_of
 
 F = Fraction
 

@@ -276,7 +276,8 @@ def test_pricing_set_rows_equal_the_fraction_builders(data):
         assert _fractions(_stop_row(market.h[k], tau, leaves)) == \
             oracles.stop_row(market.h[k], tau, leaves)
     if count_stopping_times(market.tree) < 200:
-        assert _view(closure_polytope(spec, leaves).constraints) == _view(
+        restricted = replace(spec, market=replace(market, support=frozenset(leaves)))
+        assert _view(closure_polytope(restricted).constraints) == _view(
             oracles.closure_rows(spec, leaves, enumerate_stopping_times(market.tree)))
     with _recorded(measures, "solve_with_stop_cuts") as builds:
         max_slack(spec, leaves)
@@ -381,6 +382,17 @@ def _strict_market_with_every_book():
     raise AssertionError("no such market in 500 seeds")
 
 
+def test_martingale_rows_are_kept_on_the_stock_process(t2):
+    """The martingale rows depend on the stock process and the carrier alone:
+    every market that shares the stock reads the same row objects."""
+    derived = t2.with_options(h=[t2.claims["put5_am"]], h_prices=[F(3)])
+    for carrier in (None, ("uu", "ud", "du")):
+        rows = martingale_system(t2, carrier).constraints
+        for market in (derived, derived.without_american(0), replace(t2, support=frozenset())):
+            assert list(map(id, martingale_system(market, carrier).constraints)) == list(map(id, rows))
+        assert _view(rows) == _view(oracles.martingale_rows(t2, carrier or t2.support_leaves()))
+
+
 def test_hedges_leave_the_kept_skeletons_unchanged():
     """The four hedges of one market share its kept row skeletons and build
     their own rows from them: afterwards every kept row is what it was, and
@@ -391,14 +403,16 @@ def test_hedges_leave_the_kept_skeletons_unchanged():
         StrategySpace(market, eta).structure_rows()
     for leaf in leaves:
         StrategySpace(market).phi_coeffs(leaf)
-    kept = market.__dict__["_lp_skeletons"]
+    martingale_system(market)
+    kept = {"market": market.__dict__["_kept"], "stock": market.S.__dict__["_kept"]}
     before = copy.deepcopy(kept)
     psi = TerminalClaim(tree, {l: rand_rational(rng) for l in tree.leaves})
     for hedge, claim in ((sub_hedge_european, psi), (super_hedge_divisible, psi),
                          (super_hedge_indivisible, psi),
                          (sub_hedge_american, random_process(rng, tree))):
         hedge(market, claim)
-    assert {key: kept[key] for key in before} == before
+    for store in before:
+        assert {key: kept[store][key] for key in before[store]} == before[store]
     for leaf in leaves:
         assert _fractions(StrategySpace(market).phi_coeffs(leaf)) == \
             oracles.phi_coeffs(market, leaf)

@@ -15,12 +15,13 @@ from semistatic import (
     membership,
     vertices,
 )
-from semistatic.fixtures import p2_measure, p2_params_of
+from semistatic.fixtures import p2_measure
 from semistatic.hedging import dual_optimum
 from semistatic.lp import GE, LE, LpProblem, con, solve
 from semistatic.measures import MeasureError, polytope_vertices_as_measures
 from semistatic.stopping import count_stopping_times, enumerate_stopping_times
 from conftest import random_claim, random_market, random_process
+from oracles import p2_params_of, witness_slacks
 
 F = Fraction
 
@@ -89,8 +90,9 @@ def test_max_slack_b1_call(b1):
     market = b1.with_options(g=[call], g_prices=[F(3, 4)])
     res = max_slack(PricingSetSpec.strict_emm(market))
     assert res.optimum == F(1, 4)
-    assert res.option_slack == F(1, 4)
-    assert res.floor_slack == F(1, 2)
+    option_slack, floor_slack = witness_slacks(PricingSetSpec.strict_emm(market), res.witness)
+    assert option_slack == F(1, 4)
+    assert floor_slack == F(1, 2)
     assert res.witness.at("u") == F(1, 2)
 
 
@@ -128,14 +130,11 @@ def test_max_slack_min_identity(b1, t2, p2):
     rng = random.Random(31)
     markets = [b1, t2, p2] + [random_market(rng) for _ in range(15)]
     for market in markets:
-        res = max_slack(PricingSetSpec.strict_emm(market))
+        spec = PricingSetSpec.strict_emm(market)
+        res = max_slack(spec)
         if res.status != "optimal":
             continue
-        candidates = [F(1)]
-        if res.option_slack is not None:
-            candidates.append(res.option_slack)
-        if res.floor_slack is not None:
-            candidates.append(res.floor_slack)
+        candidates = [F(1)] + [s for s in witness_slacks(spec, res.witness) if s is not None]
         assert min(candidates) == res.optimum
 
 

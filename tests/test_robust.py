@@ -22,20 +22,20 @@ from semistatic import (
     dominating_measure,
     membership,
     minimax_check,
-    robust_pricing_set,
     sub_hedge_american,
     sub_hedge_european,
     sub_hedge_robust,
     union_support,
     vertices,
 )
-from semistatic.market import MarketSpec, portfolio_value
+from semistatic.market import MarketSpec, build_market, market_to_json, portfolio_value
 from semistatic.measures import polytope_vertices_as_measures
 from semistatic.robust import HypothesisFailure
 from semistatic.stopping import enumerate_stopping_times, snell_value
 from semistatic.tree import AdaptedProcess, EventTree, constant_claim
 
 from conftest import random_claim, random_market, random_measure, random_process
+from oracles import robust_pricing_set
 
 F = Fraction
 
@@ -409,64 +409,119 @@ def _count(monkeypatch, module, name):
     return calls
 
 
-def test_robust_hypothesis_decided_once_per_spec(monkeypatch, t2):
-    """Robust hedges and dominations on one spec decide the hypothesis once,
-    solve each prior support's component slack LPs once, and answer as on
-    fresh specs."""
+def _t2_with_put(t2):
+    """T2 with its American put quoted at 3, and the uniform and the partial
+    prior."""
+    market = t2.with_options(h=[t2.claims["put5_am"]], h_prices=[F(3)])
+    return market, PriorSet((_uniform(t2.tree), _partial_t2(t2.tree)))
+
+
+def _answers(spec_of):
+    """Robust sub-hedges of both puts and a domination of each prior, each
+    asked of a spec from `spec_of()`, as comparable values."""
+    spec = spec_of()
+    claims, priors = spec.market.claims, spec.priors
+    eu = sub_hedge_robust(spec_of(), claims["put5_eu"])
+    am = sub_hedge_robust(spec_of(), claims["put5_am"])
+    doms = [dominating_measure(spec_of(), P) for P in priors]
+    return ([(r.price, r.dual) for r in (eu, am)]
+            + [(d.g_tilde, d.h_tilde, d.Q, d.lam) for d in doms])
+
+
+def _deciders(monkeypatch):
+    """Counted calls of what decides the robust questions: the verdict, the
+    component slack LPs and the hedge LPs."""
     from semistatic import robust
 
-    market = t2.with_options(h=[t2.claims["put5_am"]], h_prices=[F(3)])
-    priors = PriorSet((_uniform(t2.tree), _partial_t2(t2.tree)))
+    return {name: _count(monkeypatch, robust, name)
+            for name in ("_robust_verdict", "max_slack", "hedge_primal")}
 
-    def answers(spec_of):
-        eu = sub_hedge_robust(spec_of(), t2.claims["put5_eu"])
-        am = sub_hedge_robust(spec_of(), t2.claims["put5_am"])
-        doms = [dominating_measure(spec_of(), P) for P in priors]
-        return ([(r.price, r.dual) for r in (eu, am)]
-                + [(d.g_tilde, d.h_tilde, d.Q, d.lam) for d in doms])
 
-    hypotheses = _count(monkeypatch, robust, "check_sna_robust")
-    slacks = _count(monkeypatch, robust, "max_slack")
+def _counts(deciders):
+    return {name: len(calls) for name, calls in deciders.items()}
+
+
+def _asked_again(once):
+    """`_answers`' counts when nothing is decided again: each robust hedge
+    solves its two hedge LPs (the union's, which is the full prior's, and the
+    partial prior's) per call, and the domination's sub-hedge is kept."""
+    return {**once, "hedge_primal": once["hedge_primal"] + 2 * 2}
+
+
+def test_robust_hypothesis_decided_once_per_spec(monkeypatch, t2):
+    """Robust hedges and dominations on one market and prior supports decide
+    the hypothesis once and solve each prior support's component slack LPs
+    once; new specs on the same market ask nothing again and answer the
+    same."""
+    market, priors = _t2_with_put(t2)
+    deciders = _deciders(monkeypatch)
     spec = RobustSpec(market, priors)
-    shared = answers(lambda: spec)
-    assert len(hypotheses) == 1
+    shared = _answers(lambda: spec)
     # the full prior has one component containing it, the partial one two
-    assert len(slacks) == 3
-    assert answers(lambda: RobustSpec(market, priors)) == shared
-    assert len(hypotheses) == 1 + 4
+    assert _counts(deciders)["_robust_verdict"] == 1
+    assert _counts(deciders)["max_slack"] == 3
+    once = _counts(deciders)
+    assert _answers(lambda: RobustSpec(market, priors)) == shared
+    assert _counts(deciders) == _asked_again(once)
 
 
 def test_sub_hedge_of_domination_solved_once_per_spec(monkeypatch, t2):
     """The sub-hedge of the last American option does not depend on the prior:
-    dominating two priors on one spec solves it once."""
-    from semistatic import robust
-
-    market = t2.with_options(h=[t2.claims["put5_am"]], h_prices=[F(3)])
-    priors = PriorSet((_uniform(t2.tree), _partial_t2(t2.tree)))
-    spec = RobustSpec(market, priors)
-    sub_hedges = _count(monkeypatch, robust, "sub_hedge_robust")
-    shared = [dominating_measure(spec, P) for P in priors]
-    assert len(sub_hedges) == 1
+    dominating two priors solves its two hedge LPs (the union's, which is the
+    full prior's, and the partial prior's) once per market and prior
+    supports."""
+    market, priors = _t2_with_put(t2)
+    hedges = _deciders(monkeypatch)["hedge_primal"]
+    shared = [dominating_measure(RobustSpec(market, priors), P) for P in priors]
+    assert len(hedges) == 2
     fresh = [dominating_measure(RobustSpec(market, priors), P) for P in priors]
-    assert len(sub_hedges) == 3
+    assert len(hedges) == 2
     assert ([(d.g_tilde, d.h_tilde, d.Q, d.lam) for d in shared]
             == [(d.g_tilde, d.h_tilde, d.Q, d.lam) for d in fresh])
 
 
 def test_failed_hypothesis_refuses_every_call(monkeypatch, b1):
-    from semistatic import robust
-
     f = TerminalClaim(b1.tree, {"u": 3, "d": 1})
-    spec = RobustSpec(b1.with_options(f=[f], f_prices=[3]), PriorSet((_uniform(b1.tree),)))
-    hypotheses = _count(monkeypatch, robust, "check_sna_robust")
-    verdicts = []
+    market = b1.with_options(f=[f], f_prices=[3])
+    priors = PriorSet((_uniform(b1.tree),))
+    verdicts = _deciders(monkeypatch)["_robust_verdict"]
+    refusals = []
     for claim in (b1.claims["up_digital"], constant_claim(b1.tree, 1), b1.claims["up_digital"]):
         with pytest.raises(HypothesisFailure) as failure:
-            sub_hedge_robust(spec, claim)
-        verdicts.append(failure.value.verdict)
-    assert verdicts[0].verdict == ARBITRAGE
-    assert all(v is verdicts[0] for v in verdicts)
-    assert len(hypotheses) == 1
+            sub_hedge_robust(RobustSpec(market, priors), claim)
+        refusals.append(failure.value.verdict)
+    assert refusals[0].verdict == ARBITRAGE
+    assert all(v is refusals[0] for v in refusals)
+    assert len(verdicts) == 1
+
+
+def test_priors_with_equal_supports_share_every_decision(monkeypatch, t2):
+    """The robust decisions read the priors through their supports only:
+    reweighted priors on the same supports ask nothing again and get the
+    same answers."""
+    market, priors = _t2_with_put(t2)
+    reweighted = PriorSet((_emm_t2(t2.tree),
+                           Measure(t2.tree, {"uu": F(1, 2), "ud": F(1, 4), "du": F(1, 4)})))
+    assert [P.support() for P in reweighted] == [P.support() for P in priors]
+    assert reweighted != priors
+    deciders = _deciders(monkeypatch)
+    shared = _answers(lambda: RobustSpec(market, priors))
+    once = _counts(deciders)
+    assert _answers(lambda: RobustSpec(market, reweighted)) == shared
+    assert _counts(deciders) == _asked_again(once)
+
+
+def test_rebuilt_market_decides_again(monkeypatch, t2):
+    """Decisions are kept on the market object: the same market read back
+    from its file decides everything again, with equal answers."""
+    market, priors = _t2_with_put(t2)
+    deciders = _deciders(monkeypatch)
+    shared = _answers(lambda: RobustSpec(market, priors))
+    once = _counts(deciders)
+    rebuilt = build_market(market_to_json(market))
+    rebuilt_priors = PriorSet(tuple(Measure(rebuilt.tree, P.weights) for P in priors))
+    assert _answers(lambda: RobustSpec(rebuilt, rebuilt_priors)) == shared
+    assert _counts(deciders) == {name: 2 * n for name, n in once.items()}
 
 
 def test_robust_spec_cell_is_not_part_of_its_value(t2):

@@ -5,7 +5,8 @@ the engine must fail here rather than in `bench/run.py --trace 1`.  The
 engine guards its results with typed errors, never `assert`, so that no
 check vanishes under `python -O`.  LP rows are made in integers by
 `lp.int_con`, and only `lp.py` turns rationals into a row or reads a row's
-Fraction view."""
+Fraction view.  What is derived from a market or its stock process is kept by
+`market._kept` alone."""
 
 import ast
 import importlib
@@ -93,4 +94,28 @@ def test_only_the_lp_module_integerizes_rows():
                     node.attr == "coeffs" or node.attr in ("numerator", "denominator")
                     and isinstance(node.value, ast.Attribute) and node.value.attr == "rhs"):
                 found.append(f"{where}:{node.lineno} reads a row's Fraction view")
+    assert found == []
+
+
+def test_only_kept_writes_onto_objects():
+    """Outside a `__post_init__` no module calls `object.__setattr__` or
+    `setattr`, and outside `market._kept` none touches an object's
+    `__dict__`: frozen objects are set up where they are made, and what is
+    derived from a market or its stock process is kept by `_kept` alone."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        where = path.relative_to(ROOT)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {name: {id(node) for fn in ast.walk(tree)
+                         if isinstance(fn, ast.FunctionDef) and fn.name == name
+                         for node in ast.walk(fn)}
+                  for name in ("__post_init__", "_kept")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in inside["__post_init__"] and (
+                    isinstance(node.func, ast.Name) and node.func.id == "setattr"
+                    or isinstance(node.func, ast.Attribute) and node.func.attr == "__setattr__"):
+                found.append(f"{where}:{node.lineno} sets an attribute")
+            elif isinstance(node, ast.Attribute) and node.attr == "__dict__" and not (
+                    path.name == "market.py" and id(node) in inside["_kept"]):
+                found.append(f"{where}:{node.lineno} reads or writes __dict__")
     assert found == []

@@ -23,7 +23,7 @@ from semistatic import (
     portfolio_values,
 )
 from semistatic.fixtures import FixtureError, fixture_json, p2_measure, verify_p2
-from semistatic.market import MarketError
+from semistatic.market import MarketError, market_priors
 from semistatic.stopping import enumerate_stopping_times, stop_everywhere_at
 
 from conftest import rand_rational, random_market
@@ -360,6 +360,31 @@ def test_p2_expected_claim_formula(p2):
         assert Q.expect_claim(psi) == F(3, 4) * p_ + 5 * q_ - F(5, 4)
 
 
+def test_without_american_is_one_object_per_market_and_keep(t2):
+    """`without_american(k)` is the market itself when it holds at most k
+    American options, and otherwise one object per market and k, however it
+    is reached, so that what it has decided is shared."""
+    put = t2.claims["put5_am"]
+    market = t2.with_options(h=[put, put], h_prices=[F(3), F(4)])
+    assert t2.without_american(0) is t2
+    assert market.without_american(2) is market and market.without_american(5) is market
+    one, none = market.without_american(1), market.without_american(0)
+    assert market.without_american(1) is one and market.without_american() is none
+    assert one.without_american(0) is none and none.without_american(0) is none
+    assert (one.h, one.h_prices, none.h, none.h_prices) == ((put,), (F(3),), (), ())
+    assert (none.f, none.g, none.support, none.S) == (market.f, market.g, market.support, market.S)
+
+
+def test_market_file_priors_stay_with_the_parsed_market(t2):
+    """The priors a market file carries are read back from the market it
+    parses to, and from no other."""
+    rows = ({l: F(1, 4) for l in t2.tree.leaves},)
+    market = build_market(market_to_json(t2, rows))
+    assert market_priors(market) == rows
+    assert market_priors(market.with_options()) == ()
+    assert market_priors(t2) == ()
+
+
 def test_support_designation_round_trips():
     doc = json.loads(fixture_json("T2"))
     doc["support"] = ["uu", "ud", "du"]
@@ -380,7 +405,7 @@ def test_support_designation_round_trips():
     (lambda d: d.update(claims={"x": "abc"}), "claim 'x'"),
 ])
 def test_wrong_json_type_names_the_field(edit, field):
-    from semistatic.market import MarketError
+    from semistatic.market import MarketError, market_priors
 
     doc = json.loads(fixture_json("B1"))
     edit(doc)
