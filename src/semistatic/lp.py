@@ -4,9 +4,14 @@ Two-phase primal simplex with one pivot rule: largest-coefficient pricing
 and a lexicographic ratio test (Dantzig, Orden & Wolfe), which cannot cycle,
 so the solver terminates on degenerate problems (the hedging LPs have many
 ties).  Each free variable is a single column.  The tableau is condensed
-(Tucker: only nonbasic columns are stored) and fraction-free (integer
-pivoting, Bareiss 1968) with one denominator per row, so a pivot rewrites
-only the rows whose pivot-column entry is nonzero.  A `>=` row's surplus and
+(Tucker: only nonbasic columns are stored) and held in integers, each row
+over a positive denominator of its own, so a pivot rewrites only the rows
+whose pivot-column entry is nonzero.  A stored row may be any positive
+multiple of the true row: a pivot cross-multiplies a row by the pivot and by
+the row's own pivot-column entry, each divided by their gcd, and divides no
+cell, and a row whose denominator outgrows one 30-bit digit is cut to lowest
+terms.  A row scale changes no ratio and no sign, so the pivot path is the
+same at every scale (`_Tableau` has the details).  A `>=` row's surplus and
 artificial share one column: the artificial's column is always the negated
 surplus's, and its reduced cost follows from the surplus's, so a pair stores
 at most one column, and none while one member is basic (the other then never
@@ -181,6 +186,15 @@ class LpSolution:
 # ---------------------------------------------------------------------------
 
 _TWIN = -2  # slot_of of a pair member whose column is minus its twin's
+_CUT = 1 << 30  # a row whose denominator reaches this is cut to lowest terms
+
+
+def _lowest(den: int, row: list[int], rhs: int = 0) -> tuple[int, list[int], int]:
+    """den, row and rhs divided by their gcd."""
+    g = gcd(den, rhs, *row)
+    if g > 1:
+        return den // g, [v // g for v in row], rhs // g
+    return den, row, rhs
 
 
 class _Tableau:
@@ -202,16 +216,26 @@ class _Tableau:
     it never enters (a drive-out can still pivot it in).  A twin entering
     from a shared slot first takes the slot over, negating the column.
 
-    Every entry is an integer: row k's true entries are rows[k] / rd[k] and
-    b[k] / rd[k], the objective row's obj / od, with each denominator the
-    pivot element d at that row's last rewrite.  A pivot whose column is 0 in
-    a row would only rescale the dense integer-pivoting row by piv / d, so
-    such a row is left alone; the dense row it stands for is row * d / rd[k],
-    a minor of the integer input, so bringing a row to d divides exactly.  A
-    pivot brings its pivot row to d and rewrites each row with a nonzero
-    pivot-column entry f as (piv * row - f * prow) / rd[k]: this is the dense
-    update (piv * dense - (f * d / rd[k]) * prow) / d, again a minor, so it
-    divides exactly and the row's denominator becomes piv.
+    Every entry is an integer, and each row keeps a scale of its own: row
+    k's true entries are rows[k] / rd[k] and b[k] / rd[k], and the objective
+    row's are obj / od, for any positive rd[k] and od that make them
+    integers.  A pivot on entry piv of row i leaves that row at its own
+    scale: the true row divided by piv / rd[i] is prow / piv, so rd[i]
+    becomes piv and the leaving variable's slot takes the old rd[i] (all
+    negated first if piv < 0, which only a drive-out can meet).  Each
+    row with a nonzero pivot-column entry f becomes p * row - q * prow over
+    rd[k] * p, where h = gcd(piv, f), p = piv / h and q = f / h: the true
+    update row / rd[k] - (f / rd[k]) * (prow / piv) over the common
+    denominator rd[k] * piv / h.  Rows the pivot column misses are left
+    alone.  No cell is divided, so a row's integers only grow until its
+    denominator reaches _CUT (one 30-bit CPython digit); from then on it is
+    divided, rhs and denominator with it, by their gcd after each rewrite,
+    so a row past _CUT is in lowest terms.  Every // divides by a gcd of
+    its own operands, or an lcm by one of its factors, so each is exact.
+    The scales cannot move the pivot path: pricing compares objective
+    entries over one positive od, and the ratio test and its lexicographic
+    tie-break compare ratios of entries of one row, which no positive row
+    scale changes.
 
     A free variable is one column.  It is negated (and `sign` records it) when
     it enters with a negative reduced cost; once basic it never leaves."""
@@ -232,7 +256,7 @@ class _Tableau:
         self.b: list[int] = []
         self.rd = [1] * len(basis)
         self.obj: list[int] = []  # od * (c_j - z_j), in integerized cost units
-        self.od = self.d = 1
+        self.od = 1
         self.pair_cost = 0  # C = c_s + c_a of every twin pair
         self.free = tuple(free)
         self.sign = [1] * ncols  # -1 on a free column stored negated
@@ -257,14 +281,18 @@ class _Tableau:
         return s
 
     def pivot(self, i: int, j: int) -> None:
-        rows, b, rd, d = self.rows, self.b, self.rd, self.d
+        rows, b, rd = self.rows, self.b, self.rd
         if self.slot_of[j] == _TWIN and self.twin[j] == self.basis[i]:
             # j's column is -(unit at row i) (a drive-out: a surplus replaces
             # its own artificial): row i is negated, every other row keeps
-            # its entries, and each reduced cost gains C times row i's entry
-            C, od, r = self.pair_cost, self.od, rd[i]
-            self.obj = [x * d // od + C * (v * d // r) for x, v in zip(self.obj, rows[i])]
-            self.od = d
+            # its entries, and each reduced cost gains C times row i's entry,
+            # over the lcm of the two denominators
+            od, r = self.od, rd[i]
+            self.od = den = lcm(od, r)
+            u, w = den // od, self.pair_cost * (den // r)
+            self.obj = [u * x + w * v for x, v in zip(self.obj, rows[i])]
+            if den >= _CUT:
+                self.od, self.obj, _ = _lowest(den, self.obj)
             rows[i] = [-v for v in rows[i]]
             b[i] = -b[i]
             self.slot_of[self.basis[i]], self.slot_of[j] = _TWIN, -1
@@ -272,33 +300,37 @@ class _Tableau:
             self.pivots += 1
             return
         s = self._store(j)
-        prow, bi = rows[i], b[i]
-        if rd[i] != d:
-            prow = [v * d // rd[i] for v in prow]
-            bi = bi * d // rd[i]
-        piv, sgn = prow[s], 1
+        prow, bi, r = rows[i], b[i], rd[i]
+        piv = prow[s]
         if piv < 0:  # only reachable on degenerate drive-out pivots (b_i = 0)
             prow = [-v for v in prow]
-            piv, bi, sgn = -piv, -bi, -1
+            piv, bi, r = -piv, -bi, -r
         for k, row in enumerate(rows):
             f = row[s]
             if f and k != i:
-                r = rd[k]
-                rows[k] = new = [(piv * x - f * y) // r for x, y in zip(row, prow)]
-                new[s] = -sgn * f * d // r  # the leaving variable's column
-                b[k] = (piv * b[k] - f * bi) // r
-                rd[k] = piv
+                h = gcd(piv, f)
+                p, q = piv // h, f // h
+                rows[k] = new = [p * x - q * y for x, y in zip(row, prow)]
+                new[s] = -q * r  # the leaving variable's column
+                b[k] = p * b[k] - q * bi
+                rd[k] *= p
+                if rd[k] >= _CUT:
+                    rd[k], rows[k], b[k] = _lowest(rd[k], new, b[k])
         f = self.obj[s]
         if f:
-            r = self.od
-            self.obj = new = [(piv * x - f * y) // r for x, y in zip(self.obj, prow)]
-            new[s] = -sgn * f * d // r
-            self.od = piv
-        prow[s] = sgn * d
+            h = gcd(piv, f)
+            p, q = piv // h, f // h
+            self.obj = new = [p * x - q * y for x, y in zip(self.obj, prow)]
+            new[s] = -q * r
+            self.od *= p
+            if self.od >= _CUT:
+                self.od, self.obj, _ = _lowest(self.od, new)
+        prow[s] = r
         rows[i], b[i], rd[i] = prow, bi, piv
+        if piv >= _CUT:
+            rd[i], rows[i], b[i] = _lowest(piv, prow, bi)
         self.slot_var[s], self.basis[i] = self.basis[i], j
         self.slot_of[self.slot_var[s]], self.slot_of[j] = s, -1
-        self.d = piv
         self.pivots += 1
 
     def entry(self, k: int, j: int) -> int:
@@ -332,12 +364,13 @@ class _Tableau:
         its own denominator.  Rows whose basic variable is free are left out
         of the ratio test."""
         lex = list(self.basis)
-        rows, b, free, slot_var, twin = self.rows, self.b, self.free, self.slot_var, self.twin
+        rows, b, rd, free, twin = self.rows, self.b, self.rd, self.free, self.twin
+        basis, slot_of, slot_var = self.basis, self.slot_of, self.slot_var
         while True:
             obj = self.obj
             enter, best = -1, 0
             for j in free:
-                s = self.slot_of[j]
+                s = slot_of[j]
                 if s >= 0 and abs(obj[s]) > best:
                     enter, best = j, abs(obj[s])
             if enter < 0:
@@ -361,16 +394,26 @@ class _Tableau:
             leave = -1
             for i, row in enumerate(rows):
                 a = row[s]
-                if a <= 0 or self.basis[i] in free:
+                if a <= 0 or basis[i] in free:
                     continue
                 if leave >= 0:
-                    # compare row / a against the incumbent by cross multiplication
-                    ap = rows[leave][s]
+                    # compare row / a against the incumbent by cross
+                    # multiplication, reading stored and basic columns in
+                    # place
+                    lrow = rows[leave]
+                    ap = lrow[s]
                     diff = b[i] * ap - b[leave] * a
                     for c in lex:
                         if diff:
                             break
-                        diff = self.entry(i, c) * ap - self.entry(leave, c) * a
+                        t = slot_of[c]
+                        if t >= 0:
+                            diff = row[t] * ap - lrow[t] * a
+                        elif t == -1:  # basic: rd on its own row, 0 elsewhere
+                            diff = ((rd[i] * ap if basis[i] == c else 0)
+                                    - (rd[leave] * a if basis[leave] == c else 0))
+                        else:
+                            diff = self.entry(i, c) * ap - self.entry(leave, c) * a
                     if diff >= 0:
                         continue
                 leave = i
@@ -380,24 +423,21 @@ class _Tableau:
             self.pivot(leave, enter)
 
     def set_costs(self, costs: list[int]) -> None:
-        """Bring every row to d, then recompute the reduced-cost row for a new
-        integer cost vector."""
-        d = self.d
-        for k, r in enumerate(self.rd):
-            if r != d:
-                self.rows[k] = [v * d // r for v in self.rows[k]]
-                self.b[k] = self.b[k] * d // r
-                self.rd[k] = d
+        """Recompute the reduced-cost row for a new integer cost vector, over
+        the lcm of the denominators of the rows whose basic cost is not 0."""
         costs = [c * s for c, s in zip(costs, self.sign)]
         self.pair_cost = next((costs[j] + costs[t] for j, t in enumerate(self.twin) if t >= 0), 0)
-        obj = [d * costs[j] for j in self.slot_var]
-        for i, var in enumerate(self.basis):
-            cb = costs[var]
-            if cb:
-                for s, v in enumerate(self.rows[i]):
-                    if v:
-                        obj[s] -= cb * v
-        self.obj, self.od = obj, d
+        basic = [(costs[var], i) for i, var in enumerate(self.basis) if costs[var]]
+        od = lcm(*[self.rd[i] for _, i in basic])
+        obj = [od * costs[j] for j in self.slot_var]
+        for cb, i in basic:
+            w = cb * (od // self.rd[i])
+            for s, v in enumerate(self.rows[i]):
+                if v:
+                    obj[s] -= w * v
+        self.od, self.obj = od, obj
+        if od >= _CUT:
+            self.od, self.obj, _ = _lowest(od, obj)
 
     def basic_values(self) -> dict[int, Fraction]:
         return {var: Fraction(self.sign[var] * self.b[i], self.rd[i])
@@ -519,7 +559,7 @@ def solve(problem: LpProblem) -> LpSolution:
     # both against c - A^T y of the original problem.  y below is internal
     # row i's dual times od * obj_scale, and internal row i is the original
     # row times row_scale[i], so b.y is one integer sum of y * rhs[i].
-    od, d = tab.od, tab.d
+    od = tab.od
     values = named(tab.basic_values())
     duals: list[Fraction] = []
     by = 0
@@ -530,11 +570,11 @@ def solve(problem: LpProblem) -> LpSolution:
         by += y * rhs[i]
     reduced = {v: Fraction(sense_sign * tab.sign[j] * tab.reduced(j), od * obj_scale)
                for v, j in col_of.items()}
+    basic = [(objective_int[var] * tab.sign[var], i)
+             for i, var in enumerate(tab.basis) if objective_int[var]]
+    den = lcm(*[tab.rd[i] for _, i in basic])
     objective = sense_sign * Fraction(
-        sum(objective_int[var] * tab.sign[var] * tab.b[i] * d // tab.rd[i]
-            for i, var in enumerate(tab.basis)),
-        d * obj_scale,
-    )
+        sum([c * tab.b[i] * (den // tab.rd[i]) for c, i in basic]), den * obj_scale)
     sol = LpSolution(
         status="optimal", objective=objective, values=values, duals=duals,
         reduced_costs=reduced, dual_objective=Fraction(by, od * obj_scale), pivots=pivots,

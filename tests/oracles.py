@@ -9,6 +9,9 @@ time.
     certificates with Fraction sums (`_dot`), the reference for the integer
     re-checks in `semistatic.lp`: on every certificate both raise the same
     `LpVerificationError` message, or neither raises.
+  * `GaussJordan` is the dense Fraction simplex tableau, pivoted by plain
+    Gauss-Jordan elimination: the reference for the integer rows of
+    `lp._Tableau`, each over its own denominator.
   * `expect_claim`, `expect_at_stop`, `subtree_masses`, `unnormalized_snell`
     and `martingale_drift` are the Fraction sums, one term at a time, that
     the engine's integer forms replace: references for `Measure.expect_*`
@@ -209,6 +212,77 @@ def verify_ray(problem: LpProblem, point: Mapping[str, Fraction],
         _check(gain > 0, "ray does not improve the objective")
     else:
         _check(gain < 0, "ray does not improve the objective")
+
+
+# ---------------------------------------------------------------------------
+# The simplex tableau, dense and in Fractions
+# ---------------------------------------------------------------------------
+
+class GaussJordan:
+    """A dense simplex tableau in Fractions, pivoted by plain Gauss-Jordan
+    elimination: the reference for the rows of `lp._Tableau`.
+
+    The columns are laid out as `lp.solve` lays them out: the structural
+    columns, a slack or surplus per non-equality row in row order, then an
+    artificial per `>=` and `=` row in row order.  A row with a negative rhs
+    is negated and its relation flipped, and each row is scaled to primitive
+    integers, so every row starts on its slack or artificial with b >= 0.
+    `T[k]` and `b[k]` are row k's true entries and `basis[k]` its basic
+    column."""
+
+    def __init__(self, problem: LpProblem):
+        names = problem.variables
+        rels, rows = [], []
+        for row in problem.constraints:
+            vec = [row.coeffs.get(v, ZERO) for v in names] + [row.rhs]
+            rel = row.rel
+            if row.rhs < 0:
+                vec = [-x for x in vec]
+                rel = {LE: GE, GE: LE, EQ: EQ}[rel]
+            den = lcm(*[x.denominator for x in vec])
+            g = gcd(*[x.numerator * (den // x.denominator) for x in vec]) or 1
+            rels.append(rel)
+            rows.append([x * den / g for x in vec])
+        n = len(names)
+        aux = {}  # row -> its slack or surplus column
+        for k, rel in enumerate(rels):
+            if rel != EQ:
+                aux[k] = n + len(aux)
+        art = {}  # row -> its artificial column
+        for k, rel in enumerate(rels):
+            if rel != LE:
+                art[k] = n + len(aux) + len(art)
+        ncols = n + len(aux) + len(art)
+        self.T: list[list[Fraction]] = []
+        self.b: list[Fraction] = []
+        self.basis: list[int] = []
+        for k, (vec, rel) in enumerate(zip(rows, rels)):
+            line = vec[:-1] + [ZERO] * (ncols - n)
+            if k in aux:
+                line[aux[k]] = Fraction(1 if rel == LE else -1)
+            if k in art:
+                line[art[k]] = Fraction(1)
+            self.T.append(line)
+            self.b.append(vec[-1])
+            self.basis.append(aux[k] if rel == LE else art[k])
+
+    def pivot(self, i: int, j: int) -> None:
+        """Divide row i by its entry at column j and eliminate column j from
+        every other row."""
+        piv = self.T[i][j]
+        self.T[i] = [x / piv for x in self.T[i]]
+        self.b[i] /= piv
+        for k, row in enumerate(self.T):
+            f = row[j]
+            if k != i and f:
+                self.T[k] = [x - f * y for x, y in zip(row, self.T[i])]
+                self.b[k] -= f * self.b[i]
+        self.basis[i] = j
+
+    def reduced(self, costs: Sequence[int]) -> list[Fraction]:
+        """c_j - c_B . (column j), per column."""
+        return [c - _dot((costs[var], row[j]) for var, row in zip(self.basis, self.T))
+                for j, c in enumerate(costs)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from semistatic.lp import (
     LE,
     LpProblem,
     LpVerificationError,
+    _CUT,
     _TWIN,
     _Tableau,
     con,
@@ -479,14 +481,14 @@ def test_against_brute_force(seed):
 def _spy(monkeypatch):
     """Record the tableau's steps of the next solve: ("pivot", entering
     column, pivot-row entry, pivots in a row that left the pivot row
-    untouched, whether the row was kept over an older denominator),
+    untouched, the pivot row's denominator before the pivot),
     ("take", column, twin) when a pair member takes its stored twin's slot
     over, and ("costs", basis, b) at each set_costs."""
     steps, idle = [], []
     pivot, set_costs, store = _Tableau.pivot, _Tableau.set_costs, _Tableau._store
 
     def spy_pivot(tab, i, j):
-        steps.append(("pivot", j, tab.entry(i, j), idle[i], tab.rd[i] != tab.d))
+        steps.append(("pivot", j, tab.entry(i, j), idle[i], tab.rd[i]))
         idle[:] = [0 if k == i or tab.entry(k, j) else n + 1 for k, n in enumerate(idle)]
         pivot(tab, i, j)
 
@@ -522,11 +524,12 @@ def _oracle_max(prob):
 
 def test_negative_drive_out_pivot(monkeypatch):
     """-x - y = 0 leaves its artificial basic at 0 after phase 1, and the
-    drive-out pivots on x's entry -1: the pivot row is negated first."""
+    drive-out pivots on x's entry -1: the pivot row is negated first.  No
+    pivot came before, so the row is still the input row, over 1."""
     prob = LpProblem("max", {"x": 1}, [con({"x": -1, "y": -1}, EQ, 0)], ["x", "y"])
     steps = _spy(monkeypatch)
     sol = solve(prob)
-    assert ("pivot", 0, -1, 0, False) in steps
+    assert ("pivot", 0, -1, 0, 1) in steps
     assert sol.status == "optimal" and sol.pivots == (1, 0)
     assert sol.values == {"x": 0, "y": 0} and sol.objective == 0 == _oracle_max(prob)
     verify_solution(prob, sol)
@@ -549,8 +552,11 @@ def test_redundant_equality_keeps_its_artificial_basic_at_zero(monkeypatch):
 
 def test_row_left_untouched_by_several_pivots_becomes_the_pivot_row(monkeypatch):
     """x3's bound row has no entry in the columns of the first two pivots
-    (elements 2 and 3), so it keeps its old denominator until x3 enters and
-    it is the pivot row."""
+    (elements 2 and 3), so it is never rewritten and is still the input row,
+    over 1, when x3 enters and it is the pivot row.  The same holds for the
+    first two pivot rows.  Only the last row is rewritten: over 1 * 2 by the
+    first pivot (its x1 entry 1, gcd(2, 1) = 1) and over 2 * 3 by the second
+    (its x2 entry 2, gcd(3, 2) = 1)."""
     prob = LpProblem(
         "max", {"x1": 4, "x2": 3, "x3": 2},
         [con({"x1": 2}, LE, 3), con({"x2": 3}, LE, 4), con({"x3": 5}, LE, 7),
@@ -560,7 +566,7 @@ def test_row_left_untouched_by_several_pivots_becomes_the_pivot_row(monkeypatch)
     steps = _spy(monkeypatch)
     sol = solve(prob)
     assert [s for s in steps if s[0] == "pivot"] == [
-        ("pivot", 0, 2, 0, False), ("pivot", 1, 3, 1, True), ("pivot", 2, 5, 2, True)]
+        ("pivot", 0, 2, 0, 1), ("pivot", 1, 3, 1, 1), ("pivot", 2, 5, 2, 1)]
     assert sol.status == "optimal" and sol.pivots == (0, 3)
     assert sol.objective == F(64, 5) == _oracle_max(prob)
     verify_solution(prob, sol)
@@ -613,14 +619,16 @@ def test_surplus_replaces_its_own_artificial_in_the_drive_out(monkeypatch):
     pivot.  In phase 2 the slack (column 3)
     enters on row 0, so the surplus is stored and the artificial is implicit
     when row 0's dual is read: y = (-2, 0) with c - A^T y = (-1, 0), and
-    b.y = -4 = the objective at (0, 2)."""
+    b.y = -4 = the objective at (0, 2).  Every pivot row is over 1: row 1 is
+    the input row, row 0 is rewritten by y's pivot on element 1 with its own
+    entry 1 (p = 1 / gcd(1, 1) = 1), and a drive-out keeps the row's scale."""
     prob = LpProblem("max", {"x": -1, "y": -2},
                      [con({"y": 1}, GE, 2), con({"y": -1}, GE, -2)], ["x", "y"])
     steps = _spy(monkeypatch)
     implicit = _implicit(monkeypatch)
     sol = solve(prob)
     assert [s for s in steps if s[0] != "costs"] == [
-        ("pivot", 1, 1, 0, False), ("pivot", 2, -1, 0, False), ("pivot", 3, 1, 0, False)]
+        ("pivot", 1, 1, 0, 1), ("pivot", 2, -1, 0, 1), ("pivot", 3, 1, 0, 1)]
     assert (4, True) in implicit
     assert sol.pivots == (2, 1)
     assert sol.values == {"x": 0, "y": 2} and sol.objective == -4 == sol.dual_objective
@@ -634,15 +642,19 @@ def test_surplus_takes_its_artificials_slot_in_phase_1(monkeypatch):
     surplus (column 2) has phase-1 reduced cost -1 - rc(artificial) = 3 and
     enters from that slot.  When y later replaces the surplus, the surplus is
     stored and the artificial implicit, and the Farkas entry of x >= 0 is
-    read from it: y = (-1, -1, -1) gives 0 on x and y, and -2 + 1 < 0."""
+    read from it: y = (-1, -1, -1) gives 0 on x and y, and -2 + 1 < 0.  The
+    first two pivot rows are over 1: x's element 1 leaves rows 0 and 2 over
+    1 * 1, and the surplus enters on row 2, over 1.  That pivot on element 2
+    leaves row 2 over its own element 2, where y's entry is 1 (the true
+    entry 1/2), so the last pivot is on 1 over 2."""
     prob = LpProblem("max", {}, [con({"x": 1, "y": 1}, EQ, 2), con({"x": 1}, GE, 0),
                                  con({"x": -2, "y": -1}, EQ, -1)], ["x", "y"])
     steps = _spy(monkeypatch)
     implicit = _implicit(monkeypatch)
     sol = solve(prob)
     assert [s for s in steps if s[0] != "costs"] == [
-        ("pivot", 0, 1, 0, False), ("take", 2, 4), ("pivot", 2, 2, 0, False),
-        ("pivot", 1, 1, 0, False)]
+        ("pivot", 0, 1, 0, 1), ("take", 2, 4), ("pivot", 2, 2, 0, 1),
+        ("pivot", 1, 1, 0, 2)]
     assert (4, True) in implicit
     assert sol.status == "infeasible" and sol.pivots == (3, 0)
     assert sol.farkas == [-1, -1, -1]
@@ -653,12 +665,14 @@ def test_surplus_takes_its_artificials_slot_in_phase_2(monkeypatch):
     """max x on x >= 1, x <= 5: phase 1 puts x in, and the artificial of
     x >= 1 takes x's slot.  In phase 2 its reduced cost is -1, so the
     surplus's is +1: the surplus takes the slot over and enters on the
-    bound row.  x = 5 with duals (0, 1)."""
+    bound row.  x = 5 with duals (0, 1).  Both pivots are on 1 over 1: x's
+    pivot row is an input row, and its element 1 leaves the bound row over
+    1 * 1."""
     prob = LpProblem("max", {"x": 1}, [con({"x": 1}, GE, 1), con({"x": 1}, LE, 5)], ["x"])
     steps = _spy(monkeypatch)
     sol = solve(prob)
     assert [s for s in steps if s[0] != "costs"] == [
-        ("pivot", 0, 1, 0, False), ("take", 1, 3), ("pivot", 1, 1, 0, False)]
+        ("pivot", 0, 1, 0, 1), ("take", 1, 3), ("pivot", 1, 1, 0, 1)]
     assert sol.pivots == (1, 1)
     assert sol.values == {"x": 5} and sol.objective == 5 == _oracle_max(prob)
     assert sol.duals == [0, 1]
@@ -669,11 +683,12 @@ def test_unbounded_ray_enters_on_a_surplus(monkeypatch):
     """max x - y on x - y >= 1: after phase 1, x = 1 + y + surplus, so y's
     reduced cost is 0 and the surplus's is 1.  The surplus enters from its
     artificial's slot, no row bounds it, and the ray is its column read back
-    on x: point (1, 0), ray (1, 0)."""
+    on x: point (1, 0), ray (1, 0).  The one pivot is on the input row, over
+    1."""
     prob = LpProblem("max", {"x": 1, "y": -1}, [con({"x": 1, "y": -1}, GE, 1)], ["x", "y"])
     steps = _spy(monkeypatch)
     sol = solve(prob)
-    assert [s for s in steps if s[0] != "costs"] == [("pivot", 0, 1, 0, False), ("take", 2, 3)]
+    assert [s for s in steps if s[0] != "costs"] == [("pivot", 0, 1, 0, 1), ("take", 2, 3)]
     assert sol.status == "unbounded" and sol.pivots == (1, 0)
     assert sol.feasible_point == {"x": 1, "y": 0} and sol.ray == {"x": 1, "y": 0}
     verify_ray(prob, sol.feasible_point, sol.ray)
@@ -732,3 +747,96 @@ def test_pivot_path_is_pinned():
         digest.update(repr([(f.name, getattr(sol, f.name)) for f in fields(sol)]).encode())
     assert statuses == {"optimal", "infeasible", "unbounded"}
     assert digest.hexdigest() == PINNED_PATH_SHA256
+
+
+
+# ---------------------------------------------------------------------------
+# Every pivot against a dense Fraction tableau; row integers stay small
+# ---------------------------------------------------------------------------
+
+def _replay(monkeypatch, problems):
+    """Solve `problems` with the tableau checked against
+    `oracles.GaussJordan` after every set_costs and every pivot: each row's
+    stored integers over its own denominator, rows[k] / rd[k] and
+    b[k] / rd[k], and the reduced costs obj / od are the dense tableau's true
+    entries, with a column stored negated (`sign`) read back; a row or
+    objective whose denominator is past _CUT is in lowest terms.  Returns
+    the checks made, the rows and objectives seen past _CUT, and the bit
+    length of the largest integer a row stored (entries, rhs, denominator)."""
+    pivot, set_costs = _Tableau.pivot, _Tableau.set_costs
+    state = {}
+    seen = {"checks": 0, "past_cut": 0, "bits": 0}
+
+    def check(tab):
+        ref, costs = state["ref"], state["costs"]
+        assert tab.basis == ref.basis
+        for k, var in enumerate(tab.basis):
+            r, sk = tab.rd[k], tab.sign[var]
+            assert r > 0 and F(tab.b[k], r) == sk * ref.b[k]
+            for j, x in enumerate(ref.T[k]):
+                assert F(tab.entry(k, j), r) == sk * tab.sign[j] * x
+            if r >= _CUT:
+                seen["past_cut"] += 1
+                assert gcd(r, tab.b[k], *tab.rows[k]) == 1
+            seen["bits"] = max(seen["bits"], r.bit_length(), abs(tab.b[k]).bit_length(),
+                               *[abs(v).bit_length() for v in tab.rows[k]])
+        rc = ref.reduced(costs)
+        assert tab.od > 0
+        assert [F(tab.reduced(j), tab.od) for j in range(len(rc))] == [
+            s * x for s, x in zip(tab.sign, rc)]
+        if tab.od >= _CUT:
+            seen["past_cut"] += 1
+            assert gcd(tab.od, *tab.obj) == 1
+        seen["checks"] += 1
+
+    def spy_costs(tab, costs):
+        set_costs(tab, costs)
+        state["costs"] = list(costs)
+        check(tab)
+
+    def spy_pivot(tab, i, j):
+        pivot(tab, i, j)
+        state["ref"].pivot(i, j)
+        check(tab)
+
+    monkeypatch.setattr(_Tableau, "pivot", spy_pivot)
+    monkeypatch.setattr(_Tableau, "set_costs", spy_costs)
+    for prob in problems:
+        state["ref"] = oracles.GaussJordan(prob)
+        solve(prob)
+    return seen
+
+
+def test_every_pivot_matches_a_dense_fraction_tableau(monkeypatch):
+    """The pinned corpus, replayed step by step against the dense tableau."""
+    seen = _replay(monkeypatch, [_pin_lp(seed) for seed in range(400)])
+    assert seen["checks"] > 1000
+
+
+def test_hedge_lp_rows_stay_small(monkeypatch):
+    """A 14-row x 13-column sub-hedge LP of a depth-3 random market (14
+    leaves, one quoted European option), like
+    the 16 x 12 hedge LPs of the benchmark's `hedging` workload.  Its largest
+    stored row integer has 55 bits; when every pivot row was brought to the
+    basis determinant (Bareiss 1968) and every rewritten row carried it, it
+    had 244.  Rows pass _CUT, and each is checked in lowest terms there."""
+    from conftest import random_claim, random_market
+    from semistatic import hedging
+
+    rng = random.Random(207)
+    market = random_market(rng)
+    claim = random_claim(rng, market.tree)
+    problems = []
+
+    def keep(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(hedging, "solve", keep)
+    sol, _, _ = hedging.hedge_primal(market, claim, "sub_eu")
+    [prob] = problems
+    assert sol.status == "optimal"
+    assert (len(prob.constraints), len(prob.variables)) == (14, 13)
+    seen = _replay(monkeypatch, [prob])
+    assert seen["past_cut"] > 0
+    assert seen["bits"] <= 64
