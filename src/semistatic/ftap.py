@@ -1,9 +1,10 @@
 """Arbitrage verdicts with re-verified certificates.
 
-`check_na` decides plain no-arbitrage at given quotes by a cone LP: maximize
-the total portfolio value over the reference support subject to pointwise
-nonnegativity and the normalization sum <= 1.  The optimum is 0 exactly when
-no arbitrage exists, else 1 with the arbitrage portfolio as certificate.
+`check_na` decides plain no-arbitrage at a market's quotes by a cone LP:
+maximize the total portfolio value over its reference support subject to
+pointwise nonnegativity and the normalization sum <= 1.  The optimum is 0
+exactly when no arbitrage exists, else 1 with the arbitrage portfolio as
+certificate.
 
 `check_sna` decides strict no-arbitrage through the slack-maximization LP:
 strict no-arbitrage holds if and only if some pricing measure survives a
@@ -26,7 +27,7 @@ from .hedging import StrategySpace, VerificationFailure
 from .lp import GE, LE, LpProblem, int_con, solve
 from .market import HedgePortfolio, MarketSpec, portfolio_values
 from .measures import Measure, PricingSetSpec, SlackResult, membership, strict_emm_slack
-from .rational import rat, rat_str
+from .rational import rat_str
 from .stopping import (
     DEFAULT_ENUM_CAP,
     EnumerationCapError,
@@ -57,10 +58,10 @@ class ArbitrageVerdict:
         return f"ArbitrageVerdict({self.verdict})"
 
 
-def _verify_arbitrage_portfolio(values: Sequence[Fraction], support: Sequence[str]) -> None:
-    """Certificate soundness: a portfolio's `values` on the support (from
+def _verify_arbitrage_portfolio(values: Sequence[Fraction], leaves: Sequence[str]) -> None:
+    """Certificate soundness: a portfolio's `values` on `leaves` (from
     `portfolio_values`) are >= 0 everywhere and > 0 somewhere."""
-    for leaf, v in zip(support, values):
+    for leaf, v in zip(leaves, values):
         if v < 0:
             raise VerificationFailure(
                 f"claimed arbitrage is worth {rat_str(v)} < 0 at leaf {leaf}"
@@ -69,14 +70,10 @@ def _verify_arbitrage_portfolio(values: Sequence[Fraction], support: Sequence[st
         raise VerificationFailure("claimed arbitrage never wins")
 
 
-def check_na(
-    market: MarketSpec,
-    g_prices: Sequence | None = None,
-    h_prices: Sequence | None = None,
-    support: Sequence[str] | None = None,
-    divisible: bool = True,
-) -> ArbitrageVerdict:
-    """No-arbitrage at (possibly shifted) quotes over the given support.
+def check_na(market: MarketSpec, divisible: bool = True) -> ArbitrageVerdict:
+    """No-arbitrage at the market's quotes over its support.  Other quotes or
+    fewer leaves are other markets: `market.with_options(...)` or
+    `market.on_support(leaves)`.
 
     With `divisible=False` the American options must each be exercised whole
     at a single stopping time; more than `DEFAULT_ENUM_CAP` stop combinations
@@ -88,12 +85,7 @@ def check_na(
     cone LP is solved on the stopped market per stop combination; that
     restriction is exactly what breaks the measure-existence equivalence, see
     the motivating two-period market."""
-    g_prices = tuple(rat(p) for p in g_prices) if g_prices is not None else market.g_prices
-    h_prices = tuple(rat(p) for p in h_prices) if h_prices is not None else market.h_prices
-    support = tuple(support) if support is not None else market.support_leaves()
-    if not support:
-        raise ValueError("empty support")
-    shifted = market.with_options(g_prices=g_prices, h_prices=h_prices)
+    support = market.support_leaves()
 
     def cone_lp(m: MarketSpec) -> HedgePortfolio | None:
         space = StrategySpace(m)
@@ -120,17 +112,17 @@ def check_na(
                 f"{combos} whole-unit stop combinations exceed cap {DEFAULT_ENUM_CAP}"
             )
     found: ArbitrageVerdict | None = None
-    portfolio = cone_lp(shifted)
+    portfolio = cone_lp(market)
     if portfolio is not None and divisible:
         found = ArbitrageVerdict(verdict=ARBITRAGE, portfolio=portfolio,
-                                 shifted_g=g_prices, shifted_h=h_prices)
+                                 shifted_g=market.g_prices, shifted_h=market.h_prices)
     elif portfolio is not None:
         n_g = len(market.g)
-        # with no American option the one (empty) combination is `shifted`:
+        # with no American option the one (empty) combination is `market`:
         # no stop is enumerated and the divisible LP's portfolio is reused
         taus = enumerate_stopping_times(market.tree) if market.h else []
         for combo in product(taus, repeat=len(market.h)):
-            stopped = cone_lp(shifted.exercised_at(combo)) if combo else portfolio
+            stopped = cone_lp(market.exercised_at(combo)) if combo else portfolio
             if stopped is not None:
                 found = ArbitrageVerdict(
                     verdict=ARBITRAGE,
@@ -138,14 +130,14 @@ def check_na(
                         H=stopped.H, a=stopped.a, b=stopped.b[:n_g], c=stopped.b[n_g:],
                         mu=tuple(LiquidatingStrategy.from_stopping_time(t) for t in combo),
                     ),
-                    shifted_g=g_prices, shifted_h=h_prices,
+                    shifted_g=market.g_prices, shifted_h=market.h_prices,
                     notes="indivisible exercise",
                 )
                 break
     if found is None:
         return ArbitrageVerdict(verdict=NO_ARBITRAGE,
-                                shifted_g=g_prices, shifted_h=h_prices)
-    _verify_arbitrage_portfolio(portfolio_values(shifted, found.portfolio, support), support)
+                                shifted_g=market.g_prices, shifted_h=market.h_prices)
+    _verify_arbitrage_portfolio(portfolio_values(market, found.portfolio, support), support)
     return found
 
 

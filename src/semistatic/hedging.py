@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .lp import EQ, GE, LE, Constraint, LpProblem, LpSolution, int_con, solve
 from .market import HedgePortfolio, MarketSpec, _kept, portfolio_values
@@ -263,21 +263,16 @@ def _leaf_dual(problem: LpProblem, sol: LpSolution, tree: EventTree) -> Measure:
                           if y and row.name.startswith("leaf[")})
 
 
-def hedge_primal(
-    market: MarketSpec,
-    claim,
-    kind: str,
-    pointwise_leaves: Sequence[str] | None = None,
-) -> tuple[LpSolution, StrategySpace, Measure | None]:
-    """The strategy-side LP, its column layout, and (when optimal) its
-    leaf-dual pricing measure.
+def hedge_primal(market: MarketSpec, claim,
+                 kind: str) -> tuple[LpSolution, StrategySpace, Measure | None]:
+    """The strategy-side LP, pointwise on the market's support leaves, its
+    column layout, and (when optimal) its leaf-dual pricing measure.
 
     kind "sub_eu":    max x s.t. Phi + psi >= x pointwise,
     kind "sub_am":    max x s.t. Phi + eta(phi) >= x pointwise, eta a flow,
     kind "super_div": min x s.t. x + Phi >= psi pointwise.
     """
-    leaves = tuple(pointwise_leaves) if pointwise_leaves is not None \
-        else market.support_leaves()
+    leaves = market.support_leaves()
     if kind not in ("sub_eu", "sub_am", "super_div"):
         raise ValueError(f"unknown hedge kind {kind!r}")
     space = StrategySpace(market, include_eta=(kind == "sub_am"))
@@ -513,17 +508,17 @@ def duality_gap_report(result: HedgeResult) -> dict:
     machine-readable certificate.
 
     Primal feasibility is recomputed by evaluating the strategy on every leaf
-    in one `portfolio_values` pass (never from the LP); for "sub_am" the
-    claim's exercise flow rides that pass as one more American leg.  The dual
-    measure is pushed through exact membership, and the two sides
-    must agree to the rational digit.  Raises VerificationFailure naming the
-    offending leaf or constraint."""
+    of the result's market's support in one `portfolio_values` pass (never
+    from the LP); for "sub_am" the claim's exercise flow rides that pass as
+    one more American leg.  The dual measure is pushed through exact
+    membership, and the two sides must agree to the rational digit.  Raises
+    VerificationFailure naming the offending leaf or constraint."""
     m = result.market
     if isinstance(result.price, PriceInfinity):
         return {"kind": result.kind, "price": "+inf", "verified": True}
     if result.gap != 0:
         raise VerificationFailure(f"nonzero duality gap {rat_str(result.gap)}")
-    leaves = result.details.get("pointwise_leaves") or m.support_leaves()
+    leaves = m.support_leaves()
     held = m
     port = result.portfolio if result.portfolio is not None else HedgePortfolio()
     if result.kind == "sub_am":
@@ -564,7 +559,7 @@ def duality_gap_report(result: HedgeResult) -> dict:
         "kind": result.kind,
         "price": rat_str(result.price),
         "gap": rat_str(result.gap),
-        "leaves_checked": len(tuple(leaves)),
+        "leaves_checked": len(leaves),
         "dual_verified": Q is not None,
         "verified": True,
     }

@@ -14,7 +14,7 @@ serialize -> parse is the identity, bit-exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Mapping, Sequence
@@ -31,13 +31,14 @@ class MarketError(ValueError):
 def _kept(obj, key, build: Callable[[], object]):
     """`build()`, made once per object and `key` and kept on the object: what
     depends on a market alone (its strict-EMM slack, its robust decisions, its
-    LP row skeletons, its reductions `without_american`, the priors of its
-    market file) or on its stock process alone (the martingale rows).  A
-    rebuilt market (`build_market`, `with_options`, `exercised_at`,
-    `dataclasses.replace`) is a new object and decides again.  What is kept
-    is shared: callers copy before they extend it (only
-    `StrategySpace.phi_coeffs` fills in its own per-leaf table).  Threads
-    that ask at once may each build it; the first one stored is kept."""
+    LP row skeletons, its reductions `without_american` and restrictions
+    `on_support`, the priors of its market file) or on its stock process
+    alone (the martingale rows).  A rebuilt market (`build_market`,
+    `with_options`, `exercised_at`, `dataclasses.replace`) is a new object
+    and decides again.  What is kept is shared: callers copy before they
+    extend it (only `StrategySpace.phi_coeffs` fills in its own per-leaf
+    table).  Threads that ask at once may each build it; the first one
+    stored is kept."""
     kept = obj.__dict__.setdefault("_kept", {})
     if key not in kept:
         kept.setdefault(key, build())
@@ -104,6 +105,18 @@ class MarketSpec:
             h=self.h[:-1], h_prices=self.h_prices[:-1],
             support=self.support, claims=self.claims,
         )).without_american(keep)
+
+    def on_support(self, leaves) -> "MarketSpec":
+        """The same market with reference support `leaves`: the market itself
+        when that is its support, else one object per market and leaf set,
+        so that every question asked of the restricted market shares what it
+        has decided."""
+        leaves = frozenset(leaves)
+        if not leaves:
+            raise MarketError("empty support")
+        if leaves == self.support:
+            return self
+        return _kept(self, ("on_support", leaves), lambda: replace(self, support=leaves))
 
     def with_options(self, f=None, f_prices=None, g=None, g_prices=None,
                      h=None, h_prices=None) -> "MarketSpec":

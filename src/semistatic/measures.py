@@ -21,7 +21,8 @@ envelopes and the membership checks sum integers against the claims' and
 processes' own integer forms and make one Fraction, or compare with a Fraction
 bound by cross-multiplication.  LP rows are built as integers from the same
 forms (`lp.int_con`); the martingale rows are kept on the stock process per
-carrier.
+leaf set.  Every LP here ranges over its market's support: to ask a question
+on fewer leaves, ask it of `market.on_support(leaves)`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .lp import EQ, GE, LE, Constraint, LpProblem, LpSolution, int_con, solve
 from .market import HedgePortfolio, MarketSpec, _kept
@@ -131,15 +132,16 @@ class Measure:
 class PricingSetSpec:
     """Constraint recipe for a pricing set over a market's leaf weights.
 
-    g_cap / h_cap default to the market's quotes; entries of None mean
-    "no cap" (a +infinity sentinel).  `support_floor` lists leaves whose
+    g_cap / h_cap are rational caps, one per option, and default to the
+    market's quotes; a pricing set without an option's cap is the pricing set
+    of the market without that option.  `support_floor` lists leaves whose
     weight must be strictly positive in the strict reading (the equivalence
     part of an EMM); the closure drops strictness.
     """
 
     market: MarketSpec
-    g_cap: tuple[Fraction | None, ...] = ()
-    h_cap: tuple[Fraction | None, ...] = ()
+    g_cap: tuple[Fraction, ...] = ()
+    h_cap: tuple[Fraction, ...] = ()
     support_floor: frozenset[str] = frozenset()
 
     def __post_init__(self):
@@ -202,16 +204,13 @@ def _martingale_rows(market: MarketSpec, leaves: tuple[str, ...]) -> tuple[list[
     return _kept(S, ("martingale", leaves), build)
 
 
-def martingale_system(market: MarketSpec, carrier: Iterable[str] | None = None) -> LpProblem:
-    """Martingale + total-mass equalities over leaf weights, as an LP fragment
-    (zero objective, ready to be extended).
-
-    `carrier` restricts the weights to a subset of leaves (weights outside it
-    are fixed to zero by omission); defaults to the market's support.  The
-    rows are built once per stock process and carrier and kept on it.
+def martingale_system(market: MarketSpec) -> LpProblem:
+    """Martingale + total-mass equalities over the weights of the market's
+    support leaves (weights outside it are fixed to zero by omission), as an
+    LP fragment (zero objective, ready to be extended).  The rows are built
+    once per stock process and leaf set and kept on the process.
     """
-    leaves = tuple(carrier) if carrier is not None else market.support_leaves()
-    variables, rows = _martingale_rows(market, leaves)
+    variables, rows = _martingale_rows(market, market.support_leaves())
     return LpProblem("max", {}, list(rows), list(variables))
 
 
@@ -254,17 +253,16 @@ def pricing_rows(
     m = spec.market
     rows = [_row(*_claim_row(claim, leaves), EQ, price, f"f[{i}]")
             for i, (claim, price) in enumerate(zip(m.f, m.f_prices))]
-    for j, (claim, cap) in enumerate(zip(m.g, spec.g_cap)):
-        if cap is not None:
-            rows.append(_row(*_claim_row(claim, leaves), LE, cap, f"g[{j}]", slack_var))
+    rows += [_row(*_claim_row(claim, leaves), LE, cap, f"g[{j}]", slack_var)
+             for j, (claim, cap) in enumerate(zip(m.g, spec.g_cap))]
     return rows
 
 
 def _cap_targets(spec: PricingSetSpec, slack: Fraction = ZERO) -> list[tuple]:
-    """(option index, h, cap - slack) for every capped American option: the
+    """(option index, h, cap - slack) for every American option: the
     separation targets of its "for all stopping times" rows."""
     m = spec.market
-    return [(k, m.h[k], cap - slack) for k, cap in enumerate(spec.h_cap) if cap is not None]
+    return [(k, m.h[k], cap - slack) for k, cap in enumerate(spec.h_cap)]
 
 
 def solve_with_stop_cuts(
@@ -318,8 +316,6 @@ def closure_polytope(spec: PricingSetSpec) -> Polytope:
     rows += pricing_rows(spec, leaves)
     taus = enumerate_stopping_times(m.tree)
     for k, (h, cap) in enumerate(zip(m.h, spec.h_cap)):
-        if cap is None:
-            continue
         for t_idx, tau in enumerate(taus):
             rows.append(_row(*_stop_row(h, tau, leaves), LE, cap, f"h[{k}]tau[{t_idx}]"))
     return Polytope(list(variables), rows)
@@ -347,13 +343,13 @@ class SlackResult:
 SLACK_VAR = "t[slack]"
 
 
-def max_slack(spec: PricingSetSpec,
-              carrier: Sequence[str] | None = None) -> SlackResult:
+def max_slack(spec: PricingSetSpec) -> SlackResult:
     """Maximize a uniform slack t with E g <= cap - t, stop values <= cap - t,
-    and weight >= t on the support floor.  The slack is capped at 1 so the LP
-    stays bounded when no constraint involves t."""
+    and weight >= t on the support floor, over the weights of the market's
+    support leaves.  The slack is capped at 1 so the LP stays bounded when no
+    constraint involves t."""
     m = spec.market
-    leaves = tuple(carrier) if carrier is not None else m.support_leaves()
+    leaves = m.support_leaves()
     base_vars, base = _martingale_rows(m, leaves)
     fixed = list(base) + pricing_rows(spec, leaves, slack_var=SLACK_VAR)
     variables = base_vars + [SLACK_VAR]
@@ -404,14 +400,14 @@ def _slack_certificate(m: MarketSpec, fixed: Sequence[Constraint],
     to c[k] and to nu[k] at tau's stop nodes.  `y` lists the `fixed` rows
     first and the cut rows next, in the order `max_slack`'s LP holds them.
 
-    Priced at quotes equal to the caps, its value at a carrier leaf l is the
+    Priced at quotes equal to the caps, its value at a support leaf l is the
     multipliers' column sum at w[l] minus their rhs sum.  For optimal duals
     that is >= |y_floor[l]| + y_cap - optimum, and the free slack's column
     makes sum y_g + sum y_cut + sum |y_floor| + y_cap = 1; so it is >= 0 when
-    the optimum is <= 0, and if it vanishes on the carrier it is worth exactly
+    the optimum is <= 0, and if it vanishes on the support it is worth exactly
     eps at caps lowered by eps.  For Farkas multipliers the slack's column
     forces every g, cut, floor and cap multiplier to 0 and the value is
-    >= -(Farkas total) > 0 on every carrier leaf."""
+    >= -(Farkas total) > 0 on every support leaf."""
     from .hedging import StrategySpace  # hedging imports this module
 
     column = {"mart": "H", "f": "a", "g": "b"}
@@ -460,15 +456,11 @@ def membership(Q: Measure, spec: PricingSetSpec, strict: bool) -> MembershipRepo
         if got != price:
             bad.append(f"f[{i}] prices at {rat_str(got)} != {rat_str(price)}")
     for j, (claim, cap) in enumerate(zip(m.g, spec.g_cap)):
-        if cap is None:
-            continue
         got = Q.expect_claim(claim)
         if got > cap or (strict and got == cap):
             rel = "<" if strict else "<="
             bad.append(f"g[{j}] expectation {rat_str(got)} !{rel} {rat_str(cap)}")
     for k, (h, cap) in enumerate(zip(m.h, spec.h_cap)):
-        if cap is None:
-            continue
         V, den = Q.envelope(h)
         got = V[tree.root]
         over = got * cap.denominator - cap.numerator * den

@@ -7,9 +7,12 @@ pointwise on the union of the prior supports; a measure is dominated by the
 prior set when its support fits inside the support of a single prior, so the
 robust pricing set is a union of per-prior polytopes (not convex).  Duals are
 therefore minima across per-prior components.  A component is priced the way
-every hedge is: by the hedge LP restricted to that prior's support, whose
-leaf duals are the component's attaining measure.  A robust hedge solves one
-LP per distinct leaf set among the union support and the prior supports.
+every hedge is: by the hedge LP of the market restricted to that prior's
+support (`MarketSpec.on_support`), whose leaf duals are the component's
+attaining measure.  The quasi-sure questions (the robust hedge's portfolio,
+the verdict's `check_na` fallbacks) are asked of the market restricted to the
+union support, and each component's slack of the market restricted to its
+support.
 
 Raw finite lists are not closed under mixing priors node by node.  When no
 prior dominates the whole list, a martingale measure can straddle two prior
@@ -27,13 +30,14 @@ each prior's best component slack and the robust sub-hedge that
 supports.  Each is decided once per market object and tuple of prior supports
 and kept on the market (`market._kept`); a `RobustSpec` is a plain pair, and
 the specs `reduced()` derives share the market's reductions
-(`MarketSpec.without_american`) and so their decisions.  Only a rebuilt
-market decides again.  The certificate checks of every hedge and domination
-still run per call."""
+(`MarketSpec.without_american`) and so their decisions.  A restricted market
+is one object per market and leaf set, so its LP row skeletons are built once
+for every question asked of it.  Only a rebuilt market decides again.  The
+certificate checks of every hedge and domination still run per call."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -41,6 +45,7 @@ from typing import Sequence
 from .hedging import (
     HedgeResult,
     INFINITE_PRICE,
+    PriceInfinity,
     VerificationFailure,
     duality_gap_report,
     hedge_primal,
@@ -146,10 +151,6 @@ def union_support(priors: PriorSet) -> frozenset[str]:
     return out
 
 
-def _ordered(tree, leaf_set) -> tuple[str, ...]:
-    return tuple(l for l in tree.leaves if l in leaf_set)
-
-
 def _dominating_slack(spec: RobustSpec, P: Measure) -> SlackResult | None:
     """The best uniform slack of a measure dominating P: per component whose
     support contains P's, caps shifted by t and weight >= t on P's support,
@@ -164,8 +165,7 @@ def _dominating_slack(spec: RobustSpec, P: Measure) -> SlackResult | None:
         for carrier in dict.fromkeys(supports):
             if not floor <= carrier:
                 continue
-            res = max_slack(PricingSetSpec(m, support_floor=floor),
-                            carrier=_ordered(m.tree, carrier))
+            res = max_slack(PricingSetSpec(m.on_support(carrier), support_floor=floor))
             if res.status != "optimal":
                 continue
             if best is None or res.optimum > best.optimum:
@@ -211,18 +211,14 @@ def _robust_verdict(spec: RobustSpec) -> ArbitrageVerdict:
             notes=f"robust strict no-arbitrage holds with uniform slack {rat_str(t)}; "
                   f"{len(witnesses)} dominating witnesses",
         )
-    union = _ordered(m.tree, union_support(spec.priors))
-    plain = check_na(m, support=union)
+    union = m.on_support(union_support(spec.priors))
+    plain = check_na(union)
     if plain.verdict == ARBITRAGE:
         return plain
     if m.g or m.h:
         eps = Fraction(1, 2)
-        shifted = check_na(
-            m,
-            g_prices=[p - eps for p in m.g_prices],
-            h_prices=[p - eps for p in m.h_prices],
-            support=union,
-        )
+        shifted = check_na(union.with_options(g_prices=[p - eps for p in m.g_prices],
+                                              h_prices=[p - eps for p in m.h_prices]))
         if shifted.verdict == ARBITRAGE:
             return ArbitrageVerdict(
                 verdict=STRICT_NO_ARBITRAGE_FAILS,
@@ -249,29 +245,31 @@ def sub_hedge_robust(spec: RobustSpec, claim) -> HedgeResult:
     cheapest per-prior component.  Requires robust strict no-arbitrage of the
     stock-plus-European part.
 
-    One hedge LP per distinct leaf set among the union support and the prior
-    supports: the union LP gives the portfolio, and each prior's LP, hedging
-    on that prior's support only, prices its component (unbounded when the
-    component is empty) and carries its measure in the leaf duals.  Returns
-    the attaining component measure (the first prior wins ties), checked
-    against that component (the market restricted to the attaining prior's
-    support)."""
+    One hedge per market restricted to a distinct leaf set among the union
+    support and the prior supports (`MarketSpec.on_support`): the union
+    market's hedge gives the portfolio, and each prior's, hedging on that
+    prior's support only, prices its component (unbounded when the component
+    is empty) and carries its measure in the leaf duals.  The result's market
+    is the union market, on whose support `duality_gap_report` re-checks the
+    portfolio; its dual is the attaining component measure (the first prior
+    wins ties), checked against that component (the market restricted to the
+    attaining prior's support)."""
     _check_hypothesis(spec)
     m = spec.market
     american = isinstance(claim, AdaptedProcess)
     kind = "sub_am" if american else "sub_eu"
-    solved: dict[tuple[str, ...], tuple] = {}
+    solved: dict[frozenset[str], tuple] = {}
 
-    def hedge(leaves: tuple[str, ...]):
+    def hedge(leaves: frozenset[str]):
         if leaves not in solved:
-            solved[leaves] = hedge_primal(m, claim, kind, pointwise_leaves=leaves)
+            solved[leaves] = hedge_primal(m.on_support(leaves), claim, kind)
         return solved[leaves]
 
-    union = _ordered(m.tree, union_support(spec.priors))
-    primal, space, _ = hedge(union)
+    union = m.on_support(union_support(spec.priors))
+    primal, space, _ = hedge(union.support)
     best = None
     for P in spec.priors:
-        sol, _, Q = hedge(_ordered(m.tree, P.support()))
+        sol, _, Q = hedge(P.support())
         if sol.status != "optimal":
             continue  # the hedge LP is feasible, so unbounded: an empty component
         if best is None or sol.objective < best[0]:
@@ -280,8 +278,8 @@ def sub_hedge_robust(spec: RobustSpec, claim) -> HedgeResult:
         if primal.status == "optimal":
             raise RobustDualityGapError(primal.objective, INFINITE_PRICE)
         return HedgeResult(
-            kind=kind, market=m, claim=claim, price=INFINITE_PRICE,
-            details={"pricing_set_empty": True, "pointwise_leaves": union},
+            kind=kind, market=union, claim=claim, price=INFINITE_PRICE,
+            details={"pricing_set_empty": True},
         )
     if primal.status != "optimal":
         raise RobustError(f"quasi-sure hedge LP is {primal.status}")
@@ -289,12 +287,10 @@ def sub_hedge_robust(spec: RobustSpec, claim) -> HedgeResult:
     if primal.objective != dual_value:
         raise RobustDualityGapError(primal.objective, dual_value)
     result = HedgeResult(
-        kind=kind, market=m, claim=claim, price=dual_value,
+        kind=kind, market=union, claim=claim, price=dual_value,
         portfolio=space.extract_portfolio(primal.values),
-        eta=space.extract_eta(primal.values) if american else None,
-        dual=Q, gap=primal.objective - dual_value,
-        details={"pointwise_leaves": union,
-                 "dual_spec": PricingSetSpec(replace(m, support=P.support()))},
+        eta=space.extract_eta(primal.values) if american else None, dual=Q,
+        details={"dual_spec": PricingSetSpec(m.on_support(P.support()))},
     )
     duality_gap_report(result)
     return result
@@ -340,7 +336,7 @@ def dominating_measure(spec: RobustSpec, P: Measure) -> DominationResult:
     reduced = spec.reduced(n - 1)
     h_last, quote = m.h[n - 1], m.h_prices[n - 1]
     sub = _kept(m, ("sub_hedge", _supports(spec)), lambda: sub_hedge_robust(reduced, h_last))
-    if isinstance(sub.price, type(INFINITE_PRICE)):
+    if isinstance(sub.price, PriceInfinity):
         raise RobustError("reduced pricing set is empty; cannot dominate")
     v = sub.price
     if v >= quote:

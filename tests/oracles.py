@@ -40,7 +40,6 @@ time.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -495,11 +494,10 @@ def pricing_rows(spec, leaves: Sequence[str], slack_var: str | None = None) -> l
     rows = [con(claim_row(claim, leaves), EQ, price, f"f[{i}]")
             for i, (claim, price) in enumerate(zip(m.f, m.f_prices))]
     for j, (claim, cap) in enumerate(zip(m.g, spec.g_cap)):
-        if cap is not None:
-            coeffs = claim_row(claim, leaves)
-            if slack_var is not None:
-                coeffs[slack_var] = Fraction(1)
-            rows.append(con(coeffs, LE, cap, f"g[{j}]"))
+        coeffs = claim_row(claim, leaves)
+        if slack_var is not None:
+            coeffs[slack_var] = Fraction(1)
+        rows.append(con(coeffs, LE, cap, f"g[{j}]"))
     return rows
 
 
@@ -520,14 +518,12 @@ def slack_rows(spec, leaves: Sequence[str], cuts, slack_var: str) -> list[Constr
 def witness_slacks(spec, Q: Measure) -> tuple[Fraction | None, Fraction | None]:
     """(option slack, floor slack) of a slack LP's witness Q over the market's
     support: the least cap minus expectation or exercise envelope over the
-    capped options, and the least weight on the support floor; None where
-    nothing is capped or floored.  At the optimum, min(both, 1) is the LP
+    options, and the least weight on the support floor; None where there is
+    no option or no floor.  At the optimum, min(both, 1) is the LP
     value."""
     m = spec.market
-    option = [cap - expect_claim(Q, claim) for claim, cap in zip(m.g, spec.g_cap)
-              if cap is not None]
-    option += [cap - snell_envelope(Q, h)[1] for h, cap in zip(m.h, spec.h_cap)
-               if cap is not None]
+    option = [cap - expect_claim(Q, claim) for claim, cap in zip(m.g, spec.g_cap)]
+    option += [cap - snell_envelope(Q, h)[1] for h, cap in zip(m.h, spec.h_cap)]
     floor = [Q.at(l) for l in m.support_leaves() if l in spec.support_floor]
     return min(option, default=None), min(floor, default=None)
 
@@ -539,9 +535,8 @@ def closure_rows(spec, leaves: Sequence[str], taus: Sequence[StoppingTime]) -> l
     rows += [con({_w(l): 1}, GE, 0, f"nonneg[{l}]") for l in leaves]
     rows += pricing_rows(spec, leaves)
     for k, (h, cap) in enumerate(zip(m.h, spec.h_cap)):
-        if cap is not None:
-            rows += [con(stop_row(h, tau, leaves), LE, cap, f"h[{k}]tau[{t}]")
-                     for t, tau in enumerate(taus)]
+        rows += [con(stop_row(h, tau, leaves), LE, cap, f"h[{k}]tau[{t}]")
+                 for t, tau in enumerate(taus)]
     return rows
 
 
@@ -682,23 +677,13 @@ def find_pricing_measure(market: MarketSpec) -> Measure:
 # Pricing sets read whole: robust components, exchange values, P2 parameters
 # ---------------------------------------------------------------------------
 
-def robust_pricing_set(
-    spec: RobustSpec,
-    g_cap: Sequence[Fraction | None] | None = None,
-    h_cap: Sequence[Fraction | None] | None = None,
-) -> list[Polytope]:
+def robust_pricing_set(spec: RobustSpec) -> list[Polytope]:
     """One polytope per prior: martingale measures supported inside that
     prior's support, pricing f exactly and capped on the buy-only books.
     No equivalence constraint (martingale measures, not equivalent ones);
     empty components are allowed."""
-    return [
-        closure_polytope(PricingSetSpec(
-            replace(spec.market, support=P.support()),
-            g_cap=tuple(g_cap) if g_cap is not None else (),
-            h_cap=tuple(h_cap) if h_cap is not None else (),
-        ))
-        for P in spec.priors
-    ]
+    return [closure_polytope(PricingSetSpec(spec.market.on_support(P.support())))
+            for P in spec.priors]
 
 
 def american_exchange_values(market: MarketSpec, phi: AdaptedProcess) -> dict:

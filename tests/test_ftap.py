@@ -285,7 +285,7 @@ def test_sna_witness_survives_price_shift(seed):
         found += 1
         g_shift = [p - s / 2 for p, s in zip(market.g_prices, verdict.g_slacks)]
         h_shift = [p - s / 2 for p, s in zip(market.h_prices, verdict.h_slacks)]
-        shifted = check_na(market, g_prices=g_shift, h_prices=h_shift)
+        shifted = check_na(market.with_options(g_prices=g_shift, h_prices=h_shift))
         assert shifted.verdict == NO_ARBITRAGE
 
 
@@ -337,7 +337,8 @@ def test_sna_certificate_against_cone_lp_oracle(seed, monkeypatch):
             assert verdict.portfolio is certificate
             assert verdict.shifted_g == tuple(p - F(1, 2) for p in market.g_prices)
             assert verdict.shifted_h == tuple(p - F(1, 2) for p in market.h_prices)
-            oracle = check_na(market, g_prices=verdict.shifted_g, h_prices=verdict.shifted_h)
+            oracle = check_na(market.with_options(g_prices=verdict.shifted_g,
+                                                  h_prices=verdict.shifted_h))
             assert oracle.verdict == ARBITRAGE
 
 

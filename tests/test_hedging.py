@@ -281,7 +281,7 @@ def _per_stop_dual_value(market, psi, tau):
 
     stock = market.with_options(f=[], f_prices=[], g=[], g_prices=[], h=[], h_prices=[])
     leaves = market.support_leaves()
-    base = martingale_system(stock, carrier=leaves)
+    base = martingale_system(stock)
     rows = list(base.constraints)
     if market.h:
         rows.append(con(stop_row(market.h[0], tau, leaves), LE, market.h_prices[0], "h"))
@@ -390,9 +390,9 @@ def _count_slack_solves(monkeypatch):
     calls = []
     real = measures.max_slack
 
-    def counted(spec, carrier=None):
+    def counted(spec):
         calls.append(spec.market)
-        return real(spec, carrier)
+        return real(spec)
 
     monkeypatch.setattr(measures, "max_slack", counted)
     return calls

@@ -233,8 +233,9 @@ def _recorded(module, name):
 
 
 def _draw_market(data):
-    """A random market, sometimes with a two-component stock, a carrier
-    (a random leaf subset) and capped options, some caps dropped."""
+    """A random market, sometimes with a two-component stock, with some of
+    its options dropped, a leaf subset to restrict it to, and its pricing set
+    capped at the quotes."""
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     market = random_market(rng, max_depth=data.draw(st.sampled_from((2, 3)), label="depth"))
     tree = market.tree
@@ -243,10 +244,13 @@ def _draw_market(data):
                                   for n in tree.nodes})
         market = replace(market, S=S)
     leaves = tuple(l for l in tree.leaves if rng.random() < 0.8) or tree.leaves[:1]
+    g = [j for j in range(len(market.g)) if rng.random() >= 0.2]
+    h = [k for k in range(len(market.h)) if rng.random() >= 0.2]
+    market = market.with_options(
+        g=[market.g[j] for j in g], g_prices=[market.g_prices[j] for j in g],
+        h=[market.h[k] for k in h], h_prices=[market.h_prices[k] for k in h])
     spec = PricingSetSpec(
-        market, g_cap=tuple(None if rng.random() < 0.2 else p for p in market.g_prices),
-        h_cap=tuple(None if rng.random() < 0.2 else p for p in market.h_prices),
-        support_floor=frozenset(rng.sample(leaves, rng.randint(0, len(leaves)))))
+        market, support_floor=frozenset(rng.sample(leaves, rng.randint(0, len(leaves)))))
     return rng, market, spec, leaves
 
 
@@ -260,27 +264,26 @@ def _cuts(rng, tree, k_options, n=3):
 @given(data=st.data())
 def test_pricing_set_rows_equal_the_fraction_builders(data):
     """The martingale, pricing, closure and slack rows (with stop cuts), and
-    `dual_optimum`'s rows, over a carrier: same names, relations and Fraction
-    views as the Fraction builders."""
+    `dual_optimum`'s rows, over a leaf subset: same names, relations and
+    Fraction views as the Fraction builders."""
     rng, market, spec, leaves = _draw_market(data)
-    assert _view(martingale_system(market, leaves).constraints) == \
+    restricted = replace(spec, market=market.on_support(leaves))
+    assert _view(martingale_system(restricted.market).constraints) == \
         _view(oracles.martingale_rows(market, leaves))
     for slack in (None, SLACK_VAR):
         assert _view(pricing_rows(spec, leaves, slack)) == \
             _view(oracles.pricing_rows(spec, leaves, slack))
     for claim in market.f + market.g:
         assert _fractions(_claim_row(claim, leaves)) == oracles.claim_row(claim, leaves)
-    capped = [k for k, cap in enumerate(spec.h_cap) if cap is not None]
-    cuts = _cuts(rng, market.tree, capped)
+    cuts = _cuts(rng, market.tree, range(len(market.h)))
     for k, tau in cuts:
         assert _fractions(_stop_row(market.h[k], tau, leaves)) == \
             oracles.stop_row(market.h[k], tau, leaves)
     if count_stopping_times(market.tree) < 200:
-        restricted = replace(spec, market=replace(market, support=frozenset(leaves)))
         assert _view(closure_polytope(restricted).constraints) == _view(
             oracles.closure_rows(spec, leaves, enumerate_stopping_times(market.tree)))
     with _recorded(measures, "solve_with_stop_cuts") as builds:
-        max_slack(spec, leaves)
+        max_slack(restricted)
     for n in (0, len(cuts)):
         assert _view(builds[0](cuts[:n]).constraints) == \
             _view(oracles.slack_rows(spec, leaves, cuts[:n], SLACK_VAR))
@@ -310,11 +313,11 @@ def test_strategy_rows_equal_the_fraction_builders(data):
     for kind, claim in (("sub_eu", psi), ("super_div", psi),
                         ("sub_am", random_process(rng, market.tree))):
         with _recorded(hedging, "solve") as problems:
-            hedge_primal(market, claim, kind, pointwise_leaves=leaves)
+            hedge_primal(market.on_support(leaves), claim, kind)
         assert _view(problems[0].constraints) == \
             _view(oracles.hedge_rows(market, claim, kind, leaves))
     with _recorded(ftap, "solve") as problems:
-        check_na(market, support=leaves)
+        check_na(market.on_support(leaves))
     rows, objective = oracles.cone_rows(market, leaves)
     assert _view(problems[0].constraints) == _view(rows)
     assert problems[0].objective == objective
@@ -383,14 +386,15 @@ def _strict_market_with_every_book():
 
 
 def test_martingale_rows_are_kept_on_the_stock_process(t2):
-    """The martingale rows depend on the stock process and the carrier alone:
+    """The martingale rows depend on the stock process and the leaf set alone:
     every market that shares the stock reads the same row objects."""
     derived = t2.with_options(h=[t2.claims["put5_am"]], h_prices=[F(3)])
-    for carrier in (None, ("uu", "ud", "du")):
-        rows = martingale_system(t2, carrier).constraints
+    for leaves in (t2.support_leaves(), ("uu", "ud", "du")):
+        rows = martingale_system(t2.on_support(leaves)).constraints
         for market in (derived, derived.without_american(0), replace(t2, support=frozenset())):
-            assert list(map(id, martingale_system(market, carrier).constraints)) == list(map(id, rows))
-        assert _view(rows) == _view(oracles.martingale_rows(t2, carrier or t2.support_leaves()))
+            assert list(map(id, martingale_system(market.on_support(leaves)).constraints)) == \
+                list(map(id, rows))
+        assert _view(rows) == _view(oracles.martingale_rows(t2, leaves))
 
 
 def test_hedges_leave_the_kept_skeletons_unchanged():

@@ -53,7 +53,7 @@ def test_t2_martingale_system_unique(t2):
 
 
 def test_p2_martingale_family_two_parameters(p2):
-    poly = closure_polytope(PricingSetSpec(p2, h_cap=(None,)))
+    poly = closure_polytope(PricingSetSpec(p2.without_american()))
     vs = vertices(poly)
     # pure martingale polytope over (p, q) in [0, 1/2]^2: a 2-dim family
     params = sorted(p2_params_of(Q) for Q in polytope_vertices_as_measures(poly, p2.tree))

@@ -81,8 +81,8 @@ def test_robust_pricing_set_partial_component_empty(t2):
 
 
 def test_robust_pricing_set_infinite_caps(p2):
-    spec = RobustSpec(p2, PriorSet((_uniform(p2.tree),)))
-    [poly] = robust_pricing_set(spec, h_cap=[None])
+    spec = RobustSpec(p2.without_american(), PriorSet((_uniform(p2.tree),)))
+    [poly] = robust_pricing_set(spec)
     # pure martingale polytope: the full (p, q) square, 4 corners
     assert len(vertices(poly)) == 4
 
@@ -550,6 +550,37 @@ def test_robust_hedge_solves_one_lp_per_distinct_support(monkeypatch, t2):
         assert sum(map(len, solves)) == 2
         assert sum(map(len, duals)) == 0
         monkeypatch.undo()
+
+
+def test_robust_hedge_market_is_the_market_on_the_union_support():
+    """A robust hedge's market is its market restricted to the union of the
+    prior supports (`on_support`), the same object for every claim, and
+    `duality_gap_report` re-checks the portfolio on exactly those leaves; on
+    random two-prior sets whose union misses some leaf."""
+    from semistatic import INFINITE_PRICE
+    from semistatic.hedging import duality_gap_report
+
+    rng = random.Random(4)
+    found = 0
+    while found < 4:
+        market = random_market(rng, max_depth=2)
+        priors = _random_priors(rng, market)
+        union = union_support(priors)
+        if union == frozenset(market.tree.leaves):
+            continue
+        spec = RobustSpec(market, priors)
+        for claim in (random_claim(rng, market.tree), random_process(rng, market.tree)):
+            try:
+                result = sub_hedge_robust(spec, claim)
+            except (HypothesisFailure, RobustDualityGapError):
+                break
+            assert result.market is market.on_support(union)
+            assert result.market.support_leaves() == \
+                tuple(l for l in market.tree.leaves if l in union)
+            assert "pointwise_leaves" not in result.details
+            if result.price != INFINITE_PRICE:
+                assert duality_gap_report(result)["leaves_checked"] == len(union)
+            found += 1
 
 
 def _random_priors(rng, market):

@@ -119,3 +119,24 @@ def test_only_kept_writes_onto_objects():
                     path.name == "market.py" and id(node) in inside["_kept"]):
                 found.append(f"{where}:{node.lineno} reads or writes __dict__")
     assert found == []
+
+
+def test_restrictions_are_markets_not_parameters():
+    """Outside `market.py` no function takes a parameter named `support`,
+    `carrier`, `pointwise_leaves`, `g_prices` or `h_prices`: a question on
+    fewer leaves or at other quotes is asked of another market
+    (`MarketSpec.on_support`, `MarketSpec.with_options`)."""
+    banned = {"support", "carrier", "pointwise_leaves", "g_prices", "h_prices"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "market.py":
+            continue
+        where = path.relative_to(ROOT)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                names = {x.arg for x in [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                         a.vararg, a.kwarg] if x is not None}
+                found += [f"{where}:{node.lineno} takes {name}"
+                          for name in sorted(names & banned)]
+    assert found == []

@@ -375,6 +375,28 @@ def test_without_american_is_one_object_per_market_and_keep(t2):
     assert (none.f, none.g, none.support, none.S) == (market.f, market.g, market.support, market.S)
 
 
+def test_on_support_is_one_object_per_market_and_leaf_set(t2):
+    """`on_support(leaves)` is the market itself on its own support, and
+    otherwise one object per market and leaf set, whatever the order of the
+    leaves, sharing the market's books, quotes and claims."""
+    market = t2.with_options(g=[t2.claims["put5_eu"]], g_prices=[F(1)],
+                             h=[t2.claims["put5_am"]], h_prices=[F(3)])
+    assert market.on_support(market.support) is market
+    assert market.on_support(reversed(market.tree.leaves)) is market
+    three = market.on_support(["uu", "ud", "du"])
+    assert three is market.on_support(("du", "uu", "ud"))
+    assert three is market.on_support({"ud", "du", "uu"})
+    assert three is not market and three.support == frozenset({"uu", "ud", "du"})
+    assert three.support_leaves() == ("uu", "ud", "du")
+    assert market.on_support(["uu", "dd"]) is not three
+    for name in ("tree", "S", "f", "f_prices", "g", "g_prices", "h", "h_prices", "claims"):
+        assert getattr(three, name) is getattr(market, name)
+    with pytest.raises(MarketError, match="empty support"):
+        market.on_support(())
+    with pytest.raises(MarketError, match="non-leaf"):
+        market.on_support(["u"])
+
+
 def test_market_file_priors_stay_with_the_parsed_market(t2):
     """The priors a market file carries are read back from the market it
     parses to, and from no other."""
