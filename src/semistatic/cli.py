@@ -18,6 +18,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import lcm
 
 from . import __version__
 from .fixtures import FIXTURE_NAMES, FixtureError, fixture_json, load_fixture
@@ -171,25 +172,35 @@ def emit_region(market: MarketSpec, params: list[str]) -> list[dict[str, Fractio
     if not measures:
         return []
 
+    first = measures[0]
     for n in params:
-        masses = {Fraction(Q.masses()[tree.parent(n)], Q.den) for Q in measures}
-        if len(masses) != 1:
+        # the parent's mass, an integer over each vertex's `den`, cross-multiplied
+        p = tree.parent(n)
+        mass = first.masses()[p]
+        if any(Q.masses()[p] * first.den != mass * Q.den for Q in measures):
             raise UsageError(
                 f"parameter at {n!r} is not affine over the region "
                 "(parent mass varies)"
             )
-        if masses.pop() == 0:
+        if mass == 0:
             raise UsageError(f"parameter at {n!r} conditions on a null node")
-    # a parameter is the ratio of two integer masses over one denominator
-    points = sorted({tuple(Fraction(Q.masses()[n], Q.masses()[tree.parent(n)]) for n in params)
-                     for Q in measures})
-    if len(params) <= 1 or len(points) <= 2:
-        hull = [points[0]]
-        if len(points) > 1:
-            hull.append(points[-1])
+    # a parameter is the ratio of two integer masses.  Its parent's mass is
+    # one rational c over the region, so over the common denominator `den`
+    # the mass at n, times den // Q.den, is the parameter times c * den > 0:
+    # scaling each axis by a positive constant keeps the points' order,
+    # their distinctness and the hull's turns, all taken on these integers
+    den = lcm(*[Q.den for Q in measures])
+    points = {}
+    for Q in measures:
+        masses = Q.masses()
+        points.setdefault(tuple([masses[n] * (den // Q.den) for n in params]), masses)
+    keys = sorted(points)
+    if len(params) <= 1 or len(keys) <= 2:
+        hull = keys[:1] + keys[1:][-1:]
     else:
-        hull = _convex_hull_2d(points)
-    return [dict(zip(params, pt)) for pt in hull]
+        hull = _convex_hull_2d(keys)
+    return [{n: Fraction(points[key][n], points[key][tree.parent(n)]) for n in params}
+            for key in hull]
 
 
 def _convex_hull_2d(points):

@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
+from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
 
 from .rational import rat, rat_str
@@ -33,16 +34,25 @@ def _kept(obj, key, build: Callable[[], object]):
     depends on a market alone (its strict-EMM slack, its robust decisions, its
     LP row skeletons, its reductions `without_american` and restrictions
     `on_support`, the priors of its market file) or on its stock process
-    alone (the martingale rows).  A rebuilt market (`build_market`,
-    `with_options`, `exercised_at`, `dataclasses.replace`) is a new object
-    and decides again.  What is kept is shared: callers copy before they
-    extend it (only `StrategySpace.phi_coeffs` fills in its own per-leaf
-    table).  Threads that ask at once may each build it; the first one
-    stored is kept."""
+    alone (the martingale rows).  What does not depend on the market's
+    support is kept by `_kept_off_support`, shared with its restrictions.  A
+    rebuilt market (`build_market`, `with_options`, `exercised_at`,
+    `dataclasses.replace`) is a new object and decides again.  What is kept
+    is shared: callers copy before they extend it (only
+    `StrategySpace.phi_coeffs` fills in its own per-leaf table).  Threads
+    that ask at once may each build it; the first one stored is kept."""
     kept = obj.__dict__.setdefault("_kept", {})
     if key not in kept:
         kept.setdefault(key, build())
     return kept[key]
+
+
+def _kept_off_support(market: "MarketSpec", key, build: Callable[[], object]):
+    """`_kept` for what depends on a market but not on its support (the
+    strategy columns' structure rows and terminal-value coefficients): kept
+    once in a store that the market shares with its `on_support`
+    restrictions.  The store holds no market, so it keeps none alive."""
+    return _kept(_kept(market, "off_support", SimpleNamespace), key, build)
 
 
 @dataclass(frozen=True)
@@ -116,7 +126,14 @@ class MarketSpec:
             raise MarketError("empty support")
         if leaves == self.support:
             return self
-        return _kept(self, ("on_support", leaves), lambda: replace(self, support=leaves))
+
+        def restrict():
+            restricted = replace(self, support=leaves)
+            shared = _kept(self, "off_support", SimpleNamespace)
+            _kept(restricted, "off_support", lambda: shared)
+            return restricted
+
+        return _kept(self, ("on_support", leaves), restrict)
 
     def with_options(self, f=None, f_prices=None, g=None, g_prices=None,
                      h=None, h_prices=None) -> "MarketSpec":

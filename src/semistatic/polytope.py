@@ -2,17 +2,21 @@
 
 Vertex enumeration runs the double description method on the homogenization
 cone {(t, x): A x <= b t, t >= 0}; extreme rays with t > 0 are vertices,
-rays with t = 0 witness unboundedness.  Generators are kept as primitive
-integer vectors so Fractions never grow inside the incremental loop.  Sizes
-here are desk scale (tens of facets), where double description is entirely
-adequate.
+rays with t = 0 witness unboundedness.  It runs in integers throughout:
+generators are primitive integer vectors, so numbers never grow inside the
+incremental loop, and each ray's set of active rows is an int bitmask, so the
+adjacency test is a few big-int ands.  Fractions are first made in
+`vertices`, one per coordinate of each distinct vertex (or of the witness
+ray).  Sizes here are desk scale (tens of facets), where double description
+is entirely adequate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .lp import Constraint, EQ, GE, LE
@@ -42,71 +46,71 @@ class Polytope:
 def _dd_cone(rows: list[tuple[int, ...]], dim: int):
     """Generators of the cone {x: r . x <= 0 for every row r}.
 
-    Returns (lines, rays) with rays carrying their active row sets.  Standard
-    incremental double description with the combinatorial adjacency test.
+    Returns (lines, rays): primitive integer vectors, each ray with its
+    activity set as an int bitmask (bit i is set when row i is active at the
+    ray).  Standard incremental double description.  A ray on the positive
+    side of the new row is combined with one on the negative side only when
+    the two are adjacent.  First the cardinality test: the face they span has
+    dimension 2 + len(lines), so their common active rows have rank
+    dim - 2 - len(lines), and there must be at least that many.  Then the
+    combinatorial test: no third ray's mask contains their common mask.
     """
-    lines: list[tuple[int, ...]] = []
-    for i in range(dim):
-        e = [0] * dim
-        e[i] = 1
-        lines.append(tuple(e))
-    rays: list[tuple[tuple[int, ...], frozenset[int]]] = []
-
-    def dot(a, b):
-        return sum(x * y for x, y in zip(a, b))
+    lines = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays: list[tuple[tuple[int, ...], int]] = []
 
     for idx, row in enumerate(rows):
-        pivot_line = next((l for l in lines if dot(row, l) != 0), None)
+        bit = 1 << idx
+        pivot_line = next((l for l in lines if sum(map(mul, row, l))), None)
         if pivot_line is not None:
-            pl = dot(row, pivot_line)
+            pl = sum(map(mul, row, pivot_line))
             new_lines = []
             for l in lines:
                 if l is pivot_line:
                     continue
-                d = dot(row, l)
-                new_lines.append(_primitive_int(tuple(pl * a - d * b for a, b in
-                                                      zip(l, pivot_line))))
+                d = sum(map(mul, row, l))
+                new_lines.append(_primitive_int([pl * a - d * b for a, b in zip(l, pivot_line)]))
             new_rays = []
             for r, act in rays:
-                d = dot(row, r)
-                proj = tuple(abs(pl) * a - (d if pl > 0 else -d) * b
-                             for a, b in zip(r, pivot_line))
+                d = sum(map(mul, row, r))
+                if pl < 0:
+                    d = -d
                 # scaling by |pl| keeps earlier activity sets unchanged
-                new_rays.append((_primitive_int(proj), act | {idx}))
+                proj = [abs(pl) * a - d * b for a, b in zip(r, pivot_line)]
+                new_rays.append((_primitive_int(proj), act | bit))
             born = tuple(-x for x in pivot_line) if pl > 0 else pivot_line
-            new_rays.append((_primitive_int(born), frozenset(range(idx))))
+            new_rays.append((_primitive_int(born), bit - 1))
             lines, rays = new_lines, new_rays
             continue
         neg, zero, pos = [], [], []
         for r, act in rays:
-            d = dot(row, r)
+            d = sum(map(mul, row, r))
             if d < 0:
                 neg.append((r, act, d))
             elif d == 0:
-                zero.append((r, act | {idx}))
+                zero.append((r, act | bit))
             else:
                 pos.append((r, act, d))
-        if not pos:
-            rays = [(r, act) for r, act, _ in neg] + zero
-            continue
         new_rays = [(r, act) for r, act, _ in neg] + zero
+        if not pos:
+            rays = new_rays
+            continue
+        # row idx is active at none of the pairs below, so the masks before
+        # it was added decide containment of their common masks
+        masks = [act for _, act in rays]
+        need = dim - 2 - len(lines)
         for p, pact, pd in pos:
             for n, nact, nd in neg:
                 common = pact & nact
-                adjacent = True
-                for r, act in rays_iter_acts(neg, zero, pos):
-                    if r is p or r is n:
-                        continue
-                    if common <= act:
-                        adjacent = False
-                        break
-                if not adjacent:
+                if common.bit_count() < need:
                     continue
-                combo = tuple(pd * b - nd * a for a, b in zip(p, n))
-                new_rays.append((_primitive_int(combo), common | {idx}))
+                # p's and n's masks contain it; adjacent iff no third does
+                if sum(common & act == common for act in masks) > 2:
+                    continue
+                combo = [pd * b - nd * a for a, b in zip(p, n)]
+                new_rays.append((_primitive_int(combo), common | bit))
         # drop duplicate directions defensively (degenerate inputs)
         seen: dict[tuple[int, ...], int] = {}
-        deduped: list[tuple[tuple[int, ...], frozenset[int]]] = []
+        deduped: list[tuple[tuple[int, ...], int]] = []
         for r, act in new_rays:
             if r in seen:
                 old_r, old_act = deduped[seen[r]]
@@ -118,15 +122,6 @@ def _dd_cone(rows: list[tuple[int, ...]], dim: int):
     return lines, rays
 
 
-def rays_iter_acts(neg, zero, pos):
-    for r, act, _ in neg:
-        yield r, act
-    for r, act in zero:
-        yield r, act
-    for r, act, _ in pos:
-        yield r, act
-
-
 def _primitive_int(vec: Sequence[int]) -> tuple[int, ...]:
     g = gcd(*vec)
     if g > 1:
@@ -135,7 +130,13 @@ def _primitive_int(vec: Sequence[int]) -> tuple[int, ...]:
 
 
 def vertices(poly: Polytope) -> list[dict[str, Fraction]]:
-    """Exact, duplicate-free, minimal vertex set of a bounded polytope.
+    """Exact, duplicate-free, minimal vertex set of a bounded polytope, in
+    the order of the sorted tuples of its rational coordinates.
+
+    Each vertex x is one primitive integer ray (t, t x) with t > 0 of the
+    homogenization cone, so duplicates are found on those integer tuples and
+    the order on integer keys over one common denominator.  The Fractions
+    are made last: one dict per distinct vertex.
 
     Raises UnboundedPolytopeError (carrying a witness ray) if the feasible
     set is nonempty but unbounded; returns [] when it is empty.
@@ -161,22 +162,14 @@ def vertices(poly: Polytope) -> list[dict[str, Fraction]]:
             rows.append(tuple(-x for x in row))
     lines, rays = _dd_cone(rows, dim)
 
-    verts: list[dict[str, Fraction]] = []
-    recession: list[tuple[int, ...]] = []
-    for r, _ in rays:
-        if r[0] > 0:
-            verts.append({v: Fraction(r[i + 1], r[0]) for i, v in enumerate(names)})
-        elif r[0] == 0 and any(r[1:]):
-            recession.append(r)
-    for l in lines:
-        if any(l[1:]):
-            recession.append(l)
-
-    if verts and recession:
+    points = {r for r, _ in rays if r[0] > 0}
+    recession = [r for r, _ in rays if r[0] == 0 and any(r[1:])]
+    recession += [l for l in lines if any(l[1:])]
+    if points and recession:
         r = recession[0]
         raise UnboundedPolytopeError({v: Fraction(r[i + 1]) for i, v in enumerate(names)})
-    uniq: dict[tuple, dict[str, Fraction]] = {}
-    for v in verts:
-        key = tuple(v[name] for name in names)
-        uniq[key] = v
-    return [uniq[k] for k in sorted(uniq)]
+    # a vertex's coordinates x / t, over the common denominator `den`, are
+    # the integers x * (den // t): sorting those orders the rational tuples
+    den = lcm(*[r[0] for r in points])
+    keyed = sorted((tuple([x * (den // r[0]) for x in r[1:]]), r) for r in points)
+    return [{v: Fraction(x, r[0]) for v, x in zip(names, r[1:])} for _, r in keyed]

@@ -21,8 +21,12 @@ time.
     the unnormalized envelope behind `stopping.snell_value`, and
     `strategy_from_mixture` builds the exercise flow of a mixture of stops.
   * `hrep_from_vertices` and `contains` run vertex enumeration backwards,
-    the round-trip reference for `polytope.vertices`; `hrep_text` writes a
-    polytope's rows out as plain text.
+    the round-trip reference for `polytope.vertices`, and
+    `vertices_by_active_sets` solves every choice of active rows, its
+    brute-force reference, with `measure_form` the reference for the
+    measures made from the vertices and `region_polygon` for
+    `cli.emit_region`; `hrep_text` writes a polytope's rows out as plain
+    text.
   * `martingale_rows`, `pricing_rows`, `claim_row`, `stop_row`,
     `slack_rows`, `closure_rows`, `dual_rows`, `structure_rows`, `phi_coeffs`,
     `hedge_rows`, `cone_rows` and `minimax_rows` build the engine's LP rows
@@ -41,6 +45,7 @@ time.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -441,6 +446,96 @@ def contains(poly: Polytope, point: Mapping[str, Fraction]) -> bool:
         if c.rel == EQ and lhs != c.rhs:
             return False
     return True
+
+
+def _row_reduce(rows: Sequence[tuple[list[Fraction], Fraction]], n: int):
+    """Gauss-Jordan elimination in Fractions of the augmented rows (a, b) of
+    `a . x == b`: the reduced rows and their rank over the n columns of a."""
+    A = [list(a) + [b] for a, b in rows]
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, len(A)) if A[i][col] != 0), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        A[r] = [v / A[r][col] for v in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][col] != 0:
+                f = A[i][col]
+                A[i] = [v - f * w for v, w in zip(A[i], A[r])]
+        r += 1
+    return A, r
+
+
+def vertices_by_active_sets(poly: Polytope) -> list[dict[str, Fraction]]:
+    """The vertices of a bounded polytope by brute force in Fractions, the
+    reference for `polytope.vertices`: every equality row is kept active,
+    every choice of as many remaining inequality rows as the equalities
+    leave free coordinates is made active too, each system with one solution
+    is solved, and the solutions that satisfy every inequality are the
+    vertices.  Returned distinct, in the order of their coordinate tuples."""
+    names = list(poly.variables)
+    n = len(names)
+
+    def side(c: Constraint, sign: int) -> tuple[list[Fraction], Fraction]:
+        return [sign * rat(c.coeffs.get(v, ZERO)) for v in names], sign * rat(c.rhs)
+
+    eqs = [side(c, 1) for c in poly.constraints if c.rel == EQ]
+    ineqs = [side(c, 1 if c.rel == LE else -1) for c in poly.constraints if c.rel != EQ]
+    points = set()
+    for chosen in combinations(ineqs, n - _row_reduce(eqs, n)[1]):
+        A, rank = _row_reduce(eqs + list(chosen), n)
+        if rank < n or any(row[n] != 0 for row in A[rank:]):
+            continue
+        x = [row[n] for row in A[:n]]
+        if all(sum((a * v for a, v in zip(coeffs, x)), ZERO) <= b for coeffs, b in ineqs):
+            points.add(tuple(x))
+    return [dict(zip(names, pt)) for pt in sorted(points)]
+
+
+def measure_form(point: Mapping[str, Fraction]) -> tuple[int, dict[str, int]]:
+    """A closure vertex's nonzero leaf weights `w[leaf]` as integers over
+    the lcm of their denominators: the reference for a `Measure`'s
+    (`den`, `num`)."""
+    w = {name[2:-1]: rat(x) for name, x in point.items() if name.startswith("w[") and x}
+    den = lcm(*[x.denominator for x in w.values()])
+    return den, {leaf: x.numerator * den // x.denominator for leaf, x in w.items()}
+
+
+def region_polygon(market: MarketSpec, params: Sequence[str]):
+    """The pricing region of `cli.emit_region` in Fractions: the closure's
+    vertices by active sets, each parameter the ratio of two subtree masses,
+    and the hull by the monotone chain on those Fractions.  A refusal is
+    returned as the phrase that `emit_region`'s `UsageError` carries."""
+    tree = market.tree
+    verts = vertices_by_active_sets(closure_polytope(PricingSetSpec(market)))
+    masses = [subtree_masses(Measure(tree, {name[2:-1]: x for name, x in v.items() if x}))
+              for v in verts]
+    if not masses:
+        return []
+    for n in params:
+        parent = {m[tree.parent(n)] for m in masses}
+        if len(parent) > 1:
+            return "not affine"
+        if parent == {ZERO}:
+            return "null node"
+    points = sorted({tuple(m[n] / m[tree.parent(n)] for n in params) for m in masses})
+    if len(params) <= 1 or len(points) <= 2:
+        hull = points[:1] + points[1:][-1:]
+    else:
+        def turn(o, a, b):
+            return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+        chains = []
+        for pts in (points, points[::-1]):
+            chain = []
+            for p in pts:
+                while len(chain) >= 2 and turn(chain[-2], chain[-1], p) <= 0:
+                    chain.pop()
+                chain.append(p)
+            chains.append(chain[:-1])
+        hull = chains[0] + chains[1]
+    return [dict(zip(params, pt)) for pt in hull]
 
 
 def hrep_text(poly: Polytope) -> str:

@@ -397,6 +397,30 @@ def test_martingale_rows_are_kept_on_the_stock_process(t2):
         assert _view(rows) == _view(oracles.martingale_rows(t2, leaves))
 
 
+def test_restrictions_share_the_strategy_rows(t2):
+    """The structure rows and terminal-value coefficients do not depend on
+    the support: a market and its `on_support` restrictions, and theirs, read
+    the same objects, built once.  A market exercised at a stop has other
+    quotes and payoffs, and builds its own."""
+    market = t2.with_options(h=[t2.claims["put5_am"]], h_prices=[F(3)])
+    restricted = market.on_support(("uu", "ud", "du"))
+    markets = (market, restricted, restricted.on_support(("uu", "ud")))
+    leaves = t2.tree.leaves
+    with mock.patch.object(hedging, "_phi_den", wraps=hedging._phi_den) as built:
+        for eta in (False, True):
+            rows = [StrategySpace(m, eta).structure_rows() for m in markets]
+            assert all(list(map(id, r)) == list(map(id, rows[0])) for r in rows)
+        for leaf in leaves:
+            coeffs = [StrategySpace(m).phi_coeffs(leaf) for m in markets]
+            assert all(c[1] is coeffs[0][1] for c in coeffs)
+        assert built.call_count == 1
+        exercised = market.exercised_at(enumerate_stopping_times(t2.tree)[:1])
+        for leaf in leaves:
+            assert StrategySpace(exercised).phi_coeffs(leaf)[1] is not \
+                StrategySpace(market).phi_coeffs(leaf)[1]
+        assert built.call_count == 2
+
+
 def test_hedges_leave_the_kept_skeletons_unchanged():
     """The four hedges of one market share its kept row skeletons and build
     their own rows from them: afterwards every kept row is what it was, and

@@ -237,3 +237,135 @@ def test_random_2d_against_halfplane_scan(seed):
         if all(a * x + b * y <= c for a, b, c in lines):
             expected.add((x, y))
     assert set(as_tuples(vs, names)) == expected
+
+
+# ---------------------------------------------------------------------------
+# Closure polytopes and the adjacency tests, against the active-set oracle
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("start", range(0, 200, 25))
+def test_closure_polytopes_against_active_set_oracle(start):
+    """On the closure polytopes of random markets with at most 6 support
+    leaves (equality rows, so lines in the homogenized cone, and degenerate
+    stop rows), `vertices` returns the oracle's points in the oracle's order,
+    and the measures made from them have the oracle's integer forms."""
+    from conftest import random_market
+    from semistatic.measures import PricingSetSpec, closure_polytope, polytope_vertices_as_measures
+
+    from oracles import measure_form, vertices_by_active_sets
+
+    sizes = []
+    for seed in range(start, start + 25):
+        market = random_market(random.Random(seed))
+        if len(market.support_leaves()) > 6:
+            continue
+        poly = closure_polytope(PricingSetSpec(market))
+        assert any(c.rel == EQ for c in poly.constraints)
+        expected = vertices_by_active_sets(poly)
+        assert vertices(poly) == expected
+        assert [(Q.den, Q.num) for Q in polytope_vertices_as_measures(poly, market.tree)] == \
+            [measure_form(pt) for pt in expected]
+        sizes.append(len(expected))
+    assert max(sizes) >= 2
+
+
+@pytest.mark.parametrize("start", range(4))
+def test_region_against_fraction_hull(start):
+    """`emit_region` on two parameters of random markets with at most 6
+    support leaves returns the Fraction oracle's polygon, in its order along
+    the hull, and refuses where it refuses.  Depth-1 trees condition on the
+    root, so their regions are projections of the closure polytope; deeper
+    ones also meet parent masses that vary or vanish."""
+    from conftest import random_market
+    from semistatic.cli import UsageError, emit_region
+
+    from oracles import region_polygon
+
+    sizes = []
+    for seed in range(start, 200, 4):
+        rng = random.Random(seed)
+        market = random_market(rng, max_depth=1 + seed % 2, max_branch=4)
+        tree = market.tree
+        if len(market.support_leaves()) > 6 or len(tree.nodes) < 3:
+            continue
+        params = rng.sample([n for n in tree.nodes if n != tree.root], 2)
+        expected = region_polygon(market, params)
+        if isinstance(expected, str):
+            with pytest.raises(UsageError, match=expected):
+                emit_region(market, params)
+        else:
+            assert emit_region(market, params) == expected
+            sizes.append(len(expected))
+    assert max(sizes) >= 3
+
+
+def test_region_refuses_a_null_parent():
+    """A stock that stays put on the up move forces zero mass on the down
+    node, so a parameter below it conditions on a null node."""
+    from semistatic import EventTree, MarketSpec
+    from semistatic.cli import UsageError, emit_region
+    from semistatic.tree import AdaptedProcess
+
+    tree = EventTree([("0", None, 0), ("u", "0", 1), ("d", "0", 1), ("uu", "u", 2),
+                      ("ud", "u", 2), ("du", "d", 2), ("dd", "d", 2)])
+    S = AdaptedProcess(tree, {"0": 2, "u": 2, "d": 1, "uu": 3, "ud": 1, "du": 2, "dd": F(1, 2)})
+    market = MarketSpec(tree=tree, S=S)
+    assert emit_region(market, ["uu"]) == [{"uu": F(1, 2)}]
+    with pytest.raises(UsageError, match="null node"):
+        emit_region(market, ["uu", "du"])
+
+
+def test_square_pyramid_apex_prunes_by_cardinality():
+    """The box [-1, 1]^2 x [0, 2] (homogenized rows over (t, x, y, z), t >= 0
+    first), cut down by the four sides of the square pyramid with apex
+    (0, 0, 1), meets pairs of rays on opposite sides of a side row that
+    share fewer than dim - 2 active rows.  The cardinality test rejects each
+    such pair; the combinatorial test would too (a third ray's mask contains
+    their common mask), so the vertices, the four-fold degenerate apex among
+    them, are the oracle's."""
+    from semistatic.polytope import _dd_cone
+
+    from oracles import vertices_by_active_sets
+
+    box = [(-1, 1, 0, 0), (-1, -1, 0, 0), (-1, 0, 1, 0), (-1, 0, -1, 0),
+           (0, 0, 0, -1), (-2, 0, 0, 1)]
+    sides = [(-1, 1, 0, 1), (-1, -1, 0, 1), (-1, 0, 1, 1), (-1, 0, -1, 1)]
+    rows, dim = [(-1, 0, 0, 0)] + box + sides, 4
+    pruned = []
+    for k, row in enumerate(rows):
+        lines, rays = _dd_cone(rows[:k], dim)
+        if lines:
+            continue
+        side = {r: sum(a * b for a, b in zip(row, r)) for r, _ in rays}
+        for (p, pact), (n, nact) in combinations(rays, 2):
+            common = pact & nact
+            if side[p] * side[n] < 0 and common.bit_count() < dim - 2:
+                pruned.append(sum(common & act == common for _, act in rays))
+    assert pruned and all(count > 2 for count in pruned)
+
+    names = ["x", "y", "z"]
+    poly = Polytope(names, [con(dict(zip(names, r[1:])), LE, -r[0]) for r in rows[1:]])
+    expected = [{"x": F(x), "y": F(y), "z": F(z)}
+                for x, y, z in [(-1, -1, 0), (-1, 1, 0), (0, 0, 1), (1, -1, 0), (1, 1, 0)]]
+    assert vertices_by_active_sets(poly) == expected
+    assert vertices(poly) == expected
+    _, rays = _dd_cone(rows, dim)
+    apex = [act for r, act in rays if r == (1, 0, 0, 1)]
+    assert apex == [sum(1 << i for i in range(7, 11))]  # the four sides, and nothing else
+
+
+@pytest.mark.parametrize("rows, ray", [
+    ([con({"x": 1}, GE, 0), con({"x": 1}, LE, 1)], {"x": F(0), "y": F(-1)}),
+    ([con({"x": 1, "y": 1}, EQ, 1), con({"z": 1}, GE, 0), con({"z": 1}, LE, 2)],
+     {"x": F(1), "y": F(-1), "z": F(0)}),
+])
+def test_unbounded_along_a_line_raises_with_its_ray(rows, ray):
+    """A line left in the homogenized cone is the witness ray, pinned here,
+    and a recession direction of every row."""
+    names = sorted(ray)
+    with pytest.raises(UnboundedPolytopeError) as exc:
+        vertices(Polytope(names, rows))
+    assert exc.value.ray == ray
+    for c in rows:
+        lhs = sum(c.coeffs.get(v, F(0)) * ray[v] for v in names)
+        assert lhs == 0 if c.rel == EQ else (lhs <= 0 if c.rel == LE else lhs >= 0)

@@ -6,7 +6,8 @@ engine guards its results with typed errors, never `assert`, so that no
 check vanishes under `python -O`.  LP rows are made in integers by
 `lp.int_con`, and only `lp.py` turns rationals into a row or reads a row's
 Fraction view.  What is derived from a market or its stock process is kept by
-`market._kept` alone."""
+`market._kept` alone.  Each pricing region is one traced vertex enumeration,
+and the double-description kernel makes no Fraction."""
 
 import ast
 import importlib
@@ -139,4 +140,48 @@ def test_restrictions_are_markets_not_parameters():
                                          a.vararg, a.kwarg] if x is not None}
                 found += [f"{where}:{node.lineno} takes {name}"
                           for name in sorted(names & banned)]
+    assert found == []
+
+
+def test_each_pricing_region_enumerates_once(monkeypatch, p2):
+    """`polytope.vertices` is swapped wherever a `semistatic` module bound
+    it, as the traced run does: the CLI's pricing region and the measures of
+    a closure polytope each call it exactly once, so the traced
+    `polytope.vertices.calls` counts enumerations, and no enumeration runs
+    outside that span."""
+    import semistatic
+    from semistatic import polytope
+    from semistatic.cli import emit_region
+    from semistatic.measures import PricingSetSpec, closure_polytope, polytope_vertices_as_measures
+
+    calls = []
+    orig = polytope.vertices
+
+    def counted(poly):
+        calls.append(poly)
+        return orig(poly)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "semistatic" or name.startswith("semistatic."):
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    assert semistatic.vertices is counted
+
+    emit_region(p2, ["u1", "d1"])
+    assert len(calls) == 1
+    poly = closure_polytope(PricingSetSpec(p2))
+    polytope_vertices_as_measures(poly, p2.tree)
+    assert calls[1:] == [poly]
+
+
+def test_double_description_makes_no_fraction():
+    """The double-description kernel runs on integers alone: `_dd_cone`
+    names no `Fraction` (the vertices' Fractions are made in `vertices`)."""
+    tree = ast.parse((PACKAGE / "polytope.py").read_text(encoding="utf-8"))
+    kernel = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_dd_cone")
+    found = [node.lineno for node in ast.walk(kernel)
+             if isinstance(node, ast.Name) and node.id == "Fraction"
+             or isinstance(node, ast.Attribute) and node.attr == "Fraction"]
     assert found == []
