@@ -10,8 +10,10 @@ whose pivot-column entry is nonzero.  A stored row may be any positive
 multiple of the true row: a pivot cross-multiplies a row by the pivot and by
 the row's own pivot-column entry, each divided by their gcd, and divides no
 cell, and a row whose denominator outgrows one 30-bit digit is cut to lowest
-terms.  A row scale changes no ratio and no sign, so the pivot path is the
-same at every scale (`_Tableau` has the details).  A `>=` row's surplus and
+terms.  The rewrite subtracts only on the pivot row's nonzero columns, in
+place when the row's own factor is 1; every other entry is only scaled.  A
+row scale changes no ratio and no sign, so the pivot path is the same at
+every scale (`_Tableau` has the details).  A `>=` row's surplus and
 artificial share one column: the artificial's column is always the negated
 surplus's, and its reduced cost follows from the surplus's, so a pair stores
 at most one column, and none while one member is basic (the other then never
@@ -25,8 +27,9 @@ Builders make rows from integers (`int_con`) or from rationals (`con`), and
 `LpProblem` holds its objective the same way.  Set-up and extraction do no
 per-entry Fraction arithmetic: each stored row is divided by the gcd of its
 coefficients and rhs, and negated if its rhs is negative, and that factor is
-kept as an integer pair.  Each dual, Farkas entry and reduced cost is read
-off the final tableau as one Fraction of two integers.
+kept as an integer pair.  Each value, dual, Farkas entry and reduced cost is
+read off the final tableau as one Fraction of two integers, and a zero one is
+returned as the shared `ZERO`.
 
 Every result carries a certificate and is re-verified before it is returned,
 from the original problem's stored rows only (never from the tableau):
@@ -227,15 +230,19 @@ class _Tableau:
     rd[k] * p, where h = gcd(piv, f), p = piv / h and q = f / h: the true
     update row / rd[k] - (f / rd[k]) * (prow / piv) over the common
     denominator rd[k] * piv / h.  Rows the pivot column misses are left
-    alone.  No cell is divided, so a row's integers only grow until its
-    denominator reaches _CUT (one 30-bit CPython digit); from then on it is
-    divided, rhs and denominator with it, by their gcd after each rewrite,
-    so a row past _CUT is in lowest terms.  Every // divides by a gcd of
-    its own operands, or an lcm by one of its factors, so each is exact.
-    The scales cannot move the pivot path: pricing compares objective
-    entries over one positive od, and the ratio test and its lexicographic
-    tie-break compare ratios of entries of one row, which no positive row
-    scale changes.
+    alone.  The pivot row's nonzero columns are listed once per pivot, and
+    q * prow is subtracted on those alone: a row with p == 1 is updated in
+    place, any other is scaled by p first; the objective row is rewritten
+    the same way.  No cell is divided, so a row's integers only grow until
+    its denominator reaches _CUT (one 30-bit CPython digit); from then on it
+    is divided, rhs and denominator with it, by their gcd after each
+    rewrite, so a row past _CUT is in lowest terms.  Every // divides by a
+    gcd of its own operands, or an lcm by one of its factors, so each is
+    exact.  The scales cannot move the pivot path: pricing compares
+    objective entries over one positive od, and the ratio test and its
+    lexicographic tie-break compare ratios of entries of one row, which no
+    positive row scale changes.  Extraction returns a zero entry as the
+    shared `ZERO`.
 
     A free variable is one column.  It is negated (and `sign` records it) when
     it enters with a negative reduced cost; once basic it never leaves."""
@@ -305,26 +312,31 @@ class _Tableau:
         if piv < 0:  # only reachable on degenerate drive-out pivots (b_i = 0)
             prow = [-v for v in prow]
             piv, bi, r = -piv, -bi, -r
+        support = [(c, y) for c, y in enumerate(prow) if y and c != s]
         for k, row in enumerate(rows):
             f = row[s]
             if f and k != i:
-                h = gcd(piv, f)
+                h = gcd(piv, f) if piv != 1 else 1
                 p, q = piv // h, f // h
-                rows[k] = new = [p * x - q * y for x, y in zip(row, prow)]
-                new[s] = -q * r  # the leaving variable's column
-                b[k] = p * b[k] - q * bi
-                rd[k] *= p
-                if rd[k] >= _CUT:
-                    rd[k], rows[k], b[k] = _lowest(rd[k], new, b[k])
+                rows[k] = row = [p * x for x in row] if p != 1 else row
+                for c, y in support:
+                    row[c] -= q * y
+                row[s] = -q * r  # the leaving variable's column
+                b[k] = bk = p * b[k] - q * bi
+                rd[k] = d = rd[k] * p
+                if d >= _CUT and (g := gcd(d, bk, *row)) > 1:
+                    rows[k], rd[k], b[k] = [v // g for v in row], d // g, bk // g
         f = self.obj[s]
         if f:
-            h = gcd(piv, f)
+            h = gcd(piv, f) if piv != 1 else 1
             p, q = piv // h, f // h
-            self.obj = new = [p * x - q * y for x, y in zip(self.obj, prow)]
-            new[s] = -q * r
+            self.obj = obj = [p * x for x in self.obj] if p != 1 else self.obj
+            for c, y in support:
+                obj[c] -= q * y
+            obj[s] = -q * r
             self.od *= p
             if self.od >= _CUT:
-                self.od, self.obj, _ = _lowest(self.od, new)
+                self.od, self.obj, _ = _lowest(self.od, obj)
         prow[s] = r
         rows[i], b[i], rd[i] = prow, bi, piv
         if piv >= _CUT:
@@ -440,8 +452,8 @@ class _Tableau:
             self.od, self.obj, _ = _lowest(od, obj)
 
     def basic_values(self) -> dict[int, Fraction]:
-        return {var: Fraction(self.sign[var] * self.b[i], self.rd[i])
-                for i, var in enumerate(self.basis)}
+        return {var: Fraction(self.sign[var] * x, self.rd[i]) if x else ZERO
+                for i, (var, x) in enumerate(zip(self.basis, self.b))}
 
 
 def solve(problem: LpProblem) -> LpSolution:
@@ -517,8 +529,8 @@ def solve(problem: LpProblem) -> LpSolution:
             # times row_scale[i] because internal row i is that multiple of
             # the original row: one Fraction of integers per entry
             od = tab.od
-            farkas = [Fraction((phase1[idc] * od - tab.reduced(idc)) * num, od * den)
-                      for idc, (num, den) in zip(ident, row_scale)]
+            farkas = [Fraction(y * num, od * den) if y else ZERO for y, (num, den) in zip(
+                [phase1[idc] * od - tab.reduced(idc) for idc in ident], row_scale)]
             sol = LpSolution(status="infeasible", farkas=farkas, pivots=(tab.pivots, 0))
             verify_farkas(problem, farkas)
             return sol
@@ -566,10 +578,10 @@ def solve(problem: LpProblem) -> LpSolution:
     for i, idc in enumerate(ident):
         num, den = row_scale[i]
         y = sense_sign * (objective_int[idc] * od - tab.reduced(idc))
-        duals.append(Fraction(y * num, od * obj_scale * den))
+        duals.append(Fraction(y * num, od * obj_scale * den) if y else ZERO)
         by += y * rhs[i]
-    reduced = {v: Fraction(sense_sign * tab.sign[j] * tab.reduced(j), od * obj_scale)
-               for v, j in col_of.items()}
+    reduced = {v: Fraction(sense_sign * tab.sign[j] * rc, od * obj_scale) if rc else ZERO
+               for (v, j), rc in zip(col_of.items(), map(tab.reduced, col_of.values()))}
     basic = [(objective_int[var] * tab.sign[var], i)
              for i, var in enumerate(tab.basis) if objective_int[var]]
     den = lcm(*[tab.rd[i] for _, i in basic])
@@ -628,6 +640,8 @@ def verify_solution(problem: LpProblem, sol: LpSolution) -> None:
     primal objective == b.y == dual objective, all computed from the original
     problem's stored rows and costs."""
     sense_sign = 1 if problem.sense == "max" else -1
+    _check(len(sol.duals) == len(problem.constraints), "{} duals for {} rows",
+           len(sol.duals), len(problem.constraints))
     names = problem.variables
     xs, dx = _common([sol.values.get(v, ZERO) for v in names])
     x = dict(zip(names, xs))
@@ -671,8 +685,10 @@ def verify_solution(problem: LpProblem, sol: LpSolution) -> None:
 
 def verify_farkas(problem: LpProblem, farkas: Sequence[Fraction]) -> None:
     """Multiply out an infeasibility certificate and check it."""
-    for y, row in zip(farkas, problem.constraints):
-        label = row.name or "?"
+    _check(len(farkas) == len(problem.constraints), "{} farkas multipliers for {} rows",
+           len(farkas), len(problem.constraints))
+    for i, (y, row) in enumerate(zip(farkas, problem.constraints)):
+        label = row.name or f"#{i}"
         if row.rel == LE:
             _check(y.numerator >= 0, "farkas sign at {}", label)
         elif row.rel == GE:
@@ -697,11 +713,11 @@ def verify_ray(problem: LpProblem, point: Mapping[str, Fraction],
         if v not in problem.free:
             _check(p[v] >= 0, "point negative at {}", v)
             _check(r[v] >= 0, "ray negative at {}", v)
-    for row in problem.constraints:
+    for i, row in enumerate(problem.constraints):
         lhs = sum([c * p[v] for v, c in row.num.items()])
         rhs = row.rhs_num * dp
         step = sum([c * r[v] for v, c in row.num.items()])
-        label = row.name or "?"
+        label = row.name or f"#{i}"
         if row.rel == LE:
             _check(lhs <= rhs and step <= 0, "ray violates {}", label)
         elif row.rel == GE:

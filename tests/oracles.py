@@ -142,6 +142,8 @@ def verify_solution(problem: LpProblem, sol: LpSolution) -> None:
     primal objective == b.y == dual objective, all computed from the original
     problem's coefficients."""
     sense_sign = 1 if problem.sense == "max" else -1
+    m = len(problem.constraints)
+    _check(len(sol.duals) == m, f"{len(sol.duals)} duals for {m} rows")
     for v in problem.variables:
         if v not in problem.free:
             _check(sol.values.get(v, ZERO) >= 0, f"variable {v} negative")
@@ -178,8 +180,10 @@ def verify_solution(problem: LpProblem, sol: LpSolution) -> None:
 
 def verify_farkas(problem: LpProblem, farkas: Sequence[Fraction]) -> None:
     """Multiply out an infeasibility certificate and check it."""
-    for y, row in zip(farkas, problem.constraints):
-        label = row.name or "?"
+    m = len(problem.constraints)
+    _check(len(farkas) == m, f"{len(farkas)} farkas multipliers for {m} rows")
+    for i, (y, row) in enumerate(zip(farkas, problem.constraints)):
+        label = row.name or f"#{i}"
         if row.rel == LE:
             _check(y >= 0, f"farkas sign at {label}")
         elif row.rel == GE:
@@ -201,10 +205,10 @@ def verify_ray(problem: LpProblem, point: Mapping[str, Fraction],
         if v not in problem.free:
             _check(point.get(v, ZERO) >= 0, f"point negative at {v}")
             _check(ray.get(v, ZERO) >= 0, f"ray negative at {v}")
-    for row in problem.constraints:
+    for i, row in enumerate(problem.constraints):
         lhs = eval_row(row.coeffs, point)
         step = eval_row(row.coeffs, ray)
-        label = row.name or "?"
+        label = row.name or f"#{i}"
         if row.rel == LE:
             _check(lhs <= row.rhs and step <= 0, f"ray violates {label}")
         elif row.rel == GE:

@@ -17,6 +17,7 @@ from semistatic.lp import (
     LE,
     LpProblem,
     LpVerificationError,
+    ZERO,
     _CUT,
     _TWIN,
     _Tableau,
@@ -274,7 +275,15 @@ def test_verify_rejects_corrupted_duals_and_reduced_costs():
     for i in (0, 1):
         _rejects(prob, sol, "duals", i, sol.duals[i] + F(1, 7))
     _rejects(prob, sol, "reduced_costs", "z", F(7, 5))
-    _rejects(prob, sol, "duals", 2, F(1, 7))
+    # the zero entries are the shared ZERO, and tampering with any is caught:
+    # the slack row's dual, the basic x and y's reduced costs, z's value
+    assert sol.duals[2] is ZERO and sol.values["z"] is ZERO
+    assert sol.reduced_costs["x"] is ZERO and sol.reduced_costs["y"] is ZERO
+    for y in (F(1, 7), F(-1, 7)):
+        _rejects(prob, sol, "duals", 2, y)
+        for v in ("x", "y"):
+            _rejects(prob, sol, "reduced_costs", v, y)
+    _rejects(prob, sol, "values", "z", F(1))
     bad = copy.deepcopy(sol)
     bad.dual_objective += F(1, 7)
     with pytest.raises(LpVerificationError):
@@ -283,8 +292,9 @@ def test_verify_rejects_corrupted_duals_and_reduced_costs():
 
 def test_verify_rejects_each_dual_mutation_on_random_lps():
     """On random optimal LPs: a dual nudged by 1/7 on any row with a nonzero
-    coefficient, any nonzero reduced cost with its sign flipped, and a
-    nonzero dual of either sign at any slack row are all caught."""
+    coefficient, any nonzero reduced cost with its sign flipped, any zero
+    reduced cost set to 1/7, and a nonzero dual of either sign at any slack
+    row are all caught."""
     checked = 0
     for seed in range(200):
         prob = _random_mixed_lp(seed)
@@ -299,8 +309,7 @@ def test_verify_rejects_each_dual_mutation_on_random_lps():
                 for y in (F(1, 7), F(-1, 7)):
                     _rejects(prob, sol, "duals", i, y)
         for v, rc in sol.reduced_costs.items():
-            if rc:
-                _rejects(prob, sol, "reduced_costs", v, -rc)
+            _rejects(prob, sol, "reduced_costs", v, -rc if rc else F(1, 7))
     assert checked >= 20
 
 
@@ -318,6 +327,54 @@ def test_verify_farkas_rejects_scaled_and_wrong_sign_entries():
                 verify_farkas(prob, bad)
 
 
+def test_verifiers_label_an_unnamed_row_by_its_index():
+    """A failure on a row without a name names it #i in all three verifiers."""
+    prob = LpProblem(
+        "max", {}, [con({"x": 1, "y": 1}, LE, 1), con({"x": 1, "y": 1}, GE, 2)], ["x", "y"],
+    )
+    with pytest.raises(LpVerificationError, match="^farkas sign at #1$"):
+        verify_farkas(prob, [F(1), F(1)])
+    prob = LpProblem("max", {"x": 1}, [con({"x": 1}, GE, 0), con({"x": 1}, LE, 1)], ["x"])
+    bad = solve(prob)
+    bad.values["x"] = F(2)
+    with pytest.raises(LpVerificationError, match="^constraint #1 violated$"):
+        verify_solution(prob, bad)
+    prob = LpProblem("max", {"x": 1}, [con({"x": 1}, GE, 0), con({"y": 1}, LE, 1)],
+                     ["x", "y"])
+    sol = solve(prob)
+    assert sol.status == "unbounded"
+    with pytest.raises(LpVerificationError, match="^ray violates #1$"):
+        verify_ray(prob, sol.feasible_point, {**sol.ray, "y": F(1)})
+
+
+def test_certificates_of_the_wrong_length_are_rejected():
+    """A duals list or a Farkas vector with one entry per row too few (or too
+    many) raises LpVerificationError, not IndexError, and is not accepted
+    by zipping it with the rows."""
+    prob = LpProblem(
+        "max", {"x": 1, "y": 1},
+        [con({"x": 1, "y": 2}, LE, 4), con({"x": 3, "y": 1}, LE, 6), con({"x": 1}, LE, 5)],
+        ["x", "y"],
+    )
+    sol = solve(prob)
+    for duals in (sol.duals[:2], sol.duals + [ZERO]):
+        bad = copy.deepcopy(sol)
+        bad.duals = duals
+        with pytest.raises(LpVerificationError, match=f"^{len(duals)} duals for 3 rows$"):
+            verify_solution(prob, bad)
+    prob = LpProblem(
+        "max", {},
+        [con({"x": 1, "y": 1}, LE, 1), con({"x": 1, "y": 1}, GE, 2), con({"x": 1}, LE, 9)],
+        ["x", "y"],
+    )
+    farkas = solve(prob).farkas
+    assert farkas == [1, -1, 0]
+    for bad in (farkas[:2], farkas + [ZERO]):
+        with pytest.raises(LpVerificationError,
+                           match=f"^{len(bad)} farkas multipliers for 3 rows$"):
+            verify_farkas(prob, bad)
+
+
 def _raised(verify, *args):
     """The message `verify(*args)` raises, or None when it passes."""
     try:
@@ -329,14 +386,16 @@ def _raised(verify, *args):
 
 def _mutations(prob, sol):
     """(verifier name, arguments) of the solve's own certificate and of its
-    mutations: each dual +-1/7, each reduced cost negated, each value +1/7
-    and set to -1/7, both objectives +1/7; each Farkas entry times 2 and
-    times -1; each point and ray entry +1/7."""
+    mutations: each dual +-1/7, each nonzero reduced cost negated and each
+    zero one set to 1/7, each value +1/7 and set to -1/7, both objectives
+    +1/7; each Farkas entry times 2 and times -1; each point and ray entry
+    +1/7."""
     if sol.status == "optimal":
         yield "verify_solution", (prob, sol)
         for field, key, new in (
             [("duals", i, y + d) for i, y in enumerate(sol.duals) for d in (F(1, 7), F(-1, 7))]
-            + [("reduced_costs", v, -rc) for v, rc in sol.reduced_costs.items()]
+            + [("reduced_costs", v, -rc if rc else F(1, 7))
+               for v, rc in sol.reduced_costs.items()]
             + [("values", v, x) for v, y in sol.values.items() for x in (y + F(1, 7), F(-1, 7))]
         ):
             bad = copy.deepcopy(sol)
@@ -761,11 +820,13 @@ def _replay(monkeypatch, problems):
     b[k] / rd[k], and the reduced costs obj / od are the dense tableau's true
     entries, with a column stored negated (`sign`) read back; a row or
     objective whose denominator is past _CUT is in lowest terms.  Returns
-    the checks made, the rows and objectives seen past _CUT, and the bit
-    length of the largest integer a row stored (entries, rhs, denominator)."""
+    the checks made, the rows and objectives seen past _CUT, the bit length
+    of the largest integer a row stored (entries, rhs, denominator), and the
+    row and objective rewrites p * row - q * prow made in place (p == 1) and
+    scaled (p > 1)."""
     pivot, set_costs = _Tableau.pivot, _Tableau.set_costs
     state = {}
-    seen = {"checks": 0, "past_cut": 0, "bits": 0}
+    seen = {"checks": 0, "past_cut": 0, "bits": 0, "in_place": 0, "scaled": 0}
 
     def check(tab):
         ref, costs = state["ref"], state["costs"]
@@ -795,6 +856,12 @@ def _replay(monkeypatch, problems):
         check(tab)
 
     def spy_pivot(tab, i, j):
+        if not (tab.slot_of[j] == _TWIN and tab.twin[j] == tab.basis[i]):  # not a drive-out
+            piv = abs(tab.entry(i, j))
+            column = [tab.entry(k, j) for k in range(len(tab.rows)) if k != i]
+            for f in column + [tab.reduced(j)]:
+                if f:
+                    seen["in_place" if piv == gcd(piv, f) else "scaled"] += 1
         pivot(tab, i, j)
         state["ref"].pivot(i, j)
         check(tab)
@@ -811,6 +878,34 @@ def test_every_pivot_matches_a_dense_fraction_tableau(monkeypatch):
     """The pinned corpus, replayed step by step against the dense tableau."""
     seen = _replay(monkeypatch, [_pin_lp(seed) for seed in range(400)])
     assert seen["checks"] > 1000
+    assert seen["in_place"] > 0 and seen["scaled"] > 0, seen
+
+
+def test_slack_lp_with_a_stop_cut_matches_a_dense_fraction_tableau(monkeypatch):
+    """The strict-no-arbitrage slack LP of a depth-3 random market with an
+    American option, as `check_sna` solves it on the benchmark's `verdicts`
+    workload: its second solve holds the stop-cut row that the first
+    solve's witness violated.  Replayed step by step against the dense
+    tableau."""
+    from conftest import random_market
+    from semistatic import measures
+
+    market = random_market(random.Random(81))
+    problems = []
+
+    def keep(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(measures, "solve", keep)
+    measures.max_slack(measures.PricingSetSpec.strict_emm(market))
+    prob = problems[-1]
+    assert market.tree.horizon == 3 and len(problems) == 2
+    assert [row.name for row in prob.constraints if row.name.endswith("cut")] == ["h[0]cut"]
+    assert (len(prob.constraints), len(prob.variables)) == (18, 10)
+    seen = _replay(monkeypatch, [prob])
+    assert seen["checks"] > 20
+    assert seen["in_place"] > 0 and seen["scaled"] > 0, seen
 
 
 def test_hedge_lp_rows_stay_small(monkeypatch):
