@@ -636,15 +636,19 @@ def _combine(problem: LpProblem, multipliers: Sequence[Fraction],
 
 def verify_solution(problem: LpProblem, sol: LpSolution) -> None:
     """Exact primal feasibility, dual sign consistency, complementary
-    slackness, reduced costs equal to c - A^T y and of the right sign, and
-    primal objective == b.y == dual objective, all computed from the original
-    problem's stored rows and costs."""
+    slackness, one reduced cost per variable, equal to c - A^T y and of the
+    right sign, and primal objective == b.y == dual objective, all computed
+    from the original problem's stored rows and costs."""
     sense_sign = 1 if problem.sense == "max" else -1
     _check(len(sol.duals) == len(problem.constraints), "{} duals for {} rows",
            len(sol.duals), len(problem.constraints))
     names = problem.variables
     xs, dx = _common([sol.values.get(v, ZERO) for v in names])
     x = dict(zip(names, xs))
+    missing = [v for v in names if v not in sol.reduced_costs]
+    _check(not missing, "no reduced cost for variable {}", ", ".join(missing))
+    extra = [str(v) for v in sol.reduced_costs if v not in x]
+    _check(not extra, "reduced cost for unknown variable {}", ", ".join(extra))
     for v in names:
         if v not in problem.free:
             _check(x[v] >= 0, "variable {} negative", v)

@@ -10,9 +10,11 @@ can represent directly.  It is handled through two computable objects:
 
 American caps quantify over all stopping times.  Every LP imposes them one
 way: `solve_with_stop_cuts` adds a stop's row only when the greedy optimal
-stop of the exercise envelope under the current solution violates it.  The
-closure polytope is the exception: vertex enumeration needs its full
-H-representation, so it lists one row per enumerated stopping time.
+stop of the exercise envelope under the current solution violates it.  Two
+LPs are the exception and list one row per enumerated stopping time: the
+closure polytope, whose vertex enumeration needs its full H-representation,
+and the stop-side LP of `robust.minimax_check`, whose duals on those rows are
+the exercise flows.
 
 A `Measure` holds integer weights over one denominator, the lcm of its
 weights' denominators (a canonical form), and keeps its integer subtree masses

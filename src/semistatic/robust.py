@@ -51,7 +51,7 @@ from .hedging import (
     hedge_primal,
 )
 from .ftap import ARBITRAGE, NO_ARBITRAGE, STRICT_NO_ARBITRAGE_FAILS, ArbitrageVerdict, check_na
-from .lp import EQ, GE, LE, Constraint, LpProblem, int_con, solve
+from .lp import EQ, LE, LpProblem, int_con, solve
 from .market import MarketSpec, _kept
 from .measures import (
     Measure,
@@ -59,16 +59,10 @@ from .measures import (
     SlackResult,
     max_slack,
     membership,
-    solve_with_stop_cuts,
 )
 from .rational import rat_str
-from .stopping import (
-    StoppingTime,
-    enumerate_stopping_times,
-    snell_value,
-    stop_everywhere_at,
-)
-from .tree import AdaptedProcess
+from .stopping import LiquidatingStrategy, enumerate_stopping_times, snell_value
+from .tree import AdaptedProcess, TreeError
 
 ZERO = Fraction(0)
 
@@ -390,9 +384,9 @@ def _verify_domination(spec: RobustSpec, P: Measure, result: DominationResult) -
 
 @dataclass
 class MinimaxResult:
-    lhs: Fraction  # sup over flows of the worst-case expectation
-    mid: Fraction  # worst case of the flow-optimized value
-    rhs: Fraction  # worst case of the stop-optimized value
+    lhs: Fraction  # worst vertex value of the exercise flows read off the duals
+    mid: Fraction  # summed exercise envelopes under the attaining measure
+    rhs: Fraction  # optimum of the stop-side LP: the worst case over the hull
     attaining: Measure
 
     def values(self):
@@ -402,18 +396,24 @@ class MinimaxResult:
 def minimax_check(
     R_vertices: Sequence[Measure], h_list: Sequence[AdaptedProcess]
 ) -> MinimaxResult:
-    """Compute, by three different LPs over the convex hull of the given
-    vertices, the value of liquidating the options against the worst measure:
+    """Prove sup over flows inf over the hull = inf over the hull sup over
+    flows for liquidating the options, over the convex hull of the given
+    vertices, from one LP.
 
-      lhs: max t s.t. every vertex gives the flow at least t (flows free),
-      mid: min over hull mixtures of the summed exercise envelopes,
-           with envelope cuts from `solve_with_stop_cuts`,
-      rhs: the same worst case with every stopping time enumerated, one
-           epigraph variable per option (the worst stop combination of a
-           separable sum is the worst stop of each option).
+    The stop-side LP enumerates every stopping time and takes the worst hull
+    mixture, one epigraph variable per option (the worst stop combination of
+    a separable sum is the worst stop of each option); its optimum is rhs and
+    its optimal mixture the attaining measure.  Minus the duals of option k's
+    stop rows are weights on the stopping times (the free epigraph column
+    makes them sum to one), so they give option k an exercise flow, eta(n) =
+    the weight of the times that stop at n.  Two exact re-checks follow:
 
-    Raises if the three are not exactly equal; returns the attaining measure
-    of the rhs problem."""
+      lhs: the worst vertex value of the flows, sum_k E_R[eta_k . h_k],
+      mid: the summed exercise envelopes under the attaining measure.
+
+    Weak duality gives lhs <= sup_flow inf_Q <= inf_Q sup_flow <= mid, so
+    lhs == mid == rhs proves the identity; anything else raises
+    `VerificationFailure`."""
     if not R_vertices:
         raise RobustError("empty vertex list")
     tree = R_vertices[0].tree
@@ -427,102 +427,69 @@ def minimax_check(
     if N == 0:
         raise RobustError("empty option list")
 
-    # lhs: flows against vertex cuts; every row over one denominator
+    # rhs: every stopping time, one epigraph variable per option; every row
+    # over the lcm of the vertices' denominators times h_k's
     scaled = [h.scaled() for h in h_list]
-    rows = []
-    variables = ["t"]
-    for k in range(N):
-        for nd in tree.nodes:
-            variables.append(f"mu[{k}][{nd}]")
-        for leaf in tree.leaves:
-            rows.append(int_con({f"mu[{k}][{nd}]": 1 for nd in tree.path(leaf)},
-                                EQ, 1, 1, f"flow[{k}][{leaf}]"))
-    for v_idx, R in enumerate(R_vertices):
-        mass = R.masses()
-        den = lcm(*[R.den * d for d, _ in scaled])
-        num = {}
-        for k, (d, value) in enumerate(scaled):
-            scale = den // (R.den * d)
-            for nd in tree.nodes:
-                val = mass[nd] * value[nd]
-                if val:
-                    num[f"mu[{k}][{nd}]"] = scale * val
-        num["t"] = -den
-        rows.append(int_con(num, GE, 0, den, f"vertex[{v_idx}]"))
-    sol = solve(LpProblem("max", {"t": 1}, rows, variables, free=frozenset({"t"})))
-    if sol.status != "optimal":
-        raise RobustError(f"flow-side LP is {sol.status}")
-    lhs = sol.objective
-
-    lam_vars = [f"lam[{i}]" for i in range(len(R_vertices))]
-    simplex_row = int_con({v: 1 for v in lam_vars}, EQ, 1, 1, "hull")
-    vertex_den = lcm(*[R.den for R in R_vertices])
-
-    def stop_row(k: int, tau: StoppingTime, var: str, name: str) -> Constraint:
-        """E_R[h_k at tau] per vertex R, minus var, <= 0: over the lcm of the
-        vertices' denominators times h_k's."""
-        d, value = scaled[k]
-        num = {}
-        for lam, R in zip(lam_vars, R_vertices):
-            e = sum([w * value[tau.stop_node(l)] for l, w in R.num.items()])
-            if e:
-                num[lam] = e * (vertex_den // R.den)
-        num[var] = -vertex_den * d
-        return int_con(num, LE, 0, vertex_den * d, name)
-
-    def mixture(sol) -> Measure:
-        lams = [sol.values.get(v, ZERO) for v in lam_vars]
-        den = lcm(*[lam.denominator * R.den for lam, R in zip(lams, R_vertices)])
-        mixture_w: dict[str, int] = {}
-        for lam, R in zip(lams, R_vertices):
-            scale = lam.numerator * (den // (lam.denominator * R.den))
-            for leaf, wl in R.num.items():
-                mixture_w[leaf] = mixture_w.get(leaf, 0) + scale * wl
-        return Measure(tree, {leaf: Fraction(w, den) for leaf, w in mixture_w.items()})
-
-    # mid: epigraph with envelope cuts per option
-    z_vars = [f"z[{k}]" for k in range(N)]
-    stop_at_0 = stop_everywhere_at(tree, 0)
-
-    def build(cuts: list[tuple[int, StoppingTime]]) -> LpProblem:
-        rows = [simplex_row]
-        for k in range(N):
-            own = [stop_at_0] + [tau for j, tau in cuts if j == k]
-            for c_idx, tau in enumerate(own):
-                rows.append(stop_row(k, tau, z_vars[k], f"cut[{k}][{c_idx}]"))
-        return LpProblem("min", {z: 1 for z in z_vars}, rows, lam_vars + z_vars,
-                         free=frozenset(z_vars))
-
-    def targets(sol):
-        return mixture(sol), [(k, h, sol.values.get(z_vars[k], ZERO))
-                              for k, h in enumerate(h_list)]
-
-    sol, _ = solve_with_stop_cuts(build, targets)
-    if sol.status != "optimal":
-        raise RobustError(f"mixture LP is {sol.status}")
-    mid = sol.objective
-
-    # rhs: every stopping time, one epigraph variable per option
     taus = enumerate_stopping_times(tree)
-    rows = [simplex_row]
+    lam_vars = [f"lam[{i}]" for i in range(len(R_vertices))]
     w_vars = [f"w[{k}]" for k in range(N)]
-    for k in range(N):
+    vertex_den = lcm(*[R.den for R in R_vertices])
+    rows = [int_con({v: 1 for v in lam_vars}, EQ, 1, 1, "hull")]
+    for k, (d, value) in enumerate(scaled):
         for t_idx, tau in enumerate(taus):
-            rows.append(stop_row(k, tau, w_vars[k], f"stop[{k}][{t_idx}]"))
+            num = {}
+            for lam, R in zip(lam_vars, R_vertices):
+                e = sum([w * value[tau.stop_node(l)] for l, w in R.num.items()])
+                if e:
+                    num[lam] = e * (vertex_den // R.den)
+            num[w_vars[k]] = -vertex_den * d
+            rows.append(int_con(num, LE, 0, vertex_den * d, f"stop[{k}][{t_idx}]"))
     sol = solve(LpProblem("min", {w: 1 for w in w_vars}, rows, lam_vars + w_vars,
                           free=frozenset(w_vars)))
     if sol.status != "optimal":
         raise RobustError(f"stop-side LP is {sol.status}")
     rhs = sol.objective
-    attaining = mixture(sol)
+
+    lams = [sol.values.get(v, ZERO) for v in lam_vars]
+    den = lcm(*[lam.denominator * R.den for lam, R in zip(lams, R_vertices)])
+    mixture_w: dict[str, int] = {}
+    for lam, R in zip(lams, R_vertices):
+        scale = lam.numerator * (den // (lam.denominator * R.den))
+        for leaf, wl in R.num.items():
+            mixture_w[leaf] = mixture_w.get(leaf, 0) + scale * wl
+    attaining = Measure(tree, {leaf: Fraction(w, den) for leaf, w in mixture_w.items()})
+    mid = sum((snell_value(attaining, h) for h in h_list), ZERO)
+    if mid != rhs:
+        raise VerificationFailure(
+            f"attaining measure gives {rat_str(mid)}, expected {rat_str(rhs)}"
+        )
+
+    # lhs: option k's stop rows start after the hull row
+    flows = []
+    for k in range(N):
+        eta = dict.fromkeys(tree.nodes, ZERO)
+        for tau, y in zip(taus, sol.duals[1 + k * len(taus):]):
+            if y:
+                for n in tau.stop_nodes:
+                    eta[n] -= y
+        try:
+            flows.append(LiquidatingStrategy(AdaptedProcess(tree, eta)).eta.scaled())
+        except TreeError as exc:
+            raise VerificationFailure(f"stop-side duals of option {k}: {exc}") from exc
+    dens = [de * dh for (de, _), (dh, _) in zip(flows, scaled)]
+    flow_den = lcm(*dens)
+
+    def vertex_value(R: Measure) -> Fraction:
+        """sum_k E_R[eta_k . h_k], over R's, the flows' and h's denominators."""
+        mass = R.masses()
+        total = sum([(flow_den // d) * sum([mass[n] * e[n] * value[n] for n in tree.nodes])
+                     for (_, e), (_, value), d in zip(flows, scaled, dens)])
+        return Fraction(total, R.den * flow_den)
+
+    lhs = min(vertex_value(R) for R in R_vertices)
 
     if not (lhs == mid == rhs):
         raise VerificationFailure(
             f"minimax identity broken: {rat_str(lhs)}, {rat_str(mid)}, {rat_str(rhs)}"
-        )
-    check = sum((snell_value(attaining, h) for h in h_list), ZERO)
-    if check != rhs:
-        raise VerificationFailure(
-            f"attaining measure gives {rat_str(check)}, expected {rat_str(rhs)}"
         )
     return MinimaxResult(lhs=lhs, mid=mid, rhs=rhs, attaining=attaining)

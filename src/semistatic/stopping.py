@@ -32,9 +32,11 @@ DEFAULT_ENUM_CAP = 10**6
 
 class EnumerationCapError(RuntimeError):
     """Too many stopping times, or whole-unit stop combinations, to enumerate.
-    Only single-stop questions and the explicit closure polytope enumerate;
-    LPs over all stopping times take their rows from the Snell separation
-    oracle and never raise this."""
+    Only single-stop questions, the explicit closure polytope and the
+    stop-side LP of `robust.minimax_check` (whose duals on the enumerated
+    stop rows are the exercise flows) enumerate; the other LPs over all
+    stopping times take their rows from the Snell separation oracle and never
+    raise this."""
 
 
 class StoppingTime:
@@ -152,9 +154,9 @@ def enumerate_stopping_times(
     n = count_stopping_times(tree)
     if n > cap:
         raise EnumerationCapError(
-            f"{n} stopping times exceeds cap {cap}; only single-stop questions and "
-            "the explicit closure polytope enumerate them (LP rows come from the "
-            "Snell oracle)"
+            f"{n} stopping times exceeds cap {cap}; only single-stop questions, "
+            "the explicit closure polytope and the minimax stop-side LP enumerate "
+            "them (other LP rows come from the Snell oracle)"
         )
 
     def antichains(node: str) -> list[frozenset[str]]:

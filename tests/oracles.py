@@ -31,7 +31,10 @@ time.
     `slack_rows`, `closure_rows`, `dual_rows`, `structure_rows`, `phi_coeffs`,
     `hedge_rows`, `cone_rows` and `minimax_rows` build the engine's LP rows
     from Fractions with `lp.con`: references for the builders that emit
-    integer rows from the market's integer forms.
+    integer rows from the market's integer forms.  `minimax_rows` also
+    builds the flow side of the minimax identity, which the engine reads off
+    the stop side's duals; `minimax_flow_value` solves it, the reference for
+    `minimax_check`'s lhs.
   * `find_pricing_measure` is the witness measure of `ftap.check_sna`, and
     `witness_slacks` re-measures a slack LP's witness against its caps and
     floor.
@@ -52,7 +55,9 @@ from typing import Iterable, Mapping, Sequence
 from semistatic.fixtures import FixtureError
 from semistatic.ftap import NO_ARBITRAGE, check_sna
 from semistatic.hedging import HedgingError, VerificationFailure
-from semistatic.lp import EQ, GE, LE, Constraint, LpProblem, LpSolution, LpVerificationError, con
+from semistatic.lp import (
+    EQ, GE, LE, Constraint, LpProblem, LpSolution, LpVerificationError, con, solve,
+)
 from semistatic.market import MarketError, MarketSpec
 from semistatic.measures import (
     Measure,
@@ -138,12 +143,16 @@ def _combine(problem: LpProblem, multipliers: Sequence[Fraction]) -> dict[str, F
 
 def verify_solution(problem: LpProblem, sol: LpSolution) -> None:
     """Exact primal feasibility, dual sign consistency, complementary
-    slackness, reduced costs equal to c - A^T y and of the right sign, and
-    primal objective == b.y == dual objective, all computed from the original
-    problem's coefficients."""
+    slackness, one reduced cost per variable, equal to c - A^T y and of the
+    right sign, and primal objective == b.y == dual objective, all computed
+    from the original problem's coefficients."""
     sense_sign = 1 if problem.sense == "max" else -1
     m = len(problem.constraints)
     _check(len(sol.duals) == m, f"{len(sol.duals)} duals for {m} rows")
+    missing = [v for v in problem.variables if v not in sol.reduced_costs]
+    _check(not missing, f"no reduced cost for variable {', '.join(missing)}")
+    extra = [str(v) for v in sol.reduced_costs if v not in problem.variables]
+    _check(not extra, f"reduced cost for unknown variable {', '.join(extra)}")
     for v in problem.variables:
         if v not in problem.free:
             _check(sol.values.get(v, ZERO) >= 0, f"variable {v} negative")
@@ -729,9 +738,10 @@ def cone_rows(market: MarketSpec, support: Sequence[str]) -> tuple[list[Constrai
 
 
 def minimax_rows(R_vertices: Sequence[Measure], h_list: Sequence[AdaptedProcess],
-                 cuts, taus: Sequence[StoppingTime]) -> tuple[list, list, list]:
-    """The rows of `minimax_check`'s three LPs: the flow side, the mixture
-    side with the stop cuts (k, tau) `cuts`, and the stop side over `taus`."""
+                 taus: Sequence[StoppingTime]) -> tuple[list, list]:
+    """The rows of the two sides of the minimax identity: the flow side (max t
+    such that every vertex gives the exercise flows mu[k] at least t) and the
+    stop side over `taus`, the one LP `minimax_check` solves."""
     tree = R_vertices[0].tree
     lhs = [con({f"mu[{k}][{n}]": 1 for n in tree.path(leaf)}, EQ, 1, f"flow[{k}][{leaf}]")
            for k in range(len(h_list)) for leaf in tree.leaves]
@@ -744,20 +754,29 @@ def minimax_rows(R_vertices: Sequence[Measure], h_list: Sequence[AdaptedProcess]
         lhs.append(con(coeffs, GE, 0, f"vertex[{v_idx}]"))
     hull = con({f"lam[{i}]": 1 for i in range(len(R_vertices))}, EQ, 1, "hull")
 
-    def stop_rows(k, tau, var, name):
+    def stop_row(k, t, tau):
         coeffs = {f"lam[{i}]": expect_at_stop(R, h_list[k], tau)
                   for i, R in enumerate(R_vertices) if expect_at_stop(R, h_list[k], tau)}
-        coeffs[var] = Fraction(-1)
-        return con(coeffs, LE, 0, name)
+        coeffs[f"w[{k}]"] = Fraction(-1)
+        return con(coeffs, LE, 0, f"stop[{k}][{t}]")
 
-    stop_0 = StoppingTime(tree, [tree.root])
-    mid = [hull]
-    for k in range(len(h_list)):
-        own = [stop_0] + [tau for j, tau in cuts if j == k]
-        mid += [stop_rows(k, tau, f"z[{k}]", f"cut[{k}][{c}]") for c, tau in enumerate(own)]
-    rhs = [hull] + [stop_rows(k, tau, f"w[{k}]", f"stop[{k}][{t}]")
-                    for k in range(len(h_list)) for t, tau in enumerate(taus)]
-    return lhs, mid, rhs
+    rhs = [hull] + [stop_row(k, t, tau) for k in range(len(h_list))
+                    for t, tau in enumerate(taus)]
+    return lhs, rhs
+
+
+def minimax_flow_value(R_vertices: Sequence[Measure],
+                       h_list: Sequence[AdaptedProcess]) -> Fraction:
+    """sup over exercise flows of the worst vertex's sum_k E_R[flow_k(h_k)]:
+    the flow-side rows of `minimax_rows` solved with `lp.solve`, the
+    reference for `minimax_check`'s lhs."""
+    tree = R_vertices[0].tree
+    rows, _ = minimax_rows(R_vertices, h_list, ())
+    variables = ["t"] + [f"mu[{k}][{n}]" for k in range(len(h_list)) for n in tree.nodes]
+    sol = solve(LpProblem("max", {"t": 1}, rows, variables, free=frozenset({"t"})))
+    if sol.status != "optimal":
+        raise VerificationFailure(f"flow-side LP is {sol.status}")
+    return sol.objective
 
 
 # ---------------------------------------------------------------------------
@@ -788,22 +807,22 @@ def robust_pricing_set(spec: RobustSpec) -> list[Polytope]:
 def american_exchange_values(market: MarketSpec, phi: AdaptedProcess) -> dict:
     """The pure-option value computed four ways over the closed pricing set:
 
-      sup_flow inf_Q  E_Q[flow(phi)]      (`minimax_check`'s lhs)
-      inf_Q sup_flow  E_Q[flow(phi)]      (its mid)
+      sup_flow inf_Q  E_Q[flow(phi)]      (the flow-side LP, `minimax_flow_value`)
+      inf_Q sup_flow  E_Q[flow(phi)]      (`minimax_check`'s mid)
       inf_Q sup_stop  E_Q[phi_at_stop]    (its rhs)
       sup_stop inf_Q  E_Q[phi_at_stop]    (max over stops of a vertex minimum)
 
     All four range over the vertices of the closure polytope: a linear
-    minimum over a polytope is attained at a vertex.  `minimax_check` raises
-    unless the first three agree exactly; the fourth is only <= (the exchange
-    in that order genuinely fails in general)."""
+    minimum over a polytope is attained at a vertex.  The first three agree
+    exactly (`minimax_check` raises unless its own three do); the fourth is
+    only <= (the exchange in that order genuinely fails in general)."""
     verts = polytope_vertices_as_measures(closure_polytope(PricingSetSpec(market)),
                                           market.tree)
     if not verts:
         raise HedgingError("empty pricing set; the exchange values are +inf")
     flows = minimax_check(verts, [phi])
     return {
-        "sup_flow_inf": flows.lhs,
+        "sup_flow_inf": minimax_flow_value(verts, [phi]),
         "inf_sup_flow": flows.mid,
         "inf_sup_stop": flows.rhs,
         "sup_stop_inf": max(min(Q.expect_at_stop(phi, tau) for Q in verts)

@@ -43,7 +43,7 @@ from semistatic.robust import HypothesisFailure, RobustError
 from semistatic.stopping import StoppingTime, enumerate_stopping_times
 
 from conftest import random_claim, random_market, random_measure, random_process
-from oracles import p2_params_of
+from oracles import minimax_flow_value, p2_params_of
 
 F = Fraction
 
@@ -198,8 +198,9 @@ def test_criterion_4_flow_stop_envelope_identity():
 
 
 def test_criterion_5_minimax_identity():
-    """The three minimax quantities agree exactly on 100+ randomized hulls,
-    including singletons and 2-3 vertex hulls, with an attaining measure."""
+    """The three minimax quantities agree exactly, and with the Fraction
+    flow-side LP's optimum, on 100+ randomized hulls, including singletons
+    and 2-3 vertex hulls, with an attaining measure."""
     start = time.monotonic()
     rng = random.Random(55_001)
     done = 0
@@ -212,7 +213,7 @@ def test_criterion_5_minimax_identity():
                  for _ in range(n_vert)]
         hs = [random_process(rng, tree) for _ in range(rng.randint(1, 2))]
         result = minimax_check(verts, hs)
-        assert result.lhs == result.mid == result.rhs
+        assert minimax_flow_value(verts, hs) == result.lhs == result.mid == result.rhs
         total = sum((snell_value(result.attaining, h) for h in hs), F(0))
         assert total == result.rhs
         sizes[n_vert] += 1

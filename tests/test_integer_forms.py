@@ -326,25 +326,19 @@ def test_strategy_rows_equal_the_fraction_builders(data):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_minimax_rows_equal_the_fraction_builders(data):
-    """`minimax_check`'s flow-side rows, its mixture rows with stop cuts and
-    its stop-side rows, on vertices with large coprime denominators."""
+    """`minimax_check`'s one LP has the Fraction builder's stop-side rows, and
+    the Fraction flow-side LP's optimum is its lhs, on vertices with large
+    coprime denominators."""
     rng, market, _, _ = _draw_market(data)
     tree = market.tree
     verts = [_measure(rng, tree) for _ in range(rng.randint(1, 3))]
     hs = [_process(rng, tree) for _ in range(rng.randint(1, 2))]
-    with _recorded(robust, "solve") as problems, \
-            _recorded(robust, "solve_with_stop_cuts") as builds:
-        try:
-            minimax_check(verts, hs)
-        except robust.RobustError:  # unbounded or broken sides: rows still built
-            pass
-    cuts = _cuts(rng, tree, list(range(len(hs))))
-    lhs, mid, rhs = oracles.minimax_rows(verts, hs, cuts, enumerate_stopping_times(tree))
-    assert _view(problems[0].constraints) == _view(lhs)
-    if builds:
-        assert _view(builds[0](cuts).constraints) == _view(mid)
-    if len(problems) == 2:
-        assert _view(problems[1].constraints) == _view(rhs)
+    with _recorded(robust, "solve") as problems:
+        result = minimax_check(verts, hs)
+    _, rhs = oracles.minimax_rows(verts, hs, enumerate_stopping_times(tree))
+    assert len(problems) == 1
+    assert _view(problems[0].constraints) == _view(rhs)
+    assert oracles.minimax_flow_value(verts, hs) == result.lhs
 
 
 def test_each_envelope_is_computed_once_per_measure_and_process():

@@ -290,6 +290,24 @@ def test_verify_rejects_corrupted_duals_and_reduced_costs():
         verify_solution(prob, bad)
 
 
+@pytest.mark.parametrize("verify", [verify_solution, oracles.verify_solution],
+                         ids=["integer", "oracle"])
+def test_verify_names_a_missing_or_extra_reduced_cost(verify):
+    """Reduced costs keyed by other than the problem's variables are a typed
+    verification failure that names the variable, not a KeyError."""
+    prob = LpProblem("max", {"x": 1, "y": 2},
+                     [con({"x": 1, "y": 1}, LE, 3), con({"y": 1}, LE, 1)], ["x", "y"])
+    sol = solve(prob)
+    missing = copy.deepcopy(sol)
+    del missing.reduced_costs["y"]
+    with pytest.raises(LpVerificationError, match="no reduced cost for variable y"):
+        verify(prob, missing)
+    extra = copy.deepcopy(sol)
+    extra.reduced_costs["z"] = ZERO
+    with pytest.raises(LpVerificationError, match="reduced cost for unknown variable z"):
+        verify(prob, extra)
+
+
 def test_verify_rejects_each_dual_mutation_on_random_lps():
     """On random optimal LPs: a dual nudged by 1/7 on any row with a nonzero
     coefficient, any nonzero reduced cost with its sign flipped, any zero

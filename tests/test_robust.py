@@ -28,6 +28,9 @@ from semistatic import (
     union_support,
     vertices,
 )
+from semistatic import measures, robust
+from semistatic.hedging import VerificationFailure
+from semistatic.lp import ZERO
 from semistatic.market import MarketSpec, build_market, market_to_json, portfolio_value
 from semistatic.measures import polytope_vertices_as_measures
 from semistatic.robust import HypothesisFailure
@@ -395,6 +398,70 @@ def test_minimax_random(seed):
     assert result.lhs == result.mid == result.rhs
     total = sum((snell_value(result.attaining, h) for h in hs), F(0))
     assert total == result.rhs
+
+
+def test_minimax_solves_one_lp(monkeypatch):
+    """One LP per call on the random hulls of `test_minimax_random`: the
+    flows come from its duals, so no second LP (nor a cut loop) runs."""
+    solves = _count(monkeypatch, robust, "solve")
+    cut_loops = _count(monkeypatch, measures, "solve")
+    for seed in range(6):
+        rng = random.Random(14_000 + seed)
+        tree = random_market(rng, max_depth=2).tree
+        verts = [random_measure(rng, tree, full_support=rng.random() < 0.7)
+                 for _ in range(rng.randint(1, 3))]
+        hs = [random_process(rng, tree) for _ in range(rng.randint(1, 2))]
+        solves.clear()
+        cut_loops.clear()
+        minimax_check(verts, hs)
+        assert len(solves) == 1 and not cut_loops
+
+
+def _tamper_t2_segment(monkeypatch, t2, alter):
+    """`minimax_check` on the T2 segment hull of
+    `test_minimax_t2_segment_with_oracle`, its LP solution altered by
+    `alter(solution, n_stops)` after `lp.solve` has verified it."""
+    real = robust.solve
+
+    def tampered(problem):
+        sol = real(problem)
+        alter(sol, len(enumerate_stopping_times(t2.tree)))
+        return sol
+
+    monkeypatch.setattr(robust, "solve", tampered)
+    return minimax_check([_emm_t2(t2.tree), _uniform(t2.tree)], [t2.claims["put5_am"]])
+
+
+def test_minimax_rejects_a_flow_moved_to_a_worse_stop(monkeypatch, t2):
+    """Option 0's stop weight moved onto stopping at the root (worth 1, the
+    optimum is 7/4): the flow keeps unit mass but a vertex values it below
+    rhs."""
+    def move(sol, n):
+        i = next(i for i in range(2, 1 + n) if sol.duals[i])
+        sol.duals[1], sol.duals[i] = sol.duals[1] + sol.duals[i], ZERO
+
+    with pytest.raises(VerificationFailure, match="minimax identity broken: 1, 7/4, 7/4"):
+        _tamper_t2_segment(monkeypatch, t2, move)
+
+
+def test_minimax_rejects_a_flow_without_unit_mass(monkeypatch, t2):
+    """Option 0's stop duals doubled: they sum to -2, so the flow's path mass
+    is 2; a typed verification failure, not the strategy's TreeError."""
+    def scale(sol, n):
+        sol.duals[1:1 + n] = [2 * y for y in sol.duals[1:1 + n]]
+
+    with pytest.raises(VerificationFailure, match="option 0: .*path mass 2 != 1"):
+        _tamper_t2_segment(monkeypatch, t2, scale)
+
+
+def test_minimax_rejects_a_mixture_that_misses_rhs(monkeypatch, t2):
+    """The optimal mixture (the uniform vertex) replaced by the other vertex
+    of the simplex, whose envelope 20/9 is not rhs 7/4."""
+    def swap(sol, n):
+        sol.values["lam[0]"], sol.values["lam[1]"] = F(1), ZERO
+
+    with pytest.raises(VerificationFailure, match="attaining measure gives 20/9, expected 7/4"):
+        _tamper_t2_segment(monkeypatch, t2, swap)
 
 
 def _count(monkeypatch, module, name):
