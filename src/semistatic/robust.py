@@ -14,6 +14,16 @@ the verdict's `check_na` fallbacks) are asked of the market restricted to the
 union support, and each component's slack of the market restricted to its
 support.
 
+Only the maximal prior supports are asked (`_maximal`): a component or prior
+whose support lies inside an earlier prior's is skipped.  Its component's
+slack LP is the earlier component's with some weights fixed at 0, so its
+optimum is no higher; the prior's own best slack has every component of the
+earlier prior as a candidate and fewer floor rows, so it is no lower and moves
+neither the verdict nor the uniform slack (a minimum); and its component's
+sub-hedge LP has fewer pointwise leaf rows, so it prices no lower.  The
+earlier one wins every tie, so each answer is bit-identical to asking every
+support.
+
 Raw finite lists are not closed under mixing priors node by node.  When no
 prior dominates the whole list, a martingale measure can straddle two prior
 supports without belonging to any component, and the quasi-sure hedging LP can
@@ -137,6 +147,17 @@ def _supports(spec: RobustSpec) -> tuple[frozenset[str], ...]:
     return tuple(P.support() for P in spec.priors)
 
 
+def _maximal(supports: Sequence[frozenset[str]]) -> list[frozenset[str]]:
+    """The supports not contained in an earlier one, in order: the only ones a
+    robust question is asked of (the module docstring says why skipping the
+    others changes no answer)."""
+    out: list[frozenset[str]] = []
+    for s in supports:
+        if not any(s <= kept for kept in out):
+            out.append(s)
+    return out
+
+
 def union_support(priors: PriorSet) -> frozenset[str]:
     """Quasi-sure pointwise constraints range over exactly this leaf set."""
     out: frozenset[str] = frozenset()
@@ -145,18 +166,22 @@ def union_support(priors: PriorSet) -> frozenset[str]:
     return out
 
 
-def _dominating_slack(spec: RobustSpec, P: Measure) -> SlackResult | None:
-    """The best uniform slack of a measure dominating P: per component whose
-    support contains P's, caps shifted by t and weight >= t on P's support,
-    maximized over those components; None when all of them are empty.  It
-    depends on the prior supports only and is solved once per market, prior
-    supports and P's support."""
-    m, supports, floor = spec.market, _supports(spec), P.support()
+def _dominating_slack(spec: RobustSpec, floor: frozenset[str]) -> SlackResult | None:
+    """The best uniform slack of a measure dominating a prior with support
+    `floor`: per component whose support contains the floor, caps shifted by
+    t and weight >= t on the floor, maximized over those components; None
+    when all of them are empty.  It depends on the prior supports only and is
+    solved once per market, prior supports and floor.
+
+    Only the `_maximal` carriers are solved: a carrier inside an earlier one
+    (which then contains the floor too) poses the earlier one's slack LP
+    with some weights fixed at 0, so its optimum is no higher, it is
+    infeasible whenever the earlier one is, and the earlier one wins ties."""
+    m, supports = spec.market, _supports(spec)
 
     def solve_components() -> SlackResult | None:
         best: SlackResult | None = None
-        # one LP per distinct component support; the first prior wins ties
-        for carrier in dict.fromkeys(supports):
+        for carrier in _maximal(supports):
             if not floor <= carrier:
                 continue
             res = max_slack(PricingSetSpec(m.on_support(carrier), support_floor=floor))
@@ -175,35 +200,36 @@ def check_sna_robust(spec: RobustSpec) -> ArbitrageVerdict:
 
     Decided by per-prior slack LPs (maximized over the components whose
     support contains the prior's); the verdict's slacks give the common
-    shifted quotes.  The verdict and the slacks depend on the priors only
-    through their supports, so each is decided once per market and prior
-    supports and kept on the market, where `_check_hypothesis` reads it
-    too."""
+    shifted quotes.  Only the priors with `_maximal` supports are asked: a
+    prior whose support lies inside an earlier prior's has every component
+    of that prior as a candidate and fewer floor rows, so its best slack is
+    at least the earlier prior's and changes neither the decision nor the
+    uniform slack (the minimum); the first prior, whose witness is the
+    verdict's `pricing`, is always asked.  The verdict and the slacks depend
+    on the priors only through their supports, so each is decided once per
+    market and prior supports and kept on the market, where
+    `_check_hypothesis` reads it too."""
     return _kept(spec.market, ("robust_verdict", _supports(spec)),
                  lambda: _robust_verdict(spec))
 
 
 def _robust_verdict(spec: RobustSpec) -> ArbitrageVerdict:
     m = spec.market
-    worst: Fraction | None = None
-    witnesses: list[Measure] = []
-    all_dominated = True
-    for P in spec.priors:
-        best = _dominating_slack(spec, P)
+    slacks = []
+    for floor in _maximal(_supports(spec)):
+        best = _dominating_slack(spec, floor)
         if best is None or not best.strictly_positive:
-            all_dominated = False
             break
-        witnesses.append(best.witness)
-        worst = best.optimum if worst is None else min(worst, best.optimum)
-    if all_dominated:
-        t = worst
+        slacks.append(best)
+    else:
+        t = min(s.optimum for s in slacks)
         return ArbitrageVerdict(
             verdict=NO_ARBITRAGE,
-            pricing=witnesses[0],
+            pricing=slacks[0].witness,
             g_slacks=tuple(t for _ in m.g),
             h_slacks=tuple(t for _ in m.h),
             notes=f"robust strict no-arbitrage holds with uniform slack {rat_str(t)}; "
-                  f"{len(witnesses)} dominating witnesses",
+                  f"{len(spec.priors)} dominating witnesses",
         )
     union = m.on_support(union_support(spec.priors))
     plain = check_na(union)
@@ -240,11 +266,14 @@ def sub_hedge_robust(spec: RobustSpec, claim) -> HedgeResult:
     stock-plus-European part.
 
     One hedge per market restricted to a distinct leaf set among the union
-    support and the prior supports (`MarketSpec.on_support`): the union
-    market's hedge gives the portfolio, and each prior's, hedging on that
-    prior's support only, prices its component (unbounded when the component
-    is empty) and carries its measure in the leaf duals.  The result's market
-    is the union market, on whose support `duality_gap_report` re-checks the
+    support and the `_maximal` prior supports (`MarketSpec.on_support`): the
+    union market's hedge gives the portfolio, and each such prior's, hedging
+    on that prior's support only, prices its component (unbounded when the
+    component is empty) and carries its measure in the leaf duals.  A prior
+    whose support lies inside an earlier prior's is not hedged: its hedge LP
+    has fewer pointwise leaf rows, so its optimum is no lower (or it is
+    unbounded), and the earlier prior wins ties.  The result's market is the
+    union market, on whose support `duality_gap_report` re-checks the
     portfolio; its dual is the attaining component measure (the first prior
     wins ties), checked against that component (the market restricted to the
     attaining prior's support)."""
@@ -262,12 +291,12 @@ def sub_hedge_robust(spec: RobustSpec, claim) -> HedgeResult:
     union = m.on_support(union_support(spec.priors))
     primal, space, _ = hedge(union.support)
     best = None
-    for P in spec.priors:
-        sol, _, Q = hedge(P.support())
+    for leaves in _maximal(_supports(spec)):
+        sol, _, Q = hedge(leaves)
         if sol.status != "optimal":
             continue  # the hedge LP is feasible, so unbounded: an empty component
         if best is None or sol.objective < best[0]:
-            best = (sol.objective, Q, P)
+            best = (sol.objective, Q, leaves)
     if best is None:
         if primal.status == "optimal":
             raise RobustDualityGapError(primal.objective, INFINITE_PRICE)
@@ -277,14 +306,14 @@ def sub_hedge_robust(spec: RobustSpec, claim) -> HedgeResult:
         )
     if primal.status != "optimal":
         raise RobustError(f"quasi-sure hedge LP is {primal.status}")
-    dual_value, Q, P = best
+    dual_value, Q, leaves = best
     if primal.objective != dual_value:
         raise RobustDualityGapError(primal.objective, dual_value)
     result = HedgeResult(
         kind=kind, market=union, claim=claim, price=dual_value,
         portfolio=space.extract_portfolio(primal.values),
         eta=space.extract_eta(primal.values) if american else None, dual=Q,
-        details={"dual_spec": PricingSetSpec(m.on_support(P.support()))},
+        details={"dual_spec": PricingSetSpec(m.on_support(leaves))},
     )
     duality_gap_report(result)
     return result
@@ -315,7 +344,7 @@ def dominating_measure(spec: RobustSpec, P: Measure) -> DominationResult:
     m = spec.market
     n = len(m.h)
     if n == 0:
-        best = _dominating_slack(spec, P)
+        best = _dominating_slack(spec, P.support())
         if best is None or not best.strictly_positive:
             raise RobustError(
                 "no dominating pricing measure: robust strict no-arbitrage fails"

@@ -43,6 +43,11 @@ time.
     ways over the closure's vertices (the inf-sup against sup-inf exchange
     over stops), and `p2_params_of` reads the fixture P2's parameters off a
     measure.
+  * `unpruned_dominating_slack`, `unpruned_robust_verdict` and
+    `unpruned_sub_hedge_robust` ask every robust question of every prior
+    and every component, the earlier one winning ties: the reference for
+    `robust`, which asks only the prior supports not inside an earlier
+    one's.
 """
 
 from __future__ import annotations
@@ -53,8 +58,13 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from semistatic.fixtures import FixtureError
-from semistatic.ftap import NO_ARBITRAGE, check_sna
-from semistatic.hedging import HedgingError, VerificationFailure
+from semistatic.ftap import (
+    ARBITRAGE, NO_ARBITRAGE, STRICT_NO_ARBITRAGE_FAILS, ArbitrageVerdict, check_na, check_sna,
+)
+from semistatic.hedging import (
+    INFINITE_PRICE, HedgeResult, HedgingError, VerificationFailure, duality_gap_report,
+    hedge_primal,
+)
 from semistatic.lp import (
     EQ, GE, LE, Constraint, LpProblem, LpSolution, LpVerificationError, con, solve,
 )
@@ -62,12 +72,17 @@ from semistatic.market import MarketError, MarketSpec
 from semistatic.measures import (
     Measure,
     PricingSetSpec,
+    SlackResult,
     closure_polytope,
+    max_slack,
     polytope_vertices_as_measures,
 )
 from semistatic.polytope import Polytope, PolytopeError, _dd_cone, _primitive_int
 from semistatic.rational import rat, rat_str
-from semistatic.robust import RobustSpec, minimax_check
+from semistatic.robust import (
+    HypothesisFailure, RobustDualityGapError, RobustError, RobustSpec, minimax_check,
+    union_support,
+)
 from semistatic.stopping import LiquidatingStrategy, StoppingTime, enumerate_stopping_times
 from semistatic.tree import AdaptedProcess, TerminalClaim
 
@@ -837,3 +852,89 @@ def p2_params_of(Q: Measure) -> tuple[Fraction, Fraction]:
     if wu == 0 or wd == 0:
         raise FixtureError("measure has no mass on a time-1 subtree")
     return Q.weights.get("u1", Fraction(0)) / wu, Q.weights.get("d1", Fraction(0)) / wd
+
+
+# ---------------------------------------------------------------------------
+# Robust questions asked of every prior and every component
+# ---------------------------------------------------------------------------
+
+def unpruned_dominating_slack(spec: RobustSpec, floor: frozenset[str]) -> SlackResult | None:
+    """The best slack of a measure dominating a prior with support `floor`:
+    one slack LP per prior whose support contains the floor, the earliest
+    best optimum kept; None when none is feasible."""
+    best = None
+    for P in spec.priors:
+        if floor <= P.support():
+            res = max_slack(PricingSetSpec(spec.market.on_support(P.support()),
+                                           support_floor=floor))
+            if res.status == "optimal" and (best is None or res.optimum > best.optimum):
+                best = res
+    return best
+
+
+def unpruned_robust_verdict(spec: RobustSpec) -> ArbitrageVerdict:
+    """Robust strict no-arbitrage with every prior's best slack solved: the
+    uniform slack is their minimum and the pricing measure the first prior's
+    witness; otherwise the quasi-sure `check_na` verdicts on the union
+    market, at the quotes and at quotes shifted down by 1/2."""
+    m = spec.market
+    slacks = [unpruned_dominating_slack(spec, P.support()) for P in spec.priors]
+    fails = "no dominating measures under any uniform strict shift"
+    if all(s is not None and s.strictly_positive for s in slacks):
+        t = min(s.optimum for s in slacks)
+        return ArbitrageVerdict(
+            verdict=NO_ARBITRAGE, pricing=slacks[0].witness,
+            g_slacks=tuple(t for _ in m.g), h_slacks=tuple(t for _ in m.h),
+            notes=f"robust strict no-arbitrage holds with uniform slack {rat_str(t)}; "
+                  f"{len(slacks)} dominating witnesses",
+        )
+    union = m.on_support(union_support(spec.priors))
+    plain = check_na(union)
+    if plain.verdict == ARBITRAGE:
+        return plain
+    if m.g or m.h:
+        half = Fraction(1, 2)
+        shifted = check_na(union.with_options(g_prices=[p - half for p in m.g_prices],
+                                              h_prices=[p - half for p in m.h_prices]))
+        if shifted.verdict == ARBITRAGE:
+            return ArbitrageVerdict(verdict=STRICT_NO_ARBITRAGE_FAILS,
+                                    portfolio=shifted.portfolio, shifted_g=shifted.shifted_g,
+                                    shifted_h=shifted.shifted_h, notes=fails)
+    return ArbitrageVerdict(verdict=STRICT_NO_ARBITRAGE_FAILS, notes=fails)
+
+
+def unpruned_sub_hedge_robust(spec: RobustSpec, claim) -> HedgeResult:
+    """The robust sub-hedge with one hedge LP per prior: the union market's
+    portfolio, priced by the cheapest component, the earliest prior winning
+    ties; refused as `sub_hedge_robust` refuses."""
+    verdict = unpruned_robust_verdict(spec.reduced(0))
+    if verdict.verdict != NO_ARBITRAGE:
+        raise HypothesisFailure(verdict)
+    m = spec.market
+    american = isinstance(claim, AdaptedProcess)
+    kind = "sub_am" if american else "sub_eu"
+    union = m.on_support(union_support(spec.priors))
+    primal, space, _ = hedge_primal(union, claim, kind)
+    best = None
+    for P in spec.priors:
+        sol, _, Q = hedge_primal(m.on_support(P.support()), claim, kind)
+        if sol.status == "optimal" and (best is None or sol.objective < best[0]):
+            best = (sol.objective, Q, P.support())
+    if best is None:
+        if primal.status == "optimal":
+            raise RobustDualityGapError(primal.objective, INFINITE_PRICE)
+        return HedgeResult(kind=kind, market=union, claim=claim, price=INFINITE_PRICE,
+                           details={"pricing_set_empty": True})
+    if primal.status != "optimal":
+        raise RobustError(f"quasi-sure hedge LP is {primal.status}")
+    price, Q, leaves = best
+    if primal.objective != price:
+        raise RobustDualityGapError(primal.objective, price)
+    result = HedgeResult(
+        kind=kind, market=union, claim=claim, price=price,
+        portfolio=space.extract_portfolio(primal.values),
+        eta=space.extract_eta(primal.values) if american else None, dual=Q,
+        details={"dual_spec": PricingSetSpec(m.on_support(leaves))},
+    )
+    duality_gap_report(result)
+    return result

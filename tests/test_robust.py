@@ -29,15 +29,16 @@ from semistatic import (
     vertices,
 )
 from semistatic import measures, robust
-from semistatic.hedging import VerificationFailure
+from semistatic.hedging import HedgeResult, VerificationFailure
 from semistatic.lp import ZERO
 from semistatic.market import MarketSpec, build_market, market_to_json, portfolio_value
 from semistatic.measures import polytope_vertices_as_measures
-from semistatic.robust import HypothesisFailure
+from semistatic.robust import HypothesisFailure, RobustError
 from semistatic.stopping import enumerate_stopping_times, snell_value
 from semistatic.tree import AdaptedProcess, EventTree, constant_claim
 
 from conftest import random_claim, random_market, random_measure, random_process
+import oracles
 from oracles import robust_pricing_set
 
 F = Fraction
@@ -510,9 +511,10 @@ def _counts(deciders):
 
 def _asked_again(once):
     """`_answers`' counts when nothing is decided again: each robust hedge
-    solves its two hedge LPs (the union's, which is the full prior's, and the
-    partial prior's) per call, and the domination's sub-hedge is kept."""
-    return {**once, "hedge_primal": once["hedge_primal"] + 2 * 2}
+    solves its one hedge LP (the union's, which is the full prior's; the
+    partial prior's support lies inside it) per call, and the domination's
+    sub-hedge is kept."""
+    return {**once, "hedge_primal": once["hedge_primal"] + 2 * 1}
 
 
 def test_robust_hypothesis_decided_once_per_spec(monkeypatch, t2):
@@ -524,9 +526,10 @@ def test_robust_hypothesis_decided_once_per_spec(monkeypatch, t2):
     deciders = _deciders(monkeypatch)
     spec = RobustSpec(market, priors)
     shared = _answers(lambda: spec)
-    # the full prior has one component containing it, the partial one two
+    # one component is solved per prior: the partial prior's support lies
+    # inside the full one's, so its own component is never asked
     assert _counts(deciders)["_robust_verdict"] == 1
-    assert _counts(deciders)["max_slack"] == 3
+    assert _counts(deciders)["max_slack"] == 2
     once = _counts(deciders)
     assert _answers(lambda: RobustSpec(market, priors)) == shared
     assert _counts(deciders) == _asked_again(once)
@@ -534,15 +537,15 @@ def test_robust_hypothesis_decided_once_per_spec(monkeypatch, t2):
 
 def test_sub_hedge_of_domination_solved_once_per_spec(monkeypatch, t2):
     """The sub-hedge of the last American option does not depend on the prior:
-    dominating two priors solves its two hedge LPs (the union's, which is the
-    full prior's, and the partial prior's) once per market and prior
-    supports."""
+    dominating two priors solves its one hedge LP (the union's, which is the
+    full prior's; the partial prior's support lies inside it) once per market
+    and prior supports."""
     market, priors = _t2_with_put(t2)
     hedges = _deciders(monkeypatch)["hedge_primal"]
     shared = [dominating_measure(RobustSpec(market, priors), P) for P in priors]
-    assert len(hedges) == 2
+    assert len(hedges) == 1
     fresh = [dominating_measure(RobustSpec(market, priors), P) for P in priors]
-    assert len(hedges) == 2
+    assert len(hedges) == 1
     assert ([(d.g_tilde, d.h_tilde, d.Q, d.lam) for d in shared]
             == [(d.g_tilde, d.h_tilde, d.Q, d.lam) for d in fresh])
 
@@ -599,22 +602,34 @@ def test_robust_spec_cell_is_not_part_of_its_value(t2):
     assert repr(spec) == repr(RobustSpec(t2, priors))
 
 
-def test_robust_hedge_solves_one_lp_per_distinct_support(monkeypatch, t2):
-    """With the hypothesis decided and a first prior covering the union, a
-    robust hedge solves the union LP (which is the first prior's) and the
-    second prior's LP, and nothing else: no closure-side dual LP."""
+@pytest.mark.parametrize("partial_first,slack_lps,hedge_lps", [(False, 1, 1), (True, 3, 2)],
+                         ids=["full_first", "partial_first"])
+def test_robust_hedge_solves_one_lp_per_maximal_support(monkeypatch, t2, partial_first,
+                                                        slack_lps, hedge_lps):
+    """A robust hedge solves one LP per prior support not inside an earlier
+    prior's, the union's among them, and nothing else: no closure-side dual
+    LP.  With the full prior first, the partial prior is never asked: the
+    hypothesis solves the full prior's slack LP and each hedge the union LP
+    (which is the full prior's).  With the partial prior first, the later
+    full prior strictly contains it and is asked too: the partial prior's
+    slack over both components and the full prior's over its own, and a
+    hedge LP on each support."""
     from semistatic import hedging, measures, robust
 
     market = t2.with_options(h=[t2.claims["put5_am"]], h_prices=[F(3)])
-    spec = RobustSpec(market, PriorSet((_uniform(t2.tree), _partial_t2(t2.tree))))
+    priors = (_uniform(t2.tree), _partial_t2(t2.tree))
+    spec = RobustSpec(market, PriorSet(priors[::-1] if partial_first else priors))
+    slacks = _count(monkeypatch, robust, "max_slack")
     sub_hedge_robust(spec, constant_claim(t2.tree, 1))  # decides the hypothesis
+    assert len(slacks) == slack_lps
+    monkeypatch.undo()
     for claim in (t2.claims["put5_eu"], t2.claims["put5_am"]):
         solves = [_count(monkeypatch, mod, "solve") for mod in (hedging, measures, robust)]
         duals = [_count(monkeypatch, mod, "dual_optimum")
                  for mod in (hedging, robust) if hasattr(mod, "dual_optimum")]
         result = sub_hedge_robust(spec, claim)
         assert result.gap == 0
-        assert sum(map(len, solves)) == 2
+        assert sum(map(len, solves)) == hedge_lps
         assert sum(map(len, duals)) == 0
         monkeypatch.undo()
 
@@ -699,3 +714,93 @@ def test_robust_price_is_the_cheapest_component_dual(seed):
             assert price == (min(values) if values else INFINITE_PRICE), kind
         else:
             done += 1
+
+
+def _on(rng, tree, leaves):
+    """A measure with random positive weights on `leaves`."""
+    weights = {l: F(rng.randint(1, 8)) for l in leaves}
+    total = sum(weights.values())
+    return Measure(tree, {l: w / total for l, w in weights.items()})
+
+
+def _shaped_priors(rng, market, shape):
+    """A prior list of the given shape, with random weights on supports made
+    of the supports of the market's closure vertices (so that components are
+    rarely empty), or of single leaves when the closure has no vertex."""
+    tree = market.tree
+    verts = polytope_vertices_as_measures(closure_polytope(PricingSetSpec(market)), tree)
+    blocks = [sorted(Q.support()) for Q in verts] or [[l] for l in tree.leaves]
+    rng.shuffle(blocks)
+    every = sorted(set().union(*blocks))
+    some = sorted(set(blocks[0]).union(*blocks[1:rng.randint(1, len(blocks))]))
+    if shape == "nested":
+        return PriorSet((_on(rng, tree, every), _on(rng, tree, some), _on(rng, tree, blocks[0])))
+    if shape == "disjoint":
+        rest = [b for b in blocks[1:] if not set(b) & set(blocks[0])]
+        other = rest[0] if rest else sorted(set(tree.leaves) - set(blocks[0]))
+        return PriorSet((_on(rng, tree, blocks[0]), _on(rng, tree, other or every)))
+    if shape == "equal":
+        return PriorSet((_on(rng, tree, some), _on(rng, tree, some)))
+    if shape == "single_leaf":
+        return PriorSet((_on(rng, tree, every[:1]), _on(rng, tree, every),
+                         _on(rng, tree, every[-1:])))
+    assert shape == "later_contains_earlier"
+    return PriorSet((_on(rng, tree, blocks[0]), _on(rng, tree, every)))
+
+
+def _outcome(ask):
+    """What a robust question answered, as a comparable value: the hedge's
+    price, measure, portfolio, exercise flow and dual component, or any
+    other result as is, or the refusal's type and message."""
+    try:
+        r = ask()
+    except (RobustError, VerificationFailure) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(r, HedgeResult):
+        return r.market, r.price, r.dual, r.portfolio, r.eta, r.details
+    return r
+
+
+@pytest.mark.parametrize("shape", ["nested", "disjoint", "equal", "single_leaf",
+                                   "later_contains_earlier"])
+def test_maximal_supports_answer_as_every_support(monkeypatch, shape):
+    """Asking only the prior supports not inside an earlier prior's changes
+    no answer: against the unpruned reference (every component and every
+    prior solved, the earlier one winning ties) on random markets, the
+    verdict, each prior's best slack (status, optimum, witness, certificate),
+    the robust sub-hedges and the dominating measures are equal.  The
+    reference dominations are the engine's construction with the unpruned
+    slack and sub-hedge, on a copy of the market that has decided nothing."""
+    from dataclasses import replace
+
+    rng = random.Random(15_000 + len(shape))
+    held = 0
+    for _ in range(16):
+        market = random_market(rng, max_depth=2)
+        if len(market.tree.leaves) < 2:
+            continue
+        if rng.random() < 0.5:
+            market = market.with_options(f=[], f_prices=[], g=[], g_prices=[])
+        if shape == "disjoint":
+            # every measure is a martingale of a flat stock, so that priors on
+            # disjoint supports can each be dominated
+            market = replace(market, S=AdaptedProcess(market.tree,
+                                                      {n: 1 for n in market.tree.nodes}))
+        priors = _shaped_priors(rng, market, shape)
+        spec = RobustSpec(market, priors)
+        verdict = check_sna_robust(spec)
+        assert verdict == oracles.unpruned_robust_verdict(spec)
+        held += verdict.verdict == NO_ARBITRAGE
+        for P in priors:
+            assert robust._dominating_slack(spec, P.support()) == \
+                oracles.unpruned_dominating_slack(spec, P.support())
+        for claim in (random_claim(rng, market.tree), random_process(rng, market.tree)):
+            assert _outcome(lambda: sub_hedge_robust(spec, claim)) == \
+                _outcome(lambda: oracles.unpruned_sub_hedge_robust(spec, claim))
+        doms = [_outcome(lambda: dominating_measure(spec, P)) for P in priors]
+        with monkeypatch.context() as patched:
+            patched.setattr(robust, "_dominating_slack", oracles.unpruned_dominating_slack)
+            patched.setattr(robust, "sub_hedge_robust", oracles.unpruned_sub_hedge_robust)
+            fresh = RobustSpec(replace(market), priors)
+            assert doms == [_outcome(lambda: dominating_measure(fresh, P)) for P in priors]
+    assert held

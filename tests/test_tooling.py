@@ -7,7 +7,8 @@ check vanishes under `python -O`.  LP rows are made in integers by
 `lp.int_con`, and only `lp.py` turns rationals into a row or reads a row's
 Fraction view.  What is derived from a market or its stock process is kept by
 `market._kept` alone.  Each pricing region is one traced vertex enumeration,
-and the double-description kernel makes no Fraction."""
+and the double-description kernel makes no Fraction.  The robust questions
+are asked of the maximal prior supports only, picked by `robust._maximal`."""
 
 import ast
 import importlib
@@ -184,4 +185,40 @@ def test_double_description_makes_no_fraction():
     found = [node.lineno for node in ast.walk(kernel)
              if isinstance(node, ast.Name) and node.id == "Fraction"
              or isinstance(node, ast.Attribute) and node.attr == "Fraction"]
+    assert found == []
+
+
+def test_robust_asks_only_the_maximal_supports():
+    """In `robust.py` every loop that solves a slack or hedge LP per support
+    (`max_slack`, `hedge_primal`, its `hedge` closure, `_dominating_slack`)
+    ranges over `_maximal(...)`, and no `dict.fromkeys` dedupes supports: a
+    support inside an earlier one is skipped by the one helper, not per
+    loop."""
+    solvers = {"max_slack", "hedge_primal", "hedge", "_dominating_slack"}
+
+    def calls(nodes):
+        return {node.func.id for tree in nodes for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+    def is_maximal(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and \
+            node.func.id == "_maximal"
+
+    path = PACKAGE / "robust.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For):
+            loops = [(node.iter, node.body)]
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            body = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+            loops = [(gen.iter, body) for gen in node.generators]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and \
+                node.func.attr == "fromkeys" and "support" in ast.unparse(node):
+            found.append(f"robust.py:{node.lineno} dedupes supports with dict.fromkeys")
+            continue
+        else:
+            continue
+        found += [f"robust.py:{node.lineno} solves per support outside _maximal"
+                  for it, body in loops if calls(body) & solvers and not is_maximal(it)]
     assert found == []
