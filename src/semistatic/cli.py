@@ -44,7 +44,7 @@ from .measures import (
     closure_polytope,
     polytope_vertices_as_measures,
 )
-from .rational import rat, rat_str
+from .rational import RationalError, rat, rat_str
 from .robust import (
     PriorSet,
     RobustDualityGapError,
@@ -457,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, TreeError, MarketError,
-            MeasureError, EnumerationCapError, UtilityError, TypeError,
+            MeasureError, EnumerationCapError, UtilityError, RationalError,
             RobustDualityGapError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

@@ -31,7 +31,6 @@ from .rational import rat_str
 from .stopping import (
     DEFAULT_ENUM_CAP,
     EnumerationCapError,
-    LiquidatingStrategy,
     count_stopping_times,
     enumerate_stopping_times,
     snell_value,
@@ -82,9 +81,9 @@ def check_na(market: MarketSpec, divisible: bool = True) -> ArbitrageVerdict:
     when it finds no arbitrage, decides the question alone.  Otherwise each
     option, exercised whole at fixed stops, is the buy-only European claim it
     pays there, bought at its quote (`MarketSpec.exercised_at`), and the same
-    cone LP is solved on the stopped market per stop combination; that
-    restriction is exactly what breaks the measure-existence equivalence, see
-    the motivating two-period market."""
+    cone LP is solved on the stopped market per stop combination, its
+    arbitrage read back by `MarketSpec.whole_unit`; that restriction is
+    exactly what breaks the measure-existence equivalence (P2)."""
     support = market.support_leaves()
 
     def cone_lp(m: MarketSpec) -> HedgePortfolio | None:
@@ -117,7 +116,6 @@ def check_na(market: MarketSpec, divisible: bool = True) -> ArbitrageVerdict:
         found = ArbitrageVerdict(verdict=ARBITRAGE, portfolio=portfolio,
                                  shifted_g=market.g_prices, shifted_h=market.h_prices)
     elif portfolio is not None:
-        n_g = len(market.g)
         # with no American option the one (empty) combination is `market`:
         # no stop is enumerated and the divisible LP's portfolio is reused
         taus = enumerate_stopping_times(market.tree) if market.h else []
@@ -125,11 +123,7 @@ def check_na(market: MarketSpec, divisible: bool = True) -> ArbitrageVerdict:
             stopped = cone_lp(market.exercised_at(combo)) if combo else portfolio
             if stopped is not None:
                 found = ArbitrageVerdict(
-                    verdict=ARBITRAGE,
-                    portfolio=HedgePortfolio(
-                        H=stopped.H, a=stopped.a, b=stopped.b[:n_g], c=stopped.b[n_g:],
-                        mu=tuple(LiquidatingStrategy.from_stopping_time(t) for t in combo),
-                    ),
+                    verdict=ARBITRAGE, portfolio=market.whole_unit(stopped, combo),
                     shifted_g=market.g_prices, shifted_h=market.h_prices,
                     notes="indivisible exercise",
                 )

@@ -20,8 +20,8 @@ set that attains the price: LP duality carries the FTAP duality, and for the
 American part the Snell envelope is the LP dual of the exercise flow (Manne
 1960).  `duality_gap_report` re-verifies a result from scratch, trusting
 nothing from the solver: the strategy by evaluating it on every leaf in one
-pass (`portfolio_values`), the measure through exact membership, and the measure's value against the price,
-which closes the gap by weak duality.
+pass (`portfolio_values`), the measure through exact membership, and the
+measure's value against the price, which closes the gap by weak duality.
 
 Every hedge requires strict no-arbitrage of its market.  That is a property
 of the market alone, so the strict-EMM slack LP that decides it is solved once
@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping
 
-from .lp import EQ, GE, LE, Constraint, LpProblem, LpSolution, int_con, solve
+from .lp import EQ, GE, LE, ZERO, Constraint, LpProblem, LpSolution, int_con, solve
 from .market import HedgePortfolio, MarketSpec, _kept_off_support, portfolio_values
 from .measures import (
     Measure,
@@ -64,8 +64,6 @@ from .stopping import (
     stop_everywhere_at,
 )
 from .tree import AdaptedProcess, EventTree, TerminalClaim
-
-ZERO = Fraction(0)
 
 
 class HedgingError(RuntimeError):
@@ -420,36 +418,19 @@ def super_hedge_divisible(market: MarketSpec, psi: TerminalClaim) -> HedgeResult
     return _hedge(market, psi, "super_div")
 
 
-def _verify_stock_only_optimum(stock_only: MarketSpec, psi: TerminalClaim,
-                               Q: Measure, value: Fraction) -> None:
-    """Re-check, from first principles, that Q is a martingale measure on the
-    stock-only market's support valuing psi at `value`."""
-    report = membership(Q, PricingSetSpec(stock_only), strict=False)
-    if not report:
-        raise VerificationFailure(
-            "stock-only bound measure violates: " + "; ".join(report.violations)
-        )
-    achieved = Q.expect_claim(psi)
-    if achieved != value:
-        raise VerificationFailure(
-            f"stock-only bound measure achieves {rat_str(achieved)}, "
-            f"stock-only value is {rat_str(value)}"
-        )
-
-
 def super_hedge_indivisible(market: MarketSpec, psi: TerminalClaim) -> HedgeResult:
-    """Super-hedge with stock plus a whole-unit American position exercised at
-    a single stopping time (no divisibility, no European books).  Exercised
-    whole at a stop tau, the option is the buy-only European claim h(tau) at
-    its quote (`MarketSpec.exercised_at`), so each stop's value V(tau) is a
-    divisible super-hedge of the stopped stock market; the cheapest stop
-    wins.  Its leaf duals, a martingale measure pricing h(tau) at most at the
-    quote, are the certificate of that stop's value.
+    """Super-hedge with the stock and the one American option only (the `f`
+    and `g` books are not traded), held whole and exercised at one stopping
+    time.  Exercised whole at a stop tau, the option is the buy-only European
+    claim h(tau) at its quote (`MarketSpec.exercised_at`), so each stop's
+    value V(tau) is a divisible super-hedge of the stopped stock market; the
+    cheapest stop wins, read back by `MarketSpec.whole_unit`, and its leaf
+    duals, pricing h(tau) at most at the quote, certify its value.
 
     Holding no option is feasible at every stop, so V(tau) <= V0, the
     stock-only value.  The first solved stop whose optimum holds no option is
-    worth exactly V0, and its leaf duals Q0 attain V0 over the stock-only
-    market; Q0's membership and value are re-checked once, exactly.  A later
+    worth exactly V0: its stock position and leaf duals Q0 are a stock-only
+    hedge and measure at V0, re-checked once by `duality_gap_report`.  A later
     stop with E_Q0 h(tau) <= quote has Q0 dual-feasible, so V(tau) = V0 by
     weak duality and its LP is skipped.  `details["per_stop_values"]` still
     lists every stop, and `details["stops_solved"]` counts the LPs solved."""
@@ -482,18 +463,19 @@ def super_hedge_indivisible(market: MarketSpec, psi: TerminalClaim) -> HedgeResu
         if best is None or primal.objective < best[1].objective:
             best = (tau, primal, space, Q)
         if Q0 is None and m.h and primal.values.get("b[0]", ZERO) == 0:
-            _verify_stock_only_optimum(stock.without_american(), psi, Q, primal.objective)
+            duality_gap_report(HedgeResult(
+                kind="super_div", market=stock.without_american(), claim=psi,
+                price=primal.objective,
+                portfolio=HedgePortfolio(H=space.extract_portfolio(primal.values).H), dual=Q,
+            ))
             Q0, V0 = Q, primal.objective
 
     tau, primal, space, Q = best
-    held = space.extract_portfolio(primal.values)
+    held = stock.whole_unit(space.extract_portfolio(primal.values), (tau,) * len(m.h))
     result = HedgeResult(
         kind="super_indiv", market=market, claim=psi, price=primal.objective,
-        portfolio=HedgePortfolio(
-            H=held.H, c=held.b, mu=(LiquidatingStrategy.from_stopping_time(tau),) * len(m.h)
-        ),
-        dual=Q,
-        details={"stop": tau, "quantity": held.b[0] if m.h else ZERO,
+        portfolio=held, dual=Q,
+        details={"stop": tau, "quantity": held.c[0] if m.h else ZERO,
                  "per_stop_values": per_stop_values, "stops_solved": solved,
                  "dual_spec": PricingSetSpec(space.market)},
     )

@@ -180,9 +180,6 @@ class LpSolution:
     feasible_point: dict[str, Fraction] | None = None
     pivots: tuple[int, int] = (0, 0)  # phase 1 (with drive-outs), phase 2
 
-    def value(self, name: str) -> Fraction:
-        return self.values.get(name, ZERO)
-
 
 # ---------------------------------------------------------------------------
 # Simplex core

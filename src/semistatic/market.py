@@ -151,7 +151,7 @@ class MarketSpec:
     def exercised_at(self, taus: Sequence[StoppingTime]) -> "MarketSpec":
         """The market in which each American option k is exercised whole at
         `taus[k]`: it becomes the buy-only European claim h_k(tau_k), bought at
-        its American quote and appended to `g`."""
+        its American quote and appended to `g` (inverted by `whole_unit`)."""
         if len(taus) != len(self.h):
             raise MarketError("one stopping time per American option is required")
         leaves = self.tree.leaves
@@ -163,6 +163,14 @@ class MarketSpec:
             g=self.g + stopped, g_prices=self.g_prices + self.h_prices,
             support=self.support, claims=self.claims,
         )
+
+    def whole_unit(self, p: "HedgePortfolio", taus: Sequence[StoppingTime]) -> "HedgePortfolio":
+        """`p`, a portfolio of `self.exercised_at(taus)`, as one of this market
+        worth the same at every leaf: its buy-only positions past `len(self.g)`
+        are American holdings, each exercised whole at its stop."""
+        n = len(self.g)
+        return HedgePortfolio(H=p.H, a=p.a, b=p.b[:n], c=p.b[n:],
+                              mu=tuple(LiquidatingStrategy.from_stopping_time(t) for t in taus))
 
 
 @dataclass(frozen=True)
@@ -260,28 +268,19 @@ def portfolio_value(market: MarketSpec, p: HedgePortfolio, leaf: str) -> Fractio
 # Market file (JSON) round trip
 # ---------------------------------------------------------------------------
 
-def _array(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise MarketError(f"{where} must be a JSON array, not {value!r}")
-    return value
+_JSON_TYPES = {list: "array", Mapping: "object", str: "string"}
 
 
-def _object(value, where: str) -> Mapping:
-    if not isinstance(value, Mapping):
-        raise MarketError(f"{where} must be a JSON object, not {value!r}")
+def _json(value, kind: type, where: str):
+    """`value` if it is a JSON array, object or string (`kind` list, Mapping
+    or str), else a MarketError naming `where`."""
+    if not isinstance(value, kind):
+        raise MarketError(f"{where} must be a JSON {_JSON_TYPES[kind]}, not {value!r}")
     return value
 
 
 def _values_from_json(data) -> dict[str, Fraction]:
-    return {k: rat(v) for k, v in _object(data, "node values").items()}
-
-
-def _claim_from_json(tree: EventTree, data: Mapping) -> TerminalClaim:
-    return TerminalClaim(tree, _values_from_json(data))
-
-
-def _process_from_json(tree: EventTree, data: Mapping) -> AdaptedProcess:
-    return AdaptedProcess(tree, _values_from_json(data))
+    return {k: rat(v) for k, v in _json(data, Mapping, "node values").items()}
 
 
 def _field(entry: Mapping, key: str, where: str):
@@ -300,48 +299,49 @@ def build_market(description: str | Mapping) -> MarketSpec:
             raise MarketError(f"market file is not valid JSON: {exc}") from exc
     else:
         doc = description
-    doc = _object(doc, "market file")
+    doc = _json(doc, Mapping, "market file")
     horizon = _field(doc, "horizon", "market file")
-    nodes = _array(_field(doc, "nodes", "market file"), "nodes")
-    node_rows = [_object(row, "node") for row in nodes]
-    tree = EventTree([(_field(row, "id", "node"), row.get("parent"), _field(row, "time", "node"))
-                      for row in node_rows])
+    nodes = _json(_field(doc, "nodes", "market file"), list, "nodes")
+    node_rows = [_json(row, Mapping, "node") for row in nodes]
+    tree = EventTree([
+        (_json(_field(row, "id", "node"), str, "node id"),
+         None if row.get("parent") is None else _json(row["parent"], str, "node parent"),
+         _field(row, "time", "node"))
+        for row in node_rows])
     if tree.horizon != horizon:
         raise MarketError(f"declared horizon {horizon} != tree horizon {tree.horizon}")
     s_values = {}
     for row in node_rows:
         if "S" not in row:
             raise TreeError(f"node {row['id']!r}: missing S value")
-        s_values[row["id"]] = [rat(v) for v in _array(row["S"], f"node {row['id']!r}: S")]
+        s_values[row["id"]] = [rat(v) for v in _json(row["S"], list, f"node {row['id']!r}: S")]
     S = AdaptedProcess(tree, s_values)
 
-    def read_book(key, american):
+    def read_book(key, payoff_type):
         payoffs, prices = [], []
-        read = _process_from_json if american else _claim_from_json
-        for entry in _array(doc.get(key, []), key):
-            entry = _object(entry, f"{key} entry")
-            payoffs.append(read(tree, _field(entry, "payoff", key)))
+        for entry in _json(doc.get(key, []), list, key):
+            entry = _json(entry, Mapping, f"{key} entry")
+            payoffs.append(payoff_type(tree, _values_from_json(_field(entry, "payoff", key))))
             prices.append(rat(_field(entry, "price", key)))
         return tuple(payoffs), tuple(prices)
 
-    f, f_prices = read_book("european_two_sided", american=False)
-    g, g_prices = read_book("european_buy_only", american=False)
-    h, h_prices = read_book("american_buy_only", american=True)
+    f, f_prices = read_book("european_two_sided", TerminalClaim)
+    g, g_prices = read_book("european_buy_only", TerminalClaim)
+    h, h_prices = read_book("american_buy_only", AdaptedProcess)
 
-    support = frozenset(_array(doc.get("support", []), "support") or tree.leaves)
+    support = _json(doc.get("support", []), list, "support")
+    support = frozenset([_json(l, str, "support leaf") for l in support] or tree.leaves)
     claims: dict[str, object] = {}
-    claim_specs = _object(doc.get("claims") or {}, "claims")
+    claim_specs = _json(doc.get("claims") or {}, Mapping, "claims")
     for name, spec in claim_specs.items():
-        spec = _object(spec, f"claim {name!r}")
+        spec = _json(spec, Mapping, f"claim {name!r}")
         kind = _field(spec, "type", f"claim {name!r}")
         values = _field(spec, "values", f"claim {name!r}")
-        if kind == "european":
-            claims[name] = _claim_from_json(tree, values)
-        elif kind == "american":
-            claims[name] = _process_from_json(tree, values)
-        else:
+        if kind not in ("european", "american"):
             raise MarketError(f"claim {name!r}: unknown type {kind!r}")
-    priors = tuple(_values_from_json(entry) for entry in _array(doc.get("priors", []), "priors"))
+        payoff_type = TerminalClaim if kind == "european" else AdaptedProcess
+        claims[name] = payoff_type(tree, _values_from_json(values))
+    priors = tuple(map(_values_from_json, _json(doc.get("priors", []), list, "priors")))
     market = MarketSpec(
         tree=tree, S=S, f=f, f_prices=f_prices, g=g, g_prices=g_prices,
         h=h, h_prices=h_prices, support=support, claims=claims,

@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Mapping, Sequence
 
-from .lp import EQ, GE, LE, Constraint, LpProblem, LpSolution, int_con, solve
+from .lp import EQ, GE, LE, ZERO, Constraint, LpProblem, LpSolution, int_con, solve
 from .market import HedgePortfolio, MarketSpec, _kept
 from .polytope import Polytope, vertices
 from .rational import over_lcm, rat, rat_str
@@ -45,8 +45,6 @@ from .stopping import (
     enumerate_stopping_times,
 )
 from .tree import AdaptedProcess, EventTree, TerminalClaim
-
-ZERO = Fraction(0)
 
 
 class MeasureError(ValueError):
@@ -237,8 +235,7 @@ def _stop_row(h: AdaptedProcess, tau: StoppingTime,
 
 def _measure_of(spec_leaves: Sequence[str], sol_values: Mapping[str, Fraction],
                 tree: EventTree) -> Measure:
-    w = {l: sol_values.get(_weight_var(l), ZERO) for l in spec_leaves}
-    return Measure(tree, {l: v for l, v in w.items() if v})
+    return Measure(tree, {l: sol_values.get(_weight_var(l), ZERO) for l in spec_leaves})
 
 
 def pricing_rows(
@@ -480,11 +477,5 @@ def membership(Q: Measure, spec: PricingSetSpec, strict: bool) -> MembershipRepo
 
 
 def polytope_vertices_as_measures(poly: Polytope, tree: EventTree) -> list[Measure]:
-    out = []
-    for vert in vertices(poly):
-        w = {}
-        for name, val in vert.items():
-            if name.startswith("w[") and val:
-                w[name[2:-1]] = val
-        out.append(Measure(tree, w))
-    return out
+    leaves = [name[2:-1] for name in poly.variables if name.startswith("w[")]
+    return [_measure_of(leaves, vert, tree) for vert in vertices(poly)]

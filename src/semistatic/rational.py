@@ -12,24 +12,25 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping
 
-Rat = Fraction
+
+class RationalError(TypeError):
+    """A value that is not an int, a Fraction or a "p/q" string."""
 
 
 def rat(value) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to an exact Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        raise TypeError(f"not a rational: {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         num, slash, den = value.strip().partition("/")
         try:
             return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         except (ValueError, ZeroDivisionError):
-            raise TypeError(f"not a rational: {value!r}") from None
-    raise TypeError(f"not a rational: {value!r} (floats are not accepted)")
+            pass
+    floats = " (floats are not accepted)" if isinstance(value, float) else ""
+    raise RationalError(f"not a rational: {value!r}{floats}")
 
 
 def rat_str(x: Fraction) -> str:

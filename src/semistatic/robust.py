@@ -61,7 +61,7 @@ from .hedging import (
     hedge_primal,
 )
 from .ftap import ARBITRAGE, NO_ARBITRAGE, STRICT_NO_ARBITRAGE_FAILS, ArbitrageVerdict, check_na
-from .lp import EQ, LE, LpProblem, int_con, solve
+from .lp import EQ, LE, ZERO, LpProblem, int_con, solve
 from .market import MarketSpec, _kept
 from .measures import (
     Measure,
@@ -73,8 +73,6 @@ from .measures import (
 from .rational import rat_str
 from .stopping import LiquidatingStrategy, enumerate_stopping_times, snell_value
 from .tree import AdaptedProcess, TreeError
-
-ZERO = Fraction(0)
 
 
 class RobustError(RuntimeError):
@@ -325,9 +323,6 @@ class DominationResult:
     h_tilde: tuple[Fraction, ...]
     Q: Measure
     lam: Fraction | None = None
-
-    def caps(self):
-        return self.g_tilde, self.h_tilde
 
 
 def dominating_measure(spec: RobustSpec, P: Measure) -> DominationResult:

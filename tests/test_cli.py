@@ -135,10 +135,10 @@ def _edited_b1(edit):
     # malformed tree (TreeError)
     (_edited_b1(lambda d: d["nodes"][-1].update(parent="missing")),
      ["check-arbitrage"], 1),
-    # float literal (TypeError from the rational parser)
+    # float literal (RationalError from the rational parser)
     (_edited_b1(lambda d: d["nodes"][0].update(S=[1.5])),
      ["price", "sub-eu", "--claim", "up_digital"], 1),
-    # unparseable rational string (TypeError from the rational parser)
+    # unparseable rational string (RationalError from the rational parser)
     (_edited_b1(lambda d: d["nodes"][0].update(S=["abc"])),
      ["price", "sub-eu", "--claim", "up_digital"], 1),
     # missing field (MarketError)
@@ -165,10 +165,17 @@ def _edited_b1(edit):
     (_edited_b1(lambda d: d["nodes"].append("abc")), ["check-arbitrage"], 1),
     (_edited_b1(lambda d: d["nodes"][0].update(S="12")), ["check-arbitrage"], 1),
     (_edited_b1(lambda d: d.update(european_buy_only=["abc"])), ["check-arbitrage"], 1),
+    # node ids and parents that are not strings (MarketError)
+    (_edited_b1(lambda d: d["nodes"][0].update(id=["r"])), ["check-arbitrage"], 1),
+    (_edited_b1(lambda d: d["nodes"][-1].update(parent=["r"])), ["check-arbitrage"], 1),
+    # a null where a rational belongs (RationalError)
+    (_edited_b1(lambda d: d["nodes"][0].update(S=[None])),
+     ["price", "sub-eu", "--claim", "up_digital"], 1),
 ], ids=["bad_tree", "float", "bad_rational", "missing_field", "missing_time",
         "payoff_not_object", "claims_not_object", "prior_not_object", "bad_prior", "enum_cap",
         "price_arbitrage", "robust_arbitrage", "support_not_array", "nodes_not_array",
-        "node_not_object", "stock_not_array", "book_entry_not_object"])
+        "node_not_object", "stock_not_array", "book_entry_not_object", "list_id",
+        "list_parent", "null_value"])
 def test_typed_failures_exit_without_traceback(capsys, tmp_path, doc, argv, expected):
     path = tmp_path / "market.json"
     path.write_text(json.dumps(doc))
@@ -176,6 +183,34 @@ def test_typed_failures_exit_without_traceback(capsys, tmp_path, doc, argv, expe
     assert code == expected
     assert out == ""
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["nodes"][0].update(S=[1.5]), "not a rational: 1.5 (floats are not accepted)"),
+    (lambda d: d["nodes"][0].update(S=[None]), "not a rational: None"),
+    (lambda d: d["nodes"][0].update(S=[["1"]]), "not a rational: ['1']"),
+    (lambda d: d["nodes"][0].update(id=["r"]), "node id must be a JSON string, not ['r']"),
+    (lambda d: d["nodes"][-1].update(parent=5), "node parent must be a JSON string, not 5"),
+    (lambda d: d.update(support=[["u"]]), "support leaf must be a JSON string, not ['u']"),
+], ids=["float", "null", "list", "list_id", "int_parent", "list_support_leaf"])
+def test_input_errors_name_what_is_wrong(capsys, tmp_path, edit, message):
+    """Only a float is called a float, and a node name that is not a string
+    is named as such, never as Python's 'unhashable type'."""
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(_edited_b1(edit)))
+    code, out, err = run_cli(capsys, "check-arbitrage", "--market", str(path))
+    assert (code, out, err) == (1, "", f"input error: {message}\n")
+
+
+def test_an_engine_type_error_is_not_an_input_error(capsys, monkeypatch):
+    """A TypeError raised inside the engine is a bug and propagates; only the
+    rational parser's typed subclass is read as bad input."""
+    def broken(market, divisible=True):
+        raise TypeError("engine bug")
+
+    monkeypatch.setattr("semistatic.cli.check_na", broken)
+    with pytest.raises(TypeError, match="engine bug"):
+        main(["check-arbitrage", "--market", "B1"])
 
 
 def _p2_with_american_twice():

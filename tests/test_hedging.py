@@ -340,7 +340,8 @@ def test_p2_indivisible_scan_solves_three_of_five_stops(p2, monkeypatch):
 
 def test_indivisible_scan_rejects_a_stock_only_measure_failing_membership(p2, monkeypatch):
     """The stock-only measure that settles stops without an LP is re-checked
-    by exact membership; a failing check is a verification failure."""
+    by exact membership (`duality_gap_report` on the stock-only hedge); a
+    failing check is a verification failure."""
     from semistatic import hedging
     from semistatic.measures import MembershipReport
 
@@ -352,7 +353,7 @@ def test_indivisible_scan_rejects_a_stock_only_measure_failing_membership(p2, mo
         return real(Q, spec, strict)
 
     monkeypatch.setattr(hedging, "membership", failing_on_stock_only)
-    with pytest.raises(VerificationFailure, match="stock-only bound measure violates"):
+    with pytest.raises(VerificationFailure, match="dual certificate violates"):
         super_hedge_indivisible(p2, p2.claims["psi"])
 
 
@@ -371,8 +372,34 @@ def test_indivisible_scan_rejects_a_stock_only_measure_of_the_wrong_value(p2, mo
         return sol, space, interior
 
     monkeypatch.setattr(hedging, "hedge_primal", with_interior_duals)
-    with pytest.raises(VerificationFailure, match="stock-only bound measure achieves"):
+    with pytest.raises(VerificationFailure, match="dual certificate achieves"):
         super_hedge_indivisible(p2, psi)
+
+
+def test_indivisible_scan_rejects_a_stock_only_hedge_failing_pointwise(p2, monkeypatch):
+    """The stock position of the stop that sets the stock-only bound must
+    super-hedge the claim from that bound at every leaf: a perturbed root
+    position fails the portfolio evaluation before any further stop is
+    solved."""
+    from dataclasses import replace
+
+    from semistatic import hedging
+
+    calls = []
+    real = hedging.hedge_primal
+
+    def perturbed_at_the_root_stop(market, claim, kind):
+        sol, space, Q = real(market, claim, kind)
+        calls.append(market)
+        if len(calls) == 1:
+            root = f"H[{market.tree.root}][0]"
+            sol = replace(sol, values={**sol.values, root: sol.values[root] + 100})
+        return sol, space, Q
+
+    monkeypatch.setattr(hedging, "hedge_primal", perturbed_at_the_root_stop)
+    with pytest.raises(VerificationFailure, match="primal strategy fails pointwise"):
+        super_hedge_indivisible(p2, p2.claims["psi"])
+    assert len(calls) == 1
 
 
 _HEDGES = (

@@ -4,11 +4,12 @@ The benchmark's traced run looks engine functions up by name; a rename in
 the engine must fail here rather than in `bench/run.py --trace 1`.  The
 engine guards its results with typed errors, never `assert`, so that no
 check vanishes under `python -O`.  LP rows are made in integers by
-`lp.int_con`, and only `lp.py` turns rationals into a row or reads a row's
-Fraction view.  What is derived from a market or its stock process is kept by
-`market._kept` alone.  Each pricing region is one traced vertex enumeration,
-and the double-description kernel makes no Fraction.  The robust questions
-are asked of the maximal prior supports only, picked by `robust._maximal`."""
+`lp.int_con`, and only `lp.py` turns rationals into a row, reads a row's
+Fraction view or defines the shared `ZERO`.  What is derived from a market or
+its stock process is kept by `market._kept` alone.  Each pricing region is one
+traced vertex enumeration, and the double-description kernel makes no
+Fraction.  The robust questions are asked of the maximal prior supports only,
+picked by `robust._maximal`."""
 
 import ast
 import importlib
@@ -97,6 +98,23 @@ def test_only_the_lp_module_integerizes_rows():
                     and isinstance(node.value, ast.Attribute) and node.value.attr == "rhs"):
                 found.append(f"{where}:{node.lineno} reads a row's Fraction view")
     assert found == []
+
+
+def test_only_the_lp_module_defines_zero():
+    """No module but `lp.py` assigns a module-level `ZERO`: every zero value,
+    dual, weight or position the engine makes is the one shared `lp.ZERO`."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "lp.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            if any(isinstance(t, ast.Name) and t.id == "ZERO" for t in targets):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert found == []
+    from semistatic import hedging, lp, measures, robust
+    assert hedging.ZERO is measures.ZERO is robust.ZERO is lp.ZERO
 
 
 def test_only_kept_writes_onto_objects():

@@ -26,7 +26,7 @@ from semistatic.fixtures import FixtureError, fixture_json, p2_measure, verify_p
 from semistatic.market import MarketError, market_priors
 from semistatic.stopping import enumerate_stopping_times, stop_everywhere_at
 
-from conftest import rand_rational, random_market
+from conftest import rand_rational, random_market, random_process
 from oracles import gains_to, liquidate_payoff, strategy_from_mixture
 
 F = Fraction
@@ -265,6 +265,35 @@ def test_portfolio_values_equal_a_path_walk_at_every_leaf(data):
         _path_walk(market, port, leaf) for leaf in leaves]
     assert [portfolio_value(market, port, leaf) for leaf in leaves] == [
         _path_walk(market, port, leaf) for leaf in leaves]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_whole_unit_is_worth_the_stopped_portfolio_at_every_leaf(data):
+    """`whole_unit` inverts `exercised_at` on portfolios: a portfolio of the
+    market with its American options exercised whole at fixed stops, read
+    back as American holdings exercised at those stops, is worth the same at
+    every leaf.  Random markets with one or two options and random stops."""
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    market = random_market(rng, max_depth=3)
+    tree = market.tree
+    if not market.h:
+        market = market.with_options(h=[random_process(rng, tree)], h_prices=[rand_rational(rng)])
+    stops = enumerate_stopping_times(tree)
+    taus = tuple(rng.choice(stops) for _ in market.h)
+    stopped = market.exercised_at(taus)
+
+    def position(lo):
+        return F(0) if rng.random() < 0.35 else rand_rational(rng, lo, 4)
+
+    p = HedgePortfolio(H=AdaptedProcess(tree, {n: [position(-4)] for n in tree.nodes}),
+                       a=tuple(position(-4) for _ in stopped.f),
+                       b=tuple(position(0) for _ in stopped.g))
+    whole = market.whole_unit(p, taus)
+    assert whole.c == p.b[len(market.g):]
+    assert whole.mu == tuple(LiquidatingStrategy.from_stopping_time(tau) for tau in taus)
+    assert portfolio_values(market, whole, tree.leaves) == \
+        portfolio_values(stopped, p, tree.leaves)
 
 
 @settings(max_examples=40, deadline=None)
