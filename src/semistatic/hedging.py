@@ -355,7 +355,7 @@ def dual_optimum(spec: PricingSetSpec, claim, kind: str) -> tuple[LpSolution, Me
             bounds.append((_EPIGRAPH, claim, sol.values.get("z", ZERO)))
         return _measure_of(leaves, sol.values, m.tree), bounds
 
-    return solve_with_stop_cuts(build, targets)
+    return solve_with_stop_cuts(build, targets, lambda: solve(build([])))
 
 
 # ---------------------------------------------------------------------------

@@ -33,14 +33,17 @@ def _kept(obj, key, build: Callable[[], object]):
     """`build()`, made once per object and `key` and kept on the object: what
     depends on a market alone (its strict-EMM slack, its robust decisions, its
     LP row skeletons, its reductions `without_american` and restrictions
-    `on_support`, the priors of its market file) or on its stock process
-    alone (the martingale rows).  What does not depend on the market's
-    support is kept by `_kept_off_support`, shared with its restrictions.  A
-    rebuilt market (`build_market`, `with_options`, `exercised_at`,
-    `dataclasses.replace`) is a new object and decides again.  What is kept
-    is shared: callers copy before they extend it (only
-    `StrategySpace.phi_coeffs` fills in its own per-leaf table).  Threads
-    that ask at once may each build it; the first one stored is kept."""
+    `on_support`, the priors of its market file) or on its stock process and
+    the key alone (the martingale rows per leaf set; a slack LP's round 0
+    per leaf set, European book and floor).  What does not depend on the
+    market's support is kept by `_kept_off_support`, shared with its
+    restrictions.  A rebuilt market (`build_market`, `with_options`,
+    `exercised_at`, `dataclasses.replace`) is a new object and decides again
+    what is kept on the market; `build_market` makes a new stock process
+    too, and so decides everything again.  What is kept is shared: callers
+    copy before they extend it (only `StrategySpace.phi_coeffs` fills in its
+    own per-leaf table).  Threads that ask at once may each build it; the
+    first one stored is kept."""
     kept = obj.__dict__.setdefault("_kept", {})
     if key not in kept:
         kept.setdefault(key, build())
@@ -279,6 +282,14 @@ def _json(value, kind: type, where: str):
     return value
 
 
+def _time(value, where: str) -> int:
+    """`value` if it is a JSON integer, else a MarketError naming `where`:
+    a boolean is an `int` to Python but not a time."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MarketError(f"{where} must be a JSON integer, not {value!r}")
+    return value
+
+
 def _values_from_json(data) -> dict[str, Fraction]:
     return {k: rat(v) for k, v in _json(data, Mapping, "node values").items()}
 
@@ -300,14 +311,15 @@ def build_market(description: str | Mapping) -> MarketSpec:
     else:
         doc = description
     doc = _json(doc, Mapping, "market file")
-    horizon = _field(doc, "horizon", "market file")
+    horizon = _time(_field(doc, "horizon", "market file"), "horizon")
     nodes = _json(_field(doc, "nodes", "market file"), list, "nodes")
     node_rows = [_json(row, Mapping, "node") for row in nodes]
-    tree = EventTree([
-        (_json(_field(row, "id", "node"), str, "node id"),
-         None if row.get("parent") is None else _json(row["parent"], str, "node parent"),
-         _field(row, "time", "node"))
-        for row in node_rows])
+    tree_rows = []
+    for row in node_rows:
+        node = _json(_field(row, "id", "node"), str, "node id")
+        parent = None if row.get("parent") is None else _json(row["parent"], str, "node parent")
+        tree_rows.append((node, parent, _time(_field(row, "time", "node"), f"node {node!r}: time")))
+    tree = EventTree(tree_rows)
     if tree.horizon != horizon:
         raise MarketError(f"declared horizon {horizon} != tree horizon {tree.horizon}")
     s_values = {}
@@ -332,7 +344,7 @@ def build_market(description: str | Mapping) -> MarketSpec:
     support = _json(doc.get("support", []), list, "support")
     support = frozenset([_json(l, str, "support leaf") for l in support] or tree.leaves)
     claims: dict[str, object] = {}
-    claim_specs = _json(doc.get("claims") or {}, Mapping, "claims")
+    claim_specs = _json(doc.get("claims", {}), Mapping, "claims")
     for name, spec in claim_specs.items():
         spec = _json(spec, Mapping, f"claim {name!r}")
         kind = _field(spec, "type", f"claim {name!r}")

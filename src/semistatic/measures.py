@@ -10,11 +10,14 @@ can represent directly.  It is handled through two computable objects:
 
 American caps quantify over all stopping times.  Every LP imposes them one
 way: `solve_with_stop_cuts` adds a stop's row only when the greedy optimal
-stop of the exercise envelope under the current solution violates it.  Two
-LPs are the exception and list one row per enumerated stopping time: the
-closure polytope, whose vertex enumeration needs its full H-representation,
-and the stop-side LP of `robust.minimax_check`, whose duals on those rows are
-the exercise flows.
+stop of the exercise envelope under the current solution violates it.  Its
+round 0 holds no American row, so a slack LP's round 0 is the slack LP of
+the market without American options, and `max_slack` keeps its solution on
+the stock process for every market that poses it.  Two LPs are the
+exception and list one row per enumerated stopping time: the closure
+polytope, whose vertex enumeration needs its full H-representation, and the
+stop-side LP of `robust.minimax_check`, whose duals on those rows are the
+exercise flows.
 
 A `Measure` holds integer weights over one denominator, the lcm of its
 weights' denominators (a canonical form), and keeps its integer subtree masses
@@ -267,22 +270,25 @@ def _cap_targets(spec: PricingSetSpec, slack: Fraction = ZERO) -> list[tuple]:
 def solve_with_stop_cuts(
     build: Callable[[list[tuple[object, StoppingTime]]], LpProblem],
     targets: Callable[[LpSolution], tuple[Measure, list[tuple]]],
+    first: Callable[[], LpSolution],
 ) -> tuple[LpSolution, Measure | None]:
     """Solve an LP whose "for all stopping times" rows are generated lazily;
     return the last solution and the measure read off it (None unless
     optimal).
 
     `build(cuts)` returns the LP with one row per (family, stopping time) in
-    `cuts`.  `targets(sol)` reads the measure off an optimal solution and
-    lists (family, h, bound) triples: the exercise value of h under that
-    measure may not exceed bound.  Each violated triple adds the greedy
-    envelope stop as a cut, and the LP is solved again.  The loop is exact
-    and ends because the stopping-time set is finite; a violated cut that is
-    already in the LP raises MeasureError."""
+    `cuts`, and `first()` the solution of round 0, `build([])`, which the
+    caller may have kept from an earlier loop.  `targets(sol)` reads the
+    measure off an optimal solution and lists (family, h, bound) triples:
+    the exercise value of h under that measure may not exceed bound.  Each
+    violated triple adds the greedy envelope stop as a cut, and the LP is
+    solved again.  The loop is exact and ends because the stopping-time set
+    is finite; a violated cut that is already in the LP raises
+    MeasureError."""
     cuts: list[tuple[object, StoppingTime]] = []
     seen: set[tuple[object, StoppingTime]] = set()
+    sol = first()
     while True:
-        sol = solve(build(cuts))
         if sol.status != "optimal":
             return sol, None
         Q, bounds = targets(sol)
@@ -298,6 +304,7 @@ def solve_with_stop_cuts(
                 raise MeasureError(f"stop cut loop failed to progress on {cut[0]!r}")
             seen.add(cut)
         cuts += new
+        sol = solve(build(cuts))
 
 
 def closure_polytope(spec: PricingSetSpec) -> Polytope:
@@ -346,13 +353,21 @@ def max_slack(spec: PricingSetSpec) -> SlackResult:
     """Maximize a uniform slack t with E g <= cap - t, stop values <= cap - t,
     and weight >= t on the support floor, over the weights of the market's
     support leaves.  The slack is capped at 1 so the LP stays bounded when no
-    constraint involves t."""
+    constraint involves t.
+
+    Round 0 of the stop cuts holds no American row, so its LP reads only the
+    stock, the support leaves, the f claims and quotes, the g claims and
+    caps, and the floor.  Its solution is kept on the stock process under
+    exactly those (`market._kept`; the claims by identity), so a market, its
+    reductions `without_american`, their restrictions `on_support` and
+    `with_options` copies that change only American quotes solve it once.
+    Later rounds and the certificate are made per call."""
     m = spec.market
     leaves = m.support_leaves()
     base_vars, base = _martingale_rows(m, leaves)
     fixed = list(base) + pricing_rows(spec, leaves, slack_var=SLACK_VAR)
     variables = base_vars + [SLACK_VAR]
-    floor = [l for l in leaves if l in spec.support_floor]
+    floor = tuple(l for l in leaves if l in spec.support_floor)
     tail = [int_con({_weight_var(l): 1, SLACK_VAR: -1}, GE, 0, 1, f"floor[{l}]")
             for l in floor]
     tail.append(int_con({SLACK_VAR: 1}, LE, 1, 1, "slack_cap"))
@@ -369,7 +384,11 @@ def max_slack(spec: PricingSetSpec) -> SlackResult:
         Q = _measure_of(leaves, sol.values, m.tree)
         return Q, _cap_targets(spec, sol.values.get(SLACK_VAR, ZERO))
 
-    sol, witness = solve_with_stop_cuts(build, targets)
+    def first() -> LpSolution:
+        key = ("slack_round0", leaves, m.f, m.f_prices, m.g, spec.g_cap, floor)
+        return _kept(m.S, key, lambda: solve(build([])))
+
+    sol, witness = solve_with_stop_cuts(build, targets, first)
     if sol.status != "optimal":
         return SlackResult(status="infeasible",
                            certificate=_slack_certificate(m, fixed, last_cuts, sol.farkas))

@@ -334,7 +334,10 @@ def dominating_measure(spec: RobustSpec, P: Measure) -> DominationResult:
     recursively obtained dominating measure, the mixture weight chosen so the
     last option's exercise value stays strictly under its quote.  The
     sub-hedge does not depend on P and is solved once per market and prior
-    supports.  Every claimed property of the output is re-verified
+    supports.  The reduced markets it builds ask the slack LPs that the full
+    market's robust check solved as their first cut rounds, so they read
+    those solutions off the stock process (`measures.max_slack`) instead of
+    solving them again.  Every claimed property of the output is re-verified
     exactly."""
     m = spec.market
     n = len(m.h)

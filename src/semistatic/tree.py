@@ -36,7 +36,7 @@ class EventTree:
         self._children: dict[str, list[str]] = {i: [] for i in ids}
         roots = []
         for node_id, parent_id, t in rows:
-            if not isinstance(t, int) or t < 0:
+            if isinstance(t, bool) or not isinstance(t, int) or t < 0:
                 raise TreeError(f"node {node_id!r}: bad time {t!r}")
             self._time[node_id] = t
             if parent_id is None:

@@ -70,9 +70,11 @@ from semistatic.lp import (
 )
 from semistatic.market import MarketError, MarketSpec
 from semistatic.measures import (
+    SLACK_VAR,
     Measure,
     PricingSetSpec,
     SlackResult,
+    _slack_certificate,
     closure_polytope,
     max_slack,
     polytope_vertices_as_measures,
@@ -83,7 +85,9 @@ from semistatic.robust import (
     HypothesisFailure, RobustDualityGapError, RobustError, RobustSpec, minimax_check,
     union_support,
 )
-from semistatic.stopping import LiquidatingStrategy, StoppingTime, enumerate_stopping_times
+from semistatic.stopping import (
+    LiquidatingStrategy, StoppingTime, enumerate_stopping_times, snell_optimal_stop,
+)
 from semistatic.tree import AdaptedProcess, TerminalClaim
 
 ZERO = Fraction(0)
@@ -636,6 +640,36 @@ def slack_rows(spec, leaves: Sequence[str], cuts, slack_var: str) -> list[Constr
              for l in leaves if l in spec.support_floor]
     rows.append(con({slack_var: 1}, LE, 1, "slack_cap"))
     return rows
+
+
+def slack_every_round(spec) -> SlackResult:
+    """`max_slack(spec)` with every stop-cut round solved afresh from the
+    Fraction builders (`slack_rows`), round 0 included: each round adds the
+    optimal stop of every American option whose exercise value under the
+    round's witness exceeds its cap minus the slack, and the certificate
+    spells out the last round's duals (optimum <= 0) or Farkas multipliers
+    (infeasible) through `_slack_certificate`."""
+    m = spec.market
+    leaves = m.support_leaves()
+    variables = [_w(l) for l in leaves] + [SLACK_VAR]
+    fixed = martingale_rows(m, leaves) + pricing_rows(spec, leaves, SLACK_VAR)
+    cuts: list[tuple[int, StoppingTime]] = []
+    while True:
+        sol = solve(LpProblem("max", {SLACK_VAR: 1}, slack_rows(spec, leaves, cuts, SLACK_VAR),
+                              variables, free=frozenset({SLACK_VAR})))
+        if sol.status != "optimal":
+            return SlackResult(status="infeasible",
+                               certificate=_slack_certificate(m, fixed, cuts, sol.farkas))
+        Q = Measure(m.tree, {l: sol.values.get(_w(l), ZERO) for l in leaves})
+        slack = sol.values.get(SLACK_VAR, ZERO)
+        new = [(k, snell_optimal_stop(Q, h)) for k, (h, cap) in enumerate(zip(m.h, spec.h_cap))
+               if snell_envelope(Q, h)[1] > cap - slack]
+        if not new:
+            break
+        cuts += new
+    certificate = _slack_certificate(m, fixed, cuts, sol.duals) if sol.objective <= 0 else None
+    return SlackResult(status="optimal", optimum=sol.objective, witness=Q,
+                       certificate=certificate)
 
 
 def witness_slacks(spec, Q: Measure) -> tuple[Fraction | None, Fraction | None]:

@@ -171,11 +171,14 @@ def _edited_b1(edit):
     # a null where a rational belongs (RationalError)
     (_edited_b1(lambda d: d["nodes"][0].update(S=[None])),
      ["price", "sub-eu", "--claim", "up_digital"], 1),
+    # booleans as node times and horizon, which Python reads as 1 (MarketError)
+    (_edited_b1(lambda d: [d.update(horizon=True)] + [n.update(time=True) for n in d["nodes"][1:]]),
+     ["check-arbitrage"], 1),
 ], ids=["bad_tree", "float", "bad_rational", "missing_field", "missing_time",
         "payoff_not_object", "claims_not_object", "prior_not_object", "bad_prior", "enum_cap",
         "price_arbitrage", "robust_arbitrage", "support_not_array", "nodes_not_array",
         "node_not_object", "stock_not_array", "book_entry_not_object", "list_id",
-        "list_parent", "null_value"])
+        "list_parent", "null_value", "bool_times"])
 def test_typed_failures_exit_without_traceback(capsys, tmp_path, doc, argv, expected):
     path = tmp_path / "market.json"
     path.write_text(json.dumps(doc))
@@ -192,7 +195,12 @@ def test_typed_failures_exit_without_traceback(capsys, tmp_path, doc, argv, expe
     (lambda d: d["nodes"][0].update(id=["r"]), "node id must be a JSON string, not ['r']"),
     (lambda d: d["nodes"][-1].update(parent=5), "node parent must be a JSON string, not 5"),
     (lambda d: d.update(support=[["u"]]), "support leaf must be a JSON string, not ['u']"),
-], ids=["float", "null", "list", "list_id", "int_parent", "list_support_leaf"])
+    (lambda d: d["nodes"][1].update(time=True), "node 'u': time must be a JSON integer, not True"),
+    (lambda d: d.update(horizon=True), "horizon must be a JSON integer, not True"),
+    (lambda d: d["nodes"][0].update(time=1.5), "node 'r': time must be a JSON integer, not 1.5"),
+    (lambda d: d.update(claims=False), "claims must be a JSON object, not False"),
+], ids=["float", "null", "list", "list_id", "int_parent", "list_support_leaf", "bool_time",
+        "bool_horizon", "float_time", "false_claims"])
 def test_input_errors_name_what_is_wrong(capsys, tmp_path, edit, message):
     """Only a float is called a float, and a node name that is not a string
     is named as such, never as Python's 'unhashable type'."""
@@ -493,6 +501,17 @@ def _fresh_cli(*argv):
     return proc.returncode, proc.stdout, proc.stderr.split()
 
 
+def test_module_entry_runs_silently():
+    """`python -m semistatic` runs the command line and writes nothing to
+    stderr on success."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "semistatic", "fixture", "B1"], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["horizon"] == 1
+
+
 def test_only_the_utility_audit_loads_numpy():
     code, _, loaded = _fresh_cli("check-arbitrage", "--market", "B1")
     assert code == 0
@@ -564,43 +583,78 @@ def test_polytope_hrep_export(p2):
 
 def _mutation_sites(node, path=()):
     """("delete", path) for every object key and ("replace", path) for every
-    string value in a parsed JSON document."""
+    value in a parsed JSON document, the document itself included."""
+    if not path:
+        yield "replace", path
     items = node.items() if isinstance(node, dict) else \
         enumerate(node) if isinstance(node, list) else ()
     for key, child in items:
         here = path + (key,)
         if isinstance(node, dict):
             yield "delete", here
-        if isinstance(child, str):
-            yield "replace", here
+        yield "replace", here
         yield from _mutation_sites(child, here)
+
+
+def _robust_fuzz_doc():
+    """T2 with its American put quoted at 3 and two nested priors."""
+    doc = json.loads(fixture_json("T2"))
+    doc["american_buy_only"] = [{"payoff": doc["claims"]["put5_am"]["values"], "price": "3"}]
+    doc["priors"] = [{"uu": "1/4", "ud": "1/4", "du": "1/4", "dd": "1/4"},
+                     {"uu": "1/3", "ud": "1/3", "du": "1/3"}]
+    return doc
 
 
 _FIXTURE_CLAIMS = {"B1": "up_digital", "T2": "put5_eu", "P2": "psi"}
 
+# (document, the file it is, the commands run on it)
+_FUZZ_CASES = {
+    **{name: (json.loads(fixture_json(name)), "market",
+              [["check-arbitrage"], ["price", "super-div", "--claim", claim]])
+       for name, claim in _FIXTURE_CLAIMS.items()},
+    "robust": (_robust_fuzz_doc(), "market",
+               [["robust", "check"], ["robust", "dominate", "--prior-index", "1"]]),
+    **{f"claim {claim}": (json.loads(fixture_json("T2"))["claims"][claim], "claim",
+                          [["price", op, "--market", "T2"]])
+       for claim, op in (("put5_eu", "sub-eu"), ("put5_am", "sub-am"))},
+}
 
-@settings(max_examples=40, deadline=None)
+# strings that are no rational, and values of every other JSON type
+_JUNK = ["abc", "1/0", "", True, False, None, [], {}, 1.5, -1, 10**400]
+
+
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_mutated_fixture_files_exit_with_a_documented_code(data):
-    """Deleting one key, or replacing one string with junk, anywhere in a
-    fixture market file yields a documented exit code, never a traceback."""
-    name = data.draw(st.sampled_from(sorted(_FIXTURE_CLAIMS)))
-    doc = json.loads(fixture_json(name))
+    """Deleting one key, or replacing one value (or the whole document) with
+    junk of any JSON type, anywhere in a fixture market file, a market file
+    with priors or a claim file yields a documented exit code and at most
+    one line on stderr, never a traceback; a boolean or a float is never
+    accepted."""
+    doc, kind, commands = _FUZZ_CASES[data.draw(st.sampled_from(sorted(_FUZZ_CASES)))]
+    doc = json.loads(json.dumps(doc))
     action, path = data.draw(st.sampled_from(list(_mutation_sites(doc))))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    if action == "delete":
-        del parent[path[-1]]
+    junk = data.draw(st.sampled_from(_JUNK)) if action == "replace" else None
+    if not path:
+        doc = junk
     else:
-        parent[path[-1]] = data.draw(st.sampled_from(["abc", "1/0", ""]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if action == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = junk
     with tempfile.TemporaryDirectory() as tmp:
-        market = os.path.join(tmp, "market.json")
-        with open(market, "w", encoding="utf-8") as fh:
+        name = os.path.join(tmp, f"{kind}.json")
+        with open(name, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        for argv in (["check-arbitrage"], ["price", "super-div", "--claim", _FIXTURE_CLAIMS[name]]):
+        for argv in commands:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(argv + ["--market", market])
+                code = main(argv + [f"--{kind}", name])
             assert code in (0, 1, 2, 3)
             assert "Traceback" not in err.getvalue()
+            assert len(err.getvalue().strip().splitlines()) <= 1
+            if isinstance(junk, (bool, float)):
+                assert code != 0, (path, junk)

@@ -4,6 +4,7 @@ oracle."""
 import copy
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -904,11 +905,17 @@ def test_slack_lp_with_a_stop_cut_matches_a_dense_fraction_tableau(monkeypatch):
     American option, as `check_sna` solves it on the benchmark's `verdicts`
     workload: its second solve holds the stop-cut row that the first
     solve's witness violated.  Replayed step by step against the dense
-    tableau."""
+    tableau.  The market is moved to a fresh copy of its stock, on which no
+    slack LP has been solved, so both rounds are solved here: the
+    generator's slack LP of the bare market is this one's round 0, kept on
+    the stock."""
     from conftest import random_market
     from semistatic import measures
+    from semistatic.tree import AdaptedProcess
 
     market = random_market(random.Random(81))
+    S = market.S
+    market = replace(market, S=AdaptedProcess(S.tree, {n: S.at(n) for n in S.tree.nodes}))
     problems = []
 
     def keep(problem):

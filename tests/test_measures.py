@@ -238,6 +238,51 @@ def test_max_slack_equals_enumerated_slack_lp(p2):
             assert cut.optimum == enum.objective
 
 
+def test_max_slack_with_a_kept_round_0_equals_every_round_solved(monkeypatch):
+    """A market, its reduction without American options, a copy with lower
+    American quotes and their restrictions to a leaf subset share each slack
+    LP's round 0, kept on the stock process; with it, `max_slack` returns
+    field for field what solving every round afresh returns: the witness,
+    the optimum and the certificate, on positive and nonpositive optima and
+    on infeasible LPs alike."""
+    import oracles
+    from semistatic import measures
+
+    calls = {"engine": 0, "oracle": 0}
+
+    def counted(module, name):
+        real = module.solve
+
+        def solve_counted(problem):
+            calls[name] += 1
+            return real(problem)
+
+        monkeypatch.setattr(module, "solve", solve_counted)
+
+    counted(measures, "engine")
+    counted(oracles, "oracle")
+    seen = set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        market = random_market(rng, max_depth=2)
+        if not market.h:
+            continue
+        leaves = [l for l in market.tree.leaves if rng.random() < 0.7] or market.tree.leaves
+        lowered = market.with_options(h_prices=[p - 1 for p in market.h_prices])
+        for m in (market.without_american(0), market, lowered):
+            for spec in (PricingSetSpec.strict_emm(m), PricingSetSpec(m.on_support(leaves))):
+                calls.update(engine=0, oracle=0)
+                got = max_slack(spec)
+                fresh = oracles.slack_every_round(spec)
+                assert got == fresh
+                kept = calls["engine"] == calls["oracle"] - 1
+                assert kept or calls["engine"] == calls["oracle"]
+                sign = "infeasible" if got.status != "optimal" else got.optimum > 0
+                seen.add((sign, kept, calls["engine"] > 0))
+    assert {("infeasible", True, False), (False, True, False), (True, True, False),
+            (True, True, True), (False, True, True), (True, False, True)} <= seen
+
+
 def test_dual_optimum_equals_enumerated_lp(p2):
     rng, markets = _cut_oracle_markets(p2, 77)
     for market in markets:

@@ -257,6 +257,54 @@ def test_domination_criterion_agreement_random(seed):
                 assert membership(r.Q, own, strict=False)
 
 
+def _rows_key(problem):
+    """An LP as a hashable value: its sense, objective, variables and rows."""
+    return (problem.sense, tuple(problem.objective.items()), tuple(problem.variables),
+            problem.free, tuple((r.name, r.rel, tuple(r.num.items()), r.rhs_num, r.den)
+                                for r in problem.constraints))
+
+
+def test_robust_ops_on_one_market_solve_no_lp_twice(monkeypatch):
+    """The benchmark's robust operations on one market with one American
+    option and two nested priors (the verdict, a domination of each prior,
+    and a robust sub-hedge of a European and of an American claim) pass no LP
+    to `solve` twice: the reduced market's slack LPs are the full market's
+    first cut rounds, kept on the stock process."""
+    from semistatic import ftap, hedging
+    from semistatic.lp import solve
+
+    seen = []
+
+    def keep(problem):
+        seen.append(_rows_key(problem))
+        return solve(problem)
+
+    for module in (ftap, hedging, measures, robust):
+        monkeypatch.setattr(module, "solve", keep)
+    asked = 0
+    for seed in range(40):
+        rng = random.Random(14_000 + seed)
+        market = random_market(rng, max_depth=2)
+        if not market.h:
+            continue
+        spec = RobustSpec(market.without_american(1), _two_nested_priors(rng, market.tree))
+        seen.clear()
+        check_sna_robust(spec)
+        for P in spec.priors:
+            try:
+                dominating_measure(spec, P)
+            except (RobustError, VerificationFailure):
+                pass
+        for claim in (random_claim(rng, market.tree), random_process(rng, market.tree)):
+            try:
+                sub_hedge_robust(spec, claim)
+            except HypothesisFailure:
+                pass
+        assert len(seen) == len(set(seen)), seed
+        asked += len(seen) > 0
+    assert asked >= 10
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_robust_duality_random_nested(seed):
     rng = random.Random(13_000 + seed)

@@ -66,7 +66,7 @@ def test_engine_has_no_assert_statements():
 
 
 def test_selftest_passes_under_optimize():
-    proc = subprocess.run([sys.executable, "-O", "-m", "semistatic.cli", "selftest"],
+    proc = subprocess.run([sys.executable, "-O", "-m", "semistatic", "selftest"],
                           env=_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
