@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import __version__
-from .fixtures import FIXTURE_NAMES, FixtureError, fixture_json, load_fixture
+from .fixtures import FIXTURE_NAMES, FixtureError, fixture_json, load_fixture, verify_p2
 from .ftap import NO_ARBITRAGE, check_na, check_sna
 from .hedging import (
     ArbitrageRefusal,
@@ -55,7 +55,7 @@ from .robust import (
     minimax_check,
     sub_hedge_robust,
 )
-from .stopping import EnumerationCapError
+from .stopping import EnumerationCapError, snell_value, strategy_to_json
 from .tree import AdaptedProcess, TerminalClaim, TreeError
 from .utility import (
     AuditFailure,
@@ -133,8 +133,6 @@ def _hedge_report(result: HedgeResult, approx: bool) -> dict:
         "certificate": certificate,
     }
     if result.eta is not None:
-        from .stopping import strategy_to_json
-
         out["exercise_flow"] = strategy_to_json(result.eta)
     if result.details.get("stop") is not None:
         out["stop_nodes"] = sorted(result.details["stop"].stop_nodes)
@@ -360,15 +358,11 @@ def _cmd_utility(args, report) -> int:
 
 
 def _cmd_selftest(args, report) -> int:
-    from .fixtures import verify_p2
-
     checks = {}
     b1 = load_fixture("B1")
     q = check_sna(b1).pricing
     checks["b1_pricing_measure"] = q.weights == {"u": Fraction(1, 2), "d": Fraction(1, 2)}
     t2 = load_fixture("T2")
-    from .stopping import snell_value
-
     emm = check_sna(t2).pricing
     checks["t2_emm"] = emm.at("dd") == Fraction(4, 9)
     checks["t2_put_value"] = snell_value(emm, t2.claims["put5_am"]) == Fraction(20, 9)

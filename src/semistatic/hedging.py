@@ -44,21 +44,17 @@ from .measures import (
     Measure,
     PricingSetSpec,
     SlackResult,
-    _cap_targets,
-    _martingale_rows,
     _measure_of,
     _row,
     _stop_row,
     _weight_var,
+    closure_polytope,
     membership,
-    pricing_rows,
-    solve_with_stop_cuts,
     strict_emm_slack,
 )
 from .rational import rat_str
 from .stopping import (
     LiquidatingStrategy,
-    StoppingTime,
     enumerate_stopping_times,
     snell_value,
     stop_everywhere_at,
@@ -107,9 +103,6 @@ class PriceInfinity:
 
 
 INFINITE_PRICE = PriceInfinity()
-
-# cut family of the sub_am epigraph rows z >= E phi_tau
-_EPIGRAPH = "epi"
 
 
 # ---------------------------------------------------------------------------
@@ -310,52 +303,35 @@ def hedge_primal(market: MarketSpec, claim,
 def dual_optimum(spec: PricingSetSpec, claim, kind: str) -> tuple[LpSolution, Measure | None]:
     """Optimize over the closure polytope: min E psi ("sub_eu"), max E psi
     ("super_div"), or min of the exercise value sup_tau E phi_tau ("sub_am",
-    epigraph form).  American cap rows and epigraph rows are generated by
-    `solve_with_stop_cuts` from the exercise envelope.
+    epigraph form); return the solution and, when optimal, its measure.
+
+    One LP over `closure_polytope(spec)`'s rows, which cap every American
+    option at every stopping time; "sub_am" adds a free z and one epigraph
+    row E[phi_tau] - z <= 0 per stopping time, Manne's (1960) dual of optimal
+    stopping.  Trees with more than DEFAULT_ENUM_CAP stopping times raise
+    EnumerationCapError.
 
     This is the closure-side reference formulation, on no hedge path: every
     hedge reads its measure off the leaf duals of its own strategy LP.  The
-    tests compare hedge prices (primal == dual) and the enumerated closure
-    LPs against it, and the benchmark's traced run counts its calls.  To
-    restrict the weights to a leaf subset, pass a market whose `support` is
-    that subset."""
+    tests compare hedge prices (primal == dual) against it, and the
+    benchmark's traced run counts its calls.  To restrict the weights to a
+    leaf subset, pass a market whose `support` is that subset."""
     m = spec.market
     leaves = m.support_leaves()
-    base_vars, base = _martingale_rows(m, leaves)
-    fixed = list(base) + pricing_rows(spec, leaves)
-    variables = list(base_vars)
-    free: frozenset[str] = frozenset()
+    poly = closure_polytope(spec)
+    rows, variables, free = poly.constraints, poly.variables, frozenset()
     if kind in ("sub_eu", "super_div"):
         objective = {_weight_var(l): claim.at(l) for l in leaves if claim.at(l)}
         sense = "min" if kind == "sub_eu" else "max"
     elif kind == "sub_am":
+        rows += [_row(*_stop_row(claim, tau, leaves), LE, 0, f"epi[{t_idx}]", "z", -1)
+                 for t_idx, tau in enumerate(enumerate_stopping_times(m.tree))]
         variables.append("z")
-        free = frozenset({"z"})
-        objective = {"z": 1}
-        sense = "min"
+        free, objective, sense = frozenset({"z"}), {"z": 1}, "min"
     else:
         raise ValueError(f"unknown dual kind {kind!r}")
-
-    def build(cuts: list[tuple[object, StoppingTime]]) -> LpProblem:
-        rows = list(fixed)
-        for k, tau in cuts:
-            if k != _EPIGRAPH:
-                rows.append(_row(*_stop_row(m.h[k], tau, leaves), LE, spec.h_cap[k],
-                                 f"h[{k}]cut"))
-        if kind == "sub_am":
-            epi = [stop_everywhere_at(m.tree, 0)] + [tau for k, tau in cuts if k == _EPIGRAPH]
-            for t_idx, tau in enumerate(epi):
-                rows.append(_row(*_stop_row(claim, tau, leaves), LE, 0, f"epi[{t_idx}]",
-                                 "z", -1))
-        return LpProblem(sense, objective, rows, variables, free=free)
-
-    def targets(sol: LpSolution):
-        bounds = _cap_targets(spec)
-        if kind == "sub_am":
-            bounds.append((_EPIGRAPH, claim, sol.values.get("z", ZERO)))
-        return _measure_of(leaves, sol.values, m.tree), bounds
-
-    return solve_with_stop_cuts(build, targets, lambda: solve(build([])))
+    sol = solve(LpProblem(sense, objective, rows, variables, free=free))
+    return sol, _measure_of(leaves, sol.values, m.tree) if sol.status == "optimal" else None
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,17 @@ can represent directly.  It is handled through two computable objects:
   * a slack-maximization LP whose optimum is positive exactly when the strict
     set is nonempty (with the witness measure as certificate).
 
-American caps quantify over all stopping times.  Every LP imposes them one
-way: `solve_with_stop_cuts` adds a stop's row only when the greedy optimal
-stop of the exercise envelope under the current solution violates it.  Its
-round 0 holds no American row, so a slack LP's round 0 is the slack LP of
-the market without American options, and `max_slack` keeps its solution on
-the stock process for every market that poses it.  Two LPs are the
-exception and list one row per enumerated stopping time: the closure
-polytope, whose vertex enumeration needs its full H-representation, and the
-stop-side LP of `robust.minimax_check`, whose duals on those rows are the
-exercise flows.
+American caps quantify over all stopping times.  The slack LP imposes them
+lazily: `solve_with_stop_cuts`, `max_slack`'s loop, adds a stop's row only
+when the greedy optimal stop of the exercise envelope under the current
+witness violates it.  Its round 0 holds no American row, so a slack LP's
+round 0 is the slack LP of the market without American options, and it is
+kept on the stock process for every market that poses it.  The LPs that
+list one row per enumerated stopping time instead are the closure polytope,
+whose vertex enumeration needs its full H-representation, the stop-side LP
+of `robust.minimax_check`, whose duals on those rows are the exercise flows,
+and the reference `hedging.dual_optimum`, which optimizes over the closure
+polytope.
 
 A `Measure` holds integer weights over one denominator, the lcm of its
 weights' denominators (a canonical form), and keeps its integer subtree masses
@@ -250,61 +251,15 @@ def pricing_rows(
     forms.
 
     With `slack_var` set, buy-only caps become `E[.] + t <= cap`, the slack
-    maximization form.  American caps are not rows here: LPs generate them
-    with `solve_with_stop_cuts`, and `closure_polytope` enumerates them."""
+    maximization form.  American caps are not rows here: `max_slack`
+    generates them with `solve_with_stop_cuts`, and `closure_polytope`
+    enumerates them."""
     m = spec.market
     rows = [_row(*_claim_row(claim, leaves), EQ, price, f"f[{i}]")
             for i, (claim, price) in enumerate(zip(m.f, m.f_prices))]
     rows += [_row(*_claim_row(claim, leaves), LE, cap, f"g[{j}]", slack_var)
              for j, (claim, cap) in enumerate(zip(m.g, spec.g_cap))]
     return rows
-
-
-def _cap_targets(spec: PricingSetSpec, slack: Fraction = ZERO) -> list[tuple]:
-    """(option index, h, cap - slack) for every American option: the
-    separation targets of its "for all stopping times" rows."""
-    m = spec.market
-    return [(k, m.h[k], cap - slack) for k, cap in enumerate(spec.h_cap)]
-
-
-def solve_with_stop_cuts(
-    build: Callable[[list[tuple[object, StoppingTime]]], LpProblem],
-    targets: Callable[[LpSolution], tuple[Measure, list[tuple]]],
-    first: Callable[[], LpSolution],
-) -> tuple[LpSolution, Measure | None]:
-    """Solve an LP whose "for all stopping times" rows are generated lazily;
-    return the last solution and the measure read off it (None unless
-    optimal).
-
-    `build(cuts)` returns the LP with one row per (family, stopping time) in
-    `cuts`, and `first()` the solution of round 0, `build([])`, which the
-    caller may have kept from an earlier loop.  `targets(sol)` reads the
-    measure off an optimal solution and lists (family, h, bound) triples:
-    the exercise value of h under that measure may not exceed bound.  Each
-    violated triple adds the greedy envelope stop as a cut, and the LP is
-    solved again.  The loop is exact and ends because the stopping-time set
-    is finite; a violated cut that is already in the LP raises
-    MeasureError."""
-    cuts: list[tuple[object, StoppingTime]] = []
-    seen: set[tuple[object, StoppingTime]] = set()
-    sol = first()
-    while True:
-        if sol.status != "optimal":
-            return sol, None
-        Q, bounds = targets(sol)
-        new = []
-        for family, h, bound in bounds:
-            V, den = Q.envelope(h)
-            if V[h.tree.root] * bound.denominator > bound.numerator * den:
-                new.append((family, _greedy_stop(Q, h, V)))
-        if not new:
-            return sol, Q
-        for cut in new:
-            if cut in seen:
-                raise MeasureError(f"stop cut loop failed to progress on {cut[0]!r}")
-            seen.add(cut)
-        cuts += new
-        sol = solve(build(cuts))
 
 
 def closure_polytope(spec: PricingSetSpec) -> Polytope:
@@ -349,11 +304,54 @@ class SlackResult:
 SLACK_VAR = "t[slack]"
 
 
+def solve_with_stop_cuts(
+    build: Callable[[list[tuple[int, StoppingTime]]], LpProblem],
+    spec: PricingSetSpec,
+    round0: tuple,
+) -> tuple[LpSolution, Measure | None, list[tuple[int, StoppingTime]]]:
+    """`max_slack`'s loop: solve the slack LP with its American caps'
+    "for all stopping times" rows generated lazily; return the last
+    solution, the witness read off it (None unless optimal) and the cuts
+    that solution's LP holds.
+
+    `build(cuts)` returns the slack LP with one row E[h_k at tau] + t <= cap_k
+    per (k, tau) in `cuts`.  Round 0, `build([])`, is solved here or read
+    from the stock process's store under the key `round0` (`market._kept`).
+    Each round reads the witness and the slack t off its solution, adds the
+    greedy envelope stop of every option whose exercise value exceeds its
+    cap minus t, and solves again.  The loop is exact and ends because the
+    stopping-time set is finite; a violated cut already in the LP raises
+    MeasureError."""
+    m = spec.market
+    leaves = m.support_leaves()
+    sol = _kept(m.S, round0, lambda: solve(build([])))
+    cuts: list[tuple[int, StoppingTime]] = []
+    while sol.status == "optimal":
+        Q = _measure_of(leaves, sol.values, m.tree)
+        slack = sol.values.get(SLACK_VAR, ZERO)
+        new = []
+        for k, (h, cap) in enumerate(zip(m.h, spec.h_cap)):
+            bound = cap - slack
+            V, den = Q.envelope(h)
+            if V[m.tree.root] * bound.denominator > bound.numerator * den:
+                cut = (k, _greedy_stop(Q, h, V))
+                if cut in cuts:
+                    raise MeasureError(f"stop cut loop failed to progress on option h[{k}]")
+                new.append(cut)
+        if not new:
+            return sol, Q, cuts
+        cuts += new
+        sol = solve(build(cuts))
+    return sol, None, cuts
+
+
 def max_slack(spec: PricingSetSpec) -> SlackResult:
     """Maximize a uniform slack t with E g <= cap - t, stop values <= cap - t,
     and weight >= t on the support floor, over the weights of the market's
     support leaves.  The slack is capped at 1 so the LP stays bounded when no
-    constraint involves t.
+    constraint involves t.  The stop value rows are cut in lazily by
+    `solve_with_stop_cuts`, and the certificate reads the multipliers of the
+    rows and cuts of its last LP.
 
     Round 0 of the stop cuts holds no American row, so its LP reads only the
     stock, the support leaves, the f claims and quotes, the g claims and
@@ -371,30 +369,20 @@ def max_slack(spec: PricingSetSpec) -> SlackResult:
     tail = [int_con({_weight_var(l): 1, SLACK_VAR: -1}, GE, 0, 1, f"floor[{l}]")
             for l in floor]
     tail.append(int_con({SLACK_VAR: 1}, LE, 1, 1, "slack_cap"))
-    last_cuts: list[tuple[int, StoppingTime]] = []
 
     def build(cuts: list[tuple[int, StoppingTime]]) -> LpProblem:
-        nonlocal last_cuts
-        last_cuts = list(cuts)
         rows = fixed + [_row(*_stop_row(m.h[k], tau, leaves), LE, spec.h_cap[k], f"h[{k}]cut",
                              SLACK_VAR) for k, tau in cuts] + tail
         return LpProblem("max", {SLACK_VAR: 1}, rows, variables, free=frozenset({SLACK_VAR}))
 
-    def targets(sol: LpSolution):
-        Q = _measure_of(leaves, sol.values, m.tree)
-        return Q, _cap_targets(spec, sol.values.get(SLACK_VAR, ZERO))
-
-    def first() -> LpSolution:
-        key = ("slack_round0", leaves, m.f, m.f_prices, m.g, spec.g_cap, floor)
-        return _kept(m.S, key, lambda: solve(build([])))
-
-    sol, witness = solve_with_stop_cuts(build, targets, first)
+    round0 = ("slack_round0", leaves, m.f, m.f_prices, m.g, spec.g_cap, floor)
+    sol, witness, cuts = solve_with_stop_cuts(build, spec, round0)
     if sol.status != "optimal":
         return SlackResult(status="infeasible",
-                           certificate=_slack_certificate(m, fixed, last_cuts, sol.farkas))
+                           certificate=_slack_certificate(m, fixed, cuts, sol.farkas))
     certificate = None
     if sol.objective <= 0:
-        certificate = _slack_certificate(m, fixed, last_cuts, sol.duals)
+        certificate = _slack_certificate(m, fixed, cuts, sol.duals)
     return SlackResult(status="optimal", optimum=sol.objective, witness=witness,
                        certificate=certificate)
 

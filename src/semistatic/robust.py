@@ -95,10 +95,9 @@ class RobustDualityGapError(RobustError):
     then not closed under node-wise recombination and the component reading of
     "dominated by the prior set" genuinely differs from the hedging LP."""
 
-    def __init__(self, primal, dual, witness=None):
+    def __init__(self, primal, dual):
         self.primal = primal
         self.dual = dual
-        self.witness = witness
         super().__init__(
             f"quasi-sure hedge value {primal} < component dual {dual}; "
             "the prior list is not recombination-closed"

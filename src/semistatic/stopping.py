@@ -32,11 +32,11 @@ DEFAULT_ENUM_CAP = 10**6
 
 class EnumerationCapError(RuntimeError):
     """Too many stopping times, or whole-unit stop combinations, to enumerate.
-    Only single-stop questions, the explicit closure polytope and the
-    stop-side LP of `robust.minimax_check` (whose duals on the enumerated
-    stop rows are the exercise flows) enumerate; the other LPs over all
-    stopping times take their rows from the Snell separation oracle and never
-    raise this."""
+    Only single-stop questions, the explicit closure polytope (and the
+    reference `hedging.dual_optimum` over it) and the stop-side LP of
+    `robust.minimax_check` (whose duals on the enumerated stop rows are the
+    exercise flows) enumerate; the slack LP takes its stop rows from the
+    Snell separation oracle and never raises this."""
 
 
 class StoppingTime:
@@ -155,8 +155,9 @@ def enumerate_stopping_times(
     if n > cap:
         raise EnumerationCapError(
             f"{n} stopping times exceeds cap {cap}; only single-stop questions, "
-            "the explicit closure polytope and the minimax stop-side LP enumerate "
-            "them (other LP rows come from the Snell oracle)"
+            "the explicit closure polytope, the reference dual LP over it and the "
+            "minimax stop-side LP enumerate them (the slack LP's stop rows come "
+            "from the Snell oracle)"
         )
 
     def antichains(node: str) -> list[frozenset[str]]:

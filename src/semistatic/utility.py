@@ -99,7 +99,6 @@ class UtilitySpec:
     reference: Measure
 
     # populated on first use
-    _leaves: tuple[str, ...] = field(default=(), init=False, repr=False)
     _p_weights: np.ndarray | None = field(default=None, init=False, repr=False)
     _densities: np.ndarray | None = field(default=None, init=False, repr=False)
 
@@ -128,19 +127,15 @@ class UtilitySpec:
 
         if self._densities is not None:
             return
-        self._leaves = self.market.support_leaves()
-        self._p_weights = np.array(
-            [float(self.reference.at(l)) for l in self._leaves]
-        )
+        leaves = self.market.support_leaves()
+        self._p_weights = np.array([float(self.reference.at(l)) for l in leaves])
         poly = closure_polytope(PricingSetSpec(self.market))
         verts = polytope_vertices_as_measures(poly, self.market.tree)
         if not verts:
             raise UtilityError("empty pricing set; utility duality undefined")
         rows = []
         for Q in verts:
-            rows.append([
-                float(Q.at(l)) / float(self.reference.at(l)) for l in self._leaves
-            ])
+            rows.append([float(Q.at(l)) / float(self.reference.at(l)) for l in leaves])
         self._densities = np.array(rows)
 
     @property

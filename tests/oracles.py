@@ -697,17 +697,14 @@ def closure_rows(spec, leaves: Sequence[str], taus: Sequence[StoppingTime]) -> l
     return rows
 
 
-def dual_rows(spec, claim, kind: str, cuts) -> list[Constraint]:
-    """The rows of `hedging.dual_optimum`'s LP with the stop cuts `cuts`:
-    (k, tau) caps option k, ("epi", tau) adds an epigraph row for "sub_am"."""
-    m = spec.market
-    leaves = m.support_leaves()
-    rows = martingale_rows(m, leaves) + pricing_rows(spec, leaves)
-    rows += [con(stop_row(m.h[k], tau, leaves), LE, spec.h_cap[k], f"h[{k}]cut")
-             for k, tau in cuts if k != "epi"]
+def dual_rows(spec, claim, kind: str, taus: Sequence[StoppingTime]) -> list[Constraint]:
+    """The rows of `hedging.dual_optimum`'s LP: the closure rows with every
+    stop of `taus`, and for "sub_am" one epigraph row E[claim at tau] - z <= 0
+    per stop."""
+    leaves = spec.market.support_leaves()
+    rows = closure_rows(spec, leaves, taus)
     if kind == "sub_am":
-        epi = [StoppingTime(m.tree, [m.tree.root])] + [tau for k, tau in cuts if k == "epi"]
-        for t_idx, tau in enumerate(epi):
+        for t_idx, tau in enumerate(taus):
             coeffs = stop_row(claim, tau, leaves)
             coeffs["z"] = Fraction(-1)
             rows.append(con(coeffs, LE, 0, f"epi[{t_idx}]"))

@@ -10,11 +10,13 @@ from semistatic import (
     PricingSetSpec,
     TerminalClaim,
     closure_polytope,
+    load_fixture,
     martingale_system,
     max_slack,
     membership,
     vertices,
 )
+from semistatic import measures
 from semistatic.fixtures import p2_measure
 from semistatic.hedging import dual_optimum
 from semistatic.lp import GE, LE, LpProblem, con, solve
@@ -281,6 +283,26 @@ def test_max_slack_with_a_kept_round_0_equals_every_round_solved(monkeypatch):
                 seen.add((sign, kept, calls["engine"] > 0))
     assert {("infeasible", True, False), (False, True, False), (True, True, False),
             (True, True, True), (False, True, True), (True, False, True)} <= seen
+
+
+def test_stop_cut_loop_refuses_a_round_that_makes_no_progress(monkeypatch):
+    """A round whose LP answers with the last round's solution finds the same
+    violated stop again; the loop raises naming the option instead of
+    solving forever.  On a fresh T2 (so round 0 is solved, not read from the
+    stock's store) with put5_am quoted at 1, round 1 is handed round 0's
+    solution."""
+    t2 = load_fixture("T2")
+    market = t2.with_options(h=[t2.claims["put5_am"]], h_prices=[F(1)])
+    solutions = []
+
+    def stale(problem):
+        solutions.append(solutions[0] if solutions else solve(problem))
+        return solutions[-1]
+
+    monkeypatch.setattr(measures, "solve", stale)
+    with pytest.raises(MeasureError, match=r"failed to progress on option h\[0\]"):
+        max_slack(PricingSetSpec.strict_emm(market))
+    assert len(solutions) == 2
 
 
 def test_dual_optimum_equals_enumerated_lp(p2):

@@ -240,3 +240,25 @@ def test_robust_asks_only_the_maximal_supports():
         found += [f"robust.py:{node.lineno} solves per support outside _maximal"
                   for it, body in loops if calls(body) & solvers and not is_maximal(it)]
     assert found == []
+
+
+def test_only_max_slack_runs_the_stop_cut_loop():
+    """`measures.solve_with_stop_cuts` is `max_slack`'s loop: no other
+    function or method of the package calls it, by name or as a module
+    attribute.  The reference `hedging.dual_optimum` solves one enumerated
+    LP instead."""
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = []
+        for node in module.body:
+            if isinstance(node, ast.ClassDef):
+                scopes += [(f"{node.name}.{getattr(f, 'name', '<class>')}", f) for f in node.body]
+            else:
+                scopes.append((getattr(node, "name", "<module>"), node))
+        for name, scope in scopes:
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Call) and "solve_with_stop_cuts" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    callers.add(f"{path.stem}.{name}")
+    assert callers == {"measures.max_slack"}
