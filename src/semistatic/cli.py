@@ -36,7 +36,7 @@ from .hedging import (
     super_hedge_indivisible,
 )
 from .lp import LpVerificationError
-from .market import MarketError, MarketSpec, build_market, market_priors
+from .market import MarketError, MarketSpec, build_market, read_claim
 from .measures import (
     Measure,
     MeasureError,
@@ -44,7 +44,7 @@ from .measures import (
     closure_polytope,
     polytope_vertices_as_measures,
 )
-from .rational import RationalError, rat, rat_str
+from .rational import RationalError, rat_str
 from .robust import (
     PriorSet,
     RobustDualityGapError,
@@ -56,7 +56,7 @@ from .robust import (
     sub_hedge_robust,
 )
 from .stopping import EnumerationCapError, snell_value, strategy_to_json
-from .tree import AdaptedProcess, TerminalClaim, TreeError
+from .tree import AdaptedProcess, TreeError
 from .utility import (
     AuditFailure,
     UtilityError,
@@ -104,17 +104,7 @@ def _resolve_claim(market: MarketSpec, name_or_path: str | None):
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise UsageError("claim file must be a JSON object")
-    try:
-        kind, values = doc["type"], doc["values"]
-    except KeyError as exc:
-        raise UsageError(f"claim file missing field {exc}") from None
-    if not isinstance(values, dict):
-        raise UsageError(f"claim file values must be a JSON object, not {values!r}")
-    if kind == "european":
-        return TerminalClaim(market.tree, {k: rat(v) for k, v in values.items()})
-    if kind == "american":
-        return AdaptedProcess(market.tree, {k: rat(v) for k, v in values.items()})
-    raise UsageError(f"unknown claim type {kind!r}")
+    return read_claim(market.tree, doc, "claim file")
 
 
 def _measure_json(Q: Measure | None, approx: bool):
@@ -237,6 +227,8 @@ def _cmd_fixture(args, report) -> int:
 
 
 def _cmd_check(args, report) -> int:
+    if args.strict and args.indivisible:
+        raise UsageError("--strict decides divisible exercise only; drop --indivisible")
     market = _load_market(args.market)
     if args.strict:
         verdict = check_sna(market)
@@ -284,10 +276,9 @@ def _cmd_price(args, report) -> int:
 
 def _robust_spec(args) -> RobustSpec:
     market = _load_market(args.market)
-    rows = market_priors(market)
-    if not rows:
+    if not market.priors:
         raise UsageError("market file has no priors array")
-    priors = PriorSet(tuple(Measure(market.tree, row) for row in rows))
+    priors = PriorSet(tuple(Measure(market.tree, row) for row in market.priors))
     return RobustSpec(market, priors)
 
 

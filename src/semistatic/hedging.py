@@ -39,7 +39,7 @@ from math import lcm
 from typing import Mapping
 
 from .lp import EQ, GE, LE, ZERO, Constraint, LpProblem, LpSolution, int_con, solve
-from .market import HedgePortfolio, MarketSpec, _kept_off_support, portfolio_values
+from .market import HedgePortfolio, MarketSpec, _kept, portfolio_values
 from .measures import (
     Measure,
     PricingSetSpec,
@@ -124,9 +124,10 @@ class StrategySpace:
     c[k] >= 0 tied by per-leaf path-sum rows nu-along-path == c[k].
     Optionally an exercise flow eta[node] >= 0 with unit path sums (for
     sub-hedging American claims).  The structure rows and each leaf's
-    terminal-value coefficients are integer rows, built once per market from
-    its integer forms and kept for it and its `on_support` restrictions,
-    which they do not depend on; LPs extend copies of them.
+    terminal-value coefficients are integer rows, built once per market
+    object from its integer forms and kept on it (a restriction
+    `on_support` is one object per market and leaf set, so it builds its
+    own once); LPs extend copies of them.
     """
 
     def __init__(self, market: MarketSpec, include_eta: bool = False):
@@ -157,7 +158,7 @@ class StrategySpace:
     def structure_rows(self) -> list[Constraint]:
         """Each American option's flow nu sums along every path to its
         holding c, and the claim's exercise flow eta (if included) to one;
-        built once per market and its restrictions (`_kept_off_support`)."""
+        built once per market object (`market._kept`)."""
         def build():
             tree = self.market.tree
             rows = []
@@ -172,17 +173,17 @@ class StrategySpace:
                                         f"flow[{leaf}]"))
             return tuple(rows)
 
-        return list(_kept_off_support(self.market, ("structure", self.include_eta), build))
+        return list(_kept(self.market, ("structure", self.include_eta), build))
 
     def phi_coeffs(self, leaf: str) -> tuple[int, dict[str, int]]:
         """Column coefficients of the terminal portfolio value at `leaf`, as
         integers over one denominator per market: (den, nonzero
         coefficients).  Built from the stock's, claims' and processes'
-        integer forms once per market and leaf and kept for the market and
-        its restrictions (`_kept_off_support`), so the coefficients are
-        shared: do not change them."""
+        integer forms once per market object and leaf and kept on the market
+        (`market._kept`), so the coefficients are shared: do not change
+        them."""
         m = self.market
-        den, rows = _kept_off_support(m, "phi", lambda: (_phi_den(m), {}))
+        den, rows = _kept(m, "phi", lambda: (_phi_den(m), {}))
         if leaf not in rows:
             path = m.tree.path(leaf)
             num: dict[str, int] = {}
@@ -447,7 +448,9 @@ def super_hedge_indivisible(market: MarketSpec, psi: TerminalClaim) -> HedgeResu
             Q0, V0 = Q, primal.objective
 
     tau, primal, space, Q = best
-    held = stock.whole_unit(space.extract_portfolio(primal.values), (tau,) * len(m.h))
+    # `stock` has no European book, `market` may: it holds none of them
+    held = replace(stock.whole_unit(space.extract_portfolio(primal.values), (tau,) * len(m.h)),
+                   a=(ZERO,) * len(m.f), b=(ZERO,) * len(m.g))
     result = HedgeResult(
         kind="super_indiv", market=market, claim=psi, price=primal.objective,
         portfolio=held, dual=Q,

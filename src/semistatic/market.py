@@ -17,7 +17,6 @@ import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
-from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
 
 from .rational import rat, rat_str
@@ -32,30 +31,20 @@ class MarketError(ValueError):
 def _kept(obj, key, build: Callable[[], object]):
     """`build()`, made once per object and `key` and kept on the object: what
     depends on a market alone (its strict-EMM slack, its robust decisions, its
-    LP row skeletons, its reductions `without_american` and restrictions
-    `on_support`, the priors of its market file) or on its stock process and
-    the key alone (the martingale rows per leaf set; a slack LP's round 0
-    per leaf set, European book and floor).  What does not depend on the
-    market's support is kept by `_kept_off_support`, shared with its
-    restrictions.  A rebuilt market (`build_market`, `with_options`,
-    `exercised_at`, `dataclasses.replace`) is a new object and decides again
-    what is kept on the market; `build_market` makes a new stock process
-    too, and so decides everything again.  What is kept is shared: callers
-    copy before they extend it (only `StrategySpace.phi_coeffs` fills in its
-    own per-leaf table).  Threads that ask at once may each build it; the
-    first one stored is kept."""
+    LP row skeletons and strategy-column rows, its reductions
+    `without_american` and restrictions `on_support`) or on its stock process
+    and the key alone (the martingale rows per leaf set; a slack LP's round 0
+    per leaf set, European book and floor).  A derived market
+    (`with_options`, `exercised_at`, `dataclasses.replace`) is a new object
+    and decides again what is kept on the market; `build_market` makes a new
+    stock process too, and so decides everything again.  What is kept is
+    shared: callers copy before they extend it (only
+    `StrategySpace.phi_coeffs` fills in its own per-leaf table).  Threads
+    that ask at once may each build it; the first one stored is kept."""
     kept = obj.__dict__.setdefault("_kept", {})
     if key not in kept:
         kept.setdefault(key, build())
     return kept[key]
-
-
-def _kept_off_support(market: "MarketSpec", key, build: Callable[[], object]):
-    """`_kept` for what depends on a market but not on its support (the
-    strategy columns' structure rows and terminal-value coefficients): kept
-    once in a store that the market shares with its `on_support`
-    restrictions.  The store holds no market, so it keeps none alive."""
-    return _kept(_kept(market, "off_support", SimpleNamespace), key, build)
 
 
 @dataclass(frozen=True)
@@ -66,7 +55,10 @@ class MarketSpec:
     surely" is evaluated.  It defaults to all leaves; a market file may
     designate a smaller set (the complement is the null set).
     `claims` carries optional named claims bundled with the market file
-    (fixtures use this to ship their target payoff).
+    (fixtures use this to ship their target payoff), and `priors` the file's
+    optional leaf-weight maps for the robust commands.  Only `build_market`
+    makes a market; every other market is derived from one by
+    `dataclasses.replace` and carries its claims and priors.
     """
 
     tree: EventTree
@@ -79,6 +71,7 @@ class MarketSpec:
     h_prices: tuple[Fraction, ...] = ()
     support: frozenset[str] = field(default=frozenset())
     claims: Mapping[str, object] = field(default_factory=dict)
+    priors: tuple[Mapping[str, Fraction], ...] = ()
 
     def __post_init__(self):
         if len(self.f) != len(self.f_prices):
@@ -111,45 +104,30 @@ class MarketSpec:
         shares what that object has decided."""
         if keep >= len(self.h):
             return self
-        return _kept(self, "without_last_american", lambda: MarketSpec(
-            tree=self.tree, S=self.S,
-            f=self.f, f_prices=self.f_prices,
-            g=self.g, g_prices=self.g_prices,
-            h=self.h[:-1], h_prices=self.h_prices[:-1],
-            support=self.support, claims=self.claims,
-        )).without_american(keep)
+        return _kept(self, "without_last_american", lambda: replace(
+            self, h=self.h[:-1], h_prices=self.h_prices[:-1])).without_american(keep)
 
     def on_support(self, leaves) -> "MarketSpec":
         """The same market with reference support `leaves`: the market itself
         when that is its support, else one object per market and leaf set,
         so that every question asked of the restricted market shares what it
-        has decided."""
+        has decided, its LP rows included."""
         leaves = frozenset(leaves)
         if not leaves:
             raise MarketError("empty support")
         if leaves == self.support:
             return self
-
-        def restrict():
-            restricted = replace(self, support=leaves)
-            shared = _kept(self, "off_support", SimpleNamespace)
-            _kept(restricted, "off_support", lambda: shared)
-            return restricted
-
-        return _kept(self, ("on_support", leaves), restrict)
+        return _kept(self, ("on_support", leaves), lambda: replace(self, support=leaves))
 
     def with_options(self, f=None, f_prices=None, g=None, g_prices=None,
                      h=None, h_prices=None) -> "MarketSpec":
-        return MarketSpec(
-            tree=self.tree, S=self.S,
-            f=tuple(f) if f is not None else self.f,
-            f_prices=tuple(rat(p) for p in f_prices) if f_prices is not None else self.f_prices,
-            g=tuple(g) if g is not None else self.g,
-            g_prices=tuple(rat(p) for p in g_prices) if g_prices is not None else self.g_prices,
-            h=tuple(h) if h is not None else self.h,
-            h_prices=tuple(rat(p) for p in h_prices) if h_prices is not None else self.h_prices,
-            support=self.support, claims=self.claims,
-        )
+        """A new market with each book or quote list that is given replaced,
+        quotes made exact with `rat`."""
+        books = {k: tuple(v) for k, v in dict(f=f, g=g, h=h).items() if v is not None}
+        quotes = {k: tuple(map(rat, v)) for k, v in
+                  dict(f_prices=f_prices, g_prices=g_prices, h_prices=h_prices).items()
+                  if v is not None}
+        return replace(self, **books, **quotes)
 
     def exercised_at(self, taus: Sequence[StoppingTime]) -> "MarketSpec":
         """The market in which each American option k is exercised whole at
@@ -160,12 +138,8 @@ class MarketSpec:
         leaves = self.tree.leaves
         stopped = tuple(TerminalClaim(self.tree, {l: tau.value_at(hk, l) for l in leaves})
                         for hk, tau in zip(self.h, taus))
-        return MarketSpec(
-            tree=self.tree, S=self.S,
-            f=self.f, f_prices=self.f_prices,
-            g=self.g + stopped, g_prices=self.g_prices + self.h_prices,
-            support=self.support, claims=self.claims,
-        )
+        return replace(self, g=self.g + stopped, g_prices=self.g_prices + self.h_prices,
+                       h=(), h_prices=())
 
     def whole_unit(self, p: "HedgePortfolio", taus: Sequence[StoppingTime]) -> "HedgePortfolio":
         """`p`, a portfolio of `self.exercised_at(taus)`, as one of this market
@@ -219,6 +193,9 @@ def portfolio_values(market: MarketSpec, p: HedgePortfolio,
     H, S = p.H, market.S
     if H is not None and H.dim != S.dim:
         raise MarketError(f"H dimension {H.dim} != stock dimension {S.dim}")
+    for legs, book, name in ((p.a, market.f, "f"), (p.b, market.g, "g"), (p.c, market.h, "h")):
+        if len(legs) != len(book):
+            raise MarketError(f"{len(legs)} positions for the {len(book)} options of book {name}")
     # Every term is an integer over a denominator fixed for the portfolio:
     # the gain is one over gain_den, and a leg whose payoff is the integer x
     # over d adds coef * (x / d - price), that is (a * x - b) over den.
@@ -343,31 +320,28 @@ def build_market(description: str | Mapping) -> MarketSpec:
 
     support = _json(doc.get("support", []), list, "support")
     support = frozenset([_json(l, str, "support leaf") for l in support] or tree.leaves)
-    claims: dict[str, object] = {}
-    claim_specs = _json(doc.get("claims", {}), Mapping, "claims")
-    for name, spec in claim_specs.items():
-        spec = _json(spec, Mapping, f"claim {name!r}")
-        kind = _field(spec, "type", f"claim {name!r}")
-        values = _field(spec, "values", f"claim {name!r}")
-        if kind not in ("european", "american"):
-            raise MarketError(f"claim {name!r}: unknown type {kind!r}")
-        payoff_type = TerminalClaim if kind == "european" else AdaptedProcess
-        claims[name] = payoff_type(tree, _values_from_json(values))
+    claims = {name: read_claim(tree, spec, f"claim {name!r}")
+              for name, spec in _json(doc.get("claims", {}), Mapping, "claims").items()}
     priors = tuple(map(_values_from_json, _json(doc.get("priors", []), list, "priors")))
-    market = MarketSpec(
+    return MarketSpec(
         tree=tree, S=S, f=f, f_prices=f_prices, g=g, g_prices=g_prices,
-        h=h, h_prices=h_prices, support=support, claims=claims,
+        h=h, h_prices=h_prices, support=support, claims=claims, priors=priors,
     )
-    _kept(market, "priors", lambda: priors)
-    return market
 
 
-def market_priors(market: MarketSpec) -> tuple[dict[str, Fraction], ...]:
-    """Raw leaf-weight maps from the market file's optional `priors` array."""
-    return _kept(market, "priors", tuple)
+def read_claim(tree: EventTree, spec, where: str) -> TerminalClaim | AdaptedProcess:
+    """A claim from its JSON object {"type": "european" | "american",
+    "values": {node: rational}} on `tree`, else a MarketError naming `where`."""
+    spec = _json(spec, Mapping, where)
+    kind = _field(spec, "type", where)
+    values = _json(_field(spec, "values", where), Mapping, f"{where} values")
+    if kind not in ("european", "american"):
+        raise MarketError(f"{where}: unknown type {kind!r}")
+    payoff_type = TerminalClaim if kind == "european" else AdaptedProcess
+    return payoff_type(tree, _values_from_json(values))
 
 
-def market_to_json(market: MarketSpec, priors: Sequence[Mapping[str, Fraction]] = ()) -> str:
+def market_to_json(market: MarketSpec) -> str:
     """Canonical serialization; `build_market(market_to_json(m))` reproduces m."""
     tree = market.tree
     nodes = []
@@ -412,9 +386,8 @@ def market_to_json(market: MarketSpec, priors: Sequence[Mapping[str, Fraction]] 
             else:
                 claims[name] = {"type": "american", "values": process_json(obj)}
         doc["claims"] = claims
-    prior_rows = list(priors) or list(market_priors(market))
-    if prior_rows:
+    if market.priors:
         doc["priors"] = [
-            {leaf: rat_str(rat(w)) for leaf, w in row.items()} for row in prior_rows
+            {leaf: rat_str(rat(w)) for leaf, w in row.items()} for row in market.priors
         ]
     return json.dumps(doc, indent=2, sort_keys=False)

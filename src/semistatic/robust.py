@@ -41,9 +41,10 @@ supports.  Each is decided once per market object and tuple of prior supports
 and kept on the market (`market._kept`); a `RobustSpec` is a plain pair, and
 the specs `reduced()` derives share the market's reductions
 (`MarketSpec.without_american`) and so their decisions.  A restricted market
-is one object per market and leaf set, so its LP row skeletons are built once
-for every question asked of it.  Only a rebuilt market decides again.  The
-certificate checks of every hedge and domination still run per call."""
+is one object per market and leaf set and keeps its own LP rows, the
+strategy columns' included, so they are built once for every question asked
+of it.  Only a rebuilt market decides again.  The certificate checks of every
+hedge and domination still run per call."""
 
 from __future__ import annotations
 

@@ -174,11 +174,13 @@ def _edited_b1(edit):
     # booleans as node times and horizon, which Python reads as 1 (MarketError)
     (_edited_b1(lambda d: [d.update(horizon=True)] + [n.update(time=True) for n in d["nodes"][1:]]),
      ["check-arbitrage"], 1),
+    # strict no-arbitrage is decided for divisible exercise only (UsageError)
+    (json.loads(fixture_json("P2")), ["check-arbitrage", "--strict", "--indivisible"], 1),
 ], ids=["bad_tree", "float", "bad_rational", "missing_field", "missing_time",
         "payoff_not_object", "claims_not_object", "prior_not_object", "bad_prior", "enum_cap",
         "price_arbitrage", "robust_arbitrage", "support_not_array", "nodes_not_array",
         "node_not_object", "stock_not_array", "book_entry_not_object", "list_id",
-        "list_parent", "null_value", "bool_times"])
+        "list_parent", "null_value", "bool_times", "strict_indivisible"])
 def test_typed_failures_exit_without_traceback(capsys, tmp_path, doc, argv, expected):
     path = tmp_path / "market.json"
     path.write_text(json.dumps(doc))
@@ -247,8 +249,8 @@ def _recombination_gap_doc():
     S = AdaptedProcess(tree, {"r": F(5, 2), "a": 1, "b": 2, "c": 3, "d": 4})
     psi = TerminalClaim(tree, {"a": 0, "b": 1, "c": 0, "d": 1})
     market = MarketSpec(tree=tree, S=S, claims={"psi": psi})
-    priors = [{"a": F(1, 2), "d": F(1, 2)}, {"b": F(1, 2), "c": F(1, 2)}]
-    return json.loads(market_to_json(market, priors=priors))
+    priors = ({"a": F(1, 2), "d": F(1, 2)}, {"b": F(1, 2), "c": F(1, 2)})
+    return json.loads(market_to_json(dataclasses.replace(market, priors=priors)))
 
 
 @pytest.mark.parametrize("doc, argv, expected, prefix", [

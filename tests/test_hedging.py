@@ -133,6 +133,23 @@ def test_indivisible_without_options_is_classical(t2):
     assert result.price == classical.price == F(20, 9)
 
 
+def test_indivisible_portfolio_holds_every_book_of_its_market(t2):
+    """The whole-unit super-hedge is solved on the stock market but read on
+    the result's market, which here carries a two-sided and a buy-only
+    European book: its portfolio holds zero of each, so the evaluator that
+    refuses unmatched legs values it, and the certificate re-verifies."""
+    s2 = TerminalClaim(t2.tree, {"uu": 16, "ud": 4, "du": 4, "dd": 1})  # E[S_2] = 4
+    market = t2.with_options(f=[s2], f_prices=[4], g=[t2.claims["put5_eu"]], g_prices=[3],
+                             h=[t2.claims["put5_am"]], h_prices=[3])
+    psi = TerminalClaim(t2.tree, {"uu": 11, "ud": 0, "du": 0, "dd": 0})
+    result = super_hedge_indivisible(market, psi)
+    assert result.market is market
+    assert (result.portfolio.a, result.portfolio.b) == ((0,), (0,))
+    assert duality_gap_report(result)["verified"]
+    for leaf in market.tree.leaves:
+        assert result.price + portfolio_value(market, result.portfolio, leaf) >= psi.at(leaf)
+
+
 def test_duality_report_rejects_corrupted_primal(p2):
     result = super_hedge_divisible(p2, p2.claims["psi"])
     good = duality_gap_report(result)

@@ -390,10 +390,11 @@ def test_martingale_rows_are_kept_on_the_stock_process(t2):
         assert _view(rows) == _view(oracles.martingale_rows(t2, leaves))
 
 
-def test_restrictions_share_the_strategy_rows(t2):
-    """The structure rows and terminal-value coefficients do not depend on
-    the support: a market and its `on_support` restrictions, and theirs, read
-    the same objects, built once.  A market exercised at a stop has other
+def test_each_market_builds_its_strategy_rows_once(t2):
+    """The structure rows and terminal-value coefficients are kept on the
+    market object: a market and each of its `on_support` restrictions (one
+    object per leaf set) build them once, equal in value, and read the same
+    objects on every later call.  A market exercised at a stop has other
     quotes and payoffs, and builds its own."""
     market = t2.with_options(h=[t2.claims["put5_am"]], h_prices=[F(3)])
     restricted = market.on_support(("uu", "ud", "du"))
@@ -402,16 +403,22 @@ def test_restrictions_share_the_strategy_rows(t2):
     with mock.patch.object(hedging, "_phi_den", wraps=hedging._phi_den) as built:
         for eta in (False, True):
             rows = [StrategySpace(m, eta).structure_rows() for m in markets]
-            assert all(list(map(id, r)) == list(map(id, rows[0])) for r in rows)
+            again = [StrategySpace(m, eta).structure_rows() for m in markets]
+            assert [list(map(id, r)) for r in again] == [list(map(id, r)) for r in rows]
+            assert len({id(r[0]) for r in rows}) == len(markets)
+            assert all(_view(r) == _view(rows[0]) for r in rows)
         for leaf in leaves:
             coeffs = [StrategySpace(m).phi_coeffs(leaf) for m in markets]
-            assert all(c[1] is coeffs[0][1] for c in coeffs)
-        assert built.call_count == 1
+            assert all(StrategySpace(m).phi_coeffs(leaf)[1] is c[1]
+                       for m, c in zip(markets, coeffs))
+            assert all(c == coeffs[0] for c in coeffs)
+        StrategySpace(market.on_support(("du", "uu", "ud"))).phi_coeffs("uu")
+        assert built.call_count == len(markets)
         exercised = market.exercised_at(enumerate_stopping_times(t2.tree)[:1])
         for leaf in leaves:
             assert StrategySpace(exercised).phi_coeffs(leaf)[1] is not \
                 StrategySpace(market).phi_coeffs(leaf)[1]
-        assert built.call_count == 2
+        assert built.call_count == len(markets) + 1
 
 
 def test_hedges_leave_the_kept_skeletons_unchanged():

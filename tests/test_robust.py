@@ -2,6 +2,7 @@
 dominating measures, and the minimax identity."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -337,13 +338,11 @@ def test_empty_pricing_set_prices_at_infinity(t2):
 
 
 def test_priors_round_trip_in_market_file(t2):
-    import json
+    from semistatic.market import build_market, market_to_json
 
-    from semistatic.market import build_market, market_priors, market_to_json
-
-    text = market_to_json(t2, priors=[{"uu": F(1, 2), "dd": F(1, 2)}])
+    text = market_to_json(replace(t2, priors=({"uu": F(1, 2), "dd": F(1, 2)},)))
     again = build_market(text)
-    assert market_priors(again) == ({"uu": F(1, 2), "dd": F(1, 2)},)
+    assert again.priors == ({"uu": F(1, 2), "dd": F(1, 2)},)
     assert market_to_json(again) == text
 
 

@@ -5,11 +5,11 @@ the engine must fail here rather than in `bench/run.py --trace 1`.  The
 engine guards its results with typed errors, never `assert`, so that no
 check vanishes under `python -O`.  LP rows are made in integers by
 `lp.int_con`, and only `lp.py` turns rationals into a row, reads a row's
-Fraction view or defines the shared `ZERO`.  What is derived from a market or
-its stock process is kept by `market._kept` alone.  Each pricing region is one
-traced vertex enumeration, and the double-description kernel makes no
-Fraction.  The robust questions are asked of the maximal prior supports only,
-picked by `robust._maximal`."""
+Fraction view or defines the shared `ZERO`.  Only `market.build_market` makes
+a market, and what is derived from a market or its stock process is kept by
+`market._kept` alone.  Each pricing region is one traced vertex enumeration,
+and the double-description kernel makes no Fraction.  The robust questions are
+asked of the maximal prior supports only, picked by `robust._maximal`."""
 
 import ast
 import importlib
@@ -138,6 +138,23 @@ def test_only_kept_writes_onto_objects():
             elif isinstance(node, ast.Attribute) and node.attr == "__dict__" and not (
                     path.name == "market.py" and id(node) in inside["_kept"]):
                 found.append(f"{where}:{node.lineno} reads or writes __dict__")
+    assert found == []
+
+
+def test_only_build_market_makes_a_market():
+    """`MarketSpec(...)` is called in `market.build_market` alone: every
+    other market is derived from one by `dataclasses.replace`, so it carries
+    every field, the bundled claims and the file's priors included."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "build_market"
+                  and path.name == "market.py" for node in ast.walk(fn)}
+        found += [f"{path.relative_to(ROOT)}:{node.lineno} makes a MarketSpec"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in inside
+                  and isinstance(node.func, ast.Name) and node.func.id == "MarketSpec"]
     assert found == []
 
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from semistatic import (
     portfolio_values,
 )
 from semistatic.fixtures import FixtureError, fixture_json, p2_measure, verify_p2
-from semistatic.market import MarketError, market_priors
+from semistatic.market import MarketError
 from semistatic.stopping import enumerate_stopping_times, stop_everywhere_at
 
 from conftest import rand_rational, random_market, random_process
@@ -346,6 +347,30 @@ def test_portfolio_values_refuse_non_leaves_and_a_wrong_H_dimension(t2):
         portfolio_values(t2, port, ["uu"])
 
 
+@pytest.mark.parametrize("legs, book", [
+    ({"a": (F(1), F(5))}, "f"),
+    ({"b": (F(1), F(5))}, "g"),
+    ({"c": (F(1), F(5)), "mu": "two"}, "h"),
+    ({"b": ()}, "g"),
+])
+def test_portfolio_values_refuse_legs_that_do_not_match_the_books(b1, legs, book):
+    """A portfolio holds one position per option of each book: extra units
+    are refused, not dropped (B1 plus the up-digital quoted at 1/2 would
+    value b = (1, 5) as b = (1,)), and so is a missing position."""
+    digital = b1.claims["up_digital"]
+    h = AdaptedProcess(b1.tree, {"r": 1, "u": 0, "d": 3})
+    market = b1.with_options(f=[digital], f_prices=[F(1, 2)], g=[digital], g_prices=[F(1, 2)],
+                             h=[h], h_prices=[F(1)])
+    mu = LiquidatingStrategy.from_stopping_time(stop_everywhere_at(b1.tree, 0))
+    full = {"a": (F(1),), "b": (F(1),), "c": (F(1),), "mu": (mu,)}
+    if legs.get("mu") == "two":
+        legs = {**legs, "mu": (mu, mu)}
+    port = HedgePortfolio(**{**full, **legs})
+    with pytest.raises(MarketError, match=f"options of book {book}"):
+        portfolio_values(market, port, b1.tree.leaves)
+    assert portfolio_values(market, HedgePortfolio(**full), ("u", "d")) == [F(1), F(-1)]
+
+
 def test_path_consistency_of_evaluation(t2):
     # same node reached via different leaves gives the same S value
     assert t2.S.at("u") == t2.S.at("u")
@@ -418,7 +443,8 @@ def test_on_support_is_one_object_per_market_and_leaf_set(t2):
     assert three is not market and three.support == frozenset({"uu", "ud", "du"})
     assert three.support_leaves() == ("uu", "ud", "du")
     assert market.on_support(["uu", "dd"]) is not three
-    for name in ("tree", "S", "f", "f_prices", "g", "g_prices", "h", "h_prices", "claims"):
+    for name in ("tree", "S", "f", "f_prices", "g", "g_prices", "h", "h_prices", "claims",
+                 "priors"):
         assert getattr(three, name) is getattr(market, name)
     with pytest.raises(MarketError, match="empty support"):
         market.on_support(())
@@ -427,13 +453,33 @@ def test_on_support_is_one_object_per_market_and_leaf_set(t2):
 
 
 def test_market_file_priors_stay_with_the_parsed_market(t2):
-    """The priors a market file carries are read back from the market it
-    parses to, and from no other."""
+    """The priors a market file carries are the parsed market's `priors`,
+    written back by `market_to_json`; a market made without them has none."""
     rows = ({l: F(1, 4) for l in t2.tree.leaves},)
-    market = build_market(market_to_json(t2, rows))
-    assert market_priors(market) == rows
-    assert market_priors(market.with_options()) == ()
-    assert market_priors(t2) == ()
+    text = market_to_json(replace(t2, priors=rows))
+    market = build_market(text)
+    assert market.priors == rows and market_to_json(market) == text
+    assert t2.priors == () and "priors" not in json.loads(market_to_json(t2))
+
+
+def test_derived_markets_keep_the_claims_and_priors(t2):
+    """Every market derived from a parsed one (`with_options`,
+    `without_american`, `exercised_at`, `on_support`) carries its bundled
+    claims and its priors, the same objects."""
+    rows = ({l: F(1, 4) for l in t2.tree.leaves},)
+    market = build_market(market_to_json(replace(t2, priors=rows))).with_options(
+        h=[t2.claims["put5_am"]], h_prices=[F(3)])
+    derived = (
+        market.with_options(),
+        market.with_options(g=[t2.claims["put5_eu"]], g_prices=[1]),
+        market.without_american(),
+        market.exercised_at(enumerate_stopping_times(t2.tree)[:1]),
+        market.on_support(("uu", "ud")),
+    )
+    assert market.priors == rows and set(market.claims) == {"put5_eu", "put5_am"}
+    for m in derived:
+        assert m is not market
+        assert m.claims is market.claims and m.priors is market.priors
 
 
 def test_support_designation_round_trips():
@@ -454,10 +500,9 @@ def test_support_designation_round_trips():
     (lambda d: d.update(american_buy_only=5), "american_buy_only"),
     (lambda d: d.update(priors="abc"), "priors"),
     (lambda d: d.update(claims={"x": "abc"}), "claim 'x'"),
+    (lambda d: d.update(claims={"x": {"type": "european", "values": "abc"}}), "claim 'x' values"),
 ])
 def test_wrong_json_type_names_the_field(edit, field):
-    from semistatic.market import MarketError, market_priors
-
     doc = json.loads(fixture_json("B1"))
     edit(doc)
     with pytest.raises(MarketError, match=f"{field}.* must be a JSON"):
