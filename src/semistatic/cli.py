@@ -335,10 +335,9 @@ def _cmd_utility(args, report) -> int:
         raise UsageError(f"unknown utility {args.utility!r}")
     leaves = market.support_leaves()
     reference = Measure(market.tree, {l: Fraction(1, len(leaves)) for l in leaves})
-    spec = UtilitySpec(market, fn, reference)
     x_grid = [_number(v, "--x-grid") for v in args.x_grid.split(",")]
     y_grid = [_number(v, "--y-grid") for v in args.y_grid.split(",")] if args.y_grid else None
-    audit = duality_audit(spec, x_grid, y_grid)
+    audit = duality_audit(UtilitySpec(market, fn, reference), x_grid, y_grid)
     report["utility"] = audit.utility
     report["asymptotic_elasticity"] = audit.asymptotic_elasticity
     report["residuals"] = audit.residuals

@@ -21,10 +21,6 @@ from .tree import TerminalClaim
 
 FIXTURE_NAMES = ("B1", "T2", "P2")
 
-# P2 parameter convention: p is the conditional weight of leaf u1 given node u,
-# q the conditional weight of leaf d1 given node d.
-P2_PARAM_NODES = ("u1", "d1")
-
 
 class FixtureError(RuntimeError):
     """The stored fixture fails its own consistency re-derivation."""
@@ -130,7 +126,8 @@ def load_fixture(name: str) -> MarketSpec:
 
 
 def p2_weights(p, q) -> dict[str, Fraction]:
-    """Leaf weights of the P2 pricing measure with parameters (p, q)."""
+    """Leaf weights of the P2 pricing measure with parameters (p, q): p is
+    the conditional weight of leaf u1 given node u, q that of d1 given d."""
     p, q = rat(p), rat(q)
     half = Fraction(1, 2)
     return {

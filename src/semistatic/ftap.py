@@ -69,6 +69,14 @@ def _verify_arbitrage_portfolio(values: Sequence[Fraction], leaves: Sequence[str
         raise VerificationFailure("claimed arbitrage never wins")
 
 
+def lowered_quotes(market: MarketSpec) -> MarketSpec:
+    """The market with every buy-only quote lowered by 1/2, the strict shift
+    at which a STRICT_NO_ARBITRAGE_FAILS certificate wins."""
+    half = Fraction(1, 2)
+    return market.with_options(g_prices=[p - half for p in market.g_prices],
+                               h_prices=[p - half for p in market.h_prices])
+
+
 def check_na(market: MarketSpec, divisible: bool = True) -> ArbitrageVerdict:
     """No-arbitrage at the market's quotes over its support.  Other quotes or
     fewer leaves are other markets: `market.with_options(...)` or
@@ -176,14 +184,11 @@ def check_sna(market: MarketSpec) -> ArbitrageVerdict:
     plain = check_na(market)
     if plain.verdict == ARBITRAGE:
         return replace(plain, slack=slack)
-    eps = Fraction(1, 2)
-    shifted_g = tuple(p - eps for p in market.g_prices)
-    shifted_h = tuple(p - eps for p in market.h_prices)
-    shifted = market.with_options(g_prices=shifted_g, h_prices=shifted_h)
+    shifted = lowered_quotes(market)
     _verify_arbitrage_portfolio(portfolio_values(shifted, portfolio, support), support)
     return ArbitrageVerdict(
-        verdict=STRICT_NO_ARBITRAGE_FAILS, slack=slack,
-        portfolio=portfolio, shifted_g=shifted_g, shifted_h=shifted_h,
+        verdict=STRICT_NO_ARBITRAGE_FAILS, slack=slack, portfolio=portfolio,
+        shifted_g=shifted.g_prices, shifted_h=shifted.h_prices,
         notes="no arbitrage at the quotes, but no strictly consistent "
               "pricing measure exists",
     )

@@ -83,23 +83,11 @@ class VerificationFailure(HedgingError):
 
 
 class PriceInfinity:
-    """Tagged +infinity sentinel for prices over an empty pricing set."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Tagged +infinity sentinel for prices over an empty pricing set;
+    `INFINITE_PRICE` is its one instance."""
 
     def __repr__(self):
         return "+inf"
-
-    def __eq__(self, other):
-        return isinstance(other, PriceInfinity)
-
-    def __hash__(self):
-        return hash("PriceInfinity")
 
 
 INFINITE_PRICE = PriceInfinity()
@@ -483,7 +471,7 @@ def duality_gap_report(result: HedgeResult) -> dict:
         raise VerificationFailure(f"nonzero duality gap {rat_str(result.gap)}")
     leaves = m.support_leaves()
     held = m
-    port = result.portfolio if result.portfolio is not None else HedgePortfolio()
+    port = result.portfolio
     if result.kind == "sub_am":
         # the claim's exercise flow is one more American leg, held once at price 0
         held = m.with_options(h=(result.claim,) + m.h, h_prices=(ZERO,) + m.h_prices)

@@ -267,8 +267,9 @@ def _time(value, where: str) -> int:
     return value
 
 
-def _values_from_json(data) -> dict[str, Fraction]:
-    return {k: rat(v) for k, v in _json(data, Mapping, "node values").items()}
+def _values_from_json(data, where: str) -> dict[str, Fraction]:
+    """A JSON object of rationals, else a MarketError naming `where`."""
+    return {k: rat(v) for k, v in _json(data, Mapping, where).items()}
 
 
 def _field(entry: Mapping, key: str, where: str):
@@ -310,7 +311,8 @@ def build_market(description: str | Mapping) -> MarketSpec:
         payoffs, prices = [], []
         for entry in _json(doc.get(key, []), list, key):
             entry = _json(entry, Mapping, f"{key} entry")
-            payoffs.append(payoff_type(tree, _values_from_json(_field(entry, "payoff", key))))
+            payoff = _values_from_json(_field(entry, "payoff", key), f"{key} payoff")
+            payoffs.append(payoff_type(tree, payoff))
             prices.append(rat(_field(entry, "price", key)))
         return tuple(payoffs), tuple(prices)
 
@@ -322,7 +324,8 @@ def build_market(description: str | Mapping) -> MarketSpec:
     support = frozenset([_json(l, str, "support leaf") for l in support] or tree.leaves)
     claims = {name: read_claim(tree, spec, f"claim {name!r}")
               for name, spec in _json(doc.get("claims", {}), Mapping, "claims").items()}
-    priors = tuple(map(_values_from_json, _json(doc.get("priors", []), list, "priors")))
+    priors = tuple(_values_from_json(row, f"priors[{i}]") for i, row in
+                   enumerate(_json(doc.get("priors", []), list, "priors")))
     return MarketSpec(
         tree=tree, S=S, f=f, f_prices=f_prices, g=g, g_prices=g_prices,
         h=h, h_prices=h_prices, support=support, claims=claims, priors=priors,
@@ -338,7 +341,7 @@ def read_claim(tree: EventTree, spec, where: str) -> TerminalClaim | AdaptedProc
     if kind not in ("european", "american"):
         raise MarketError(f"{where}: unknown type {kind!r}")
     payoff_type = TerminalClaim if kind == "european" else AdaptedProcess
-    return payoff_type(tree, _values_from_json(values))
+    return payoff_type(tree, _values_from_json(values, f"{where} values"))
 
 
 def market_to_json(market: MarketSpec) -> str:

@@ -33,7 +33,7 @@ on fewer leaves, ask it of `market.on_support(leaves)`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Mapping, Sequence
@@ -136,26 +136,24 @@ class Measure:
 class PricingSetSpec:
     """Constraint recipe for a pricing set over a market's leaf weights.
 
-    g_cap / h_cap are rational caps, one per option, and default to the
-    market's quotes; a pricing set without an option's cap is the pricing set
-    of the market without that option.  `support_floor` lists leaves whose
-    weight must be strictly positive in the strict reading (the equivalence
-    part of an EMM); the closure drops strictness.
+    The option caps are the market's quotes.  `g_cap` / `h_cap`, when not
+    empty, are other caps, one per option: they re-quote the spec's market
+    (`with_options`), so the pricing set at those caps is the pricing set of
+    the market at those quotes, and a pricing set without an option's cap is
+    the pricing set of the market without that option.  `support_floor`
+    lists leaves whose weight must be strictly positive in the strict reading
+    (the equivalence part of an EMM); the closure drops strictness.
     """
 
     market: MarketSpec
-    g_cap: tuple[Fraction, ...] = ()
-    h_cap: tuple[Fraction, ...] = ()
+    g_cap: InitVar[Sequence[Fraction]] = ()
+    h_cap: InitVar[Sequence[Fraction]] = ()
     support_floor: frozenset[str] = frozenset()
 
-    def __post_init__(self):
-        m = self.market
-        if not self.g_cap:
-            object.__setattr__(self, "g_cap", tuple(m.g_prices))
-        if not self.h_cap:
-            object.__setattr__(self, "h_cap", tuple(m.h_prices))
-        if len(self.g_cap) != len(m.g) or len(self.h_cap) != len(m.h):
-            raise MeasureError("cap lengths do not match the option books")
+    def __post_init__(self, g_cap, h_cap):
+        if g_cap or h_cap:
+            object.__setattr__(self, "market", self.market.with_options(
+                g_prices=g_cap or None, h_prices=h_cap or None))
 
     @classmethod
     def strict_emm(cls, market: MarketSpec) -> "PricingSetSpec":
@@ -258,7 +256,7 @@ def pricing_rows(
     rows = [_row(*_claim_row(claim, leaves), EQ, price, f"f[{i}]")
             for i, (claim, price) in enumerate(zip(m.f, m.f_prices))]
     rows += [_row(*_claim_row(claim, leaves), LE, cap, f"g[{j}]", slack_var)
-             for j, (claim, cap) in enumerate(zip(m.g, spec.g_cap))]
+             for j, (claim, cap) in enumerate(zip(m.g, m.g_prices))]
     return rows
 
 
@@ -276,7 +274,7 @@ def closure_polytope(spec: PricingSetSpec) -> Polytope:
     rows += [int_con({_weight_var(l): 1}, GE, 0, 1, f"nonneg[{l}]") for l in leaves]
     rows += pricing_rows(spec, leaves)
     taus = enumerate_stopping_times(m.tree)
-    for k, (h, cap) in enumerate(zip(m.h, spec.h_cap)):
+    for k, (h, cap) in enumerate(zip(m.h, m.h_prices)):
         for t_idx, tau in enumerate(taus):
             rows.append(_row(*_stop_row(h, tau, leaves), LE, cap, f"h[{k}]tau[{t_idx}]"))
     return Polytope(list(variables), rows)
@@ -314,14 +312,14 @@ def solve_with_stop_cuts(
     solution, the witness read off it (None unless optimal) and the cuts
     that solution's LP holds.
 
-    `build(cuts)` returns the slack LP with one row E[h_k at tau] + t <= cap_k
-    per (k, tau) in `cuts`.  Round 0, `build([])`, is solved here or read
-    from the stock process's store under the key `round0` (`market._kept`).
-    Each round reads the witness and the slack t off its solution, adds the
-    greedy envelope stop of every option whose exercise value exceeds its
-    cap minus t, and solves again.  The loop is exact and ends because the
-    stopping-time set is finite; a violated cut already in the LP raises
-    MeasureError."""
+    `build(cuts)` returns the slack LP with one row
+    E[h_k at tau] + t <= quote_k per (k, tau) in `cuts`.  Round 0,
+    `build([])`, is solved here or read from the stock process's store under
+    the key `round0` (`market._kept`).  Each round reads the witness and the
+    slack t off its solution, adds the greedy envelope stop of every option
+    whose exercise value exceeds its quote minus t, and solves again.  The
+    loop is exact and ends because the stopping-time set is finite; a
+    violated cut already in the LP raises MeasureError."""
     m = spec.market
     leaves = m.support_leaves()
     sol = _kept(m.S, round0, lambda: solve(build([])))
@@ -330,7 +328,7 @@ def solve_with_stop_cuts(
         Q = _measure_of(leaves, sol.values, m.tree)
         slack = sol.values.get(SLACK_VAR, ZERO)
         new = []
-        for k, (h, cap) in enumerate(zip(m.h, spec.h_cap)):
+        for k, (h, cap) in enumerate(zip(m.h, m.h_prices)):
             bound = cap - slack
             V, den = Q.envelope(h)
             if V[m.tree.root] * bound.denominator > bound.numerator * den:
@@ -354,11 +352,11 @@ def max_slack(spec: PricingSetSpec) -> SlackResult:
     rows and cuts of its last LP.
 
     Round 0 of the stop cuts holds no American row, so its LP reads only the
-    stock, the support leaves, the f claims and quotes, the g claims and
-    caps, and the floor.  Its solution is kept on the stock process under
-    exactly those (`market._kept`; the claims by identity), so a market, its
-    reductions `without_american`, their restrictions `on_support` and
-    `with_options` copies that change only American quotes solve it once.
+    stock, the support leaves, the f and g claims and quotes, and the floor.
+    Its solution is kept on the stock process under exactly those
+    (`market._kept`; the claims by identity), so a market, its reductions
+    `without_american`, their restrictions `on_support` and `with_options`
+    copies that change only American quotes solve it once.
     Later rounds and the certificate are made per call."""
     m = spec.market
     leaves = m.support_leaves()
@@ -371,11 +369,11 @@ def max_slack(spec: PricingSetSpec) -> SlackResult:
     tail.append(int_con({SLACK_VAR: 1}, LE, 1, 1, "slack_cap"))
 
     def build(cuts: list[tuple[int, StoppingTime]]) -> LpProblem:
-        rows = fixed + [_row(*_stop_row(m.h[k], tau, leaves), LE, spec.h_cap[k], f"h[{k}]cut",
+        rows = fixed + [_row(*_stop_row(m.h[k], tau, leaves), LE, m.h_prices[k], f"h[{k}]cut",
                              SLACK_VAR) for k, tau in cuts] + tail
         return LpProblem("max", {SLACK_VAR: 1}, rows, variables, free=frozenset({SLACK_VAR}))
 
-    round0 = ("slack_round0", leaves, m.f, m.f_prices, m.g, spec.g_cap, floor)
+    round0 = ("slack_round0", leaves, m.f, m.f_prices, m.g, m.g_prices, floor)
     sol, witness, cuts = solve_with_stop_cuts(build, spec, round0)
     if sol.status != "optimal":
         return SlackResult(status="infeasible",
@@ -406,7 +404,7 @@ def _slack_certificate(m: MarketSpec, fixed: Sequence[Constraint],
     to c[k] and to nu[k] at tau's stop nodes.  `y` lists the `fixed` rows
     first and the cut rows next, in the order `max_slack`'s LP holds them.
 
-    Priced at quotes equal to the caps, its value at a support leaf l is the
+    Priced at the market's quotes, its value at a support leaf l is the
     multipliers' column sum at w[l] minus their rhs sum.  For optimal duals
     that is >= |y_floor[l]| + y_cap - optimum, and the free slack's column
     makes sum y_g + sum y_cut + sum |y_floor| + y_cap = 1; so it is >= 0 when
@@ -430,11 +428,10 @@ def _slack_certificate(m: MarketSpec, fixed: Sequence[Constraint],
 
 @dataclass
 class MembershipReport:
-    ok: bool
     violations: list[str]
 
     def __bool__(self) -> bool:
-        return self.ok
+        return not self.violations
 
 
 def membership(Q: Measure, spec: PricingSetSpec, strict: bool) -> MembershipReport:
@@ -461,12 +458,12 @@ def membership(Q: Measure, spec: PricingSetSpec, strict: bool) -> MembershipRepo
         got = Q.expect_claim(claim)
         if got != price:
             bad.append(f"f[{i}] prices at {rat_str(got)} != {rat_str(price)}")
-    for j, (claim, cap) in enumerate(zip(m.g, spec.g_cap)):
+    for j, (claim, cap) in enumerate(zip(m.g, m.g_prices)):
         got = Q.expect_claim(claim)
         if got > cap or (strict and got == cap):
             rel = "<" if strict else "<="
             bad.append(f"g[{j}] expectation {rat_str(got)} !{rel} {rat_str(cap)}")
-    for k, (h, cap) in enumerate(zip(m.h, spec.h_cap)):
+    for k, (h, cap) in enumerate(zip(m.h, m.h_prices)):
         V, den = Q.envelope(h)
         got = V[tree.root]
         over = got * cap.denominator - cap.numerator * den
@@ -480,7 +477,7 @@ def membership(Q: Measure, spec: PricingSetSpec, strict: bool) -> MembershipRepo
             bad.append(f"floor leaf {l} has zero weight")
         elif w < 0:
             bad.append(f"negative weight at {l}")
-    return MembershipReport(ok=not bad, violations=bad)
+    return MembershipReport(bad)
 
 
 def polytope_vertices_as_measures(poly: Polytope, tree: EventTree) -> list[Measure]:

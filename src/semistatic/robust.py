@@ -61,7 +61,8 @@ from .hedging import (
     duality_gap_report,
     hedge_primal,
 )
-from .ftap import ARBITRAGE, NO_ARBITRAGE, STRICT_NO_ARBITRAGE_FAILS, ArbitrageVerdict, check_na
+from .ftap import ARBITRAGE, NO_ARBITRAGE, STRICT_NO_ARBITRAGE_FAILS, ArbitrageVerdict
+from .ftap import check_na, lowered_quotes
 from .lp import EQ, LE, ZERO, LpProblem, int_con, solve
 from .market import MarketSpec, _kept
 from .measures import (
@@ -234,9 +235,7 @@ def _robust_verdict(spec: RobustSpec) -> ArbitrageVerdict:
     if plain.verdict == ARBITRAGE:
         return plain
     if m.g or m.h:
-        eps = Fraction(1, 2)
-        shifted = check_na(union.with_options(g_prices=[p - eps for p in m.g_prices],
-                                              h_prices=[p - eps for p in m.h_prices]))
+        shifted = check_na(lowered_quotes(union))
         if shifted.verdict == ARBITRAGE:
             return ArbitrageVerdict(
                 verdict=STRICT_NO_ARBITRAGE_FAILS,
@@ -397,8 +396,8 @@ def _verify_domination(spec: RobustSpec, P: Measure, result: DominationResult) -
     for h_t, h_p in zip(result.h_tilde, m.h_prices):
         if not h_t < h_p:
             raise VerificationFailure("American caps are not strictly improved")
-    pset = PricingSetSpec(m, g_cap=result.g_tilde, h_cap=result.h_tilde)
-    report = membership(Q, pset, strict=False)
+    improved = m.with_options(g_prices=result.g_tilde, h_prices=result.h_tilde)
+    report = membership(Q, PricingSetSpec(improved), strict=False)
     if not report:
         raise VerificationFailure(
             "dominating measure violates: " + "; ".join(report.violations)

@@ -144,17 +144,16 @@ def count_stopping_times(tree: EventTree, node: str | None = None) -> int:
     return 1 + total
 
 
-def enumerate_stopping_times(
-    tree: EventTree, cap: int = DEFAULT_ENUM_CAP
-) -> list[StoppingTime]:
+def enumerate_stopping_times(tree: EventTree) -> list[StoppingTime]:
     """All stopping times of the tree, duplicate-free.
 
-    Refuses with `EnumerationCapError` when the count exceeds `cap`.
+    Refuses with `EnumerationCapError` when the count exceeds
+    `DEFAULT_ENUM_CAP`.
     """
     n = count_stopping_times(tree)
-    if n > cap:
+    if n > DEFAULT_ENUM_CAP:
         raise EnumerationCapError(
-            f"{n} stopping times exceeds cap {cap}; only single-stop questions, "
+            f"{n} stopping times exceeds cap {DEFAULT_ENUM_CAP}; only single-stop questions, "
             "the explicit closure polytope, the reference dual LP over it and the "
             "minimax stop-side LP enumerate them (the slack LP's stop rows come "
             "from the Snell oracle)"

@@ -128,10 +128,10 @@ class AdaptedProcess:
     w.r.t. the node's sigma-field atom.
     """
 
-    def __init__(self, tree: EventTree, values: Mapping[str, object], dim: int | None = None):
+    def __init__(self, tree: EventTree, values: Mapping[str, object]):
         self.tree = tree
         vals: dict[str, tuple[Fraction, ...]] = {}
-        seen_dim = dim
+        seen_dim = None
         for node in tree.nodes:
             if node not in values:
                 raise TreeError(f"node {node!r}: missing process value")

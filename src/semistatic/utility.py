@@ -94,59 +94,40 @@ def power_utility(gamma: float) -> UtilityFunction:
 
 @dataclass
 class UtilitySpec:
+    """A utility on a market under a full-support reference measure.  Built
+    whole: `p_weights` holds the reference's weights on the support leaves,
+    and `densities` one row per vertex of the closed pricing set, its
+    density against the reference."""
+
     market: MarketSpec
     utility: UtilityFunction
     reference: Measure
-
-    # populated on first use
-    _p_weights: np.ndarray | None = field(default=None, init=False, repr=False)
-    _densities: np.ndarray | None = field(default=None, init=False, repr=False)
+    p_weights: np.ndarray = field(init=False, repr=False)
+    densities: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        support = frozenset(self.market.support_leaves())
-        if self.reference.support() != support:
-            raise UtilityError("reference measure must have full support")
-        self._check_inada()
-
-    def _check_inada(self):
         import numpy as np
 
+        leaves = self.market.support_leaves()
+        if self.reference.support() != frozenset(leaves):
+            raise UtilityError("reference measure must have full support")
         up = self.utility.Uprime
         if not (float(up(np.array(1e-8))) > 1e3 and float(up(np.array(1e8))) < 1e-3):
             raise UtilityError("utility violates the Inada conditions")
-
-    def asymptotic_elasticity(self, grid=(1e2, 1e4, 1e6, 1e8)) -> float:
-        import numpy as np
-
-        xs = np.array(grid)
-        vals = xs * self.utility.Uprime(xs) / self.utility.U(xs)
-        return float(np.max(vals))
-
-    def prepare(self):
-        import numpy as np
-
-        if self._densities is not None:
-            return
-        leaves = self.market.support_leaves()
-        self._p_weights = np.array([float(self.reference.at(l)) for l in leaves])
         poly = closure_polytope(PricingSetSpec(self.market))
         verts = polytope_vertices_as_measures(poly, self.market.tree)
         if not verts:
             raise UtilityError("empty pricing set; utility duality undefined")
-        rows = []
-        for Q in verts:
-            rows.append([float(Q.at(l)) / float(self.reference.at(l)) for l in leaves])
-        self._densities = np.array(rows)
+        self.p_weights = np.array([float(self.reference.at(l)) for l in leaves])
+        self.densities = np.array([[float(Q.at(l)) / float(self.reference.at(l))
+                                    for l in leaves] for Q in verts])
 
-    @property
-    def densities(self) -> np.ndarray:
-        self.prepare()
-        return self._densities
+    def asymptotic_elasticity(self) -> float:
+        import numpy as np
 
-    @property
-    def p_weights(self) -> np.ndarray:
-        self.prepare()
-        return self._p_weights
+        xs = np.array((1e2, 1e4, 1e6, 1e8))
+        vals = xs * self.utility.Uprime(xs) / self.utility.U(xs)
+        return float(np.max(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +172,6 @@ def primal_u(spec: UtilitySpec, x: float) -> tuple[float, np.ndarray]:
     import numpy as np
 
     _positive_finite(x, "wealth")
-    spec.prepare()
     P = spec.p_weights
     A = spec.densities * P[np.newaxis, :]  # row j: leaf weights of vertex j
     util = spec.utility
@@ -226,7 +206,6 @@ def dual_v(spec: UtilitySpec, y: float) -> tuple[float, np.ndarray]:
     import numpy as np
 
     _positive_finite(y, "the dual argument")
-    spec.prepare()
     P = spec.p_weights
     Z = spec.densities
     util = spec.utility
@@ -272,7 +251,6 @@ class DualityReport:
     v_values: list[float]
     asymptotic_elasticity: float
     residuals: dict[str, float]
-    worst_points: dict[str, float]
     passed: bool
 
 
@@ -302,7 +280,6 @@ def duality_audit(
     x_grid = [_positive_finite(float(x), "wealth") for x in x_grid]
     y_grid = [_positive_finite(float(y), "the dual argument")
               for y in (y_grid if y_grid is not None else [])]
-    spec.prepare()
     ae = spec.asymptotic_elasticity()
     if ae >= 1.0:
         raise AuditFailure(f"asymptotic elasticity bound {ae} is not < 1")
@@ -407,6 +384,6 @@ def duality_audit(
         x_grid=x_grid, y_grid=y_grid,
         u_values=u_vals, v_values=v_vals,
         asymptotic_elasticity=ae,
-        residuals=residuals, worst_points=worst,
+        residuals=residuals,
         passed=True,
     )

@@ -620,7 +620,7 @@ def pricing_rows(spec, leaves: Sequence[str], slack_var: str | None = None) -> l
     m = spec.market
     rows = [con(claim_row(claim, leaves), EQ, price, f"f[{i}]")
             for i, (claim, price) in enumerate(zip(m.f, m.f_prices))]
-    for j, (claim, cap) in enumerate(zip(m.g, spec.g_cap)):
+    for j, (claim, cap) in enumerate(zip(m.g, m.g_prices)):
         coeffs = claim_row(claim, leaves)
         if slack_var is not None:
             coeffs[slack_var] = Fraction(1)
@@ -635,7 +635,7 @@ def slack_rows(spec, leaves: Sequence[str], cuts, slack_var: str) -> list[Constr
     for k, tau in cuts:
         coeffs = stop_row(m.h[k], tau, leaves)
         coeffs[slack_var] = Fraction(1)
-        rows.append(con(coeffs, LE, spec.h_cap[k], f"h[{k}]cut"))
+        rows.append(con(coeffs, LE, m.h_prices[k], f"h[{k}]cut"))
     rows += [con({_w(l): 1, slack_var: -1}, GE, 0, f"floor[{l}]")
              for l in leaves if l in spec.support_floor]
     rows.append(con({slack_var: 1}, LE, 1, "slack_cap"))
@@ -646,7 +646,7 @@ def slack_every_round(spec) -> SlackResult:
     """`max_slack(spec)` with every stop-cut round solved afresh from the
     Fraction builders (`slack_rows`), round 0 included: each round adds the
     optimal stop of every American option whose exercise value under the
-    round's witness exceeds its cap minus the slack, and the certificate
+    round's witness exceeds its quote minus the slack, and the certificate
     spells out the last round's duals (optimum <= 0) or Farkas multipliers
     (infeasible) through `_slack_certificate`."""
     m = spec.market
@@ -662,7 +662,7 @@ def slack_every_round(spec) -> SlackResult:
                                certificate=_slack_certificate(m, fixed, cuts, sol.farkas))
         Q = Measure(m.tree, {l: sol.values.get(_w(l), ZERO) for l in leaves})
         slack = sol.values.get(SLACK_VAR, ZERO)
-        new = [(k, snell_optimal_stop(Q, h)) for k, (h, cap) in enumerate(zip(m.h, spec.h_cap))
+        new = [(k, snell_optimal_stop(Q, h)) for k, (h, cap) in enumerate(zip(m.h, m.h_prices))
                if snell_envelope(Q, h)[1] > cap - slack]
         if not new:
             break
@@ -679,8 +679,8 @@ def witness_slacks(spec, Q: Measure) -> tuple[Fraction | None, Fraction | None]:
     no option or no floor.  At the optimum, min(both, 1) is the LP
     value."""
     m = spec.market
-    option = [cap - expect_claim(Q, claim) for claim, cap in zip(m.g, spec.g_cap)]
-    option += [cap - snell_envelope(Q, h)[1] for h, cap in zip(m.h, spec.h_cap)]
+    option = [cap - expect_claim(Q, claim) for claim, cap in zip(m.g, m.g_prices)]
+    option += [cap - snell_envelope(Q, h)[1] for h, cap in zip(m.h, m.h_prices)]
     floor = [Q.at(l) for l in m.support_leaves() if l in spec.support_floor]
     return min(option, default=None), min(floor, default=None)
 
@@ -691,7 +691,7 @@ def closure_rows(spec, leaves: Sequence[str], taus: Sequence[StoppingTime]) -> l
     rows = martingale_rows(m, leaves)
     rows += [con({_w(l): 1}, GE, 0, f"nonneg[{l}]") for l in leaves]
     rows += pricing_rows(spec, leaves)
-    for k, (h, cap) in enumerate(zip(m.h, spec.h_cap)):
+    for k, (h, cap) in enumerate(zip(m.h, m.h_prices)):
         rows += [con(stop_row(h, tau, leaves), LE, cap, f"h[{k}]tau[{t}]")
                  for t, tau in enumerate(taus)]
     return rows

@@ -366,7 +366,7 @@ def test_indivisible_scan_rejects_a_stock_only_measure_failing_membership(p2, mo
 
     def failing_on_stock_only(Q, spec, strict):
         if not spec.market.g and not spec.market.h:
-            return MembershipReport(False, ["forced violation"])
+            return MembershipReport(["forced violation"])
         return real(Q, spec, strict)
 
     monkeypatch.setattr(hedging, "membership", failing_on_stock_only)

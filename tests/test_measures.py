@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semistatic import (
     Measure,
@@ -22,7 +23,7 @@ from semistatic.hedging import dual_optimum
 from semistatic.lp import GE, LE, LpProblem, con, solve
 from semistatic.measures import MeasureError, polytope_vertices_as_measures
 from semistatic.stopping import count_stopping_times, enumerate_stopping_times
-from conftest import random_claim, random_market, random_process
+from conftest import random_claim, random_market, random_measure, random_process
 from oracles import p2_params_of, witness_slacks
 
 F = Fraction
@@ -177,7 +178,7 @@ def test_closure_vertices_respect_caps(p2, t2):
     for market in (p2,):
         spec = PricingSetSpec(market)
         for Q in polytope_vertices_as_measures(closure_polytope(spec), market.tree):
-            for k, cap in enumerate(spec.h_cap):
+            for k, cap in enumerate(market.h_prices):
                 assert snell_value(Q, market.h[k]) <= cap
 
 
@@ -329,3 +330,25 @@ def test_dual_optimum_equals_enumerated_lp(p2):
             if enum.status == "optimal":
                 assert sol.objective == enum.objective, kind
                 assert membership(Q, spec, strict=False), kind
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_caps_are_the_quotes_of_a_requoted_market(seed):
+    """`PricingSetSpec(m, g_cap=c, h_cap=d)` is the pricing set of
+    `m.with_options(g_prices=c, h_prices=d)`: the same closure rows, the same
+    slack LP result and the same membership reports, strict or not."""
+    rng = random.Random(seed)
+    market = random_market(rng, max_depth=2)
+    shifts = [F(-1, 2), F(0), F(1, 4), F(1)]
+    c = tuple(p + rng.choice(shifts) for p in market.g_prices)
+    d = tuple(p + rng.choice(shifts) for p in market.h_prices)
+    floor = frozenset(l for l in market.support_leaves() if rng.random() < 0.5)
+    capped = PricingSetSpec(market, g_cap=c, h_cap=d, support_floor=floor)
+    quoted = PricingSetSpec(market.with_options(g_prices=c, h_prices=d), support_floor=floor)
+    assert closure_polytope(capped) == closure_polytope(quoted)
+    assert max_slack(capped) == max_slack(quoted)
+    for Q in (random_measure(rng, market.tree), random_measure(rng, market.tree, False)):
+        for strict in (False, True):
+            assert membership(Q, capped, strict).violations == \
+                membership(Q, quoted, strict).violations

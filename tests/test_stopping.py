@@ -20,7 +20,7 @@ import semistatic.stopping as stopping
 from semistatic.hedging import VerificationFailure
 from semistatic.lp import EQ, LpProblem, con, solve
 from semistatic.stopping import _greedy_stop, _unnormalized_snell, stop_everywhere_at
-from semistatic.tree import AdaptedProcess, TreeError
+from semistatic.tree import AdaptedProcess, EventTree, TreeError
 
 from conftest import random_market, random_measure, random_process
 from oracles import liquidate_payoff, snell_envelope, strategy_from_mixture
@@ -56,13 +56,25 @@ def test_enumeration_matches_recursive_count_random():
         assert len({t.stop_nodes for t in taus}) == len(taus)
 
 
-def test_enumeration_cap():
-    rng = random.Random(1)
-    market = random_market(rng, max_depth=3)
-    n = count_stopping_times(market.tree)
-    if n > 1:
-        with pytest.raises(EnumerationCapError, match="oracle"):
-            enumerate_stopping_times(market.tree, cap=n - 1)
+def test_enumeration_cap(monkeypatch):
+    """The full depth-4 trinomial tree has 1 + 730**3 = 389,017,001 stopping
+    times, past DEFAULT_ENUM_CAP: enumeration is refused from the count,
+    before any antichain is built."""
+    rows = [("r", None, 0)]
+    level = ["r"]
+    for t in range(1, 5):
+        level = [f"{n}{b}" for n in level for b in "udm"]
+        rows += [(n, n[:-1], t) for n in level]
+    tree = EventTree(rows)
+    assert len(tree.leaves) == 81 and count_stopping_times(tree) == 389_017_001
+
+    def refuse(*args):
+        raise AssertionError("stopping times enumerated")
+
+    monkeypatch.setattr(stopping, "product", refuse)
+    with pytest.raises(EnumerationCapError,
+                       match="389017001 stopping times exceeds cap 1000000; .*oracle"):
+        enumerate_stopping_times(tree)
 
 
 def test_stopping_time_validation(t2):

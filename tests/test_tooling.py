@@ -9,7 +9,8 @@ Fraction view or defines the shared `ZERO`.  Only `market.build_market` makes
 a market, and what is derived from a market or its stock process is kept by
 `market._kept` alone.  Each pricing region is one traced vertex enumeration,
 and the double-description kernel makes no Fraction.  The robust questions are
-asked of the maximal prior supports only, picked by `robust._maximal`."""
+asked of the maximal prior supports only, picked by `robust._maximal`.  A
+pricing set's caps are its market's quotes."""
 
 import ast
 import importlib
@@ -155,6 +156,23 @@ def test_only_build_market_makes_a_market():
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and id(node) not in inside
                   and isinstance(node.func, ast.Name) and node.func.id == "MarketSpec"]
+    assert found == []
+
+
+def test_only_the_market_quotes_cap_a_pricing_set():
+    """`PricingSetSpec` holds only its market and support floor: caps passed
+    as `g_cap`/`h_cap` re-quote the market, so no module of the package or
+    of the tests reads `.g_cap` or `.h_cap`."""
+    from dataclasses import fields
+
+    from semistatic import PricingSetSpec
+
+    assert [f.name for f in fields(PricingSetSpec)] == ["market", "support_floor"]
+    found = []
+    for path in sorted([*PACKAGE.rglob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        found += [f"{path.relative_to(ROOT)}:{node.lineno} reads .{node.attr}"
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Attribute) and node.attr in ("g_cap", "h_cap")]
     assert found == []
 
 

@@ -499,6 +499,9 @@ def test_support_designation_round_trips():
     (lambda d: d.update(european_buy_only=["abc"]), "european_buy_only"),
     (lambda d: d.update(american_buy_only=5), "american_buy_only"),
     (lambda d: d.update(priors="abc"), "priors"),
+    (lambda d: d.update(priors=["abc"]), r"priors\[0\]"),
+    (lambda d: d.update(european_buy_only=[{"payoff": "abc", "price": "1"}]),
+     "european_buy_only payoff"),
     (lambda d: d.update(claims={"x": "abc"}), "claim 'x'"),
     (lambda d: d.update(claims={"x": {"type": "european", "values": "abc"}}), "claim 'x' values"),
 ])

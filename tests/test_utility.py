@@ -85,7 +85,6 @@ def test_primal_respects_budget_constraints(p2):
     spec = _spec(p2, power_utility(0.5))
     x = 2.0
     _, p_hat = primal_u(spec, x)
-    spec.prepare()
     A = spec.densities * spec.p_weights[np.newaxis, :]
     assert np.all(A @ p_hat <= x + 1e-9)
     assert np.all(p_hat >= -1e-12)
@@ -206,7 +205,6 @@ def test_incomplete_market_relations():
     S = AdaptedProcess(tree, {"r": 2, "a": 1, "b": 2, "c": 4})
     market = MarketSpec(tree=tree, S=S)
     spec = _spec(market, log_utility())
-    spec.prepare()
     assert spec.densities.shape[0] == 2
     x = 1.5
     u_x, p_hat = primal_u(spec, x)
