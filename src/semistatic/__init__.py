@@ -16,7 +16,7 @@ from .market import (
     portfolio_values,
 )
 from .fixtures import FIXTURE_NAMES, fixture_json, load_fixture
-from .lp import Constraint, LpProblem, LpSolution, con, solve
+from .lp import Constraint, LpProblem, LpSolution, VerificationFailure, con, solve
 from .polytope import Polytope, UnboundedPolytopeError, vertices
 from .stopping import (
     EnumerationCapError,
@@ -42,7 +42,6 @@ from .hedging import (
     HedgeResult,
     INFINITE_PRICE,
     PriceInfinity,
-    VerificationFailure,
     duality_gap_report,
     sub_hedge_american,
     sub_hedge_european,

@@ -6,9 +6,9 @@ report whose prices are exact "p/q" strings.  Decimals appear only behind
 --approx.  Exit codes: 0 success / no arbitrage, 1 usage or input error
 (including a hedge the engine cannot set up and a prior list that is not
 recombination-closed), 2 arbitrage found or hedging refused (also when robust
-strict no-arbitrage fails), 3 verification failure (also a utility audit
-residual over its tolerance); a typed failure prints one line to stderr, never
-a traceback.
+strict no-arbitrage fails), 3 any `VerificationFailure` (a failed re-check,
+a fixture self-test or a utility audit residual over its tolerance); a typed
+failure prints one line to stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -21,21 +21,20 @@ from fractions import Fraction
 from math import lcm
 
 from . import __version__
-from .fixtures import FIXTURE_NAMES, FixtureError, fixture_json, load_fixture, verify_p2
+from .fixtures import FIXTURE_NAMES, fixture_json, load_fixture, verify_p2
 from .ftap import NO_ARBITRAGE, check_na, check_sna
 from .hedging import (
     ArbitrageRefusal,
     HedgeResult,
     HedgingError,
     PriceInfinity,
-    VerificationFailure,
     duality_gap_report,
     sub_hedge_american,
     sub_hedge_european,
     super_hedge_divisible,
     super_hedge_indivisible,
 )
-from .lp import LpVerificationError
+from .lp import VerificationFailure
 from .market import MarketError, MarketSpec, build_market, read_claim
 from .measures import (
     Measure,
@@ -58,7 +57,6 @@ from .robust import (
 from .stopping import EnumerationCapError, snell_value, strategy_to_json
 from .tree import AdaptedProcess, TreeError
 from .utility import (
-    AuditFailure,
     UtilityError,
     UtilitySpec,
     duality_audit,
@@ -437,9 +435,6 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except AuditFailure as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 3
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, TreeError, MarketError,
             MeasureError, EnumerationCapError, UtilityError, RationalError,
             RobustDualityGapError) as exc:
@@ -450,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
         # dominating_measure's refusals) say robust strict no-arbitrage fails
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except (VerificationFailure, LpVerificationError, FixtureError) as exc:
+    except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3
     except HedgingError as exc:

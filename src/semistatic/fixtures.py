@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .lp import VerificationFailure
 from .market import MarketSpec, build_market, market_to_json
 from .measures import Measure
 from .rational import rat
@@ -22,7 +23,7 @@ from .tree import TerminalClaim
 FIXTURE_NAMES = ("B1", "T2", "P2")
 
 
-class FixtureError(RuntimeError):
+class FixtureError(VerificationFailure):
     """The stored fixture fails its own consistency re-derivation."""
 
 

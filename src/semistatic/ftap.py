@@ -23,9 +23,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .hedging import StrategySpace, VerificationFailure
-from .lp import GE, LE, LpProblem, int_con, solve
-from .market import HedgePortfolio, MarketSpec, portfolio_values
+from .lp import GE, LE, LpProblem, VerificationFailure, int_con, solve
+from .market import HedgePortfolio, MarketSpec, StrategySpace, portfolio_values
 from .measures import Measure, PricingSetSpec, SlackResult, membership, strict_emm_slack
 from .rational import rat_str
 from .stopping import (

@@ -36,10 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
-from typing import Mapping
 
-from .lp import EQ, GE, LE, ZERO, Constraint, LpProblem, LpSolution, int_con, solve
-from .market import HedgePortfolio, MarketSpec, _kept, portfolio_values
+from .lp import GE, LE, ZERO, LpProblem, LpSolution, VerificationFailure, int_con, solve
+from .market import HedgePortfolio, MarketSpec, StrategySpace, portfolio_values
 from .measures import (
     Measure,
     PricingSetSpec,
@@ -78,10 +77,6 @@ class ArbitrageRefusal(HedgingError):
         )
 
 
-class VerificationFailure(HedgingError):
-    """A certificate failed its independent re-check; names the culprit."""
-
-
 class PriceInfinity:
     """Tagged +infinity sentinel for prices over an empty pricing set;
     `INFINITE_PRICE` is its one instance."""
@@ -91,143 +86,6 @@ class PriceInfinity:
 
 
 INFINITE_PRICE = PriceInfinity()
-
-
-# ---------------------------------------------------------------------------
-# Strategy variable space (the nu re-parametrization)
-# ---------------------------------------------------------------------------
-
-def _phi_den(m: MarketSpec) -> int:
-    """The one denominator of every leaf's terminal-value coefficients: the
-    lcm of the stock's, the claims' and processes', and the quotes'."""
-    options = zip((*m.f, *m.g, *m.h), (*m.f_prices, *m.g_prices, *m.h_prices))
-    return lcm(*[m.S.scaled(l)[0] for l in range(m.dim)],
-               *[lcm(x.scaled()[0], price.denominator) for x, price in options])
-
-
-class StrategySpace:
-    """Column layout for semi-static strategies on a market.
-
-    Columns: H[node][l] (free), a[i] (free), b[j] >= 0, nu[k][node] >= 0 and
-    c[k] >= 0 tied by per-leaf path-sum rows nu-along-path == c[k].
-    Optionally an exercise flow eta[node] >= 0 with unit path sums (for
-    sub-hedging American claims).  The structure rows and each leaf's
-    terminal-value coefficients are integer rows, built once per market
-    object from its integer forms and kept on it (a restriction
-    `on_support` is one object per market and leaf set, so it builds its
-    own once); LPs extend copies of them.
-    """
-
-    def __init__(self, market: MarketSpec, include_eta: bool = False):
-        self.market = market
-        tree = market.tree
-        self.variables: list[str] = []
-        self.free: set[str] = set()
-        for n in tree.nonleaf_nodes():
-            for l in range(market.dim):
-                v = f"H[{n}][{l}]"
-                self.variables.append(v)
-                self.free.add(v)
-        for i in range(len(market.f)):
-            v = f"a[{i}]"
-            self.variables.append(v)
-            self.free.add(v)
-        for j in range(len(market.g)):
-            self.variables.append(f"b[{j}]")
-        for k in range(len(market.h)):
-            self.variables.append(f"c[{k}]")
-            for n in tree.nodes:
-                self.variables.append(f"nu[{k}][{n}]")
-        self.include_eta = include_eta
-        if include_eta:
-            for n in tree.nodes:
-                self.variables.append(f"eta[{n}]")
-
-    def structure_rows(self) -> list[Constraint]:
-        """Each American option's flow nu sums along every path to its
-        holding c, and the claim's exercise flow eta (if included) to one;
-        built once per market object (`market._kept`)."""
-        def build():
-            tree = self.market.tree
-            rows = []
-            for k in range(len(self.market.h)):
-                for leaf in tree.leaves:
-                    num = {f"nu[{k}][{n}]": 1 for n in tree.path(leaf)}
-                    num[f"c[{k}]"] = -1
-                    rows.append(int_con(num, EQ, 0, 1, f"liq[{k}][{leaf}]"))
-            if self.include_eta:
-                for leaf in tree.leaves:
-                    rows.append(int_con({f"eta[{n}]": 1 for n in tree.path(leaf)}, EQ, 1, 1,
-                                        f"flow[{leaf}]"))
-            return tuple(rows)
-
-        return list(_kept(self.market, ("structure", self.include_eta), build))
-
-    def phi_coeffs(self, leaf: str) -> tuple[int, dict[str, int]]:
-        """Column coefficients of the terminal portfolio value at `leaf`, as
-        integers over one denominator per market: (den, nonzero
-        coefficients).  Built from the stock's, claims' and processes'
-        integer forms once per market object and leaf and kept on the market
-        (`market._kept`), so the coefficients are shared: do not change
-        them."""
-        m = self.market
-        den, rows = _kept(m, "phi", lambda: (_phi_den(m), {}))
-        if leaf not in rows:
-            path = m.tree.path(leaf)
-            num: dict[str, int] = {}
-            stock = [m.S.scaled(l) for l in range(m.dim)]
-            for here, there in zip(path, path[1:]):
-                for l, (d, s) in enumerate(stock):
-                    if s[there] != s[here]:
-                        num[f"H[{here}][{l}]"] = (den // d) * (s[there] - s[here])
-            for name, book, prices in (("a", m.f, m.f_prices), ("b", m.g, m.g_prices)):
-                for i, (claim, price) in enumerate(zip(book, prices)):
-                    d, value = claim.scaled()
-                    val = (den // d) * value[leaf] - price.numerator * (den // price.denominator)
-                    if val:
-                        num[f"{name}[{i}]"] = val
-            for k, (h, price) in enumerate(zip(m.h, m.h_prices)):
-                d, value = h.scaled()
-                for n in path:
-                    if value[n]:
-                        num[f"nu[{k}][{n}]"] = (den // d) * value[n]
-                if price:
-                    num[f"c[{k}]"] = -price.numerator * (den // price.denominator)
-            rows[leaf] = num
-        return den, rows[leaf]
-
-    def extract_portfolio(self, values: Mapping[str, Fraction]) -> HedgePortfolio:
-        m = self.market
-        tree = m.tree
-        H = None
-        if tree.nonleaf_nodes():
-            hvals = {}
-            for n in tree.nodes:
-                if tree.is_leaf(n):
-                    hvals[n] = tuple(ZERO for _ in range(m.dim))
-                else:
-                    hvals[n] = tuple(
-                        values.get(f"H[{n}][{l}]", ZERO) for l in range(m.dim)
-                    )
-            H = AdaptedProcess(tree, hvals)
-        a = tuple(values.get(f"a[{i}]", ZERO) for i in range(len(m.f)))
-        b = tuple(values.get(f"b[{j}]", ZERO) for j in range(len(m.g)))
-        c, mus = [], []
-        for k in range(len(m.h)):
-            ck = values.get(f"c[{k}]", ZERO)
-            c.append(ck)
-            if ck > 0:
-                eta_vals = {n: values.get(f"nu[{k}][{n}]", ZERO) / ck for n in tree.nodes}
-                mus.append(LiquidatingStrategy.from_map(tree, eta_vals))
-            else:
-                mus.append(LiquidatingStrategy.from_stopping_time(stop_everywhere_at(tree, 0)))
-        return HedgePortfolio(H=H, a=a, b=b, c=tuple(c), mu=tuple(mus))
-
-    def extract_eta(self, values: Mapping[str, Fraction]) -> LiquidatingStrategy:
-        tree = self.market.tree
-        return LiquidatingStrategy.from_map(
-            tree, {n: values.get(f"eta[{n}]", ZERO) for n in tree.nodes}
-        )
 
 
 # ---------------------------------------------------------------------------

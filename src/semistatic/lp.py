@@ -72,8 +72,9 @@ class LpError(ValueError):
     pass
 
 
-class LpVerificationError(RuntimeError):
-    """A solver certificate failed its independent re-check."""
+class VerificationFailure(RuntimeError):
+    """A certificate failed its independent re-check; names the culprit.
+    Every re-check in the package raises it or a subclass."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -519,7 +520,7 @@ def solve(problem: LpProblem) -> LpSolution:
         tab.set_costs(phase1)
         state = tab.run(total_cols)
         if state != "optimal":  # the phase-1 objective is bounded above by 0
-            raise LpVerificationError(f"phase 1 ended {state}")
+            raise VerificationFailure(f"phase 1 ended {state}")
         infeas = any(tab.basis[i] >= art_start and tab.b[i] > 0 for i in range(m))
         if infeas:
             # y_i = z at the row's identity column, z_j = c_j - obj_j / od,
@@ -599,7 +600,7 @@ def solve(problem: LpProblem) -> LpSolution:
 def _check(ok: bool, msg: str, *args) -> None:
     """Raise `msg` formatted with `args` (formatted only on failure)."""
     if not ok:
-        raise LpVerificationError(msg.format(*args))
+        raise VerificationFailure(msg.format(*args))
 
 
 def _common(xs: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -39,7 +39,7 @@ from math import lcm
 from typing import Callable, Mapping, Sequence
 
 from .lp import EQ, GE, LE, ZERO, Constraint, LpProblem, LpSolution, int_con, solve
-from .market import HedgePortfolio, MarketSpec, _kept
+from .market import HedgePortfolio, MarketSpec, StrategySpace, _kept
 from .polytope import Polytope, vertices
 from .rational import over_lcm, rat, rat_str
 from .stopping import (
@@ -412,8 +412,6 @@ def _slack_certificate(m: MarketSpec, fixed: Sequence[Constraint],
     eps at caps lowered by eps.  For Farkas multipliers the slack's column
     forces every g, cut, floor and cap multiplier to 0 and the value is
     >= -(Farkas total) > 0 on every support leaf."""
-    from .hedging import StrategySpace  # hedging imports this module
-
     column = {"mart": "H", "f": "a", "g": "b"}
     values: dict[str, Fraction] = {}
     for row, yi in zip(fixed, y):

@@ -57,13 +57,12 @@ from .hedging import (
     HedgeResult,
     INFINITE_PRICE,
     PriceInfinity,
-    VerificationFailure,
     duality_gap_report,
     hedge_primal,
 )
 from .ftap import ARBITRAGE, NO_ARBITRAGE, STRICT_NO_ARBITRAGE_FAILS, ArbitrageVerdict
 from .ftap import check_na, lowered_quotes
-from .lp import EQ, LE, ZERO, LpProblem, int_con, solve
+from .lp import EQ, LE, ZERO, LpProblem, VerificationFailure, int_con, solve
 from .market import MarketSpec, _kept
 from .measures import (
     Measure,
@@ -207,9 +206,19 @@ def check_sna_robust(spec: RobustSpec) -> ArbitrageVerdict:
     verdict's `pricing`, is always asked.  The verdict and the slacks depend
     on the priors only through their supports, so each is decided once per
     market and prior supports and kept on the market, where
-    `_check_hypothesis` reads it too."""
-    return _kept(spec.market, ("robust_verdict", _supports(spec)),
-                 lambda: _robust_verdict(spec))
+    `_check_hypothesis` reads it too.  A NO_ARBITRAGE verdict's witness is
+    re-checked on every call: strictly a pricing measure of the market on
+    the union support, floored on the first prior's support, and dominated
+    by some prior."""
+    supports = _supports(spec)
+    verdict = _kept(spec.market, ("robust_verdict", supports), lambda: _robust_verdict(spec))
+    if verdict.verdict == NO_ARBITRAGE:
+        Q, union = verdict.pricing, spec.market.on_support(union_support(spec.priors))
+        report = membership(Q, PricingSetSpec(union, support_floor=supports[0]), strict=True)
+        if not report or not any(Q.support() <= s for s in supports):
+            raise VerificationFailure("robust witness fails its re-check: " + (
+                "; ".join(report.violations) or "support inside no prior's support"))
+    return verdict
 
 
 def _robust_verdict(spec: RobustSpec) -> ArbitrageVerdict:

@@ -22,6 +22,8 @@ from fractions import Fraction
 from itertools import product
 from typing import TYPE_CHECKING, Iterable
 
+from .lp import VerificationFailure
+from .rational import rat_str
 from .tree import AdaptedProcess, EventTree, TreeError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -128,8 +130,6 @@ class LiquidatingStrategy:
 
 def strategy_to_json(eta: LiquidatingStrategy) -> dict[str, str]:
     """Node -> "p/q" map in the market-file rational convention."""
-    from .rational import rat_str
-
     return {n: rat_str(v) for n, v in eta.eta.as_scalar_map().items() if v}
 
 
@@ -170,8 +170,6 @@ def enumerate_stopping_times(tree: EventTree) -> list[StoppingTime]:
 
     taus = [StoppingTime(tree, s) for s in antichains(tree.root)]
     if len(taus) != n:
-        from .hedging import VerificationFailure  # hedging imports this module
-
         raise VerificationFailure(f"enumerated {len(taus)} stopping times, counted {n}")
     return taus
 
@@ -204,8 +202,7 @@ def snell_value(Q: "Measure", h: AdaptedProcess) -> Fraction:
 def snell_optimal_stop(Q: "Measure", h: AdaptedProcess) -> StoppingTime:
     """A stopping time attaining the Snell value: the greedy early-exercise
     rule of the envelope (stop as soon as stopping is no worse than continuing).
-
-    This is the separation oracle of `measures.solve_with_stop_cuts`.
+    No engine function calls it; `measures.solve_with_stop_cuts` calls `_greedy_stop`.
     """
     return _greedy_stop(Q, h, Q.envelope(h)[0])
 
@@ -227,8 +224,6 @@ def _greedy_stop(Q: "Measure", h: AdaptedProcess, V: dict[str, int]) -> Stopping
     tau = StoppingTime(tree, stops)
     value, envelope = Q.expect_at_stop(h, tau), Fraction(V[tree.root], Q.den * den)
     if value != envelope:
-        from .hedging import VerificationFailure  # hedging imports this module
-
         raise VerificationFailure(
             f"greedy stop is worth {value}, the exercise envelope {envelope}")
     return tau

@@ -140,6 +140,8 @@ class AdaptedProcess:
                 row = tuple(rat(c) for c in v)
             else:
                 row = (rat(v),)
+            if not row:
+                raise TreeError(f"node {node!r}: empty value vector")
             if seen_dim is None:
                 seen_dim = len(row)
             elif len(row) != seen_dim:
@@ -148,7 +150,7 @@ class AdaptedProcess:
         extra = set(values) - set(tree.nodes)
         if extra:
             raise TreeError(f"values for unknown nodes {sorted(extra)!r}")
-        self.dim = seen_dim or 1
+        self.dim = seen_dim
         self._values = vals
         self._scaled: dict[int, tuple[int, dict[str, int]]] = {}
 

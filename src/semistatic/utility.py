@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from .lp import VerificationFailure
 from .market import MarketSpec
 from .measures import Measure, PricingSetSpec, closure_polytope, polytope_vertices_as_measures
 
@@ -31,6 +32,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 NEWTON_CAP = 100  # Newton steps per solve; one more raises AuditFailure
+TOL = 1e-6        # audit bound on the value and coupling residuals
+DERIV_TOL = 1e-5  # audit bound on the derivative and concavity residuals
 MU_CUT = 0.02     # factor on the barrier weight each time the iterate is centered
 MU_CUTS = 8       # cuts before the last centering: the final weight is 2.6e-14 of the first
 
@@ -39,7 +42,7 @@ class UtilityError(RuntimeError):
     pass
 
 
-class AuditFailure(UtilityError):
+class AuditFailure(VerificationFailure):
     """A residual exceeded its tolerance; names the grid point."""
 
 
@@ -265,16 +268,14 @@ def duality_audit(
     spec: UtilitySpec,
     x_grid: Sequence[float],
     y_grid: Sequence[float] | None = None,
-    tol: float = 1e-6,
-    deriv_tol: float = 1e-5,
 ) -> DualityReport:
     """Grid audit of the value-function duality.
 
     For each grid x: y = u'(x) by central differences, then the optimizer
     coupling p = I(q), E[pq] = xy, both derivative formulas, and conjugacy in
-    both directions.  Any residual beyond tolerance raises AuditFailure naming
-    the grid point; the x-grid residuals are checked before the y grid's
-    conjugacy bisection runs."""
+    both directions.  Any residual beyond its bound (`TOL`, `DERIV_TOL`)
+    raises AuditFailure naming the grid point; the x-grid residuals are
+    checked before the y grid's conjugacy bisection runs."""
     import numpy as np
 
     x_grid = [_positive_finite(float(x), "wealth") for x in x_grid]
@@ -297,14 +298,14 @@ def duality_audit(
             worst[key] = at
 
     bounds = {
-        "optimizer_coupling": tol,
-        "product_identity": tol,
-        "conjugacy_u_from_v": tol,
-        "conjugacy_v_from_u": tol,
-        "u_prime_formula": deriv_tol,
-        "v_prime_formula": deriv_tol,
-        "u_monotone": tol,
-        "u_concave": deriv_tol,
+        "optimizer_coupling": TOL,
+        "product_identity": TOL,
+        "conjugacy_u_from_v": TOL,
+        "conjugacy_v_from_u": TOL,
+        "u_prime_formula": DERIV_TOL,
+        "v_prime_formula": DERIV_TOL,
+        "u_monotone": TOL,
+        "u_concave": DERIV_TOL,
     }
 
     def check():

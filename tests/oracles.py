@@ -8,7 +8,7 @@ time.
   * `verify_solution`, `verify_farkas` and `verify_ray` re-check LP
     certificates with Fraction sums (`_dot`), the reference for the integer
     re-checks in `semistatic.lp`: on every certificate both raise the same
-    `LpVerificationError` message, or neither raises.
+    `VerificationFailure` message, or neither raises.
   * `GaussJordan` is the dense Fraction simplex tableau, pivoted by plain
     Gauss-Jordan elimination: the reference for the integer rows of
     `lp._Tableau`, each over its own denominator.
@@ -62,11 +62,10 @@ from semistatic.ftap import (
     ARBITRAGE, NO_ARBITRAGE, STRICT_NO_ARBITRAGE_FAILS, ArbitrageVerdict, check_na, check_sna,
 )
 from semistatic.hedging import (
-    INFINITE_PRICE, HedgeResult, HedgingError, VerificationFailure, duality_gap_report,
-    hedge_primal,
+    INFINITE_PRICE, HedgeResult, HedgingError, duality_gap_report, hedge_primal,
 )
 from semistatic.lp import (
-    EQ, GE, LE, Constraint, LpProblem, LpSolution, LpVerificationError, con, solve,
+    EQ, GE, LE, Constraint, LpProblem, LpSolution, VerificationFailure, con, solve,
 )
 from semistatic.market import MarketError, MarketSpec
 from semistatic.measures import (
@@ -147,7 +146,7 @@ def eval_row(coeffs: Mapping[str, Fraction], values: Mapping[str, Fraction]) -> 
 
 def _check(ok: bool, msg: str) -> None:
     if not ok:
-        raise LpVerificationError(msg)
+        raise VerificationFailure(msg)
 
 
 def _combine(problem: LpProblem, multipliers: Sequence[Fraction]) -> dict[str, Fraction]:

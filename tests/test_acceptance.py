@@ -297,7 +297,7 @@ def test_criterion_7_utility_duality():
         P = Measure(market.tree, {l: F(1, len(leaves)) for l in leaves})
         for utility in (log_utility(), power_utility(0.5)):
             spec = UtilitySpec(market, utility, P)
-            report = duality_audit(spec, x_grid, y_grid, tol=1e-6, deriv_tol=1e-5)
+            report = duality_audit(spec, x_grid, y_grid)
             assert report.passed
             assert report.residuals["optimizer_coupling"] <= 1e-6
             assert report.residuals["product_identity"] <= 1e-6

@@ -176,11 +176,13 @@ def _edited_b1(edit):
      ["check-arbitrage"], 1),
     # strict no-arbitrage is decided for divisible exercise only (UsageError)
     (json.loads(fixture_json("P2")), ["check-arbitrage", "--strict", "--indivisible"], 1),
+    # a stock with no components (TreeError)
+    (_edited_b1(lambda d: [n.update(S=[]) for n in d["nodes"]]), ["check-arbitrage"], 1),
 ], ids=["bad_tree", "float", "bad_rational", "missing_field", "missing_time",
         "payoff_not_object", "claims_not_object", "prior_not_object", "bad_prior", "enum_cap",
         "price_arbitrage", "robust_arbitrage", "support_not_array", "nodes_not_array",
         "node_not_object", "stock_not_array", "book_entry_not_object", "list_id",
-        "list_parent", "null_value", "bool_times", "strict_indivisible"])
+        "list_parent", "null_value", "bool_times", "strict_indivisible", "empty_stock"])
 def test_typed_failures_exit_without_traceback(capsys, tmp_path, doc, argv, expected):
     path = tmp_path / "market.json"
     path.write_text(json.dumps(doc))
@@ -354,10 +356,10 @@ def test_claim_kind_must_match_price_op(capsys, op, claim):
 
 
 def test_lp_verification_error_exits_3(capsys, monkeypatch):
-    from semistatic.lp import LpVerificationError
+    from semistatic.lp import VerificationFailure
 
     def broken(market):
-        raise LpVerificationError("certificate does not verify")
+        raise VerificationFailure("certificate does not verify")
 
     monkeypatch.setattr("semistatic.cli.check_sna", broken)
     code, out, err = run_cli(capsys, "check-arbitrage", "--market", "B1", "--strict")

@@ -36,6 +36,7 @@ from semistatic import (
     super_hedge_indivisible,
 )
 from semistatic import ftap, hedging, measures, robust
+from semistatic import market as market_module
 from semistatic.hedging import StrategySpace, dual_optimum, hedge_primal
 from semistatic.lp import EQ, GE, LE, con, int_con
 from semistatic.measures import SLACK_VAR, _claim_row, _stop_row, pricing_rows, strict_emm_slack
@@ -400,7 +401,7 @@ def test_each_market_builds_its_strategy_rows_once(t2):
     restricted = market.on_support(("uu", "ud", "du"))
     markets = (market, restricted, restricted.on_support(("uu", "ud")))
     leaves = t2.tree.leaves
-    with mock.patch.object(hedging, "_phi_den", wraps=hedging._phi_den) as built:
+    with mock.patch.object(market_module, "_phi_den", wraps=market_module._phi_den) as built:
         for eta in (False, True):
             rows = [StrategySpace(m, eta).structure_rows() for m in markets]
             again = [StrategySpace(m, eta).structure_rows() for m in markets]

@@ -17,7 +17,7 @@ from semistatic.lp import (
     GE,
     LE,
     LpProblem,
-    LpVerificationError,
+    VerificationFailure,
     ZERO,
     _CUT,
     _TWIN,
@@ -98,7 +98,7 @@ def test_infeasible_farkas_certificate():
 def test_phase_one_that_does_not_end_optimal_raises(monkeypatch):
     monkeypatch.setattr(_Tableau, "run", lambda self, limit: "unbounded")
     prob = LpProblem("max", {"x": 1}, [con({"x": 1}, GE, 1), con({"x": 1}, LE, 2)], ["x"])
-    with pytest.raises(LpVerificationError, match="phase 1 ended unbounded"):
+    with pytest.raises(VerificationFailure, match="phase 1 ended unbounded"):
         solve(prob)
 
 
@@ -248,7 +248,7 @@ def test_verify_rejects_corrupted_solution():
     prob = LpProblem("max", {"x": 1}, [con({"x": 1}, LE, 1)], ["x"])
     sol = solve(prob)
     sol.values["x"] = F(2)
-    with pytest.raises(LpVerificationError):
+    with pytest.raises(VerificationFailure):
         verify_solution(prob, sol)
 
 
@@ -256,7 +256,7 @@ def _rejects(prob, sol, field, key, value):
     """verify_solution must raise once sol.<field>[key] is set to value."""
     bad = copy.deepcopy(sol)
     getattr(bad, field)[key] = value
-    with pytest.raises(LpVerificationError):
+    with pytest.raises(VerificationFailure):
         verify_solution(prob, bad)
 
 
@@ -287,7 +287,7 @@ def test_verify_rejects_corrupted_duals_and_reduced_costs():
     _rejects(prob, sol, "values", "z", F(1))
     bad = copy.deepcopy(sol)
     bad.dual_objective += F(1, 7)
-    with pytest.raises(LpVerificationError):
+    with pytest.raises(VerificationFailure):
         verify_solution(prob, bad)
 
 
@@ -301,11 +301,11 @@ def test_verify_names_a_missing_or_extra_reduced_cost(verify):
     sol = solve(prob)
     missing = copy.deepcopy(sol)
     del missing.reduced_costs["y"]
-    with pytest.raises(LpVerificationError, match="no reduced cost for variable y"):
+    with pytest.raises(VerificationFailure, match="no reduced cost for variable y"):
         verify(prob, missing)
     extra = copy.deepcopy(sol)
     extra.reduced_costs["z"] = ZERO
-    with pytest.raises(LpVerificationError, match="reduced cost for unknown variable z"):
+    with pytest.raises(VerificationFailure, match="reduced cost for unknown variable z"):
         verify(prob, extra)
 
 
@@ -342,7 +342,7 @@ def test_verify_farkas_rejects_scaled_and_wrong_sign_entries():
         for factor in (2, -1):
             bad = list(farkas)
             bad[i] *= factor
-            with pytest.raises(LpVerificationError):
+            with pytest.raises(VerificationFailure):
                 verify_farkas(prob, bad)
 
 
@@ -351,24 +351,24 @@ def test_verifiers_label_an_unnamed_row_by_its_index():
     prob = LpProblem(
         "max", {}, [con({"x": 1, "y": 1}, LE, 1), con({"x": 1, "y": 1}, GE, 2)], ["x", "y"],
     )
-    with pytest.raises(LpVerificationError, match="^farkas sign at #1$"):
+    with pytest.raises(VerificationFailure, match="^farkas sign at #1$"):
         verify_farkas(prob, [F(1), F(1)])
     prob = LpProblem("max", {"x": 1}, [con({"x": 1}, GE, 0), con({"x": 1}, LE, 1)], ["x"])
     bad = solve(prob)
     bad.values["x"] = F(2)
-    with pytest.raises(LpVerificationError, match="^constraint #1 violated$"):
+    with pytest.raises(VerificationFailure, match="^constraint #1 violated$"):
         verify_solution(prob, bad)
     prob = LpProblem("max", {"x": 1}, [con({"x": 1}, GE, 0), con({"y": 1}, LE, 1)],
                      ["x", "y"])
     sol = solve(prob)
     assert sol.status == "unbounded"
-    with pytest.raises(LpVerificationError, match="^ray violates #1$"):
+    with pytest.raises(VerificationFailure, match="^ray violates #1$"):
         verify_ray(prob, sol.feasible_point, {**sol.ray, "y": F(1)})
 
 
 def test_certificates_of_the_wrong_length_are_rejected():
     """A duals list or a Farkas vector with one entry per row too few (or too
-    many) raises LpVerificationError, not IndexError, and is not accepted
+    many) raises VerificationFailure, not IndexError, and is not accepted
     by zipping it with the rows."""
     prob = LpProblem(
         "max", {"x": 1, "y": 1},
@@ -379,7 +379,7 @@ def test_certificates_of_the_wrong_length_are_rejected():
     for duals in (sol.duals[:2], sol.duals + [ZERO]):
         bad = copy.deepcopy(sol)
         bad.duals = duals
-        with pytest.raises(LpVerificationError, match=f"^{len(duals)} duals for 3 rows$"):
+        with pytest.raises(VerificationFailure, match=f"^{len(duals)} duals for 3 rows$"):
             verify_solution(prob, bad)
     prob = LpProblem(
         "max", {},
@@ -389,7 +389,7 @@ def test_certificates_of_the_wrong_length_are_rejected():
     farkas = solve(prob).farkas
     assert farkas == [1, -1, 0]
     for bad in (farkas[:2], farkas + [ZERO]):
-        with pytest.raises(LpVerificationError,
+        with pytest.raises(VerificationFailure,
                            match=f"^{len(bad)} farkas multipliers for 3 rows$"):
             verify_farkas(prob, bad)
 
@@ -398,7 +398,7 @@ def _raised(verify, *args):
     """The message `verify(*args)` raises, or None when it passes."""
     try:
         verify(*args)
-    except LpVerificationError as exc:
+    except VerificationFailure as exc:
         return str(exc)
     return None
 

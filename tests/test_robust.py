@@ -151,6 +151,33 @@ def test_check_sna_robust_two_prior_stock_only(t2):
     assert check_sna_robust(spec).verdict == NO_ARBITRAGE
 
 
+@pytest.mark.parametrize("witness, priors, message", [
+    (_uniform, (_uniform,), "martingale drift"),
+    (_emm_t2, (_partial_t2, lambda tree: Measure(tree, {"uu": F(1, 2), "dd": F(1, 2)})),
+     "support inside no prior's support"),
+], ids=["not_a_martingale", "not_dominated"])
+def test_robust_witness_is_re_verified_on_every_call(monkeypatch, t2, witness, priors, message):
+    """A NO_ARBITRAGE verdict's witness must be a strict pricing measure
+    dominated by some prior; the kept verdict is re-checked on each call."""
+    market = build_market(market_to_json(t2))
+    Q = witness(market.tree)
+    monkeypatch.setattr(robust, "_dominating_slack",
+                        lambda spec, floor: measures.SlackResult("optimal", F(1, 9), witness=Q))
+    spec = RobustSpec(market, PriorSet(tuple(P(market.tree) for P in priors)))
+    for _ in range(2):
+        with pytest.raises(VerificationFailure, match=message):
+            check_sna_robust(spec)
+
+
+def test_robust_witness_may_leave_the_market_support(t2):
+    """Quasi-sure questions range over the priors' supports, not the market
+    file's `support`: a witness on a prior wider than it re-checks."""
+    market = build_market(market_to_json(t2.on_support(["uu", "ud", "du"])))
+    spec = RobustSpec(market, PriorSet((_uniform(market.tree),)))
+    verdict = check_sna_robust(spec)
+    assert verdict.verdict == NO_ARBITRAGE and verdict.pricing.support() == set(t2.tree.leaves)
+
+
 def test_dominating_measure_base_case(b1):
     spec = RobustSpec(b1, PriorSet((_uniform(b1.tree),)))
     result = dominating_measure(spec, _uniform(b1.tree))

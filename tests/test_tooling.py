@@ -10,9 +10,12 @@ a market, and what is derived from a market or its stock process is kept by
 `market._kept` alone.  Each pricing region is one traced vertex enumeration,
 and the double-description kernel makes no Fraction.  The robust questions are
 asked of the maximal prior supports only, picked by `robust._maximal`.  A
-pricing set's caps are its market's quotes."""
+pricing set's caps are its market's quotes.  The package's modules import
+each other at module top, in one direction, and a failed re-check is one
+error type."""
 
 import ast
+import graphlib
 import importlib
 import importlib.util
 import json
@@ -297,3 +300,38 @@ def test_only_max_slack_runs_the_stop_cut_loop():
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     callers.add(f"{path.stem}.{name}")
     assert callers == {"measures.max_slack"}
+
+
+def test_modules_import_down_one_acyclic_stack():
+    """No module of the package imports a sibling inside a function, and the
+    modules' top-level imports of each other form no cycle (the
+    `TYPE_CHECKING` block, which is not run, is exempt): a module needs only
+    the ones below it.  `ftap`, which the hedging dualities build on, does
+    not import `hedging`.  `FixtureError` and `AuditFailure` subclass the one
+    re-check error, `lp.VerificationFailure`, which `lp` alone defines."""
+    from semistatic import lp
+    from semistatic.fixtures import FixtureError
+    from semistatic.utility import AuditFailure
+
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    graph, nested, defined = {}, [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        graph[path.stem] = {
+            node.module or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names} & modules
+        nested += [f"{path.relative_to(ROOT)}:{node.lineno}"
+                   for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.ImportFrom) and node.level]
+        defined += [path.stem for node in tree.body if isinstance(node, ast.ClassDef)
+                    and node.name in ("VerificationFailure", "LpVerificationError")]
+    assert nested == [] and defined == ["lp"]
+    list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError
+    ftap = ast.parse((PACKAGE / "ftap.py").read_text(encoding="utf-8"))
+    assert not [node for node in ast.walk(ftap) if isinstance(node, ast.ImportFrom)
+                and node.module == "hedging"]
+    assert issubclass(FixtureError, lp.VerificationFailure)
+    assert issubclass(AuditFailure, lp.VerificationFailure)

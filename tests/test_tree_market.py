@@ -414,6 +414,17 @@ def test_p2_expected_claim_formula(p2):
         assert Q.expect_claim(psi) == F(3, 4) * p_ + 5 * q_ - F(5, 4)
 
 
+def test_markets_compare_and_hash_by_identity(t2):
+    """A market is equal only to itself and hashes, as does a pricing set on
+    it: `_kept` tells markets apart by identity, and so does `==`."""
+    from semistatic import PricingSetSpec
+
+    m = t2.with_options(g=[t2.claims["put5_eu"]], g_prices=[F(1)])
+    assert {m: 1}[m] == 1 and m == m
+    assert m != replace(m) and m != build_market(market_to_json(m))
+    assert {PricingSetSpec(m): 1}[PricingSetSpec(m)] == 1
+
+
 def test_without_american_is_one_object_per_market_and_keep(t2):
     """`without_american(k)` is the market itself when it holds at most k
     American options, and otherwise one object per market and k, however it

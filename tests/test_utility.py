@@ -140,10 +140,14 @@ def test_audit_single_point_grid(b1):
     assert len(report.u_values) == 1
 
 
-def test_audit_detects_violated_tolerance(b1):
+def test_audit_detects_violated_tolerance(b1, monkeypatch):
+    import semistatic.utility as utility
+
+    monkeypatch.setattr(utility, "TOL", 1e-18)
+    monkeypatch.setattr(utility, "DERIV_TOL", 1e-18)
     spec = _spec(b1, log_utility())
     with pytest.raises(AuditFailure):
-        duality_audit(spec, [1.0, 2.0], tol=1e-18, deriv_tol=1e-18)
+        duality_audit(spec, [1.0, 2.0])
 
 
 @pytest.mark.parametrize("grid", ["x", "y"])
