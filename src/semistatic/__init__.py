@@ -33,7 +33,6 @@ from .measures import (
     PricingSetSpec,
     SlackResult,
     closure_polytope,
-    martingale_system,
     max_slack,
     membership,
 )

@@ -98,9 +98,9 @@ def _leaf_dual(problem: LpProblem, sol: LpSolution, tree: EventTree) -> Measure:
     coefficient -1 in a max LP and +1 in a min LP, so its zero reduced cost
     makes these duals total -1 or +1; the sense's sign makes them weights."""
     sign = -1 if problem.sense == "max" else 1
-    return Measure(tree, {row.name[5:-1]: sign * y
-                          for row, y in zip(problem.constraints, sol.duals)
-                          if y and row.name.startswith("leaf[")})
+    return Measure._built(tree, {row.name[5:-1]: sign * y
+                                 for row, y in zip(problem.constraints, sol.duals)
+                                 if y and row.name.startswith("leaf[")})
 
 
 def hedge_primal(market: MarketSpec, claim,

@@ -25,10 +25,16 @@ weights' denominators (a canonical form), and keeps its integer subtree masses
 and each process's exercise envelope after first use.  Expectations, exercise
 envelopes and the membership checks sum integers against the claims' and
 processes' own integer forms and make one Fraction, or compare with a Fraction
-bound by cross-multiplication.  LP rows are built as integers from the same
-forms (`lp.int_con`); the martingale rows are kept on the stock process per
-leaf set.  Every LP here ranges over its market's support: to ask a question
-on fewer leaves, ask it of `market.on_support(leaves)`.
+bound by cross-multiplication.  A value at a stop, E[h at tau], is summed over
+tau's stop nodes, h there times the mass under it, not over the leaves
+(`Measure.expect_at_stop`; `robust.minimax_check`'s stop rows likewise).  A
+measure from user input is checked leaf by leaf; one the engine reads off an
+LP solution or a vertex (`_measure_of`, `hedging._leaf_dual`) is built by
+`Measure._built`, which keeps only the sign and total checks.  LP rows are
+built as integers from the same forms (`lp.int_con`); the martingale rows are
+kept on the stock process per leaf set.  Every LP here ranges over its
+market's support: to ask a question on fewer leaves, ask it of
+`market.on_support(leaves)`.
 """
 
 from __future__ import annotations
@@ -62,16 +68,29 @@ class Measure:
     `den` (`over_lcm`); `weights` is their Fraction view."""
 
     def __init__(self, tree: EventTree, weights: Mapping[str, object]):
-        self.tree = tree
-        w: dict[str, Fraction] = {}
-        for leaf, val in weights.items():
+        for leaf in weights:
             if leaf not in tree or not tree.is_leaf(leaf):
                 raise MeasureError(f"weight on non-leaf node {leaf!r}")
-            x = rat(val)
+        self._set(tree, {leaf: rat(val) for leaf, val in weights.items()})
+
+    @classmethod
+    def _built(cls, tree: EventTree, weights: Mapping[str, Fraction]) -> "Measure":
+        """A measure from Fraction weights the engine made on leaves of
+        `tree` (an LP's values or duals, a vertex): the leaf names and the
+        `rat` coercion are not re-checked, the signs and the total are.
+        Only `measures` and `hedging` call it."""
+        Q = cls.__new__(cls)
+        Q._set(tree, weights)
+        return Q
+
+    def _set(self, tree: EventTree, weights: Mapping[str, Fraction]) -> None:
+        w: dict[str, Fraction] = {}
+        for leaf, x in weights.items():
             if x < 0:
                 raise MeasureError(f"negative weight at {leaf!r}")
             if x:
                 w[leaf] = x
+        self.tree = tree
         self.den, self.num = over_lcm(w)
         total = sum(self.num.values())
         if total != self.den:
@@ -111,9 +130,10 @@ class Measure:
         return Fraction(sum([w * value[l] for l, w in self.num.items()]), self.den * den)
 
     def expect_at_stop(self, h: AdaptedProcess, tau: StoppingTime) -> Fraction:
+        """E[h at tau]: h at each stop node times the mass under it."""
         den, value = h.scaled()
-        return Fraction(sum([w * value[tau.stop_node(l)] for l, w in self.num.items()]),
-                        self.den * den)
+        mass = self.masses()
+        return Fraction(sum([mass[n] * value[n] for n in tau.stop_nodes]), self.den * den)
 
     def mixture(self, other: "Measure", lam) -> "Measure":
         lam = rat(lam)
@@ -206,16 +226,6 @@ def _martingale_rows(market: MarketSpec, leaves: tuple[str, ...]) -> tuple[list[
     return _kept(S, ("martingale", leaves), build)
 
 
-def martingale_system(market: MarketSpec) -> LpProblem:
-    """Martingale + total-mass equalities over the weights of the market's
-    support leaves (weights outside it are fixed to zero by omission), as an
-    LP fragment (zero objective, ready to be extended).  The rows are built
-    once per stock process and leaf set and kept on the process.
-    """
-    variables, rows = _martingale_rows(market, market.support_leaves())
-    return LpProblem("max", {}, list(rows), list(variables))
-
-
 def _claim_row(claim: TerminalClaim, leaves: Sequence[str]) -> tuple[int, dict[str, int]]:
     """E[claim] over the weights of `leaves`: (den, nonzero integer coefficients)."""
     den, value = claim.scaled()
@@ -237,7 +247,7 @@ def _stop_row(h: AdaptedProcess, tau: StoppingTime,
 
 def _measure_of(spec_leaves: Sequence[str], sol_values: Mapping[str, Fraction],
                 tree: EventTree) -> Measure:
-    return Measure(tree, {l: sol_values.get(_weight_var(l), ZERO) for l in spec_leaves})
+    return Measure._built(tree, {l: sol_values.get(_weight_var(l), ZERO) for l in spec_leaves})
 
 
 def pricing_rows(
@@ -479,5 +489,7 @@ def membership(Q: Measure, spec: PricingSetSpec, strict: bool) -> MembershipRepo
 
 
 def polytope_vertices_as_measures(poly: Polytope, tree: EventTree) -> list[Measure]:
+    """The vertices of a polytope over leaf weights (`w[leaf]`), from one
+    `vertices` call, as measures."""
     leaves = [name[2:-1] for name in poly.variables if name.startswith("w[")]
     return [_measure_of(leaves, vert, tree) for vert in vertices(poly)]

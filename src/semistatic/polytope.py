@@ -1,8 +1,10 @@
 """Rational polytopes: H-representation and exact vertex enumeration.
 
 Vertex enumeration runs the double description method on the homogenization
-cone {(t, x): A x <= b t, t >= 0}; extreme rays with t > 0 are vertices,
-rays with t = 0 witness unboundedness.  It runs in integers throughout:
+cone {(t, x): A x <= b t, C x = d t, t >= 0}; extreme rays with t > 0 are
+vertices, rays with t = 0 witness unboundedness.  Each equality row enters
+once, as a hyperplane with one bit of every ray's activity mask, not as a pair
+of inequalities (Fukuda & Prodon 1996).  It runs in integers throughout:
 generators are primitive integer vectors, so numbers never grow inside the
 incremental loop, and each ray's set of active rows is an int bitmask, so the
 adjacency test is a few big-int ands.  Fractions are first made in
@@ -19,7 +21,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .lp import Constraint, EQ, GE, LE
+from .lp import Constraint, EQ, GE
 
 
 class PolytopeError(ValueError):
@@ -43,22 +45,29 @@ class Polytope:
     constraints: list[Constraint] = field(default_factory=list)
 
 
-def _dd_cone(rows: list[tuple[int, ...]], dim: int):
-    """Generators of the cone {x: r . x <= 0 for every row r}.
+def _dd_cone(rows: Sequence[tuple[tuple[int, ...], bool]], dim: int):
+    """Generators of the cone {x: r . x <= 0 for every row (r, False) and
+    r . x == 0 for every row (r, True)}.
 
     Returns (lines, rays): primitive integer vectors, each ray with its
     activity set as an int bitmask (bit i is set when row i is active at the
-    ray).  Standard incremental double description.  A ray on the positive
-    side of the new row is combined with one on the negative side only when
-    the two are adjacent.  First the cardinality test: the face they span has
-    dimension 2 + len(lines), so their common active rows have rank
+    ray; an equality is active at every ray, one bit).  Standard incremental
+    double description.  A ray on the positive side of the new row is
+    combined with one on the negative side only when the two are adjacent.
+    First the cardinality test: the face they span has dimension
+    2 + len(lines), so their common active rows have rank
     dim - 2 - len(lines), and there must be at least that many.  Then the
     combinatorial test: no third ray's mask contains their common mask.
+
+    An equality is the hyperplane, not a pair of inequalities: a line it
+    cuts projects the other lines and the rays onto it and gives no ray of
+    its own, and otherwise the rays on either side of it are dropped once
+    their adjacent pairs are combined onto it.
     """
     lines = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays: list[tuple[tuple[int, ...], int]] = []
 
-    for idx, row in enumerate(rows):
+    for idx, (row, eq) in enumerate(rows):
         bit = 1 << idx
         pivot_line = next((l for l in lines if sum(map(mul, row, l))), None)
         if pivot_line is not None:
@@ -77,8 +86,9 @@ def _dd_cone(rows: list[tuple[int, ...]], dim: int):
                 # scaling by |pl| keeps earlier activity sets unchanged
                 proj = [abs(pl) * a - d * b for a, b in zip(r, pivot_line)]
                 new_rays.append((_primitive_int(proj), act | bit))
-            born = tuple(-x for x in pivot_line) if pl > 0 else pivot_line
-            new_rays.append((_primitive_int(born), bit - 1))
+            if not eq:
+                born = tuple(-x for x in pivot_line) if pl > 0 else pivot_line
+                new_rays.append((_primitive_int(born), bit - 1))
             lines, rays = new_lines, new_rays
             continue
         neg, zero, pos = [], [], []
@@ -90,7 +100,7 @@ def _dd_cone(rows: list[tuple[int, ...]], dim: int):
                 zero.append((r, act | bit))
             else:
                 pos.append((r, act, d))
-        new_rays = [(r, act) for r, act, _ in neg] + zero
+        new_rays = zero if eq else [(r, act) for r, act, _ in neg] + zero
         if not pos:
             rays = new_rays
             continue
@@ -143,10 +153,9 @@ def vertices(poly: Polytope) -> list[dict[str, Fraction]]:
     """
     names = poly.variables
     dim = len(names) + 1  # homogenizing coordinate t first
-    rows: list[tuple[int, ...]] = []
     t_row = [0] * dim
     t_row[0] = -1
-    rows.append(tuple(t_row))  # t >= 0
+    rows = [(tuple(t_row), False)]  # t >= 0
     col = {v: i + 1 for i, v in enumerate(names)}
     for c in poly.constraints:
         # the row's stored integers, as `lp.solve` reads them
@@ -156,10 +165,7 @@ def vertices(poly: Polytope) -> list[dict[str, Fraction]]:
             if v in col:
                 base[col[v]] = x
         row = _primitive_int(base)
-        if c.rel in (LE, EQ):
-            rows.append(row)
-        if c.rel in (GE, EQ):
-            rows.append(tuple(-x for x in row))
+        rows.append((tuple(-x for x in row) if c.rel == GE else row, c.rel == EQ))
     lines, rays = _dd_cone(rows, dim)
 
     points = {r for r, _ in rays if r[0] > 0}

@@ -462,21 +462,24 @@ def minimax_check(
     if N == 0:
         raise RobustError("empty option list")
 
-    # rhs: every stopping time, one epigraph variable per option; every row
-    # over the lcm of the vertices' denominators times h_k's
+    # rhs: every stopping time, one epigraph variable per option; a vertex's
+    # E[h_k at tau] sums h_k times the vertex's mass under each stop node, and
+    # every row is over the lcm of the vertices' denominators times h_k's
     scaled = [h.scaled() for h in h_list]
     taus = enumerate_stopping_times(tree)
     lam_vars = [f"lam[{i}]" for i in range(len(R_vertices))]
     w_vars = [f"w[{k}]" for k in range(N)]
     vertex_den = lcm(*[R.den for R in R_vertices])
+    vertex_masses = [(lam, R.masses(), vertex_den // R.den)
+                     for lam, R in zip(lam_vars, R_vertices)]
     rows = [int_con({v: 1 for v in lam_vars}, EQ, 1, 1, "hull")]
     for k, (d, value) in enumerate(scaled):
         for t_idx, tau in enumerate(taus):
             num = {}
-            for lam, R in zip(lam_vars, R_vertices):
-                e = sum([w * value[tau.stop_node(l)] for l, w in R.num.items()])
+            for lam, mass, scale in vertex_masses:
+                e = sum([mass[n] * value[n] for n in tau.stop_nodes])
                 if e:
-                    num[lam] = e * (vertex_den // R.den)
+                    num[lam] = e * scale
             num[w_vars[k]] = -vertex_den * d
             rows.append(int_con(num, LE, 0, vertex_den * d, f"stop[{k}][{t_idx}]"))
     sol = solve(LpProblem("min", {w: 1 for w in w_vars}, rows, lam_vars + w_vars,

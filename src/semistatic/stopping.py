@@ -13,6 +13,15 @@ product, and a Fraction is made only for the value returned.  A measure keeps
 each process's envelope after first use (`Measure.envelope`), so the stop-cut
 loop, `membership` and `snell_value` on one pair compute it once.
 
+A `StoppingTime` carries its leaf-to-stop-node map.  Built from user input,
+`StoppingTime(tree, nodes)` checks that every root-to-leaf path meets the
+nodes exactly once.  The stops the engine builds itself (every enumerated
+stop, the greedy stop of an envelope, the deterministic stop tau = t) are
+stopping times by construction, so each is made with its map as it is built
+(`StoppingTime._built`), without the path re-check; the enumeration still
+checks its count against `count_stopping_times`, and the greedy stop is still
+re-checked to attain the envelope.
+
 All functions here are pure over immutable inputs and parallel-safe.
 """
 
@@ -20,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .lp import VerificationFailure
 from .rational import rat_str
@@ -42,10 +51,12 @@ class EnumerationCapError(RuntimeError):
 
 
 class StoppingTime:
-    """A stopping time stored as its minimal antichain of stop nodes."""
+    """A stopping time stored as its minimal antichain of stop nodes, with
+    the node at which it stops on the path to each leaf."""
+
+    __slots__ = ("tree", "stop_nodes", "_stop_at")  # one per enumerated stop
 
     def __init__(self, tree: EventTree, stop_nodes: Iterable[str]):
-        self.tree = tree
         nodes = frozenset(stop_nodes)
         unknown = {n for n in nodes if n not in tree}
         if unknown:
@@ -58,8 +69,17 @@ class StoppingTime:
                     f"leaf {leaf!r}: path stops {len(hits)} times, expected exactly once"
                 )
             stop_map[leaf] = hits[0]
-        self.stop_nodes = nodes
-        self._stop_at = stop_map
+        self.tree, self.stop_nodes, self._stop_at = tree, nodes, stop_map
+
+    @classmethod
+    def _built(cls, tree: EventTree, nodes: frozenset[str],
+               stop_map: dict[str, str]) -> "StoppingTime":
+        """A stop the engine built with its map (every leaf to the one node
+        of `nodes` on its path): a stopping time by construction, so the
+        path re-check is skipped.  Only this module calls it."""
+        tau = cls.__new__(cls)
+        tau.tree, tau.stop_nodes, tau._stop_at = tree, nodes, stop_map
+        return tau
 
     def stops_at(self, node: str) -> bool:
         return node in self.stop_nodes
@@ -83,8 +103,13 @@ class StoppingTime:
 
 
 def stop_everywhere_at(tree: EventTree, t: int) -> StoppingTime:
-    """The deterministic stopping time tau = t."""
-    return StoppingTime(tree, [n for n in tree.nodes if tree.time(n) == t])
+    """The deterministic stopping time tau = t: every path has one node at
+    each time 0..horizon, the one it stops at."""
+    if not 0 <= t <= tree.horizon:
+        raise TreeError(f"no stopping time tau = {t}: times run from 0 to {tree.horizon}")
+    nodes = [n for n in tree.nodes if tree.time(n) == t]
+    stop_map = {leaf: n for n in nodes for leaf in tree.leaves_under(n)}
+    return StoppingTime._built(tree, frozenset(nodes), stop_map)
 
 
 class LiquidatingStrategy:
@@ -159,16 +184,34 @@ def enumerate_stopping_times(tree: EventTree) -> list[StoppingTime]:
             "from the Snell oracle)"
         )
 
-    def antichains(node: str) -> list[frozenset[str]]:
-        if tree.is_leaf(node):
-            return [frozenset([node])]
-        below = [antichains(c) for c in tree.children(node)]
-        out = [frozenset([node])]
-        for combo in product(*below):
-            out.append(frozenset().union(*combo))
-        return out
+    def stops(node: str) -> tuple[list[frozenset[str]], list[dict[str, str]]]:
+        """The stopping times of the subtree at `node`, stopping at `node`
+        first: their stop nodes and, in step, their maps from the subtree's
+        leaves."""
+        sets, maps = [frozenset([node])], [dict.fromkeys(tree.leaves_under(node), node)]
+        if not tree.is_leaf(node):
+            for nodes, stop_map in later(node):
+                sets.append(nodes)
+                maps.append(stop_map)
+        return sets, maps
 
-    taus = [StoppingTime(tree, s) for s in antichains(tree.root)]
+    def later(node: str) -> Iterator[tuple[frozenset[str], dict[str, str]]]:
+        """The stopping times of the subtree at non-leaf `node` that do not
+        stop at `node`: one stop per child, in `product` order, their stop
+        nodes joined and their maps merged."""
+        below = [stops(c) for c in tree.children(node)]
+        for combo, parts in zip(product(*[s for s, _ in below]),
+                                product(*[m for _, m in below])):
+            stop_map: dict[str, str] = {}
+            for part in parts:
+                stop_map.update(part)
+            yield frozenset().union(*combo), stop_map
+
+    # the root's stops go straight into the list: no list of node sets and
+    # maps is held beside the stops they become
+    root = tree.root
+    taus = [StoppingTime._built(tree, frozenset([root]), dict.fromkeys(tree.leaves, root))]
+    taus += [StoppingTime._built(tree, nodes, stop_map) for nodes, stop_map in later(root)]
     if len(taus) != n:
         raise VerificationFailure(f"enumerated {len(taus)} stopping times, counted {n}")
     return taus
@@ -209,19 +252,22 @@ def snell_optimal_stop(Q: "Measure", h: AdaptedProcess) -> StoppingTime:
 
 def _greedy_stop(Q: "Measure", h: AdaptedProcess, V: dict[str, int]) -> StoppingTime:
     """`snell_optimal_stop` read off h's envelope V under Q
-    (`_unnormalized_snell`), re-checked to attain V's root value."""
+    (`_unnormalized_snell`), re-checked to attain V's root value.  The walk
+    from the root stops each path once, so the stop is built with its map."""
     tree, mass = h.tree, Q.masses()
     den, hn = h.scaled()
     stops: list[str] = []
+    stop_map: dict[str, str] = {}
     frontier = [tree.root]
     while frontier:
         node = frontier.pop()
         kids = tree.children(node)
         if not kids or mass[node] * hn[node] >= sum([V[c] for c in kids]):
             stops.append(node)
+            stop_map.update(dict.fromkeys(tree.leaves_under(node), node))
         else:
             frontier.extend(kids)
-    tau = StoppingTime(tree, stops)
+    tau = StoppingTime._built(tree, frozenset(stops), stop_map)
     value, envelope = Q.expect_at_stop(h, tau), Fraction(V[tree.root], Q.den * den)
     if value != envelope:
         raise VerificationFailure(

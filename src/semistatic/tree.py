@@ -213,8 +213,3 @@ class TerminalClaim:
 
     def __repr__(self) -> str:
         return f"TerminalClaim({len(self._values)} leaves)"
-
-
-def constant_claim(tree: EventTree, value) -> TerminalClaim:
-    return TerminalClaim(tree, {leaf: rat(value) for leaf in tree.leaves})
-

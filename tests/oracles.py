@@ -18,8 +18,10 @@ time.
     and `Measure.masses`, `stopping._unnormalized_snell`, and the drift
     check of `measures.membership`.
   * `snell_envelope` is the normalized backward induction, the reference for
-    the unnormalized envelope behind `stopping.snell_value`, and
-    `strategy_from_mixture` builds the exercise flow of a mixture of stops.
+    the unnormalized envelope behind `stopping.snell_value`, `antichains`
+    lists the stops' node sets in the enumeration's order, the reference for
+    `stopping.enumerate_stopping_times`, and `strategy_from_mixture` builds
+    the exercise flow of a mixture of stops.
   * `hrep_from_vertices` and `contains` run vertex enumeration backwards,
     the round-trip reference for `polytope.vertices`, and
     `vertices_by_active_sets` solves every choice of active rows, its
@@ -35,6 +37,9 @@ time.
     builds the flow side of the minimax identity, which the engine reads off
     the stop side's duals; `minimax_flow_value` solves it, the reference for
     `minimax_check`'s lhs.
+  * `martingale_system` (the kept martingale rows of a market's support as
+    an LP fragment) and `constant_claim` are conveniences only the tests
+    use.
   * `find_pricing_measure` is the witness measure of `ftap.check_sna`, and
     `witness_slacks` re-measures a slack LP's witness against its caps and
     floor.
@@ -53,7 +58,7 @@ time.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -73,6 +78,7 @@ from semistatic.measures import (
     Measure,
     PricingSetSpec,
     SlackResult,
+    _martingale_rows,
     _slack_certificate,
     closure_polytope,
     max_slack,
@@ -87,7 +93,7 @@ from semistatic.robust import (
 from semistatic.stopping import (
     LiquidatingStrategy, StoppingTime, enumerate_stopping_times, snell_optimal_stop,
 )
-from semistatic.tree import AdaptedProcess, TerminalClaim
+from semistatic.tree import AdaptedProcess, EventTree, TerminalClaim
 
 ZERO = Fraction(0)
 
@@ -395,6 +401,18 @@ def snell_envelope(Q: Measure, h: AdaptedProcess) -> tuple[AdaptedProcess, Fract
     return envelope, root_value
 
 
+def antichains(tree: EventTree, node: str | None = None) -> list[frozenset[str]]:
+    """Every stopping time of the subtree at `node` (the root by default) as
+    its set of stop nodes: stopping at `node` first, then one stop per child
+    in the order of `itertools.product`."""
+    node = tree.root if node is None else node
+    out = [frozenset([node])]
+    if not tree.is_leaf(node):
+        below = [antichains(tree, c) for c in tree.children(node)]
+        out += [frozenset().union(*combo) for combo in product(*below)]
+    return out
+
+
 def strategy_from_mixture(
     weights: Sequence, taus: Sequence[StoppingTime]
 ) -> LiquidatingStrategy:
@@ -450,7 +468,7 @@ def hrep_from_vertices(
     s_row = [0] * dim
     s_row[0] = -1
     rows.append(tuple(s_row))  # s >= 0
-    lines, rays = _dd_cone(rows, dim)
+    lines, rays = _dd_cone([(r, False) for r in rows], dim)
     if any(any(l[1:]) for l in lines):
         raise PolytopeError("vertex set is not full-dimensional")
     constraints = []
@@ -822,6 +840,23 @@ def minimax_flow_value(R_vertices: Sequence[Measure],
     if sol.status != "optimal":
         raise VerificationFailure(f"flow-side LP is {sol.status}")
     return sol.objective
+
+
+# ---------------------------------------------------------------------------
+# Conveniences only the tests use
+# ---------------------------------------------------------------------------
+
+def martingale_system(market: MarketSpec) -> LpProblem:
+    """Martingale + total-mass equalities over the weights of the market's
+    support leaves (weights outside it are fixed to zero by omission), as an
+    LP fragment (zero objective, ready to be extended): the engine's rows,
+    kept on the stock process per leaf set."""
+    variables, rows = _martingale_rows(market, market.support_leaves())
+    return LpProblem("max", {}, list(rows), list(variables))
+
+
+def constant_claim(tree: EventTree, value) -> TerminalClaim:
+    return TerminalClaim(tree, {leaf: rat(value) for leaf in tree.leaves})
 
 
 # ---------------------------------------------------------------------------

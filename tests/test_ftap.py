@@ -21,7 +21,7 @@ from semistatic.hedging import VerificationFailure
 from semistatic.market import portfolio_value
 
 from conftest import random_market
-from oracles import find_pricing_measure
+from oracles import constant_claim, find_pricing_measure
 
 F = Fraction
 
@@ -85,7 +85,7 @@ def test_indivisible_arbitrage_exercises_whole_at_the_stop_found(t2):
     scan passes the first stop and returns the second, with the buy-only
     European book kept apart from the American position."""
     from semistatic.stopping import stop_everywhere_at
-    from semistatic.tree import AdaptedProcess, constant_claim
+    from semistatic.tree import AdaptedProcess
 
     tree = t2.tree
     late_one = AdaptedProcess(tree, {n: 0 if n == tree.root else 1 for n in tree.nodes})

@@ -20,10 +20,13 @@ from semistatic.hedging import HedgingError
 from semistatic.market import HedgePortfolio, portfolio_value
 from semistatic.measures import PricingSetSpec, closure_polytope, polytope_vertices_as_measures
 from semistatic.stopping import StoppingTime
-from semistatic.tree import AdaptedProcess, constant_claim
+from semistatic.tree import AdaptedProcess
 
 from conftest import random_claim, random_market, random_process
-from oracles import american_exchange_values, find_pricing_measure, liquidate_payoff, p2_params_of
+from oracles import (
+    american_exchange_values, constant_claim, find_pricing_measure, liquidate_payoff,
+    martingale_system, p2_params_of,
+)
 
 F = Fraction
 
@@ -294,7 +297,7 @@ def _per_stop_dual_value(market, psi, tau):
     stop `tau` at most at its quote: the LP dual of the per-stop hedge LP."""
     from oracles import stop_row
     from semistatic.lp import LE, LpProblem, con, solve
-    from semistatic.measures import _weight_var, martingale_system
+    from semistatic.measures import _weight_var
 
     stock = market.with_options(f=[], f_prices=[], g=[], g_prices=[], h=[], h_prices=[])
     leaves = market.support_leaves()

@@ -26,7 +26,6 @@ from semistatic import (
     check_na,
     check_sna,
     closure_polytope,
-    martingale_system,
     max_slack,
     membership,
     minimax_check,
@@ -50,6 +49,7 @@ from semistatic.stopping import (
 )
 
 import oracles
+from oracles import martingale_system
 from conftest import rand_rational, random_market, random_process
 
 F = Fraction

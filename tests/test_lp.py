@@ -55,7 +55,7 @@ def test_degenerate_face():
 
 
 def test_b1_martingale_feasibility(b1):
-    from semistatic.measures import martingale_system
+    from oracles import martingale_system
 
     frag = martingale_system(b1)
     sol = solve(LpProblem("max", {}, frag.constraints, frag.variables))

@@ -12,7 +12,6 @@ from semistatic import (
     TerminalClaim,
     closure_polytope,
     load_fixture,
-    martingale_system,
     max_slack,
     membership,
     vertices,
@@ -24,7 +23,7 @@ from semistatic.lp import GE, LE, LpProblem, con, solve
 from semistatic.measures import MeasureError, polytope_vertices_as_measures
 from semistatic.stopping import count_stopping_times, enumerate_stopping_times
 from conftest import random_claim, random_market, random_measure, random_process
-from oracles import p2_params_of, witness_slacks
+from oracles import martingale_system, p2_params_of, witness_slacks
 
 F = Fraction
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semistatic.lp import EQ, GE, LE, con
 from semistatic.polytope import Polytope, UnboundedPolytopeError, vertices
@@ -333,7 +334,7 @@ def test_square_pyramid_apex_prunes_by_cardinality():
     rows, dim = [(-1, 0, 0, 0)] + box + sides, 4
     pruned = []
     for k, row in enumerate(rows):
-        lines, rays = _dd_cone(rows[:k], dim)
+        lines, rays = _dd_cone([(r, False) for r in rows[:k]], dim)
         if lines:
             continue
         side = {r: sum(a * b for a, b in zip(row, r)) for r, _ in rays}
@@ -349,7 +350,7 @@ def test_square_pyramid_apex_prunes_by_cardinality():
                 for x, y, z in [(-1, -1, 0), (-1, 1, 0), (0, 0, 1), (1, -1, 0), (1, 1, 0)]]
     assert vertices_by_active_sets(poly) == expected
     assert vertices(poly) == expected
-    _, rays = _dd_cone(rows, dim)
+    _, rays = _dd_cone([(r, False) for r in rows], dim)
     apex = [act for r, act in rays if r == (1, 0, 0, 1)]
     assert apex == [sum(1 << i for i in range(7, 11))]  # the four sides, and nothing else
 
@@ -369,3 +370,38 @@ def test_unbounded_along_a_line_raises_with_its_ray(rows, ray):
     for c in rows:
         lhs = sum(c.coeffs.get(v, F(0)) * ray[v] for v in names)
         assert lhs == 0 if c.rel == EQ else (lhs <= 0 if c.rel == LE else lhs >= 0)
+
+
+def _outcome(poly):
+    """`vertices(poly)`, or the witness ray it raises."""
+    try:
+        return vertices(poly)
+    except UnboundedPolytopeError as exc:
+        return ("unbounded", exc.ray)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_an_equality_is_its_inequality_pair(data):
+    """Passing an equality to the double description once, as a hyperplane
+    with one mask bit, gives the same vertices, or the same witness ray, as
+    passing it as its `<=` and `>=` rows: random rows in two to four
+    variables with small integer coefficients, in or out of a box, and one
+    to three equalities among them (which may leave the set empty, a point
+    or a face)."""
+    names = ["x", "y", "z", "u"][:data.draw(st.integers(2, 4), label="variables")]
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(names), max_size=len(names))
+    rows = []
+    if data.draw(st.booleans(), label="box"):
+        for n in names:
+            rows += [con({n: 1}, LE, data.draw(st.integers(1, 4))), con({n: 1}, GE, -2)]
+    for _ in range(data.draw(st.integers(1, 6), label="rows")):
+        a = data.draw(coeffs)
+        if any(a):
+            rel = data.draw(st.sampled_from((LE, GE, EQ, EQ)))
+            rows.insert(data.draw(st.integers(0, len(rows))),
+                        con(dict(zip(names, a)), rel, data.draw(st.integers(-4, 6))))
+    pairs = []
+    for c in rows:
+        pairs += [con(c.coeffs, LE, c.rhs), con(c.coeffs, GE, c.rhs)] if c.rel == EQ else [c]
+    assert _outcome(Polytope(names, rows)) == _outcome(Polytope(names, pairs))

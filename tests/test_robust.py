@@ -36,11 +36,11 @@ from semistatic.market import MarketSpec, build_market, market_to_json, portfoli
 from semistatic.measures import polytope_vertices_as_measures
 from semistatic.robust import HypothesisFailure, RobustError
 from semistatic.stopping import enumerate_stopping_times, snell_value
-from semistatic.tree import AdaptedProcess, EventTree, constant_claim
+from semistatic.tree import AdaptedProcess, EventTree
 
 from conftest import random_claim, random_market, random_measure, random_process
 import oracles
-from oracles import robust_pricing_set
+from oracles import constant_claim, robust_pricing_set
 
 F = Fraction
 

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from semistatic import (
     EnumerationCapError,
@@ -23,6 +24,7 @@ from semistatic.stopping import _greedy_stop, _unnormalized_snell, stop_everywhe
 from semistatic.tree import AdaptedProcess, EventTree, TreeError
 
 from conftest import random_market, random_measure, random_process
+import oracles
 from oracles import liquidate_payoff, snell_envelope, strategy_from_mixture
 
 F = Fraction
@@ -82,6 +84,91 @@ def test_stopping_time_validation(t2):
         StoppingTime(t2.tree, ["u"])  # paths through d never stop
     with pytest.raises(TreeError):
         StoppingTime(t2.tree, ["r", "uu"])  # stops twice on one path
+
+
+def _tree_of(branches: list[list[int]]) -> EventTree:
+    """The tree whose time-t nodes have branches[t][i] children each, in
+    order (a level's list is cycled over its nodes)."""
+    rows, frontier = [("n0", None, 0)], ["n0"]
+    for t, level in enumerate(branches, start=1):
+        nxt = []
+        for i, parent in enumerate(frontier):
+            for _ in range(level[i % len(level)]):
+                nxt.append(f"n{len(rows)}")
+                rows.append((nxt[-1], parent, t))
+        frontier = nxt
+    return EventTree(rows)
+
+
+@st.composite
+def _trees(draw):
+    """Event trees of depth 1 to 4, unary chains included; past depth 3 a
+    node has at most two children, so there are at most 677 stops."""
+    depth = draw(st.integers(1, 4), label="depth")
+    most = 3 if depth <= 3 else 2
+    return _tree_of([draw(st.lists(st.integers(1, most), min_size=1, max_size=8))
+                     for _ in range(depth)])
+
+
+def _same_stop(tau: StoppingTime) -> None:
+    """`tau` equals the validated stop on its nodes: nodes, and every leaf's
+    stop node."""
+    checked = StoppingTime(tau.tree, tau.stop_nodes)
+    assert tau.stop_nodes == checked.stop_nodes
+    assert tau._stop_at == checked._stop_at
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=_trees())
+@example(tree=_tree_of([[1]] * 4))
+@example(tree=_tree_of([[2]] * 4))
+@example(tree=_tree_of([[3], [1, 2, 3], [2, 1]]))
+def test_built_stops_equal_validated_stops(tree):
+    """Every enumerated stop and every deterministic stop tau = t is built
+    with its map, no path re-check; each equals `StoppingTime(tree, nodes)`,
+    the enumeration lists the stops in the order of the antichain recursion
+    (`oracles.antichains`), and tau = t exists only for t in 0..horizon."""
+    taus = enumerate_stopping_times(tree)
+    assert [tau.stop_nodes for tau in taus] == oracles.antichains(tree)
+    for tau in taus:
+        _same_stop(tau)
+        assert list(tau._stop_at) == list(tree.leaves)
+    for t in range(tree.horizon + 1):
+        tau = stop_everywhere_at(tree, t)
+        assert tau.stop_nodes == {n for n in tree.nodes if tree.time(n) == t}
+        _same_stop(tau)
+    for t in (-1, tree.horizon + 1):
+        with pytest.raises(TreeError):
+            stop_everywhere_at(tree, t)
+
+
+def _partial_measure(data, tree: EventTree) -> Measure:
+    """A measure whose support may miss leaves and whole subtrees."""
+    leaves = list(tree.leaves)
+    if data.draw(st.booleans(), label="zero-mass subtree"):
+        cut = data.draw(st.sampled_from(tree.nodes[1:]), label="cut")
+        keep = [l for l in leaves if l not in tree.leaves_under(cut)] or leaves
+    else:
+        keep = leaves
+    keep = data.draw(st.lists(st.sampled_from(keep), min_size=1, unique=True), label="support")
+    raw = {l: data.draw(st.integers(1, 8)) for l in keep}
+    total = sum(raw.values())
+    return Measure(tree, {l: F(w, total) for l, w in raw.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=_trees(), data=st.data())
+def test_greedy_stops_and_stop_sums_equal_their_references(tree, data):
+    """The greedy stop of an envelope is built with its map and equals the
+    validated stop on its nodes; `expect_at_stop`, summed over a stop's nodes
+    with the measure's subtree masses, equals the leaf-by-leaf Fraction sum
+    on measures with partial support and zero-mass subtrees."""
+    Q = _partial_measure(data, tree)
+    values = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+    h = AdaptedProcess(tree, {n: data.draw(values) for n in tree.nodes})
+    _same_stop(snell_optimal_stop(Q, h))
+    for tau in enumerate_stopping_times(tree):
+        assert Q.expect_at_stop(h, tau) == oracles.expect_at_stop(Q, h, tau)
 
 
 def test_liquidating_strategy_validation(b1):

@@ -12,7 +12,8 @@ and the double-description kernel makes no Fraction.  The robust questions are
 asked of the maximal prior supports only, picked by `robust._maximal`.  A
 pricing set's caps are its market's quotes.  The package's modules import
 each other at module top, in one direction, and a failed re-check is one
-error type."""
+error type.  The constructors that skip input checks build only stops and
+measures the engine made."""
 
 import ast
 import graphlib
@@ -300,6 +301,34 @@ def test_only_max_slack_runs_the_stop_cut_loop():
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     callers.add(f"{path.stem}.{name}")
     assert callers == {"measures.max_slack"}
+
+
+def test_unchecked_constructors_build_only_what_the_engine_made():
+    """`StoppingTime._built` skips the path re-check and `Measure._built` the
+    leaf-name and `rat` checks, so each is called only where the engine
+    builds the object itself: the enumerated, deterministic and greedy stops
+    in `stopping`, and the measures read off an LP solution or a vertex in
+    `measures` and `hedging`.  Every other stop or measure, user input
+    included, goes through the validating constructor."""
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        for scope in module.body:
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr in ("_built", "__new__"):
+                    receiver = getattr(node.func.value, "id", "?")
+                    where = f"{path.stem}.{getattr(scope, 'name', '<module>')}"
+                    callers.add(f"{receiver}.{node.func.attr} in {where}")
+    assert callers == {
+        "StoppingTime._built in stopping.stop_everywhere_at",
+        "StoppingTime._built in stopping.enumerate_stopping_times",
+        "StoppingTime._built in stopping._greedy_stop",
+        "Measure._built in measures._measure_of",
+        "Measure._built in hedging._leaf_dual",
+        "cls.__new__ in stopping.StoppingTime",
+        "cls.__new__ in measures.Measure",
+    }
 
 
 def test_modules_import_down_one_acyclic_stack():
