@@ -17,7 +17,7 @@ from .lp import VerificationFailure
 from .market import MarketSpec, build_market, market_to_json
 from .measures import Measure
 from .rational import rat
-from .stopping import StoppingTime, snell_value
+from .stopping import StoppingTime, at_stop, snell_value
 from .tree import TerminalClaim
 
 FIXTURE_NAMES = ("B1", "T2", "P2")
@@ -225,9 +225,9 @@ def verify_p2(market: MarketSpec) -> None:
         fail("early exercise values differ from (-1; 1, -2)")
 
     # psi is the half-and-half mixture of exercising at tau12 and at maturity.
-    tau12 = StoppingTime(tree, [u] + list(tree.children(d)))
+    h_tau12 = at_stop(StoppingTime(tree, [u] + list(tree.children(d))), h.as_scalar_map())
     for leaf in tree.leaves:
-        want = half * (tau12.value_at(h, leaf) + h.scalar_at(leaf))
+        want = half * (h_tau12[leaf] + h.scalar_at(leaf))
         if psi.at(leaf) != want:
             fail(f"psi({leaf}) = {psi.at(leaf)} != {want}")
 

@@ -82,10 +82,11 @@ def check_na(market: MarketSpec, divisible: bool = True) -> ArbitrageVerdict:
     `market.on_support(leaves)`.
 
     With `divisible=False` the American options must each be exercised whole
-    at a single stopping time; more than `DEFAULT_ENUM_CAP` stop combinations
-    are refused with `EnumerationCapError` before any LP.  Whole-unit
-    strategies are divisible ones, so the divisible cone LP runs first and,
-    when it finds no arbitrage, decides the question alone.  Otherwise each
+    at a single stopping time.  Whole-unit strategies are divisible ones, so
+    the divisible cone LP runs first and, when it finds no arbitrage, decides
+    the question alone, however many stops the tree has.  Otherwise the stop
+    combinations are scanned, and more than `DEFAULT_ENUM_CAP` of them are
+    refused with `EnumerationCapError` after that one LP.  In the scan each
     option, exercised whole at fixed stops, is the buy-only European claim it
     pays there, bought at its quote (`MarketSpec.exercised_at`), and the same
     cone LP is solved on the stopped market per stop combination, its
@@ -111,12 +112,6 @@ def check_na(market: MarketSpec, divisible: bool = True) -> ArbitrageVerdict:
             raise VerificationFailure(f"cone LP is {sol.status}")
         return space.extract_portfolio(sol.values) if sol.objective > 0 else None
 
-    if not divisible and market.h:
-        combos = count_stopping_times(market.tree) ** len(market.h)
-        if combos > DEFAULT_ENUM_CAP:
-            raise EnumerationCapError(
-                f"{combos} whole-unit stop combinations exceed cap {DEFAULT_ENUM_CAP}"
-            )
     found: ArbitrageVerdict | None = None
     portfolio = cone_lp(market)
     if portfolio is not None and divisible:
@@ -124,7 +119,12 @@ def check_na(market: MarketSpec, divisible: bool = True) -> ArbitrageVerdict:
                                  shifted_g=market.g_prices, shifted_h=market.h_prices)
     elif portfolio is not None:
         # with no American option the one (empty) combination is `market`:
-        # no stop is enumerated and the divisible LP's portfolio is reused
+        # no stop is counted or enumerated and the divisible LP's portfolio
+        # is reused
+        combos = count_stopping_times(market.tree) ** len(market.h) if market.h else 1
+        if combos > DEFAULT_ENUM_CAP:
+            raise EnumerationCapError(
+                f"{combos} whole-unit stop combinations exceed cap {DEFAULT_ENUM_CAP}")
         taus = enumerate_stopping_times(market.tree) if market.h else []
         for combo in product(taus, repeat=len(market.h)):
             stopped = cone_lp(market.exercised_at(combo)) if combo else portfolio

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 from .lp import EQ, ZERO, Constraint, int_con
 from .rational import rat, rat_str
-from .stopping import LiquidatingStrategy, StoppingTime, stop_everywhere_at
+from .stopping import LiquidatingStrategy, StoppingTime, at_stop, stop_everywhere_at
 from .tree import AdaptedProcess, EventTree, TerminalClaim, TreeError
 
 
@@ -138,8 +138,7 @@ class MarketSpec:
         its American quote and appended to `g` (inverted by `whole_unit`)."""
         if len(taus) != len(self.h):
             raise MarketError("one stopping time per American option is required")
-        leaves = self.tree.leaves
-        stopped = tuple(TerminalClaim(self.tree, {l: tau.value_at(hk, l) for l in leaves})
+        stopped = tuple(TerminalClaim(self.tree, at_stop(tau, hk.as_scalar_map()))
                         for hk, tau in zip(self.h, taus))
         return replace(self, g=self.g + stopped, g_prices=self.g_prices + self.h_prices,
                        h=(), h_prices=())

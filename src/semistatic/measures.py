@@ -25,16 +25,19 @@ weights' denominators (a canonical form), and keeps its integer subtree masses
 and each process's exercise envelope after first use.  Expectations, exercise
 envelopes and the membership checks sum integers against the claims' and
 processes' own integer forms and make one Fraction, or compare with a Fraction
-bound by cross-multiplication.  A value at a stop, E[h at tau], is summed over
-tau's stop nodes, h there times the mass under it, not over the leaves
-(`Measure.expect_at_stop`; `robust.minimax_check`'s stop rows likewise).  A
-measure from user input is checked leaf by leaf; one the engine reads off an
-LP solution or a vertex (`_measure_of`, `hedging._leaf_dual`) is built by
-`Measure._built`, which keeps only the sign and total checks.  LP rows are
-built as integers from the same forms (`lp.int_con`); the martingale rows are
-kept on the stock process per leaf set.  Every LP here ranges over its
-market's support: to ask a question on fewer leaves, ask it of
-`market.on_support(leaves)`.
+bound by cross-multiplication.  A stopping time is its stop nodes alone, so
+a value at a stop, E[h at tau], is summed over them, h there times the mass
+under it (`Measure.expect_at_stop`; `robust.minimax_check`'s stop rows
+likewise).  An LP row over leaf weights (`_stop_row`: the closure polytope's
+stop rows, the slack LP's stop cuts, the reference dual LP's epigraph) reads
+h at tau leaf by leaf, through `stopping.at_stop`.  A measure from user input
+is checked leaf by leaf; one the engine reads off an LP solution, a vertex or
+a mixture (`_measure_of`, `hedging._leaf_dual`, `robust.minimax_check`'s
+attaining measure) is built by `Measure._built`, which keeps only the sign
+and total checks.  LP rows are built as integers from the same forms
+(`lp.int_con`); the martingale rows are kept on the stock process per leaf
+set.  Every LP here ranges over its market's support: to ask a question on
+fewer leaves, ask it of `market.on_support(leaves)`.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .stopping import (
     StoppingTime,
     _greedy_stop,
     _unnormalized_snell,
+    at_stop,
     enumerate_stopping_times,
 )
 from .tree import AdaptedProcess, EventTree, TerminalClaim
@@ -76,9 +80,10 @@ class Measure:
     @classmethod
     def _built(cls, tree: EventTree, weights: Mapping[str, Fraction]) -> "Measure":
         """A measure from Fraction weights the engine made on leaves of
-        `tree` (an LP's values or duals, a vertex): the leaf names and the
-        `rat` coercion are not re-checked, the signs and the total are.
-        Only `measures` and `hedging` call it."""
+        `tree` (an LP's values or duals, a vertex, a mixture): the leaf names
+        and the `rat` coercion are not re-checked, the signs and the total
+        are.  Only `measures._measure_of`, `hedging._leaf_dual` and
+        `robust.minimax_check` call it."""
         Q = cls.__new__(cls)
         Q._set(tree, weights)
         return Q
@@ -235,14 +240,10 @@ def _claim_row(claim: TerminalClaim, leaves: Sequence[str]) -> tuple[int, dict[s
 def _stop_row(h: AdaptedProcess, tau: StoppingTime,
               leaves: Sequence[str]) -> tuple[int, dict[str, int]]:
     """E[h at tau] over the weights of `leaves`: (den, nonzero integer
-    coefficients)."""
+    coefficients, in the order of `leaves`)."""
     den, value = h.scaled()
-    num = {}
-    for l in leaves:
-        v = value[tau.stop_node(l)]
-        if v:
-            num[_weight_var(l)] = v
-    return den, num
+    stopped = at_stop(tau, value)
+    return den, {_weight_var(l): stopped[l] for l in leaves if stopped[l]}
 
 
 def _measure_of(spec_leaves: Sequence[str], sol_values: Mapping[str, Fraction],

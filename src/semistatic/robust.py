@@ -495,7 +495,7 @@ def minimax_check(
         scale = lam.numerator * (den // (lam.denominator * R.den))
         for leaf, wl in R.num.items():
             mixture_w[leaf] = mixture_w.get(leaf, 0) + scale * wl
-    attaining = Measure(tree, {leaf: Fraction(w, den) for leaf, w in mixture_w.items()})
+    attaining = Measure._built(tree, {leaf: Fraction(w, den) for leaf, w in mixture_w.items()})
     mid = sum((snell_value(attaining, h) for h in h_list), ZERO)
     if mid != rhs:
         raise VerificationFailure(

@@ -13,14 +13,16 @@ product, and a Fraction is made only for the value returned.  A measure keeps
 each process's envelope after first use (`Measure.envelope`), so the stop-cut
 loop, `membership` and `snell_value` on one pair compute it once.
 
-A `StoppingTime` carries its leaf-to-stop-node map.  Built from user input,
-`StoppingTime(tree, nodes)` checks that every root-to-leaf path meets the
-nodes exactly once.  The stops the engine builds itself (every enumerated
-stop, the greedy stop of an envelope, the deterministic stop tau = t) are
-stopping times by construction, so each is made with its map as it is built
+A `StoppingTime` is its set of stop nodes and nothing per leaf: on each
+root-to-leaf path it stops at the one stop node on that path.  Built from
+user input, `StoppingTime(tree, nodes)` checks that every path meets the nodes
+exactly once.  The stops the engine builds itself (every enumerated stop, the
+greedy stop of an envelope, the deterministic stop tau = t) are stopping
+times by construction, so each is made from its nodes alone
 (`StoppingTime._built`), without the path re-check; the enumeration still
 checks its count against `count_stopping_times`, and the greedy stop is still
-re-checked to attain the envelope.
+re-checked to attain the envelope.  A per-leaf read of a process at a stop
+(`at_stop`) walks the stop nodes and the leaves under each.
 
 All functions here are pure over immutable inputs and parallel-safe.
 """
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .lp import VerificationFailure
 from .rational import rat_str
@@ -43,54 +45,42 @@ DEFAULT_ENUM_CAP = 10**6
 
 class EnumerationCapError(RuntimeError):
     """Too many stopping times, or whole-unit stop combinations, to enumerate.
-    Only single-stop questions, the explicit closure polytope (and the
-    reference `hedging.dual_optimum` over it) and the stop-side LP of
-    `robust.minimax_check` (whose duals on the enumerated stop rows are the
-    exercise flows) enumerate; the slack LP takes its stop rows from the
-    Snell separation oracle and never raises this."""
+    Only these enumerate: the explicit closure polytope and the reference
+    `hedging.dual_optimum` over it, the stop-side LP of `robust.minimax_check`
+    (whose duals on the enumerated stop rows are the exercise flows), the
+    per-stop scan of `super_hedge_indivisible`, and the whole-unit scan of
+    `check_na(divisible=False)`, which runs only after the divisible cone LP
+    finds an arbitrage.  The slack LP takes its stop rows from the Snell
+    separation oracle and never raises this."""
 
 
 class StoppingTime:
-    """A stopping time stored as its minimal antichain of stop nodes, with
-    the node at which it stops on the path to each leaf."""
+    """A stopping time stored as its minimal antichain of stop nodes."""
 
-    __slots__ = ("tree", "stop_nodes", "_stop_at")  # one per enumerated stop
+    __slots__ = ("tree", "stop_nodes")  # one per enumerated stop
 
     def __init__(self, tree: EventTree, stop_nodes: Iterable[str]):
         nodes = frozenset(stop_nodes)
         unknown = {n for n in nodes if n not in tree}
         if unknown:
             raise TreeError(f"unknown stop nodes {sorted(unknown)!r}")
-        stop_map: dict[str, str] = {}
         for leaf in tree.leaves:
-            hits = [n for n in tree.path(leaf) if n in nodes]
-            if len(hits) != 1:
-                raise TreeError(
-                    f"leaf {leaf!r}: path stops {len(hits)} times, expected exactly once"
-                )
-            stop_map[leaf] = hits[0]
-        self.tree, self.stop_nodes, self._stop_at = tree, nodes, stop_map
+            hits = sum(n in nodes for n in tree.path(leaf))
+            if hits != 1:
+                raise TreeError(f"leaf {leaf!r}: path stops {hits} times, expected exactly once")
+        self.tree, self.stop_nodes = tree, nodes
 
     @classmethod
-    def _built(cls, tree: EventTree, nodes: frozenset[str],
-               stop_map: dict[str, str]) -> "StoppingTime":
-        """A stop the engine built with its map (every leaf to the one node
-        of `nodes` on its path): a stopping time by construction, so the
-        path re-check is skipped.  Only this module calls it."""
+    def _built(cls, tree: EventTree, nodes: frozenset[str]) -> "StoppingTime":
+        """A stop the engine built, one node of `nodes` on every path: a
+        stopping time by construction, so the path re-check is skipped.  Only
+        this module calls it."""
         tau = cls.__new__(cls)
-        tau.tree, tau.stop_nodes, tau._stop_at = tree, nodes, stop_map
+        tau.tree, tau.stop_nodes = tree, nodes
         return tau
 
     def stops_at(self, node: str) -> bool:
         return node in self.stop_nodes
-
-    def stop_node(self, leaf: str) -> str:
-        """The node on the path to `leaf` at which the time stops."""
-        return self._stop_at[leaf]
-
-    def value_at(self, h: AdaptedProcess, leaf: str) -> Fraction:
-        """h evaluated at the stop: the exercise payoff on the path to `leaf`."""
-        return h.scalar_at(self._stop_at[leaf])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, StoppingTime) and self.stop_nodes == other.stop_nodes
@@ -102,14 +92,20 @@ class StoppingTime:
         return f"StoppingTime({sorted(self.stop_nodes)})"
 
 
+def at_stop(tau: StoppingTime, values: Mapping[str, object]) -> dict[str, object]:
+    """Node-indexed `values` read at `tau`, leaf by leaf: every leaf gets the
+    value at the one stop node on its path.  Index it by leaf; its order is
+    the stop nodes'."""
+    leaves_under = tau.tree.leaves_under
+    return {leaf: values[n] for n in tau.stop_nodes for leaf in leaves_under(n)}
+
+
 def stop_everywhere_at(tree: EventTree, t: int) -> StoppingTime:
     """The deterministic stopping time tau = t: every path has one node at
     each time 0..horizon, the one it stops at."""
     if not 0 <= t <= tree.horizon:
         raise TreeError(f"no stopping time tau = {t}: times run from 0 to {tree.horizon}")
-    nodes = [n for n in tree.nodes if tree.time(n) == t]
-    stop_map = {leaf: n for n in nodes for leaf in tree.leaves_under(n)}
-    return StoppingTime._built(tree, frozenset(nodes), stop_map)
+    return StoppingTime._built(tree, frozenset(n for n in tree.nodes if tree.time(n) == t))
 
 
 class LiquidatingStrategy:
@@ -178,40 +174,22 @@ def enumerate_stopping_times(tree: EventTree) -> list[StoppingTime]:
     n = count_stopping_times(tree)
     if n > DEFAULT_ENUM_CAP:
         raise EnumerationCapError(
-            f"{n} stopping times exceeds cap {DEFAULT_ENUM_CAP}; only single-stop questions, "
-            "the explicit closure polytope, the reference dual LP over it and the "
-            "minimax stop-side LP enumerate them (the slack LP's stop rows come "
-            "from the Snell oracle)"
+            f"{n} stopping times exceeds cap {DEFAULT_ENUM_CAP}; only the closure polytope "
+            "and the reference dual LP over it, the minimax stop-side LP, the "
+            "indivisible super-hedge's per-stop scan and the whole-unit arbitrage "
+            "scan enumerate them (the slack LP's stop rows come from the Snell oracle)"
         )
 
-    def stops(node: str) -> tuple[list[frozenset[str]], list[dict[str, str]]]:
-        """The stopping times of the subtree at `node`, stopping at `node`
-        first: their stop nodes and, in step, their maps from the subtree's
-        leaves."""
-        sets, maps = [frozenset([node])], [dict.fromkeys(tree.leaves_under(node), node)]
+    def stops(node: str) -> Iterator[frozenset[str]]:
+        """The stopping times of the subtree at `node` as their stop nodes:
+        stopping at `node` first, then one stop per child, in `product`
+        order, joined.  The root's go straight into the list of stops."""
+        yield frozenset([node])
         if not tree.is_leaf(node):
-            for nodes, stop_map in later(node):
-                sets.append(nodes)
-                maps.append(stop_map)
-        return sets, maps
+            for combo in product(*[stops(c) for c in tree.children(node)]):
+                yield frozenset().union(*combo)
 
-    def later(node: str) -> Iterator[tuple[frozenset[str], dict[str, str]]]:
-        """The stopping times of the subtree at non-leaf `node` that do not
-        stop at `node`: one stop per child, in `product` order, their stop
-        nodes joined and their maps merged."""
-        below = [stops(c) for c in tree.children(node)]
-        for combo, parts in zip(product(*[s for s, _ in below]),
-                                product(*[m for _, m in below])):
-            stop_map: dict[str, str] = {}
-            for part in parts:
-                stop_map.update(part)
-            yield frozenset().union(*combo), stop_map
-
-    # the root's stops go straight into the list: no list of node sets and
-    # maps is held beside the stops they become
-    root = tree.root
-    taus = [StoppingTime._built(tree, frozenset([root]), dict.fromkeys(tree.leaves, root))]
-    taus += [StoppingTime._built(tree, nodes, stop_map) for nodes, stop_map in later(root)]
+    taus = [StoppingTime._built(tree, nodes) for nodes in stops(tree.root)]
     if len(taus) != n:
         raise VerificationFailure(f"enumerated {len(taus)} stopping times, counted {n}")
     return taus
@@ -253,21 +231,19 @@ def snell_optimal_stop(Q: "Measure", h: AdaptedProcess) -> StoppingTime:
 def _greedy_stop(Q: "Measure", h: AdaptedProcess, V: dict[str, int]) -> StoppingTime:
     """`snell_optimal_stop` read off h's envelope V under Q
     (`_unnormalized_snell`), re-checked to attain V's root value.  The walk
-    from the root stops each path once, so the stop is built with its map."""
+    from the root stops each path once, so the stop is built unchecked."""
     tree, mass = h.tree, Q.masses()
     den, hn = h.scaled()
     stops: list[str] = []
-    stop_map: dict[str, str] = {}
     frontier = [tree.root]
     while frontier:
         node = frontier.pop()
         kids = tree.children(node)
         if not kids or mass[node] * hn[node] >= sum([V[c] for c in kids]):
             stops.append(node)
-            stop_map.update(dict.fromkeys(tree.leaves_under(node), node))
         else:
             frontier.extend(kids)
-    tau = StoppingTime._built(tree, frozenset(stops), stop_map)
+    tau = StoppingTime._built(tree, frozenset(stops))
     value, envelope = Q.expect_at_stop(h, tau), Fraction(V[tree.root], Q.den * den)
     if value != envelope:
         raise VerificationFailure(

@@ -334,8 +334,15 @@ def expect_claim(Q: Measure, claim: TerminalClaim) -> Fraction:
     return sum((w * claim.at(l) for l, w in Q.weights.items()), ZERO)
 
 
+def stop_node(tau: StoppingTime, leaf: str) -> str:
+    """The one node of `tau` on the root-to-`leaf` path, found by walking it."""
+    hits = [n for n in tau.tree.path(leaf) if n in tau.stop_nodes]
+    _check(len(hits) == 1, f"leaf {leaf!r}: path stops {len(hits)} times")
+    return hits[0]
+
+
 def expect_at_stop(Q: Measure, h: AdaptedProcess, tau: StoppingTime) -> Fraction:
-    return sum((w * tau.value_at(h, l) for l, w in Q.weights.items()), ZERO)
+    return sum((w * h.scalar_at(stop_node(tau, l)) for l, w in Q.weights.items()), ZERO)
 
 
 def subtree_masses(Q: Measure) -> dict[str, Fraction]:
@@ -630,7 +637,8 @@ def claim_row(claim: TerminalClaim, leaves: Sequence[str]) -> dict[str, Fraction
 
 
 def stop_row(h: AdaptedProcess, tau: StoppingTime, leaves: Sequence[str]) -> dict[str, Fraction]:
-    return {_w(l): tau.value_at(h, l) for l in leaves if tau.value_at(h, l)}
+    values = {l: h.scalar_at(stop_node(tau, l)) for l in leaves}
+    return {_w(l): v for l, v in values.items() if v}
 
 
 def pricing_rows(spec, leaves: Sequence[str], slack_var: str | None = None) -> list[Constraint]:

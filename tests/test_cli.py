@@ -107,15 +107,16 @@ def test_usage_error_exit_code(capsys):
 
 def _wide_tree_doc():
     """A market whose tree has 1 + 2**21 stopping times and one American
-    option: whole-unit exercise must enumerate them, past the cap."""
+    option paying 1 everywhere at price 0: the divisible cone LP finds that
+    arbitrage, so whole-unit exercise must scan the stops, past the cap."""
     nodes = [{"id": "r", "parent": None, "time": 0, "S": ["2"]}]
     for i in range(21):
         nodes.append({"id": f"c{i}", "parent": "r", "time": 1, "S": ["2"]})
         nodes += [{"id": f"c{i}{x}", "parent": f"c{i}", "time": 2, "S": [s]}
                   for x, s in (("u", "3"), ("d", "1"))]
-    zero = {n["id"]: "0" for n in nodes}
+    one = {n["id"]: "1" for n in nodes}
     return {"horizon": 2, "nodes": nodes, "european_two_sided": [], "european_buy_only": [],
-            "american_buy_only": [{"payoff": zero, "price": "0"}]}
+            "american_buy_only": [{"payoff": one, "price": "0"}]}
 
 
 def _arbitrage_doc():

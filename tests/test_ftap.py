@@ -142,7 +142,8 @@ def test_whole_unit_check_without_options_reuses_the_divisible_lp(b1, monkeypatc
 def test_whole_unit_scan_refuses_past_the_enumeration_cap(monkeypatch):
     """Two options on a 1025-stop tree make 1025**2 > 10**6 stop combinations:
     a divisible arbitrage exists (an option paying 1 is free), so a scan would
-    be needed, and the whole-unit check refuses before it solves any LP."""
+    be needed, and the whole-unit check refuses after its one divisible cone
+    LP, before it enumerates any stop."""
     from semistatic import EnumerationCapError, EventTree, MarketSpec
     from semistatic.stopping import count_stopping_times
     from semistatic.tree import AdaptedProcess
@@ -159,9 +160,42 @@ def test_whole_unit_scan_refuses_past_the_enumeration_cap(monkeypatch):
     calls = _count_lps(monkeypatch)
     assert check_na(market).verdict == ARBITRAGE
     del calls[:]
+
+    def refuse(*args):
+        raise AssertionError("stops enumerated")
+
+    monkeypatch.setattr(ftap, "enumerate_stopping_times", refuse)
     with pytest.raises(EnumerationCapError, match="1050625 whole-unit stop combinations"):
         check_na(market, divisible=False)
-    assert not calls
+    assert len(calls) == 1
+
+
+def test_whole_unit_na_past_the_enumeration_cap_takes_one_lp(monkeypatch):
+    """Two options paying 0 at price 0 on a 1025-stop tree whose stock is a
+    martingale: 1025**2 > 10**6 stop combinations, but the divisible cone LP
+    finds no arbitrage, so the whole-unit check answers NO_ARBITRAGE from that
+    one LP without counting or enumerating any stop."""
+    from semistatic import EventTree, MarketSpec
+    from semistatic.tree import AdaptedProcess
+
+    rows, s = [("r", None, 0)], {"r": 2}
+    for i in range(10):
+        rows += [(f"c{i}", "r", 1), (f"c{i}u", f"c{i}", 2), (f"c{i}d", f"c{i}", 2)]
+        s.update({f"c{i}": 2, f"c{i}u": 3, f"c{i}d": 1})
+    tree = EventTree(rows)
+    zero = AdaptedProcess(tree, {n: 0 for n in tree.nodes})
+    market = MarketSpec(tree=tree, S=AdaptedProcess(tree, s),
+                        h=(zero, zero), h_prices=(F(0), F(0)))
+
+    def refuse(*args):
+        raise AssertionError("stops enumerated or counted")
+
+    monkeypatch.setattr(ftap, "enumerate_stopping_times", refuse)
+    monkeypatch.setattr(ftap, "count_stopping_times", refuse)
+    calls = _count_lps(monkeypatch)
+    verdict = check_na(market, divisible=False)
+    assert verdict.verdict == NO_ARBITRAGE and verdict.portfolio is None
+    assert len(calls) == 1
 
 
 def test_whole_unit_check_without_options_enumerates_no_stops(monkeypatch):

@@ -23,7 +23,7 @@ from semistatic.lp import GE, LE, LpProblem, con, solve
 from semistatic.measures import MeasureError, polytope_vertices_as_measures
 from semistatic.stopping import count_stopping_times, enumerate_stopping_times
 from conftest import random_claim, random_market, random_measure, random_process
-from oracles import martingale_system, p2_params_of, witness_slacks
+from oracles import martingale_system, p2_params_of, stop_node, witness_slacks
 
 F = Fraction
 
@@ -314,7 +314,8 @@ def test_dual_optimum_equals_enumerated_lp(p2):
         psi = random_claim(rng, market.tree)
         phi = random_process(rng, market.tree)
         objective = {f"w[{l}]": psi.at(l) for l in market.support_leaves()}
-        epigraph = [con({**{f"w[{l}]": tau.value_at(phi, l) for l in market.support_leaves()},
+        epigraph = [con({**{f"w[{l}]": phi.scalar_at(stop_node(tau, l))
+                            for l in market.support_leaves()},
                          "z": -1}, LE, 0, f"epi[{i}]") for i, tau in enumerate(taus)]
         oracles = {
             "sub_eu": LpProblem("min", objective, poly.constraints, poly.variables),

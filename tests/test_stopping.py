@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from semistatic import (
     EnumerationCapError,
     LiquidatingStrategy,
+    MarketSpec,
     Measure,
     StoppingTime,
     count_stopping_times,
@@ -20,7 +21,8 @@ from semistatic import (
 import semistatic.stopping as stopping
 from semistatic.hedging import VerificationFailure
 from semistatic.lp import EQ, LpProblem, con, solve
-from semistatic.stopping import _greedy_stop, _unnormalized_snell, stop_everywhere_at
+from semistatic.measures import _stop_row, _weight_var
+from semistatic.stopping import _greedy_stop, _unnormalized_snell, at_stop, stop_everywhere_at
 from semistatic.tree import AdaptedProcess, EventTree, TreeError
 
 from conftest import random_market, random_measure, random_process
@@ -110,12 +112,13 @@ def _trees(draw):
                      for _ in range(depth)])
 
 
-def _same_stop(tau: StoppingTime) -> None:
-    """`tau` equals the validated stop on its nodes: nodes, and every leaf's
-    stop node."""
+def _same_stop(tau: StoppingTime, h: AdaptedProcess) -> None:
+    """`tau` equals the validated stop on its nodes, and `at_stop` reads h at
+    it, at every leaf, as the oracle's walk down the leaf's path does."""
     checked = StoppingTime(tau.tree, tau.stop_nodes)
     assert tau.stop_nodes == checked.stop_nodes
-    assert tau._stop_at == checked._stop_at
+    assert at_stop(tau, h.as_scalar_map()) == {
+        l: h.scalar_at(oracles.stop_node(checked, l)) for l in tau.tree.leaves}
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,18 +128,19 @@ def _same_stop(tau: StoppingTime) -> None:
 @example(tree=_tree_of([[3], [1, 2, 3], [2, 1]]))
 def test_built_stops_equal_validated_stops(tree):
     """Every enumerated stop and every deterministic stop tau = t is built
-    with its map, no path re-check; each equals `StoppingTime(tree, nodes)`,
-    the enumeration lists the stops in the order of the antichain recursion
+    from its nodes, no path re-check; each equals `StoppingTime(tree, nodes)`
+    and reads a process at every leaf as the oracle does, the enumeration
+    lists the stops in the order of the antichain recursion
     (`oracles.antichains`), and tau = t exists only for t in 0..horizon."""
+    h = AdaptedProcess(tree, {n: i for i, n in enumerate(tree.nodes)})
     taus = enumerate_stopping_times(tree)
     assert [tau.stop_nodes for tau in taus] == oracles.antichains(tree)
     for tau in taus:
-        _same_stop(tau)
-        assert list(tau._stop_at) == list(tree.leaves)
+        _same_stop(tau, h)
     for t in range(tree.horizon + 1):
         tau = stop_everywhere_at(tree, t)
         assert tau.stop_nodes == {n for n in tree.nodes if tree.time(n) == t}
-        _same_stop(tau)
+        _same_stop(tau, h)
     for t in (-1, tree.horizon + 1):
         with pytest.raises(TreeError):
             stop_everywhere_at(tree, t)
@@ -159,16 +163,40 @@ def _partial_measure(data, tree: EventTree) -> Measure:
 @settings(max_examples=60, deadline=None)
 @given(tree=_trees(), data=st.data())
 def test_greedy_stops_and_stop_sums_equal_their_references(tree, data):
-    """The greedy stop of an envelope is built with its map and equals the
-    validated stop on its nodes; `expect_at_stop`, summed over a stop's nodes
+    """The greedy stop of an envelope is built from its nodes and equals the
+    validated stop on them; `expect_at_stop`, summed over a stop's nodes
     with the measure's subtree masses, equals the leaf-by-leaf Fraction sum
     on measures with partial support and zero-mass subtrees."""
     Q = _partial_measure(data, tree)
     values = st.fractions(min_value=-8, max_value=8, max_denominator=6)
     h = AdaptedProcess(tree, {n: data.draw(values) for n in tree.nodes})
-    _same_stop(snell_optimal_stop(Q, h))
+    _same_stop(snell_optimal_stop(Q, h), h)
     for tau in enumerate_stopping_times(tree):
         assert Q.expect_at_stop(h, tau) == oracles.expect_at_stop(Q, h, tau)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree=_trees(), data=st.data())
+def test_leafwise_reads_at_a_stop_equal_the_path_walk(tree, data):
+    """For every enumerated stop, the three leaf-by-leaf reads of h at tau
+    equal h at the node `oracles.stop_node` finds on each leaf's path:
+    `at_stop`, the LP row `measures._stop_row` (integers over h's
+    denominator, in the order of the leaves asked for) and the claim
+    `MarketSpec.exercised_at` appends to `g`."""
+    values = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+    h = AdaptedProcess(tree, {n: data.draw(values) for n in tree.nodes})
+    leaves = data.draw(st.permutations(tree.leaves), label="leaves")
+    leaves = leaves[:data.draw(st.integers(0, len(leaves)), label="kept")]
+    market = MarketSpec(tree=tree, S=AdaptedProcess(tree, {n: 1 for n in tree.nodes}),
+                        h=(h,), h_prices=(F(0),))
+    for tau in enumerate_stopping_times(tree):
+        want = {l: h.scalar_at(oracles.stop_node(tau, l)) for l in tree.leaves}
+        assert at_stop(tau, h.as_scalar_map()) == want
+        den, num = _stop_row(h, tau, leaves)
+        assert num == {_weight_var(l): want[l] * den for l in leaves if want[l]}
+        assert list(num) == [_weight_var(l) for l in leaves if want[l]]
+        claim = market.exercised_at([tau]).g[-1]
+        assert {l: claim.at(l) for l in tree.leaves} == want
 
 
 def test_liquidating_strategy_validation(b1):
@@ -200,7 +228,7 @@ def test_stopping_time_embedding_matches_pathwise(t2):
     for tau in enumerate_stopping_times(t2.tree):
         eta = LiquidatingStrategy.from_stopping_time(tau)
         for leaf in t2.tree.leaves:
-            assert liquidate_payoff(eta, h, leaf) == tau.value_at(h, leaf)
+            assert liquidate_payoff(eta, h, leaf) == h.scalar_at(oracles.stop_node(tau, leaf))
 
 
 def test_snell_constant_payoff(t2):

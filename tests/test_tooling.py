@@ -13,7 +13,7 @@ asked of the maximal prior supports only, picked by `robust._maximal`.  A
 pricing set's caps are its market's quotes.  The package's modules import
 each other at module top, in one direction, and a failed re-check is one
 error type.  The constructors that skip input checks build only stops and
-measures the engine made."""
+measures the engine made, and a stopping time holds only its stop nodes."""
 
 import ast
 import graphlib
@@ -307,8 +307,9 @@ def test_unchecked_constructors_build_only_what_the_engine_made():
     """`StoppingTime._built` skips the path re-check and `Measure._built` the
     leaf-name and `rat` checks, so each is called only where the engine
     builds the object itself: the enumerated, deterministic and greedy stops
-    in `stopping`, and the measures read off an LP solution or a vertex in
-    `measures` and `hedging`.  Every other stop or measure, user input
+    in `stopping`, the measures read off an LP solution or a vertex in
+    `measures` and `hedging`, and the attaining mixture of
+    `robust.minimax_check`.  Every other stop or measure, user input
     included, goes through the validating constructor."""
     callers = set()
     for path in sorted(PACKAGE.glob("*.py")):
@@ -326,9 +327,27 @@ def test_unchecked_constructors_build_only_what_the_engine_made():
         "StoppingTime._built in stopping._greedy_stop",
         "Measure._built in measures._measure_of",
         "Measure._built in hedging._leaf_dual",
+        "Measure._built in robust.minimax_check",
         "cls.__new__ in stopping.StoppingTime",
         "cls.__new__ in measures.Measure",
     }
+
+
+def test_a_stopping_time_holds_only_its_stop_nodes():
+    """`StoppingTime` keeps its tree and stop nodes and nothing per leaf, and
+    no engine module names a leaf-to-stop map (`_stop_at`) or a per-leaf read
+    of one (`stop_node`, `value_at`): `stopping.at_stop` is the one engine
+    function that reads a stop leaf by leaf."""
+    from semistatic import StoppingTime
+
+    assert StoppingTime.__slots__ == ("tree", "stop_nodes")
+    banned = {"_stop_at", "stop_node", "value_at"}
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in banned
+             or isinstance(node, ast.Name) and node.id in banned]
+    assert found == []
 
 
 def test_modules_import_down_one_acyclic_stack():
