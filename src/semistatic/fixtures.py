@@ -108,20 +108,22 @@ def _p2_doc() -> dict:
 _DOCS = {"B1": _b1_doc, "T2": _t2_doc, "P2": _p2_doc}
 
 
-def fixture_json(name: str) -> str:
-    """Canonical market-file text for a fixture."""
+def _fixture_doc(name: str) -> dict:
+    """The market-file document of fixture `name`, in either case."""
     key = name.upper()
     if key not in _DOCS:
         raise KeyError(f"unknown fixture {name!r}; expected one of {FIXTURE_NAMES}")
-    return market_to_json(build_market(_DOCS[key]()))
+    return _DOCS[key]()
+
+
+def fixture_json(name: str) -> str:
+    """Canonical market-file text for a fixture."""
+    return market_to_json(build_market(_fixture_doc(name)))
 
 
 def load_fixture(name: str) -> MarketSpec:
-    key = name.upper()
-    if key not in _DOCS:
-        raise KeyError(f"unknown fixture {name!r}; expected one of {FIXTURE_NAMES}")
-    market = build_market(_DOCS[key]())
-    if key == "P2":
+    market = build_market(_fixture_doc(name))
+    if name.upper() == "P2":
         verify_p2(market)
     return market
 

@@ -352,17 +352,10 @@ class StrategySpace:
     def extract_portfolio(self, values: Mapping[str, Fraction]) -> HedgePortfolio:
         m = self.market
         tree = m.tree
-        H = None
-        if tree.nonleaf_nodes():
-            hvals = {}
-            for n in tree.nodes:
-                if tree.is_leaf(n):
-                    hvals[n] = tuple(ZERO for _ in range(m.dim))
-                else:
-                    hvals[n] = tuple(
-                        values.get(f"H[{n}][{l}]", ZERO) for l in range(m.dim)
-                    )
-            H = AdaptedProcess(tree, hvals)
+        H = AdaptedProcess(tree, {
+            n: tuple(ZERO if tree.is_leaf(n) else values.get(f"H[{n}][{l}]", ZERO)
+                     for l in range(m.dim))
+            for n in tree.nodes})
         a = tuple(values.get(f"a[{i}]", ZERO) for i in range(len(m.f)))
         b = tuple(values.get(f"b[{j}]", ZERO) for j in range(len(m.g)))
         c, mus = [], []

@@ -9,10 +9,12 @@ robust pricing set is a union of per-prior polytopes (not convex).  Duals are
 therefore minima across per-prior components.  A component is priced the way
 every hedge is: by the hedge LP of the market restricted to that prior's
 support (`MarketSpec.on_support`), whose leaf duals are the component's
-attaining measure.  The quasi-sure questions (the robust hedge's portfolio,
-the verdict's `check_na` fallbacks) are asked of the market restricted to the
-union support, and each component's slack of the market restricted to its
-support.
+attaining measure.  There is no reference measure: a `RobustSpec` restricts
+its market to the union support once, when the spec is made, so a market
+file's `support` moves no robust answer.  The quasi-sure questions (the
+robust hedge's portfolio, the verdict's `check_na` fallbacks and witness
+re-check, the domination's caps) are asked of that market, and each
+component's slack of it restricted further to the component's support.
 
 Only the maximal prior supports are asked (`_maximal`): a component or prior
 whose support lies inside an earlier prior's is skipped.  Its component's
@@ -124,16 +126,25 @@ class PriorSet:
         return len(self.priors)
 
 
+def union_support(priors: PriorSet) -> frozenset[str]:
+    """Quasi-sure pointwise constraints range over exactly this leaf set."""
+    out: frozenset[str] = frozenset()
+    for P in priors:
+        out |= P.support()
+    return out
+
+
 @dataclass(frozen=True)
 class RobustSpec:
     market: MarketSpec
     priors: PriorSet
 
     def __post_init__(self):
-        leaves = set(self.market.tree.leaves)
-        for P in self.priors:
-            if not P.support() <= leaves:
-                raise RobustError("prior supported outside the market's leaves")
+        """`market` is made the quasi-sure market: the given one restricted to
+        the union of the prior supports (itself when that is its support)."""
+        if any(P.tree is not self.market.tree for P in self.priors):
+            raise RobustError("priors must live on the market's tree")
+        object.__setattr__(self, "market", self.market.on_support(union_support(self.priors)))
 
     def reduced(self, keep_american: int) -> "RobustSpec":
         return RobustSpec(self.market.without_american(keep_american), self.priors)
@@ -153,14 +164,6 @@ def _maximal(supports: Sequence[frozenset[str]]) -> list[frozenset[str]]:
     for s in supports:
         if not any(s <= kept for kept in out):
             out.append(s)
-    return out
-
-
-def union_support(priors: PriorSet) -> frozenset[str]:
-    """Quasi-sure pointwise constraints range over exactly this leaf set."""
-    out: frozenset[str] = frozenset()
-    for P in priors:
-        out |= P.support()
     return out
 
 
@@ -207,14 +210,14 @@ def check_sna_robust(spec: RobustSpec) -> ArbitrageVerdict:
     on the priors only through their supports, so each is decided once per
     market and prior supports and kept on the market, where
     `_check_hypothesis` reads it too.  A NO_ARBITRAGE verdict's witness is
-    re-checked on every call: strictly a pricing measure of the market on
-    the union support, floored on the first prior's support, and dominated
-    by some prior."""
+    re-checked on every call: strictly a pricing measure of the spec's
+    market (restricted to the union support when the spec was made),
+    floored on the first prior's support, and dominated by some prior."""
     supports = _supports(spec)
     verdict = _kept(spec.market, ("robust_verdict", supports), lambda: _robust_verdict(spec))
     if verdict.verdict == NO_ARBITRAGE:
-        Q, union = verdict.pricing, spec.market.on_support(union_support(spec.priors))
-        report = membership(Q, PricingSetSpec(union, support_floor=supports[0]), strict=True)
+        Q, floored = verdict.pricing, PricingSetSpec(spec.market, support_floor=supports[0])
+        report = membership(Q, floored, strict=True)
         if not report or not any(Q.support() <= s for s in supports):
             raise VerificationFailure("robust witness fails its re-check: " + (
                 "; ".join(report.violations) or "support inside no prior's support"))
@@ -239,12 +242,11 @@ def _robust_verdict(spec: RobustSpec) -> ArbitrageVerdict:
             notes=f"robust strict no-arbitrage holds with uniform slack {rat_str(t)}; "
                   f"{len(spec.priors)} dominating witnesses",
         )
-    union = m.on_support(union_support(spec.priors))
-    plain = check_na(union)
+    plain = check_na(m)
     if plain.verdict == ARBITRAGE:
         return plain
     if m.g or m.h:
-        shifted = check_na(lowered_quotes(union))
+        shifted = check_na(lowered_quotes(m))
         if shifted.verdict == ARBITRAGE:
             return ArbitrageVerdict(
                 verdict=STRICT_NO_ARBITRAGE_FAILS,
@@ -271,18 +273,19 @@ def sub_hedge_robust(spec: RobustSpec, claim) -> HedgeResult:
     cheapest per-prior component.  Requires robust strict no-arbitrage of the
     stock-plus-European part.
 
-    One hedge per market restricted to a distinct leaf set among the union
-    support and the `_maximal` prior supports (`MarketSpec.on_support`): the
-    union market's hedge gives the portfolio, and each such prior's, hedging
-    on that prior's support only, prices its component (unbounded when the
-    component is empty) and carries its measure in the leaf duals.  A prior
-    whose support lies inside an earlier prior's is not hedged: its hedge LP
-    has fewer pointwise leaf rows, so its optimum is no lower (or it is
-    unbounded), and the earlier prior wins ties.  The result's market is the
-    union market, on whose support `duality_gap_report` re-checks the
-    portfolio; its dual is the attaining component measure (the first prior
-    wins ties), checked against that component (the market restricted to the
-    attaining prior's support)."""
+    One hedge per market among the spec's market (already restricted to the
+    union support) and its restrictions to the `_maximal` prior supports
+    (`MarketSpec.on_support`): the spec's market's hedge gives the
+    portfolio, and each such prior's, hedging on that prior's support only,
+    prices its component (unbounded when the component is empty) and
+    carries its measure in the leaf duals.  A prior whose support lies
+    inside an earlier prior's is not hedged: its hedge LP has fewer
+    pointwise leaf rows, so its optimum is no lower (or it is unbounded),
+    and the earlier prior wins ties.  The result's market is the spec's
+    market, on whose support `duality_gap_report` re-checks the portfolio;
+    its dual is the attaining component measure (the first prior wins ties),
+    checked against that component (the market restricted to the attaining
+    prior's support)."""
     _check_hypothesis(spec)
     m = spec.market
     american = isinstance(claim, AdaptedProcess)
@@ -294,8 +297,7 @@ def sub_hedge_robust(spec: RobustSpec, claim) -> HedgeResult:
             solved[leaves] = hedge_primal(m.on_support(leaves), claim, kind)
         return solved[leaves]
 
-    union = m.on_support(union_support(spec.priors))
-    primal, space, _ = hedge(union.support)
+    primal, space, _ = hedge(m.support)
     best = None
     for leaves in _maximal(_supports(spec)):
         sol, _, Q = hedge(leaves)
@@ -307,7 +309,7 @@ def sub_hedge_robust(spec: RobustSpec, claim) -> HedgeResult:
         if primal.status == "optimal":
             raise RobustDualityGapError(primal.objective, INFINITE_PRICE)
         return HedgeResult(
-            kind=kind, market=union, claim=claim, price=INFINITE_PRICE,
+            kind=kind, market=m, claim=claim, price=INFINITE_PRICE,
             details={"pricing_set_empty": True},
         )
     if primal.status != "optimal":
@@ -316,7 +318,7 @@ def sub_hedge_robust(spec: RobustSpec, claim) -> HedgeResult:
     if primal.objective != dual_value:
         raise RobustDualityGapError(primal.objective, dual_value)
     result = HedgeResult(
-        kind=kind, market=union, claim=claim, price=dual_value,
+        kind=kind, market=m, claim=claim, price=dual_value,
         portfolio=space.extract_portfolio(primal.values),
         eta=space.extract_eta(primal.values) if american else None, dual=Q,
         details={"dual_spec": PricingSetSpec(m.on_support(leaves))},

@@ -434,6 +434,25 @@ def test_robust_minimax_and_dominate(capsys, tmp_path):
     assert rat(report["h_tilde"][0]) < 3
 
 
+def test_market_support_moves_no_robust_answer(capsys, tmp_path):
+    """Robust questions have no reference measure: on B1 with one uniform
+    prior, the market file's `"support": ["u"]` changes none of the `robust
+    check`, `price` and `dominate` reports, and `dominate` finds the uniform
+    measure."""
+    plain = json.loads(fixture_json("B1"))
+    plain["priors"] = [{"u": "1/2", "d": "1/2"}]
+    reports = []
+    for doc in (plain, {**plain, "support": ["u"]}):
+        path = tmp_path / "b1.json"
+        path.write_text(json.dumps(doc))
+        runs = [run_cli(capsys, "robust", *argv, "--market", str(path))
+                for argv in (["check"], ["price", "--claim", "up_digital"], ["dominate"])]
+        assert [(code, err) for code, _, err in runs] == [(0, "")] * 3
+        reports.append([json.loads(out) for _, out, _ in runs])
+    assert reports[1] == reports[0]
+    assert reports[1][2]["measure"] == {"d": "1/2", "u": "1/2"}
+
+
 def test_utility_audit_cli(capsys):
     code, out, _ = run_cli(
         capsys, "utility", "audit", "--market", "B1", "--utility", "log",

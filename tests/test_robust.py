@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semistatic import (
     ARBITRAGE,
@@ -66,6 +67,25 @@ def test_union_support(t2):
     a = Measure(t2.tree, {"uu": 1})
     b = Measure(t2.tree, {"dd": 1})
     assert union_support(PriorSet((a, b))) == frozenset({"uu", "dd"})
+
+
+def test_inputs_on_another_tree_are_refused(t2):
+    """Priors, minimax vertices and options must all live on one tree: a
+    second parse of T2 is another tree, and each mix is refused when it is
+    made, by name."""
+    other = build_market(market_to_json(t2))
+    here, there = _uniform(t2.tree), _uniform(other.tree)
+    refusals = [
+        (lambda: PriorSet((here, there)), "priors must share one tree"),
+        (lambda: RobustSpec(t2, PriorSet((there,))), "priors must live on the market's tree"),
+        (lambda: minimax_check([here, there], [t2.claims["put5_am"]]),
+         "vertices must share one tree"),
+        (lambda: minimax_check([here], [other.claims["put5_am"]]),
+         "options must live on the vertex tree"),
+    ]
+    for make, message in refusals:
+        with pytest.raises(RobustError, match=message):
+            make()
 
 
 def test_robust_pricing_set_single_full_prior_reduces(t2):
@@ -176,6 +196,58 @@ def test_robust_witness_may_leave_the_market_support(t2):
     spec = RobustSpec(market, PriorSet((_uniform(market.tree),)))
     verdict = check_sna_robust(spec)
     assert verdict.verdict == NO_ARBITRAGE and verdict.pricing.support() == set(t2.tree.leaves)
+
+
+def _asked(ask, read=lambda r: r):
+    """`read` of what a robust question answered, or the refusal's type and
+    message."""
+    try:
+        return read(ask())
+    except (RobustError, VerificationFailure) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_market_support_moves_no_robust_answer(seed):
+    """Quasi-sure means pointwise on the union of the prior supports, with no
+    reference measure: on random markets with two nested priors (in either
+    order), every robust answer on the market restricted to a random leaf
+    set equals the one on the market itself.  Compared are the verdict, its
+    slacks and witness, the European and American sub-hedges' price and
+    dual, each prior's dominating measure with its caps and mixture weight,
+    and the minimax identity over the priors."""
+    rng = random.Random(seed)
+    market = random_market(rng, max_depth=2)
+    priors = _two_nested_priors(rng, market.tree)
+    if rng.random() < 0.5:
+        priors = PriorSet(priors.priors[::-1])
+    leaves = rng.sample(market.tree.leaves, rng.randint(1, len(market.tree.leaves)))
+    claims = (random_claim(rng, market.tree), random_process(rng, market.tree))
+
+    def answers(m):
+        spec = RobustSpec(m, priors)
+        verdict = check_sna_robust(spec)
+        return ([(verdict.verdict, verdict.g_slacks, verdict.h_slacks, verdict.pricing)]
+                + [_asked(lambda: sub_hedge_robust(spec, claim), lambda r: (r.price, r.dual))
+                   for claim in claims]
+                + [_asked(lambda: dominating_measure(spec, P)) for P in priors]
+                + [_asked(lambda: minimax_check(list(spec.priors), list(spec.market.h)))])
+
+    assert answers(market.on_support(leaves)) == answers(market)
+
+
+def test_robust_spec_market_is_the_market_on_the_union_support(t2):
+    """A spec's market is restricted to the union of the prior supports when
+    the spec is made: the given market itself when that is its support, and
+    one object per market and union otherwise."""
+    full = PriorSet((_uniform(t2.tree), _partial_t2(t2.tree)))
+    assert RobustSpec(t2, full).market is t2
+    narrow = t2.on_support(["uu"])
+    assert RobustSpec(narrow, full).market is narrow.on_support(t2.tree.leaves)
+    spec = RobustSpec(t2, PriorSet((_partial_t2(t2.tree),)))
+    assert spec.market is t2.on_support(["uu", "ud", "du"])
+    assert spec.reduced(0).market is spec.market
 
 
 def test_dominating_measure_base_case(b1):
@@ -824,15 +896,10 @@ def _shaped_priors(rng, market, shape):
 
 def _outcome(ask):
     """What a robust question answered, as a comparable value: the hedge's
-    price, measure, portfolio, exercise flow and dual component, or any
-    other result as is, or the refusal's type and message."""
-    try:
-        r = ask()
-    except (RobustError, VerificationFailure) as exc:
-        return type(exc).__name__, str(exc)
-    if isinstance(r, HedgeResult):
-        return r.market, r.price, r.dual, r.portfolio, r.eta, r.details
-    return r
+    market, price, measure, portfolio, exercise flow and dual component, or
+    any other result as is, or the refusal's type and message."""
+    return _asked(ask, lambda r: (r.market, r.price, r.dual, r.portfolio, r.eta, r.details)
+                  if isinstance(r, HedgeResult) else r)
 
 
 @pytest.mark.parametrize("shape", ["nested", "disjoint", "equal", "single_leaf",

@@ -9,11 +9,13 @@ Fraction view or defines the shared `ZERO`.  Only `market.build_market` makes
 a market, and what is derived from a market or its stock process is kept by
 `market._kept` alone.  Each pricing region is one traced vertex enumeration,
 and the double-description kernel makes no Fraction.  The robust questions are
-asked of the maximal prior supports only, picked by `robust._maximal`.  A
-pricing set's caps are its market's quotes.  The package's modules import
-each other at module top, in one direction, and a failed re-check is one
-error type.  The constructors that skip input checks build only stops and
-measures the engine made, and a stopping time holds only its stop nodes."""
+asked of the maximal prior supports only, picked by `robust._maximal`, and
+of one quasi-sure market, which `RobustSpec` alone restricts to the union of
+the prior supports.  A pricing set's caps are its market's quotes.  The
+package's modules import each other at module top, in one direction, and a
+failed re-check is one error type.  The constructors that skip input checks
+build only stops and measures the engine made, and a stopping time holds
+only its stop nodes."""
 
 import ast
 import graphlib
@@ -281,11 +283,9 @@ def test_robust_asks_only_the_maximal_supports():
     assert found == []
 
 
-def test_only_max_slack_runs_the_stop_cut_loop():
-    """`measures.solve_with_stop_cuts` is `max_slack`'s loop: no other
-    function or method of the package calls it, by name or as a module
-    attribute.  The reference `hedging.dual_optimum` solves one enumerated
-    LP instead."""
+def _callers(function):
+    """Where the package calls `function`, by name or as a module attribute:
+    `module.function`, or `module.Class.method` inside a class."""
     callers = set()
     for path in sorted(PACKAGE.glob("*.py")):
         module = ast.parse(path.read_text(encoding="utf-8"))
@@ -297,10 +297,26 @@ def test_only_max_slack_runs_the_stop_cut_loop():
                 scopes.append((getattr(node, "name", "<module>"), node))
         for name, scope in scopes:
             for node in ast.walk(scope):
-                if isinstance(node, ast.Call) and "solve_with_stop_cuts" in (
+                if isinstance(node, ast.Call) and function in (
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     callers.add(f"{path.stem}.{name}")
-    assert callers == {"measures.max_slack"}
+    return callers
+
+
+def test_only_max_slack_runs_the_stop_cut_loop():
+    """`measures.solve_with_stop_cuts` is `max_slack`'s loop: no other
+    function or method of the package calls it, by name or as a module
+    attribute.  The reference `hedging.dual_optimum` solves one enumerated
+    LP instead."""
+    assert _callers("solve_with_stop_cuts") == {"measures.max_slack"}
+
+
+def test_only_the_robust_spec_restricts_to_the_union_support():
+    """`union_support` is called in `RobustSpec.__post_init__` alone: the
+    quasi-sure market is decided once, when a spec is made, and every robust
+    question and re-check reads `spec.market` instead of restricting the
+    market again."""
+    assert _callers("union_support") == {"robust.RobustSpec.__post_init__"}
 
 
 def test_unchecked_constructors_build_only_what_the_engine_made():
