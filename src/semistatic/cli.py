@@ -149,6 +149,8 @@ def emit_region(market: MarketSpec, params: list[str]) -> list[dict[str, Fractio
     projection is refused)."""
     if len(params) > 2:
         raise UsageError("at most two region parameters are supported")
+    if len(set(params)) < len(params):
+        raise UsageError(f"region parameter {params[0]!r} is repeated")
     tree = market.tree
     for n in params:
         if n not in tree.nodes or n == tree.root:

@@ -83,15 +83,16 @@ def check_na(market: MarketSpec, divisible: bool = True) -> ArbitrageVerdict:
 
     With `divisible=False` the American options must each be exercised whole
     at a single stopping time.  Whole-unit strategies are divisible ones, so
-    the divisible cone LP runs first and, when it finds no arbitrage, decides
-    the question alone, however many stops the tree has.  Otherwise the stop
-    combinations are scanned, and more than `DEFAULT_ENUM_CAP` of them are
-    refused with `EnumerationCapError` after that one LP.  In the scan each
-    option, exercised whole at fixed stops, is the buy-only European claim it
-    pays there, bought at its quote (`MarketSpec.exercised_at`), and the same
-    cone LP is solved on the stopped market per stop combination, its
-    arbitrage read back by `MarketSpec.whole_unit`; that restriction is
-    exactly what breaks the measure-existence equivalence (P2)."""
+    the divisible cone LP runs first and decides the question alone, however
+    many stops the tree has, when it finds no arbitrage or the market has no
+    American option.  Otherwise the stop combinations are scanned, and more
+    than `DEFAULT_ENUM_CAP` of them are refused with `EnumerationCapError`
+    after that one LP.  In the scan each option, exercised whole at fixed
+    stops, is the buy-only European claim it pays there, bought at its quote
+    (`MarketSpec.exercised_at`), and the same cone LP is solved on the stopped
+    market per stop combination, its arbitrage read back by
+    `MarketSpec.whole_unit`; that restriction is exactly what breaks the
+    measure-existence equivalence (P2)."""
     support = market.support_leaves()
 
     def cone_lp(m: MarketSpec) -> HedgePortfolio | None:
@@ -114,20 +115,16 @@ def check_na(market: MarketSpec, divisible: bool = True) -> ArbitrageVerdict:
 
     found: ArbitrageVerdict | None = None
     portfolio = cone_lp(market)
-    if portfolio is not None and divisible:
+    if portfolio is not None and (divisible or not market.h):
         found = ArbitrageVerdict(verdict=ARBITRAGE, portfolio=portfolio,
                                  shifted_g=market.g_prices, shifted_h=market.h_prices)
     elif portfolio is not None:
-        # with no American option the one (empty) combination is `market`:
-        # no stop is counted or enumerated and the divisible LP's portfolio
-        # is reused
-        combos = count_stopping_times(market.tree) ** len(market.h) if market.h else 1
+        combos = count_stopping_times(market.tree) ** len(market.h)
         if combos > DEFAULT_ENUM_CAP:
             raise EnumerationCapError(
                 f"{combos} whole-unit stop combinations exceed cap {DEFAULT_ENUM_CAP}")
-        taus = enumerate_stopping_times(market.tree) if market.h else []
-        for combo in product(taus, repeat=len(market.h)):
-            stopped = cone_lp(market.exercised_at(combo)) if combo else portfolio
+        for combo in product(enumerate_stopping_times(market.tree), repeat=len(market.h)):
+            stopped = cone_lp(market.exercised_at(combo))
             if stopped is not None:
                 found = ArbitrageVerdict(
                     verdict=ARBITRAGE, portfolio=market.whole_unit(stopped, combo),

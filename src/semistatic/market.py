@@ -88,9 +88,11 @@ class MarketSpec:
                 raise MarketError("American payoff processes must be scalar")
         if not self.support:
             object.__setattr__(self, "support", frozenset(self.tree.leaves))
-        bad = self.support - set(self.tree.leaves)
+        unknown = self.support - set(self.tree.nodes)
+        bad = unknown or self.support - set(self.tree.leaves)
         if bad:
-            raise MarketError(f"support contains non-leaf nodes {sorted(bad)!r}")
+            kind = "unknown" if unknown else "non-leaf"
+            raise MarketError(f"support contains {kind} nodes {sorted(bad)!r}")
 
     @property
     def dim(self) -> int:

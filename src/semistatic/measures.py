@@ -74,7 +74,8 @@ class Measure:
     def __init__(self, tree: EventTree, weights: Mapping[str, object]):
         for leaf in weights:
             if leaf not in tree or not tree.is_leaf(leaf):
-                raise MeasureError(f"weight on non-leaf node {leaf!r}")
+                kind = "non-leaf" if leaf in tree else "unknown"
+                raise MeasureError(f"weight on {kind} node {leaf!r}")
         self._set(tree, {leaf: rat(val) for leaf, val in weights.items()})
 
     @classmethod

@@ -7,10 +7,10 @@ once, as a hyperplane with one bit of every ray's activity mask, not as a pair
 of inequalities (Fukuda & Prodon 1996).  It runs in integers throughout:
 generators are primitive integer vectors, so numbers never grow inside the
 incremental loop, and each ray's set of active rows is an int bitmask, so the
-adjacency test is a few big-int ands.  Fractions are first made in
-`vertices`, one per coordinate of each distinct vertex (or of the witness
-ray).  Sizes here are desk scale (tens of facets), where double description
-is entirely adequate.
+adjacency test, the only filter (no ray is made twice), is a few big-int ands.
+Fractions are first made in `vertices`, one per coordinate of each vertex (or
+of the witness ray).  Sizes here are desk scale (tens of facets), where double
+description is entirely adequate.
 """
 
 from __future__ import annotations
@@ -63,6 +63,10 @@ def _dd_cone(rows: Sequence[tuple[tuple[int, ...], bool]], dim: int):
     cuts projects the other lines and the rays onto it and gives no ray of
     its own, and otherwise the rays on either side of it are dropped once
     their adjacent pairs are combined onto it.
+
+    Each ray is an extreme ray, made once, with the mask of its active rows:
+    a combined ray lies inside the 2-face of exactly one adjacent pair, and
+    two projected rays differ by more than a multiple of their pivot line.
     """
     lines = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays: list[tuple[tuple[int, ...], int]] = []
@@ -101,9 +105,6 @@ def _dd_cone(rows: Sequence[tuple[tuple[int, ...], bool]], dim: int):
             else:
                 pos.append((r, act, d))
         new_rays = zero if eq else [(r, act) for r, act, _ in neg] + zero
-        if not pos:
-            rays = new_rays
-            continue
         # row idx is active at none of the pairs below, so the masks before
         # it was added decide containment of their common masks
         masks = [act for _, act in rays]
@@ -118,17 +119,7 @@ def _dd_cone(rows: Sequence[tuple[tuple[int, ...], bool]], dim: int):
                     continue
                 combo = [pd * b - nd * a for a, b in zip(p, n)]
                 new_rays.append((_primitive_int(combo), common | bit))
-        # drop duplicate directions defensively (degenerate inputs)
-        seen: dict[tuple[int, ...], int] = {}
-        deduped: list[tuple[tuple[int, ...], int]] = []
-        for r, act in new_rays:
-            if r in seen:
-                old_r, old_act = deduped[seen[r]]
-                deduped[seen[r]] = (old_r, old_act | act)
-            else:
-                seen[r] = len(deduped)
-                deduped.append((r, act))
-        rays = deduped
+        rays = new_rays
     return lines, rays
 
 
@@ -143,10 +134,9 @@ def vertices(poly: Polytope) -> list[dict[str, Fraction]]:
     """Exact, duplicate-free, minimal vertex set of a bounded polytope, in
     the order of the sorted tuples of its rational coordinates.
 
-    Each vertex x is one primitive integer ray (t, t x) with t > 0 of the
-    homogenization cone, so duplicates are found on those integer tuples and
-    the order on integer keys over one common denominator.  The Fractions
-    are made last: one dict per distinct vertex.
+    Each vertex x is the one primitive integer ray (t, t x), t > 0, of the
+    homogenization cone; the order is taken on integer keys over one common
+    denominator, and the Fractions are made last, one dict per vertex.
 
     Raises UnboundedPolytopeError (carrying a witness ray) if the feasible
     set is nonempty but unbounded; returns [] when it is empty.
@@ -168,7 +158,7 @@ def vertices(poly: Polytope) -> list[dict[str, Fraction]]:
         rows.append((tuple(-x for x in row) if c.rel == GE else row, c.rel == EQ))
     lines, rays = _dd_cone(rows, dim)
 
-    points = {r for r, _ in rays if r[0] > 0}
+    points = [r for r, _ in rays if r[0] > 0]
     recession = [r for r, _ in rays if r[0] == 0 and any(r[1:])]
     recession += [l for l in lines if any(l[1:])]
     if points and recession:

@@ -24,7 +24,8 @@ checks its count against `count_stopping_times`, and the greedy stop is still
 re-checked to attain the envelope.  A per-leaf read of a process at a stop
 (`at_stop`) walks the stop nodes and the leaves under each.
 
-All functions here are pure over immutable inputs and parallel-safe.
+All functions here are parallel-safe and pure over immutable inputs, except
+that `snell_value` and `snell_optimal_stop` fill the measure's kept envelope.
 """
 
 from __future__ import annotations

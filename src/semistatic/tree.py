@@ -196,9 +196,11 @@ class TerminalClaim:
             if leaf not in values:
                 raise TreeError(f"leaf {leaf!r}: missing claim value")
             vals[leaf] = rat(values[leaf])
-        extra = set(values) - set(tree.leaves)
+        unknown = set(values) - set(tree.nodes)
+        extra = unknown or set(values) - set(tree.leaves)
         if extra:
-            raise TreeError(f"claim values for non-leaf nodes {sorted(extra)!r}")
+            kind = "unknown" if unknown else "non-leaf"
+            raise TreeError(f"claim values for {kind} nodes {sorted(extra)!r}")
         self._values = vals
         self._scaled: tuple[int, dict[str, int]] | None = None
 

@@ -134,7 +134,7 @@ def test_whole_unit_check_without_options_reuses_the_divisible_lp(b1, monkeypatc
     market = b1.with_options(f=[f], f_prices=[3])
     calls = _count_lps(monkeypatch)
     verdict = check_na(market, divisible=False)
-    assert verdict.verdict == ARBITRAGE and verdict.notes == "indivisible exercise"
+    assert verdict.verdict == ARBITRAGE and verdict.notes == ""
     assert len(calls) == 1
     assert verdict.portfolio == check_na(market).portfolio
 

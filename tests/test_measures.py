@@ -33,8 +33,10 @@ def test_measure_validation(b1):
         Measure(b1.tree, {"u": F(1, 2), "d": F(1, 3)})
     with pytest.raises(MeasureError, match="negative"):
         Measure(b1.tree, {"u": F(3, 2), "d": F(-1, 2)})
-    with pytest.raises(MeasureError, match="non-leaf"):
+    with pytest.raises(MeasureError, match="non-leaf node 'r'"):
         Measure(b1.tree, {"r": 1})
+    with pytest.raises(MeasureError, match="unknown node 'zz'"):
+        Measure(b1.tree, {"zz": 1})
 
 
 def test_b1_martingale_system(b1):

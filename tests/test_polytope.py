@@ -4,12 +4,14 @@ brute-force active-set oracle."""
 import random
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from semistatic.lp import EQ, GE, LE, con
-from semistatic.polytope import Polytope, UnboundedPolytopeError, vertices
+from semistatic.polytope import Polytope, UnboundedPolytopeError, _dd_cone, vertices
 
 from oracles import contains, hrep_from_vertices
 
@@ -133,6 +135,13 @@ def test_region_rejects_more_than_two_parameters(p2):
 
     with pytest.raises(UsageError, match="two"):
         emit_region(p2, ["u1", "u2", "d1"])
+
+
+def test_region_rejects_a_repeated_parameter(p2):
+    from semistatic.cli import UsageError, emit_region
+
+    with pytest.raises(UsageError, match="'u1' is repeated"):
+        emit_region(p2, ["u1", "u1"])
 
 
 def test_round_trip_square():
@@ -324,8 +333,6 @@ def test_square_pyramid_apex_prunes_by_cardinality():
     such pair; the combinatorial test would too (a third ray's mask contains
     their common mask), so the vertices, the four-fold degenerate apex among
     them, are the oracle's."""
-    from semistatic.polytope import _dd_cone
-
     from oracles import vertices_by_active_sets
 
     box = [(-1, 1, 0, 0), (-1, -1, 0, 0), (-1, 0, 1, 0), (-1, 0, -1, 0),
@@ -388,7 +395,12 @@ def test_an_equality_is_its_inequality_pair(data):
     passing it as its `<=` and `>=` rows: random rows in two to four
     variables with small integer coefficients, in or out of a box, and one
     to three equalities among them (which may leave the set empty, a point
-    or a face)."""
+    or a face), and exact or positively scaled copies of drawn rows (an
+    equality's copy may be one of its inequalities).
+
+    Every cone the double description passes through holds each ray once,
+    with the mask of exactly the rows active at it: the adjacency test alone
+    keeps duplicate rays out."""
     names = ["x", "y", "z", "u"][:data.draw(st.integers(2, 4), label="variables")]
     coeffs = st.lists(st.integers(-3, 3), min_size=len(names), max_size=len(names))
     rows = []
@@ -401,7 +413,20 @@ def test_an_equality_is_its_inequality_pair(data):
             rel = data.draw(st.sampled_from((LE, GE, EQ, EQ)))
             rows.insert(data.draw(st.integers(0, len(rows))),
                         con(dict(zip(names, a)), rel, data.draw(st.integers(-4, 6))))
+    for _ in range(data.draw(st.integers(0, 3), label="copies") if rows else 0):
+        c, k = data.draw(st.sampled_from(rows)), data.draw(st.integers(1, 3), label="scale")
+        rel = data.draw(st.sampled_from((EQ, LE, GE))) if c.rel == EQ else c.rel
+        rows.insert(data.draw(st.integers(0, len(rows))),
+                    con({v: k * x for v, x in c.coeffs.items()}, rel, k * c.rhs))
     pairs = []
     for c in rows:
         pairs += [con(c.coeffs, LE, c.rhs), con(c.coeffs, GE, c.rhs)] if c.rel == EQ else [c]
-    assert _outcome(Polytope(names, rows)) == _outcome(Polytope(names, pairs))
+    with mock.patch("semistatic.polytope._dd_cone", wraps=_dd_cone) as dd:
+        assert _outcome(Polytope(names, rows)) == _outcome(Polytope(names, pairs))
+    for (cone_rows, dim), _ in dd.call_args_list:
+        for k in range(1, len(cone_rows) + 1):
+            _, rays = _dd_cone(cone_rows[:k], dim)
+            assert len({r for r, _ in rays}) == len(rays)
+            for r, act in rays:
+                assert act == sum(1 << i for i, (row, _) in enumerate(cone_rows[:k])
+                                  if not sum(map(mul, row, r)))

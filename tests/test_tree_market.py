@@ -78,6 +78,16 @@ def test_missing_process_value_names_node(b1):
         AdaptedProcess(b1.tree, {"r": 0, "u": 1})
 
 
+@pytest.mark.parametrize("values, message", [
+    ({"u": 1}, "leaf 'd': missing claim value"),
+    ({"u": 1, "d": 0, "r": 1}, r"claim values for non-leaf nodes \['r'\]"),
+    ({"u": 1, "d": 0, "zz": 1}, r"claim values for unknown nodes \['zz'\]"),
+])
+def test_claim_values_name_the_node_they_miss_or_misplace(b1, values, message):
+    with pytest.raises(TreeError, match=message):
+        TerminalClaim(b1.tree, values)
+
+
 def test_round_trip_is_identity():
     for name in ("B1", "T2", "P2"):
         text = fixture_json(name)
@@ -461,6 +471,8 @@ def test_on_support_is_one_object_per_market_and_leaf_set(t2):
         market.on_support(())
     with pytest.raises(MarketError, match="non-leaf"):
         market.on_support(["u"])
+    with pytest.raises(MarketError, match=r"unknown nodes \['zz'\]"):
+        market.on_support(["zz"])
 
 
 def test_market_file_priors_stay_with_the_parsed_market(t2):
