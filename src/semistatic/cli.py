@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -90,14 +91,15 @@ def _load_market(path: str) -> MarketSpec:
 
 def _resolve_claim(market: MarketSpec, name_or_path: str | None):
     claims = dict(market.claims)
+    bundled = f"market bundles {sorted(claims) or 'no claims'}"
     if name_or_path is None:
         if len(claims) == 1:
             return next(iter(claims.values()))
-        raise UsageError(
-            f"--claim required; market bundles {sorted(claims) or 'no claims'}"
-        )
+        raise UsageError(f"--claim required; {bundled}")
     if name_or_path in claims:
         return claims[name_or_path]
+    if not os.path.exists(name_or_path):
+        raise UsageError(f"no claim {name_or_path!r}: not a file, and the {bundled}")
     with open(name_or_path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):

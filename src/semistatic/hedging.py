@@ -56,7 +56,6 @@ from .stopping import (
     LiquidatingStrategy,
     enumerate_stopping_times,
     snell_value,
-    stop_everywhere_at,
 )
 from .tree import AdaptedProcess, EventTree, TerminalClaim
 
@@ -256,7 +255,9 @@ def super_hedge_indivisible(market: MarketSpec, psi: TerminalClaim) -> HedgeResu
     hedge and measure at V0, re-checked once by `duality_gap_report`.  A later
     stop with E_Q0 h(tau) <= quote has Q0 dual-feasible, so V(tau) = V0 by
     weak duality and its LP is skipped.  `details["per_stop_values"]` still
-    lists every stop, and `details["stops_solved"]` counts the LPs solved."""
+    lists every stop, and `details["stops_solved"]` counts the LPs solved.
+    A market without an American option has no stop to choose: its one LP is
+    the stock-only super-hedge, and no stop, quantity or table is recorded."""
     m = market
     if len(m.h) > 1:
         raise HedgingError(
@@ -264,27 +265,26 @@ def super_hedge_indivisible(market: MarketSpec, psi: TerminalClaim) -> HedgeResu
         )
     _require_sna(market)
     stock = m.with_options(f=[], f_prices=[], g=[], g_prices=[])
-    taus = enumerate_stopping_times(m.tree) if m.h else [stop_everywhere_at(m.tree, 0)]
-    per_stop_values: dict[tuple[str, ...], Fraction] = {}
+    # one stop per option: each stop of the one option, or none at all
+    choices = [(tau,) for tau in enumerate_stopping_times(m.tree)] if m.h else [()]
+    values: dict[tuple, Fraction] = {}  # choice -> its super-hedge value
     best = None
     Q0 = V0 = None  # set once a solved stop's optimum holds no option
     solved = 0
-    for tau in taus:
-        key = tuple(sorted(tau.stop_nodes))
-        if Q0 is not None and Q0.expect_at_stop(m.h[0], tau) <= m.h_prices[0]:
+    for taus in choices:
+        if Q0 is not None and Q0.expect_at_stop(m.h[0], taus[0]) <= m.h_prices[0]:
             # Q0 is dual-feasible here, so V0 <= V(tau) <= V0.  The Q0 stop
             # came first at the same value, so the strict `<` below never
             # lets this stop win.
-            per_stop_values[key] = V0
+            values[taus] = V0
             continue
-        stopped = stock.exercised_at((tau,) * len(m.h))
-        primal, space, Q = hedge_primal(stopped, psi, "super_div")
+        primal, space, Q = hedge_primal(stock.exercised_at(taus), psi, "super_div")
         solved += 1
         if primal.status != "optimal":
             raise HedgingError(f"per-stop hedging LP is {primal.status}")
-        per_stop_values[key] = primal.objective
+        values[taus] = primal.objective
         if best is None or primal.objective < best[1].objective:
-            best = (tau, primal, space, Q)
+            best = (taus, primal, space, Q)
         if Q0 is None and m.h and primal.values.get("b[0]", ZERO) == 0:
             duality_gap_report(HedgeResult(
                 kind="super_div", market=stock.without_american(), claim=psi,
@@ -293,16 +293,17 @@ def super_hedge_indivisible(market: MarketSpec, psi: TerminalClaim) -> HedgeResu
             ))
             Q0, V0 = Q, primal.objective
 
-    tau, primal, space, Q = best
+    taus, primal, space, Q = best
     # `stock` has no European book, `market` may: it holds none of them
-    held = replace(stock.whole_unit(space.extract_portfolio(primal.values), (tau,) * len(m.h)),
+    held = replace(stock.whole_unit(space.extract_portfolio(primal.values), taus),
                    a=(ZERO,) * len(m.f), b=(ZERO,) * len(m.g))
+    details = {"stops_solved": solved, "dual_spec": PricingSetSpec(space.market)}
+    if m.h:
+        details.update(stop=taus[0], quantity=held.c[0], per_stop_values={
+            tuple(sorted(tau.stop_nodes)): v for (tau,), v in values.items()})
     result = HedgeResult(
         kind="super_indiv", market=market, claim=psi, price=primal.objective,
-        portfolio=held, dual=Q,
-        details={"stop": tau, "quantity": held.c[0] if m.h else ZERO,
-                 "per_stop_values": per_stop_values, "stops_solved": solved,
-                 "dual_spec": PricingSetSpec(space.market)},
+        portfolio=held, dual=Q, details=details,
     )
     duality_gap_report(result)
     return result

@@ -32,17 +32,16 @@ class MarketError(ValueError):
 
 def _kept(obj, key, build: Callable[[], object]):
     """`build()`, made once per object and `key` and kept on the object: what
-    depends on a market alone (its strict-EMM slack, its robust decisions, its
-    LP row skeletons and strategy-column rows, its reductions
-    `without_american` and restrictions `on_support`) or on its stock process
-    and the key alone (the martingale rows per leaf set; a slack LP's round 0
-    per leaf set, European book and floor).  A derived market
-    (`with_options`, `exercised_at`, `dataclasses.replace`) is a new object
-    and decides again what is kept on the market; `build_market` makes a new
-    stock process too, and so decides everything again.  What is kept is
-    shared: callers copy before they extend it (only
-    `StrategySpace.phi_coeffs` fills in its own per-leaf table).  Threads
-    that ask at once may each build it; the first one stored is kept."""
+    depends on a market alone (its decisions, its reductions
+    `without_american` and restrictions `on_support`, and one whole map of
+    terminal-value coefficients) or on its stock process and the key alone
+    (the martingale rows per leaf set; a slack LP's round 0 per leaf set,
+    European book and floor).  Structure rows are built per LP.  A derived
+    market (`with_options`, `exercised_at`, `dataclasses.replace`) is a new
+    object and decides again; `build_market` makes a new stock process too.
+    What is kept is shared and never changed after it is stored: callers
+    copy before they extend it.  Threads that ask at once may each build it;
+    the first one stored is kept."""
     kept = obj.__dict__.setdefault("_kept", {})
     if key not in kept:
         kept.setdefault(key, build())
@@ -260,17 +259,46 @@ def _phi_den(m: MarketSpec) -> int:
                *[lcm(x.scaled()[0], price.denominator) for x, price in options])
 
 
+def _phi_rows(m: MarketSpec) -> tuple[int, dict[str, dict[str, int]]]:
+    """(`_phi_den(m)`, leaf -> that leaf's nonzero terminal-value
+    coefficients), every leaf's built at once from the integer forms."""
+    den = _phi_den(m)
+    stock = [m.S.scaled(l) for l in range(m.dim)]
+    rows = {}
+    for leaf in m.tree.leaves:
+        path = m.tree.path(leaf)
+        num: dict[str, int] = {}
+        for here, there in zip(path, path[1:]):
+            for l, (d, s) in enumerate(stock):
+                if s[there] != s[here]:
+                    num[f"H[{here}][{l}]"] = (den // d) * (s[there] - s[here])
+        for name, book, prices in (("a", m.f, m.f_prices), ("b", m.g, m.g_prices)):
+            for i, (claim, price) in enumerate(zip(book, prices)):
+                d, value = claim.scaled()
+                val = (den // d) * value[leaf] - price.numerator * (den // price.denominator)
+                if val:
+                    num[f"{name}[{i}]"] = val
+        for k, (h, price) in enumerate(zip(m.h, m.h_prices)):
+            d, value = h.scaled()
+            for n in path:
+                if value[n]:
+                    num[f"nu[{k}][{n}]"] = (den // d) * value[n]
+            if price:
+                num[f"c[{k}]"] = -price.numerator * (den // price.denominator)
+        rows[leaf] = num
+    return den, rows
+
+
 class StrategySpace:
     """Column layout for semi-static strategies on a market.
 
     Columns: H[node][l] (free), a[i] (free), b[j] >= 0, nu[k][node] >= 0 and
     c[k] >= 0 tied by per-leaf path-sum rows nu-along-path == c[k].
     Optionally an exercise flow eta[node] >= 0 with unit path sums (for
-    sub-hedging American claims).  The structure rows and each leaf's
-    terminal-value coefficients are integer rows, built once per market
-    object from its integer forms and kept on it (a restriction
-    `on_support` is one object per market and leaf set, so it builds its
-    own once); LPs extend copies of them.
+    sub-hedging American claims).  Its rows are integer rows from the
+    market's integer forms: the structure rows are built per LP, and every
+    leaf's terminal-value coefficients once per market object, as one kept
+    map (`_kept`) that LPs extend copies of.
     """
 
     def __init__(self, market: MarketSpec, include_eta: bool = False):
@@ -300,55 +328,26 @@ class StrategySpace:
 
     def structure_rows(self) -> list[Constraint]:
         """Each American option's flow nu sums along every path to its
-        holding c, and the claim's exercise flow eta (if included) to one;
-        built once per market object (`_kept`)."""
-        def build():
-            tree = self.market.tree
-            rows = []
-            for k in range(len(self.market.h)):
-                for leaf in tree.leaves:
-                    num = {f"nu[{k}][{n}]": 1 for n in tree.path(leaf)}
-                    num[f"c[{k}]"] = -1
-                    rows.append(int_con(num, EQ, 0, 1, f"liq[{k}][{leaf}]"))
-            if self.include_eta:
-                for leaf in tree.leaves:
-                    rows.append(int_con({f"eta[{n}]": 1 for n in tree.path(leaf)}, EQ, 1, 1,
-                                        f"flow[{leaf}]"))
-            return tuple(rows)
-
-        return list(_kept(self.market, ("structure", self.include_eta), build))
+        holding c, and the claim's exercise flow eta (if included) to one."""
+        tree = self.market.tree
+        rows = []
+        for k in range(len(self.market.h)):
+            for leaf in tree.leaves:
+                num = {f"nu[{k}][{n}]": 1 for n in tree.path(leaf)}
+                num[f"c[{k}]"] = -1
+                rows.append(int_con(num, EQ, 0, 1, f"liq[{k}][{leaf}]"))
+        if self.include_eta:
+            for leaf in tree.leaves:
+                rows.append(int_con({f"eta[{n}]": 1 for n in tree.path(leaf)}, EQ, 1, 1,
+                                    f"flow[{leaf}]"))
+        return rows
 
     def phi_coeffs(self, leaf: str) -> tuple[int, dict[str, int]]:
         """Column coefficients of the terminal portfolio value at `leaf`, as
         integers over one denominator per market: (den, nonzero
-        coefficients).  Built from the stock's, claims' and processes'
-        integer forms once per market object and leaf and kept on the market
-        (`_kept`), so the coefficients are shared: do not change
-        them."""
-        m = self.market
-        den, rows = _kept(m, "phi", lambda: (_phi_den(m), {}))
-        if leaf not in rows:
-            path = m.tree.path(leaf)
-            num: dict[str, int] = {}
-            stock = [m.S.scaled(l) for l in range(m.dim)]
-            for here, there in zip(path, path[1:]):
-                for l, (d, s) in enumerate(stock):
-                    if s[there] != s[here]:
-                        num[f"H[{here}][{l}]"] = (den // d) * (s[there] - s[here])
-            for name, book, prices in (("a", m.f, m.f_prices), ("b", m.g, m.g_prices)):
-                for i, (claim, price) in enumerate(zip(book, prices)):
-                    d, value = claim.scaled()
-                    val = (den // d) * value[leaf] - price.numerator * (den // price.denominator)
-                    if val:
-                        num[f"{name}[{i}]"] = val
-            for k, (h, price) in enumerate(zip(m.h, m.h_prices)):
-                d, value = h.scaled()
-                for n in path:
-                    if value[n]:
-                        num[f"nu[{k}][{n}]"] = (den // d) * value[n]
-                if price:
-                    num[f"c[{k}]"] = -price.numerator * (den // price.denominator)
-            rows[leaf] = num
+        coefficients).  Read from the market's kept map (`_phi_rows`), so
+        the coefficients are shared: do not change them."""
+        den, rows = _kept(self.market, "phi", lambda: _phi_rows(self.market))
         return den, rows[leaf]
 
     def extract_portfolio(self, values: Mapping[str, Fraction]) -> HedgePortfolio:

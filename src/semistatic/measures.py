@@ -22,10 +22,10 @@ polytope.
 
 A `Measure` holds integer weights over one denominator, the lcm of its
 weights' denominators (a canonical form), and keeps its integer subtree masses
-and each process's exercise envelope after first use.  Expectations, exercise
-envelopes and the membership checks sum integers against the claims' and
-processes' own integer forms and make one Fraction, or compare with a Fraction
-bound by cross-multiplication.  A stopping time is its stop nodes alone, so
+after first use, and nothing else.  Expectations, exercise envelopes and the
+membership checks sum integers against the claims' and processes' own integer
+forms and make one Fraction, or compare with a Fraction bound by
+cross-multiplication.  A stopping time is its stop nodes alone, so
 a value at a stop, E[h at tau], is summed over them, h there times the mass
 under it (`Measure.expect_at_stop`; `robust.minimax_check`'s stop rows
 likewise).  An LP row over leaf weights (`_stop_row`: the closure polytope's
@@ -69,7 +69,10 @@ class Measure:
     """Leaf-indexed nonnegative rational weights summing to one.
 
     `num` holds the nonzero weights as integers over the one denominator
-    `den` (`over_lcm`); `weights` is their Fraction view."""
+    `den` (`over_lcm`); `weights` is their Fraction view.  Besides these a
+    measure keeps its subtree masses (`masses`), and nothing else."""
+
+    __slots__ = ("tree", "den", "num", "weights", "_mass")
 
     def __init__(self, tree: EventTree, weights: Mapping[str, object]):
         for leaf in weights:
@@ -103,7 +106,6 @@ class Measure:
             raise MeasureError(f"weights sum to {Fraction(total, self.den)}, not 1")
         self.weights = w
         self._mass: dict[str, int] | None = None
-        self._envelopes: dict[int, tuple[AdaptedProcess, dict[str, int], int]] = {}
 
     def support(self) -> frozenset[str]:
         return frozenset(self.weights)
@@ -121,15 +123,6 @@ class Measure:
                 mass[node] = sum([mass[c] for c in kids]) if kids else self.num.get(node, 0)
             self._mass = mass
         return self._mass
-
-    def envelope(self, h: AdaptedProcess) -> tuple[dict[str, int], int]:
-        """h's exercise envelope under this measure and its denominator
-        (`_unnormalized_snell`), computed once per process object and kept
-        with it, so a process's id cannot be reused while it is kept."""
-        kept = self._envelopes.get(id(h))
-        if kept is None or kept[0] is not h:
-            kept = self._envelopes[id(h)] = (h, *_unnormalized_snell(self, h))
-        return kept[1], kept[2]
 
     def expect_claim(self, claim: TerminalClaim) -> Fraction:
         den, value = claim.scaled()
@@ -342,7 +335,7 @@ def solve_with_stop_cuts(
         new = []
         for k, (h, cap) in enumerate(zip(m.h, m.h_prices)):
             bound = cap - slack
-            V, den = Q.envelope(h)
+            V, den = _unnormalized_snell(Q, h)
             if V[m.tree.root] * bound.denominator > bound.numerator * den:
                 cut = (k, _greedy_stop(Q, h, V))
                 if cut in cuts:
@@ -474,7 +467,7 @@ def membership(Q: Measure, spec: PricingSetSpec, strict: bool) -> MembershipRepo
             rel = "<" if strict else "<="
             bad.append(f"g[{j}] expectation {rat_str(got)} !{rel} {rat_str(cap)}")
     for k, (h, cap) in enumerate(zip(m.h, m.h_prices)):
-        V, den = Q.envelope(h)
+        V, den = _unnormalized_snell(Q, h)
         got = V[tree.root]
         over = got * cap.denominator - cap.numerator * den
         if over > 0 or (strict and over == 0):

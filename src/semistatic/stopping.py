@@ -9,9 +9,7 @@ available and the stopping-time embedding is total.
 The Snell envelope runs in integers: a measure's subtree masses are integers
 over its one denominator (`Measure.masses`) and a payoff process's values
 integers over its own, so the envelope is an integer process over their
-product, and a Fraction is made only for the value returned.  A measure keeps
-each process's envelope after first use (`Measure.envelope`), so the stop-cut
-loop, `membership` and `snell_value` on one pair compute it once.
+product, and a Fraction is made only for the value returned.
 
 A `StoppingTime` is its set of stop nodes and nothing per leaf: on each
 root-to-leaf path it stops at the one stop node on that path.  Built from
@@ -24,8 +22,8 @@ checks its count against `count_stopping_times`, and the greedy stop is still
 re-checked to attain the envelope.  A per-leaf read of a process at a stop
 (`at_stop`) walks the stop nodes and the leaves under each.
 
-All functions here are parallel-safe and pure over immutable inputs, except
-that `snell_value` and `snell_optimal_stop` fill the measure's kept envelope.
+Every function here is parallel-safe and pure over its inputs.  A measure's
+subtree masses are read through `Measure.masses`, the one memo a measure keeps.
 """
 
 from __future__ import annotations
@@ -215,9 +213,9 @@ def _unnormalized_snell(Q: "Measure", h: AdaptedProcess) -> tuple[dict[str, int]
 
 
 def snell_value(Q: "Measure", h: AdaptedProcess) -> Fraction:
-    """max over stopping times of E_Q[h_tau], by backward induction (the
-    envelope Q keeps, `Measure.envelope`)."""
-    V, den = Q.envelope(h)
+    """max over stopping times of E_Q[h_tau], by backward induction
+    (`_unnormalized_snell`)."""
+    V, den = _unnormalized_snell(Q, h)
     return Fraction(V[h.tree.root], den)
 
 
@@ -226,7 +224,7 @@ def snell_optimal_stop(Q: "Measure", h: AdaptedProcess) -> StoppingTime:
     rule of the envelope (stop as soon as stopping is no worse than continuing).
     No engine function calls it; `measures.solve_with_stop_cuts` calls `_greedy_stop`.
     """
-    return _greedy_stop(Q, h, Q.envelope(h)[0])
+    return _greedy_stop(Q, h, _unnormalized_snell(Q, h)[0])
 
 
 def _greedy_stop(Q: "Measure", h: AdaptedProcess, V: dict[str, int]) -> StoppingTime:

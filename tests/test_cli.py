@@ -342,6 +342,38 @@ def test_non_utf8_stdin_exits_1(capsys, monkeypatch):
     assert err.startswith("input error: ") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", [["price", "sub-eu"], ["robust", "price"]],
+                         ids=["price", "robust_price"])
+def test_claim_neither_bundled_nor_a_file_lists_the_bundled_claims(capsys, tmp_path,
+                                                                   monkeypatch, command):
+    """A `--claim` that names no bundled claim and no file is a one-line
+    usage error that names it and lists the claims the market bundles."""
+    doc = json.loads(fixture_json("T2"))
+    doc["priors"] = [dict.fromkeys(["uu", "ud", "du", "dd"], "1/4")]
+    (tmp_path / "t2.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *command, "--market", "t2.json", "--claim", "put5")
+    assert code == 1
+    assert out == ""
+    assert err == ("usage error: no claim 'put5': not a file, and the market bundles "
+                   "['put5_am', 'put5_eu']\n")
+
+
+def test_price_super_indiv_without_american_reports_no_stop(capsys):
+    """On T2, which has no American option, the whole-unit super-hedge is the
+    stock-only one: the report carries its price, measure and certificate,
+    and no stop, quantity or per-stop table."""
+    code, out, _ = run_cli(capsys, "price", "super-indiv", "--market", "T2",
+                           "--claim", "put5_eu")
+    assert code == 0
+    result = json.loads(out)["results"][0]
+    assert result.keys() == {"kind", "price", "gap", "dual_measure", "certificate",
+                             "market", "timing_ms"}
+    assert result["price"] == "20/9"
+    assert result["dual_measure"] == {"uu": "1/9", "ud": "2/9", "du": "2/9", "dd": "4/9"}
+    assert result["certificate"]["verified"] is True
+
+
 @pytest.mark.parametrize("op, claim", [
     ("sub-eu", "put5_am"),
     ("super-div", "put5_am"),

@@ -129,11 +129,18 @@ def test_indivisible_requires_single_option(p2):
 
 
 def test_indivisible_without_options_is_classical(t2):
+    """Without an American option there is no stop to choose: one stock-only
+    LP is solved, and no stop, quantity or per-stop table is recorded."""
     psi = t2.claims["put5_eu"]
     result = super_hedge_indivisible(t2, psi)
     classical = super_hedge_divisible(t2, psi)
     # unique pricing measure (1/9, 2/9, 2/9, 4/9) values the put at 20/9
     assert result.price == classical.price == F(20, 9)
+    assert result.dual == classical.dual
+    assert result.details.keys() == {"stops_solved", "dual_spec"}
+    assert result.details["stops_solved"] == 1
+    assert result.portfolio.c == () and result.portfolio.mu == ()
+    assert duality_gap_report(result)["verified"]
 
 
 def test_indivisible_portfolio_holds_every_book_of_its_market(t2):
@@ -294,7 +301,8 @@ def test_two_asset_market():
 
 def _per_stop_dual_value(market, psi, tau):
     """max E psi over martingale measures pricing the American option at the
-    stop `tau` at most at its quote: the LP dual of the per-stop hedge LP."""
+    stop `tau` at most at its quote: the LP dual of the per-stop hedge LP.
+    On a market without one, `tau` is unread: the stock-only value."""
     from oracles import stop_row
     from semistatic.lp import LE, LpProblem, con, solve
     from semistatic.measures import _weight_var
@@ -331,6 +339,11 @@ def test_primal_dual_gap_zero_random():
             assert result.price == dual_optimum(spec, result.claim, result.kind)[0].objective
         single = market.without_american(1)
         indiv = super_hedge_indivisible(single, psi)
+        if not single.h:
+            assert "stop" not in indiv.details and "per_stop_values" not in indiv.details
+            assert indiv.details["stops_solved"] == 1
+            assert indiv.price == _per_stop_dual_value(single, psi, None)
+            continue
         assert indiv.price == _per_stop_dual_value(single, psi, indiv.details["stop"])
         assert indiv.details["stops_solved"] <= len(indiv.details["per_stop_values"])
         for nodes, value in indiv.details["per_stop_values"].items():

@@ -341,32 +341,46 @@ def test_minimax_rows_equal_the_fraction_builders(data):
     assert oracles.minimax_flow_value(verts, hs) == result.lhs
 
 
-def test_each_envelope_is_computed_once_per_measure_and_process():
-    """The stop-cut rounds, `max_slack`'s option slacks, `check_sna`'s
-    membership check and its `h_slacks` read one kept envelope per (measure,
-    process) pair, equal to a fresh one."""
-    calls = []
+def _state(Q: Measure) -> dict:
+    """Every attribute of a measure but its masses memo, its dicts copied."""
+    state = {}
+    for name in [*getattr(Q, "__dict__", {}), *getattr(type(Q), "__slots__", ())]:
+        value = getattr(Q, name)
+        if name != "_mass":
+            state[name] = dict(value) if isinstance(value, dict) else value
+    return state
 
-    def counted(Q, h):
-        calls.append((Q, h))
-        return _unnormalized_snell(Q, h)
+
+def test_reading_a_measure_leaves_it_as_it_was():
+    """`snell_value`, `snell_optimal_stop`, `membership` and `check_sna`
+    leave every measure they read as it was, apart from its masses memo:
+    the measures `check_sna` builds (each stop-cut round's witness) and the
+    ones they are given alike."""
+    made = []
+    real_set = Measure._set
+
+    def recorded(Q, tree, weights):
+        real_set(Q, tree, weights)
+        made.append((Q, _state(Q)))
 
     checked = 0
     for seed in range(60):
-        market = random_market(random.Random(seed))
+        rng = random.Random(seed)
+        market = random_market(rng)
         if not market.h:
             continue
-        calls.clear()
-        with mock.patch.object(measures, "_unnormalized_snell", counted):
-            verdict = check_sna(market)
-        pairs = [(id(Q), id(h)) for Q, h in calls]
-        assert len(pairs) == len(set(pairs))
-        if verdict.pricing is not None:
-            checked += 1
-            Q = verdict.pricing
-            for h in market.h:
-                assert Q.envelope(h) == _unnormalized_snell(Q, h)
-    assert checked >= 5
+        with mock.patch.object(Measure, "_set", recorded):
+            check_sna(market)
+        Q = _measure(rng, market.tree)
+        before = _state(Q)
+        for h in market.h:
+            snell_value(Q, h)
+            snell_optimal_stop(Q, h)
+        membership(Q, PricingSetSpec(market), strict=True)
+        assert _state(Q) == before
+        checked += 1
+    assert checked >= 5 and len(made) >= 5
+    assert all(_state(Q) == before for Q, before in made)
 
 
 def _strict_market_with_every_book():
@@ -392,11 +406,12 @@ def test_martingale_rows_are_kept_on_the_stock_process(t2):
 
 
 def test_each_market_builds_its_strategy_rows_once(t2):
-    """The structure rows and terminal-value coefficients are kept on the
-    market object: a market and each of its `on_support` restrictions (one
-    object per leaf set) build them once, equal in value, and read the same
-    objects on every later call.  A market exercised at a stop has other
-    quotes and payoffs, and builds its own."""
+    """The terminal-value coefficients are kept on the market object: a
+    market and each of its `on_support` restrictions (one object per leaf
+    set) build them once, equal in value, and read the same objects on every
+    later call.  A market exercised at a stop has other quotes and payoffs,
+    and builds its own.  The structure rows, built per LP, are equal across
+    a market and its restrictions."""
     market = t2.with_options(h=[t2.claims["put5_am"]], h_prices=[F(3)])
     restricted = market.on_support(("uu", "ud", "du"))
     markets = (market, restricted, restricted.on_support(("uu", "ud")))
@@ -404,9 +419,6 @@ def test_each_market_builds_its_strategy_rows_once(t2):
     with mock.patch.object(market_module, "_phi_den", wraps=market_module._phi_den) as built:
         for eta in (False, True):
             rows = [StrategySpace(m, eta).structure_rows() for m in markets]
-            again = [StrategySpace(m, eta).structure_rows() for m in markets]
-            assert [list(map(id, r)) for r in again] == [list(map(id, r)) for r in rows]
-            assert len({id(r[0]) for r in rows}) == len(markets)
             assert all(_view(r) == _view(rows[0]) for r in rows)
         for leaf in leaves:
             coeffs = [StrategySpace(m).phi_coeffs(leaf) for m in markets]
@@ -420,6 +432,19 @@ def test_each_market_builds_its_strategy_rows_once(t2):
             assert StrategySpace(exercised).phi_coeffs(leaf)[1] is not \
                 StrategySpace(market).phi_coeffs(leaf)[1]
         assert built.call_count == len(markets) + 1
+
+
+def test_a_market_keeps_its_terminal_values_whole(t2):
+    """The first `phi_coeffs` call keeps every leaf's coefficients as one
+    map, which later calls read and never extend."""
+    market = t2.with_options(h=[t2.claims["put5_am"]], h_prices=[F(3)])
+    StrategySpace(market).phi_coeffs("uu")
+    den, rows = market.__dict__["_kept"]["phi"]
+    before = copy.deepcopy(rows)
+    assert rows.keys() == set(t2.tree.leaves)
+    for leaf in t2.tree.leaves:
+        assert StrategySpace(market).phi_coeffs(leaf) == (den, before[leaf])
+    assert rows == before
 
 
 def test_hedges_leave_the_kept_skeletons_unchanged():

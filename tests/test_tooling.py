@@ -14,8 +14,8 @@ of one quasi-sure market, which `RobustSpec` alone restricts to the union of
 the prior supports.  A pricing set's caps are its market's quotes.  The
 package's modules import each other at module top, in one direction, and a
 failed re-check is one error type.  The constructors that skip input checks
-build only stops and measures the engine made, and a stopping time holds
-only its stop nodes."""
+build only stops and measures the engine made, a stopping time holds only
+its stop nodes, and a measure keeps only its masses."""
 
 import ast
 import graphlib
@@ -363,6 +363,27 @@ def test_a_stopping_time_holds_only_its_stop_nodes():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Attribute) and node.attr in banned
              or isinstance(node, ast.Name) and node.id in banned]
+    assert found == []
+
+
+def test_a_measure_keeps_only_its_masses():
+    """`Measure` holds its weights and its masses memo and nothing else: no
+    engine module names an envelope store (`_envelopes`) or calls a kept
+    envelope (`.envelope(`), and `market._kept` keeps no structure rows,
+    which are built per LP."""
+    from semistatic import Measure
+
+    assert Measure.__slots__ == ("tree", "den", "num", "weights", "_mass")
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "_envelopes"
+             or isinstance(node, ast.Name) and node.id == "_envelopes"
+             or isinstance(node, ast.Call) and (
+                 isinstance(node.func, ast.Attribute) and node.func.attr == "envelope"
+                 or isinstance(node.func, ast.Name) and node.func.id == "_kept"
+                 and any(isinstance(key, ast.Constant) and key.value == "structure"
+                         for arg in node.args[1:2] for key in ast.walk(arg)))]
     assert found == []
 
 
