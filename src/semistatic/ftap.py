@@ -11,9 +11,11 @@ strict no-arbitrage holds if and only if some pricing measure survives a
 uniform strict shift of every buy-only quote, i.e. the slack optimum is
 positive.  Its witness measure certifies success; on failure, LP duality
 makes the same LP's duals (or Farkas multipliers, when it is infeasible) an
-arbitrage portfolio at the quotes or at quotes shifted by 1/2, and at most
-one cone LP, at the quotes, tells the two apart.  Each certificate is
-re-checked by direct evaluation before the verdict is returned.
+arbitrage portfolio at the quotes or at quotes shifted by 1/2.  A witness of
+optimum 0 with full support that prices the market at its quotes proves no
+arbitrage there; otherwise at most one cone LP, at the quotes, tells the two
+apart.  Each certificate is re-checked by direct evaluation before the
+verdict is returned.
 """
 
 from __future__ import annotations
@@ -147,9 +149,12 @@ def check_sna(market: MarketSpec) -> ArbitrageVerdict:
     (optimum <= 0) or Farkas multipliers (infeasible): worth >= 0 on the
     support at the quotes.  If it wins somewhere it is the arbitrage.  If it
     vanishes on the support it is worth exactly eps at the buy-only quotes
-    lowered by eps; then one cone LP at the quotes decides between ARBITRAGE
-    and STRICT_NO_ARBITRAGE_FAILS, whose certificate is that portfolio at
-    shift 1/2.  Every certificate is re-verified by portfolio evaluation.
+    lowered by eps, and the verdict is ARBITRAGE or STRICT_NO_ARBITRAGE_FAILS,
+    whose certificate is that portfolio at shift 1/2.  A witness of optimum
+    0 that charges every support leaf and passes closure membership at the
+    quotes proves no arbitrage there, so it gives the latter at once;
+    otherwise one cone LP at the quotes decides.  Every certificate is
+    re-verified by portfolio evaluation.
 
     The slack LP is solved once per market object (`strict_emm_slack`); the
     checks on its result run on every call."""
@@ -177,9 +182,15 @@ def check_sna(market: MarketSpec) -> ArbitrageVerdict:
             verdict=ARBITRAGE, slack=slack, portfolio=portfolio,
             shifted_g=market.g_prices, shifted_h=market.h_prices,
         )
-    plain = check_na(market)
-    if plain.verdict == ARBITRAGE:
-        return replace(plain, slack=slack)
+    Q = slack.witness
+    # a pricing measure at the quotes that charges every support leaf proves
+    # no arbitrage there (the easy direction of the FTAP); only a zero
+    # optimum can have one
+    if Q is None or slack.optimum != 0 or Q.support() != market.support \
+            or not membership(Q, PricingSetSpec(market), strict=False):
+        plain = check_na(market)
+        if plain.verdict == ARBITRAGE:
+            return replace(plain, slack=slack)
     shifted = lowered_quotes(market)
     _verify_arbitrage_portfolio(portfolio_values(shifted, portfolio, support), support)
     return ArbitrageVerdict(

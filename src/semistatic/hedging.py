@@ -37,17 +37,17 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 
-from .lp import GE, LE, ZERO, LpProblem, LpSolution, VerificationFailure, int_con, solve
+from .lp import GE, ZERO, LpProblem, LpSolution, VerificationFailure, int_con, solve
 from .market import HedgePortfolio, MarketSpec, StrategySpace, portfolio_values
 from .measures import (
     Measure,
     PricingSetSpec,
     SlackResult,
+    _capped_rows,
+    _martingale_rows,
     _measure_of,
-    _row,
-    _stop_row,
+    _stop_rows,
     _weight_var,
-    closure_polytope,
     membership,
     strict_emm_slack,
 )
@@ -151,11 +151,12 @@ def dual_optimum(spec: PricingSetSpec, claim, kind: str) -> tuple[LpSolution, Me
     ("super_div"), or min of the exercise value sup_tau E phi_tau ("sub_am",
     epigraph form); return the solution and, when optimal, its measure.
 
-    One LP over `closure_polytope(spec)`'s rows, which cap every American
-    option at every stopping time; "sub_am" adds a free z and one epigraph
-    row E[phi_tau] - z <= 0 per stopping time, Manne's (1960) dual of optimal
-    stopping.  Trees with more than DEFAULT_ENUM_CAP stopping times raise
-    EnumerationCapError.
+    One LP over the closure polytope's rows, which cap every American option
+    at every stopping time, without its rows w[l] >= 0: the solver keeps
+    every non-free column >= 0 already.  "sub_am" adds a free z and one
+    epigraph row E[phi_tau] - z <= 0 per stopping time, Manne's (1960) dual
+    of optimal stopping.  Trees with more than DEFAULT_ENUM_CAP stopping
+    times raise EnumerationCapError.
 
     This is the closure-side reference formulation, on no hedge path: every
     hedge reads its measure off the leaf duals of its own strategy LP.  The
@@ -164,14 +165,16 @@ def dual_optimum(spec: PricingSetSpec, claim, kind: str) -> tuple[LpSolution, Me
     leaf subset, pass a market whose `support` is that subset."""
     m = spec.market
     leaves = m.support_leaves()
-    poly = closure_polytope(spec)
-    rows, variables, free = poly.constraints, poly.variables, frozenset()
+    taus = enumerate_stopping_times(m.tree)
+    base_vars, base = _martingale_rows(m, leaves)
+    variables, free = list(base_vars), frozenset()
+    rows = [*base, *_capped_rows(spec, leaves, variables, taus)]
     if kind in ("sub_eu", "super_div"):
         objective = {_weight_var(l): claim.at(l) for l in leaves if claim.at(l)}
         sense = "min" if kind == "sub_eu" else "max"
     elif kind == "sub_am":
-        rows += [_row(*_stop_row(claim, tau, leaves), LE, 0, f"epi[{t_idx}]", "z", -1)
-                 for t_idx, tau in enumerate(enumerate_stopping_times(m.tree))]
+        epi = _stop_rows(claim, ZERO, dict(zip(leaves, variables)), "z", -1)
+        rows += [epi(tau, f"epi[{t_idx}]") for t_idx, tau in enumerate(taus)]
         variables.append("z")
         free, objective, sense = frozenset({"z"}), {"z": 1}, "min"
     else:

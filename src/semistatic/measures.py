@@ -28,9 +28,10 @@ forms and make one Fraction, or compare with a Fraction bound by
 cross-multiplication.  A stopping time is its stop nodes alone, so
 a value at a stop, E[h at tau], is summed over them, h there times the mass
 under it (`Measure.expect_at_stop`; `robust.minimax_check`'s stop rows
-likewise).  An LP row over leaf weights (`_stop_row`: the closure polytope's
-stop rows, the slack LP's stop cuts, the reference dual LP's epigraph) reads
-h at tau leaf by leaf, through `stopping.at_stop`.  A measure from user input
+likewise).  An LP row over leaf weights (`_stop_rows`: the closure polytope's
+stop rows, the slack LP's stop cuts, the reference dual LP's epigraph) gives
+h at each stop node to the weights of the leaves under it, over one
+denominator per option and bound.  A measure from user input
 is checked leaf by leaf; one the engine reads off an LP solution, a vertex or
 a mixture (`_measure_of`, `hedging._leaf_dual`, `robust.minimax_check`'s
 attaining measure) is built by `Measure._built`, which keeps only the sign
@@ -55,7 +56,6 @@ from .stopping import (
     StoppingTime,
     _greedy_stop,
     _unnormalized_snell,
-    at_stop,
     enumerate_stopping_times,
 )
 from .tree import AdaptedProcess, EventTree, TerminalClaim
@@ -95,9 +95,10 @@ class Measure:
     def _set(self, tree: EventTree, weights: Mapping[str, Fraction]) -> None:
         w: dict[str, Fraction] = {}
         for leaf, x in weights.items():
-            if x < 0:
+            sign = x.numerator  # a Fraction has its numerator's sign
+            if sign < 0:
                 raise MeasureError(f"negative weight at {leaf!r}")
-            if x:
+            if sign:
                 w[leaf] = x
         self.tree = tree
         self.den, self.num = over_lcm(w)
@@ -231,13 +232,40 @@ def _claim_row(claim: TerminalClaim, leaves: Sequence[str]) -> tuple[int, dict[s
     return den, {_weight_var(l): value[l] for l in leaves if value[l]}
 
 
-def _stop_row(h: AdaptedProcess, tau: StoppingTime,
-              leaves: Sequence[str]) -> tuple[int, dict[str, int]]:
-    """E[h at tau] over the weights of `leaves`: (den, nonzero integer
-    coefficients, in the order of `leaves`)."""
+def _stop_rows(h: AdaptedProcess, bound: Fraction, weights: Mapping[str, str],
+               unit: str | None = None, sign: int = 1) -> Callable[[StoppingTime, str], Constraint]:
+    """The rows E[h at tau] (+ sign * unit) <= bound over the weight variables
+    `weights` (leaf -> variable), one per stop tau: `row(tau, name)`.
+
+    Every row is over one denominator, the lcm of h's and the bound's, fixed
+    here once per process and bound.  A row reads h at each of tau's stop
+    nodes, in the tree's order, and gives it to the weights of the leaves
+    under that node, so its coefficients run in the tree's leaf order; a stop
+    node where h is 0 gives nothing.  The closure polytope's stop rows, the
+    slack LP's stop cuts and `hedging.dual_optimum`'s epigraph rows are all
+    made here."""
+    tree = h.tree
     den, value = h.scaled()
-    stopped = at_stop(tau, value)
-    return den, {_weight_var(l): stopped[l] for l in leaves if stopped[l]}
+    d = lcm(den, bound.denominator)
+    k = d // den
+    rhs = bound.numerator * (d // bound.denominator)
+    place = {n: i for i, n in enumerate(tree.nodes)}.__getitem__
+    leaves_under = tree.leaves_under
+
+    def row(tau: StoppingTime, name: str) -> Constraint:
+        num: dict[str, int] = {}
+        for n in sorted(tau.stop_nodes, key=place):
+            c = value[n] * k
+            if c:
+                for leaf in leaves_under(n):
+                    w = weights.get(leaf)
+                    if w is not None:
+                        num[w] = c
+        if unit is not None:
+            num[unit] = sign * d
+        return int_con(num, LE, rhs, d, name)
+
+    return row
 
 
 def _measure_of(spec_leaves: Sequence[str], sol_values: Mapping[str, Fraction],
@@ -267,7 +295,8 @@ def pricing_rows(
 
 def closure_polytope(spec: PricingSetSpec) -> Polytope:
     """H-representation of the closure of the pricing set, over the weights
-    of the market's support leaves.
+    of the market's support leaves: the mass and martingale rows, one
+    nonnegativity row per weight, then `_capped_rows`.
 
     American caps are expanded into one row per enumerated stopping time, the
     explicit form vertex enumeration needs; trees with more than
@@ -275,14 +304,23 @@ def closure_polytope(spec: PricingSetSpec) -> Polytope:
     m = spec.market
     leaves = m.support_leaves()
     variables, base = _martingale_rows(m, leaves)
-    rows = list(base)
-    rows += [int_con({_weight_var(l): 1}, GE, 0, 1, f"nonneg[{l}]") for l in leaves]
-    rows += pricing_rows(spec, leaves)
-    taus = enumerate_stopping_times(m.tree)
+    nonneg = [int_con({w: 1}, GE, 0, 1, f"nonneg[{l}]") for l, w in zip(leaves, variables)]
+    return Polytope(list(variables), [*base, *nonneg, *_capped_rows(
+        spec, leaves, variables, enumerate_stopping_times(m.tree))])
+
+
+def _capped_rows(spec: PricingSetSpec, leaves: Sequence[str], variables: Sequence[str],
+                 taus: Sequence[StoppingTime]) -> list[Constraint]:
+    """The pricing rows and every American cap at every stop of `taus`, over
+    the weight `variables` of `leaves`: the closure polytope's rows but for
+    the mass, martingale and nonnegativity rows."""
+    m = spec.market
+    weights = dict(zip(leaves, variables))
+    rows = pricing_rows(spec, leaves)
     for k, (h, cap) in enumerate(zip(m.h, m.h_prices)):
-        for t_idx, tau in enumerate(taus):
-            rows.append(_row(*_stop_row(h, tau, leaves), LE, cap, f"h[{k}]tau[{t_idx}]"))
-    return Polytope(list(variables), rows)
+        row = _stop_rows(h, cap, weights)
+        rows += [row(tau, f"h[{k}]tau[{t_idx}]") for t_idx, tau in enumerate(taus)]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -373,9 +411,11 @@ def max_slack(spec: PricingSetSpec) -> SlackResult:
             for l in floor]
     tail.append(int_con({SLACK_VAR: 1}, LE, 1, 1, "slack_cap"))
 
+    weights = dict(zip(leaves, base_vars))
+    stop_rows = [_stop_rows(h, cap, weights, SLACK_VAR) for h, cap in zip(m.h, m.h_prices)]
+
     def build(cuts: list[tuple[int, StoppingTime]]) -> LpProblem:
-        rows = fixed + [_row(*_stop_row(m.h[k], tau, leaves), LE, m.h_prices[k], f"h[{k}]cut",
-                             SLACK_VAR) for k, tau in cuts] + tail
+        rows = fixed + [stop_rows[k](tau, f"h[{k}]cut") for k, tau in cuts] + tail
         return LpProblem("max", {SLACK_VAR: 1}, rows, variables, free=frozenset({SLACK_VAR}))
 
     round0 = ("slack_round0", leaves, m.f, m.f_prices, m.g, m.g_prices, floor)

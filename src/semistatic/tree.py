@@ -33,7 +33,7 @@ class EventTree:
             raise TreeError(f"duplicate node id {dup!r}")
         self._time: dict[str, int] = {}
         self._parent: dict[str, str] = {}
-        self._children: dict[str, list[str]] = {i: [] for i in ids}
+        children: dict[str, list[str]] = {i: [] for i in ids}
         roots = []
         for node_id, parent_id, t in rows:
             if isinstance(t, bool) or not isinstance(t, int) or t < 0:
@@ -42,15 +42,17 @@ class EventTree:
             if parent_id is None:
                 roots.append(node_id)
             else:
-                if parent_id not in self._children:
+                if parent_id not in children:
                     raise TreeError(f"node {node_id!r}: unknown parent {parent_id!r}")
                 self._parent[node_id] = parent_id
-                self._children[parent_id].append(node_id)
+                children[parent_id].append(node_id)
         if len(roots) != 1:
             raise TreeError(f"expected exactly one root, found {roots!r}")
         self.root = roots[0]
         if self._time[self.root] != 0:
             raise TreeError(f"root {self.root!r} must have time 0")
+        self._children: dict[str, tuple[str, ...]] = {
+            n: tuple(kids) for n, kids in children.items()}
         self.horizon = max(self._time.values())
         if self.horizon < 1:
             raise TreeError("horizon must be at least 1")
@@ -99,7 +101,7 @@ class EventTree:
         return self._parent[node]
 
     def children(self, node: str) -> tuple[str, ...]:
-        return tuple(self._children[node])
+        return self._children[node]
 
     def is_leaf(self, node: str) -> bool:
         return not self._children[node]

@@ -28,7 +28,9 @@ time.
     brute-force reference, with `measure_form` the reference for the
     measures made from the vertices and `region_polygon` for
     `cli.emit_region`; `hrep_text` writes a polytope's rows out as plain
-    text.
+    text.  `reference_dd_cone` and `reference_vertices` take the plain
+    double description step, the reference for the leaner kernel's
+    generators, vertex lists and witness rays.
   * `martingale_rows`, `pricing_rows`, `claim_row`, `stop_row`,
     `slack_rows`, `closure_rows`, `dual_rows`, `structure_rows`, `phi_coeffs`,
     `hedge_rows`, `cone_rows` and `minimax_rows` build the engine's LP rows
@@ -60,6 +62,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from semistatic.fixtures import FixtureError
@@ -84,7 +87,13 @@ from semistatic.measures import (
     max_slack,
     polytope_vertices_as_measures,
 )
-from semistatic.polytope import Polytope, PolytopeError, _dd_cone, _primitive_int
+from semistatic.polytope import (
+    Polytope,
+    PolytopeError,
+    UnboundedPolytopeError,
+    _dd_cone,
+    _primitive_int,
+)
 from semistatic.rational import rat, rat_str
 from semistatic.robust import (
     HypothesisFailure, RobustDualityGapError, RobustError, RobustSpec, minimax_check,
@@ -491,6 +500,101 @@ def hrep_from_vertices(
     return Polytope(names, constraints)
 
 
+def reference_dd_cone(rows: Sequence[tuple[tuple[int, ...], bool]], dim: int):
+    """The plain double description step: the pivot line's product taken
+    twice, every line and ray re-made and reduced (those on the row too),
+    the negative rays re-made for the next cone, and every mask containing a
+    pair's common mask counted.  The reference for the leaner
+    `polytope._dd_cone`: the same lines and the same rays, masks and order."""
+    lines = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays: list[tuple[tuple[int, ...], int]] = []
+
+    for idx, (row, eq) in enumerate(rows):
+        bit = 1 << idx
+        pivot_line = next((l for l in lines if sum(map(mul, row, l))), None)
+        if pivot_line is not None:
+            pl = sum(map(mul, row, pivot_line))
+            new_lines = []
+            for l in lines:
+                if l is pivot_line:
+                    continue
+                d = sum(map(mul, row, l))
+                new_lines.append(_primitive_int([pl * a - d * b for a, b in zip(l, pivot_line)]))
+            new_rays = []
+            for r, act in rays:
+                d = sum(map(mul, row, r))
+                if pl < 0:
+                    d = -d
+                # scaling by |pl| keeps earlier activity sets unchanged
+                proj = [abs(pl) * a - d * b for a, b in zip(r, pivot_line)]
+                new_rays.append((_primitive_int(proj), act | bit))
+            if not eq:
+                born = tuple(-x for x in pivot_line) if pl > 0 else pivot_line
+                new_rays.append((_primitive_int(born), bit - 1))
+            lines, rays = new_lines, new_rays
+            continue
+        neg, zero, pos = [], [], []
+        for r, act in rays:
+            d = sum(map(mul, row, r))
+            if d < 0:
+                neg.append((r, act, d))
+            elif d == 0:
+                zero.append((r, act | bit))
+            else:
+                pos.append((r, act, d))
+        new_rays = zero if eq else [(r, act) for r, act, _ in neg] + zero
+        # row idx is active at none of the pairs below, so the masks before
+        # it was added decide containment of their common masks
+        masks = [act for _, act in rays]
+        need = dim - 2 - len(lines)
+        for p, pact, pd in pos:
+            for n, nact, nd in neg:
+                common = pact & nact
+                if common.bit_count() < need:
+                    continue
+                # p's and n's masks contain it; adjacent iff no third does
+                if sum(common & act == common for act in masks) > 2:
+                    continue
+                combo = [pd * b - nd * a for a, b in zip(p, n)]
+                new_rays.append((_primitive_int(combo), common | bit))
+        rays = new_rays
+    return lines, rays
+
+
+def reference_vertices(poly: Polytope) -> list[dict[str, Fraction]]:
+    """`polytope.vertices` over `reference_dd_cone`, every coordinate made a
+    Fraction: the reference for `vertices`, the same vertex list in the same
+    order or the same witness ray, on rows over the polytope's variables."""
+    names = poly.variables
+    dim = len(names) + 1  # homogenizing coordinate t first
+    t_row = [0] * dim
+    t_row[0] = -1
+    rows = [(tuple(t_row), False)]  # t >= 0
+    col = {v: i + 1 for i, v in enumerate(names)}
+    for c in poly.constraints:
+        # the row's stored integers, as `lp.solve` reads them
+        base = [0] * dim
+        base[0] = -c.rhs_num
+        for v, x in c.num.items():
+            if v in col:
+                base[col[v]] = x
+        row = _primitive_int(base)
+        rows.append((tuple(-x for x in row) if c.rel == GE else row, c.rel == EQ))
+    lines, rays = reference_dd_cone(rows, dim)
+
+    points = [r for r, _ in rays if r[0] > 0]
+    recession = [r for r, _ in rays if r[0] == 0 and any(r[1:])]
+    recession += [l for l in lines if any(l[1:])]
+    if points and recession:
+        r = recession[0]
+        raise UnboundedPolytopeError({v: Fraction(r[i + 1]) for i, v in enumerate(names)})
+    # a vertex's coordinates x / t, over the common denominator `den`, are
+    # the integers x * (den // t): sorting those orders the rational tuples
+    den = lcm(*[r[0] for r in points])
+    keyed = sorted((tuple([x * (den // r[0]) for x in r[1:]]), r) for r in points)
+    return [{v: Fraction(x, r[0]) for v, x in zip(names, r[1:])} for _, r in keyed]
+
+
 def contains(poly: Polytope, point: Mapping[str, Fraction]) -> bool:
     for c in poly.constraints:
         lhs = sum((rat(c.coeffs.get(v, ZERO)) * rat(point.get(v, ZERO))
@@ -710,11 +814,14 @@ def witness_slacks(spec, Q: Measure) -> tuple[Fraction | None, Fraction | None]:
     return min(option, default=None), min(floor, default=None)
 
 
-def closure_rows(spec, leaves: Sequence[str], taus: Sequence[StoppingTime]) -> list[Constraint]:
-    """The rows of `closure_polytope` with every stop of `taus`."""
+def closure_rows(spec, leaves: Sequence[str], taus: Sequence[StoppingTime],
+                 nonneg: bool = True) -> list[Constraint]:
+    """The rows of `closure_polytope` with every stop of `taus`; without the
+    rows w[l] >= 0 when `nonneg` is False."""
     m = spec.market
     rows = martingale_rows(m, leaves)
-    rows += [con({_w(l): 1}, GE, 0, f"nonneg[{l}]") for l in leaves]
+    if nonneg:
+        rows += [con({_w(l): 1}, GE, 0, f"nonneg[{l}]") for l in leaves]
     rows += pricing_rows(spec, leaves)
     for k, (h, cap) in enumerate(zip(m.h, m.h_prices)):
         rows += [con(stop_row(h, tau, leaves), LE, cap, f"h[{k}]tau[{t}]")
@@ -724,10 +831,11 @@ def closure_rows(spec, leaves: Sequence[str], taus: Sequence[StoppingTime]) -> l
 
 def dual_rows(spec, claim, kind: str, taus: Sequence[StoppingTime]) -> list[Constraint]:
     """The rows of `hedging.dual_optimum`'s LP: the closure rows with every
-    stop of `taus`, and for "sub_am" one epigraph row E[claim at tau] - z <= 0
-    per stop."""
+    stop of `taus` but the nonnegativity rows, which the LP's column bounds
+    impose, and for "sub_am" one epigraph row E[claim at tau] - z <= 0 per
+    stop."""
     leaves = spec.market.support_leaves()
-    rows = closure_rows(spec, leaves, taus)
+    rows = closure_rows(spec, leaves, taus, nonneg=False)
     if kind == "sub_am":
         for t_idx, tau in enumerate(taus):
             coeffs = stop_row(claim, tau, leaves)

@@ -18,7 +18,7 @@ from semistatic import (
     membership,
 )
 from semistatic.hedging import VerificationFailure
-from semistatic.market import portfolio_value
+from semistatic.market import build_market, portfolio_value
 
 from conftest import random_market
 from oracles import constant_claim, find_pricing_measure
@@ -349,7 +349,8 @@ def test_sna_certificate_against_cone_lp_oracle(seed, monkeypatch):
     verdict is ARBITRAGE iff the cone LP finds an arbitrage at the quotes; a
     STRICT_NO_ARBITRAGE_FAILS verdict's shifted quotes admit one; every
     portfolio re-verifies; and check_sna runs at most one cone LP, at the
-    quotes, only when its certificate is worth nothing on the support."""
+    quotes, exactly when its certificate is worth nothing on the support and
+    its witness is not a full-support pricing measure at the quotes."""
     rng = random.Random(7100 + seed)
     calls = _record_cone_lps(monkeypatch)
     for _ in range(12):
@@ -366,7 +367,13 @@ def test_sna_certificate_against_cone_lp_oracle(seed, monkeypatch):
         certificate = verdict.slack.certificate
         vanishes = not any(portfolio_value(market, certificate, l)
                            for l in market.support_leaves())
-        assert bool(calls) == vanishes
+        Q = verdict.slack.witness
+        proves = verdict.slack.optimum == 0 and Q is not None and \
+            Q.support() == frozenset(market.support_leaves()) and \
+            bool(membership(Q, PricingSetSpec(market), strict=False))
+        assert bool(calls) == (vanishes and not proves)
+        if proves:
+            assert verdict.verdict == STRICT_NO_ARBITRAGE_FAILS
         if verdict.verdict == STRICT_NO_ARBITRAGE_FAILS:
             assert verdict.portfolio is certificate
             assert verdict.shifted_g == tuple(p - F(1, 2) for p in market.g_prices)
@@ -374,6 +381,53 @@ def test_sna_certificate_against_cone_lp_oracle(seed, monkeypatch):
             oracle = check_na(market.with_options(g_prices=verdict.shifted_g,
                                                   h_prices=verdict.shifted_h))
             assert oracle.verdict == ARBITRAGE
+
+
+def test_full_support_witness_proves_no_arbitrage_without_the_cone_lp(b1, monkeypatch):
+    """B1's one martingale measure (1/2, 1/2) prices the up digital at
+    exactly its buy-only quote 1/2: the slack optimum is 0 and its witness,
+    a pricing measure at the quotes charging both leaves, proves no
+    arbitrage at the quotes, so `check_sna` fails strictness without a cone
+    LP, with the slack certificate at quotes lowered by 1/2."""
+    digital = TerminalClaim(b1.tree, {"u": 1, "d": 0})
+    market = b1.with_options(g=[digital], g_prices=[F(1, 2)])
+    calls = _record_cone_lps(monkeypatch)
+    verdict = check_sna(market)
+    assert calls == []
+    assert verdict.verdict == STRICT_NO_ARBITRAGE_FAILS
+    assert verdict.slack.optimum == 0
+    assert verdict.slack.witness.weights == {"u": F(1, 2), "d": F(1, 2)}
+    assert verdict.portfolio is verdict.slack.certificate
+    assert verdict.shifted_g == (F(0),)
+    assert all(v > 0 for v in _certificate_values(market, verdict))
+    assert check_na(market).verdict == NO_ARBITRAGE
+
+
+def test_partial_support_witness_still_takes_one_cone_lp(monkeypatch):
+    """On the trinomial S_1 in {3, 2, 1} from S_0 = 2, the buy-only claims x
+    = (1, 0, -1) and -x, both quoted at 0, are worth 0 under every
+    martingale measure (q_u = q_d), so both caps bind: the slack optimum is
+    0, and the LP's witness is the vertex (1/2, 0, 1/2), which misses the
+    middle leaf and so proves nothing.  `check_sna` runs the one cone LP at
+    the quotes, finds no arbitrage there, and fails strictness."""
+    doc = {"horizon": 1, "nodes": [
+        {"id": "r", "parent": None, "time": 0, "S": ["2"]},
+        {"id": "u", "parent": "r", "time": 1, "S": ["3"]},
+        {"id": "m", "parent": "r", "time": 1, "S": ["2"]},
+        {"id": "d", "parent": "r", "time": 1, "S": ["1"]}]}
+    tri = build_market(doc)
+    x = {"u": 1, "m": 0, "d": -1}
+    market = tri.with_options(g=[TerminalClaim(tri.tree, x),
+                                 TerminalClaim(tri.tree, {l: -v for l, v in x.items()})],
+                              g_prices=[F(0), F(0)])
+    calls = _record_cone_lps(monkeypatch)
+    verdict = check_sna(market)
+    assert calls == [((), {})]
+    assert verdict.verdict == STRICT_NO_ARBITRAGE_FAILS
+    assert verdict.slack.optimum == 0
+    assert verdict.slack.witness.support() < frozenset(market.support_leaves())
+    assert all(v >= 0 for v in _certificate_values(market, verdict))
+    assert any(_certificate_values(market, verdict))
 
 
 def test_infeasible_slack_lp_certificate_is_farkas(b1, monkeypatch):

@@ -38,7 +38,14 @@ from semistatic import ftap, hedging, measures, robust
 from semistatic import market as market_module
 from semistatic.hedging import StrategySpace, dual_optimum, hedge_primal
 from semistatic.lp import EQ, GE, LE, con, int_con
-from semistatic.measures import SLACK_VAR, _claim_row, _stop_row, pricing_rows, strict_emm_slack
+from semistatic.measures import (
+    SLACK_VAR,
+    _claim_row,
+    _stop_rows,
+    _weight_var,
+    pricing_rows,
+    strict_emm_slack,
+)
 from semistatic.rational import rat_str
 from semistatic.stopping import (
     _unnormalized_snell,
@@ -277,9 +284,11 @@ def test_pricing_set_rows_equal_the_fraction_builders(data):
     for claim in market.f + market.g:
         assert _fractions(_claim_row(claim, leaves)) == oracles.claim_row(claim, leaves)
     cuts = _cuts(rng, market.tree, range(len(market.h)))
+    weights = {l: _weight_var(l) for l in leaves}
     for k, tau in cuts:
-        assert _fractions(_stop_row(market.h[k], tau, leaves)) == \
-            oracles.stop_row(market.h[k], tau, leaves)
+        h, cap = market.h[k], market.h_prices[k]
+        assert _view([_stop_rows(h, cap, weights)(tau, "h")]) == \
+            _view([con(oracles.stop_row(h, tau, leaves), LE, cap, "h")])
     if count_stopping_times(market.tree) < 200:
         assert _view(closure_polytope(restricted).constraints) == _view(
             oracles.closure_rows(spec, leaves, enumerate_stopping_times(market.tree)))

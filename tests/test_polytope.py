@@ -78,6 +78,17 @@ def test_empty_polytope():
     assert vertices(poly) == []
 
 
+def test_a_row_on_an_unknown_variable_is_refused():
+    """A row naming a variable the polytope does not list is refused by
+    name, not read with that term dropped."""
+    from semistatic.polytope import PolytopeError
+
+    poly = box2d()
+    poly.constraints.append(con({"x": 1, "z": 1}, LE, 1, "stray"))
+    with pytest.raises(PolytopeError, match="row 'stray' names 'z'"):
+        vertices(poly)
+
+
 def test_unbounded_rejected_with_ray():
     poly = Polytope(["x", "y"], [con({"x": 1}, GE, 0), con({"y": 1}, GE, 0)])
     with pytest.raises(UnboundedPolytopeError) as exc:
@@ -430,3 +441,69 @@ def test_an_equality_is_its_inequality_pair(data):
             for r, act in rays:
                 assert act == sum(1 << i for i, (row, _) in enumerate(cone_rows[:k])
                                   if not sum(map(mul, row, r)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_the_kernel_equals_the_reference_step(data):
+    """`_dd_cone` makes the same lines and the same rays, with the same masks
+    in the same order, as `oracles.reference_dd_cone` on every cone
+    `vertices` hands it, and `vertices` returns the reference's vertex list
+    or raises with its witness ray: random rows in one to four variables,
+    with or without a box (so bounded, empty and unbounded sets, and lines
+    left in the cone), equalities, redundant scaled copies, and degenerate
+    rows through one drawn point."""
+    from oracles import reference_dd_cone, reference_vertices
+
+    names = ["x", "y", "z", "u"][:data.draw(st.integers(1, 4), label="variables")]
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(names), max_size=len(names))
+    rows = []
+    if data.draw(st.booleans(), label="box"):
+        for n in names:
+            rows += [con({n: 1}, LE, data.draw(st.integers(0, 3))), con({n: 1}, GE, -2)]
+    point = data.draw(coeffs, label="point")
+    for _ in range(data.draw(st.integers(0, 5), label="through the point")):
+        a = data.draw(coeffs)
+        if any(a):
+            rel = data.draw(st.sampled_from((LE, LE, GE, EQ)))
+            rows.insert(data.draw(st.integers(0, len(rows))),
+                        con(dict(zip(names, a)), rel, sum(map(mul, a, point))))
+    for _ in range(data.draw(st.integers(0, 5), label="rows")):
+        a = data.draw(coeffs)
+        if any(a):
+            rel = data.draw(st.sampled_from((LE, GE, EQ)))
+            rows.insert(data.draw(st.integers(0, len(rows))),
+                        con(dict(zip(names, a)), rel, data.draw(st.integers(-4, 6))))
+    for _ in range(data.draw(st.integers(0, 2), label="copies") if rows else 0):
+        c, k = data.draw(st.sampled_from(rows)), data.draw(st.integers(1, 3), label="scale")
+        rows.insert(data.draw(st.integers(0, len(rows))),
+                    con({v: k * x for v, x in c.coeffs.items()}, c.rel, k * c.rhs))
+    poly = Polytope(names, rows)
+    try:
+        want = reference_vertices(poly)
+    except UnboundedPolytopeError as exc:
+        want = ("unbounded", exc.ray)
+    with mock.patch("semistatic.polytope._dd_cone", wraps=_dd_cone) as dd:
+        assert _outcome(poly) == want
+    ((cone_rows, dim), _), = dd.call_args_list
+    assert _dd_cone(cone_rows, dim) == reference_dd_cone(cone_rows, dim)
+
+
+@pytest.mark.parametrize("start", range(0, 120, 40))
+def test_closure_cones_equal_the_reference_step(start):
+    """On the closure polytopes of random markets (equality rows, stop rows
+    and their degeneracies), `_dd_cone` makes the reference step's lines and
+    rays, masks and order."""
+    from conftest import random_market
+    from semistatic.measures import PricingSetSpec, closure_polytope
+
+    from oracles import reference_dd_cone
+
+    for seed in range(start, start + 40):
+        market = random_market(random.Random(seed), max_depth=2)
+        if len(market.support_leaves()) > 8:
+            continue
+        with mock.patch("semistatic.polytope._dd_cone", wraps=_dd_cone) as dd:
+            vertices(closure_polytope(PricingSetSpec(market)))
+        ((cone_rows, dim), _), = dd.call_args_list
+        assert _dd_cone(cone_rows, dim) == reference_dd_cone(cone_rows, dim)

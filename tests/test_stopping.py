@@ -21,7 +21,7 @@ from semistatic import (
 import semistatic.stopping as stopping
 from semistatic.hedging import VerificationFailure
 from semistatic.lp import EQ, LpProblem, con, solve
-from semistatic.measures import _stop_row, _weight_var
+from semistatic.measures import _stop_rows, _weight_var
 from semistatic.stopping import _greedy_stop, _unnormalized_snell, at_stop, stop_everywhere_at
 from semistatic.tree import AdaptedProcess, EventTree, TreeError
 
@@ -180,21 +180,22 @@ def test_greedy_stops_and_stop_sums_equal_their_references(tree, data):
 def test_leafwise_reads_at_a_stop_equal_the_path_walk(tree, data):
     """For every enumerated stop, the three leaf-by-leaf reads of h at tau
     equal h at the node `oracles.stop_node` finds on each leaf's path:
-    `at_stop`, the LP row `measures._stop_row` (integers over h's
-    denominator, in the order of the leaves asked for) and the claim
-    `MarketSpec.exercised_at` appends to `g`."""
+    `at_stop`, the LP row `measures._stop_rows` makes (over the leaves asked
+    for, in the tree's leaf order) and the claim `MarketSpec.exercised_at`
+    appends to `g`."""
     values = st.fractions(min_value=-8, max_value=8, max_denominator=6)
     h = AdaptedProcess(tree, {n: data.draw(values) for n in tree.nodes})
     leaves = data.draw(st.permutations(tree.leaves), label="leaves")
     leaves = leaves[:data.draw(st.integers(0, len(leaves)), label="kept")]
     market = MarketSpec(tree=tree, S=AdaptedProcess(tree, {n: 1 for n in tree.nodes}),
                         h=(h,), h_prices=(F(0),))
+    stop_row = _stop_rows(h, F(0), {l: _weight_var(l) for l in leaves})
     for tau in enumerate_stopping_times(tree):
         want = {l: h.scalar_at(oracles.stop_node(tau, l)) for l in tree.leaves}
         assert at_stop(tau, h.as_scalar_map()) == want
-        den, num = _stop_row(h, tau, leaves)
-        assert num == {_weight_var(l): want[l] * den for l in leaves if want[l]}
-        assert list(num) == [_weight_var(l) for l in leaves if want[l]]
+        row = stop_row(tau, "h")
+        assert row.coeffs == {_weight_var(l): want[l] for l in leaves if want[l]}
+        assert list(row.num) == [_weight_var(l) for l in tree.leaves if l in leaves and want[l]]
         claim = market.exercised_at([tau]).g[-1]
         assert {l: claim.at(l) for l in tree.leaves} == want
 

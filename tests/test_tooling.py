@@ -8,14 +8,16 @@ check vanishes under `python -O`.  LP rows are made in integers by
 Fraction view or defines the shared `ZERO`.  Only `market.build_market` makes
 a market, and what is derived from a market or its stock process is kept by
 `market._kept` alone.  Each pricing region is one traced vertex enumeration,
-and the double-description kernel makes no Fraction.  The robust questions are
-asked of the maximal prior supports only, picked by `robust._maximal`, and
-of one quasi-sure market, which `RobustSpec` alone restricts to the union of
-the prior supports.  A pricing set's caps are its market's quotes.  The
-package's modules import each other at module top, in one direction, and a
-failed re-check is one error type.  The constructors that skip input checks
-build only stops and measures the engine made, a stopping time holds only
-its stop nodes, and a measure keeps only its masses."""
+and the double-description kernel makes no Fraction.  The first
+`pricing-sets` answers at the benchmark's reference seed equal its reference
+file.  The robust questions are asked of the maximal prior supports only,
+picked by `robust._maximal`, and of one quasi-sure market, which
+`RobustSpec` alone restricts to the union of the prior supports.  A pricing
+set's caps are its market's quotes.  The package's modules import each
+other at module top, in one direction, and a failed re-check is one error
+type.  The constructors that skip input checks build only stops and
+measures the engine made, a stopping time holds only its stop nodes, and a
+measure keeps only its masses."""
 
 import ast
 import graphlib
@@ -233,6 +235,33 @@ def test_each_pricing_region_enumerates_once(monkeypatch, p2):
     poly = closure_polytope(PricingSetSpec(p2))
     polytope_vertices_as_measures(poly, p2.tree)
     assert calls[1:] == [poly]
+
+
+def test_first_pricing_set_answers_equal_the_benchmark_reference(monkeypatch):
+    """The first 700 `pricing-sets` ops that `bench/workloads.py` builds at
+    the reference seed (100 markets, each with one op of the seven kinds)
+    re-check and give `bench/reference.json`'s answers, so a vertex list, a
+    region, a verdict, a price or a minimax value that moves fails here
+    before the benchmark runs.  The bench files are read, never written."""
+    import itertools
+    from collections import Counter
+
+    import semistatic
+
+    reference = json.loads((ROOT / "bench" / "reference.json").read_text(encoding="utf-8"))
+    want = reference["answers"]["pricing-sets"][:700]
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    stream = workloads.PricingSets(semistatic, str(ROOT), reference["seed"]).ops()
+    got, kinds, problems = [], Counter(), []
+    for op in itertools.islice(stream, len(want)):
+        answer, wrong, failure = op.check(op.call())
+        got.append(answer)
+        kinds[op.kind] += 1
+        problems += [f"#{op.index} {op.kind}: {msg}" for msg in wrong + [failure] if msg]
+    assert problems == []
+    assert got == want
+    assert len(kinds) == 7 and set(kinds.values()) == {100}
 
 
 def test_double_description_makes_no_fraction():
