@@ -33,6 +33,7 @@ from .measures import (
     PricingSetSpec,
     SlackResult,
     closure_polytope,
+    closure_vertices,
     max_slack,
     membership,
 )

@@ -41,8 +41,7 @@ from .measures import (
     Measure,
     MeasureError,
     PricingSetSpec,
-    closure_polytope,
-    polytope_vertices_as_measures,
+    closure_vertices,
 )
 from .rational import RationalError, rat_str
 from .robust import (
@@ -142,8 +141,10 @@ def _hedge_report(result: HedgeResult, approx: bool) -> dict:
 # ---------------------------------------------------------------------------
 
 def emit_region(market: MarketSpec, params: list[str]) -> list[dict[str, Fraction]]:
-    """Vertices of the closure of the pricing region, mapped to one-step
-    conditional-probability parameters (at most two), ordered along the hull.
+    """Vertices of the closure of the pricing region (`closure_vertices`,
+    kept on the market), mapped to one-step conditional-probability
+    parameters (at most two), ordered along the hull: a new list of new
+    points on every call.
 
     Each parameter names a node; its value is the conditional probability of
     stepping from the node's parent into it.  The parent's subtree mass must
@@ -157,8 +158,7 @@ def emit_region(market: MarketSpec, params: list[str]) -> list[dict[str, Fractio
     for n in params:
         if n not in tree.nodes or n == tree.root:
             raise UsageError(f"parameter node {n!r} not a non-root node")
-    poly = closure_polytope(PricingSetSpec(market))
-    measures = polytope_vertices_as_measures(poly, tree)
+    measures = closure_vertices(PricingSetSpec(market))
     if not measures:
         return []
 

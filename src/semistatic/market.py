@@ -32,16 +32,17 @@ class MarketError(ValueError):
 
 def _kept(obj, key, build: Callable[[], object]):
     """`build()`, made once per object and `key` and kept on the object: what
-    depends on a market alone (its decisions, its reductions
-    `without_american` and restrictions `on_support`, and one whole map of
-    terminal-value coefficients) or on its stock process and the key alone
-    (the martingale rows per leaf set; a slack LP's round 0 per leaf set,
-    European book and floor).  Structure rows are built per LP.  A derived
-    market (`with_options`, `exercised_at`, `dataclasses.replace`) is a new
-    object and decides again; `build_market` makes a new stock process too.
-    What is kept is shared and never changed after it is stored: callers
-    copy before they extend it.  Threads that ask at once may each build it;
-    the first one stored is kept."""
+    depends on a market alone (its decisions, its closure's vertex measures,
+    its reductions `without_american` and restrictions `on_support`, and one
+    whole map of terminal-value coefficients) or on its stock process and
+    the key alone (the martingale rows per leaf set; a slack LP's round 0
+    per leaf set, European book and floor).  Structure rows are built per
+    LP.  A derived market (`with_options`, `exercised_at`,
+    `dataclasses.replace`) is a new object and decides again; `build_market`
+    makes a new stock process too.  What is kept is shared and never changed
+    after it is stored (a kept measure fills only its own masses memo):
+    callers copy before they extend it.  Threads that ask at once may each
+    build it; the first one stored is kept."""
     kept = obj.__dict__.setdefault("_kept", {})
     if key not in kept:
         kept.setdefault(key, build())

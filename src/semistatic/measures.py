@@ -15,17 +15,18 @@ witness violates it.  Its round 0 holds no American row, so a slack LP's
 round 0 is the slack LP of the market without American options, and it is
 kept on the stock process for every market that poses it.  The LPs that
 list one row per enumerated stopping time instead are the closure polytope,
-whose vertex enumeration needs its full H-representation, the stop-side LP
-of `robust.minimax_check`, whose duals on those rows are the exercise flows,
-and the reference `hedging.dual_optimum`, which optimizes over the closure
-polytope.
+whose vertex enumeration needs its full H-representation
+(`closure_vertices` keeps the vertex measures on the market, which alone
+they depend on), the stop-side LP of `robust.minimax_check`, whose duals on
+those rows are the exercise flows, and the reference `hedging.dual_optimum`,
+which optimizes over the closure polytope.
 
 A `Measure` holds integer weights over one denominator, the lcm of its
-weights' denominators (a canonical form), and keeps its integer subtree masses
-after first use, and nothing else.  Expectations, exercise envelopes and the
-membership checks sum integers against the claims' and processes' own integer
-forms and make one Fraction, or compare with a Fraction bound by
-cross-multiplication.  A stopping time is its stop nodes alone, so
+weights' denominators (a canonical form), and their Fraction view; it keeps
+its integer subtree masses after first use, and nothing else.  Expectations,
+exercise envelopes and the membership checks sum integers against the
+claims' and processes' own integer forms and make one Fraction, or compare
+with a Fraction bound by cross-multiplication.  A stopping time is its stop nodes alone, so
 a value at a stop, E[h at tau], is summed over them, h there times the mass
 under it (`Measure.expect_at_stop`; `robust.minimax_check`'s stop rows
 likewise).  An LP row over leaf weights (`_stop_rows`: the closure polytope's
@@ -528,3 +529,18 @@ def polytope_vertices_as_measures(poly: Polytope, tree: EventTree) -> list[Measu
     `vertices` call, as measures."""
     leaves = [name[2:-1] for name in poly.variables if name.startswith("w[")]
     return [_measure_of(leaves, vert, tree) for vert in vertices(poly)]
+
+
+def closure_vertices(spec: PricingSetSpec) -> tuple[Measure, ...]:
+    """The vertex measures of the closure of the pricing set,
+    `polytope_vertices_as_measures(closure_polytope(spec), tree)`, enumerated
+    once per market object and kept on it (`market._kept`).  The closure
+    reads the market alone, never `support_floor`, so every spec on one
+    market shares them; a re-quoted market (`with_options`, a spec with
+    other caps) or a restricted one (`on_support`) is another object and
+    enumerates its own.  The tuple and its measures are shared: callers
+    read them (a measure fills only its own masses memo) and build their
+    answers anew."""
+    m = spec.market
+    return _kept(m, "closure_vertices", lambda: tuple(
+        polytope_vertices_as_measures(closure_polytope(spec), m.tree)))

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from .lp import VerificationFailure
 from .market import MarketSpec
-from .measures import Measure, PricingSetSpec, closure_polytope, polytope_vertices_as_measures
+from .measures import Measure, PricingSetSpec, closure_vertices
 
 if TYPE_CHECKING:
     import numpy as np
@@ -99,8 +99,9 @@ def power_utility(gamma: float) -> UtilityFunction:
 class UtilitySpec:
     """A utility on a market under a full-support reference measure.  Built
     whole: `p_weights` holds the reference's weights on the support leaves,
-    and `densities` one row per vertex of the closed pricing set, its
-    density against the reference."""
+    and `densities` one row per vertex of the closed pricing set
+    (`closure_vertices`, kept on the market), its density against the
+    reference."""
 
     market: MarketSpec
     utility: UtilityFunction
@@ -117,8 +118,7 @@ class UtilitySpec:
         up = self.utility.Uprime
         if not (float(up(np.array(1e-8))) > 1e3 and float(up(np.array(1e8))) < 1e-3):
             raise UtilityError("utility violates the Inada conditions")
-        poly = closure_polytope(PricingSetSpec(self.market))
-        verts = polytope_vertices_as_measures(poly, self.market.tree)
+        verts = closure_vertices(PricingSetSpec(self.market))
         if not verts:
             raise UtilityError("empty pricing set; utility duality undefined")
         self.p_weights = np.array([float(self.reference.at(l)) for l in leaves])

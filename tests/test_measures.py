@@ -11,6 +11,7 @@ from semistatic import (
     PricingSetSpec,
     TerminalClaim,
     closure_polytope,
+    closure_vertices,
     load_fixture,
     max_slack,
     membership,
@@ -21,7 +22,7 @@ from semistatic.fixtures import p2_measure
 from semistatic.hedging import dual_optimum
 from semistatic.lp import GE, LE, LpProblem, con, solve
 from semistatic.measures import MeasureError, polytope_vertices_as_measures
-from semistatic.stopping import count_stopping_times, enumerate_stopping_times
+from semistatic.stopping import count_stopping_times, enumerate_stopping_times, snell_value
 from conftest import random_claim, random_market, random_measure, random_process
 from oracles import martingale_system, p2_params_of, stop_node, witness_slacks
 
@@ -354,3 +355,46 @@ def test_caps_are_the_quotes_of_a_requoted_market(seed):
         for strict in (False, True):
             assert membership(Q, capped, strict).violations == \
                 membership(Q, quoted, strict).violations
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_closure_vertices_are_the_enumerated_vertices_kept_per_market(seed):
+    """`closure_vertices` is `polytope_vertices_as_measures(closure_polytope)`
+    on random markets, on them re-quoted with two American options at tight
+    quotes (a pricing measure's Snell values) and restricted to a random
+    support; a repeated call, at any floor, returns the kept tuple itself,
+    and a `with_options` copy at other American quotes (or a spec with
+    other caps) and an `on_support` restriction, asked after the market,
+    are other markets that each enumerate and keep their own."""
+
+    def decided(spec):
+        """The vertices `spec`'s market keeps, checked to be its own."""
+        before = dict(spec.market.__dict__.get("_kept", {}))
+        got = closure_vertices(spec)
+        assert "closure_vertices" not in before
+        assert spec.market.__dict__["_kept"]["closure_vertices"] is got
+        assert list(got) == polytope_vertices_as_measures(
+            closure_polytope(spec), spec.market.tree)
+        return got
+
+    rng = random.Random(seed)
+    market = random_market(rng, max_depth=2)
+    tree = market.tree
+    Q = measures.strict_emm_slack(market.without_american()).witness
+    if Q is not None:
+        h = (list(market.h) + [random_process(rng, tree) for _ in range(2)])[:2]
+        market = market.with_options(h=h, h_prices=[snell_value(Q, hk) for hk in h])
+    leaves = list(tree.leaves)
+    support = rng.sample(leaves, rng.randint(1, len(leaves)))
+    for m in {market: None, market.on_support(support): None}:
+        kept = decided(PricingSetSpec(m))
+        assert type(kept) is tuple
+        floor = frozenset(l for l in m.support_leaves() if rng.random() < 0.5)
+        assert closure_vertices(PricingSetSpec(m, support_floor=floor)) is kept
+        if m.h:
+            quotes = [p + rng.choice([F(-1, 4), F(1, 4), F(1)]) for p in m.h_prices]
+            for other in (PricingSetSpec(m.with_options(h_prices=quotes)),
+                          PricingSetSpec(m, h_cap=quotes)):
+                decided(other)
+        assert closure_vertices(PricingSetSpec(m)) is kept

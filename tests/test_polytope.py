@@ -125,6 +125,26 @@ def test_p2_region_polygon(p2):
     ]
 
 
+def test_a_returned_region_is_the_callers_own():
+    """`emit_region` builds a new list of new points on every call: changing
+    a point's value, dropping a point or clearing the list leaves the next
+    answer on the same market, whose vertices are kept, as it was."""
+    from semistatic import load_fixture
+    from semistatic.cli import emit_region
+
+    p2 = load_fixture("P2")
+    first = emit_region(p2, ["u1", "d1"])
+    expected = [dict(pt) for pt in first]
+    first[0]["u1"] = F(7)
+    del first[0]["d1"]
+    first.pop()
+    assert emit_region(p2, ["u1", "d1"]) == expected
+    second = emit_region(p2, ["u1", "d1"])
+    second.clear()
+    assert emit_region(p2, ["u1", "d1"]) == expected
+    assert len(expected) == 5
+
+
 def test_region_of_complete_market_is_a_point(t2):
     from semistatic.cli import emit_region
 

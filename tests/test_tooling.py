@@ -7,8 +7,9 @@ check vanishes under `python -O`.  LP rows are made in integers by
 `lp.int_con`, and only `lp.py` turns rationals into a row, reads a row's
 Fraction view or defines the shared `ZERO`.  Only `market.build_market` makes
 a market, and what is derived from a market or its stock process is kept by
-`market._kept` alone.  Each pricing region is one traced vertex enumeration,
-and the double-description kernel makes no Fraction.  The first
+`market._kept` alone.  A market's pricing region is one traced vertex
+enumeration, kept on the market, and the double-description kernel makes no
+Fraction.  The first
 `pricing-sets` answers at the benchmark's reference seed equal its reference
 file.  The robust questions are asked of the maximal prior supports only,
 picked by `robust._maximal`, and of one quasi-sure market, which
@@ -205,17 +206,25 @@ def test_restrictions_are_markets_not_parameters():
     assert found == []
 
 
-def test_each_pricing_region_enumerates_once(monkeypatch, p2):
+def test_each_pricing_region_enumerates_once(monkeypatch):
     """`polytope.vertices` is swapped wherever a `semistatic` module bound
-    it, as the traced run does: the CLI's pricing region and the measures of
-    a closure polytope each call it exactly once, so the traced
-    `polytope.vertices.calls` counts enumerations, and no enumeration runs
-    outside that span."""
+    it, as the traced run does: the first pricing region of a fresh market
+    calls it exactly once, so the traced `polytope.vertices.calls` counts
+    enumerations, and no enumeration runs outside that span.  The region's
+    vertices are kept on the market (`closure_vertices`), so a second region
+    and `closure_vertices` itself make no call; the measures of a closure
+    polytope are never kept and make exactly one."""
     import semistatic
-    from semistatic import polytope
+    from semistatic import load_fixture, polytope
     from semistatic.cli import emit_region
-    from semistatic.measures import PricingSetSpec, closure_polytope, polytope_vertices_as_measures
+    from semistatic.measures import (
+        PricingSetSpec,
+        closure_polytope,
+        closure_vertices,
+        polytope_vertices_as_measures,
+    )
 
+    p2 = load_fixture("P2")
     calls = []
     orig = polytope.vertices
 
@@ -230,7 +239,10 @@ def test_each_pricing_region_enumerates_once(monkeypatch, p2):
                     monkeypatch.setattr(mod, attr, counted)
     assert semistatic.vertices is counted
 
-    emit_region(p2, ["u1", "d1"])
+    region = emit_region(p2, ["u1", "d1"])
+    assert len(calls) == 1
+    assert emit_region(p2, ["u1", "d1"]) == region
+    closure_vertices(PricingSetSpec(p2))
     assert len(calls) == 1
     poly = closure_polytope(PricingSetSpec(p2))
     polytope_vertices_as_measures(poly, p2.tree)
