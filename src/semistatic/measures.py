@@ -18,8 +18,10 @@ list one row per enumerated stopping time instead are the closure polytope,
 whose vertex enumeration needs its full H-representation
 (`closure_vertices` keeps the vertex measures on the market, which alone
 they depend on), the stop-side LP of `robust.minimax_check`, whose duals on
-those rows are the exercise flows, and the reference `hedging.dual_optimum`,
-which optimizes over the closure polytope.
+those rows are the exercise flows and which it solves only when no vertex of
+the hull is the strict optimum (else the vertex's optimal stops prove the
+identity), and the reference `hedging.dual_optimum`, which optimizes over the
+closure polytope.
 
 A `Measure` holds integer weights over one denominator, the lcm of its
 weights' denominators (a canonical form), and their Fraction view; it keeps

@@ -46,7 +46,13 @@ the specs `reduced()` derives share the market's reductions
 is one object per market and leaf set and keeps its own LP rows, the
 strategy columns' included, so they are built once for every question asked
 of it.  Only a rebuilt market decides again.  The certificate checks of every
-hedge and domination still run per call."""
+hedge and domination still run per call.
+
+The minimax identity over a hull of measures takes no LP when one vertex is
+the strict optimum: that vertex's exercise envelopes give the worst case, and
+their optimal stops, worth more at every other vertex, are the exercise
+flows.  Only otherwise does it solve the stop-side LP over every enumerated
+stopping time, whose duals are the flows."""
 
 from __future__ import annotations
 
@@ -74,7 +80,12 @@ from .measures import (
     membership,
 )
 from .rational import rat_str
-from .stopping import LiquidatingStrategy, enumerate_stopping_times, snell_value
+from .stopping import (
+    LiquidatingStrategy,
+    enumerate_stopping_times,
+    snell_optimal_stop,
+    snell_value,
+)
 from .tree import AdaptedProcess, TreeError
 
 
@@ -421,9 +432,9 @@ def _verify_domination(spec: RobustSpec, P: Measure, result: DominationResult) -
 
 @dataclass
 class MinimaxResult:
-    lhs: Fraction  # worst vertex value of the exercise flows read off the duals
+    lhs: Fraction  # worst vertex value of the exercise flows
     mid: Fraction  # summed exercise envelopes under the attaining measure
-    rhs: Fraction  # optimum of the stop-side LP: the worst case over the hull
+    rhs: Fraction  # the worst case over the hull: its least summed envelope
     attaining: Measure
 
     def values(self):
@@ -435,18 +446,17 @@ def minimax_check(
 ) -> MinimaxResult:
     """Prove sup over flows inf over the hull = inf over the hull sup over
     flows for liquidating the options, over the convex hull of the given
-    vertices, from one LP.
+    vertices, with at most one LP.
 
-    The stop-side LP enumerates every stopping time and takes the worst hull
-    mixture, one epigraph variable per option (the worst stop combination of
-    a separable sum is the worst stop of each option); its optimum is rhs and
-    its optimal mixture the attaining measure.  Minus the duals of option k's
-    stop rows are weights on the stopping times (the free epigraph column
-    makes them sum to one), so they give option k an exercise flow, eta(n) =
-    the weight of the times that stop at n.  Two exact re-checks follow:
-
-      lhs: the worst vertex value of the flows, sum_k E_R[eta_k . h_k],
-      mid: the summed exercise envelopes under the attaining measure.
+    rhs is the least summed exercise envelope over the hull and the
+    attaining measure a mixture of the vertices that has it; lhs is the
+    worst vertex value, sum_k E_R[eta_k . h_k], of one exercise flow eta_k
+    per option.  When one vertex is the strict optimum, its envelopes and
+    their optimal stops give rhs, the mixture and lhs with no LP and no
+    enumerated stop (`_strict_vertex`).  Otherwise the stop-side LP over
+    every stopping time gives them (`_stop_side_lp`).  The attaining
+    measure is built from the mixture weights the same way on both paths,
+    and mid, the summed exercise envelopes under it, is recomputed.
 
     Weak duality gives lhs <= sup_flow inf_Q <= inf_Q sup_flow <= mid, so
     lhs == mid == rhs proves the identity; anything else raises
@@ -460,11 +470,75 @@ def minimax_check(
     for h in h_list:
         if h.tree is not tree:
             raise RobustError("options must live on the vertex tree")
-    N = len(h_list)
-    if N == 0:
+    if not h_list:
         raise RobustError("empty option list")
 
-    # rhs: every stopping time, one epigraph variable per option; a vertex's
+    rhs, lams, lhs = _strict_vertex(R_vertices, h_list) or _stop_side_lp(R_vertices, h_list)
+    den = lcm(*[lam.denominator * R.den for lam, R in zip(lams, R_vertices)])
+    mixture_w: dict[str, int] = {}
+    for lam, R in zip(lams, R_vertices):
+        scale = lam.numerator * (den // (lam.denominator * R.den))
+        for leaf, wl in R.num.items():
+            mixture_w[leaf] = mixture_w.get(leaf, 0) + scale * wl
+    attaining = Measure._built(tree, {leaf: Fraction(w, den) for leaf, w in mixture_w.items()})
+    mid = sum((snell_value(attaining, h) for h in h_list), ZERO)
+    if mid != rhs:
+        raise VerificationFailure(
+            f"attaining measure gives {rat_str(mid)}, expected {rat_str(rhs)}"
+        )
+    if not (lhs == mid == rhs):
+        raise VerificationFailure(
+            f"minimax identity broken: {rat_str(lhs)}, {rat_str(mid)}, {rat_str(rhs)}"
+        )
+    return MinimaxResult(lhs=lhs, mid=mid, rhs=rhs, attaining=attaining)
+
+
+def _strict_vertex(R_vertices: Sequence[Measure], h_list: Sequence[AdaptedProcess]
+                   ) -> tuple[Fraction, list[Fraction], Fraction] | None:
+    """rhs, the mixture weights and lhs from the one vertex whose optimal
+    stops prove it the strict optimum, or None for the stop-side LP to decide.
+
+    Vertex b has the least summed envelope v_b = sum_k snell_value(R_b, h_k)
+    (None on a tie), and tau_k is its optimal stop of option k
+    (`snell_optimal_stop`, re-checked to attain the envelope).  The stops'
+    {0,1} flows are worth c_j = sum_k E_{R_j}[h_k at tau_k] at vertex j, and
+    c_b = v_b, re-checked here too: a stop that misses raises, it does not
+    fall back to the LP.  At a mixture lambda the summed envelopes are at
+    least sum_j lambda_j c_j, so when every other c_j exceeds v_b, the
+    stop-side LP's optimum is v_b, attained at lambda = e_b alone: rhs = v_b,
+    lhs = min_j c_j."""
+    sums = [sum((snell_value(R, h) for h in h_list), ZERO) for R in R_vertices]
+    v = min(sums)
+    if sums.count(v) > 1:
+        return None
+    b = sums.index(v)
+    taus = [snell_optimal_stop(R_vertices[b], h) for h in h_list]
+    values = [sum((R.expect_at_stop(h, tau) for h, tau in zip(h_list, taus)), ZERO)
+              for R in R_vertices]
+    if values[b] != v:
+        raise VerificationFailure(
+            f"optimal stops of vertex {b} are worth {rat_str(values[b])}, "
+            f"its summed envelopes {rat_str(v)}"
+        )
+    if any(c <= v for j, c in enumerate(values) if j != b):
+        return None
+    return v, [Fraction(j == b) for j in range(len(R_vertices))], min(values)
+
+
+def _stop_side_lp(R_vertices: Sequence[Measure], h_list: Sequence[AdaptedProcess]
+                  ) -> tuple[Fraction, list[Fraction], Fraction]:
+    """rhs, the mixture weights and lhs from one LP over every stopping time.
+
+    The LP takes the worst hull mixture, one epigraph variable per option
+    (the worst stop combination of a separable sum is the worst stop of each
+    option); its optimum is rhs and its optimal mixture the weights.  Minus
+    the duals of option k's stop rows are weights on the stopping times (the
+    free epigraph column makes them sum to one), so they give option k an
+    exercise flow, eta(n) = the weight of the times that stop at n, and lhs
+    is the flows' worst vertex value."""
+    tree = R_vertices[0].tree
+    N = len(h_list)
+    # every stopping time, one epigraph variable per option; a vertex's
     # E[h_k at tau] sums h_k times the vertex's mass under each stop node, and
     # every row is over the lcm of the vertices' denominators times h_k's
     scaled = [h.scaled() for h in h_list]
@@ -488,23 +562,9 @@ def minimax_check(
                           free=frozenset(w_vars)))
     if sol.status != "optimal":
         raise RobustError(f"stop-side LP is {sol.status}")
-    rhs = sol.objective
-
     lams = [sol.values.get(v, ZERO) for v in lam_vars]
-    den = lcm(*[lam.denominator * R.den for lam, R in zip(lams, R_vertices)])
-    mixture_w: dict[str, int] = {}
-    for lam, R in zip(lams, R_vertices):
-        scale = lam.numerator * (den // (lam.denominator * R.den))
-        for leaf, wl in R.num.items():
-            mixture_w[leaf] = mixture_w.get(leaf, 0) + scale * wl
-    attaining = Measure._built(tree, {leaf: Fraction(w, den) for leaf, w in mixture_w.items()})
-    mid = sum((snell_value(attaining, h) for h in h_list), ZERO)
-    if mid != rhs:
-        raise VerificationFailure(
-            f"attaining measure gives {rat_str(mid)}, expected {rat_str(rhs)}"
-        )
 
-    # lhs: option k's stop rows start after the hull row
+    # option k's stop rows start after the hull row
     flows = []
     for k in range(N):
         eta = dict.fromkeys(tree.nodes, ZERO)
@@ -526,10 +586,4 @@ def minimax_check(
                      for (_, e), (_, value), d in zip(flows, scaled, dens)])
         return Fraction(total, R.den * flow_den)
 
-    lhs = min(vertex_value(R) for R in R_vertices)
-
-    if not (lhs == mid == rhs):
-        raise VerificationFailure(
-            f"minimax identity broken: {rat_str(lhs)}, {rat_str(mid)}, {rat_str(rhs)}"
-        )
-    return MinimaxResult(lhs=lhs, mid=mid, rhs=rhs, attaining=attaining)
+    return sol.objective, lams, min(vertex_value(R) for R in R_vertices)

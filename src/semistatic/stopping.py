@@ -46,7 +46,8 @@ class EnumerationCapError(RuntimeError):
     """Too many stopping times, or whole-unit stop combinations, to enumerate.
     Only these enumerate: the explicit closure polytope and the reference
     `hedging.dual_optimum` over it, the stop-side LP of `robust.minimax_check`
-    (whose duals on the enumerated stop rows are the exercise flows), the
+    (whose duals on the enumerated stop rows are the exercise flows), which
+    it solves only when no vertex of the hull is the strict optimum, the
     per-stop scan of `super_hedge_indivisible`, and the whole-unit scan of
     `check_na(divisible=False)`, which runs only after the divisible cone LP
     finds an arbitrage.  The slack LP takes its stop rows from the Snell
@@ -174,9 +175,10 @@ def enumerate_stopping_times(tree: EventTree) -> list[StoppingTime]:
     if n > DEFAULT_ENUM_CAP:
         raise EnumerationCapError(
             f"{n} stopping times exceeds cap {DEFAULT_ENUM_CAP}; only the closure polytope "
-            "and the reference dual LP over it, the minimax stop-side LP, the "
-            "indivisible super-hedge's per-stop scan and the whole-unit arbitrage "
-            "scan enumerate them (the slack LP's stop rows come from the Snell oracle)"
+            "and the reference dual LP over it, the minimax stop-side LP (when no vertex "
+            "is the strict optimum), the indivisible super-hedge's per-stop scan and "
+            "the whole-unit arbitrage scan enumerate them (the slack LP's stop rows "
+            "come from the Snell oracle)"
         )
 
     def stops(node: str) -> Iterator[frozenset[str]]:
@@ -222,7 +224,9 @@ def snell_value(Q: "Measure", h: AdaptedProcess) -> Fraction:
 def snell_optimal_stop(Q: "Measure", h: AdaptedProcess) -> StoppingTime:
     """A stopping time attaining the Snell value: the greedy early-exercise
     rule of the envelope (stop as soon as stopping is no worse than continuing).
-    No engine function calls it; `measures.solve_with_stop_cuts` calls `_greedy_stop`.
+    `robust.minimax_check` calls it for the options' stops at the hull's best
+    vertex; `measures.solve_with_stop_cuts` calls `_greedy_stop` on the
+    envelope it has already built.
     """
     return _greedy_stop(Q, h, _unnormalized_snell(Q, h)[0])
 

@@ -38,7 +38,8 @@ time.
     integer rows from the market's integer forms.  `minimax_rows` also
     builds the flow side of the minimax identity, which the engine reads off
     the stop side's duals; `minimax_flow_value` solves it, the reference for
-    `minimax_check`'s lhs.
+    `minimax_check`'s lhs, and `minimax_stop_side` solves the stop side over
+    every enumerated stop, the reference for its rhs and attaining measure.
   * `martingale_system` (the kept martingale rows of a market's support as
     an LP fragment) and `constant_claim` are conveniences only the tests
     use.
@@ -956,6 +957,27 @@ def minimax_flow_value(R_vertices: Sequence[Measure],
     if sol.status != "optimal":
         raise VerificationFailure(f"flow-side LP is {sol.status}")
     return sol.objective
+
+
+def minimax_stop_side(R_vertices: Sequence[Measure],
+                      h_list: Sequence[AdaptedProcess]) -> tuple[Fraction, Measure]:
+    """inf over the hull of the summed exercise envelopes, and the mixture of
+    the vertices that attains it: the stop-side rows of `minimax_rows` over
+    every enumerated stop solved with `lp.solve`, the reference for
+    `minimax_check`'s rhs and attaining measure."""
+    tree = R_vertices[0].tree
+    _, rows = minimax_rows(R_vertices, h_list, enumerate_stopping_times(tree))
+    lam_vars = [f"lam[{i}]" for i in range(len(R_vertices))]
+    w_vars = [f"w[{k}]" for k in range(len(h_list))]
+    sol = solve(LpProblem("min", {w: 1 for w in w_vars}, rows, lam_vars + w_vars,
+                          free=frozenset(w_vars)))
+    if sol.status != "optimal":
+        raise VerificationFailure(f"stop-side LP is {sol.status}")
+    weights: dict[str, Fraction] = {}
+    for lam, R in zip(lam_vars, R_vertices):
+        for leaf, w in R.weights.items():
+            weights[leaf] = weights.get(leaf, ZERO) + sol.values.get(lam, ZERO) * w
+    return sol.objective, Measure(tree, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ from semistatic import (
 from semistatic.hedging import VerificationFailure, duality_gap_report
 from semistatic.lp import EQ, LpProblem, con, solve
 from semistatic.market import portfolio_value
+from semistatic import robust
 from semistatic.robust import HypothesisFailure, RobustError
 from semistatic.stopping import StoppingTime, enumerate_stopping_times
 
@@ -197,14 +198,20 @@ def test_criterion_4_flow_stop_envelope_identity():
     _report("4 (flow = stop scan = envelope root)", start, f"{pairs} pairs")
 
 
-def test_criterion_5_minimax_identity():
+def test_criterion_5_minimax_identity(monkeypatch):
     """The three minimax quantities agree exactly, and with the Fraction
     flow-side LP's optimum, on 100+ randomized hulls, including singletons
-    and 2-3 vertex hulls, with an attaining measure."""
+    and 2-3 vertex hulls, with an attaining measure; both paths are seen,
+    hulls proved by a strict vertex with no LP and hulls the stop-side LP
+    decides."""
     start = time.monotonic()
+    solves = []
+    real_solve = robust.solve
+    monkeypatch.setattr(robust, "solve", lambda problem: solves.append(1) or real_solve(problem))
     rng = random.Random(55_001)
     done = 0
     sizes = {1: 0, 2: 0, 3: 0}
+    paths = {"strict": 0, "lp": 0}
     while done < 110:
         market = random_market(rng, max_depth=2)
         tree = market.tree
@@ -212,15 +219,18 @@ def test_criterion_5_minimax_identity():
         verts = [random_measure(rng, tree, full_support=rng.random() < 0.7)
                  for _ in range(n_vert)]
         hs = [random_process(rng, tree) for _ in range(rng.randint(1, 2))]
+        solves.clear()
         result = minimax_check(verts, hs)
+        paths["lp" if solves else "strict"] += 1
         assert minimax_flow_value(verts, hs) == result.lhs == result.mid == result.rhs
         total = sum((snell_value(result.attaining, h) for h in hs), F(0))
         assert total == result.rhs
         sizes[n_vert] += 1
         done += 1
     assert all(sizes[k] > 0 for k in (1, 2, 3))
+    assert all(paths.values())
     _report("5 (minimax identity)", start,
-            f"{done} instances, hull sizes {dict(sizes)}")
+            f"{done} instances, hull sizes {dict(sizes)}, paths {paths}")
 
 
 def _nested_priors(rng, tree):

@@ -36,10 +36,16 @@ from semistatic.lp import ZERO
 from semistatic.market import MarketSpec, build_market, market_to_json, portfolio_value
 from semistatic.measures import polytope_vertices_as_measures
 from semistatic.robust import HypothesisFailure, RobustError
-from semistatic.stopping import enumerate_stopping_times, snell_value
+from semistatic.stopping import (
+    EnumerationCapError,
+    enumerate_stopping_times,
+    snell_optimal_stop,
+    snell_value,
+    stop_everywhere_at,
+)
 from semistatic.tree import AdaptedProcess, EventTree
 
-from conftest import random_claim, random_market, random_measure, random_process
+from conftest import random_claim, random_market, random_measure, random_process, random_tree
 import oracles
 from oracles import constant_claim, robust_pricing_set
 
@@ -532,42 +538,123 @@ def test_minimax_two_options_additivity(t2):
     assert both.lhs == both.mid == both.rhs
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_minimax_random(seed):
+def _random_hull(seed):
+    """The random hull and options of `test_minimax_random`'s seed."""
     rng = random.Random(14_000 + seed)
-    market = random_market(rng, max_depth=2)
-    tree = market.tree
-    n_vert = rng.randint(1, 3)
+    tree = random_market(rng, max_depth=2).tree
     verts = [random_measure(rng, tree, full_support=rng.random() < 0.7)
-             for _ in range(n_vert)]
-    hs = [random_process(rng, tree) for _ in range(rng.randint(1, 2))]
+             for _ in range(rng.randint(1, 3))]
+    return verts, [random_process(rng, tree) for _ in range(rng.randint(1, 2))]
+
+
+# the path each hull of `test_minimax_random` takes: "strict" when one vertex
+# is proved the strict optimum from its optimal stops, else "lp"
+_RANDOM_HULL_PATHS = ("lp", "strict", "strict", "lp", "lp", "lp")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_minimax_random(seed, monkeypatch):
+    """The identity on random hulls, each on its pinned path; both paths are
+    among the six."""
+    solves = _count(monkeypatch, robust, "solve")
+    verts, hs = _random_hull(seed)
     result = minimax_check(verts, hs)
     assert result.lhs == result.mid == result.rhs
     total = sum((snell_value(result.attaining, h) for h in hs), F(0))
     assert total == result.rhs
+    assert ("lp" if solves else "strict") == _RANDOM_HULL_PATHS[seed]
+    assert set(_RANDOM_HULL_PATHS) == {"lp", "strict"}
+
+
+def _proved_strict_vertex(verts, hs):
+    """The vertex whose optimal stops prove it the hull's strict optimum, or
+    None: the one vertex with the least summed envelope, when its optimal
+    stops are worth more than that at every other vertex."""
+    sums = [sum((snell_value(R, h) for h in hs), F(0)) for R in verts]
+    least = [b for b, v in enumerate(sums) if v == min(sums)]
+    if len(least) > 1:
+        return None
+    b = least[0]
+    taus = [snell_optimal_stop(verts[b], h) for h in hs]
+    worth = [sum((R.expect_at_stop(h, tau) for h, tau in zip(hs, taus)), F(0)) for R in verts]
+    return b if all(c > sums[b] for j, c in enumerate(worth) if j != b) else None
 
 
 def test_minimax_solves_one_lp(monkeypatch):
-    """One LP per call on the random hulls of `test_minimax_random`: the
-    flows come from its duals, so no second LP (nor a cut loop) runs."""
+    """At most one LP per call on the random hulls of `test_minimax_random`:
+    none, and no stop enumerated, when one vertex is proved the strict
+    optimum; else exactly one, whose duals give the flows, so no second LP
+    (nor a cut loop) runs.  Both kinds of hull occur."""
     solves = _count(monkeypatch, robust, "solve")
+    enumerations = _count(monkeypatch, robust, "enumerate_stopping_times")
     cut_loops = _count(monkeypatch, measures, "solve")
+    strict = []
     for seed in range(6):
-        rng = random.Random(14_000 + seed)
-        tree = random_market(rng, max_depth=2).tree
-        verts = [random_measure(rng, tree, full_support=rng.random() < 0.7)
-                 for _ in range(rng.randint(1, 3))]
-        hs = [random_process(rng, tree) for _ in range(rng.randint(1, 2))]
+        verts, hs = _random_hull(seed)
         solves.clear()
+        enumerations.clear()
         cut_loops.clear()
         minimax_check(verts, hs)
-        assert len(solves) == 1 and not cut_loops
+        strict.append(_proved_strict_vertex(verts, hs) is not None)
+        assert len(solves) == len(enumerations) == (0 if strict[-1] else 1)
+        assert not cut_loops
+    assert set(strict) == {True, False}
 
 
-def _tamper_t2_segment(monkeypatch, t2, alter):
-    """`minimax_check` on the T2 segment hull of
-    `test_minimax_t2_segment_with_oracle`, its LP solution altered by
-    `alter(solution, n_stops)` after `lp.solve` has verified it."""
+def test_minimax_equals_the_oracle_stop_side_lp(monkeypatch):
+    """On random hulls of depth <= 2 trees, 1-3 vertices with partial
+    supports and a duplicated vertex forcing ties, and 1-2 options,
+    `minimax_check`'s lhs, mid and rhs equal the optimum of the stop-side LP
+    solved from `oracles.minimax_rows`'s Fraction rows, and its attaining
+    measure is that LP's optimal mixture, den and num in the same leaf
+    order: on hulls proved by a strict vertex (no LP) and on hulls the
+    engine's own LP decides, both seen."""
+    solves = _count(monkeypatch, robust, "solve")
+    lps_per_call = set()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), tie=st.booleans(), n_options=st.integers(1, 2))
+    def compare(seed, tie, n_options):
+        rng = random.Random(seed)
+        tree = random_tree(rng, max_depth=2)
+        verts = [random_measure(rng, tree, full_support=rng.random() < 0.5)
+                 for _ in range(rng.randint(1, 3))]
+        if tie and len(verts) > 1:
+            verts[-1] = Measure(tree, rng.choice(verts[:-1]).weights)
+        hs = [random_process(rng, tree) for _ in range(n_options)]
+        solves.clear()
+        result = minimax_check(verts, hs)
+        lps_per_call.add(len(solves))
+        rhs, attaining = oracles.minimax_stop_side(verts, hs)
+        assert result.values() == (rhs, rhs, rhs)
+        assert result.attaining.den == attaining.den
+        assert list(result.attaining.num.items()) == list(attaining.num.items())
+
+    compare()
+    assert lps_per_call == {0, 1}
+
+
+def _ends_t2(tree):
+    return Measure(tree, {"uu": F(1, 2), "dd": F(1, 2)})
+
+
+def test_minimax_t2_mixture_optimum(t2):
+    """The uniform vertex and the half-half measure on uu and dd: their put
+    envelopes are 7/4 and 2, and the hull's optimum is 5/3, at the strict
+    mixture 2/3 uniform plus 1/3 of the other."""
+    put = t2.claims["put5_am"]
+    uni, ends = _uniform(t2.tree), _ends_t2(t2.tree)
+    assert (snell_value(uni, put), snell_value(ends, put)) == (F(7, 4), F(2))
+    result = minimax_check([uni, ends], [put])
+    assert result.values() == (F(5, 3),) * 3
+    assert result.attaining == uni.mixture(ends, F(2, 3))
+
+
+def _tamper_t2_mixture(monkeypatch, t2, alter):
+    """`minimax_check` on the hull of `test_minimax_t2_mixture_optimum`,
+    whose optimum is a strict mixture so that the stop-side LP decides it,
+    its LP solution altered by `alter(solution, n_stops)` after `lp.solve`
+    has verified it."""
     real = robust.solve
 
     def tampered(problem):
@@ -576,19 +663,19 @@ def _tamper_t2_segment(monkeypatch, t2, alter):
         return sol
 
     monkeypatch.setattr(robust, "solve", tampered)
-    return minimax_check([_emm_t2(t2.tree), _uniform(t2.tree)], [t2.claims["put5_am"]])
+    return minimax_check([_uniform(t2.tree), _ends_t2(t2.tree)], [t2.claims["put5_am"]])
 
 
 def test_minimax_rejects_a_flow_moved_to_a_worse_stop(monkeypatch, t2):
-    """Option 0's stop weight moved onto stopping at the root (worth 1, the
-    optimum is 7/4): the flow keeps unit mass but a vertex values it below
-    rhs."""
+    """Option 0's first stop weight (2/3) moved onto stopping at the root
+    (worth 1, the optimum is 5/3): the flow keeps unit mass but a vertex
+    values it below rhs."""
     def move(sol, n):
         i = next(i for i in range(2, 1 + n) if sol.duals[i])
         sol.duals[1], sol.duals[i] = sol.duals[1] + sol.duals[i], ZERO
 
-    with pytest.raises(VerificationFailure, match="minimax identity broken: 1, 7/4, 7/4"):
-        _tamper_t2_segment(monkeypatch, t2, move)
+    with pytest.raises(VerificationFailure, match="minimax identity broken: 7/6, 5/3, 5/3"):
+        _tamper_t2_mixture(monkeypatch, t2, move)
 
 
 def test_minimax_rejects_a_flow_without_unit_mass(monkeypatch, t2):
@@ -598,17 +685,53 @@ def test_minimax_rejects_a_flow_without_unit_mass(monkeypatch, t2):
         sol.duals[1:1 + n] = [2 * y for y in sol.duals[1:1 + n]]
 
     with pytest.raises(VerificationFailure, match="option 0: .*path mass 2 != 1"):
-        _tamper_t2_segment(monkeypatch, t2, scale)
+        _tamper_t2_mixture(monkeypatch, t2, scale)
 
 
 def test_minimax_rejects_a_mixture_that_misses_rhs(monkeypatch, t2):
-    """The optimal mixture (the uniform vertex) replaced by the other vertex
-    of the simplex, whose envelope 20/9 is not rhs 7/4."""
+    """The optimal mixture (2/3, 1/3) replaced by the uniform vertex, whose
+    envelope 7/4 is not rhs 5/3."""
     def swap(sol, n):
         sol.values["lam[0]"], sol.values["lam[1]"] = F(1), ZERO
 
-    with pytest.raises(VerificationFailure, match="attaining measure gives 20/9, expected 7/4"):
-        _tamper_t2_segment(monkeypatch, t2, swap)
+    with pytest.raises(VerificationFailure, match="attaining measure gives 7/4, expected 5/3"):
+        _tamper_t2_mixture(monkeypatch, t2, swap)
+
+
+def test_minimax_rejects_a_strict_vertex_stop_that_misses_its_envelope(monkeypatch, t2):
+    """On the T2 segment hull the uniform vertex is the strict optimum; its
+    optimal stop replaced by stopping at the root (worth 1, the envelope is
+    7/4) is a typed verification failure, not a fall back to the LP."""
+    solves = _count(monkeypatch, robust, "solve")
+    enumerations = _count(monkeypatch, robust, "enumerate_stopping_times")
+    monkeypatch.setattr(robust, "snell_optimal_stop",
+                        lambda Q, h: stop_everywhere_at(h.tree, 0))
+    with pytest.raises(VerificationFailure,
+                       match="optimal stops of vertex 1 are worth 1, its summed envelopes 7/4"):
+        minimax_check([_emm_t2(t2.tree), _uniform(t2.tree)], [t2.claims["put5_am"]])
+    assert not solves and not enumerations
+
+
+def test_minimax_past_the_enumeration_cap(monkeypatch):
+    """On the full depth-4 trinomial (389,017,001 stops, past the cap) a
+    one-vertex hull is its own strict optimum and answers from its
+    envelopes, with no LP; two vertices with equal summed envelopes leave no
+    strict vertex, so the stop-side LP would need every stop, and it
+    refuses."""
+    rows = [("r", None, 0)]
+    level = ["r"]
+    for t in range(1, 5):
+        level = [f"{n}{b}" for n in level for b in "udm"]
+        rows += [(n, n[:-1], t) for n in level]
+    tree = EventTree(rows)
+    rng = random.Random(7)
+    R, h = random_measure(rng, tree), random_process(rng, tree)
+    solves = _count(monkeypatch, robust, "solve")
+    result = minimax_check([R], [h])
+    assert result.values() == (snell_value(R, h),) * 3 and result.attaining == R
+    assert not solves
+    with pytest.raises(EnumerationCapError, match="389017001 stopping times exceeds cap"):
+        minimax_check([R, Measure(tree, R.weights)], [h])
 
 
 def _count(monkeypatch, module, name):
